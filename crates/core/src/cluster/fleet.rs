@@ -617,9 +617,7 @@ mod tests {
             c.drain().unwrap();
         }
         assert_eq!(grouped.summary().served, 2);
-        let uplink_busy = grouped
-            .tags
-            .get(&link_tag("uplink-0-0", "busy_us"));
+        let uplink_busy = grouped.tags.get(&link_tag("uplink-0-0", "busy_us"));
         assert_eq!(uplink_busy, 2 * transfer, "both transfers charged");
         assert_eq!(flat.tags.get(&link_tag("uplink-0-0", "bytes")), 0);
         // Latency is measured from chip arrival and both requests share

@@ -41,11 +41,16 @@
 //!   two-rotation warmup every broadcast refills a recycled buffer
 //!   (`copy_from_slice` — byte-identical to a fresh `Arc::from`) instead
 //!   of allocating.
-//! * **Fused supersteps.** The whole `dim`-round rotation runs as one
-//!   [`sw_sim::Mesh::superstep_rounds`] batch — one worker-pool handoff
-//!   per rotation instead of one per parallel superstep. The unfused
-//!   two-supersteps-per-round loop stays available as a comparison arm
-//!   via [`force_unfused`] or `SWDNN_UNFUSED=1`.
+//! * **Fused supersteps, sized.** The whole `dim`-round rotation runs as
+//!   one [`sw_sim::Mesh::superstep_rounds`] batch, handed the work of one
+//!   round (`dim²·m8·n8·k8` MACs): one worker-pool handoff per rotation
+//!   instead of one per parallel superstep, and none at all when a round
+//!   is below the runtime's grain — small training tiles run inline. The
+//!   unfused two-supersteps-per-round loop stays available as a
+//!   comparison arm via [`force_unfused`] or `SWDNN_UNFUSED=1`.
+//! * **Nothing per CPE that is constant per rotation.** The block's
+//!   cycle/traffic profile, its flop count and the two opt-out switches
+//!   are resolved once per call, not 64 × 8 times inside it.
 //! * **Register-tiled microkernel.** The accumulation uses a 4×8
 //!   register-blocked kernel (the host-side analogue of the paper's
 //!   `rb_B`×`rb_No` register blocking) that accumulates each C element in
@@ -60,8 +65,8 @@
 use crate::error::SwdnnError;
 use crate::kernel_cost;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use sw_runtime::PayloadPool;
+use std::sync::{Arc, Mutex, OnceLock};
+use sw_runtime::{PayloadPool, Work};
 use sw_sim::{CpeCtx, LdmBuf, Mesh, SimError};
 
 /// Shape of the distributed GEMM (per-CPE block sizes).
@@ -142,36 +147,43 @@ pub fn lease_scratch(
 /// Force every subsequent GEMM to use the scalar reference microkernel
 /// (for A/B-testing the register-tiled kernel; both produce bit-identical
 /// output). The `SWDNN_SCALAR_KERNEL` environment variable (any value but
-/// `0`) has the same effect.
+/// `0`, read once per process) has the same effect.
 pub fn force_reference_microkernel(on: bool) {
     FORCE_REFERENCE.store(on, Ordering::SeqCst);
 }
 
 /// Whether the scalar reference microkernel is currently forced.
 pub fn reference_microkernel_forced() -> bool {
-    FORCE_REFERENCE.load(Ordering::SeqCst)
-        || std::env::var_os("SWDNN_SCALAR_KERNEL").is_some_and(|v| v != "0")
+    static ENV: OnceLock<bool> = OnceLock::new();
+    FORCE_REFERENCE.load(Ordering::SeqCst) || env_opt_out(&ENV, "SWDNN_SCALAR_KERNEL")
 }
 
 static FORCE_REFERENCE: AtomicBool = AtomicBool::new(false);
 
-/// Force every subsequent GEMM to run the unfused formulation — two pool
-/// handoffs per rotation round instead of one per rotation (for A/B
-/// comparison against the fused [`sw_sim::Mesh::superstep_rounds`] path;
-/// both are bit-identical in simulated time and output). The
-/// `SWDNN_UNFUSED` environment variable (any value but `0`) has the same
-/// effect.
+/// Force every subsequent GEMM to run the unfused formulation — two
+/// supersteps per rotation round, each deciding on its own whether to cross
+/// the pool, instead of one batch per rotation (for A/B comparison against
+/// the fused [`sw_sim::Mesh::superstep_rounds`] path; both are
+/// bit-identical in simulated time and output). The `SWDNN_UNFUSED`
+/// environment variable (any value but `0`, read once per process) has the
+/// same effect.
 pub fn force_unfused(on: bool) {
     FORCE_UNFUSED.store(on, Ordering::SeqCst);
 }
 
 /// Whether the unfused superstep loop is currently forced.
 pub fn unfused_forced() -> bool {
-    FORCE_UNFUSED.load(Ordering::SeqCst)
-        || std::env::var_os("SWDNN_UNFUSED").is_some_and(|v| v != "0")
+    static ENV: OnceLock<bool> = OnceLock::new();
+    FORCE_UNFUSED.load(Ordering::SeqCst) || env_opt_out(&ENV, "SWDNN_UNFUSED")
 }
 
 static FORCE_UNFUSED: AtomicBool = AtomicBool::new(false);
+
+/// An environment opt-out, read on first use and cached: the rotation hot
+/// path asks once per GEMM and must not walk the process environment.
+fn env_opt_out(cell: &OnceLock<bool>, name: &str) -> bool {
+    *cell.get_or_init(|| std::env::var_os(name).is_some_and(|v| v != "0"))
+}
 
 /// Run one full 8-round rotation.
 ///
@@ -222,7 +234,13 @@ where
         scratch.a_own.len() >= dim && scratch.b_own.len() >= dim,
         "GemmScratch sized for a smaller mesh"
     );
+    // Constant for the whole rotation: resolved here, not per CPE per round.
     let use_reference = reference_microkernel_forced();
+    let prof = kernel_cost::block_profile(blk.m8, blk.n8, blk.k8, blk.reordered);
+    let flops = kernel_cost::block_flops(blk.m8, blk.n8, blk.k8);
+    // What one compute superstep costs the host: every CPE multiplies an
+    // `m8×k8` by a `k8×n8` block.
+    let round_work = Work::Macs((dim * dim * blk.m8 * blk.n8 * blk.k8) as u64);
 
     // Both arms below share these two phase closures verbatim, so fused
     // and unfused runs are the same program modulo handoff count. The
@@ -316,9 +334,8 @@ where
         } else {
             microkernel_tiled(c, c_off, cs, &a, &b, m8, n8, k8);
         }
-        let prof = kernel_cost::block_profile(m8, n8, k8, blk.reordered);
         ctx.charge_compute(prof.cycles);
-        ctx.add_flops(kernel_cost::block_flops(m8, n8, k8));
+        ctx.add_flops(flops);
         ctx.add_ldm_reg_bytes(prof.ldm_load_bytes + prof.ldm_store_bytes);
         ctx.add_issue_slots(prof.p0_slots, prof.p1_slots);
         Ok(())
@@ -326,15 +343,16 @@ where
 
     if unfused_forced() {
         // Comparison arm: one serial + one parallel superstep per round —
-        // `2 * dim` handoff opportunities per rotation.
+        // `dim` handoffs per rotation when a round is worth the pool.
         for r in 0..dim {
             mesh.superstep_serial(|ctx, s| pack_phase(r, ctx, s))?;
-            mesh.superstep(|ctx, s| compute_phase(r, ctx, s))?;
+            mesh.superstep_with(round_work, |ctx, s| compute_phase(r, ctx, s))?;
         }
     } else {
         // Fused: the whole rotation is one superstep batch — one pool
-        // handoff regardless of `dim`.
-        mesh.superstep_rounds(dim, &pack_phase, &compute_phase)?;
+        // handoff regardless of `dim`, none when a round is below the
+        // runtime's grain.
+        mesh.superstep_rounds(dim, round_work, &pack_phase, &compute_phase)?;
     }
     Ok(())
 }

@@ -110,6 +110,73 @@ pub fn effective_threads() -> usize {
         .unwrap_or_else(machine_threads)
 }
 
+// ---------------------------------------------------------------------------
+// Grain: is a step worth crossing the pool?
+// ---------------------------------------------------------------------------
+
+/// A deterministic estimate of the host work in ONE parallel step (one
+/// superstep, or one round of a fused batch), summed over all its items and
+/// known before the step runs. The unit names the kind of work so each kind
+/// is held against its own calibrated grain in [`lanes_for`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Work {
+    /// Multiply-accumulates the step executes (a GEMM rotation round:
+    /// `dim²·m8·n8·k8`).
+    Macs(u64),
+    /// Doubles the step can touch at most — for a mesh superstep the
+    /// resident LDM, `64 × high-water` (DMA copies move no more than that).
+    Doubles(u64),
+}
+
+/// Steps below this many MACs run inline.
+///
+/// Calibration (2-vCPU reference box, `SWDNN_THREADS=2`, benchmark probes):
+/// back to back with both lanes spinning a handoff is
+/// `runtime.handoff_us` ≈ 1.7 µs and a fused step
+/// `runtime.stepped_step_us` ≈ 0.85 µs, but between real supersteps the
+/// lanes park, and `plans.gemm_call_us` — one 8-round rotation of 1 024
+/// MACs/step — is ≈ 275 µs on the pool against ≈ 95 µs inline: ≈ 22 µs of
+/// pool cost per step, ≈ 12 µs once the rounds are large enough to keep the
+/// lanes awake. Inline the tiled microkernel retires ≈ 12 MAC/ns, so a step
+/// of `m` MACs offers `p` ideal lanes at most `m·(1 − 1/p)/12` ns: about
+/// 3·10⁵ MACs to break even at two lanes, 1.7·10⁵ at eight. 2¹⁷ is just
+/// under the many-lane figure — below it no lane count repays the step
+/// barrier; above it the fused path is left exactly as it was (on this box,
+/// whose two vCPUs speed a rotation up by < 1.1×, the measured crossover is
+/// nearer 2·10⁶). Every training-sized rotation (512–12 288 MACs/step)
+/// falls below, every Table III rotation (≥ 786 432) above.
+const MAC_GRAIN: u64 = 1 << 17;
+
+/// Supersteps whose resident LDM is below this many doubles run inline.
+///
+/// Calibration (same box): a superstep of 64 strided DMA gets touching a
+/// third of the resident LDM costs, inline vs pooled, 4.6 vs 19.7 µs at
+/// 1 536 resident doubles, 8.4 vs 24.0 at 49 152, 13.9 vs 30.5 at 98 304,
+/// 25.4 vs 57.8 at 196 608 and 86 vs 73 at 393 216 — ≈ 15 µs to cross the
+/// pool, which `p` ideal lanes repay once the inline step exceeds
+/// `15·p/(p − 1)` µs: ≈ 2·10⁵ resident doubles at two lanes, ≈ 1.3·10⁵ at
+/// eight. 2¹⁷ is that many-lane bound. Training-sized tiles hold at most
+/// 45 312 doubles, the Table III tiles at least 159 744.
+const DOUBLES_GRAIN: u64 = 1 << 17;
+
+/// How many lanes a step of `items` items and estimated `work` should fan
+/// out over: 1 (run inline on the caller) when the estimate is under the
+/// grain for its kind, otherwise [`effective_threads`] capped by `items`.
+/// A pure function of `(items, work, effective_threads())`, so whether a
+/// region crosses the pool — and hence every handoff count — depends on
+/// the problem's shape and the lane count, never on timing.
+pub fn lanes_for(items: usize, work: Work) -> usize {
+    let worth_it = match work {
+        Work::Macs(m) => m >= MAC_GRAIN,
+        Work::Doubles(d) => d >= DOUBLES_GRAIN,
+    };
+    if worth_it {
+        effective_threads().min(items.max(1))
+    } else {
+        1
+    }
+}
+
 /// Human-readable description of the resolved thread policy, for bench
 /// banners (so a snapshot's host numbers can be tied to the lane count
 /// that produced them).
@@ -953,6 +1020,25 @@ mod tests {
         // Restored across panics too.
         let _ = catch_unwind(|| with_threads(3, || panic!("boom")));
         assert_eq!(current_override(), None);
+    }
+
+    #[test]
+    fn lanes_for_is_one_below_the_grain_and_the_policy_at_it() {
+        for (below, at) in [
+            (Work::Macs(MAC_GRAIN - 1), Work::Macs(MAC_GRAIN)),
+            (
+                Work::Doubles(DOUBLES_GRAIN - 1),
+                Work::Doubles(DOUBLES_GRAIN),
+            ),
+        ] {
+            for threads in [1, 2, 8] {
+                with_threads(threads, || {
+                    assert_eq!(lanes_for(64, below), 1, "{below:?} @ {threads}");
+                    assert_eq!(lanes_for(64, at), threads, "{at:?} @ {threads}");
+                    assert_eq!(lanes_for(3, at), threads.min(3), "capped by items");
+                });
+            }
+        }
     }
 
     #[test]

@@ -18,12 +18,15 @@
 //! Supersteps execute through a persistent [`sw_runtime::ExecutionContext`]
 //! (the worker pool spawned once per process), not a per-superstep thread
 //! fan-out; [`Mesh::new_on`] pins a mesh to a specific context, and
-//! [`Mesh::new`] uses the process-wide [`sw_runtime::global`] one.
+//! [`Mesh::new`] uses the process-wide [`sw_runtime::global`] one. A
+//! superstep too small to repay a pool handoff runs inline on the caller
+//! instead ([`Mesh::superstep_with`]); that choice never reaches the
+//! simulated clock.
 
 use crate::dma::{DmaEngine, DmaHandle};
 use crate::fault::FaultPlan;
 use crate::ldm::{Ldm, LdmBuf, LdmOverflow};
-use crate::stats::{CgStats, CpeCounters, CpeStats};
+use crate::stats::{CgStats, CpeStats};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -125,16 +128,12 @@ impl From<LdmOverflow> for SimError {
 /// allocation handed to every receiver by reference count, not one
 /// allocation plus a clone per target.
 #[derive(Clone, Debug)]
-enum OutMsg {
-    Bcast {
-        bus: Bus,
-        data: Arc<[f64]>,
-    },
-    Send {
-        bus: Bus,
-        to: usize,
-        data: Arc<[f64]>,
-    },
+struct OutMsg {
+    bus: Bus,
+    /// Position along the bus (a column on the row bus, a row on the column
+    /// bus) of the one receiver; `None` broadcasts to the other `dim − 1`.
+    to: Option<usize>,
+    data: Arc<[f64]>,
 }
 
 struct CpeNode<S> {
@@ -148,7 +147,9 @@ struct CpeNode<S> {
     /// Monotonic DMA request counter, keying fault-injection decisions so
     /// they are independent of thread scheduling.
     dma_seq: u64,
-    stats: CpeCounters,
+    /// Plain counters: each CPE has exactly one writer per superstep (the
+    /// lane holding its `&mut CpeNode`) and is read only after the barrier.
+    stats: CpeStats,
     row_inbox: VecDeque<Arc<[f64]>>,
     col_inbox: VecDeque<Arc<[f64]>>,
     events: Vec<crate::trace::Event>,
@@ -161,7 +162,7 @@ pub struct CpeCtx<'a> {
     pub col: usize,
     ldm: &'a mut Ldm,
     clock: &'a mut u64,
-    stats: &'a CpeCounters,
+    stats: &'a mut CpeStats,
     row_inbox: &'a mut VecDeque<Arc<[f64]>>,
     col_inbox: &'a mut VecDeque<Arc<[f64]>>,
     dma_free: &'a mut u64,
@@ -273,8 +274,8 @@ impl CpeCtx<'_> {
             bytes,
             self.block_hint.take().unwrap_or(run_len * 8),
         );
-        self.stats.dma_get_bytes.add(bytes as u64);
-        self.stats.dma_requests.inc();
+        self.stats.dma_get_bytes += bytes as u64;
+        self.stats.dma_requests += 1;
         let h = self.enqueue_dma(cycles)?;
         self.record(crate::trace::EventKind::DmaGetIssue {
             bytes: bytes as u64,
@@ -307,7 +308,7 @@ impl CpeCtx<'_> {
             let stall = fp.dma_stall(id, seq);
             if stall > 0 {
                 total += stall;
-                self.stats.fault_stall_cycles.add(stall);
+                self.stats.fault_stall_cycles += stall;
             }
             let mut attempt = 0u32;
             while fp.dma_attempt_fails(id, seq, attempt) {
@@ -320,8 +321,8 @@ impl CpeCtx<'_> {
                 }
                 let backoff = fp.retry.base_backoff_cycles << attempt;
                 total += cycles + backoff;
-                self.stats.dma_retries.inc();
-                self.stats.fault_retry_cycles.add(cycles + backoff);
+                self.stats.dma_retries += 1;
+                self.stats.fault_retry_cycles += cycles + backoff;
                 attempt += 1;
             }
         }
@@ -371,8 +372,8 @@ impl CpeCtx<'_> {
             bytes,
             self.block_hint.take().unwrap_or(run_len * 8),
         );
-        self.stats.dma_put_bytes.add(bytes as u64);
-        self.stats.dma_requests.inc();
+        self.stats.dma_put_bytes += bytes as u64;
+        self.stats.dma_requests += 1;
         let h = self.enqueue_dma(cycles)?;
         self.record(crate::trace::EventKind::DmaPutIssue {
             bytes: bytes as u64,
@@ -414,8 +415,8 @@ impl CpeCtx<'_> {
             bytes,
             self.block_hint.take().unwrap_or(run_len * 8),
         );
-        self.stats.dma_put_bytes.add(bytes as u64);
-        self.stats.dma_requests.inc();
+        self.stats.dma_put_bytes += bytes as u64;
+        self.stats.dma_requests += 1;
         let h = self.enqueue_dma(cycles)?;
         self.record(crate::trace::EventKind::DmaPutIssue {
             bytes: bytes as u64,
@@ -440,7 +441,7 @@ impl CpeCtx<'_> {
         if h.done_at > *self.clock {
             let stall = h.done_at - *self.clock;
             self.record(crate::trace::EventKind::DmaWait { stall });
-            self.stats.dma_stall_cycles.add(stall);
+            self.stats.dma_stall_cycles += stall;
             *self.clock = h.done_at;
         }
     }
@@ -461,8 +462,9 @@ impl CpeCtx<'_> {
     /// Zero-copy row broadcast of an already-shared payload.
     pub fn bcast_row_shared(&mut self, data: Arc<[f64]>) {
         self.charge_put(data.len());
-        self.out_msgs.push(OutMsg::Bcast {
+        self.out_msgs.push(OutMsg {
             bus: Bus::Row,
+            to: None,
             data,
         });
     }
@@ -470,8 +472,9 @@ impl CpeCtx<'_> {
     /// Zero-copy column broadcast of an already-shared payload.
     pub fn bcast_col_shared(&mut self, data: Arc<[f64]>) {
         self.charge_put(data.len());
-        self.out_msgs.push(OutMsg::Bcast {
+        self.out_msgs.push(OutMsg {
             bus: Bus::Col,
+            to: None,
             data,
         });
     }
@@ -480,9 +483,9 @@ impl CpeCtx<'_> {
     pub fn send_row(&mut self, to_col: usize, data: &[f64]) {
         assert!(to_col < crate::MESH_DIM);
         self.charge_put(data.len());
-        self.out_msgs.push(OutMsg::Send {
+        self.out_msgs.push(OutMsg {
             bus: Bus::Row,
-            to: to_col,
+            to: Some(to_col),
             data: Arc::from(data),
         });
     }
@@ -491,9 +494,9 @@ impl CpeCtx<'_> {
     pub fn send_col(&mut self, to_row: usize, data: &[f64]) {
         assert!(to_row < crate::MESH_DIM);
         self.charge_put(data.len());
-        self.out_msgs.push(OutMsg::Send {
+        self.out_msgs.push(OutMsg {
             bus: Bus::Col,
-            to: to_row,
+            to: Some(to_row),
             data: Arc::from(data),
         });
     }
@@ -502,7 +505,7 @@ impl CpeCtx<'_> {
     fn charge_put(&mut self, doubles: usize) {
         let vectors = doubles.div_ceil(4) as u64;
         self.record(crate::trace::EventKind::BusSend { vectors });
-        self.stats.bus_vectors_sent.add(vectors);
+        self.stats.bus_vectors_sent += vectors;
         *self.clock += vectors; // one put per cycle on P1
     }
 
@@ -542,30 +545,11 @@ impl CpeCtx<'_> {
         self.pop_inbox(Bus::Col)
     }
 
-    /// Receive from the row transfer buffer into a reusable scratch buffer
-    /// (cleared first) — allocation-free once `dst` has grown to the
-    /// steady-state message size.
-    pub fn recv_row_into(&mut self, dst: &mut Vec<f64>) -> Result<(), SimError> {
-        let msg = self.pop_inbox(Bus::Row)?;
-        dst.clear();
-        dst.extend_from_slice(&msg);
-        Ok(())
-    }
-
-    /// Receive from the column transfer buffer into a reusable scratch
-    /// buffer (cleared first).
-    pub fn recv_col_into(&mut self, dst: &mut Vec<f64>) -> Result<(), SimError> {
-        let msg = self.pop_inbox(Bus::Col)?;
-        dst.clear();
-        dst.extend_from_slice(&msg);
-        Ok(())
-    }
-
     #[inline]
     fn charge_get(&mut self, doubles: usize) {
         let vectors = doubles.div_ceil(4) as u64;
         self.record(crate::trace::EventKind::BusRecv { vectors });
-        self.stats.bus_vectors_received.add(vectors);
+        self.stats.bus_vectors_received += vectors;
         *self.clock += vectors + GET_LATENCY;
     }
 
@@ -573,28 +557,28 @@ impl CpeCtx<'_> {
     #[inline]
     pub fn charge_compute(&mut self, cycles: u64) {
         self.record(crate::trace::EventKind::Compute { cycles });
-        self.stats.compute_cycles.add(cycles);
+        self.stats.compute_cycles += cycles;
         *self.clock += cycles;
     }
 
     /// Record floating-point work.
     #[inline]
     pub fn add_flops(&mut self, flops: u64) {
-        self.stats.flops.add(flops);
+        self.stats.flops += flops;
     }
 
     /// Record LDM → register-file traffic of an inner kernel (Eq. 5
     /// accounting, priced by the `sw-isa` instruction model).
     #[inline]
     pub fn add_ldm_reg_bytes(&mut self, bytes: u64) {
-        self.stats.ldm_reg_bytes.add(bytes);
+        self.stats.ldm_reg_bytes += bytes;
     }
 
     /// Record instruction issue slots consumed on each pipeline.
     #[inline]
     pub fn add_issue_slots(&mut self, p0: u64, p1: u64) {
-        self.stats.p0_issue_slots.add(p0);
-        self.stats.p1_issue_slots.add(p1);
+        self.stats.p0_issue_slots += p0;
+        self.stats.p1_issue_slots += p1;
     }
 }
 
@@ -630,7 +614,7 @@ where
         let stall = fp.cpe_stall(id, step);
         if stall > 0 {
             node.clock += stall;
-            node.stats.fault_stall_cycles.add(stall);
+            node.stats.fault_stall_cycles += stall;
         }
     }
     let mut ctx = CpeCtx {
@@ -638,7 +622,7 @@ where
         col: node.col,
         ldm: &mut node.ldm,
         clock: &mut node.clock,
-        stats: &node.stats,
+        stats: &mut node.stats,
         row_inbox: &mut node.row_inbox,
         col_inbox: &mut node.col_inbox,
         dma_free: &mut node.dma_free,
@@ -689,47 +673,27 @@ fn finish_superstep_parts<S>(
     // may be dropped (the receiver's later recv then hits EmptyInbox).
     for (id, (msgs, puts, _)) in results.into_iter().enumerate() {
         let (row, col) = (id / dim, id % dim);
-        for m in msgs {
-            let (bus, targets, data) = match m {
-                OutMsg::Bcast {
-                    bus: Bus::Row,
-                    data,
-                } => (
-                    Bus::Row,
-                    (0..dim)
-                        .filter(|&c| c != col)
-                        .map(|c| row * dim + c)
-                        .collect::<Vec<_>>(),
-                    data,
-                ),
-                OutMsg::Bcast {
-                    bus: Bus::Col,
-                    data,
-                } => (
-                    Bus::Col,
-                    (0..dim)
-                        .filter(|&r| r != row)
-                        .map(|r| r * dim + col)
-                        .collect(),
-                    data,
-                ),
-                OutMsg::Send {
-                    bus: Bus::Row,
-                    to,
-                    data,
-                } => (Bus::Row, vec![row * dim + to], data),
-                OutMsg::Send {
-                    bus: Bus::Col,
-                    to,
-                    data,
-                } => (Bus::Col, vec![to * dim + col], data),
+        for OutMsg { bus, to, data } in msgs {
+            // Receiver `k` along the sender's bus is CPE `base + k·stride`;
+            // a broadcast skips the sender's own position.
+            let (own, base, stride) = match bus {
+                Bus::Row => (col, row * dim, 1),
+                Bus::Col => (row, col, dim),
             };
-            for target in targets {
+            let receivers = match to {
+                Some(k) => k..k + 1,
+                None => 0..dim,
+            };
+            for k in receivers {
+                if to.is_none() && k == own {
+                    continue;
+                }
+                let target = base + k * stride;
                 let seq = *msg_deliveries;
                 *msg_deliveries += 1;
                 if let Some(fp) = fault {
                     if fp.msg_dropped(id, target, seq) {
-                        cpes[id].stats.msgs_dropped.inc();
+                        cpes[id].stats.msgs_dropped += 1;
                         continue;
                     }
                 }
@@ -811,7 +775,7 @@ impl<S: Send> Mesh<S> {
                     clock: 0,
                     dma_free: 0,
                     dma_seq: 0,
-                    stats: CpeCounters::default(),
+                    stats: CpeStats::default(),
                     row_inbox: VecDeque::new(),
                     col_inbox: VecDeque::new(),
                     events: Vec::new(),
@@ -861,14 +825,35 @@ impl<S: Send> Mesh<S> {
             .collect()
     }
 
-    /// Run one superstep: `f` executes on all 64 CPEs (fanned out over the
-    /// context's persistent worker pool), then messages are delivered and
-    /// clocks synchronize.
+    /// Run one superstep: `f` executes on all 64 CPEs, then messages are
+    /// delivered and clocks synchronize. Whether the CPEs fan out over the
+    /// context's worker pool or run inline is decided by the mesh's
+    /// resident LDM (`64 × high-water` doubles — a DMA or clear superstep
+    /// cannot touch more), see [`Self::superstep_with`].
     pub fn superstep<F>(&mut self, f: F) -> Result<(), SimError>
     where
         F: Fn(&mut CpeCtx<'_>, &mut S) -> Result<(), SimError> + Sync,
         S: Send,
     {
+        let resident = self.cpes.len() * self.ldm_high_water();
+        self.superstep_with(sw_runtime::Work::Doubles(resident as u64), f)
+    }
+
+    /// [`Self::superstep`] with an explicit estimate of the step's host
+    /// work. Below the runtime's grain for that kind of work
+    /// ([`sw_runtime::lanes_for`]) the CPE programs run inline in CPE-id
+    /// order, exactly as [`Self::superstep_serial`] runs them; at or above
+    /// it they fan out over the worker pool. The choice is host mechanics
+    /// only: each CPE's program sees the same node, step number and fault
+    /// keys either way, and the seam is shared.
+    pub fn superstep_with<F>(&mut self, work: sw_runtime::Work, f: F) -> Result<(), SimError>
+    where
+        F: Fn(&mut CpeCtx<'_>, &mut S) -> Result<(), SimError> + Sync,
+        S: Send,
+    {
+        if sw_runtime::lanes_for(self.cpes.len(), work) <= 1 {
+            return self.superstep_serial(f);
+        }
         let dma = self.dma;
         let trace_on = self.trace_on;
         let fault = self.fault;
@@ -904,7 +889,9 @@ impl<S: Send> Mesh<S> {
     /// Run a *batch* of `rounds` rounds — each a serial superstep (e.g.
     /// the pack/broadcast phase of a GEMM rotation) followed by a parallel
     /// superstep (the compute phase) — under ONE pool handoff, via
-    /// [`sw_runtime::ExecutionContext::run_stepped`].
+    /// [`sw_runtime::ExecutionContext::run_stepped`], or under none when
+    /// `round_work` (the host work of one round's parallel superstep) is
+    /// below the runtime's grain ([`sw_runtime::lanes_for`]).
     ///
     /// Semantics are exactly `for r in 0..rounds {
     /// superstep_serial(serial_f(r, ..)); superstep(parallel_f(r, ..)) }`:
@@ -914,11 +901,13 @@ impl<S: Send> Mesh<S> {
     /// and the same abort point on error — the first failing superstep
     /// skips all remaining rounds and returns its lowest-CPE-id error.
     /// Simulated cycles, counters and outputs are bit-identical to the
-    /// unfused loop at every thread count; only the number of pool
-    /// handoffs changes (1 instead of `rounds` per batch at ≥2 threads).
+    /// unfused loop at every thread count and on either side of the grain;
+    /// only the number of pool handoffs changes (0 below the grain, 1
+    /// instead of `rounds` per batch above it at ≥2 threads).
     pub fn superstep_rounds<FS, FP>(
         &mut self,
         rounds: usize,
+        round_work: sw_runtime::Work,
         serial_f: &FS,
         parallel_f: &FP,
     ) -> Result<(), SimError>
@@ -930,13 +919,14 @@ impl<S: Send> Mesh<S> {
             return Ok(());
         }
         let n = self.cpes.len();
-        let lanes = sw_runtime::effective_threads().min(n.max(1));
+        let lanes = sw_runtime::lanes_for(n, round_work);
         if lanes <= 1 {
-            // Single-lane: the unfused loop is already handoff-free and
-            // runs everything inline in the identical order.
+            // One lane, or rounds too small to repay a step barrier: the
+            // plain loop is handoff-free and runs everything inline in the
+            // identical order.
             for r in 0..rounds {
                 self.superstep_serial(|ctx, s| serial_f(r, ctx, s))?;
-                self.superstep(|ctx, s| parallel_f(r, ctx, s))?;
+                self.superstep_serial(|ctx, s| parallel_f(r, ctx, s))?;
             }
             return Ok(());
         }
@@ -1123,7 +1113,7 @@ impl<S: Send> Mesh<S> {
     pub fn stats(&self) -> CgStats {
         let mut totals = CpeStats::default();
         for c in &self.cpes {
-            totals.add(&c.stats.snapshot());
+            totals.add(&c.stats);
         }
         CgStats {
             cycles: self.cpes.iter().map(|c| c.clock).max().unwrap_or(0),
@@ -1153,7 +1143,7 @@ impl<S: Send> Mesh<S> {
     pub fn cpe_snapshots(&self) -> Vec<(usize, usize, u64, CpeStats)> {
         self.cpes
             .iter()
-            .map(|c| (c.row, c.col, c.clock, c.stats.snapshot()))
+            .map(|c| (c.row, c.col, c.clock, c.stats))
             .collect()
     }
 
@@ -1185,6 +1175,7 @@ impl<S: Send> Mesh<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sw_runtime::Work;
 
     fn mesh() -> Mesh<u64> {
         Mesh::new(ChipSpec::sw26010(), |r, c| (r * 8 + c) as u64)
@@ -1549,33 +1540,41 @@ mod tests {
         let rt: &'static sw_runtime::ExecutionContext =
             Box::leak(Box::new(sw_runtime::ExecutionContext::new()));
         let build = || Mesh::<Vec<f64>>::new_on(rt, ChipSpec::sw26010(), |_, _| Vec::new());
+        // Both sides of the grain: a round too small to repay a step
+        // barrier runs inline (no handoff at any lane count), one above it
+        // crosses the pool exactly once per batch.
+        let (small, large) = (Work::Macs(1 << 10), Work::Macs(1 << 20));
         for threads in [1, 2, 4, 8] {
-            sw_runtime::with_threads(threads, || {
-                let mut unfused = build();
-                for r in 0..6 {
-                    unfused
-                        .superstep_serial(|ctx, s| serial_phase(r, ctx, s))
+            for work in [small, large] {
+                sw_runtime::with_threads(threads, || {
+                    let mut unfused = build();
+                    for r in 0..6 {
+                        unfused
+                            .superstep_serial(|ctx, s| serial_phase(r, ctx, s))
+                            .unwrap();
+                        unfused
+                            .superstep_with(work, |ctx, s| parallel_phase(r, ctx, s))
+                            .unwrap();
+                    }
+                    let mut fused = build();
+                    let before = fused.runtime().pool_handoffs();
+                    fused
+                        .superstep_rounds(6, work, &serial_phase, &parallel_phase)
                         .unwrap();
-                    unfused
-                        .superstep(|ctx, s| parallel_phase(r, ctx, s))
-                        .unwrap();
-                }
-                let mut fused = build();
-                let before = fused.runtime().pool_handoffs();
-                fused
-                    .superstep_rounds(6, &serial_phase, &parallel_phase)
-                    .unwrap();
-                let fused_handoffs = fused.runtime().pool_handoffs() - before;
-                assert_eq!(fused.supersteps(), unfused.supersteps());
-                assert_eq!(fused.cpe_snapshots(), unfused.cpe_snapshots());
-                assert_eq!(fused.put_log, unfused.put_log, "threads = {threads}");
-                for (a, b) in fused.cpes.iter().zip(unfused.cpes.iter()) {
-                    assert_eq!(a.state, b.state);
-                }
-                if threads > 1 {
-                    assert_eq!(fused_handoffs, 1, "one handoff for the whole batch");
-                }
-            });
+                    let fused_handoffs = fused.runtime().pool_handoffs() - before;
+                    assert_eq!(fused.supersteps(), unfused.supersteps());
+                    assert_eq!(fused.cpe_snapshots(), unfused.cpe_snapshots());
+                    assert_eq!(fused.put_log, unfused.put_log, "threads = {threads}");
+                    for (a, b) in fused.cpes.iter().zip(unfused.cpes.iter()) {
+                        assert_eq!(a.state, b.state);
+                    }
+                    let expect = u64::from(threads > 1 && work == large);
+                    assert_eq!(
+                        fused_handoffs, expect,
+                        "{work:?} @ {threads} threads: one handoff per batch above the grain, none below"
+                    );
+                });
+            }
         }
     }
 
@@ -1597,16 +1596,16 @@ mod tests {
             *s += 1;
             Ok(())
         };
-        let run = |fused: bool| {
+        let run = |fused: bool, work: Work| {
             let mut m = Mesh::<u64>::new(ChipSpec::sw26010(), |_, _| 0);
             let err = if fused {
-                m.superstep_rounds(6, &serial_phase, &parallel_phase)
+                m.superstep_rounds(6, work, &serial_phase, &parallel_phase)
                     .unwrap_err()
             } else {
                 (|| {
                     for r in 0..6 {
                         m.superstep_serial(|ctx, s| serial_phase(r, ctx, s))?;
-                        m.superstep(|ctx, s| parallel_phase(r, ctx, s))?;
+                        m.superstep_with(work, |ctx, s| parallel_phase(r, ctx, s))?;
                     }
                     Ok(())
                 })()
@@ -1615,12 +1614,15 @@ mod tests {
             (m.supersteps(), err)
         };
         for threads in [1, 4] {
-            sw_runtime::with_threads(threads, || {
-                let (fused_steps, fused_err) = run(true);
-                let (unfused_steps, unfused_err) = run(false);
-                assert_eq!(fused_err, unfused_err, "threads = {threads}");
-                assert_eq!(fused_steps, unfused_steps, "abort point matches");
-            });
+            // Inline (below the grain) and on the pool (above it).
+            for work in [Work::Macs(1 << 10), Work::Macs(1 << 20)] {
+                sw_runtime::with_threads(threads, || {
+                    let (fused_steps, fused_err) = run(true, work);
+                    let (unfused_steps, unfused_err) = run(false, work);
+                    assert_eq!(fused_err, unfused_err, "{work:?} @ {threads} threads");
+                    assert_eq!(fused_steps, unfused_steps, "abort point matches");
+                });
+            }
         }
     }
 

@@ -5,18 +5,17 @@
 //! without it being counted, so the benchmark harness can report achieved
 //! MEM→LDM bandwidth and Gflops directly from these counters.
 //!
-//! Counters live in two forms. [`CpeCounters`] is the *live* form inside
-//! each mesh node: relaxed-atomic [`sw_obs::Counter`]s, safe to bump from
-//! the pool-parallel superstep closures and — because relaxed addition is
-//! commutative — guaranteed to reach the same totals regardless of thread
-//! scheduling (asserted by the `counter_determinism` test suite).
-//! [`CpeStats`] is the *snapshot* form: a plain `Copy` struct taken at a
-//! quiescent point (superstep barrier or end of run), which the planner's
-//! timing extrapolation and the bench harness manipulate freely.
+//! Counters are plain `u64`s. Each mesh node owns one [`CpeStats`] and a
+//! superstep hands it to exactly one writer — the lane holding that node's
+//! `&mut CpeNode` — and nothing reads it until the superstep barrier has
+//! joined every lane, so no atomics are needed and totals cannot depend on
+//! thread scheduling (asserted by `counters_are_schedule_independent` and
+//! the `sim_props` suite). Being `Copy`, the same struct is the snapshot
+//! the planner's timing extrapolation and the bench harness manipulate.
 //!
 //! The field list is defined once in `for_each_cpe_stat!` and expanded into
-//! both structs and every whole-struct operation, so adding a counter in
-//! one place wires it through snapshotting, summation and extrapolation.
+//! the struct and every whole-struct operation, so adding a counter in one
+//! place wires it through summation, naming and extrapolation.
 
 /// Invokes `$action!(field, field, ...)` with the complete counter field
 /// list — the single source of truth for what a CPE counts.
@@ -42,7 +41,7 @@ macro_rules! for_each_cpe_stat {
     };
 }
 
-/// Counters for one CPE (plain snapshot form).
+/// Counters for one CPE.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CpeStats {
     /// Bytes moved memory → LDM by DMA gets.
@@ -106,31 +105,6 @@ impl CpeStats {
         for_each_cpe_stat!(named)
     }
 }
-
-/// Live counters for one CPE: the same fields as [`CpeStats`], as
-/// relaxed-atomic [`sw_obs::Counter`]s shared with the superstep closure.
-macro_rules! counters_struct {
-    ($($field:ident),+) => {
-        #[derive(Debug, Default)]
-        pub struct CpeCounters {
-            $(pub $field: sw_obs::Counter),+
-        }
-
-        impl CpeCounters {
-            /// Copy the current values into a plain snapshot. Exact once
-            /// producers are quiescent (e.g. at a superstep barrier).
-            pub fn snapshot(&self) -> CpeStats {
-                CpeStats { $($field: self.$field.get()),+ }
-            }
-
-            /// Zero every counter (for reusing a mesh between runs).
-            pub fn reset(&self) {
-                $(self.$field.reset();)+
-            }
-        }
-    };
-}
-for_each_cpe_stat!(counters_struct);
 
 /// Aggregated result of running a kernel on one core group.
 #[derive(Clone, Copy, Debug, Default)]
@@ -308,38 +282,35 @@ mod tests {
     }
 
     #[test]
-    fn counters_snapshot_and_reset() {
-        let c = CpeCounters::default();
-        c.flops.add(8);
-        c.ldm_reg_bytes.add(256);
-        c.dma_requests.inc();
-        let snap = c.snapshot();
-        assert_eq!(snap.flops, 8);
-        assert_eq!(snap.ldm_reg_bytes, 256);
-        assert_eq!(snap.dma_requests, 1);
-        c.reset();
-        assert_eq!(c.snapshot(), CpeStats::default());
-    }
-
-    #[test]
     fn counters_are_schedule_independent() {
-        use std::sync::Arc;
-        let c = Arc::new(CpeCounters::default());
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let c = Arc::clone(&c);
-                std::thread::spawn(move || {
-                    for _ in 0..500 {
-                        c.flops.add(8);
-                        c.ldm_reg_bytes.add(32);
-                    }
-                })
+        // One writer per CPE per superstep, read after the barrier: every
+        // per-CPE counter must come out identical whether the 64 programs
+        // ran inline or were fanned over 2, 4 or 8 pool lanes.
+        use crate::mesh::Mesh;
+        let run = |threads: usize| {
+            sw_runtime::with_threads(threads, || {
+                let mut mesh: Mesh<()> = Mesh::new(sw_perfmodel::ChipSpec::sw26010(), |_, _| ());
+                for _ in 0..4 {
+                    // An estimate far above the grain: the pool path.
+                    mesh.superstep_with(sw_runtime::Work::Macs(u64::MAX), |ctx, _| {
+                        for _ in 0..500 {
+                            ctx.add_flops(8);
+                            ctx.add_ldm_reg_bytes(32);
+                        }
+                        ctx.charge_compute(ctx.id() as u64);
+                        Ok(())
+                    })
+                    .unwrap();
+                }
+                mesh.cpe_snapshots()
             })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
+        };
+        let inline = run(1);
+        assert!(inline
+            .iter()
+            .all(|(_, _, _, s)| s.flops == 4 * 500 * 8 && s.ldm_reg_bytes == 4 * 500 * 32));
+        for threads in [2, 4, 8] {
+            assert_eq!(run(threads), inline, "threads = {threads}");
         }
-        assert_eq!(c.snapshot().flops, 8 * 500 * 8);
-        assert_eq!(c.snapshot().ldm_reg_bytes, 8 * 500 * 32);
     }
 }

@@ -172,11 +172,11 @@ proptest! {
 
     #[test]
     fn counter_totals_are_schedule_independent(len in 1usize..32, flops in 1u64..1000) {
-        // The per-CPE counters are relaxed atomics bumped from the pool's
-        // worker threads; relaxed addition is commutative, so aggregate
-        // totals must match the closed-form expectation on every run and
-        // be identical across repeated runs (whatever interleaving the
-        // thread pool happens to produce).
+        // Each CPE's counters have one writer per superstep (whichever
+        // lane runs that CPE) and are summed only after the barrier, so
+        // aggregate totals must match the closed-form expectation on every
+        // run and be identical across repeated runs (whatever interleaving
+        // the thread pool happens to produce).
         let run = || {
             let src = vec![1.0f64; len * 64];
             let mut mesh: Mesh<LdmBuf> =
@@ -203,5 +203,124 @@ proptest! {
             prop_assert_eq!(again.totals, first.totals);
             prop_assert_eq!(again.cycles, first.cycles);
         }
+    }
+}
+
+/// A fixed kernel that moves every one of the 15 per-CPE counters, fault
+/// counters included: DMA gets and puts under injected failures and stalls,
+/// row broadcasts and column sends under message drops, CPE stalls, compute
+/// and issue-slot charges.
+fn all_counters_kernel(threads: usize) -> Vec<(usize, usize, u64, sw_sim::CpeStats)> {
+    use sw_sim::FaultPlan;
+    // Far above any grain: the pool path whenever `threads > 1`.
+    const POOL: sw_runtime::Work = sw_runtime::Work::Macs(u64::MAX);
+    let src: Vec<f64> = (0..64 * 64).map(|i| (i % 97) as f64 * 0.25).collect();
+    sw_runtime::with_threads(threads, || {
+        let mut mesh: Mesh<LdmBuf> =
+            Mesh::new(ChipSpec::sw26010(), |_, _| LdmBuf { offset: 0, len: 0 });
+        mesh.inject_faults(
+            FaultPlan::none(0x5eed)
+                .with_dma_fail_rate(0.05)
+                .with_dma_stalls(0.1, 300)
+                .with_msg_drop_rate(0.15)
+                .with_cpe_stalls(0.1, 2_000),
+        );
+        mesh.superstep_with(POOL, |ctx, buf| {
+            *buf = ctx.ldm_alloc(64)?;
+            let h = ctx.dma_get(*buf, 0, &src, ctx.id() * 64, 64)?;
+            ctx.dma_wait(h);
+            Ok(())
+        })
+        .unwrap();
+        for round in 0..6usize {
+            mesh.superstep_with(POOL, |ctx, buf| {
+                if ctx.col == round {
+                    let payload = ctx.ldm(*buf)[..8].to_vec();
+                    ctx.bcast_row(&payload);
+                }
+                if ctx.row == round {
+                    let payload = ctx.ldm(*buf)[8..12].to_vec();
+                    ctx.send_col((round + 1) % 8, &payload);
+                }
+                let id = ctx.id() as u64;
+                ctx.charge_compute(10 + id);
+                ctx.add_flops(2 * id + 1);
+                ctx.add_ldm_reg_bytes(32 * (id + 1));
+                ctx.add_issue_slots(id + 3, 2 * id + 5);
+                let h = ctx.dma_get_strided(*buf, 0, &src, ctx.id() * 32, 4, 16, 8)?;
+                ctx.dma_wait(h);
+                Ok(())
+            })
+            .unwrap();
+            mesh.superstep_with(POOL, |ctx, buf| {
+                // A dropped message leaves the transfer buffer empty; the
+                // kernel shrugs that off so the run reaches the end.
+                if ctx.col != round {
+                    let _ = ctx.recv_row();
+                }
+                if ctx.row == (round + 1) % 8 {
+                    let _ = ctx.recv_col();
+                }
+                let h = ctx.dma_put(*buf, 0, ctx.id() * 16, 16)?;
+                ctx.dma_wait(h);
+                Ok(())
+            })
+            .unwrap();
+        }
+        mesh.cpe_snapshots()
+    })
+}
+
+#[test]
+fn plain_counters_count_what_the_atomic_counters_counted() {
+    // Captured from the implementation whose per-CPE counters were relaxed
+    // atomics (`sw_obs::Counter`), before they became plain `u64`s written
+    // through the superstep's `&mut CpeNode`: the mesh totals of every
+    // counter, and an order-sensitive fold over every CPE's coordinates,
+    // clock and 15 counters.
+    const TOTALS: [(&str, u64); 15] = [
+        ("dma_get_bytes", 131_072),
+        ("dma_put_bytes", 49_152),
+        ("dma_requests", 832),
+        ("bus_vectors_sent", 144),
+        ("bus_vectors_received", 632),
+        ("flops", 24_576),
+        ("ldm_reg_bytes", 399_360),
+        ("p0_issue_slots", 13_248),
+        ("p1_issue_slots", 26_112),
+        ("dma_stall_cycles", 1_471_236),
+        ("compute_cycles", 15_936),
+        ("dma_retries", 41),
+        ("fault_retry_cycles", 80_560),
+        ("fault_stall_cycles", 183_700),
+        ("msgs_dropped", 46),
+    ];
+    const PER_CPE_FOLD: u64 = 7_914_512_079_072_184_196;
+
+    let fold = |snaps: &[(usize, usize, u64, sw_sim::CpeStats)]| {
+        snaps.iter().fold(0u64, |h, (row, col, clock, stats)| {
+            let h = h.rotate_left(5) ^ (*row as u64 * 8 + *col as u64) ^ clock.rotate_left(17);
+            stats
+                .named()
+                .iter()
+                .fold(h, |h, (_, v)| h.rotate_left(9) ^ v)
+        })
+    };
+    for threads in [1usize, 4, 8] {
+        let snaps = all_counters_kernel(threads);
+        let mut totals = sw_sim::CpeStats::default();
+        for (_, _, _, s) in &snaps {
+            totals.add(s);
+        }
+        assert_eq!(totals.named(), TOTALS, "totals @ {threads} threads");
+        assert!(
+            totals.named().iter().all(|&(_, v)| v > 0),
+            "the kernel must exercise every counter"
+        );
+        assert_eq!(
+            fold(&snaps),
+            PER_CPE_FOLD,
+            "per-CPE fold @ {threads} threads"
+        );
     }
 }

@@ -17,9 +17,17 @@
 //! 3. **Microkernel equivalence.** Forcing the scalar reference kernel
 //!    (`gemm_mesh::force_reference_microkernel`) must not change anything,
 //!    down to per-CPE clocks and counters.
+//!
+//! The superstep engine runs rotations below the runtime's grain
+//! (131 072 MACs per round, DESIGN.md §14) inline at every lane count. The
+//! original golden shapes are far below it, so each family also has a case
+//! just above the grain, with its golden captured from the same
+//! pre-grain implementation, and the thread-invariance tests assert that
+//! it really did cross the pool at 4 and 8 lanes.
 
 use sw_perfmodel::select::Blocking;
 use sw_perfmodel::ChipSpec;
+use sw_runtime::ExecutionContext;
 use sw_sim::{LdmBuf, Mesh};
 use sw_tensor::init::lattice_tensor;
 use sw_tensor::{ConvShape, Layout};
@@ -84,22 +92,75 @@ fn batch_golden() -> RunDigest {
     }
 }
 
+/// Just above the grain: `No/8 · b_B·b_Co/8 · Ni/8 = 8·32·8 = 2048` MACs
+/// per CPE per rotation round.
+fn image_large_golden() -> RunDigest {
+    RunDigest {
+        cycles: 214722,
+        dma_get_bytes: 1572864,
+        dma_put_bytes: 262144,
+        bus_vectors_sent: 92160,
+        bus_vectors_received: 645120,
+        flops: 37748736,
+        output_bits: 10428746408275829906,
+    }
+}
+
+/// Just above the grain: `No/8 · B/8 · Ni/8 = 8·16·16 = 2048`.
+fn batch_large_golden() -> RunDigest {
+    RunDigest {
+        cycles: 484302,
+        dma_get_bytes: 4325376,
+        dma_put_bytes: 262144,
+        bus_vectors_sent: 221184,
+        bus_vectors_received: 1548288,
+        flops: 75497472,
+        output_bits: 15884816419428590194,
+    }
+}
+
+fn run_plan(plan: &dyn ConvPlan, shape: ConvShape, seed: u64) -> ConvRun {
+    plan.supports(&shape).expect("shape supported");
+    let input = lattice_tensor(shape.input_shape(), Layout::Nchw, seed);
+    let filter = lattice_tensor(shape.filter_shape(), Layout::Nchw, seed + 1);
+    plan.run(&shape, &input, &filter).expect("plan runs")
+}
+
 fn image_case() -> ConvRun {
-    let shape = ConvShape::new(32, 16, 16, 2, 8, 3, 3);
     let plan = ImageAwarePlan::new(Blocking { b_b: 32, b_co: 4 });
-    plan.supports(&shape).expect("image shape supported");
-    let input = lattice_tensor(shape.input_shape(), Layout::Nchw, 11);
-    let filter = lattice_tensor(shape.filter_shape(), Layout::Nchw, 12);
-    plan.run(&shape, &input, &filter).expect("image plan runs")
+    run_plan(&plan, ConvShape::new(32, 16, 16, 2, 8, 3, 3), 11)
 }
 
 fn batch_case() -> ConvRun {
-    let shape = ConvShape::new(16, 16, 16, 2, 4, 3, 3);
-    let plan = BatchAwarePlan::new(2);
-    plan.supports(&shape).expect("batch shape supported");
-    let input = lattice_tensor(shape.input_shape(), Layout::Nchw, 21);
-    let filter = lattice_tensor(shape.filter_shape(), Layout::Nchw, 22);
-    plan.run(&shape, &input, &filter).expect("batch plan runs")
+    run_plan(
+        &BatchAwarePlan::new(2),
+        ConvShape::new(16, 16, 16, 2, 4, 3, 3),
+        21,
+    )
+}
+
+fn image_case_large(rt: &'static ExecutionContext) -> ConvRun {
+    let plan = ImageAwarePlan::new(Blocking { b_b: 32, b_co: 8 }).on_runtime(rt);
+    run_plan(&plan, ConvShape::new(32, 64, 64, 2, 8, 3, 3), 31)
+}
+
+fn batch_case_large(rt: &'static ExecutionContext) -> ConvRun {
+    let plan = BatchAwarePlan::new(2).on_runtime(rt);
+    run_plan(&plan, ConvShape::new(128, 128, 64, 2, 2, 3, 3), 41)
+}
+
+/// A pool of this suite's own, so handoff counts are not inflated by the
+/// other tests of this binary posting to the global one.
+fn private_pool() -> &'static ExecutionContext {
+    Box::leak(Box::new(ExecutionContext::new()))
+}
+
+/// Run `f` at `threads` lanes and return its result with the handoffs it
+/// posted to `rt`.
+fn counting_handoffs<R>(rt: &ExecutionContext, threads: usize, f: impl FnOnce() -> R) -> (R, u64) {
+    let before = rt.pool_handoffs();
+    let r = sw_runtime::with_threads(threads, f);
+    (r, rt.pool_handoffs() - before)
 }
 
 #[test]
@@ -113,11 +174,30 @@ fn batch_aware_plan_matches_golden_digest() {
 }
 
 #[test]
+fn above_grain_plans_match_golden_digests() {
+    let rt = private_pool();
+    assert_eq!(digest(&image_case_large(rt)), image_large_golden());
+    assert_eq!(digest(&batch_case_large(rt)), batch_large_golden());
+}
+
+#[test]
 fn digests_are_identical_across_host_thread_counts() {
+    let rt = private_pool();
     for threads in [1usize, 4, 8] {
         let (img, bat) = sw_runtime::with_threads(threads, || (image_case(), batch_case()));
         assert_eq!(digest(&img), image_golden(), "image @ {threads} threads");
         assert_eq!(digest(&bat), batch_golden(), "batch @ {threads} threads");
+        // The small shapes run inline whatever the lane count; these two
+        // are what keeps the pool path under the same golden regime.
+        let ((img, bat), handoffs) =
+            counting_handoffs(rt, threads, || (image_case_large(rt), batch_case_large(rt)));
+        assert_eq!(digest(&img), image_large_golden(), "image @ {threads}");
+        assert_eq!(digest(&bat), batch_large_golden(), "batch @ {threads}");
+        assert_eq!(
+            handoffs > 0,
+            threads > 1,
+            "pool crossed @ {threads} threads"
+        );
     }
     // Machine default (whatever available_parallelism says).
     assert_eq!(digest(&image_case()), image_golden());
@@ -142,29 +222,33 @@ fn fused_supersteps_match_unfused_baseline_bit_for_bit() {
     // must equal the unfused round-per-handoff loop's exactly. The
     // `SWDNN_UNFUSED=1` opt-out must therefore also be invisible — CI runs
     // this whole suite once under that env to pin the other direction.
-    let unfused = sw_runtime::with_threads(1, || {
-        gemm_mesh::force_unfused(true);
-        let r = (
+    let rt = private_pool();
+    let all = || {
+        (
             digest(&image_case()),
             digest(&batch_case()),
-            mesh_gemm_snapshots(),
-        );
+            mesh_gemm_snapshots(rt, SMALL_BLOCK),
+            digest(&image_case_large(rt)),
+            mesh_gemm_snapshots(rt, LARGE_BLOCK),
+        )
+    };
+    let unfused = sw_runtime::with_threads(1, || {
+        gemm_mesh::force_unfused(true);
+        let r = all();
         gemm_mesh::force_unfused(false);
         r
     });
     assert_eq!(unfused.0, image_golden());
     assert_eq!(unfused.1, batch_golden());
+    assert_eq!(unfused.3, image_large_golden());
     for threads in [1usize, 4, 8] {
-        let fused = sw_runtime::with_threads(threads, || {
-            (
-                digest(&image_case()),
-                digest(&batch_case()),
-                mesh_gemm_snapshots(),
-            )
-        });
-        assert_eq!(fused.0, unfused.0, "image digest @ {threads} threads");
-        assert_eq!(fused.1, unfused.1, "batch digest @ {threads} threads");
-        assert_eq!(fused.2, unfused.2, "per-CPE snapshots @ {threads} threads");
+        let (fused, handoffs) = counting_handoffs(rt, threads, all);
+        assert_eq!(fused, unfused, "fused @ {threads} threads vs unfused @ 1");
+        assert_eq!(
+            handoffs > 0,
+            threads > 1,
+            "pool crossed @ {threads} threads"
+        );
     }
 }
 
@@ -175,10 +259,20 @@ struct St {
     c: LdmBuf,
 }
 
+/// `(m8, n8, k8)` far below the grain: the rotation runs inline.
+const SMALL_BLOCK: (usize, usize, usize) = (4, 8, 4);
+/// `64·m8·n8·k8` = 131 072 MACs per round, the first size that crosses the
+/// pool.
+const LARGE_BLOCK: (usize, usize, usize) = (8, 16, 16);
+
+type CpeSnapshots = Vec<(usize, usize, u64, sw_sim::CpeStats)>;
+
 /// Run one raw register-communication GEMM and snapshot every CPE.
-fn mesh_gemm_snapshots() -> Vec<(usize, usize, u64, sw_sim::CpeStats)> {
-    let (m8, n8, k8) = (4usize, 8usize, 4usize);
-    let mut mesh = Mesh::new(ChipSpec::sw26010(), |row, col| St {
+fn mesh_gemm_snapshots(
+    rt: &'static ExecutionContext,
+    (m8, n8, k8): (usize, usize, usize),
+) -> CpeSnapshots {
+    let mut mesh = Mesh::new_on(rt, ChipSpec::sw26010(), |row, col| St {
         a: (0..k8 * m8)
             .map(|i| ((row * 131 + col * 17 + i * 7) % 23) as f64 - 11.0)
             .collect(),
@@ -208,12 +302,24 @@ fn mesh_gemm_snapshots() -> Vec<(usize, usize, u64, sw_sim::CpeStats)> {
 #[test]
 fn per_cpe_clocks_and_counters_are_thread_count_invariant() {
     // Not just the aggregate: every individual CPE's clock and counters
-    // must be identical whichever host schedule executed it.
-    let baseline = sw_runtime::with_threads(1, mesh_gemm_snapshots);
-    assert_eq!(baseline.len(), 64);
-    for threads in [4usize, 8] {
-        let got = sw_runtime::with_threads(threads, mesh_gemm_snapshots);
-        assert_eq!(got, baseline, "per-CPE snapshots @ {threads} threads");
+    // must be identical whichever host schedule executed it — inline below
+    // the grain, over the pool (exactly one handoff: the rotation; the
+    // alloc and zero supersteps hold too little LDM to cross) above it.
+    let rt = private_pool();
+    for (block, crosses) in [(SMALL_BLOCK, false), (LARGE_BLOCK, true)] {
+        let baseline = sw_runtime::with_threads(1, || mesh_gemm_snapshots(rt, block));
+        assert_eq!(baseline.len(), 64);
+        for threads in [4usize, 8] {
+            let (got, handoffs) = counting_handoffs(rt, threads, || mesh_gemm_snapshots(rt, block));
+            assert_eq!(got, baseline, "{block:?} snapshots @ {threads} threads");
+            if !gemm_mesh::unfused_forced() {
+                assert_eq!(handoffs, u64::from(crosses), "{block:?} @ {threads}");
+            }
+        }
+        assert_eq!(
+            mesh_gemm_snapshots(rt, block),
+            baseline,
+            "machine-default threads"
+        );
     }
-    assert_eq!(mesh_gemm_snapshots(), baseline, "machine-default threads");
 }

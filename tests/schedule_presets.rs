@@ -76,9 +76,27 @@ fn batch_golden() -> RunDigest {
     }
 }
 
+/// `determinism.rs`'s image case just above the runtime's grain (131 072
+/// MACs per rotation round): the one that crosses the worker pool.
+fn image_large_golden() -> RunDigest {
+    RunDigest {
+        cycles: 214722,
+        dma_get_bytes: 1572864,
+        dma_put_bytes: 262144,
+        bus_vectors_sent: 92160,
+        bus_vectors_received: 645120,
+        flops: 37748736,
+        output_bits: 10428746408275829906,
+    }
+}
+
 /// Run `schedule` on `shape` with lattice operands seeded `(seed, seed+1)`.
 fn run_schedule(schedule: &Schedule, shape: ConvShape, seed: u64) -> ConvRun {
-    let plan = lower_schedule(schedule, &shape, &LowerCtx::default())
+    run_schedule_on(&LowerCtx::default(), schedule, shape, seed)
+}
+
+fn run_schedule_on(ctx: &LowerCtx, schedule: &Schedule, shape: ConvShape, seed: u64) -> ConvRun {
+    let plan = lower_schedule(schedule, &shape, ctx)
         .unwrap_or_else(|e| panic!("{} must lower for {shape:?}: {e}", schedule.describe()));
     let input = lattice_tensor(shape.input_shape(), Layout::Nchw, seed);
     let filter = lattice_tensor(shape.filter_shape(), Layout::Nchw, seed + 1);
@@ -115,6 +133,31 @@ fn lowered_preset_digests_are_thread_count_invariant() {
             sw_runtime::with_threads(threads, || (lowered_image_case(), lowered_batch_case()));
         assert_eq!(digest(&img), image_golden(), "image @ {threads} threads");
         assert_eq!(digest(&bat), batch_golden(), "batch @ {threads} threads");
+    }
+}
+
+#[test]
+fn lowered_preset_above_the_grain_is_thread_count_invariant_on_the_pool() {
+    // The two goldens above run inline at every lane count; this one is
+    // large enough to fan out, on a pool of its own so the handoff count is
+    // this test's alone.
+    let ctx = LowerCtx {
+        rt: Box::leak(Box::new(sw_runtime::ExecutionContext::new())),
+        ..LowerCtx::default()
+    };
+    for threads in [1usize, 4, 8] {
+        let before = ctx.rt.pool_handoffs();
+        let run = sw_runtime::with_threads(threads, || {
+            run_schedule_on(
+                &ctx,
+                &Schedule::image_aware(32, 8),
+                ConvShape::new(32, 64, 64, 2, 8, 3, 3),
+                31,
+            )
+        });
+        assert_eq!(digest(&run), image_large_golden(), "@ {threads} threads");
+        let crossed = ctx.rt.pool_handoffs() > before;
+        assert_eq!(crossed, threads > 1, "pool crossed @ {threads} threads");
     }
 }
 
