@@ -27,11 +27,9 @@
 
 use std::path::{Path, PathBuf};
 use std::process::exit;
-use sw_bench::configs::conv_256;
 use sw_bench::serve_load::{check_serve_slo, SERVE_REPORT_CONFIG};
-use sw_bench::sim_throughput::{compare_with_host_retry, measure_conv, measure_suite};
+use sw_bench::sim_throughput::{compare_with_host_retry, measure_suite};
 use sw_obs::{Snapshot, Tolerances};
-use swdnn::plans::gemm_mesh;
 
 fn usage() -> ! {
     eprintln!(
@@ -79,26 +77,6 @@ fn main() {
             h.sim_gflops_per_host_sec
         );
     }
-
-    // Self-calibrating microkernel figure: re-run the anchor shape with the
-    // scalar reference kernel forced. Same machine, same run — the ratio
-    // isolates the register-tiled microkernel, independent of hardware.
-    let (shape, kind) = conv_256();
-    gemm_mesh::force_reference_microkernel(true);
-    let reference = measure_conv(&shape, kind, reps);
-    gemm_mesh::force_reference_microkernel(false);
-    let fast = current
-        .reports
-        .iter()
-        .find(|r| r.config == reference.config && r.plan == reference.plan)
-        .expect("conv_256 row in suite");
-    let (fh, rh) = (fast.host.unwrap(), reference.host.unwrap());
-    println!(
-        "conv_256 microkernel: {:.3} s tiled vs {:.3} s scalar reference ({:.2}x)",
-        fh.host_secs,
-        rh.host_secs,
-        rh.host_secs / fh.host_secs
-    );
 
     match check {
         Some(baseline_path) => {

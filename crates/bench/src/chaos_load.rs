@@ -26,6 +26,7 @@
 //!    stays under [`CHAOS_MAX_HIGH_P99_US`] while faults are active.
 
 use sw_obs::{Level, LevelIo, PerfReport};
+use sw_sim::fault::splitmix64_next;
 use sw_sim::FaultPlan;
 use sw_tensor::{conv2d_ref, init::lattice_tensor, ConvShape, Layout};
 use swdnn::serve::{
@@ -56,17 +57,9 @@ pub const LOW_PRIORITY_DEADLINE_US: u64 = 6_000;
 /// on any change that lets faults push the high tier's tail further out.
 pub const CHAOS_MAX_HIGH_P99_US: u64 = 40_000;
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Uniform in `(0, 1]` — never 0, so `ln` below is always finite.
 fn unit(state: &mut u64) -> f64 {
-    ((splitmix64(state) >> 11) + 1) as f64 / (1u64 << 53) as f64
+    ((splitmix64_next(state) >> 11) + 1) as f64 / (1u64 << 53) as f64
 }
 
 /// One arrival-process shape for the sweep.
@@ -167,7 +160,7 @@ pub fn generate_trace(profile: &TrafficProfile, requests: usize, seed: u64) -> V
                 t_us += period - phase;
             }
         }
-        let pick = splitmix64(&mut rng);
+        let pick = splitmix64_next(&mut rng);
         let (_, shape) = mix[(pick % mix.len() as u64) as usize];
         let high = (pick >> 8) % 10 < 7;
         let class = RequestClass {

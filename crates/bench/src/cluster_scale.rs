@@ -29,6 +29,7 @@
 
 use sw_obs::{Level, LevelIo, PerfReport};
 use sw_perfmodel::Topology;
+use sw_sim::fault::splitmix64_next;
 use sw_tensor::{ConvShape, Layout, Shape4, Tensor4};
 use swdnn::cluster::{Cluster, ClusterConfig, ClusterSummary, DataParallelTrainer, TrainConfig};
 use swdnn::layers::Engine;
@@ -81,16 +82,8 @@ pub const STRONG_TOTAL_MICROBATCHES: usize = 8;
 /// buckets — enough in-flight collectives to exercise port contention.
 pub const STRONG_BUCKET_PARAMS: usize = 100;
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 fn unit(state: &mut u64) -> f64 {
-    ((splitmix64(state) >> 11) + 1) as f64 / (1u64 << 53) as f64
+    ((splitmix64_next(state) >> 11) + 1) as f64 / (1u64 << 53) as f64
 }
 
 /// The serving-shape mix for the cluster sweep: every [`serving_mix`]
@@ -159,7 +152,7 @@ pub fn run_serve_scale(
     let mut t_us = 0u64;
     for _ in 0..requests {
         t_us += ((-unit(&mut rng).ln() * mean_gap).round() as u64).max(1);
-        let shape = mix[(splitmix64(&mut rng) % mix.len() as u64) as usize];
+        let shape = mix[(splitmix64_next(&mut rng) % mix.len() as u64) as usize];
         cluster.submit_at(shape, RequestClass::default(), t_us)?;
     }
     cluster.drain()?;
@@ -204,7 +197,7 @@ fn train_task(batch: usize, seed: u64) -> (Tensor4<f64>, Vec<usize>) {
     let mut x = Tensor4::zeros(Shape4::new(batch, 1, 12, 12), Layout::Nchw);
     let mut y = Vec::new();
     for b in 0..batch {
-        let class = (splitmix64(&mut rng) % 2) as usize;
+        let class = (splitmix64_next(&mut rng) % 2) as usize;
         for r in 0..12 {
             for c in 0..12 {
                 let v = if (class == 0) == (c < 6) { 1.0 } else { 0.1 };

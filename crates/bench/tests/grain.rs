@@ -9,14 +9,22 @@
 //! batch. Either way cycles, every CPE's clock and counters, and the output
 //! bits equal the single-lane run.
 //!
+//! The same holds one level up: at 8 lanes each Table III shape posts a
+//! fixed number of handoffs — one per rotation plus one per pooled single
+//! superstep (the DMA and clear supersteps whose resident LDM is above the
+//! grain) — pinned here to the counts recorded when a rotation became one
+//! batch. An engine that fell back to a handoff per round would post
+//! ~16× as many.
+//!
 //! A private [`sw_runtime::ExecutionContext`] keeps the counts this test's
-//! own; its own test binary keeps `handoffs.rs` toggling the process-wide
-//! unfused switch from changing them mid-run.
+//! own.
 
+use sw_bench::configs::perf_snapshot_configs;
 use sw_perfmodel::ChipSpec;
 use sw_runtime::ExecutionContext;
 use sw_sim::{CpeStats, LdmBuf, Mesh};
-use swdnn::plans::gemm_mesh::{regcomm_gemm, unfused_forced, zero_c, GemmBlock};
+use swdnn::plans::gemm_mesh::{regcomm_gemm, zero_c, GemmBlock};
+use swdnn::Executor;
 
 struct St {
     a: Vec<f64>,
@@ -81,12 +89,9 @@ fn rotate(rt: &'static ExecutionContext, (m8, n8, k8): (usize, usize, usize)) ->
 #[test]
 fn rotations_cross_the_pool_only_above_the_grain() {
     let rt: &'static ExecutionContext = Box::leak(Box::new(ExecutionContext::new()));
-    // Under SWDNN_UNFUSED=1 (the CI opt-out run) a rotation worth the pool
-    // pays one handoff per round instead of one per batch.
-    let per_rotation = if unfused_forced() { 8 } else { 1 };
     let gemm_small = (2, 4, 2); // 64·16 = 1 024 MACs per round
     let at_grain = (8, 16, 16); // 64·2048 = 131 072 MACs per round
-    for (block, expect) in [(gemm_small, 0), (at_grain, per_rotation)] {
+    for (block, expect) in [(gemm_small, 0), (at_grain, 1)] {
         let one = sw_runtime::with_threads(1, || rotate(rt, block));
         assert_eq!(one.handoffs, 0, "{block:?}: one lane never posts");
         for threads in [2, 8] {
@@ -96,5 +101,30 @@ fn rotations_cross_the_pool_only_above_the_grain() {
             assert_eq!(many.cpes, one.cpes, "{block:?} @ {threads} lanes");
             assert_eq!(many.output_bits, one.output_bits, "{block:?} @ {threads}");
         }
+    }
+}
+
+#[test]
+fn table3_shapes_post_their_recorded_handoffs() {
+    let rt: &'static ExecutionContext = Box::leak(Box::new(ExecutionContext::new()));
+    let exec = Executor::new().on_runtime(rt);
+    // Per shape, in `perf_snapshot_configs` order.
+    let recorded = [69, 69, 321, 177];
+    let run_all = || -> Vec<_> {
+        perf_snapshot_configs()
+            .iter()
+            .map(|(shape, kind)| exec.run_config_with(shape, *kind).unwrap())
+            .collect()
+    };
+    let one = sw_runtime::with_threads(1, run_all);
+    let eight = sw_runtime::with_threads(8, run_all);
+    for ((one, eight), want) in one.iter().zip(&eight).zip(recorded) {
+        assert_eq!(one.pool_handoffs, 0, "{}: one lane never posts", one.shape);
+        assert_eq!(eight.pool_handoffs, want, "{} @ 8 lanes", eight.shape);
+        assert_eq!(
+            eight.timing.cycles, one.timing.cycles,
+            "{}: the host schedule must not move simulated time",
+            eight.shape
+        );
     }
 }

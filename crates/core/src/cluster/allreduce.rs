@@ -24,7 +24,7 @@
 //! chips.
 
 use crate::layers::Layer;
-use sw_perfmodel::{AllreduceKind, InterconnectSpec};
+use sw_perfmodel::AllreduceKind;
 
 /// One allreduce's modeled cost.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -36,19 +36,6 @@ pub struct AllreduceReport {
     pub time_us: f64,
     /// Bytes each chip put on the wire under the chosen schedule.
     pub wire_bytes_per_chip: u64,
-}
-
-/// Cost the allreduce of a `params`-parameter gradient across `chips`
-/// on `net`, picking ring or tree by modeled time.
-pub fn plan_allreduce(net: &InterconnectSpec, params: usize, chips: usize) -> AllreduceReport {
-    let tensor_bytes = (params * 8) as u64;
-    let (kind, time_us) = net.allreduce_us(tensor_bytes, chips);
-    AllreduceReport {
-        kind,
-        tensor_bytes,
-        time_us,
-        wire_bytes_per_chip: net.allreduce_wire_bytes_per_chip(kind, tensor_bytes, chips),
-    }
 }
 
 /// Sum per-microbatch gradient vectors strictly left to right. All
@@ -145,17 +132,5 @@ mod tests {
         load_gradients(&mut layers, &flat);
         let back = take_gradients(&mut layers);
         assert_eq!(back, flat, "load/take round-trips bit-exactly");
-    }
-
-    #[test]
-    fn plan_allreduce_matches_the_interconnect_model() {
-        let net = InterconnectSpec::sw_cluster();
-        let r = plan_allreduce(&net, 1 << 20, 8);
-        assert_eq!(r.tensor_bytes, 8 << 20);
-        assert_eq!(r.kind, AllreduceKind::Ring, "8 MB gradient rides the ring");
-        assert!(r.time_us > 0.0);
-        let single = plan_allreduce(&net, 1 << 20, 1);
-        assert_eq!(single.time_us, 0.0);
-        assert_eq!(single.wire_bytes_per_chip, 0);
     }
 }

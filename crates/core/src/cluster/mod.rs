@@ -41,9 +41,7 @@ pub mod fleet;
 pub mod router;
 pub mod train;
 
-pub use allreduce::{
-    load_gradients, plan_allreduce, reduce_fixed_order, take_gradients, AllreduceReport,
-};
+pub use allreduce::{load_gradients, reduce_fixed_order, take_gradients, AllreduceReport};
 pub use collective::{
     reduce_bucketized, reshard_on_failure, run_collective, shard_microbatches, BucketPlan,
     BucketSpan, CollectiveReport,

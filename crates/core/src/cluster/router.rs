@@ -14,17 +14,8 @@
 //! RNG, no wall clock — so a routing trace replays bit-for-bit and the
 //! cluster tests fingerprint it.
 
+use sw_sim::fault::splitmix64;
 use sw_tensor::ConvShape;
-
-/// SplitMix64 — the same mixing permutation the fault plans and the
-/// chaos trace generator use for seeded decision streams.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Consistent-hash router over `chips` peers.
 #[derive(Clone, Debug)]

@@ -33,8 +33,8 @@ pub struct ConvReport {
     /// Achieved MEM→LDM bandwidth, GB/s.
     pub mbw_measured: f64,
     /// Worker-pool handoffs (condvar wake + join cycles) the simulation
-    /// cost on the host — the superstep tax. Fused supersteps pay
-    /// O(rotations), the unfused loop O(rounds).
+    /// cost on the host — the superstep tax: one per rotation above the
+    /// runtime's grain, none below it.
     pub pool_handoffs: u64,
     /// Closed-form lower bound on MEM→LDM read traffic for this shape
     /// ([`mem_comm_lower_bound_bytes`]).

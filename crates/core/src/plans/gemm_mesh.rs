@@ -34,8 +34,8 @@
 //!   payload for its own phase-2 accumulation, so nothing is packed (or
 //!   allocated) twice.
 //! * **Zero-copy delivery.** Receivers take the shared payload by
-//!   reference count ([`sw_sim::CpeCtx::recv_row_shared`]); one broadcast
-//!   is one allocation, not eight.
+//!   reference count ([`sw_sim::CpeCtx::recv_row`]); one broadcast is one
+//!   allocation, not eight.
 //! * **Leased payloads.** Broadcast payloads come from a
 //!   [`sw_runtime::PayloadPool`] free-list in the scratch: after a
 //!   two-rotation warmup every broadcast refills a recycled buffer
@@ -45,27 +45,23 @@
 //!   one [`sw_sim::Mesh::superstep_rounds`] batch, handed the work of one
 //!   round (`dim²·m8·n8·k8` MACs): one worker-pool handoff per rotation
 //!   instead of one per parallel superstep, and none at all when a round
-//!   is below the runtime's grain — small training tiles run inline. The
-//!   unfused two-supersteps-per-round loop stays available as a
-//!   comparison arm via [`force_unfused`] or `SWDNN_UNFUSED=1`.
+//!   is below the runtime's grain — small training tiles run inline.
 //! * **Nothing per CPE that is constant per rotation.** The block's
-//!   cycle/traffic profile, its flop count and the two opt-out switches
-//!   are resolved once per call, not 64 × 8 times inside it.
+//!   cycle/traffic profile and its flop count are resolved once per call,
+//!   not 64 × 8 times inside it.
 //! * **Register-tiled microkernel.** The accumulation uses a 4×8
 //!   register-blocked kernel (the host-side analogue of the paper's
 //!   `rb_B`×`rb_No` register blocking) that accumulates each C element in
-//!   k-ascending order — bit-identical to the scalar reference kernel,
-//!   which stays available for A/B testing via
-//!   [`force_reference_microkernel`] or `SWDNN_SCALAR_KERNEL=1`.
+//!   k-ascending order — bit-identical to the plain triple loop, which the
+//!   unit tests keep as its oracle.
 //!
 //! None of this changes simulated time: cycle charges, fault keying, and
-//! superstep counts are identical to the naive two-parallel-superstep
-//! formulation.
+//! superstep counts are identical to running the `2·dim` supersteps of a
+//! rotation one by one.
 
 use crate::error::SwdnnError;
 use crate::kernel_cost;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use sw_runtime::{PayloadPool, Work};
 use sw_sim::{CpeCtx, LdmBuf, Mesh, SimError};
 
@@ -144,47 +140,6 @@ pub fn lease_scratch(
     rt.scratch(dim, || GemmScratch::new(dim))
 }
 
-/// Force every subsequent GEMM to use the scalar reference microkernel
-/// (for A/B-testing the register-tiled kernel; both produce bit-identical
-/// output). The `SWDNN_SCALAR_KERNEL` environment variable (any value but
-/// `0`, read once per process) has the same effect.
-pub fn force_reference_microkernel(on: bool) {
-    FORCE_REFERENCE.store(on, Ordering::SeqCst);
-}
-
-/// Whether the scalar reference microkernel is currently forced.
-pub fn reference_microkernel_forced() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    FORCE_REFERENCE.load(Ordering::SeqCst) || env_opt_out(&ENV, "SWDNN_SCALAR_KERNEL")
-}
-
-static FORCE_REFERENCE: AtomicBool = AtomicBool::new(false);
-
-/// Force every subsequent GEMM to run the unfused formulation — two
-/// supersteps per rotation round, each deciding on its own whether to cross
-/// the pool, instead of one batch per rotation (for A/B comparison against
-/// the fused [`sw_sim::Mesh::superstep_rounds`] path; both are
-/// bit-identical in simulated time and output). The `SWDNN_UNFUSED`
-/// environment variable (any value but `0`, read once per process) has the
-/// same effect.
-pub fn force_unfused(on: bool) {
-    FORCE_UNFUSED.store(on, Ordering::SeqCst);
-}
-
-/// Whether the unfused superstep loop is currently forced.
-pub fn unfused_forced() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    FORCE_UNFUSED.load(Ordering::SeqCst) || env_opt_out(&ENV, "SWDNN_UNFUSED")
-}
-
-static FORCE_UNFUSED: AtomicBool = AtomicBool::new(false);
-
-/// An environment opt-out, read on first use and cached: the rotation hot
-/// path asks once per GEMM and must not walk the process environment.
-fn env_opt_out(cell: &OnceLock<bool>, name: &str) -> bool {
-    *cell.get_or_init(|| std::env::var_os(name).is_some_and(|v| v != "0"))
-}
-
 /// Run one full 8-round rotation.
 ///
 /// `pack_a(ctx, s, dst)` appends this CPE's `A` block packed k-major
@@ -235,19 +190,17 @@ where
         "GemmScratch sized for a smaller mesh"
     );
     // Constant for the whole rotation: resolved here, not per CPE per round.
-    let use_reference = reference_microkernel_forced();
     let prof = kernel_cost::block_profile(blk.m8, blk.n8, blk.k8, blk.reordered);
     let flops = kernel_cost::block_flops(blk.m8, blk.n8, blk.k8);
     // What one compute superstep costs the host: every CPE multiplies an
     // `m8×k8` by a `k8×n8` block.
     let round_work = Work::Macs((dim * dim * blk.m8 * blk.n8 * blk.k8) as u64);
 
-    // Both arms below share these two phase closures verbatim, so fused
-    // and unfused runs are the same program modulo handoff count. The
-    // fused path runs them from worker lanes under `Fn + Sync` bounds, so
-    // the mutable scratch lives behind a mutex — uncontended in practice:
-    // the pack phase is a one-slot step, and the compute phase locks only
-    // on the one broadcaster per row/column that reuses its kept payload.
+    // The mesh may run the phase closures from worker lanes (`Fn + Sync`),
+    // so the mutable scratch lives behind a mutex — uncontended in
+    // practice: the pack phase runs on one lane, and the compute phase
+    // locks only on the one broadcaster per row/column that reuses its
+    // kept payload.
     struct Shared<'a> {
         pack: &'a mut Vec<f64>,
         a_own: &'a mut Vec<Option<Arc<[f64]>>>,
@@ -303,14 +256,14 @@ where
                 .clone()
                 .ok_or_else(|| missing_own_block(ctx, 'A', r))?
         } else {
-            ctx.recv_row_shared()?
+            ctx.recv_row()?
         };
         let b = if ctx.row == r {
             shared.lock().unwrap().b_own[ctx.col]
                 .clone()
                 .ok_or_else(|| missing_own_block(ctx, 'B', r))?
         } else {
-            ctx.recv_col_shared()?
+            ctx.recv_col()?
         };
         if a.len() != blk.k8 * blk.m8 || b.len() != blk.k8 * blk.n8 {
             return Err(SimError::Program(format!(
@@ -329,11 +282,7 @@ where
         let (m8, n8, k8, cs) = (blk.m8, blk.n8, blk.k8, blk.c_stride);
         debug_assert!(c_off + (m8 - 1) * cs + n8 <= cb.len, "C slice in bounds");
         let c = &mut ctx.ldm_data_mut()[cb.range()];
-        if use_reference {
-            microkernel_reference(c, c_off, cs, &a, &b, m8, n8, k8);
-        } else {
-            microkernel_tiled(c, c_off, cs, &a, &b, m8, n8, k8);
-        }
+        microkernel_tiled(c, c_off, cs, &a, &b, m8, n8, k8);
         ctx.charge_compute(prof.cycles);
         ctx.add_flops(flops);
         ctx.add_ldm_reg_bytes(prof.ldm_load_bytes + prof.ldm_store_bytes);
@@ -341,19 +290,9 @@ where
         Ok(())
     };
 
-    if unfused_forced() {
-        // Comparison arm: one serial + one parallel superstep per round —
-        // `dim` handoffs per rotation when a round is worth the pool.
-        for r in 0..dim {
-            mesh.superstep_serial(|ctx, s| pack_phase(r, ctx, s))?;
-            mesh.superstep_with(round_work, |ctx, s| compute_phase(r, ctx, s))?;
-        }
-    } else {
-        // Fused: the whole rotation is one superstep batch — one pool
-        // handoff regardless of `dim`, none when a round is below the
-        // runtime's grain.
-        mesh.superstep_rounds(dim, round_work, &pack_phase, &compute_phase)?;
-    }
+    // The whole rotation is one superstep batch — one pool handoff
+    // regardless of `dim`, none when a round is below the runtime's grain.
+    mesh.superstep_rounds(dim, round_work, &pack_phase, &compute_phase)?;
     Ok(())
 }
 
@@ -364,9 +303,9 @@ fn missing_own_block(ctx: &CpeCtx<'_>, which: char, round: usize) -> SimError {
     ))
 }
 
-/// Scalar reference kernel: the plain triple loop. Kept as the bitwise
-/// ground truth the tiled kernel is tested against, and selectable at run
-/// time for host-performance A/B runs.
+/// Scalar reference kernel: the plain triple loop, the bitwise ground truth
+/// the tiled kernel is tested against.
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)] // BLAS-style kernel signature
 fn microkernel_reference(
     c: &mut [f64],
@@ -394,7 +333,7 @@ fn microkernel_reference(
 /// One MR×NR register tile: load the C sub-block, accumulate all of `k8`
 /// in registers, store once. Each C element still sees `c += a*b` in
 /// k-ascending order with separate multiply and add, so the result is
-/// bit-identical to [`microkernel_reference`] (no FMA, no reassociation);
+/// bit-identical to the plain triple loop (no FMA, no reassociation);
 /// the win is purely fewer loads/stores and accumulator arrays the
 /// autovectorizer maps onto vector registers.
 #[inline(always)]
@@ -553,7 +492,7 @@ pub fn zero_c<S: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use sw_perfmodel::ChipSpec;
 
     /// Per-CPE state: own blocks of A, B and the C accumulator buffer.

@@ -27,6 +27,7 @@ use crate::conv::Conv2d;
 use crate::error::SwdnnError;
 use crate::plans::{ConvPlan, ConvRun, ReferencePlan};
 use sw_perfmodel::{ChipSpec, PlanKind};
+use sw_sim::fault::splitmix64_next;
 use sw_sim::{FaultPlan, SimError};
 use sw_tensor::{ConvShape, Tensor4};
 
@@ -397,10 +398,10 @@ impl ResilientExecutor {
         }
         let mut state = self.fault.map_or(0xD1FF_5EED_u64, |f| f.seed) ^ 0x6A09_E667_F3BC_C909;
         for _ in 0..samples {
-            let b = (splitmix64(&mut state) % shape.batch as u64) as usize;
-            let no = (splitmix64(&mut state) % shape.no as u64) as usize;
-            let r = (splitmix64(&mut state) % shape.ro as u64) as usize;
-            let c = (splitmix64(&mut state) % shape.co as u64) as usize;
+            let b = (splitmix64_next(&mut state) % shape.batch as u64) as usize;
+            let no = (splitmix64_next(&mut state) % shape.no as u64) as usize;
+            let r = (splitmix64_next(&mut state) % shape.ro as u64) as usize;
+            let c = (splitmix64_next(&mut state) % shape.co as u64) as usize;
             let mut acc = 0.0;
             for ni in 0..shape.ni {
                 for kr in 0..shape.kr {
@@ -561,14 +562,6 @@ fn log_rejection(
         detail: structured.to_string(),
     });
     fallbacks.push(format!("{name}: {structured}"));
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

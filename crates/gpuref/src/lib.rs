@@ -18,8 +18,6 @@
 
 pub mod im2col;
 pub mod k40m;
-pub mod winograd;
 
 pub use im2col::{conv2d_im2col, im2col_matrix};
 pub use k40m::K40m;
-pub use winograd::conv2d_winograd;

@@ -31,7 +31,6 @@
 pub mod chip;
 pub mod comm;
 pub mod dma;
-pub mod freq;
 pub mod interconnect;
 pub mod model;
 pub mod rbw;
@@ -40,7 +39,6 @@ pub mod select;
 pub use chip::ChipSpec;
 pub use comm::{comm_optimal_permille, conv_macs, mem_comm_lower_bound_bytes};
 pub use dma::{DmaDirection, DmaTable, RationalFit};
-pub use freq::{spatial_wins, FftConvModel, FreqCase};
 pub use interconnect::{
     AllreduceKind, CollectiveCost, CollectiveSchedule, InterconnectSpec, LinkOccupancy, LinkUse,
     NetworkModel, Round, Topology, Transfer,

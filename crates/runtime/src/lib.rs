@@ -210,11 +210,15 @@ struct Job {
     panic: Mutex<Option<(usize, Box<dyn Any + Send>)>>,
 }
 
-// SAFETY: the raw closure pointer is only dereferenced between job post
-// and the poster's `wait` returning, during which the closure (which is
-// `Sync`, per the bound under which the pointer was created) is kept
-// alive by the posting stack frame.
+// SAFETY: every field but `task` is `Send`. The raw closure pointer is only
+// dereferenced between job post and the poster's `wait` returning, during
+// which the closure is kept alive by the posting stack frame, so moving the
+// `Job` (inside its `Arc`) to a worker moves no ownership of the closure.
 unsafe impl Send for Job {}
+// SAFETY: every field but `task` is `Sync` (atomics, mutexes, a condvar).
+// `task` points at a closure created under a `Sync` bound (`run` takes
+// `impl Fn(usize) + Sync`), so calling it from several workers at once is
+// what its type already permits.
 unsafe impl Sync for Job {}
 
 impl Job {
@@ -714,25 +718,6 @@ impl ExecutionContext {
         out
     }
 
-    /// `items.iter_mut().enumerate().map(f)` across the pool, results in
-    /// index order. The parallel-superstep entry point: the simulator maps
-    /// over its 64 CPE nodes with this.
-    pub fn map_mut<T, R, F>(&self, items: &mut [T], f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, &mut T) -> R + Sync,
-    {
-        let base = SendPtr(items.as_mut_ptr());
-        let n = items.len();
-        self.map_index(n, move |i| {
-            // SAFETY: `map_index` hands each index to exactly one slot, so
-            // the &mut borrows are disjoint and within bounds.
-            let item = unsafe { &mut *base.get().add(i) };
-            f(i, item)
-        })
-    }
-
     /// Consume `items`, mapping `f(index, item)` across the pool; results
     /// in index order. Backs the rayon façade's single-pass `collect`.
     pub fn map_vec<I, R, F>(&self, items: Vec<I>, f: F) -> Vec<R>
@@ -755,7 +740,8 @@ impl ExecutionContext {
         // The elements now belong to the slots: each is moved out exactly
         // once by `ptr::read`. Emptying the Vec first keeps its Drop from
         // double-freeing them; on a panic the unread tail leaks (safe).
-        // SAFETY: 0 <= capacity, elements above are transferred, not lost.
+        // SAFETY: 0 <= capacity, and no element is left for the Vec to
+        // drop: all `n` now belong to the slots below.
         unsafe { items.set_len(0) };
         let out = self.map_index(n, |i| {
             // SAFETY: each index read exactly once, see above.
@@ -764,18 +750,6 @@ impl ExecutionContext {
         });
         drop(items);
         out
-    }
-
-    /// The serial counterpart of [`Self::map_mut`]: same signature family,
-    /// `FnMut` closure, guaranteed index order on the calling thread. The
-    /// simulator's `superstep_serial` routes here so the "stay serial"
-    /// policy decision lives in the runtime layer alongside the parallel
-    /// one.
-    pub fn map_mut_serial<T, R, F>(&self, items: &mut [T], mut f: F) -> Vec<R>
-    where
-        F: FnMut(usize, &mut T) -> R,
-    {
-        items.iter_mut().enumerate().map(|(i, x)| f(i, x)).collect()
     }
 
     /// Lease a reusable scratch value of type `T` under `key` (e.g. the
@@ -927,8 +901,13 @@ impl PayloadPool {
 /// every wrapped pointer is only dereferenced at indices owned exclusively
 /// by one slot of one job.
 struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
+// SAFETY: the wrapper only carries an address to the slots of one job; each
+// slot writes or reads whole `T`s at indices no other slot touches, which
+// moves those `T`s between threads — hence `T: Send`.
+unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: sharing `&SendPtr` shares the address only; the disjoint-index
+// rule above, not the wrapper, keeps two slots off the same `T`.
+unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {
     /// Accessor (rather than field access) so closures capture the `Sync`
@@ -960,20 +939,6 @@ mod tests {
         let got = with_threads(4, || ctx.map_vec(items, |i, s| format!("{i}:{s}")));
         let want: Vec<String> = (0..57).map(|i| format!("{i}:item-{i}")).collect();
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn map_mut_mutates_in_place_and_returns_in_order() {
-        let ctx = ExecutionContext::new();
-        let mut v = vec![1u64; 64];
-        let idx = with_threads(4, || {
-            ctx.map_mut(&mut v, |i, x| {
-                *x += i as u64;
-                i
-            })
-        });
-        assert_eq!(idx, (0..64).collect::<Vec<_>>());
-        assert!(v.iter().enumerate().all(|(i, &x)| x == 1 + i as u64));
     }
 
     #[test]

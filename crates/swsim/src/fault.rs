@@ -86,11 +86,25 @@ enum Stream {
     ChipFailPoint = 6,
 }
 
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's mixing permutation: the one hash behind every seeded
+/// decision in the workspace — fault streams, router placement, the chaos
+/// and cluster trace generators.
+#[inline]
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(SPLITMIX_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The next value of the SplitMix64 stream at `state`, which it advances.
+#[inline]
+pub fn splitmix64_next(state: &mut u64) -> u64 {
+    let out = splitmix64(*state);
+    *state = state.wrapping_add(SPLITMIX_GAMMA);
+    out
 }
 
 impl FaultPlan {
@@ -170,7 +184,7 @@ impl FaultPlan {
     /// Uniform draw in `[0, 1)` for `(stream, actor, seq)` — pure in the
     /// plan seed, independent of evaluation order.
     fn roll(&self, stream: Stream, actor: u64, seq: u64) -> f64 {
-        let mut h = splitmix64(self.seed ^ (stream as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut h = splitmix64(self.seed ^ (stream as u64).wrapping_mul(SPLITMIX_GAMMA));
         h = splitmix64(h ^ actor);
         h = splitmix64(h ^ seq);
         (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)

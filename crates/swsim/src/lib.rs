@@ -37,7 +37,6 @@ pub mod fault;
 pub mod ldm;
 pub mod mem;
 pub mod mesh;
-pub mod noc;
 pub mod stats;
 pub mod trace;
 
@@ -47,7 +46,6 @@ pub use fault::{FaultPlan, RetryPolicy};
 pub use ldm::{Ldm, LdmBuf};
 pub use mem::{AccessClass, MemBlock, MemoryMap, Segment};
 pub use mesh::{Bus, CpeCtx, Mesh, SimError};
-pub use noc::{NocModel, TrafficSplit};
 pub use stats::{CgStats, CpeStats};
 pub use trace::{render_summary, Event, EventKind, TraceSummary};
 

@@ -9,8 +9,7 @@
 //! *private* segment of the CG that processes it (output-row
 //! partitioning), so no transfer ever crosses the NoC. This module models
 //! the memory map itself: segment layout, an allocator over each segment,
-//! and classification of an access (local / remote / shared) so the
-//! [`crate::noc::NocModel`] can price placements.
+//! and classification of an access (local / remote / shared).
 
 use std::fmt;
 

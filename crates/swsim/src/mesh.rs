@@ -15,13 +15,20 @@
 //! and the simulation stays deterministic regardless of the worker pool's
 //! scheduling.
 //!
-//! Supersteps execute through a persistent [`sw_runtime::ExecutionContext`]
-//! (the worker pool spawned once per process), not a per-superstep thread
-//! fan-out; [`Mesh::new_on`] pins a mesh to a specific context, and
-//! [`Mesh::new`] uses the process-wide [`sw_runtime::global`] one. A
-//! superstep too small to repay a pool handoff runs inline on the caller
-//! instead ([`Mesh::superstep_with`]); that choice never reaches the
-//! simulated clock.
+//! Every superstep — alone or in a batch of rounds — goes through one
+//! private runner with two host schedules, picked by
+//! [`sw_runtime::lanes_for`] from the step's estimated work: everything
+//! inline on the caller, or the parallel steps of one
+//! [`sw_runtime::ExecutionContext::run_stepped`] call on the persistent
+//! worker pool ([`Mesh::new_on`] pins a mesh to a specific context,
+//! [`Mesh::new`] uses the process-wide [`sw_runtime::global`] one), with the
+//! seam of each step on the lane that finished it last. The choice never
+//! reaches the simulated clock.
+//!
+//! Each CPE node owns what its program produces in a step — outgoing bus
+//! messages, DMA puts, the program's result. One lane writes a node per
+//! step; the seam is the only reader, and it empties the buffers whether the
+//! step succeeded or not.
 
 use crate::dma::{DmaEngine, DmaHandle};
 use crate::fault::FaultPlan;
@@ -152,6 +159,13 @@ struct CpeNode<S> {
     stats: CpeStats,
     row_inbox: VecDeque<Arc<[f64]>>,
     col_inbox: VecDeque<Arc<[f64]>>,
+    /// What this CPE's program produced in the current superstep: bus
+    /// messages to deliver, DMA puts to log, and how the program ended.
+    /// Written by the one lane running the node, read and emptied by the
+    /// seam (on the error path too); the buffers keep their capacity.
+    out_msgs: Vec<OutMsg>,
+    out_puts: Vec<(usize, Vec<f64>)>,
+    result: Result<(), SimError>,
     events: Vec<crate::trace::Event>,
     state: S,
 }
@@ -171,8 +185,8 @@ pub struct CpeCtx<'a> {
     fault: Option<FaultPlan>,
     block_hint: Option<usize>,
     trace: Option<&'a mut Vec<crate::trace::Event>>,
-    out_msgs: Vec<OutMsg>,
-    out_puts: Vec<(usize, Vec<f64>)>,
+    out_msgs: &'a mut Vec<OutMsg>,
+    out_puts: &'a mut Vec<(usize, Vec<f64>)>,
 }
 
 /// Cycles to receive one message header from a transfer buffer.
@@ -524,24 +538,14 @@ impl CpeCtx<'_> {
         Ok(msg)
     }
 
-    /// Receive the oldest message from the row transfer buffer.
-    pub fn recv_row(&mut self) -> Result<Vec<f64>, SimError> {
-        Ok(self.pop_inbox(Bus::Row)?[..].to_vec())
-    }
-
-    /// Receive the oldest message from the column transfer buffer.
-    pub fn recv_col(&mut self) -> Result<Vec<f64>, SimError> {
-        Ok(self.pop_inbox(Bus::Col)?[..].to_vec())
-    }
-
-    /// Zero-copy receive from the row transfer buffer: the returned slice
-    /// is shared with the sender and the other receivers.
-    pub fn recv_row_shared(&mut self) -> Result<Arc<[f64]>, SimError> {
+    /// Receive the oldest message from the row transfer buffer. Zero-copy:
+    /// the returned slice is shared with the sender and the other receivers.
+    pub fn recv_row(&mut self) -> Result<Arc<[f64]>, SimError> {
         self.pop_inbox(Bus::Row)
     }
 
-    /// Zero-copy receive from the column transfer buffer.
-    pub fn recv_col_shared(&mut self) -> Result<Arc<[f64]>, SimError> {
+    /// Receive the oldest message from the column transfer buffer.
+    pub fn recv_col(&mut self) -> Result<Arc<[f64]>, SimError> {
         self.pop_inbox(Bus::Col)
     }
 
@@ -582,33 +586,33 @@ impl CpeCtx<'_> {
     }
 }
 
-/// One core group's 8×8 mesh plus its DMA engine and put log.
-/// Per-CPE outcome of one superstep: outgoing bus messages, DMA puts to
-/// main memory, and the CPE program's result.
-type StepResult = (Vec<OutMsg>, Vec<(usize, Vec<f64>)>, Result<(), SimError>);
-
-/// Execute one CPE's program for one superstep: fault checks, context
-/// construction, the program body. Shared verbatim by the parallel
-/// [`Mesh::superstep`] and the serial [`Mesh::superstep_serial`] so both
-/// charge identical cycles and key faults identically.
-fn run_node<S, F>(
-    node: &mut CpeNode<S>,
-    f: &mut F,
+/// What every CPE program of one batch sees the same, copied out of the mesh
+/// so worker lanes hold no reference into it.
+#[derive(Clone, Copy)]
+struct StepCfg {
+    dim: usize,
     dma: DmaEngine,
     trace_on: bool,
     fault: Option<FaultPlan>,
-    step: u64,
-) -> StepResult
+    sync_cycles: u64,
+}
+
+/// Execute one CPE's program for simulated superstep `step`: fault checks,
+/// context construction, the program body. Messages, puts and the result
+/// stay in the node for the seam. The one way a CPE program runs, on
+/// either host schedule, so both charge identical cycles and key faults
+/// identically.
+fn run_node<S, F>(cfg: &StepCfg, node: &mut CpeNode<S>, f: &mut F, step: u64)
 where
     F: FnMut(&mut CpeCtx<'_>, &mut S) -> Result<(), SimError>,
 {
-    if let Some(fp) = fault {
+    if let Some(fp) = cfg.fault {
         if fp.cpe_dead(node.row, node.col) {
-            let err = SimError::CpeOffline {
+            node.result = Err(SimError::CpeOffline {
                 row: node.row,
                 col: node.col,
-            };
-            return (Vec::new(), Vec::new(), Err(err));
+            });
+            return;
         }
         let id = node.row * crate::MESH_DIM + node.col;
         let stall = fp.cpe_stall(id, step);
@@ -627,107 +631,146 @@ where
         col_inbox: &mut node.col_inbox,
         dma_free: &mut node.dma_free,
         dma_seq: &mut node.dma_seq,
-        dma,
-        fault,
+        dma: cfg.dma,
+        fault: cfg.fault,
         block_hint: None,
-        trace: if trace_on {
+        trace: if cfg.trace_on {
             Some(&mut node.events)
         } else {
             None
         },
-        out_msgs: Vec::new(),
-        out_puts: Vec::new(),
+        out_msgs: &mut node.out_msgs,
+        out_puts: &mut node.out_puts,
     };
-    let r = f(&mut ctx, &mut node.state);
-    (ctx.out_msgs, ctx.out_puts, r)
+    node.result = f(&mut ctx, &mut node.state);
 }
 
-/// The superstep seam, shared *verbatim* by [`Mesh::finish_superstep`]
-/// (one superstep per pool handoff) and the fused
-/// [`Mesh::superstep_rounds`] seam (many supersteps per handoff, the seam
-/// running on whichever pool lane finished the step last): surface the
-/// first error deterministically, deliver bus messages in CPE-id order,
-/// log DMA puts, synchronize clocks to the barrier. A free function over
-/// the mesh's parts because the fused path cannot hold `&mut Mesh` while
-/// the worker lanes hold raw slices into it.
-#[allow(clippy::too_many_arguments)]
-fn finish_superstep_parts<S>(
-    dim: usize,
-    fault: Option<FaultPlan>,
-    trace_on: bool,
-    sync_cycles: u64,
-    cpes: &mut [CpeNode<S>],
-    put_log: &mut Vec<(usize, Vec<f64>)>,
-    msg_deliveries: &mut u64,
-    supersteps: &mut u64,
-    results: Vec<StepResult>,
-) -> Result<(), SimError> {
-    // Surface the first error deterministically (lowest CPE id) —
-    // by reference, so a clean superstep clones no Results.
-    if let Some(e) = results.iter().find_map(|(_, _, r)| r.as_ref().err()) {
-        return Err(e.clone());
-    }
+/// The mesh state a superstep boundary updates besides the nodes.
+struct Seam {
+    put_log: Vec<(usize, Vec<f64>)>,
+    supersteps: u64,
+    /// Mesh-global bus-delivery counter keying message-drop decisions.
+    msg_deliveries: u64,
+}
 
-    // Deliver messages in CPE-id order for determinism. Each delivery
-    // bumps a mesh-global counter; with an active fault plan a delivery
-    // may be dropped (the receiver's later recv then hits EmptyInbox).
-    for (id, (msgs, puts, _)) in results.into_iter().enumerate() {
-        let (row, col) = (id / dim, id % dim);
-        for OutMsg { bus, to, data } in msgs {
-            // Receiver `k` along the sender's bus is CPE `base + k·stride`;
-            // a broadcast skips the sender's own position.
-            let (own, base, stride) = match bus {
-                Bus::Row => (col, row * dim, 1),
-                Bus::Col => (row, col, dim),
-            };
-            let receivers = match to {
-                Some(k) => k..k + 1,
-                None => 0..dim,
-            };
-            for k in receivers {
-                if to.is_none() && k == own {
-                    continue;
-                }
-                let target = base + k * stride;
-                let seq = *msg_deliveries;
-                *msg_deliveries += 1;
-                if let Some(fp) = fault {
-                    if fp.msg_dropped(id, target, seq) {
-                        cpes[id].stats.msgs_dropped += 1;
+impl Seam {
+    /// The superstep boundary, after every CPE program of the step has run:
+    /// surface the first error deterministically, deliver bus messages in
+    /// CPE-id order, log DMA puts, synchronize clocks to the barrier. Reads
+    /// each node's outbox and leaves it empty — on the error path too, so a
+    /// failed step delivers and logs nothing and the next step starts clean.
+    fn finish<S>(&mut self, cfg: &StepCfg, cpes: &mut [CpeNode<S>]) -> Result<(), SimError> {
+        // Lowest CPE id wins.
+        if let Some(failed) = cpes.iter().position(|c| c.result.is_err()) {
+            for c in cpes.iter_mut() {
+                c.out_msgs.clear();
+                c.out_puts.clear();
+            }
+            return std::mem::replace(&mut cpes[failed].result, Ok(()));
+        }
+
+        // Deliver messages in CPE-id order for determinism. Each delivery
+        // bumps a mesh-global counter; with an active fault plan a delivery
+        // may be dropped (the receiver's later recv then hits EmptyInbox).
+        let dim = cfg.dim;
+        for id in 0..cpes.len() {
+            let (row, col) = (id / dim, id % dim);
+            // Out of the node while receivers' inboxes are borrowed; handed
+            // back empty, capacity kept.
+            let mut msgs = std::mem::take(&mut cpes[id].out_msgs);
+            for OutMsg { bus, to, data } in msgs.drain(..) {
+                // Receiver `k` along the sender's bus is CPE `base + k·stride`;
+                // a broadcast skips the sender's own position.
+                let (own, base, stride) = match bus {
+                    Bus::Row => (col, row * dim, 1),
+                    Bus::Col => (row, col, dim),
+                };
+                let receivers = match to {
+                    Some(k) => k..k + 1,
+                    None => 0..dim,
+                };
+                for k in receivers {
+                    if to.is_none() && k == own {
                         continue;
                     }
-                }
-                match bus {
-                    Bus::Row => cpes[target].row_inbox.push_back(data.clone()),
-                    Bus::Col => cpes[target].col_inbox.push_back(data.clone()),
+                    let target = base + k * stride;
+                    let seq = self.msg_deliveries;
+                    self.msg_deliveries += 1;
+                    if let Some(fp) = cfg.fault {
+                        if fp.msg_dropped(id, target, seq) {
+                            cpes[id].stats.msgs_dropped += 1;
+                            continue;
+                        }
+                    }
+                    match bus {
+                        Bus::Row => cpes[target].row_inbox.push_back(data.clone()),
+                        Bus::Col => cpes[target].col_inbox.push_back(data.clone()),
+                    }
                 }
             }
+            cpes[id].out_msgs = msgs;
+            self.put_log.append(&mut cpes[id].out_puts);
         }
-        put_log.extend(puts);
+
+        // Barrier: clocks synchronize to the slowest CPE.
+        let max_clock = cpes.iter().map(|c| c.clock).max().unwrap_or(0) + cfg.sync_cycles;
+        for c in cpes {
+            if cfg.trace_on {
+                c.events.push(crate::trace::Event {
+                    at: c.clock,
+                    kind: crate::trace::EventKind::Barrier { to: max_clock },
+                });
+            }
+            c.clock = max_clock;
+        }
+        self.supersteps += 1;
+        Ok(())
     }
 
-    // Barrier: clocks synchronize to the slowest CPE.
-    let max_clock = cpes.iter().map(|c| c.clock).max().unwrap_or(0) + sync_cycles;
-    for c in cpes {
-        if trace_on {
-            c.events.push(crate::trace::Event {
-                at: c.clock,
-                kind: crate::trace::EventKind::Barrier { to: max_clock },
-            });
+    /// One whole superstep on the calling thread: every CPE program in
+    /// CPE-id order, then the boundary. `f` may borrow mutable host state.
+    fn step_inline<S, F>(
+        &mut self,
+        cfg: &StepCfg,
+        cpes: &mut [CpeNode<S>],
+        mut f: F,
+    ) -> Result<(), SimError>
+    where
+        F: FnMut(&mut CpeCtx<'_>, &mut S) -> Result<(), SimError>,
+    {
+        let step = self.supersteps;
+        for node in cpes.iter_mut() {
+            run_node(cfg, node, &mut f, step);
         }
-        c.clock = max_clock;
+        self.finish(cfg, cpes)
     }
-    *supersteps += 1;
-    Ok(())
 }
 
-/// A raw pointer shared across the lanes of one fused superstep batch.
-/// Safety is argued at each use site: work slots dereference disjoint
-/// CPE/result indices, and the seam runs only when every slot of its step
-/// has finished (`run_stepped`'s last-finisher guarantee).
+/// The CPE nodes of one mesh, shared by address across the lanes of one
+/// [`sw_runtime::ExecutionContext::run_stepped`] call. Both dereferences in
+/// the batch runner rest on the same two properties of that call:
+///
+/// * **Single writer.** Slot `k` of a step touches only nodes
+///   `k·chunk .. (k+1)·chunk`. Slots are disjoint and each is claimed by
+///   exactly one lane, so within a step every node is reached from one
+///   lane and from nowhere else.
+/// * **Last finisher.** The seam of a step runs once, on the lane whose slot
+///   finished last, after acquiring every other slot's release; the next
+///   step is published only when the seam has returned. So the seam sees
+///   every write of its step, nothing runs beside it, and it may hold the
+///   whole slice `&mut`.
+///
+/// The address comes from a `&mut [CpeNode<S>]` the batch runner holds for
+/// the whole call, and `run_stepped` returns only after every lane has left
+/// it, so the pointer never outlives the nodes.
 struct RawShare<T>(*mut T);
-unsafe impl<T> Send for RawShare<T> {}
-unsafe impl<T> Sync for RawShare<T> {}
+// SAFETY: the wrapper only carries an address between lanes; every
+// dereference follows the protocol above, under which a node is reached from
+// one lane at a time. That passes `T` itself from lane to lane — `T: Send`.
+unsafe impl<T: Send> Send for RawShare<T> {}
+// SAFETY: as for `Send` — sharing `&RawShare` shares the address, and the
+// protocol, not the wrapper, serializes access to the nodes behind it.
+unsafe impl<T: Send> Sync for RawShare<T> {}
 
 impl<T> RawShare<T> {
     fn get(&self) -> *mut T {
@@ -735,20 +778,21 @@ impl<T> RawShare<T> {
     }
 }
 
+/// The serial phase of a batch that has none (a single superstep).
+type NoPhase<S> = fn(usize, &mut CpeCtx<'_>, &mut S) -> Result<(), SimError>;
+
+/// One core group's 8×8 mesh plus its DMA engine and put log.
 pub struct Mesh<S> {
     pub chip: ChipSpec,
     /// The runtime context whose worker pool executes parallel supersteps.
     rt: &'static sw_runtime::ExecutionContext,
     dma: DmaEngine,
     cpes: Vec<CpeNode<S>>,
-    put_log: Vec<(usize, Vec<f64>)>,
-    supersteps: u64,
+    seam: Seam,
     /// Cycle cost of each superstep barrier.
     pub sync_cycles: u64,
     trace_on: bool,
     fault: Option<FaultPlan>,
-    /// Mesh-global bus-delivery counter keying message-drop decisions.
-    msg_deliveries: u64,
 }
 
 impl<S: Send> Mesh<S> {
@@ -778,6 +822,9 @@ impl<S: Send> Mesh<S> {
                     stats: CpeStats::default(),
                     row_inbox: VecDeque::new(),
                     col_inbox: VecDeque::new(),
+                    out_msgs: Vec::new(),
+                    out_puts: Vec::new(),
+                    result: Ok(()),
                     events: Vec::new(),
                     state: init(row, col),
                 });
@@ -788,12 +835,14 @@ impl<S: Send> Mesh<S> {
             rt,
             dma: DmaEngine::new(chip),
             cpes,
-            put_log: Vec::new(),
-            supersteps: 0,
+            seam: Seam {
+                put_log: Vec::new(),
+                supersteps: 0,
+                msg_deliveries: 0,
+            },
             sync_cycles: 8,
             trace_on: false,
             fault: None,
-            msg_deliveries: 0,
         }
     }
 
@@ -833,77 +882,46 @@ impl<S: Send> Mesh<S> {
     pub fn superstep<F>(&mut self, f: F) -> Result<(), SimError>
     where
         F: Fn(&mut CpeCtx<'_>, &mut S) -> Result<(), SimError> + Sync,
-        S: Send,
     {
         let resident = self.cpes.len() * self.ldm_high_water();
         self.superstep_with(sw_runtime::Work::Doubles(resident as u64), f)
     }
 
     /// [`Self::superstep`] with an explicit estimate of the step's host
-    /// work. Below the runtime's grain for that kind of work
-    /// ([`sw_runtime::lanes_for`]) the CPE programs run inline in CPE-id
-    /// order, exactly as [`Self::superstep_serial`] runs them; at or above
-    /// it they fan out over the worker pool. The choice is host mechanics
+    /// work: a one-round batch with no serial phase. Below the runtime's
+    /// grain for that kind of work ([`sw_runtime::lanes_for`]) the CPE
+    /// programs run inline in CPE-id order; at or above it they fan out
+    /// over the worker pool under one handoff. The choice is host mechanics
     /// only: each CPE's program sees the same node, step number and fault
     /// keys either way, and the seam is shared.
     pub fn superstep_with<F>(&mut self, work: sw_runtime::Work, f: F) -> Result<(), SimError>
     where
         F: Fn(&mut CpeCtx<'_>, &mut S) -> Result<(), SimError> + Sync,
-        S: Send,
     {
-        if sw_runtime::lanes_for(self.cpes.len(), work) <= 1 {
-            return self.superstep_serial(f);
-        }
-        let dma = self.dma;
-        let trace_on = self.trace_on;
-        let fault = self.fault;
-        let step = self.supersteps;
-        let results: Vec<StepResult> = self.rt.map_mut(&mut self.cpes, |_, node| {
-            run_node(node, &mut (&f), dma, trace_on, fault, step)
-        });
-        self.finish_superstep(results)
-    }
-
-    /// Run one superstep with the CPE programs executed serially, in
-    /// CPE-id order, on the calling thread. Cycle accounting, fault
-    /// keying, message delivery, and the barrier are identical to
-    /// [`Self::superstep`] — the only difference is the absence of a
-    /// thread fan-out, which makes this the cheaper choice for short
-    /// supersteps (e.g. the pack/broadcast phase of a GEMM rotation)
-    /// where per-task handoff overhead would dominate. `f` may be `FnMut`
-    /// and borrow mutable host-side scratch.
-    pub fn superstep_serial<F>(&mut self, mut f: F) -> Result<(), SimError>
-    where
-        F: FnMut(&mut CpeCtx<'_>, &mut S) -> Result<(), SimError>,
-    {
-        let dma = self.dma;
-        let trace_on = self.trace_on;
-        let fault = self.fault;
-        let step = self.supersteps;
-        let results: Vec<StepResult> = self.rt.map_mut_serial(&mut self.cpes, |_, node| {
-            run_node(node, &mut f, dma, trace_on, fault, step)
-        });
-        self.finish_superstep(results)
+        self.run_batch(
+            1,
+            work,
+            None::<&NoPhase<S>>,
+            &|_, ctx: &mut CpeCtx<'_>, s: &mut S| f(ctx, s),
+        )
     }
 
     /// Run a *batch* of `rounds` rounds — each a serial superstep (e.g.
-    /// the pack/broadcast phase of a GEMM rotation) followed by a parallel
-    /// superstep (the compute phase) — under ONE pool handoff, via
-    /// [`sw_runtime::ExecutionContext::run_stepped`], or under none when
-    /// `round_work` (the host work of one round's parallel superstep) is
-    /// below the runtime's grain ([`sw_runtime::lanes_for`]).
+    /// the pack/broadcast phase of a GEMM rotation, too short to be worth a
+    /// fan-out) followed by a parallel superstep (the compute phase) —
+    /// under ONE pool handoff, or under none when `round_work` (the host
+    /// work of one round's parallel superstep) is below the runtime's grain
+    /// ([`sw_runtime::lanes_for`]).
     ///
-    /// Semantics are exactly `for r in 0..rounds {
-    /// superstep_serial(serial_f(r, ..)); superstep(parallel_f(r, ..)) }`:
-    /// same per-CPE execution order, same fault keying (the simulated step
-    /// number advances once per superstep), same message delivery and
-    /// barrier (the seam logic is `finish_superstep_parts`, shared verbatim),
-    /// and the same abort point on error — the first failing superstep
-    /// skips all remaining rounds and returns its lowest-CPE-id error.
-    /// Simulated cycles, counters and outputs are bit-identical to the
-    /// unfused loop at every thread count and on either side of the grain;
-    /// only the number of pool handoffs changes (0 below the grain, 1
-    /// instead of `rounds` per batch above it at ≥2 threads).
+    /// Semantics are exactly those of `2·rounds` single supersteps in
+    /// order: same per-CPE execution order, same fault keying (the
+    /// simulated step number advances once per superstep), same message
+    /// delivery and barrier, and the same abort point on error — the first
+    /// failing superstep skips all remaining rounds and returns its
+    /// lowest-CPE-id error. Simulated cycles, counters and outputs are
+    /// bit-identical at every thread count and on either side of the grain;
+    /// only the number of pool handoffs changes (0 below the grain, 1 per
+    /// batch above it at ≥2 threads).
     pub fn superstep_rounds<FS, FP>(
         &mut self,
         rounds: usize,
@@ -915,183 +933,121 @@ impl<S: Send> Mesh<S> {
         FS: Fn(usize, &mut CpeCtx<'_>, &mut S) -> Result<(), SimError> + Sync,
         FP: Fn(usize, &mut CpeCtx<'_>, &mut S) -> Result<(), SimError> + Sync,
     {
+        self.run_batch(rounds, round_work, Some(serial_f), parallel_f)
+    }
+
+    fn cfg(&self) -> StepCfg {
+        StepCfg {
+            dim: self.chip.mesh_dim,
+            dma: self.dma,
+            trace_on: self.trace_on,
+            fault: self.fault,
+            sync_cycles: self.sync_cycles,
+        }
+    }
+
+    /// The one superstep runner. A batch is `rounds` rounds of an optional
+    /// serial superstep followed by a parallel one; `lanes_for` picks one of
+    /// two host schedules for the whole batch:
+    ///
+    /// * **inline** — every superstep runs on the caller, CPEs in id order;
+    /// * **stepped** — the parallel supersteps are the steps of one
+    ///   `run_stepped` call, chunked over the lanes. Round 0's serial
+    ///   superstep runs inline before the handoff; every later one runs
+    ///   inside the seam of the preceding parallel step, so its broadcasts
+    ///   are in the inboxes before any lane claims the next step and the
+    ///   lanes never idle through a one-slot step.
+    ///
+    /// Simulated superstep numbering is the same on both: with a serial
+    /// phase, round `r` is supersteps `base + 2r` and `base + 2r + 1`.
+    fn run_batch<FS, FP>(
+        &mut self,
+        rounds: usize,
+        round_work: sw_runtime::Work,
+        serial_f: Option<&FS>,
+        parallel_f: &FP,
+    ) -> Result<(), SimError>
+    where
+        FS: Fn(usize, &mut CpeCtx<'_>, &mut S) -> Result<(), SimError> + Sync,
+        FP: Fn(usize, &mut CpeCtx<'_>, &mut S) -> Result<(), SimError> + Sync,
+    {
         if rounds == 0 {
             return Ok(());
         }
-        let n = self.cpes.len();
+        let cfg = self.cfg();
+        let rt = self.rt;
+        let (cpes, seam) = (&mut self.cpes[..], &mut self.seam);
+        let n = cpes.len();
         let lanes = sw_runtime::lanes_for(n, round_work);
         if lanes <= 1 {
-            // One lane, or rounds too small to repay a step barrier: the
-            // plain loop is handoff-free and runs everything inline in the
-            // identical order.
             for r in 0..rounds {
-                self.superstep_serial(|ctx, s| serial_f(r, ctx, s))?;
-                self.superstep_serial(|ctx, s| parallel_f(r, ctx, s))?;
+                if let Some(sf) = serial_f {
+                    seam.step_inline(&cfg, cpes, |ctx, s| sf(r, ctx, s))?;
+                }
+                seam.step_inline(&cfg, cpes, |ctx, s| parallel_f(r, ctx, s))?;
             }
             return Ok(());
         }
 
-        // Round 0's serial pack superstep runs inline on the posting
-        // thread, exactly like the unfused loop (no handoff either way);
-        // every later pack superstep runs inside the *seam* of the
-        // preceding compute step, so the step schedule below is
-        // compute-steps only — one wake cycle per round instead of two,
-        // and no pathological one-slot steps for the lanes to idle
-        // through. The simulated superstep numbering is unchanged: pack
-        // `r` is superstep `step_base + 2r`, compute `r` is
-        // `step_base + 2r + 1`.
-        let step_base = self.supersteps;
-        self.superstep_serial(|ctx, s| serial_f(0, ctx, s))?;
-
-        let dim = self.chip.mesh_dim;
-        let dma = self.dma;
-        let trace_on = self.trace_on;
-        let fault = self.fault;
-        let sync_cycles = self.sync_cycles;
-        // Same deterministic chunking as `map_mut` drives the unfused
-        // parallel superstep (chunk boundaries are a pure function of
-        // `(n, lanes)`; they do not affect simulation results, which are
-        // per-CPE, but keeping them identical keeps the schedules
-        // comparable).
-        let chunk = n.div_ceil(lanes);
-        let compute_slots = n.div_ceil(chunk);
-
-        // Seam state moves out of `self` for the duration of the batch:
-        // the seam runs on whichever lane finished the step last, and may
-        // not alias the raw CPE slices the work slots hold.
-        struct FusedSeam {
-            put_log: Vec<(usize, Vec<f64>)>,
-            supersteps: u64,
-            msg_deliveries: u64,
-            err: Option<SimError>,
+        if let Some(sf) = serial_f {
+            seam.step_inline(&cfg, cpes, |ctx, s| sf(0, ctx, s))?;
         }
-        let seam_state = Mutex::new(FusedSeam {
-            put_log: std::mem::take(&mut self.put_log),
-            supersteps: self.supersteps,
-            msg_deliveries: self.msg_deliveries,
-            err: None,
-        });
-        let mut results: Vec<Option<StepResult>> = (0..n).map(|_| None).collect();
-        let res_base = RawShare(results.as_mut_ptr());
-        let cpe_base = RawShare(self.cpes.as_mut_ptr());
+        // Round `r`'s parallel superstep is simulated step `first + stride·r`.
+        let first = seam.supersteps;
+        let stride = 1 + u64::from(serial_f.is_some());
+        // Chunk boundaries are a pure function of `(n, lanes)`; results are
+        // per-CPE, so they affect nothing observable.
+        let chunk = n.div_ceil(lanes);
+        let slots = n.div_ceil(chunk);
+        let nodes = RawShare(cpes.as_mut_ptr());
+        // The seam is `Fn + Sync` but runs one lane at a time: the lock is
+        // never contended, it only makes the exclusive access checkable.
+        let seam_and_outcome = Mutex::new((seam, Ok(())));
 
-        self.rt.run_stepped(
+        rt.run_stepped(
             rounds,
-            |_| compute_slots,
-            |step, slot| {
-                let r = step;
-                let sim_step = step_base + 2 * step as u64 + 1;
-                let (lo, hi) = (slot * chunk, ((slot + 1) * chunk).min(n));
-                for i in lo..hi {
-                    // SAFETY: within a step, slots cover disjoint index
-                    // ranges; across steps, `run_stepped`'s seam barrier
-                    // orders all accesses. Each index is written once per
-                    // step and consumed by that step's seam.
-                    let node = unsafe { &mut *cpe_base.get().add(i) };
-                    let res = run_node(
+            |_| slots,
+            |r, slot| {
+                let step = first + stride * r as u64;
+                for i in slot * chunk..((slot + 1) * chunk).min(n) {
+                    // SAFETY: single writer (see `RawShare`) — `i` lies in
+                    // this slot's range and below `n`.
+                    let node = unsafe { &mut *nodes.get().add(i) };
+                    run_node(
+                        &cfg,
                         node,
                         &mut |ctx: &mut CpeCtx<'_>, s: &mut S| parallel_f(r, ctx, s),
-                        dma,
-                        trace_on,
-                        fault,
-                        sim_step,
+                        step,
                     );
-                    unsafe { *res_base.get().add(i) = Some(res) };
                 }
             },
-            |step| {
-                let mut guard = seam_state.lock().unwrap();
-                let st = &mut *guard;
-                let step_results: Vec<StepResult> = (0..n)
-                    .map(|i| {
-                        // SAFETY: every slot of this step has finished
-                        // (last-finisher guarantee), so each entry is Some
-                        // and no work slot aliases it.
-                        unsafe { (*res_base.get().add(i)).take().expect("every CPE ran") }
-                    })
-                    .collect();
-                // SAFETY: no work slot runs concurrently with the seam.
-                let cpes = unsafe { std::slice::from_raw_parts_mut(cpe_base.get(), n) };
-                let finish = |st: &mut FusedSeam, cpes: &mut [CpeNode<S>], results| {
-                    match finish_superstep_parts(
-                        dim,
-                        fault,
-                        trace_on,
-                        sync_cycles,
-                        cpes,
-                        &mut st.put_log,
-                        &mut st.msg_deliveries,
-                        &mut st.supersteps,
-                        results,
-                    ) {
-                        Ok(()) => true,
-                        Err(e) => {
-                            st.err = Some(e);
-                            false
-                        }
+            |r| {
+                let mut guard = seam_and_outcome
+                    .lock()
+                    .expect("a panicking seam aborts the batch before anyone locks again");
+                let (seam, outcome) = &mut *guard;
+                // SAFETY: last finisher (see `RawShare`) — every slot of
+                // step `r` is done and no other step has been published.
+                let cpes = unsafe { std::slice::from_raw_parts_mut(nodes.get(), n) };
+                *outcome = seam.finish(&cfg, cpes).and_then(|()| match serial_f {
+                    Some(sf) if r + 1 < rounds => {
+                        seam.step_inline(&cfg, cpes, |ctx, s| sf(r + 1, ctx, s))
                     }
-                };
-                if !finish(st, cpes, step_results) {
-                    return false;
-                }
-                // Next round's serial pack superstep, still inside this
-                // seam: walk every CPE in id order (the same order the
-                // one-slot serial walk and `superstep_serial` use), then
-                // deliver/barrier it so its broadcasts are in the inboxes
-                // before any lane claims the next compute step.
-                let r_next = step + 1;
-                if r_next < rounds {
-                    let sim_step = step_base + 2 * r_next as u64;
-                    let pack_results: Vec<StepResult> = cpes
-                        .iter_mut()
-                        .map(|node| {
-                            run_node(
-                                node,
-                                &mut |ctx: &mut CpeCtx<'_>, s: &mut S| serial_f(r_next, ctx, s),
-                                dma,
-                                trace_on,
-                                fault,
-                                sim_step,
-                            )
-                        })
-                        .collect();
-                    if !finish(st, cpes, pack_results) {
-                        return false;
-                    }
-                }
-                true
+                    _ => Ok(()),
+                });
+                outcome.is_ok()
             },
         );
 
-        let seam = seam_state.into_inner().unwrap();
-        self.put_log = seam.put_log;
-        self.supersteps = seam.supersteps;
-        self.msg_deliveries = seam.msg_deliveries;
-        match seam.err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Deliver messages, log puts, and synchronize clocks after one
-    /// superstep's per-CPE programs have run.
-    fn finish_superstep(&mut self, results: Vec<StepResult>) -> Result<(), SimError> {
-        finish_superstep_parts(
-            self.chip.mesh_dim,
-            self.fault,
-            self.trace_on,
-            self.sync_cycles,
-            &mut self.cpes,
-            &mut self.put_log,
-            &mut self.msg_deliveries,
-            &mut self.supersteps,
-            results,
-        )
+        let (_, outcome) = seam_and_outcome
+            .into_inner()
+            .expect("run_stepped resumes a seam panic before returning");
+        outcome
     }
 
     /// Apply all logged DMA puts to the global output segment.
     pub fn drain_puts(&mut self, out: &mut [f64]) -> Result<(), SimError> {
-        for (off, data) in self.put_log.drain(..) {
+        for (off, data) in self.seam.put_log.drain(..) {
             if off + data.len() > out.len() {
                 return Err(SimError::OutOfBounds {
                     offset: off,
@@ -1106,7 +1062,7 @@ impl<S: Send> Mesh<S> {
 
     /// Number of logged-but-undrained puts.
     pub fn pending_puts(&self) -> usize {
-        self.put_log.len()
+        self.seam.put_log.len()
     }
 
     /// Aggregate statistics so far.
@@ -1133,7 +1089,7 @@ impl<S: Send> Mesh<S> {
 
     /// Supersteps executed.
     pub fn supersteps(&self) -> u64 {
-        self.supersteps
+        self.seam.supersteps
     }
 
     /// Per-CPE `(row, col, clock, counters)` snapshot, in CPE-id order.
@@ -1179,6 +1135,16 @@ mod tests {
 
     fn mesh() -> Mesh<u64> {
         Mesh::new(ChipSpec::sw26010(), |r, c| (r * 8 + c) as u64)
+    }
+
+    /// One single superstep on the inline schedule, whatever its size: the
+    /// plain loop the batch tests compare `superstep_rounds` against.
+    fn step_inline<S: Send>(
+        m: &mut Mesh<S>,
+        f: impl FnMut(&mut CpeCtx<'_>, &mut S) -> Result<(), SimError>,
+    ) -> Result<(), SimError> {
+        let cfg = m.cfg();
+        m.seam.step_inline(&cfg, &mut m.cpes, f)
     }
 
     #[test]
@@ -1246,7 +1212,7 @@ mod tests {
         m.superstep(|ctx, _| {
             if ctx.col != 0 {
                 let msg = ctx.recv_row()?;
-                assert_eq!(msg, vec![ctx.row as f64; 4]);
+                assert_eq!(&msg[..], &[ctx.row as f64; 4]);
             }
             Ok(())
         })
@@ -1549,9 +1515,7 @@ mod tests {
                 sw_runtime::with_threads(threads, || {
                     let mut unfused = build();
                     for r in 0..6 {
-                        unfused
-                            .superstep_serial(|ctx, s| serial_phase(r, ctx, s))
-                            .unwrap();
+                        step_inline(&mut unfused, |ctx, s| serial_phase(r, ctx, s)).unwrap();
                         unfused
                             .superstep_with(work, |ctx, s| parallel_phase(r, ctx, s))
                             .unwrap();
@@ -1564,7 +1528,10 @@ mod tests {
                     let fused_handoffs = fused.runtime().pool_handoffs() - before;
                     assert_eq!(fused.supersteps(), unfused.supersteps());
                     assert_eq!(fused.cpe_snapshots(), unfused.cpe_snapshots());
-                    assert_eq!(fused.put_log, unfused.put_log, "threads = {threads}");
+                    assert_eq!(
+                        fused.seam.put_log, unfused.seam.put_log,
+                        "threads = {threads}"
+                    );
                     for (a, b) in fused.cpes.iter().zip(unfused.cpes.iter()) {
                         assert_eq!(a.state, b.state);
                     }
@@ -1604,7 +1571,7 @@ mod tests {
             } else {
                 (|| {
                     for r in 0..6 {
-                        m.superstep_serial(|ctx, s| serial_phase(r, ctx, s))?;
+                        step_inline(&mut m, |ctx, s| serial_phase(r, ctx, s))?;
                         m.superstep_with(work, |ctx, s| parallel_phase(r, ctx, s))?;
                     }
                     Ok(())
@@ -1621,6 +1588,79 @@ mod tests {
                     let (unfused_steps, unfused_err) = run(false, work);
                     assert_eq!(fused_err, unfused_err, "{work:?} @ {threads} threads");
                     assert_eq!(fused_steps, unfused_steps, "abort point matches");
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn failed_superstep_delivers_nothing_and_leaves_no_residue() {
+        // Node-owned outboxes outlive the superstep that filled them, so a
+        // step that fails after other CPEs have broadcast and issued puts
+        // must still deliver and log nothing — and must not leak those
+        // messages or puts into the next superstep on the same mesh.
+        let inbox_lens = |m: &Mesh<u64>| -> Vec<(usize, usize)> {
+            m.cpes
+                .iter()
+                .map(|c| (c.row_inbox.len(), c.col_inbox.len()))
+                .collect()
+        };
+        for threads in [1, 4] {
+            for work in [Work::Doubles(1 << 10), Work::Doubles(1 << 20)] {
+                sw_runtime::with_threads(threads, || {
+                    let mut m = mesh();
+                    // Something already in flight: one unread column
+                    // message per CPE off row 0, and 64 logged puts.
+                    m.superstep_with(work, |ctx, _| {
+                        if ctx.row == 0 {
+                            ctx.bcast_col(&[ctx.col as f64; 4]);
+                        }
+                        let buf = ctx.ldm_alloc(4)?;
+                        ctx.dma_put(buf, 0, ctx.id() * 4, 4)?;
+                        Ok(())
+                    })
+                    .unwrap();
+                    let (inboxes, puts, steps) = (inbox_lens(&m), m.pending_puts(), m.supersteps());
+                    assert_eq!(puts, 64);
+
+                    let err = m
+                        .superstep_with(work, |ctx, _| {
+                            ctx.bcast_row(&[666.0; 4]);
+                            ctx.send_col(7 - ctx.row, &[666.0; 4]);
+                            let buf = ctx.ldm_alloc(4)?;
+                            ctx.dma_put(buf, 0, 0, 4)?;
+                            if ctx.id() == 40 || ctx.id() == 9 {
+                                return Err(SimError::Program(format!("CPE {} fails", ctx.id())));
+                            }
+                            Ok(())
+                        })
+                        .unwrap_err();
+                    let ctx = format!("{work:?} @ {threads} threads");
+                    assert_eq!(err, SimError::Program("CPE 9 fails".into()), "{ctx}");
+                    assert_eq!(m.pending_puts(), puts, "{ctx}");
+                    assert_eq!(inbox_lens(&m), inboxes, "{ctx}");
+                    assert_eq!(m.supersteps(), steps, "a failed step is not counted");
+
+                    // The next superstep delivers its own messages only.
+                    m.superstep_with(work, |ctx, _| {
+                        if ctx.row != 0 {
+                            assert_eq!(&ctx.recv_col()?[..], &[ctx.col as f64; 4]);
+                        }
+                        if ctx.col == 0 {
+                            ctx.bcast_row(&[ctx.row as f64; 4]);
+                        }
+                        Ok(())
+                    })
+                    .unwrap();
+                    assert_eq!(m.pending_puts(), puts, "{ctx}");
+                    m.superstep_with(work, |ctx, _| {
+                        if ctx.col != 0 {
+                            assert_eq!(&ctx.recv_row()?[..], &[ctx.row as f64; 4]);
+                        }
+                        Ok(())
+                    })
+                    .unwrap();
+                    m.assert_inboxes_empty().unwrap();
                 });
             }
         }

@@ -1,10 +1,10 @@
 //! Golden-cycle determinism suite.
 //!
 //! The zero-copy messaging path, the fused pack-once rotation, the
-//! register-tiled microkernel, and the fused multi-round superstep engine
-//! (with its leased broadcast buffers) are host-side optimisations: they
-//! must not move *simulated* time or results by a single cycle or bit.
-//! This suite pins that down three ways:
+//! register-tiled microkernel, and the batched superstep engine (with its
+//! leased broadcast buffers) are host-side optimisations: they must not
+//! move *simulated* time or results by a single cycle or bit. This suite
+//! pins that down three ways:
 //!
 //! 1. **Golden digests.** One image-aware and one batch-aware plan run
 //!    against digests (cycles, DMA/bus counters, flops, an order-sensitive
@@ -14,9 +14,9 @@
 //!    fan-outs of 1, 4, 8, and the machine default (via
 //!    `sw_runtime::with_threads`, the policy every layer now shares) must
 //!    produce identical digests.
-//! 3. **Microkernel equivalence.** Forcing the scalar reference kernel
-//!    (`gemm_mesh::force_reference_microkernel`) must not change anything,
-//!    down to per-CPE clocks and counters.
+//! 3. **Per-CPE invariance.** Not just the aggregate: every CPE's clock
+//!    and counters after a raw mesh GEMM are identical on either host
+//!    schedule, and the schedule taken is the one the grain predicts.
 //!
 //! The superstep engine runs rotations below the runtime's grain
 //! (131 072 MACs per round, DESIGN.md §14) inline at every lane count. The
@@ -31,7 +31,7 @@ use sw_runtime::ExecutionContext;
 use sw_sim::{LdmBuf, Mesh};
 use sw_tensor::init::lattice_tensor;
 use sw_tensor::{ConvShape, Layout};
-use swdnn::plans::gemm_mesh::{self, regcomm_gemm, zero_c, GemmBlock};
+use swdnn::plans::gemm_mesh::{regcomm_gemm, zero_c, GemmBlock};
 use swdnn::plans::{BatchAwarePlan, ConvPlan, ConvRun, ImageAwarePlan};
 
 #[derive(PartialEq, Eq, Debug, Clone)]
@@ -204,54 +204,6 @@ fn digests_are_identical_across_host_thread_counts() {
     assert_eq!(digest(&batch_case()), batch_golden());
 }
 
-#[test]
-fn reference_microkernel_matches_golden_digest() {
-    // The tiled and scalar kernels accumulate in the same order, so the
-    // flag must be invisible in every digest field.
-    gemm_mesh::force_reference_microkernel(true);
-    let d = (digest(&image_case()), digest(&batch_case()));
-    gemm_mesh::force_reference_microkernel(false);
-    assert_eq!(d.0, image_golden());
-    assert_eq!(d.1, batch_golden());
-}
-
-#[test]
-fn fused_supersteps_match_unfused_baseline_bit_for_bit() {
-    // The fused multi-round superstep path (DESIGN.md §14) is pure host
-    // mechanics: at every thread count its digests and per-CPE snapshots
-    // must equal the unfused round-per-handoff loop's exactly. The
-    // `SWDNN_UNFUSED=1` opt-out must therefore also be invisible — CI runs
-    // this whole suite once under that env to pin the other direction.
-    let rt = private_pool();
-    let all = || {
-        (
-            digest(&image_case()),
-            digest(&batch_case()),
-            mesh_gemm_snapshots(rt, SMALL_BLOCK),
-            digest(&image_case_large(rt)),
-            mesh_gemm_snapshots(rt, LARGE_BLOCK),
-        )
-    };
-    let unfused = sw_runtime::with_threads(1, || {
-        gemm_mesh::force_unfused(true);
-        let r = all();
-        gemm_mesh::force_unfused(false);
-        r
-    });
-    assert_eq!(unfused.0, image_golden());
-    assert_eq!(unfused.1, batch_golden());
-    assert_eq!(unfused.3, image_large_golden());
-    for threads in [1usize, 4, 8] {
-        let (fused, handoffs) = counting_handoffs(rt, threads, all);
-        assert_eq!(fused, unfused, "fused @ {threads} threads vs unfused @ 1");
-        assert_eq!(
-            handoffs > 0,
-            threads > 1,
-            "pool crossed @ {threads} threads"
-        );
-    }
-}
-
 /// Per-CPE state for the direct mesh-level GEMM below.
 struct St {
     a: Vec<f64>,
@@ -312,9 +264,7 @@ fn per_cpe_clocks_and_counters_are_thread_count_invariant() {
         for threads in [4usize, 8] {
             let (got, handoffs) = counting_handoffs(rt, threads, || mesh_gemm_snapshots(rt, block));
             assert_eq!(got, baseline, "{block:?} snapshots @ {threads} threads");
-            if !gemm_mesh::unfused_forced() {
-                assert_eq!(handoffs, u64::from(crosses), "{block:?} @ {threads}");
-            }
+            assert_eq!(handoffs, u64::from(crosses), "{block:?} @ {threads}");
         }
         assert_eq!(
             mesh_gemm_snapshots(rt, block),
