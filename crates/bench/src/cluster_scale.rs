@@ -1,6 +1,5 @@
-//! The `cluster_bench` scenario: weak-scaling sweeps of the multi-chip
-//! fleet (serving) and the data-parallel trainer (training), shared
-//! between the `cluster_bench` binary and its CI gate.
+//! The `cluster` artifact: scaling sweeps of the multi-chip fleet
+//! (serving) and the data-parallel trainer (training) at 1/2/4/8 chips.
 //!
 //! **Weak scaling** holds the *per-chip* load constant while the chip
 //! count grows: the serving sweep offers `C ×` the single-chip arrival
@@ -14,20 +13,19 @@
 //!
 //! captures everything lost to routing imbalance, interconnect time, and
 //! allreduce overhead. Both sweeps run entirely on the deterministic
-//! logical clock, so every efficiency figure is exact and CI holds the
-//! floor ([`SCALING_MIN_EFFICIENCY`]) at [`GATED_CHIPS`] chips without
-//! any flake risk.
+//! logical clock, so every efficiency figure is exact: the three
+//! `cluster_*_scaling.csv` pin the curves, and this module's tests hold
+//! the floor ([`SCALING_MIN_EFFICIENCY`]) at [`GATED_CHIPS`] chips.
 //!
 //! **Strong scaling** holds the *total* batch fixed while chips grow —
 //! the regime where collective latency actually bites, because per-chip
 //! compute shrinks while the gradient (and its wire time) does not. The
 //! strong sweep runs the bucketized, overlap-aware collective on the
 //! grouped supernode topology and, at every point, also runs the same
-//! configuration with overlap disabled; CI gates that overlap *strictly*
-//! reduces the modeled step time at every multi-chip point
-//! ([`check_strong_gates`]).
+//! configuration with overlap disabled; overlap must *strictly* reduce the
+//! modeled step time at every multi-chip point ([`check_strong_gates`]).
 
-use sw_obs::{Level, LevelIo, PerfReport};
+use crate::report::{f, Table};
 use sw_perfmodel::Topology;
 use sw_sim::fault::splitmix64_next;
 use sw_tensor::{ConvShape, Layout, Shape4, Tensor4};
@@ -179,15 +177,10 @@ pub struct TrainScalePoint {
     pub samples_per_step: usize,
     /// Modeled per-step cluster time, µs.
     pub step_us: f64,
-    /// Per-chip compute share of the step, µs.
-    pub compute_us: f64,
     /// Modeled collective time, µs.
     pub allreduce_us: f64,
-    pub wire_bytes_per_chip: u64,
     /// Samples per *simulated* second.
     pub samples_per_sim_sec: f64,
-    /// Mean loss of the last measured step.
-    pub loss: f64,
 }
 
 /// A deterministic two-class 12×12 task sized to the sweep point's
@@ -236,11 +229,8 @@ pub fn run_train_scale(chips: usize) -> Result<TrainScalePoint, SwdnnError> {
         chips,
         samples_per_step: rep.samples,
         step_us: rep.step_us,
-        compute_us: rep.compute_us,
         allreduce_us: rep.allreduce.time_us,
-        wire_bytes_per_chip: rep.allreduce.wire_bytes_per_chip,
         samples_per_sim_sec: rep.samples_per_sec(),
-        loss: rep.loss,
     })
 }
 
@@ -261,8 +251,6 @@ pub struct StrongScalePoint {
     pub hidden_us: f64,
     pub overlap_permille: u64,
     pub buckets: usize,
-    /// Samples per *simulated* second (overlapped configuration).
-    pub samples_per_sim_sec: f64,
     /// Mean loss of the last step — must match between the two
     /// configurations (schedules move time, never numerics).
     pub loss: f64,
@@ -306,7 +294,6 @@ pub fn run_train_strong(chips: usize) -> Result<StrongScalePoint, SwdnnError> {
         hidden_us: over.collective.hidden_us,
         overlap_permille: over.collective.overlap_permille,
         buckets: over.collective.buckets,
-        samples_per_sim_sec: over.samples_per_sec(),
         loss: over.loss,
     })
 }
@@ -366,184 +353,95 @@ pub fn efficiency(throughput: f64, chips: usize, single_chip_throughput: f64) ->
     throughput / (chips as f64 * single_chip_throughput)
 }
 
-/// Evaluate the sweep against the scaling gates. Returns the pass lines,
-/// or every violation found.
-pub fn check_scaling_gates(
-    serve: &[ServeScalePoint],
-    train: &[TrainScalePoint],
-) -> Result<Vec<String>, Vec<String>> {
-    let mut lines = Vec::new();
-    let mut failures = Vec::new();
-    let gate = |name: &str, chips: usize, eff: f64, extra: String| -> Result<String, String> {
-        let line = format!(
-            "{name} weak-scaling at {chips} chips: {:.1}% efficiency \
-             (floor {:.0}%){extra}",
-            eff * 100.0,
-            SCALING_MIN_EFFICIENCY * 100.0
-        );
-        if chips == GATED_CHIPS && eff < SCALING_MIN_EFFICIENCY {
-            Err(format!("{line} — below the floor"))
-        } else {
-            Ok(line)
-        }
-    };
-    match serve.iter().find(|p| p.chips == 1) {
-        Some(anchor) => {
-            for p in serve.iter().filter(|p| p.chips > 1) {
-                let eff = efficiency(p.reqs_per_sim_sec, p.chips, anchor.reqs_per_sim_sec);
-                match gate(
-                    "serve",
-                    p.chips,
-                    eff,
-                    format!("; {:.0} req/s", p.reqs_per_sim_sec),
-                ) {
-                    Ok(l) => lines.push(l),
-                    Err(m) => failures.push(m),
-                }
-            }
-        }
-        None => failures.push("serve sweep has no 1-chip anchor".into()),
-    }
-    match train.iter().find(|p| p.chips == 1) {
-        Some(anchor) => {
-            for p in train.iter().filter(|p| p.chips > 1) {
-                let eff = efficiency(p.samples_per_sim_sec, p.chips, anchor.samples_per_sim_sec);
-                match gate(
-                    "train",
-                    p.chips,
-                    eff,
-                    format!("; {:.0} samples/s", p.samples_per_sim_sec),
-                ) {
-                    Ok(l) => lines.push(l),
-                    Err(m) => failures.push(m),
-                }
-            }
-        }
-        None => failures.push("train sweep has no 1-chip anchor".into()),
-    }
-    // Scale-out that sheds or loses work is not scale-out.
-    for p in serve {
-        let offered = (SERVE_REQUESTS_PER_CHIP * p.chips) as u64;
-        if p.summary.served != offered {
-            failures.push(format!(
-                "serve at {} chips served {} of {offered} offered",
-                p.chips, p.summary.served
-            ));
-        }
-    }
-    if failures.is_empty() {
-        Ok(lines)
-    } else {
-        Err(failures)
-    }
-}
-
-/// Stable `PerfReport::key()` pieces of the cluster snapshot rows.
-pub const SERVE_SCALE_CONFIG: &str = "cluster serve weak-scaling";
-pub const TRAIN_SCALE_CONFIG: &str = "cluster train weak-scaling";
-pub const TRAIN_STRONG_CONFIG: &str = "cluster train strong-scaling";
-
-fn zero_io(level: Level) -> LevelIo {
-    LevelIo {
-        level,
-        required_gbps: 0.0,
-        modeled_gbps: 0.0,
-        measured_gbps: 0.0,
-        bytes: 0,
-    }
-}
-
-/// Flatten a serving sweep point into the snapshot schema: req/s per
-/// simulated second is the tolerance-gated throughput metric; counts,
-/// spill/reroute totals, the tail, and the routing fingerprint ride in
-/// the counter dump (recorded and diffed, the hard gates live in
-/// [`check_scaling_gates`]).
-pub fn serve_scale_report(p: &ServeScalePoint) -> PerfReport {
-    let s = p.summary;
-    PerfReport {
-        config: SERVE_SCALE_CONFIG.to_string(),
-        plan: format!("chips={}", p.chips),
-        cycles: 0,
-        time_ms: p.duration_us as f64 / 1e3,
-        gflops_measured: p.reqs_per_sim_sec,
-        gflops_modeled: 0.0,
-        efficiency_modeled: 0.0,
-        memory_bound: false,
-        ldm_high_water_frac: 0.0,
-        mem: zero_io(Level::Mem),
-        reg: zero_io(Level::Reg),
-        counters: vec![
-            ("served".into(), s.served),
-            ("rejected".into(), s.rejected),
-            ("spilled".into(), s.spilled),
-            ("p50_latency_us".into(), s.p50_latency_us),
-            ("p99_latency_us".into(), s.p99_latency_us),
-            ("ingress_bytes".into(), s.ingress_bytes),
-            // Low 48 bits only: the snapshot JSON stores numbers as f64,
-            // which is exact up to 2^53 but not across the full u64 range.
-            (
-                "route_fingerprint48".into(),
-                p.fingerprint & 0xFFFF_FFFF_FFFF,
+/// The three sweeps as tables: serving weak scaling, training weak
+/// scaling, training strong scaling (overlapped next to its serial twin).
+pub fn cluster() -> Vec<Table> {
+    let mut st = Table::new(
+        "cluster_serve_scaling",
+        "Cluster serving weak scaling (open-loop, simulated time)",
+        &[
+            "chips",
+            "served",
+            "spilled",
+            "req_per_s",
+            "p99_us",
+            "efficiency",
+        ],
+    );
+    // Efficiency is relative to the 1-chip point, which SCALING_CHIPS
+    // puts first.
+    let serve = SCALING_CHIPS.map(|chips| {
+        run_serve_scale(chips, SERVE_REQUESTS_PER_CHIP)
+            .unwrap_or_else(|e| panic!("serve sweep at {chips} chips: {e}"))
+    });
+    for p in &serve {
+        st.row(vec![
+            p.chips.to_string(),
+            p.summary.served.to_string(),
+            p.summary.spilled.to_string(),
+            f(p.reqs_per_sim_sec, 0),
+            p.summary.p99_latency_us.to_string(),
+            f(
+                efficiency(p.reqs_per_sim_sec, p.chips, serve[0].reqs_per_sim_sec),
+                3,
             ),
-        ],
-        host: None,
+        ]);
     }
-}
-
-/// Flatten a training sweep point: samples per simulated second is the
-/// gated metric; step anatomy and wire bytes ride in the counters.
-pub fn train_scale_report(p: &TrainScalePoint) -> PerfReport {
-    PerfReport {
-        config: TRAIN_SCALE_CONFIG.to_string(),
-        plan: format!("chips={}", p.chips),
-        cycles: 0,
-        time_ms: p.step_us / 1e3,
-        gflops_measured: p.samples_per_sim_sec,
-        gflops_modeled: 0.0,
-        efficiency_modeled: 0.0,
-        memory_bound: false,
-        ldm_high_water_frac: 0.0,
-        mem: zero_io(Level::Mem),
-        reg: zero_io(Level::Reg),
-        counters: vec![
-            ("samples_per_step".into(), p.samples_per_step as u64),
-            ("step_us".into(), p.step_us.round() as u64),
-            ("compute_us".into(), p.compute_us.round() as u64),
-            ("allreduce_us".into(), p.allreduce_us.round() as u64),
-            ("wire_bytes_per_chip".into(), p.wire_bytes_per_chip),
+    let mut tt = Table::new(
+        "cluster_train_scaling",
+        "Cluster training weak scaling (data-parallel SGD, simulated time)",
+        &[
+            "chips",
+            "samples_per_step",
+            "step_us",
+            "allreduce_us",
+            "samples_per_s",
+            "efficiency",
         ],
-        host: None,
+    );
+    let train = SCALING_CHIPS.map(|chips| {
+        run_train_scale(chips).unwrap_or_else(|e| panic!("train sweep at {chips} chips: {e}"))
+    });
+    for p in &train {
+        tt.row(vec![
+            p.chips.to_string(),
+            p.samples_per_step.to_string(),
+            f(p.step_us, 0),
+            f(p.allreduce_us, 1),
+            f(p.samples_per_sim_sec, 0),
+            f(
+                efficiency(p.samples_per_sim_sec, p.chips, train[0].samples_per_sim_sec),
+                3,
+            ),
+        ]);
     }
-}
-
-/// Flatten a strong-scaling point: overlapped samples/s is the gated
-/// metric; the serial comparator, the overlap gauge, and the bucket
-/// anatomy ride in the counters so any drift in the collective model
-/// shows up in the baseline diff.
-pub fn train_strong_report(p: &StrongScalePoint) -> PerfReport {
-    PerfReport {
-        config: TRAIN_STRONG_CONFIG.to_string(),
-        plan: format!("chips={}", p.chips),
-        cycles: 0,
-        time_ms: p.step_us / 1e3,
-        gflops_measured: p.samples_per_sim_sec,
-        gflops_modeled: 0.0,
-        efficiency_modeled: 0.0,
-        memory_bound: false,
-        ldm_high_water_frac: 0.0,
-        mem: zero_io(Level::Mem),
-        reg: zero_io(Level::Reg),
-        counters: vec![
-            ("samples_per_step".into(), p.samples_per_step as u64),
-            ("step_us".into(), p.step_us.round() as u64),
-            ("serial_step_us".into(), p.serial_step_us.round() as u64),
-            ("comm_us".into(), p.comm_us.round() as u64),
-            ("hidden_us".into(), p.hidden_us.round() as u64),
-            ("overlap_permille".into(), p.overlap_permille),
-            ("buckets".into(), p.buckets as u64),
+    let mut sg = Table::new(
+        "cluster_train_strong_scaling",
+        "Cluster training strong scaling (fixed total batch, bucketized overlap)",
+        &[
+            "chips",
+            "buckets",
+            "step_us",
+            "serial_us",
+            "comm_us",
+            "hidden_us",
+            "overlap_permille",
         ],
-        host: None,
+    );
+    for chips in SCALING_CHIPS {
+        let p = run_train_strong(chips)
+            .unwrap_or_else(|e| panic!("strong sweep at {chips} chips: {e}"));
+        sg.row(vec![
+            p.chips.to_string(),
+            p.buckets.to_string(),
+            f(p.step_us, 0),
+            f(p.serial_step_us, 0),
+            f(p.comm_us, 1),
+            f(p.hidden_us, 1),
+            p.overlap_permille.to_string(),
+        ]);
     }
+    vec![st, tt, sg]
 }
 
 #[cfg(test)]
@@ -582,49 +480,20 @@ mod tests {
     }
 
     #[test]
-    fn gates_reject_a_flat_curve() {
-        let mk = |chips: usize, thr: f64| ServeScalePoint {
-            chips,
-            summary: ClusterSummary {
-                served: (SERVE_REQUESTS_PER_CHIP * chips) as u64,
-                ..ClusterSummary::default()
-            },
-            duration_us: 1,
-            reqs_per_sim_sec: thr,
-            fingerprint: 0,
-        };
-        let tr = |chips: usize, thr: f64| TrainScalePoint {
-            chips,
-            samples_per_step: 8,
-            step_us: 1.0,
-            compute_us: 1.0,
-            allreduce_us: 0.0,
-            wire_bytes_per_chip: 0,
-            samples_per_sim_sec: thr,
-            loss: 0.0,
-        };
-        // Serving stops scaling past 4 chips: the 8-chip gate must trip.
-        let serve = vec![mk(1, 1000.0), mk(8, 4000.0)];
-        let train = vec![tr(1, 1000.0), tr(8, 8000.0)];
-        let errs = check_scaling_gates(&serve, &train).unwrap_err();
-        assert!(
-            errs.iter().any(|e| e.contains("below the floor")),
-            "{errs:?}"
+    fn serve_weak_scaling_meets_the_floor() {
+        let one = run_serve_scale(1, SERVE_REQUESTS_PER_CHIP).unwrap();
+        let eight = run_serve_scale(GATED_CHIPS, SERVE_REQUESTS_PER_CHIP).unwrap();
+        // Scale-out that sheds or loses work is not scale-out.
+        assert_eq!(one.summary.served as usize, SERVE_REQUESTS_PER_CHIP);
+        assert_eq!(
+            eight.summary.served as usize,
+            GATED_CHIPS * SERVE_REQUESTS_PER_CHIP
         );
-        // A healthy pair of curves passes.
-        let serve = vec![mk(1, 1000.0), mk(8, 7600.0)];
-        check_scaling_gates(&serve, &train).unwrap();
-    }
-
-    #[test]
-    fn reports_have_stable_unique_keys() {
-        let p = run_train_scale(2).unwrap();
-        let r = train_scale_report(&p);
-        assert_eq!(r.key(), "cluster train weak-scaling / chips=2");
-        assert!(r.gflops_measured > 0.0);
-        let s = run_train_strong(2).unwrap();
-        let r = train_strong_report(&s);
-        assert_eq!(r.key(), "cluster train strong-scaling / chips=2");
+        let eff = efficiency(eight.reqs_per_sim_sec, GATED_CHIPS, one.reqs_per_sim_sec);
+        assert!(
+            eff >= SCALING_MIN_EFFICIENCY,
+            "serving weak-scaling efficiency {eff:.3} under the floor"
+        );
     }
 
     #[test]
@@ -663,7 +532,6 @@ mod tests {
             hidden_us: 0.0,
             overlap_permille: 0,
             buckets: 7,
-            samples_per_sim_sec: 1.0,
             loss: 0.0,
         };
         let anchor = StrongScalePoint {

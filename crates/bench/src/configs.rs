@@ -22,13 +22,16 @@ use sw_tensor::ConvShape;
 pub const BATCH: usize = 128;
 pub const OUT_IMAGE: usize = 64;
 
+/// The canonical §VII shape at the given channel counts: `B = 128`,
+/// `64×64` output, `3×3` filter.
+pub fn paper_shape(ni: usize, no: usize) -> ConvShape {
+    ConvShape::new(BATCH, ni, no, OUT_IMAGE, OUT_IMAGE, 3, 3)
+}
+
 /// Left script of Fig. 8: configurations 1–21 (diagonal channel sweep).
 pub fn fig8_left() -> Vec<ConvShape> {
     (0..21)
-        .map(|i| {
-            let ch = 64 + 16 * i;
-            ConvShape::new(BATCH, ch, ch, OUT_IMAGE, OUT_IMAGE, 3, 3)
-        })
+        .map(|i| paper_shape(64 + 16 * i, 64 + 16 * i))
         .collect()
 }
 
@@ -37,7 +40,7 @@ pub fn fig8_center() -> Vec<ConvShape> {
     let mut v = Vec::with_capacity(80);
     for ni in (64..=352).step_by(32) {
         for no in (64..=288).step_by(32) {
-            v.push(ConvShape::new(BATCH, ni, no, OUT_IMAGE, OUT_IMAGE, 3, 3));
+            v.push(paper_shape(ni, no));
         }
     }
     v
@@ -62,42 +65,16 @@ pub fn fig9_configs() -> Vec<ConvShape> {
     v
 }
 
-/// The configurations the CI perf snapshot (`perf_snapshot` binary)
-/// measures: the Table III rows, each pinned to its published plan.
-///
-/// Deliberately small (CI runs this on every push) and deliberately
-/// *stable*: `PerfReport::key()` is derived from the shape and plan, and
-/// the committed `results/BENCH_PERF.baseline.json` must contain exactly
-/// these keys — adding or removing a configuration requires regenerating
-/// the baseline (see CONTRIBUTING.md).
+/// The Table III rows, each pinned to its published plan: the shapes the
+/// `perf_counters` artifact and the grain count gate (`tests/grain.rs`)
+/// measure.
 pub fn perf_snapshot_configs() -> Vec<(ConvShape, PlanKind)> {
     vec![
-        (
-            ConvShape::new(BATCH, 128, 128, OUT_IMAGE, OUT_IMAGE, 3, 3),
-            PlanKind::ImageSizeAware,
-        ),
-        (
-            ConvShape::new(BATCH, 128, 256, OUT_IMAGE, OUT_IMAGE, 3, 3),
-            PlanKind::ImageSizeAware,
-        ),
-        (
-            ConvShape::new(BATCH, 256, 256, OUT_IMAGE, OUT_IMAGE, 3, 3),
-            PlanKind::BatchSizeAware,
-        ),
-        (
-            ConvShape::new(BATCH, 128, 384, OUT_IMAGE, OUT_IMAGE, 3, 3),
-            PlanKind::BatchSizeAware,
-        ),
+        (paper_shape(128, 128), PlanKind::ImageSizeAware),
+        (paper_shape(128, 256), PlanKind::ImageSizeAware),
+        (paper_shape(256, 256), PlanKind::BatchSizeAware),
+        (paper_shape(128, 384), PlanKind::BatchSizeAware),
     ]
-}
-
-/// The `conv_256` Table III row (`Ni = No = 256`, batch-size-aware) — the
-/// shape the `sim_throughput` host wall-clock gate is anchored on.
-pub fn conv_256() -> (ConvShape, PlanKind) {
-    (
-        ConvShape::new(BATCH, 256, 256, OUT_IMAGE, OUT_IMAGE, 3, 3),
-        PlanKind::BatchSizeAware,
-    )
 }
 
 /// The four Table III configurations `(plan, Kc, bB, bCo, Ni, No)`.

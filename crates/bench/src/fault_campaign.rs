@@ -1,6 +1,6 @@
-//! Fault-injection campaign: sweep DMA fault rates across the paper's
-//! convolution configurations and report completion rate, retry overhead,
-//! and numeric drift against the reference convolution.
+//! The `fault_campaign` artifact: sweep DMA fault rates across the paper's
+//! convolution configurations and report completion, retry overhead, and
+//! numeric drift against the reference convolution.
 //!
 //! The configurations keep the paper's channel settings (the Table III
 //! plans and a Fig. 8 diagonal point) at reduced spatial extents — the
@@ -19,12 +19,14 @@
 //! * dead CPE — the executor masks the faulty row/column and re-plans on
 //!   the degraded 4×4 mesh.
 
-use rayon::prelude::*;
-use sw_bench::report::{f, Table};
+use crate::report::{f, Table};
 use sw_tensor::init::lattice_tensor;
-use sw_tensor::{conv2d_ref, ConvShape, Layout};
+use sw_tensor::{conv2d_ref, ConvShape, Layout, Tensor4};
 use swdnn::resilient::ResilientExecutor;
 use swdnn::FaultPlan;
+
+const SEED: u64 = 0xFA_17;
+const RATES: [f64; 4] = [0.0, 1e-4, 1e-3, 1e-2];
 
 /// Paper channel configurations at campaign scale (B=32, 4×8 output).
 fn campaign_configs() -> Vec<(&'static str, ConvShape)> {
@@ -42,6 +44,14 @@ fn campaign_configs() -> Vec<(&'static str, ConvShape)> {
     ]
 }
 
+/// Operands and the reference output every run of `shape` is diffed with.
+fn operands(shape: &ConvShape) -> (Tensor4<f64>, Tensor4<f64>, Tensor4<f64>) {
+    let input = lattice_tensor(shape.input_shape(), Layout::Nchw, 31);
+    let filter = lattice_tensor(shape.filter_shape(), Layout::Nchw, 32);
+    let expect = conv2d_ref(*shape, &input, &filter);
+    (input, filter, expect)
+}
+
 struct Outcome {
     name: &'static str,
     rate: f64,
@@ -54,62 +64,60 @@ struct Outcome {
     drift: f64,
 }
 
-fn main() {
-    let configs = campaign_configs();
-    let rates = [0.0, 1e-4, 1e-3, 1e-2];
-    let seed = 0xFA_17u64;
-
-    let per_config: Vec<Vec<Outcome>> = configs
-        .par_iter()
-        .map(|(name, shape)| {
-            let input = lattice_tensor(shape.input_shape(), Layout::Nchw, 31);
-            let filter = lattice_tensor(shape.filter_shape(), Layout::Nchw, 32);
-            let expect = conv2d_ref(*shape, &input, &filter);
-            let clean_cycles = ResilientExecutor::new()
+/// One config under every fault rate.
+fn sweep(name: &'static str, shape: &ConvShape) -> Vec<Outcome> {
+    let (input, filter, expect) = operands(shape);
+    let clean_cycles = ResilientExecutor::new()
+        .run(shape, &input, &filter)
+        .expect("fault-free run must complete")
+        .run
+        .timing
+        .cycles;
+    RATES
+        .iter()
+        .map(|&rate| {
+            let fault = (rate > 0.0).then(|| FaultPlan::none(SEED).with_dma_fail_rate(rate));
+            match ResilientExecutor::new()
+                .with_fault(fault)
                 .run(shape, &input, &filter)
-                .expect("fault-free run must complete")
-                .run
-                .timing
-                .cycles;
-            rates
-                .iter()
-                .map(|&rate| {
-                    let fault =
-                        (rate > 0.0).then(|| FaultPlan::none(seed).with_dma_fail_rate(rate));
-                    match ResilientExecutor::new()
-                        .with_fault(fault)
-                        .run(shape, &input, &filter)
-                    {
-                        Ok(rep) => Outcome {
-                            name,
-                            rate,
-                            completed: true,
-                            plan: rep.plan_name,
-                            attempts: rep.attempts,
-                            dma_retries: rep.dma_retries,
-                            overhead_cycles: rep.retry_cycles,
-                            slowdown: rep.run.timing.cycles as f64 / clean_cycles as f64,
-                            drift: rep.run.output.max_abs_diff(&expect),
-                        },
-                        Err(e) => Outcome {
-                            name,
-                            rate,
-                            completed: false,
-                            plan: format!("FAILED: {e}"),
-                            attempts: 0,
-                            dma_retries: 0,
-                            overhead_cycles: 0,
-                            slowdown: 0.0,
-                            drift: f64::INFINITY,
-                        },
-                    }
-                })
-                .collect::<Vec<_>>()
+            {
+                Ok(rep) => Outcome {
+                    name,
+                    rate,
+                    completed: true,
+                    plan: rep.plan_name,
+                    attempts: rep.attempts,
+                    dma_retries: rep.dma_retries,
+                    overhead_cycles: rep.retry_cycles,
+                    slowdown: rep.run.timing.cycles as f64 / clean_cycles as f64,
+                    drift: rep.run.output.max_abs_diff(&expect),
+                },
+                Err(e) => Outcome {
+                    name,
+                    rate,
+                    completed: false,
+                    plan: format!("FAILED: {e}"),
+                    attempts: 0,
+                    dma_retries: 0,
+                    overhead_cycles: 0,
+                    slowdown: 0.0,
+                    drift: f64::INFINITY,
+                },
+            }
         })
+        .collect()
+}
+
+pub fn fault_campaign() -> Vec<Table> {
+    let configs = campaign_configs();
+    let outcomes: Vec<Outcome> = sw_runtime::global()
+        .map_vec(configs.clone(), |_, (name, shape)| sweep(name, &shape))
+        .into_iter()
+        .flatten()
         .collect();
-    let outcomes: Vec<Outcome> = per_config.into_iter().flatten().collect();
 
     let mut t = Table::new(
+        "fault_campaign",
         "Fault campaign: DMA fault-rate sweep over paper conv configs",
         &[
             "config",
@@ -122,11 +130,7 @@ fn main() {
             "max drift",
         ],
     );
-    let mut completed = 0usize;
     for o in &outcomes {
-        if o.completed {
-            completed += 1;
-        }
         t.row(vec![
             o.name.to_string(),
             format!("{:.0e}", o.rate),
@@ -138,35 +142,32 @@ fn main() {
             format!("{:.1e}", o.drift),
         ]);
     }
-    t.print();
-    t.write_csv("fault_campaign");
-    println!(
-        "completion rate: {}/{} ({}%)",
-        completed,
+    let completed = outcomes.iter().filter(|o| o.completed).count();
+    t.note(format!(
+        "completion rate: {completed}/{} ({}%)",
         outcomes.len(),
         100 * completed / outcomes.len()
-    );
+    ));
     let at_1e3: Vec<_> = outcomes.iter().filter(|o| o.rate == 1e-3).collect();
-    println!(
+    t.note(format!(
         "rate 1e-3: {}/{} completed, {} with retries, max drift {:.1e}",
         at_1e3.iter().filter(|o| o.completed).count(),
         at_1e3.len(),
         at_1e3.iter().filter(|o| o.dma_retries > 0).count(),
         at_1e3.iter().map(|o| o.drift).fold(0.0f64, f64::max),
-    );
+    ));
 
-    // Degraded-mesh demonstration: one CPE dead, the executor masks its
-    // row/column and re-plans on the 4×4 mesh.
+    // One CPE dead: the executor masks its row/column and re-plans on the
+    // 4×4 mesh.
     let mut d = Table::new(
+        "fault_campaign_dead_cpe",
         "Dead CPE (2,3): degraded-mesh execution",
         &["config", "plan", "degraded", "max drift"],
     );
     for (name, shape) in configs.iter().take(3) {
-        let input = lattice_tensor(shape.input_shape(), Layout::Nchw, 31);
-        let filter = lattice_tensor(shape.filter_shape(), Layout::Nchw, 32);
-        let expect = conv2d_ref(*shape, &input, &filter);
+        let (input, filter, expect) = operands(shape);
         let rep = ResilientExecutor::new()
-            .with_fault(Some(FaultPlan::none(seed).with_dead_cpe(2, 3)))
+            .with_fault(Some(FaultPlan::none(SEED).with_dead_cpe(2, 3)))
             .run(shape, &input, &filter)
             .expect("degraded run must complete");
         d.row(vec![
@@ -176,5 +177,5 @@ fn main() {
             format!("{:.1e}", rep.run.output.max_abs_diff(&expect)),
         ]);
     }
-    d.print();
+    vec![t, d]
 }

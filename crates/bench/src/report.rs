@@ -1,32 +1,42 @@
-//! Shared output helpers for the harness binaries.
-//!
-//! Every binary prints a human-readable aligned table to stdout and, when
-//! `SWDNN_RESULTS_DIR` is set, also writes a CSV with the same rows so
-//! EXPERIMENTS.md numbers can be regenerated mechanically.
+//! The one output format of the harness: a titled table that prints
+//! column-aligned to stdout and renders to the CSV committed under
+//! `results/`.
 
-use std::fs;
-use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-/// A simple column-aligned table accumulator.
+/// A column-aligned table accumulator; `name` is the stem of its CSV.
 pub struct Table {
+    name: &'static str,
     title: String,
     header: Vec<String>,
     rows: Vec<Vec<String>>,
+    notes: Vec<String>,
 }
 
 impl Table {
-    pub fn new(title: &str, header: &[&str]) -> Self {
+    pub fn new(name: &'static str, title: &str, header: &[&str]) -> Self {
         Self {
+            name,
             title: title.to_string(),
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
+            notes: Vec::new(),
         }
+    }
+
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.header.len(), "row width");
         self.rows.push(cells);
+    }
+
+    /// Attach a computed summary line: printed under the table, never
+    /// part of the CSV.
+    pub fn note(&mut self, line: String) {
+        self.notes.push(line);
     }
 
     /// Print to stdout with aligned columns.
@@ -54,31 +64,28 @@ impl Table {
         for row in &self.rows {
             println!("{}", line(row));
         }
+        for note in &self.notes {
+            println!("{note}");
+        }
     }
 
-    /// Optionally write `<SWDNN_RESULTS_DIR>/<name>.csv`.
-    pub fn write_csv(&self, name: &str) {
-        let Ok(dir) = std::env::var("SWDNN_RESULTS_DIR") else {
-            return;
-        };
-        let mut path = PathBuf::from(dir);
-        if fs::create_dir_all(&path).is_err() {
-            eprintln!("cannot create results dir {path:?}");
-            return;
-        }
-        path.push(format!("{name}.csv"));
-        let mut out = match fs::File::create(&path) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("cannot write {path:?}: {e}");
-                return;
-            }
-        };
-        let _ = writeln!(out, "{}", self.header.join(","));
+    /// The CSV document: the header line, then one line per row.
+    pub fn to_csv(&self) -> String {
+        let mut out = self.header.join(",");
+        out.push('\n');
         for row in &self.rows {
-            let _ = writeln!(out, "{}", row.join(","));
+            out.push_str(&row.join(","));
+            out.push('\n');
         }
-        println!("(csv written to {})", path.display());
+        out
+    }
+
+    /// Write `<dir>/<name>.csv`, creating `dir` if needed; returns the path.
+    pub fn write_csv(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
+        let path = dir.join(format!("{}.csv", self.name));
+        std::fs::write(&path, self.to_csv())?;
+        Ok(path)
     }
 }
 
@@ -93,7 +100,7 @@ mod tests {
 
     #[test]
     fn table_rows_must_match_header() {
-        let mut t = Table::new("t", &["a", "b"]);
+        let mut t = Table::new("t", "t", &["a", "b"]);
         t.row(vec!["1".into(), "2".into()]);
         assert_eq!(t.rows.len(), 1);
     }
@@ -101,21 +108,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "row width")]
     fn wrong_width_panics() {
-        let mut t = Table::new("t", &["a", "b"]);
+        let mut t = Table::new("t", "t", &["a", "b"]);
         t.row(vec!["1".into()]);
     }
 
     #[test]
-    fn csv_written_when_env_set() {
-        let dir = std::env::temp_dir().join("swdnn_report_test");
-        std::env::set_var("SWDNN_RESULTS_DIR", &dir);
-        let mut t = Table::new("t", &["a", "b"]);
+    fn csv_is_header_then_rows() {
+        let mut t = Table::new("t", "title", &["a", "b"]);
         t.row(vec!["1".into(), "2".into()]);
-        t.write_csv("unit_test");
-        let content = std::fs::read_to_string(dir.join("unit_test.csv")).unwrap();
-        assert!(content.contains("a,b"));
-        assert!(content.contains("1,2"));
-        std::env::remove_var("SWDNN_RESULTS_DIR");
+        t.note("not in the csv".into());
+        assert_eq!(t.to_csv(), "a,b\n1,2\n");
     }
 
     #[test]

@@ -110,14 +110,14 @@ fn table3_shapes_post_their_recorded_handoffs() {
     let exec = Executor::new().on_runtime(rt);
     // Per shape, in `perf_snapshot_configs` order.
     let recorded = [69, 69, 321, 177];
-    let run_all = || -> Vec<_> {
+    let run_shapes = || -> Vec<_> {
         perf_snapshot_configs()
             .iter()
             .map(|(shape, kind)| exec.run_config_with(shape, *kind).unwrap())
             .collect()
     };
-    let one = sw_runtime::with_threads(1, run_all);
-    let eight = sw_runtime::with_threads(8, run_all);
+    let one = sw_runtime::with_threads(1, run_shapes);
+    let eight = sw_runtime::with_threads(8, run_shapes);
     for ((one, eight), want) in one.iter().zip(&eight).zip(recorded) {
         assert_eq!(one.pool_handoffs, 0, "{}: one lane never posts", one.shape);
         assert_eq!(eight.pool_handoffs, want, "{} @ 8 lanes", eight.shape);

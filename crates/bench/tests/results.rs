@@ -1,0 +1,91 @@
+//! The byte gate on `results/`, tier-1 sized: every artifact that
+//! regenerates within seconds in a debug build is rendered in-process and
+//! compared byte for byte with its committed CSV, and the registry and the
+//! directory must name exactly the same files. CI's `results` job runs the
+//! whole registry in release (`repro all`, then `git diff --exit-code`).
+
+use std::collections::BTreeSet;
+use std::path::PathBuf;
+use sw_bench::ARTIFACTS;
+
+fn results_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
+}
+
+/// Render `name` in-process and compare with its committed CSVs.
+fn regenerates(name: &str) {
+    let artifact = ARTIFACTS
+        .iter()
+        .find(|a| a.name == name)
+        .unwrap_or_else(|| panic!("{name} is not registered"));
+    for table in artifact.tables() {
+        let path = results_dir().join(format!("{}.csv", table.name()));
+        let committed = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        assert_eq!(
+            table.to_csv(),
+            committed,
+            "{} drifted from `repro {name}`; regenerate and commit the diff",
+            path.display()
+        );
+    }
+}
+
+// One test per artifact so they run side by side. Not rendered here:
+// `table3_model`, `ablation_ldm`, `training_pass`, `model_vs_autotune`,
+// `autotune`, `perf_counters`, `fig7_channels`, `fig9_filters` and
+// `fault_campaign` take half a minute to several minutes unoptimized.
+
+#[test]
+fn table2_dma_regenerates_byte_for_byte() {
+    regenerates("table2_dma");
+}
+
+#[test]
+fn fig2_model_regenerates_byte_for_byte() {
+    regenerates("fig2_model");
+}
+
+#[test]
+fn fig6_reorder_regenerates_byte_for_byte() {
+    regenerates("fig6_reorder");
+}
+
+#[test]
+fn scaling_cgs_regenerates_byte_for_byte() {
+    regenerates("scaling_cgs");
+}
+
+#[test]
+fn ablation_regblock_regenerates_byte_for_byte() {
+    regenerates("ablation_regblock");
+}
+
+#[test]
+fn serve_regenerates_byte_for_byte() {
+    regenerates("serve");
+}
+
+#[test]
+fn chaos_regenerates_byte_for_byte() {
+    regenerates("chaos");
+}
+
+#[test]
+fn cluster_regenerates_byte_for_byte() {
+    regenerates("cluster");
+}
+
+#[test]
+fn registry_and_results_dir_name_the_same_csvs() {
+    let registered: BTreeSet<String> = ARTIFACTS
+        .iter()
+        .flat_map(|a| a.csvs)
+        .map(|stem| format!("{stem}.csv"))
+        .collect();
+    let committed: BTreeSet<String> = std::fs::read_dir(results_dir())
+        .expect("results/ exists")
+        .map(|e| e.expect("dir entry").file_name().into_string().unwrap())
+        .collect();
+    assert_eq!(registered, committed);
+}

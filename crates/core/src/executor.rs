@@ -49,8 +49,7 @@ pub struct ConvReport {
 impl ConvReport {
     /// Flatten this report into the observability layer's
     /// [`sw_obs::PerfReport`]: measured counters and the analytic model's
-    /// RBW/MBW predictions, one [`sw_obs::LevelIo`] per hierarchy link, in
-    /// the schema the bench snapshot/comparator pipeline consumes.
+    /// RBW/MBW predictions, one [`sw_obs::LevelIo`] per hierarchy link.
     pub fn obs_report(&self, chip: &ChipSpec) -> sw_obs::PerfReport {
         let stats = &self.timing.stats;
         let secs = chip.cycles_to_seconds(self.timing.cycles);
@@ -102,7 +101,6 @@ impl ConvReport {
                     ),
                 ])
                 .collect(),
-            host: None,
         }
     }
 }

@@ -32,7 +32,7 @@
 //!
 //! Everything is simulated time: runs are exactly reproducible, so the
 //! serving SLOs (p99 latency, hit rate, rejection behavior) are asserted
-//! in ordinary unit tests and gated in CI via `serve_bench`.
+//! in ordinary unit tests and pinned by `results/serve_bench.csv`.
 
 pub mod batcher;
 pub mod dispatch;

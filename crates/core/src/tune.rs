@@ -7,9 +7,9 @@
 //! *simulates only the predicted frontier* — the model prunes the space,
 //! the simulator ranks the survivors. Each simulated candidate costs two
 //! small runs (the sampled-timing machinery); each pruned candidate costs
-//! one analytic evaluation. The `model_vs_autotune` bench reports the
-//! model's regret against this empirical oracle, and the
-//! `autotune_search` bench gates the searched winner against the hand
+//! one analytic evaluation. The `model_vs_autotune` artifact of `repro`
+//! reports the model's regret against this empirical oracle, and its
+//! `autotune` artifact tabulates the searched winner next to the hand
 //! presets on every Table III shape.
 //!
 //! Shapes the dense schedule space cannot express at all (stride,

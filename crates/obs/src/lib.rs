@@ -18,10 +18,7 @@
 //!   disabled) and a Chrome-trace JSON exporter whose output loads directly
 //!   into `chrome://tracing` / Perfetto;
 //! * [`report`] — [`PerfReport`]: per-level measured RBW/MBW next to the
-//!   analytic model's prediction for one convolution configuration;
-//! * [`snapshot`] — [`Snapshot`]: a machine-readable `BENCH_PERF.json`
-//!   bundle of reports plus [`snapshot::compare`], the per-metric-tolerance
-//!   comparator that CI's `bench-regression` job gates on.
+//!   analytic model's prediction for one convolution configuration.
 //!
 //! The crate depends only on the offline `serde_json` shim, so every other
 //! workspace member (simulator, ISA model, executor, bench harness) can
@@ -31,12 +28,10 @@ pub mod chrome;
 pub mod counter;
 pub mod level;
 pub mod report;
-pub mod snapshot;
 pub mod tags;
 
 pub use chrome::{ChromeEvent, ChromeTrace, Recorder};
 pub use counter::Counter;
 pub use level::Level;
-pub use report::{HostPerf, LevelIo, PerfReport};
-pub use snapshot::{compare, CompareReport, Snapshot, Tolerances};
+pub use report::{LevelIo, PerfReport};
 pub use tags::{chip_tag, link_tag, TagCounters};

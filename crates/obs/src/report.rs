@@ -6,8 +6,8 @@
 //! closes the loop: the simulator's counters give *measured* traffic and
 //! time, the `perfmodel` crate gives *required* (RBW) and *modeled* (MBW)
 //! bandwidth, and the report serializes all three side by side so a human
-//! (via [`PerfReport::summary`]) or CI (via `crate::snapshot::compare`)
-//! can see whether implementation and model still agree.
+//! (via [`PerfReport::summary`]) can see whether implementation and model
+//! still agree.
 
 use crate::level::Level;
 use serde_json::{object, Value};
@@ -70,41 +70,6 @@ impl LevelIo {
     }
 }
 
-/// Host-side (wall-clock) cost of producing a simulated measurement.
-///
-/// Everything else in a report is derived from the deterministic
-/// simulation and can be gated tightly; these two numbers measure the
-/// *simulator itself* on whatever machine ran it, so they are compared
-/// with the loose, directional [`crate::Tolerances::host_rel`] and the
-/// baseline must be regenerated when the bench hardware changes.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct HostPerf {
-    /// Wall-clock seconds the host spent producing this measurement.
-    pub host_secs: f64,
-    /// Simulated Gflop of useful work per host second — the simulator's
-    /// own throughput, the metric the sim_throughput gate protects.
-    pub sim_gflops_per_host_sec: f64,
-}
-
-impl HostPerf {
-    pub fn to_json(&self) -> Value {
-        object([
-            ("host_secs", Value::from(self.host_secs)),
-            (
-                "sim_gflops_per_host_sec",
-                Value::from(self.sim_gflops_per_host_sec),
-            ),
-        ])
-    }
-
-    pub fn from_json(v: &Value) -> Option<HostPerf> {
-        Some(HostPerf {
-            host_secs: v.get("host_secs")?.as_f64()?,
-            sim_gflops_per_host_sec: v.get("sim_gflops_per_host_sec")?.as_f64()?,
-        })
-    }
-}
-
 /// Full measured-vs-modeled record for one (configuration, plan) pair.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PerfReport {
@@ -132,14 +97,11 @@ pub struct PerfReport {
     pub reg: LevelIo,
     /// Raw counter dump, name → value, for drill-down and trace args.
     pub counters: Vec<(String, u64)>,
-    /// Host wall-clock cost of the measurement (sim_throughput rows only;
-    /// `None` for purely simulated rows, and omitted from the JSON).
-    pub host: Option<HostPerf>,
 }
 
 impl PerfReport {
     pub fn to_json(&self) -> Value {
-        let mut pairs = vec![
+        object([
             ("config", Value::from(self.config.as_str())),
             ("plan", Value::from(self.plan.as_str())),
             ("cycles", Value::from(self.cycles)),
@@ -160,11 +122,7 @@ impl PerfReport {
                         .collect(),
                 ),
             ),
-        ];
-        if let Some(h) = &self.host {
-            pairs.push(("host", h.to_json()));
-        }
-        object(pairs)
+        ])
     }
 
     pub fn from_json(v: &Value) -> Option<PerfReport> {
@@ -186,16 +144,7 @@ impl PerfReport {
                 .iter()
                 .map(|(k, val)| Some((k.clone(), val.as_u64()?)))
                 .collect::<Option<Vec<_>>>()?,
-            host: match v.get("host") {
-                Some(h) => Some(HostPerf::from_json(h)?),
-                None => None,
-            },
         })
-    }
-
-    /// Stable identity of the measurement within a snapshot.
-    pub fn key(&self) -> String {
-        format!("{} / {}", self.config, self.plan)
     }
 
     /// Human-readable one-screen summary.
@@ -239,7 +188,7 @@ impl PerfReport {
 mod tests {
     use super::*;
 
-    pub(crate) fn sample_report(config: &str, plan: &str) -> PerfReport {
+    fn sample_report(config: &str, plan: &str) -> PerfReport {
         PerfReport {
             config: config.to_string(),
             plan: plan.to_string(),
@@ -268,22 +217,7 @@ mod tests {
                 ("dma_get_bytes".into(), 25_165_824),
                 ("vfmadd_issued".into(), 1_048_576),
             ],
-            host: None,
         }
-    }
-
-    #[test]
-    fn host_block_round_trips_and_is_omitted_when_absent() {
-        let mut r = sample_report("c", "p");
-        assert!(!serde_json::to_string(&r.to_json()).contains("host_secs"));
-        r.host = Some(HostPerf {
-            host_secs: 1.25,
-            sim_gflops_per_host_sec: 42.0,
-        });
-        let s = serde_json::to_string(&r.to_json());
-        assert!(s.contains("sim_gflops_per_host_sec"));
-        let back = PerfReport::from_json(&serde_json::from_str(&s).unwrap()).unwrap();
-        assert_eq!(back, r);
     }
 
     #[test]

@@ -35,7 +35,6 @@ pub mod chip;
 pub mod dma;
 pub mod fault;
 pub mod ldm;
-pub mod mem;
 pub mod mesh;
 pub mod stats;
 pub mod trace;
@@ -44,7 +43,6 @@ pub use chip::{run_multi_cg, run_multi_cg_on, run_multi_cg_with, MultiCgReport};
 pub use dma::{DmaEngine, DmaHandle};
 pub use fault::{FaultPlan, RetryPolicy};
 pub use ldm::{Ldm, LdmBuf};
-pub use mem::{AccessClass, MemBlock, MemoryMap, Segment};
 pub use mesh::{Bus, CpeCtx, Mesh, SimError};
 pub use stats::{CgStats, CpeStats};
 pub use trace::{render_summary, Event, EventKind, TraceSummary};

@@ -168,9 +168,8 @@ impl CgStats {
     }
 
     /// The *simulator's* throughput: simulated Gflop of useful work
-    /// produced per second of host wall-clock time. This is the metric the
-    /// `sim_throughput` bench gates — higher means the host finishes the
-    /// same simulation faster.
+    /// produced per second of host wall-clock time — higher means the host
+    /// finishes the same simulation faster.
     pub fn host_gflops(&self, host_secs: f64) -> f64 {
         if host_secs <= 0.0 {
             return 0.0;

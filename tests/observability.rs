@@ -1,7 +1,7 @@
-//! Tier-1 observability tests: the measured counters, the analytic model,
-//! and the snapshot/comparator pipeline must stay mutually consistent.
+//! Tier-1 observability tests: the measured counters and the analytic
+//! model must stay mutually consistent.
 //!
-//! Three claims are pinned here:
+//! Two claims are pinned here:
 //!
 //! 1. **Model-vs-measured agreement.** For both evaluated plan families
 //!    the counter-derived per-level bandwidth must land inside a
@@ -9,15 +9,10 @@
 //!    paper's Table III "reasonable match" as an executable bound.
 //! 2. **Chrome-trace round-trip.** A trace exported from a real simulated
 //!    run survives the JSON layer byte-exactly.
-//! 3. **Regression gating.** The comparator accepts the committed
-//!    `results/BENCH_PERF.baseline.json` against itself and rejects an
-//!    injected regression on it — the same check CI's `bench-regression`
-//!    job performs.
 
-use std::path::Path;
 use sw_bench::configs::perf_snapshot_configs;
-use sw_obs::{compare, ChromeTrace, PerfReport, Snapshot, Tolerances};
-use swdnn::{Executor, PlanKind};
+use sw_obs::{ChromeTrace, PerfReport};
+use swdnn::Executor;
 
 /// Documented agreement bounds (see DESIGN.md, "Observability"):
 ///
@@ -102,64 +97,4 @@ fn chrome_trace_from_simulated_run_round_trips() {
     let doc = trace.to_json_string();
     let back = ChromeTrace::from_json_str(&doc).expect("chrome trace parses back");
     assert_eq!(back, trace, "round-trip through serde_json is exact");
-}
-
-fn baseline() -> Snapshot {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_PERF.baseline.json");
-    Snapshot::load(&path).expect("committed baseline parses")
-}
-
-#[test]
-fn committed_baseline_is_wellformed_and_self_consistent() {
-    let base = baseline();
-    let mut keys: Vec<String> = perf_snapshot_configs()
-        .iter()
-        .map(|(shape, kind)| {
-            let plan = match kind {
-                PlanKind::ImageSizeAware => "image_size_aware",
-                PlanKind::BatchSizeAware => "batch_size_aware",
-                other => panic!("unexpected snapshot plan {other:?}"),
-            };
-            format!("{shape} / {plan}")
-        })
-        .collect();
-    keys.push(format!(
-        "{} / {}",
-        sw_bench::serve_load::SERVE_REPORT_CONFIG,
-        sw_bench::serve_load::SERVE_REPORT_PLAN
-    ));
-    keys.push(format!(
-        "{} / {}",
-        sw_bench::chaos_load::CHAOS_REPORT_CONFIG,
-        sw_bench::chaos_load::CHAOS_REPORT_PLAN
-    ));
-    // perf_snapshot appends one host wall-clock row for conv_256 (see
-    // sim_throughput::measure_conv); its plan name is prefixed to keep
-    // snapshot keys unique.
-    let (host_shape, host_kind) = sw_bench::configs::conv_256();
-    assert_eq!(host_kind, PlanKind::BatchSizeAware);
-    keys.push(format!(
-        "{host_shape} / {}batch_size_aware",
-        sw_bench::sim_throughput::PLAN_PREFIX
-    ));
-    assert_eq!(
-        base.reports.iter().map(PerfReport::key).collect::<Vec<_>>(),
-        keys,
-        "baseline keys must track perf_snapshot_configs()"
-    );
-    let cmp = compare(&base, &base.clone(), &Tolerances::default());
-    assert!(cmp.is_ok(), "baseline vs itself: {}", cmp.summary());
-}
-
-#[test]
-fn comparator_rejects_injected_regression_on_committed_baseline() {
-    let base = baseline();
-    let mut cur = base.clone();
-    cur.reports[0].gflops_measured *= 0.90; // 10% drop, tolerance is 2%
-    cur.reports[1].reg.bytes = cur.reports[1].reg.bytes * 11 / 10; // traffic drift
-    let cmp = compare(&base, &cur, &Tolerances::default());
-    assert!(!cmp.is_ok());
-    let metrics: Vec<&str> = cmp.regressions.iter().map(|r| r.metric.as_str()).collect();
-    assert!(metrics.contains(&"gflops_measured"));
-    assert!(metrics.contains(&"reg.bytes"));
 }
