@@ -21,7 +21,7 @@
 //! `no ∈ chunk_i`, `b ∈ chunk_j`.
 
 use super::gemm_mesh::{lease_scratch, regcomm_gemm_with, zero_c, GemmBlock};
-use super::{extrapolate, ConvPlan, ConvRun, PlanTiming};
+use super::{extrapolate, tap_major_filter, ConvPlan, ConvRun, PlanTiming};
 use crate::error::SwdnnError;
 use crate::plans::PlanKind;
 use sw_perfmodel::{Blocking, ChipSpec};
@@ -167,29 +167,46 @@ impl ConvPlan for BatchAwarePlan {
         filter: &Tensor4<f64>,
     ) -> Result<ConvRun, SwdnnError> {
         self.supports(shape)?;
-        let dim = self.chip.mesh_dim;
-        let (ni8, no8, b8) = (shape.ni / dim, shape.no / dim, shape.batch / dim);
-        let b_co = self.b_co;
-        let (ri, ci_n) = (shape.ri(), shape.ci());
-        let (ro_n, co_n, kr_n, kc_n) = (shape.ro, shape.co, shape.kr, shape.kc);
-        let (ni, no, batch) = (shape.ni, shape.no, shape.batch);
-
         let input = input.to_layout(Layout::BatchAware);
-        let in_data = input.data();
-        let mut w_flat = vec![0.0f64; kr_n * kc_n * ni * no];
-        for n_o in 0..no {
-            for n_i in 0..ni {
-                for kr in 0..kr_n {
-                    for kc in 0..kc_n {
-                        w_flat[((kr * kc_n + kc) * ni + n_i) * no + n_o] =
-                            filter.get(n_o, n_i, kr, kc);
-                    }
-                }
-            }
-        }
-
+        let w_flat = tap_major_filter(filter);
         let mut output = Tensor4::zeros(shape.output_shape(), Layout::BatchAware);
-        let mut mesh: Mesh<Slot> = Mesh::new_on(self.rt, self.chip, |_, _| Slot {
+        let timing = self.walk(shape, self.mesh(), input.data(), &w_flat, output.data_mut())?;
+        Ok(ConvRun { output, timing })
+    }
+
+    fn time_full_shape(&self, shape: &ConvShape) -> Result<PlanTiming, SwdnnError> {
+        self.supports(shape)?;
+        let reduced = |n_ro: usize| ConvShape {
+            batch: shape.batch,
+            ni: shape.ni,
+            no: shape.no,
+            ro: n_ro,
+            co: self.b_co,
+            kr: shape.kr,
+            kc: shape.kc,
+        };
+        let t1 = self.time_cost_only(&reduced(1))?;
+        let t2 = self.time_cost_only(&reduced(2))?;
+        let n_full = (shape.co / self.b_co) as u64 * shape.ro as u64;
+        Ok(extrapolate(&t1, 1, &t2, 2, n_full))
+    }
+}
+
+impl BatchAwarePlan {
+    /// Exact timing of `shape` with no arithmetic: [`Self::walk`] on a
+    /// cost-only mesh over all-zero operands of the real lengths (never
+    /// read, so they stay untouched zero pages).
+    fn time_cost_only(&self, shape: &ConvShape) -> Result<PlanTiming, SwdnnError> {
+        self.supports(shape)?;
+        let input = vec![0.0; Layout::BatchAware.buffer_len(shape.input_shape())];
+        let w_flat = vec![0.0; shape.filter_shape().len()];
+        let mut out = vec![0.0; Layout::BatchAware.buffer_len(shape.output_shape())];
+        self.walk(shape, self.mesh().cost_only(), &input, &w_flat, &mut out)
+    }
+
+    /// A fresh mesh for one walk, with this plan's faults injected.
+    fn mesh(&self) -> Mesh<Slot> {
+        let mut mesh = Mesh::new_on(self.rt, self.chip, |_, _| Slot {
             di: [LdmBuf { offset: 0, len: 0 }; 2],
             w: LdmBuf { offset: 0, len: 0 },
             c: LdmBuf { offset: 0, len: 0 },
@@ -199,6 +216,27 @@ impl ConvPlan for BatchAwarePlan {
         if let Some(fp) = self.fault {
             mesh.inject_faults(fp);
         }
+        mesh
+    }
+
+    /// Algorithm 2's loop nest on a fresh `mesh` — the one `run` and
+    /// `time_full_shape` both walk. `in_data` is the input in
+    /// [`Layout::BatchAware`], `w_flat` the filters repacked to
+    /// `(Kr, Kc, Ni, No)`, `out` the output buffer in [`Layout::BatchAware`].
+    fn walk(
+        &self,
+        shape: &ConvShape,
+        mut mesh: Mesh<Slot>,
+        in_data: &[f64],
+        w_flat: &[f64],
+        out: &mut [f64],
+    ) -> Result<PlanTiming, SwdnnError> {
+        let dim = self.chip.mesh_dim;
+        let (ni8, no8, b8) = (shape.ni / dim, shape.no / dim, shape.batch / dim);
+        let b_co = self.b_co;
+        let (ri, ci_n) = (shape.ri(), shape.ci());
+        let (ro_n, co_n, kr_n, kc_n) = (shape.ro, shape.co, shape.kr, shape.kc);
+        let (ni, no, batch) = (shape.ni, shape.no, shape.batch);
 
         let di_len = ni8 * b8;
         let w_len = kc_n * ni8 * no8;
@@ -247,7 +285,7 @@ impl ConvPlan for BatchAwarePlan {
                             let h = ctx.dma_get_strided(
                                 s.w,
                                 kc * ni8 * no8,
-                                &w_flat,
+                                w_flat,
                                 src_off + kc * ni * no,
                                 ni8,
                                 no,
@@ -338,40 +376,9 @@ impl ConvPlan for BatchAwarePlan {
             }
         }
 
-        mesh.drain_puts(output.data_mut())?;
+        mesh.drain_puts(out)?;
         mesh.assert_inboxes_empty()?;
-        let stats = mesh.stats();
-        Ok(ConvRun {
-            output,
-            timing: PlanTiming {
-                cycles: stats.cycles,
-                stats,
-                sampled: false,
-                modeled: false,
-            },
-        })
-    }
-
-    fn time_full_shape(&self, shape: &ConvShape) -> Result<PlanTiming, SwdnnError> {
-        self.supports(shape)?;
-        let reduced = |n_ro: usize| ConvShape {
-            batch: shape.batch,
-            ni: shape.ni,
-            no: shape.no,
-            ro: n_ro,
-            co: self.b_co,
-            kr: shape.kr,
-            kc: shape.kc,
-        };
-        let run = |s: &ConvShape| -> Result<PlanTiming, SwdnnError> {
-            let input = sw_tensor::init::seeded_tensor(s.input_shape(), Layout::BatchAware, 21);
-            let filter = sw_tensor::init::seeded_tensor(s.filter_shape(), Layout::Nchw, 22);
-            Ok(self.run(s, &input, &filter)?.timing)
-        };
-        let t1 = run(&reduced(1))?;
-        let t2 = run(&reduced(2))?;
-        let n_full = (shape.co / self.b_co) as u64 * shape.ro as u64;
-        Ok(extrapolate(&t1, 1, &t2, 2, n_full))
+        Ok(PlanTiming::simulated(mesh.stats()))
     }
 }
 
@@ -440,6 +447,43 @@ mod tests {
         let run = BatchAwarePlan::new(4).run(&shape, &input, &filter).unwrap();
         assert_eq!(run.timing.stats.totals.flops, shape.flops());
         assert!(run.timing.cycles > 0);
+    }
+
+    #[test]
+    fn cost_only_walk_lands_on_the_functional_run() {
+        // The one-row sample of Table III row 4 (B 128, Ni 128, No 384), and
+        // a ragged small shape with an asymmetric filter; fault-free and
+        // with DMA retries.
+        let table3 = ConvShape::new(128, 128, 384, 64, 64, 3, 3);
+        let plan3 = BatchAwarePlan::auto(&table3);
+        let cases = [
+            (
+                plan3,
+                ConvShape {
+                    ro: 1,
+                    co: plan3.b_co,
+                    ..table3
+                },
+            ),
+            (BatchAwarePlan::new(2), ConvShape::new(8, 8, 16, 3, 6, 2, 3)),
+        ];
+        let faults = sw_sim::FaultPlan::none(5).with_dma_fail_rate(0.02);
+        for (plan, shape) in cases {
+            let input = seeded_tensor(shape.input_shape(), Layout::Nchw, 1);
+            let filter = seeded_tensor(shape.filter_shape(), Layout::Nchw, 2);
+            for fault in [None, Some(faults)] {
+                let plan = plan.with_fault(fault);
+                let functional = plan.run(&shape, &input, &filter).unwrap().timing;
+                let cost_only = plan.time_cost_only(&shape).unwrap();
+                let what = format!("{shape}, fault {}", fault.is_some());
+                crate::plans::assert_same_timing(&cost_only, &functional, &what);
+                assert_eq!(
+                    functional.stats.totals.dma_retries > 0,
+                    fault.is_some(),
+                    "{what}"
+                );
+            }
+        }
     }
 
     #[test]

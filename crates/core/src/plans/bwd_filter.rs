@@ -133,6 +133,83 @@ impl BwdFilterPlan {
         d_out: &Tensor4<f64>,
     ) -> Result<(Tensor4<f64>, PlanTiming), SwdnnError> {
         self.supports(shape)?;
+        let (kr_n, kc_n, ni, no) = (shape.kr, shape.kc, shape.ni, shape.no);
+        let input = input.to_layout(Layout::ImageAware);
+        let g = d_out.to_layout(Layout::ImageAware);
+        // Global accumulation buffer ordered [(kr*Kc+kc)][no][ni].
+        let mut dw_flat = vec![0.0f64; kr_n * kc_n * no * ni];
+        let timing = self.walk(shape, self.mesh(), input.data(), g.data(), &mut dw_flat)?;
+
+        // Transpose [(kr,kc)][no][ni] -> (No, Ni, Kr, Kc).
+        let mut dw = Tensor4::zeros(shape.filter_shape(), Layout::Nchw);
+        for kr in 0..kr_n {
+            for kc in 0..kc_n {
+                for n_o in 0..no {
+                    for n_i in 0..ni {
+                        dw.set(
+                            n_o,
+                            n_i,
+                            kr,
+                            kc,
+                            dw_flat[((kr * kc_n + kc) * no + n_o) * ni + n_i],
+                        );
+                    }
+                }
+            }
+        }
+        Ok((dw, timing))
+    }
+
+    /// Sampled full-shape timing (the pass is linear in the pixel tiles).
+    pub fn time_full_shape(&self, shape: &ConvShape) -> Result<PlanTiming, SwdnnError> {
+        self.supports(shape)?;
+        let reduced = |n_ro: usize| ConvShape {
+            batch: self.b_b,
+            ro: n_ro,
+            co: self.b_co,
+            ..*shape
+        };
+        let t1 = self.time_cost_only(&reduced(1))?;
+        let t2 = self.time_cost_only(&reduced(2))?;
+        let n_full =
+            (shape.batch / self.b_b) as u64 * shape.ro as u64 * (shape.co / self.b_co) as u64;
+        Ok(extrapolate(&t1, 1, &t2, 2, n_full))
+    }
+
+    /// Exact timing of `shape` with no arithmetic: [`Self::walk`] on a
+    /// cost-only mesh over all-zero operands of the real lengths (never
+    /// read, so they stay untouched zero pages).
+    fn time_cost_only(&self, shape: &ConvShape) -> Result<PlanTiming, SwdnnError> {
+        self.supports(shape)?;
+        let input = vec![0.0; Layout::ImageAware.buffer_len(shape.input_shape())];
+        let g = vec![0.0; Layout::ImageAware.buffer_len(shape.output_shape())];
+        let mut dw_flat = vec![0.0; shape.filter_shape().len()];
+        self.walk(shape, self.mesh().cost_only(), &input, &g, &mut dw_flat)
+    }
+
+    /// A fresh mesh for one walk.
+    fn mesh(&self) -> Mesh<Slot> {
+        Mesh::new_on(self.rt, self.chip, |_, _| Slot {
+            g: [LdmBuf { offset: 0, len: 0 }; 2],
+            x: [LdmBuf { offset: 0, len: 0 }; 2],
+            c: LdmBuf { offset: 0, len: 0 },
+            g_h: [None; 2],
+            x_h: [None; 2],
+        })
+    }
+
+    /// The pixel-tile loop nest on a fresh `mesh` — the one `run` and
+    /// `time_full_shape` both walk. `in_data` and `g_data` are the
+    /// activations and the output gradient in [`Layout::ImageAware`],
+    /// `dw_flat` the gradient buffer ordered `[(kr·Kc+kc)][no][ni]`.
+    fn walk(
+        &self,
+        shape: &ConvShape,
+        mut mesh: Mesh<Slot>,
+        in_data: &[f64],
+        g_data: &[f64],
+        dw_flat: &mut [f64],
+    ) -> Result<PlanTiming, SwdnnError> {
         let dim = self.chip.mesh_dim;
         let (ni8, no8) = (shape.ni / dim, shape.no / dim);
         let quads = self.b_b / (4 * dim);
@@ -143,21 +220,6 @@ impl BwdFilterPlan {
         let (ni, no) = (shape.ni, shape.no);
         let n8 = quads * 4 * b_co; // pixels per chunk
 
-        let input = input.to_layout(Layout::ImageAware);
-        let g = d_out.to_layout(Layout::ImageAware);
-        let in_data = input.data();
-        let g_data = g.data();
-
-        // Global accumulation buffer ordered [(kr*Kc+kc)][no][ni].
-        let mut dw_flat = vec![0.0f64; kr_n * kc_n * no * ni];
-
-        let mut mesh: Mesh<Slot> = Mesh::new_on(self.rt, self.chip, |_, _| Slot {
-            g: [LdmBuf { offset: 0, len: 0 }; 2],
-            x: [LdmBuf { offset: 0, len: 0 }; 2],
-            c: LdmBuf { offset: 0, len: 0 },
-            g_h: [None; 2],
-            x_h: [None; 2],
-        });
         let g_len = no8 * n8;
         let x_len = kr_n * quads * ni8 * win4;
         let c_len = kr_n * kc_n * no8 * ni8;
@@ -314,57 +376,9 @@ impl BwdFilterPlan {
             }
             Ok(())
         })?;
-        mesh.drain_puts(&mut dw_flat)?;
+        mesh.drain_puts(dw_flat)?;
         mesh.assert_inboxes_empty()?;
-
-        // Transpose [(kr,kc)][no][ni] -> (No, Ni, Kr, Kc).
-        let mut dw = Tensor4::zeros(shape.filter_shape(), Layout::Nchw);
-        for kr in 0..kr_n {
-            for kc in 0..kc_n {
-                for n_o in 0..no {
-                    for n_i in 0..ni {
-                        dw.set(
-                            n_o,
-                            n_i,
-                            kr,
-                            kc,
-                            dw_flat[((kr * kc_n + kc) * no + n_o) * ni + n_i],
-                        );
-                    }
-                }
-            }
-        }
-        let stats = mesh.stats();
-        Ok((
-            dw,
-            PlanTiming {
-                cycles: stats.cycles,
-                stats,
-                sampled: false,
-                modeled: false,
-            },
-        ))
-    }
-
-    /// Sampled full-shape timing (the pass is linear in the pixel tiles).
-    pub fn time_full_shape(&self, shape: &ConvShape) -> Result<PlanTiming, SwdnnError> {
-        self.supports(shape)?;
-        let reduced = |n_ro: usize| ConvShape {
-            batch: self.b_b,
-            ro: n_ro,
-            co: self.b_co,
-            ..*shape
-        };
-        let run = |s: &ConvShape| -> Result<PlanTiming, SwdnnError> {
-            let input = sw_tensor::init::seeded_tensor(s.input_shape(), Layout::ImageAware, 31);
-            let d_out = sw_tensor::init::seeded_tensor(s.output_shape(), Layout::ImageAware, 32);
-            Ok(self.run(s, &input, &d_out)?.1)
-        };
-        let t1 = run(&reduced(1))?;
-        let t2 = run(&reduced(2))?;
-        let n_full =
-            (shape.batch / self.b_b) as u64 * shape.ro as u64 * (shape.co / self.b_co) as u64;
-        Ok(extrapolate(&t1, 1, &t2, 2, n_full))
+        Ok(PlanTiming::simulated(mesh.stats()))
     }
 }
 
@@ -412,6 +426,36 @@ mod tests {
             "footprint {}",
             plan.ldm_doubles(&shape)
         );
+    }
+
+    #[test]
+    fn cost_only_walk_lands_on_the_functional_run() {
+        // The one-row sample of the paper-scale 128×128 layer, and a ragged
+        // small shape with an asymmetric filter. The plan has no fault field.
+        let paper = ConvShape::new(128, 128, 128, 64, 64, 3, 3);
+        let plan128 = BwdFilterPlan::auto(&paper);
+        let cases = [
+            (
+                plan128,
+                ConvShape {
+                    batch: plan128.b_b,
+                    ro: 1,
+                    co: plan128.b_co,
+                    ..paper
+                },
+            ),
+            (
+                BwdFilterPlan::new(32, 4),
+                ConvShape::new(32, 16, 8, 3, 8, 2, 3),
+            ),
+        ];
+        for (plan, shape) in cases {
+            let input = seeded_tensor(shape.input_shape(), Layout::Nchw, 1);
+            let d_out = seeded_tensor(shape.output_shape(), Layout::Nchw, 2);
+            let functional = plan.run(&shape, &input, &d_out).unwrap().1;
+            let cost_only = plan.time_cost_only(&shape).unwrap();
+            crate::plans::assert_same_timing(&cost_only, &functional, &shape.to_string());
+        }
     }
 
     #[test]

@@ -58,6 +58,12 @@
 //! None of this changes simulated time: cycle charges, fault keying, and
 //! superstep counts are identical to running the `2·dim` supersteps of a
 //! rotation one by one.
+//!
+//! On a cost-only mesh ([`sw_sim::Mesh::cost_only`]) the same rotation
+//! body runs with the host arithmetic left out: broadcasters put a shared
+//! all-zero payload of the block's length on the bus instead of packing,
+//! and the microkernel is skipped. Message lengths, length checks and
+//! every charge are unchanged, so the rotation costs the same cycles.
 
 use crate::error::SwdnnError;
 use crate::kernel_cost;
@@ -108,6 +114,10 @@ pub struct GemmScratch {
     /// replacing its kept payload recycles the old one here, so a steady
     /// rotation allocates nothing after a two-rotation warmup.
     pool: PayloadPool,
+    /// The all-zero A and B blocks a cost-only rotation broadcasts in place
+    /// of packed ones, kept across rotations of the same block shape.
+    zero_a: Arc<[f64]>,
+    zero_b: Arc<[f64]>,
 }
 
 impl GemmScratch {
@@ -118,6 +128,8 @@ impl GemmScratch {
             a_own: vec![None; dim],
             b_own: vec![None; dim],
             pool: PayloadPool::new(),
+            zero_a: Arc::from([]),
+            zero_b: Arc::from([]),
         }
     }
 
@@ -125,6 +137,14 @@ impl GemmScratch {
     pub fn payload_pool(&self) -> &PayloadPool {
         &self.pool
     }
+}
+
+/// The shared all-zero block of `len` doubles kept in `slot`.
+fn zero_block(slot: &mut Arc<[f64]>, len: usize) -> Arc<[f64]> {
+    if slot.len() != len {
+        *slot = vec![0.0; len].into();
+    }
+    Arc::clone(slot)
 }
 
 /// Lease a [`GemmScratch`] for a `dim`×`dim` mesh from the execution
@@ -192,9 +212,21 @@ where
     // Constant for the whole rotation: resolved here, not per CPE per round.
     let prof = kernel_cost::block_profile(blk.m8, blk.n8, blk.k8, blk.reordered);
     let flops = kernel_cost::block_flops(blk.m8, blk.n8, blk.k8);
+    // On a cost-only mesh nothing reads a block's values: every broadcaster
+    // hands out the same zero payload of the right length and no CPE
+    // multiplies anything.
+    let zeros = mesh.is_cost_only().then(|| {
+        (
+            zero_block(&mut scratch.zero_a, blk.k8 * blk.m8),
+            zero_block(&mut scratch.zero_b, blk.k8 * blk.n8),
+        )
+    });
     // What one compute superstep costs the host: every CPE multiplies an
     // `m8×k8` by a `k8×n8` block.
-    let round_work = Work::Macs((dim * dim * blk.m8 * blk.n8 * blk.k8) as u64);
+    let round_work = Work::Macs(match zeros {
+        Some(_) => 0,
+        None => (dim * dim * blk.m8 * blk.n8 * blk.k8) as u64,
+    });
 
     // The mesh may run the phase closures from worker lanes (`Fn + Sync`),
     // so the mutable scratch lives behind a mutex — uncontended in
@@ -220,30 +252,31 @@ where
     // phase 2. The payload they kept last rotation is recycled into the
     // pool in exchange.
     let pack_phase = |r: usize, ctx: &mut CpeCtx<'_>, s: &mut S| -> Result<(), SimError> {
-        if ctx.col != r && ctx.row != r {
-            return Ok(());
-        }
-        let mut guard = shared.lock().unwrap();
-        let g = &mut *guard;
         if ctx.col == r {
-            g.pack.clear();
-            pack_a(ctx, s, g.pack);
-            debug_assert_eq!(g.pack.len(), blk.k8 * blk.m8, "A block size");
-            let payload = g.pool.lease_from(g.pack);
-            ctx.bcast_row_shared(Arc::clone(&payload));
-            if let Some(old) = g.a_own[ctx.row].replace(payload) {
-                g.pool.recycle(old);
-            }
+            let payload = match &zeros {
+                Some((a, _)) => Arc::clone(a),
+                None => {
+                    let g = &mut *shared.lock().unwrap();
+                    let own = &mut g.a_own[ctx.row];
+                    pack_block(g.pack, g.pool, own, blk.k8 * blk.m8, |dst| {
+                        pack_a(ctx, s, dst)
+                    })
+                }
+            };
+            ctx.bcast_row_shared(payload);
         }
         if ctx.row == r {
-            g.pack.clear();
-            pack_b(ctx, s, g.pack);
-            debug_assert_eq!(g.pack.len(), blk.k8 * blk.n8, "B block size");
-            let payload = g.pool.lease_from(g.pack);
-            ctx.bcast_col_shared(Arc::clone(&payload));
-            if let Some(old) = g.b_own[ctx.col].replace(payload) {
-                g.pool.recycle(old);
-            }
+            let payload = match &zeros {
+                Some((_, b)) => Arc::clone(b),
+                None => {
+                    let g = &mut *shared.lock().unwrap();
+                    let own = &mut g.b_own[ctx.col];
+                    pack_block(g.pack, g.pool, own, blk.k8 * blk.n8, |dst| {
+                        pack_b(ctx, s, dst)
+                    })
+                }
+            };
+            ctx.bcast_col_shared(payload);
         }
         Ok(())
     };
@@ -251,19 +284,23 @@ where
     // Phase 2 of round `r`: everyone receives (or reuses its own block)
     // and accumulates.
     let compute_phase = |r: usize, ctx: &mut CpeCtx<'_>, s: &mut S| -> Result<(), SimError> {
-        let a = if ctx.col == r {
+        let a = if ctx.col != r {
+            ctx.recv_row()?
+        } else if let Some((a, _)) = &zeros {
+            Arc::clone(a)
+        } else {
             shared.lock().unwrap().a_own[ctx.row]
                 .clone()
                 .ok_or_else(|| missing_own_block(ctx, 'A', r))?
-        } else {
-            ctx.recv_row()?
         };
-        let b = if ctx.row == r {
+        let b = if ctx.row != r {
+            ctx.recv_col()?
+        } else if let Some((_, b)) = &zeros {
+            Arc::clone(b)
+        } else {
             shared.lock().unwrap().b_own[ctx.col]
                 .clone()
                 .ok_or_else(|| missing_own_block(ctx, 'B', r))?
-        } else {
-            ctx.recv_col()?
         };
         if a.len() != blk.k8 * blk.m8 || b.len() != blk.k8 * blk.n8 {
             return Err(SimError::Program(format!(
@@ -281,8 +318,10 @@ where
         let (cb, c_off) = c_buf(s);
         let (m8, n8, k8, cs) = (blk.m8, blk.n8, blk.k8, blk.c_stride);
         debug_assert!(c_off + (m8 - 1) * cs + n8 <= cb.len, "C slice in bounds");
-        let c = &mut ctx.ldm_data_mut()[cb.range()];
-        microkernel_tiled(c, c_off, cs, &a, &b, m8, n8, k8);
+        if zeros.is_none() {
+            let c = &mut ctx.ldm_data_mut()[cb.range()];
+            microkernel_tiled(c, c_off, cs, &a, &b, m8, n8, k8);
+        }
         ctx.charge_compute(prof.cycles);
         ctx.add_flops(flops);
         ctx.add_ldm_reg_bytes(prof.ldm_load_bytes + prof.ldm_store_bytes);
@@ -294,6 +333,26 @@ where
     // regardless of `dim`, none when a round is below the runtime's grain.
     mesh.superstep_rounds(dim, round_work, &pack_phase, &compute_phase)?;
     Ok(())
+}
+
+/// Pack one block into a leased payload and keep a clone in `own` for the
+/// broadcaster's phase 2; the payload kept last rotation goes back to the
+/// pool.
+fn pack_block(
+    pack: &mut Vec<f64>,
+    pool: &mut PayloadPool,
+    own: &mut Option<Arc<[f64]>>,
+    len: usize,
+    fill: impl FnOnce(&mut Vec<f64>),
+) -> Arc<[f64]> {
+    pack.clear();
+    fill(pack);
+    debug_assert_eq!(pack.len(), len, "packed block size");
+    let payload = pool.lease_from(pack);
+    if let Some(old) = own.replace(Arc::clone(&payload)) {
+        pool.recycle(old);
+    }
+    payload
 }
 
 fn missing_own_block(ctx: &CpeCtx<'_>, which: char, round: usize) -> SimError {
@@ -471,15 +530,18 @@ fn microkernel_tiled(
     microkernel_tiled_impl(c, c_off, cs, a, b, m8, n8, k8);
 }
 
-/// Zero a distributed C block (one superstep; charged as vector stores).
+/// Zero a distributed C block (one superstep; charged as vector stores —
+/// on a cost-only mesh charged only).
 pub fn zero_c<S: Send>(
     mesh: &mut Mesh<S>,
     c_buf: impl Fn(&S) -> LdmBuf + Sync,
 ) -> Result<(), SwdnnError> {
+    let store = !mesh.is_cost_only();
     mesh.superstep(|ctx, s| {
         let cb = c_buf(s);
-        let c = &mut ctx.ldm_data_mut()[cb.range()];
-        c.iter_mut().for_each(|v| *v = 0.0);
+        if store {
+            ctx.ldm_data_mut()[cb.range()].fill(0.0);
+        }
         let vectors = cb.len.div_ceil(4) as u64;
         ctx.charge_compute(vectors);
         ctx.add_ldm_reg_bytes(32 * vectors);

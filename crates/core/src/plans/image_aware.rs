@@ -28,7 +28,7 @@
 //! * output: `no ∈ chunk_i`, pixels `∈ chunk_j`.
 
 use super::gemm_mesh::{lease_scratch, regcomm_gemm_with, zero_c, GemmBlock};
-use super::{extrapolate, ConvPlan, ConvRun, PlanTiming};
+use super::{extrapolate, tap_major_filter, ConvPlan, ConvRun, PlanTiming};
 use crate::error::SwdnnError;
 use crate::plans::PlanKind;
 use sw_perfmodel::select::{ldm_doubles_image_aware, Blocking};
@@ -208,32 +208,48 @@ impl ConvPlan for ImageAwarePlan {
         filter: &Tensor4<f64>,
     ) -> Result<ConvRun, SwdnnError> {
         self.supports(shape)?;
-        let d = self.dims(shape);
-        let Blocking { b_b, b_co } = self.blocking;
-        let (ri, ci) = (shape.ri(), shape.ci());
-        let (ro, co, kr_n, kc_n) = (shape.ro, shape.co, shape.kr, shape.kc);
-        let (ni, no) = (shape.ni, shape.no);
-        let b_ni = self.effective_b_ni(shape);
-        let ni_blocks = ni / b_ni;
-
         // Host-side layout preparation (done once per layer in practice).
         let input = input.to_layout(Layout::ImageAware);
-        let in_data = input.data();
-        // Filters repacked to (Kr, Kc, Ni, No).
-        let mut w_flat = vec![0.0f64; kr_n * kc_n * ni * no];
-        for n_o in 0..no {
-            for n_i in 0..ni {
-                for kr in 0..kr_n {
-                    for kc in 0..kc_n {
-                        w_flat[((kr * kc_n + kc) * ni + n_i) * no + n_o] =
-                            filter.get(n_o, n_i, kr, kc);
-                    }
-                }
-            }
-        }
-
+        let w_flat = tap_major_filter(filter);
         let mut output = Tensor4::zeros(shape.output_shape(), Layout::ImageAware);
-        let mut mesh: Mesh<Slot> = Mesh::new_on(self.rt, self.chip, |_, _| Slot {
+        let timing = self.walk(shape, self.mesh(), input.data(), &w_flat, output.data_mut())?;
+        Ok(ConvRun { output, timing })
+    }
+
+    fn time_full_shape(&self, shape: &ConvShape) -> Result<PlanTiming, SwdnnError> {
+        self.supports(shape)?;
+        let Blocking { b_b, b_co } = self.blocking;
+        let reduced = |n_ro: usize| ConvShape {
+            batch: b_b,
+            ni: shape.ni,
+            no: shape.no,
+            ro: n_ro,
+            co: b_co,
+            kr: shape.kr,
+            kc: shape.kc,
+        };
+        let t1 = self.time_cost_only(&reduced(1))?;
+        let t2 = self.time_cost_only(&reduced(2))?;
+        let n_full = (shape.batch / b_b) as u64 * shape.ro as u64 * (shape.co / b_co) as u64;
+        Ok(extrapolate(&t1, 1, &t2, 2, n_full))
+    }
+}
+
+impl ImageAwarePlan {
+    /// Exact timing of `shape` with no arithmetic: [`Self::walk`] on a
+    /// cost-only mesh over all-zero operands of the real lengths (never
+    /// read, so they stay untouched zero pages).
+    fn time_cost_only(&self, shape: &ConvShape) -> Result<PlanTiming, SwdnnError> {
+        self.supports(shape)?;
+        let input = vec![0.0; Layout::ImageAware.buffer_len(shape.input_shape())];
+        let w_flat = vec![0.0; shape.filter_shape().len()];
+        let mut out = vec![0.0; Layout::ImageAware.buffer_len(shape.output_shape())];
+        self.walk(shape, self.mesh().cost_only(), &input, &w_flat, &mut out)
+    }
+
+    /// A fresh mesh for one walk, with this plan's faults injected.
+    fn mesh(&self) -> Mesh<Slot> {
+        let mut mesh = Mesh::new_on(self.rt, self.chip, |_, _| Slot {
             di: [LdmBuf { offset: 0, len: 0 }; 2],
             w: [LdmBuf { offset: 0, len: 0 }; 2],
             c: LdmBuf { offset: 0, len: 0 },
@@ -243,6 +259,28 @@ impl ConvPlan for ImageAwarePlan {
         if let Some(fp) = self.fault {
             mesh.inject_faults(fp);
         }
+        mesh
+    }
+
+    /// Algorithm 1's loop nest on a fresh `mesh` — the one `run` and
+    /// `time_full_shape` both walk. `in_data` is the input in
+    /// [`Layout::ImageAware`], `w_flat` the filters repacked to
+    /// `(Kr, Kc, Ni, No)`, `out` the output buffer in [`Layout::ImageAware`].
+    fn walk(
+        &self,
+        shape: &ConvShape,
+        mut mesh: Mesh<Slot>,
+        in_data: &[f64],
+        w_flat: &[f64],
+        out: &mut [f64],
+    ) -> Result<PlanTiming, SwdnnError> {
+        let d = self.dims(shape);
+        let Blocking { b_b, b_co } = self.blocking;
+        let (ri, ci) = (shape.ri(), shape.ci());
+        let (ro, co, kr_n, kc_n) = (shape.ro, shape.co, shape.kr, shape.kc);
+        let (ni, no) = (shape.ni, shape.no);
+        let b_ni = self.effective_b_ni(shape);
+        let ni_blocks = ni / b_ni;
 
         // Setup superstep: allocate LDM tiles. The filter buffer holds one
         // (kr, kc) slice (Algorithm 1 line 7 re-fetches W inside the filter
@@ -338,7 +376,7 @@ impl ConvPlan for ImageAwarePlan {
                                     let h = ctx.dma_get_strided(
                                         s.w[idx_x % 2],
                                         0,
-                                        &w_flat,
+                                        w_flat,
                                         src_off,
                                         d.ni8,
                                         no,
@@ -419,41 +457,9 @@ impl ConvPlan for ImageAwarePlan {
             }
         }
 
-        mesh.drain_puts(output.data_mut())?;
+        mesh.drain_puts(out)?;
         mesh.assert_inboxes_empty()?;
-        let stats = mesh.stats();
-        Ok(ConvRun {
-            output,
-            timing: PlanTiming {
-                cycles: stats.cycles,
-                stats,
-                sampled: false,
-                modeled: false,
-            },
-        })
-    }
-
-    fn time_full_shape(&self, shape: &ConvShape) -> Result<PlanTiming, SwdnnError> {
-        self.supports(shape)?;
-        let Blocking { b_b, b_co } = self.blocking;
-        let reduced = |n_ro: usize| ConvShape {
-            batch: b_b,
-            ni: shape.ni,
-            no: shape.no,
-            ro: n_ro,
-            co: b_co,
-            kr: shape.kr,
-            kc: shape.kc,
-        };
-        let run = |s: &ConvShape| -> Result<PlanTiming, SwdnnError> {
-            let input = sw_tensor::init::seeded_tensor(s.input_shape(), Layout::ImageAware, 11);
-            let filter = sw_tensor::init::seeded_tensor(s.filter_shape(), Layout::Nchw, 12);
-            Ok(self.run(s, &input, &filter)?.timing)
-        };
-        let t1 = run(&reduced(1))?;
-        let t2 = run(&reduced(2))?;
-        let n_full = (shape.batch / b_b) as u64 * shape.ro as u64 * (shape.co / b_co) as u64;
-        Ok(extrapolate(&t1, 1, &t2, 2, n_full))
+        Ok(PlanTiming::simulated(mesh.stats()))
     }
 }
 
@@ -537,6 +543,40 @@ mod tests {
             full.cycles
         );
         assert!(sampled.sampled);
+    }
+
+    #[test]
+    fn cost_only_walk_lands_on_the_functional_run() {
+        // The one-row sample of Table III row 2 (Ni 128, No 256, b_B 32,
+        // b_Co 8), and a ragged small shape with Ni blocking; fault-free and
+        // with DMA retries eating into the double-buffer slack.
+        let cases = [
+            (
+                ImageAwarePlan::new(Blocking { b_b: 32, b_co: 8 }),
+                ConvShape::new(32, 128, 256, 1, 8, 3, 3),
+            ),
+            (
+                plan().with_ni_blocking(8),
+                ConvShape::new(32, 16, 8, 3, 8, 2, 3),
+            ),
+        ];
+        let faults = sw_sim::FaultPlan::none(5).with_dma_fail_rate(0.02);
+        for (plan, shape) in cases {
+            let input = seeded_tensor(shape.input_shape(), Layout::Nchw, 1);
+            let filter = seeded_tensor(shape.filter_shape(), Layout::Nchw, 2);
+            for fault in [None, Some(faults)] {
+                let plan = plan.with_fault(fault);
+                let functional = plan.run(&shape, &input, &filter).unwrap().timing;
+                let cost_only = plan.time_cost_only(&shape).unwrap();
+                let what = format!("{shape}, fault {}", fault.is_some());
+                crate::plans::assert_same_timing(&cost_only, &functional, &what);
+                assert_eq!(
+                    functional.stats.totals.dma_retries > 0,
+                    fault.is_some(),
+                    "{what}"
+                );
+            }
+        }
     }
 
     #[test]

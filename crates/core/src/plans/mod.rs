@@ -12,8 +12,15 @@
 //!    §VI (`17·(Ni/8) + 4` cycles per 4×16 register tile);
 //! 4. double-buffer DMA against compute (§IV-A).
 //!
-//! Every plan computes real `f64` results, checked against the reference
-//! convolution in the test suites.
+//! Every plan's `run` computes real `f64` results, checked against the
+//! reference convolution in the test suites. Each mesh plan keeps its loop
+//! nest in one private `walk` function over plain `&[f64]` operands and a
+//! `&mut [f64]` output: `run` prepares the operands (layout conversion,
+//! filter repack) and hands them to `walk` on a functional mesh;
+//! `time_full_shape` hands `walk` all-zero operands of the right lengths on a
+//! cost-only mesh ([`sw_sim::Mesh::cost_only`]), which charges every cycle
+//! and counter of the same walk without moving or multiplying anything —
+//! timing a shape does not do its arithmetic.
 
 pub mod batch_aware;
 pub mod bwd_filter;
@@ -52,6 +59,16 @@ pub struct PlanTiming {
 }
 
 impl PlanTiming {
+    /// Timing read off a mesh that simulated every outer iteration.
+    pub(crate) fn simulated(stats: CgStats) -> Self {
+        Self {
+            cycles: stats.cycles,
+            stats,
+            sampled: false,
+            modeled: false,
+        }
+    }
+
     /// Attained Gflops given the convolution's true flop count.
     pub fn gflops(&self, shape: &ConvShape, chip: &ChipSpec) -> f64 {
         if self.cycles == 0 {
@@ -103,16 +120,38 @@ pub trait ConvPlan {
     ) -> Result<ConvRun, SwdnnError>;
 
     /// Estimate full-shape timing by simulating a small number of outer
-    /// iterations and extrapolating linearly (see [`extrapolate`]).
+    /// iterations and extrapolating linearly (see [`extrapolate`]). The
+    /// mesh plans walk those iterations on a cost-only mesh over zero
+    /// operands: same cycles and counters as a functional run, no tensors
+    /// seeded, laid out or multiplied.
     ///
-    /// The default implementation runs the plan in full — plans whose cost
-    /// is linear in an outer trip count override this.
+    /// The default implementation runs the plan in full, arithmetic
+    /// included — plans whose cost is linear in an outer trip count override
+    /// this.
     fn time_full_shape(&self, shape: &ConvShape) -> Result<PlanTiming, SwdnnError> {
         let input = sw_tensor::init::seeded_tensor(shape.input_shape(), sw_tensor::Layout::Nchw, 1);
         let filter =
             sw_tensor::init::seeded_tensor(shape.filter_shape(), sw_tensor::Layout::Nchw, 2);
         Ok(self.run(shape, &input, &filter)?.timing)
     }
+}
+
+/// Filters repacked host-side to `(Kr, Kc, Ni, No)`, so each `(kr, kc)` tap
+/// is one contiguous `Ni × No` matrix a CPE fetches with a strided DMA.
+pub(crate) fn tap_major_filter(filter: &Tensor4<f64>) -> Vec<f64> {
+    let f = filter.shape();
+    let (no, ni, kr_n, kc_n) = (f.d0, f.d1, f.d2, f.d3);
+    let mut w_flat = vec![0.0f64; kr_n * kc_n * ni * no];
+    for n_o in 0..no {
+        for n_i in 0..ni {
+            for kr in 0..kr_n {
+                for kc in 0..kc_n {
+                    w_flat[((kr * kc_n + kc) * ni + n_i) * no + n_o] = filter.get(n_o, n_i, kr, kc);
+                }
+            }
+        }
+    }
+    w_flat
 }
 
 /// Linear extrapolation of timing from two sampled runs.
@@ -147,6 +186,22 @@ pub fn extrapolate(t1: &PlanTiming, n1: u64, t2: &PlanTiming, n2: u64, n_full: u
         sampled: true,
         modeled: false,
     }
+}
+
+/// Assert that a cost-only walk landed exactly where the functional run of
+/// the same shape did: cycles, all 15 counter totals, LDM high water.
+#[cfg(test)]
+pub(crate) fn assert_same_timing(cost_only: &PlanTiming, functional: &PlanTiming, what: &str) {
+    assert_eq!(cost_only.cycles, functional.cycles, "{what}: cycles");
+    assert_eq!(
+        cost_only.stats.totals, functional.stats.totals,
+        "{what}: counters"
+    );
+    assert_eq!(
+        cost_only.stats.ldm_high_water_doubles, functional.stats.ldm_high_water_doubles,
+        "{what}: LDM high water"
+    );
+    assert!(!cost_only.sampled && !functional.sampled, "{what}");
 }
 
 #[cfg(test)]

@@ -29,12 +29,19 @@
 //! `Ni·b_P/64 + Ni·No/64 + No·b_P/64` doubles per CPE.
 
 use super::gemm_mesh::{lease_scratch, regcomm_gemm_with, zero_c, GemmBlock};
-use super::{extrapolate, ConvPlan, ConvRun, PlanTiming};
+use super::{extrapolate, tap_major_filter, ConvPlan, ConvRun, PlanTiming};
 use crate::error::SwdnnError;
 use crate::plans::PlanKind;
 use sw_perfmodel::{Blocking, ChipSpec};
 use sw_sim::{LdmBuf, Mesh};
 use sw_tensor::{ConvGeometry, ConvShape, Layout, Shape4, Tensor4};
+
+/// Per-CPE buffers: one gathered patch, one tap matrix, the output block.
+struct Slot {
+    x: LdmBuf,
+    w: LdmBuf,
+    c: LdmBuf,
+}
 
 /// Per-tap GEMM over gathered output-pixel patches. `b_p` is the number
 /// of flattened output pixels held in LDM at once (a multiple of the mesh
@@ -170,9 +177,85 @@ impl PatchGemmPlan {
         filter: &Tensor4<f64>,
     ) -> Result<ConvRun, SwdnnError> {
         let ishape = input.shape();
-        let fshape = filter.shape();
-        let no = fshape.d0;
+        let no = filter.shape().d0;
         self.supports_general(geom, ishape, no)?;
+        let (ro, co) = geom
+            .output_extent(ishape.d2, ishape.d3)
+            .expect("checked by supports");
+        let input = input.to_layout(Layout::Nchw);
+        let w_flat = tap_major_filter(filter);
+        let mut output = Tensor4::zeros(Shape4::new(ishape.d0, no, ro, co), Layout::Nchw);
+        let timing = self.walk(
+            geom,
+            ishape,
+            no,
+            self.mesh(),
+            input.data(),
+            &w_flat,
+            output.data_mut(),
+        )?;
+        Ok(ConvRun { output, timing })
+    }
+
+    /// Exact timing for an arbitrary geometry with no arithmetic: the loop
+    /// nest [`Self::run_general`] walks, over every pixel block, on a
+    /// cost-only mesh handed all-zero operands of the real lengths (never
+    /// read, so they stay untouched zero pages). General shapes reachable
+    /// today are small; sampling rides on [`ConvPlan::time_full_shape`] for
+    /// the dense path.
+    pub fn time_general(
+        &self,
+        geom: &ConvGeometry,
+        input_shape: Shape4,
+        no: usize,
+    ) -> Result<PlanTiming, SwdnnError> {
+        self.supports_general(geom, input_shape, no)?;
+        let (ro, co) = geom
+            .output_extent(input_shape.d2, input_shape.d3)
+            .expect("checked by supports");
+        let input = vec![0.0; input_shape.len()];
+        let w_flat = vec![0.0; geom.kr * geom.kc * input_shape.d1 * no];
+        let mut out = vec![0.0; input_shape.d0 * no * ro * co];
+        self.walk(
+            geom,
+            input_shape,
+            no,
+            self.mesh().cost_only(),
+            &input,
+            &w_flat,
+            &mut out,
+        )
+    }
+
+    /// A fresh mesh for one walk, with this plan's faults injected.
+    fn mesh(&self) -> Mesh<Slot> {
+        let mut mesh = Mesh::new_on(self.rt, self.chip, |_, _| Slot {
+            x: LdmBuf { offset: 0, len: 0 },
+            w: LdmBuf { offset: 0, len: 0 },
+            c: LdmBuf { offset: 0, len: 0 },
+        });
+        if let Some(fp) = self.fault {
+            mesh.inject_faults(fp);
+        }
+        mesh
+    }
+
+    /// The per-block, per-tap loop nest on a fresh `mesh` — the one
+    /// `run_general` and the timing entry points both walk. `in_data` is the
+    /// NCHW input of shape `ishape`, `w_flat` the filters repacked tap-major
+    /// (`w_flat[(tap·Ni + ni)·No + no]`, one strided fetch per tap per CPE),
+    /// `out` the NCHW output buffer.
+    #[allow(clippy::too_many_arguments)] // the operands of one convolution
+    fn walk(
+        &self,
+        geom: &ConvGeometry,
+        ishape: Shape4,
+        no: usize,
+        mut mesh: Mesh<Slot>,
+        in_data: &[f64],
+        w_flat: &[f64],
+        out: &mut [f64],
+    ) -> Result<PlanTiming, SwdnnError> {
         let (batch, ni) = (ishape.d0, ishape.d1);
         let (ri, ci) = (ishape.d2, ishape.d3);
         let (ro, co) = geom.output_extent(ri, ci).expect("checked by supports");
@@ -182,34 +265,6 @@ impl PatchGemmPlan {
         let pixels = batch * ro * co;
         let img = ro * co;
 
-        // Filter repack: tap-major `w_flat[(tap·Ni + ni)·No + no]` so each
-        // tap's `Ni × No` matrix is one strided fetch per CPE.
-        let mut w_flat = vec![0.0f64; geom.kr * geom.kc * ni * no];
-        for n_o in 0..no {
-            for n_i in 0..ni {
-                for kr in 0..geom.kr {
-                    for kc in 0..geom.kc {
-                        w_flat[((kr * geom.kc + kc) * ni + n_i) * no + n_o] =
-                            filter.get(n_o, n_i, kr, kc);
-                    }
-                }
-            }
-        }
-
-        let mut output = Tensor4::zeros(Shape4::new(batch, no, ro, co), Layout::Nchw);
-        struct Slot {
-            x: LdmBuf,
-            w: LdmBuf,
-            c: LdmBuf,
-        }
-        let mut mesh: Mesh<Slot> = Mesh::new_on(self.rt, self.chip, |_, _| Slot {
-            x: LdmBuf { offset: 0, len: 0 },
-            w: LdmBuf { offset: 0, len: 0 },
-            c: LdmBuf { offset: 0, len: 0 },
-        });
-        if let Some(fp) = self.fault {
-            mesh.inject_faults(fp);
-        }
         mesh.superstep(|ctx, s| {
             s.x = ctx.ldm_alloc(ni8 * p8)?;
             s.w = ctx.ldm_alloc(ni8 * no8)?;
@@ -220,7 +275,9 @@ impl PatchGemmPlan {
         let mut scratch = lease_scratch(self.rt, mesh.chip.mesh_dim);
         // The gather target, rebuilt per (block, tap): `x_tap[ni·b_p + p]`
         // with out-of-image taps (padding, edges, the zero-padded tail
-        // block) already resolved to 0 — the mesh sees a dense matrix.
+        // block) already resolved to 0 — the mesh sees a dense matrix. A
+        // cost-only mesh never reads it, so there it stays all zeros.
+        let gather = !mesh.is_cost_only();
         let mut x_tap = vec![0.0f64; ni * b_p];
 
         for block in 0..pixels.div_ceil(b_p) {
@@ -229,24 +286,26 @@ impl PatchGemmPlan {
             for tkr in 0..geom.kr {
                 for tkc in 0..geom.kc {
                     let tap = tkr * geom.kc + tkc;
-                    for (pl, slot) in x_tap.chunks_mut(b_p).enumerate() {
-                        // `pl` walks ni; gather this channel's pixel row.
-                        for (t, v) in slot.iter_mut().enumerate() {
-                            let p = p0 + t;
-                            *v = 0.0;
-                            if p >= pixels {
-                                continue;
-                            }
-                            let (b, rem) = (p / img, p % img);
-                            let (orow, ocol) = (rem / co, rem % co);
-                            let ir = orow * geom.stride_r + tkr * geom.dil_r;
-                            let ic = ocol * geom.stride_c + tkc * geom.dil_c;
-                            if ir < geom.pad_r || ic < geom.pad_c {
-                                continue;
-                            }
-                            let (ir, ic) = (ir - geom.pad_r, ic - geom.pad_c);
-                            if ir < ri && ic < ci {
-                                *v = input.get(b, pl, ir, ic);
+                    if gather {
+                        for (pl, slot) in x_tap.chunks_mut(b_p).enumerate() {
+                            // `pl` walks ni; gather this channel's pixel row.
+                            for (t, v) in slot.iter_mut().enumerate() {
+                                let p = p0 + t;
+                                *v = 0.0;
+                                if p >= pixels {
+                                    continue;
+                                }
+                                let (b, rem) = (p / img, p % img);
+                                let (orow, ocol) = (rem / co, rem % co);
+                                let ir = orow * geom.stride_r + tkr * geom.dil_r;
+                                let ic = ocol * geom.stride_c + tkc * geom.dil_c;
+                                if ir < geom.pad_r || ic < geom.pad_c {
+                                    continue;
+                                }
+                                let (ir, ic) = (ir - geom.pad_r, ic - geom.pad_c);
+                                if ir < ri && ic < ci {
+                                    *v = in_data[((b * ni + pl) * ri + ir) * ci + ic];
+                                }
                             }
                         }
                     }
@@ -266,7 +325,7 @@ impl PatchGemmPlan {
                         let hw = ctx.dma_get_strided(
                             s.w,
                             0,
-                            &w_flat,
+                            w_flat,
                             (tap * ni + ctx.col * ni8) * no + ctx.row * no8,
                             ni8,
                             no,
@@ -322,36 +381,9 @@ impl PatchGemmPlan {
             })?;
         }
 
-        mesh.drain_puts(output.data_mut())?;
+        mesh.drain_puts(out)?;
         mesh.assert_inboxes_empty()?;
-        let stats = mesh.stats();
-        Ok(ConvRun {
-            output,
-            timing: PlanTiming {
-                cycles: stats.cycles,
-                stats,
-                sampled: false,
-                modeled: false,
-            },
-        })
-    }
-
-    /// Timing for an arbitrary geometry: a full seeded run (general
-    /// shapes reachable today are small; sampling rides on
-    /// [`ConvPlan::time_full_shape`] for the dense path).
-    pub fn time_general(
-        &self,
-        geom: &ConvGeometry,
-        input_shape: Shape4,
-        no: usize,
-    ) -> Result<PlanTiming, SwdnnError> {
-        let input = sw_tensor::init::seeded_tensor(input_shape, Layout::Nchw, 1);
-        let filter = sw_tensor::init::seeded_tensor(
-            Shape4::new(no, input_shape.d1, geom.kr, geom.kc),
-            Layout::Nchw,
-            2,
-        );
-        Ok(self.run_general(geom, &input, &filter)?.timing)
+        Ok(PlanTiming::simulated(mesh.stats()))
     }
 }
 
@@ -400,19 +432,16 @@ impl ConvPlan for PatchGemmPlan {
     fn time_full_shape(&self, shape: &ConvShape) -> Result<PlanTiming, SwdnnError> {
         self.supports(shape)?;
         let blocks = |ro: usize| (shape.batch * ro * shape.co).div_ceil(self.b_p) as u64;
-        let reduced = |n_ro: usize| ConvShape { ro: n_ro, ..*shape };
-        let run = |s: &ConvShape| -> Result<PlanTiming, SwdnnError> {
-            let input = sw_tensor::init::seeded_tensor(s.input_shape(), Layout::Nchw, 1);
-            let filter = sw_tensor::init::seeded_tensor(s.filter_shape(), Layout::Nchw, 2);
-            Ok(self.run(s, &input, &filter)?.timing)
+        let geom = ConvGeometry::valid(shape.kr, shape.kc);
+        let time = |ro: usize| {
+            let s = ConvShape { ro, ..*shape };
+            self.time_general(&geom, s.input_shape(), s.no)
         };
         let (n1, n2, n_full) = (blocks(1), blocks(2), blocks(shape.ro));
         if n_full <= 4 || n2 <= n1 {
-            return run(shape);
+            return time(shape.ro);
         }
-        let t1 = run(&reduced(1))?;
-        let t2 = run(&reduced(2))?;
-        Ok(extrapolate(&t1, n1, &t2, n2, n_full))
+        Ok(extrapolate(&time(1)?, n1, &time(2)?, n2, n_full))
     }
 }
 
@@ -488,6 +517,49 @@ mod tests {
         let plan = PatchGemmPlan::auto_for(chip, 256, 256);
         assert!(plan.ldm_doubles(256, 256) <= chip.ldm_doubles());
         assert!(plan.b_p >= chip.mesh_dim);
+    }
+
+    #[test]
+    fn cost_only_walk_lands_on_the_functional_run() {
+        // Two full pixel blocks at Table III channel counts, and a strided,
+        // padded geometry whose 100 pixels leave a ragged tail block;
+        // fault-free and with DMA retries.
+        let chip = ChipSpec::sw26010();
+        let cases = [
+            (
+                PatchGemmPlan::auto_for(chip, 128, 128),
+                ConvGeometry::valid(3, 3),
+                Shape4::new(8, 128, 3, 66),
+                128,
+            ),
+            (
+                PatchGemmPlan::new(32),
+                ConvGeometry::same(3, 2).with_stride(2, 2),
+                Shape4::new(4, 8, 9, 10),
+                16,
+            ),
+        ];
+        let faults = sw_sim::FaultPlan::none(5).with_dma_fail_rate(0.02);
+        for (plan, geom, ishape, no) in cases {
+            let input = seeded_tensor(ishape, Layout::Nchw, 1);
+            let filter = seeded_tensor(
+                Shape4::new(no, ishape.d1, geom.kr, geom.kc),
+                Layout::Nchw,
+                2,
+            );
+            for fault in [None, Some(faults)] {
+                let plan = plan.with_fault(fault);
+                let functional = plan.run_general(&geom, &input, &filter).unwrap().timing;
+                let cost_only = plan.time_general(&geom, ishape, no).unwrap();
+                let what = format!("{ishape:?} -> {no}, fault {}", fault.is_some());
+                crate::plans::assert_same_timing(&cost_only, &functional, &what);
+                assert_eq!(
+                    functional.stats.totals.dma_retries > 0,
+                    fault.is_some(),
+                    "{what}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -29,6 +29,14 @@
 //! messages, DMA puts, the program's result. One lane writes a node per
 //! step; the seam is the only reader, and it empties the buffers whether the
 //! step succeeded or not.
+//!
+//! A mesh built with [`Mesh::cost_only`] prices, counts, queues and
+//! fault-keys every operation exactly as above but moves no operand data:
+//! DMA gets copy nothing and puts log a length. Every clock, counter and
+//! fault decision is a function of lengths, offsets and sequence numbers
+//! only, so a cost-only run lands on the same cycles, the same per-CPE
+//! counters and the same errors as the functional run of the same program —
+//! it is how plans time a shape without doing its arithmetic.
 
 use crate::dma::{DmaEngine, DmaHandle};
 use crate::fault::FaultPlan;
@@ -143,6 +151,23 @@ struct OutMsg {
     data: Arc<[f64]>,
 }
 
+/// What one logged DMA put run carries to [`Mesh::drain_puts`]: the doubles
+/// it read from LDM, or on a cost-only mesh only how many there were.
+#[derive(Clone, Debug, PartialEq)]
+enum PutRun {
+    Data(Vec<f64>),
+    Len(usize),
+}
+
+impl PutRun {
+    fn len(&self) -> usize {
+        match self {
+            PutRun::Data(data) => data.len(),
+            PutRun::Len(len) => *len,
+        }
+    }
+}
+
 struct CpeNode<S> {
     row: usize,
     col: usize,
@@ -164,7 +189,7 @@ struct CpeNode<S> {
     /// Written by the one lane running the node, read and emptied by the
     /// seam (on the error path too); the buffers keep their capacity.
     out_msgs: Vec<OutMsg>,
-    out_puts: Vec<(usize, Vec<f64>)>,
+    out_puts: Vec<(usize, PutRun)>,
     result: Result<(), SimError>,
     events: Vec<crate::trace::Event>,
     state: S,
@@ -183,10 +208,11 @@ pub struct CpeCtx<'a> {
     dma_seq: &'a mut u64,
     dma: DmaEngine,
     fault: Option<FaultPlan>,
+    cost_only: bool,
     block_hint: Option<usize>,
     trace: Option<&'a mut Vec<crate::trace::Event>>,
     out_msgs: &'a mut Vec<OutMsg>,
-    out_puts: &'a mut Vec<(usize, Vec<f64>)>,
+    out_puts: &'a mut Vec<(usize, PutRun)>,
 }
 
 /// Cycles to receive one message header from a transfer buffer.
@@ -276,11 +302,13 @@ impl CpeCtx<'_> {
                 size: src.len(),
             });
         }
-        let d = self.ldm.buf_mut(dst);
-        for r in 0..runs {
-            let s = src_off + r * src_stride;
-            d[dst_off + r * run_len..dst_off + (r + 1) * run_len]
-                .copy_from_slice(&src[s..s + run_len]);
+        if !self.cost_only {
+            let d = self.ldm.buf_mut(dst);
+            for r in 0..runs {
+                let s = src_off + r * src_stride;
+                d[dst_off + r * run_len..dst_off + (r + 1) * run_len]
+                    .copy_from_slice(&src[s..s + run_len]);
+            }
         }
         let bytes = total * 8;
         let cycles = self.dma.cost_cycles(
@@ -354,6 +382,17 @@ impl CpeCtx<'_> {
         }
     }
 
+    /// Log one put run of `run_len` doubles from `src[at..]` to global offset
+    /// `dst` (bounds already checked by the caller).
+    fn log_put(&mut self, src: LdmBuf, at: usize, dst: usize, run_len: usize) {
+        let run = if self.cost_only {
+            PutRun::Len(run_len)
+        } else {
+            PutRun::Data(self.ldm.buf(src)[at..at + run_len].to_vec())
+        };
+        self.out_puts.push((dst, run));
+    }
+
     /// Asynchronous strided DMA put: reads `runs * run_len` doubles
     /// contiguously from the LDM buffer and logs them for scatter into the
     /// global output at `dst_off + r * dst_stride`.
@@ -375,10 +414,13 @@ impl CpeCtx<'_> {
                 src.len
             )));
         }
-        let s = self.ldm.buf(src);
         for r in 0..runs {
-            let data = s[src_off + r * run_len..src_off + (r + 1) * run_len].to_vec();
-            self.out_puts.push((dst_off + r * dst_stride, data));
+            self.log_put(
+                src,
+                src_off + r * run_len,
+                dst_off + r * dst_stride,
+                run_len,
+            );
         }
         let bytes = total * 8;
         let cycles = self.dma.cost_cycles(
@@ -417,11 +459,13 @@ impl CpeCtx<'_> {
                 src.len
             )));
         }
-        let s = self.ldm.buf(src);
         for r in 0..runs {
-            let a = src_off + r * src_stride;
-            self.out_puts
-                .push((dst_off + r * dst_stride, s[a..a + run_len].to_vec()));
+            self.log_put(
+                src,
+                src_off + r * src_stride,
+                dst_off + r * dst_stride,
+                run_len,
+            );
         }
         let bytes = runs * run_len * 8;
         let cycles = self.dma.cost_cycles(
@@ -594,6 +638,7 @@ struct StepCfg {
     dma: DmaEngine,
     trace_on: bool,
     fault: Option<FaultPlan>,
+    cost_only: bool,
     sync_cycles: u64,
 }
 
@@ -633,6 +678,7 @@ where
         dma_seq: &mut node.dma_seq,
         dma: cfg.dma,
         fault: cfg.fault,
+        cost_only: cfg.cost_only,
         block_hint: None,
         trace: if cfg.trace_on {
             Some(&mut node.events)
@@ -647,7 +693,7 @@ where
 
 /// The mesh state a superstep boundary updates besides the nodes.
 struct Seam {
-    put_log: Vec<(usize, Vec<f64>)>,
+    put_log: Vec<(usize, PutRun)>,
     supersteps: u64,
     /// Mesh-global bus-delivery counter keying message-drop decisions.
     msg_deliveries: u64,
@@ -793,6 +839,7 @@ pub struct Mesh<S> {
     pub sync_cycles: u64,
     trace_on: bool,
     fault: Option<FaultPlan>,
+    cost_only: bool,
 }
 
 impl<S: Send> Mesh<S> {
@@ -843,7 +890,26 @@ impl<S: Send> Mesh<S> {
             sync_cycles: 8,
             trace_on: false,
             fault: None,
+            cost_only: false,
         }
+    }
+
+    /// Make this a cost-only mesh: DMA gets copy nothing, DMA puts log
+    /// `(offset, len)` without the data, and [`Self::superstep`] runs
+    /// inline (there is no resident data to touch). Bounds checks, cycle
+    /// charges, counters, DMA queueing, fault keys and
+    /// [`Self::drain_puts`] errors are those of the functional mesh; LDM
+    /// contents and drained outputs are not meaningful.
+    pub fn cost_only(mut self) -> Self {
+        self.cost_only = true;
+        self
+    }
+
+    /// Whether this mesh was built with [`Self::cost_only`]. Kernels that
+    /// do host arithmetic on LDM contents between charges read this to
+    /// skip it.
+    pub fn is_cost_only(&self) -> bool {
+        self.cost_only
     }
 
     /// The execution context this mesh's supersteps run on.
@@ -861,11 +927,6 @@ impl<S: Send> Mesh<S> {
         self.fault = Some(plan);
     }
 
-    /// The active fault plan, if any.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.fault
-    }
-
     /// Drain the recorded traces as `(row, col, events)` triples.
     pub fn take_traces(&mut self) -> Vec<(usize, usize, Vec<crate::trace::Event>)> {
         self.cpes
@@ -878,12 +939,17 @@ impl<S: Send> Mesh<S> {
     /// delivered and clocks synchronize. Whether the CPEs fan out over the
     /// context's worker pool or run inline is decided by the mesh's
     /// resident LDM (`64 × high-water` doubles — a DMA or clear superstep
-    /// cannot touch more), see [`Self::superstep_with`].
+    /// cannot touch more; a cost-only mesh touches none), see
+    /// [`Self::superstep_with`].
     pub fn superstep<F>(&mut self, f: F) -> Result<(), SimError>
     where
         F: Fn(&mut CpeCtx<'_>, &mut S) -> Result<(), SimError> + Sync,
     {
-        let resident = self.cpes.len() * self.ldm_high_water();
+        let resident = if self.cost_only {
+            0
+        } else {
+            self.cpes.len() * self.ldm_high_water()
+        };
         self.superstep_with(sw_runtime::Work::Doubles(resident as u64), f)
     }
 
@@ -942,6 +1008,7 @@ impl<S: Send> Mesh<S> {
             dma: self.dma,
             trace_on: self.trace_on,
             fault: self.fault,
+            cost_only: self.cost_only,
             sync_cycles: self.sync_cycles,
         }
     }
@@ -1047,15 +1114,18 @@ impl<S: Send> Mesh<S> {
 
     /// Apply all logged DMA puts to the global output segment.
     pub fn drain_puts(&mut self, out: &mut [f64]) -> Result<(), SimError> {
-        for (off, data) in self.seam.put_log.drain(..) {
-            if off + data.len() > out.len() {
+        for (off, run) in self.seam.put_log.drain(..) {
+            let len = run.len();
+            if off + len > out.len() {
                 return Err(SimError::OutOfBounds {
                     offset: off,
-                    len: data.len(),
+                    len,
                     size: out.len(),
                 });
             }
-            out[off..off + data.len()].copy_from_slice(&data);
+            if let PutRun::Data(data) = run {
+                out[off..off + len].copy_from_slice(&data);
+            }
         }
         Ok(())
     }

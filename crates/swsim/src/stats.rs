@@ -166,16 +166,6 @@ impl CgStats {
     pub fn efficiency(&self, peak_gflops: f64, clock_ghz: f64) -> f64 {
         self.gflops(clock_ghz) / peak_gflops
     }
-
-    /// The *simulator's* throughput: simulated Gflop of useful work
-    /// produced per second of host wall-clock time — higher means the host
-    /// finishes the same simulation faster.
-    pub fn host_gflops(&self, host_secs: f64) -> f64 {
-        if host_secs <= 0.0 {
-            return 0.0;
-        }
-        self.totals.flops as f64 / host_secs / 1e9
-    }
 }
 
 #[cfg(test)]
@@ -218,19 +208,6 @@ mod tests {
         assert_eq!(s.dma_get_gbps(1.45), 0.0);
         assert_eq!(s.ldm_reg_gbps_per_cpe(1.45, 64), 0.0);
         assert_eq!(s.ldm_high_water_frac(0), 0.0);
-    }
-
-    #[test]
-    fn host_gflops_is_flops_over_host_seconds() {
-        let s = CgStats {
-            totals: CpeStats {
-                flops: 2_000_000_000,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        assert!((s.host_gflops(2.0) - 1.0).abs() < 1e-12);
-        assert_eq!(s.host_gflops(0.0), 0.0);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Property tests for the simulator: determinism under pool scheduling,
-//! conservation of DMA data, bandwidth-model monotonicity, and LDM
-//! allocator invariants.
+//! conservation of DMA data, bandwidth-model monotonicity, LDM allocator
+//! invariants, and cost-only == functional on generated CPE programs and on
+//! every error class.
 
 use proptest::prelude::*;
 use sw_perfmodel::dma::DmaDirection;
 use sw_perfmodel::ChipSpec;
-use sw_sim::{DmaEngine, Ldm, LdmBuf, Mesh};
+use sw_sim::{Bus, CpeCtx, DmaEngine, DmaHandle, FaultPlan, Ldm, LdmBuf, Mesh, SimError};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
@@ -206,14 +207,375 @@ proptest! {
     }
 }
 
+/// Far above any grain: the pool path whenever more than one lane is set.
+const POOL: sw_runtime::Work = sw_runtime::Work::Macs(u64::MAX);
+
+/// Per-CPE state of a generated program: one LDM buffer and the DMA
+/// transfers still in flight.
+struct Prog {
+    buf: LdmBuf,
+    pending: Vec<DmaHandle>,
+}
+
+/// Doubles in each CPE's LDM buffer and in its slice of the output segment.
+const PROG_BUF: usize = 64;
+
+fn prog_mesh(fault: Option<FaultPlan>, cost_only: bool) -> Mesh<Prog> {
+    let mut mesh = Mesh::new(ChipSpec::sw26010(), |_, _| Prog {
+        buf: LdmBuf { offset: 0, len: 0 },
+        pending: Vec::new(),
+    });
+    if cost_only {
+        mesh = mesh.cost_only();
+    }
+    if let Some(fp) = fault {
+        mesh.inject_faults(fp);
+    }
+    mesh
+}
+
+/// Who receives what the previous superstep put on the buses.
+#[derive(Clone, Copy)]
+enum Sent {
+    Nothing,
+    /// Broadcast along `bus` from position `from` on it.
+    Bcast(Bus, usize),
+    /// Point-to-point along `bus` from position `from` to position `to`.
+    Send(Bus, usize, usize),
+}
+
+/// Drain what `sent` addressed to this CPE. Under message drops an empty
+/// transfer buffer is part of the run, not its end.
+fn receive(ctx: &mut CpeCtx<'_>, sent: Sent, lossy: bool) -> Result<(), SimError> {
+    let (bus, from, to) = match sent {
+        Sent::Nothing => return Ok(()),
+        Sent::Bcast(bus, from) => (bus, from, None),
+        Sent::Send(bus, from, to) => (bus, from, Some(to)),
+    };
+    // Position along the bus, and the line (row or column) the bus is.
+    let (pos, line) = match bus {
+        Bus::Row => (ctx.col, ctx.row),
+        Bus::Col => (ctx.row, ctx.col),
+    };
+    // Point-to-point sends leave from line 0 only; broadcasts from all.
+    let addressed = match to {
+        Some(to) => line == 0 && pos == to,
+        None => pos != from,
+    };
+    if addressed {
+        let got = match bus {
+            Bus::Row => ctx.recv_row(),
+            Bus::Col => ctx.recv_col(),
+        };
+        if !lossy {
+            got?;
+        }
+    }
+    Ok(())
+}
+
+/// Interpret `ops` — `(kind, p, q, r)` tuples, one pooled superstep each —
+/// on `mesh`, reading `src` and finally draining into an output segment.
+/// Every CPE does the same kind of thing with sizes and offsets bent by its
+/// id, so clocks and DMA queues differ across the mesh.
+fn run_program(
+    mesh: &mut Mesh<Prog>,
+    ops: &[(usize, usize, usize, usize)],
+    src: &[f64],
+    lossy: bool,
+) -> Result<(), SimError> {
+    mesh.superstep(|ctx, s| {
+        s.buf = ctx.ldm_alloc(PROG_BUF)?;
+        Ok(())
+    })?;
+    let mut sent = Sent::Nothing;
+    for &(kind, p, q, r) in ops {
+        let prev = sent;
+        sent = match kind {
+            3 => Sent::Bcast(Bus::Row, (p + r) % 8),
+            4 => Sent::Bcast(Bus::Col, (p + r) % 8),
+            5 => Sent::Send(Bus::Row, p % 8, (p + 1 + r) % 8),
+            6 => Sent::Send(Bus::Col, p % 8, (p + 1 + r) % 8),
+            _ => Sent::Nothing,
+        };
+        mesh.superstep_with(POOL, |ctx, s| {
+            receive(ctx, prev, lossy)?;
+            let id = ctx.id();
+            match kind {
+                // Strided get, every other one priced as a collective block.
+                0 => {
+                    if r % 2 == 0 {
+                        ctx.dma_block_hint(64 * q);
+                    }
+                    let h = ctx.dma_get_strided(s.buf, id % 8, src, id % 16, p, q + r, q)?;
+                    s.pending.push(h);
+                }
+                1 => {
+                    let h = ctx.dma_put_strided(s.buf, id % 4, id * PROG_BUF, p, q + r, q)?;
+                    s.pending.push(h);
+                }
+                2 => {
+                    let h = ctx.dma_put_scatter(s.buf, 0, q + 1, id * PROG_BUF, q + r, p, q)?;
+                    s.pending.push(h);
+                }
+                3..=6 => {
+                    let payload = ctx.ldm(s.buf)[..q + id % 3].to_vec();
+                    match sent {
+                        Sent::Bcast(Bus::Row, from) if ctx.col == from => ctx.bcast_row(&payload),
+                        Sent::Bcast(Bus::Col, from) if ctx.row == from => ctx.bcast_col(&payload),
+                        Sent::Send(Bus::Row, from, to) if ctx.row == 0 && ctx.col == from => {
+                            ctx.send_row(to, &payload)
+                        }
+                        Sent::Send(Bus::Col, from, to) if ctx.col == 0 && ctx.row == from => {
+                            ctx.send_col(to, &payload)
+                        }
+                        _ => {}
+                    }
+                }
+                _ => {
+                    ctx.charge_compute((10 * p + id) as u64);
+                    for h in s.pending.drain(..) {
+                        ctx.dma_wait(h);
+                    }
+                }
+            }
+            Ok(())
+        })?;
+    }
+    mesh.superstep(|ctx, s| {
+        receive(ctx, sent, lossy)?;
+        for h in s.pending.drain(..) {
+            ctx.dma_wait(h);
+        }
+        Ok(())
+    })?;
+    let mut out = vec![0.0; 64 * PROG_BUF + 64];
+    mesh.drain_puts(&mut out)
+}
+
+/// Everything a run leaves behind that the simulated clock and the error
+/// path can see.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    cpes: Vec<(usize, usize, u64, sw_sim::CpeStats)>,
+    supersteps: u64,
+    pending_puts: usize,
+    ldm_high_water: usize,
+    inboxes: Result<(), SimError>,
+}
+
+fn observe(mesh: &Mesh<Prog>) -> Observed {
+    Observed {
+        cpes: mesh.cpe_snapshots(),
+        supersteps: mesh.supersteps(),
+        pending_puts: mesh.pending_puts(),
+        ldm_high_water: mesh.ldm_high_water(),
+        inboxes: mesh.assert_inboxes_empty(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    #[test]
+    fn cost_only_mesh_matches_functional_mesh_on_generated_programs(
+        ops in prop::collection::vec((0usize..8, 1usize..6, 1usize..9, 0usize..5), 1..12),
+        seed in 0u64..1000,
+    ) {
+        // Per-CPE clock and all 15 counters, superstep count, logged puts and
+        // LDM high water: none may depend on whether data moved — with no
+        // faults, and with every fault kind keyed off the same sequence
+        // numbers on both meshes.
+        let src: Vec<f64> = (0..256).map(|i| ((i as u64 ^ seed) % 97) as f64 * 0.25).collect();
+        let faults = FaultPlan::none(seed)
+            .with_dma_fail_rate(0.05)
+            .with_dma_stalls(0.1, 300)
+            .with_msg_drop_rate(0.15)
+            .with_cpe_stalls(0.1, 2_000);
+        for fault in [None, Some(faults)] {
+            let mut functional = prog_mesh(fault, false);
+            let mut cost_only = prog_mesh(fault, true);
+            prop_assert!(cost_only.is_cost_only() && !functional.is_cost_only());
+            let lossy = fault.is_some();
+            let ran = run_program(&mut functional, &ops, &src, lossy);
+            prop_assert_eq!(run_program(&mut cost_only, &ops, &src, lossy), ran);
+            prop_assert_eq!(observe(&cost_only), observe(&functional));
+        }
+    }
+}
+
+#[test]
+fn every_error_class_is_the_same_value_on_a_cost_only_mesh() {
+    // Each closure drives a fresh mesh into one error class; the functional
+    // and the cost-only mesh must return the identical `SimError`, of the
+    // class the case names.
+    type Case = (
+        &'static str,
+        Option<FaultPlan>,
+        fn(&mut Mesh<Prog>) -> Result<(), SimError>,
+        fn(&SimError) -> bool,
+    );
+    let cases: [Case; 9] = [
+        (
+            "LDM overflow",
+            None,
+            |m| m.superstep(|ctx, _| ctx.ldm_alloc(10_000).map(|_| ())),
+            |e| matches!(e, SimError::Ldm(_)),
+        ),
+        (
+            "get past the source",
+            None,
+            |m| {
+                let src = vec![1.0; 64];
+                m.superstep(|ctx, _| {
+                    let buf = ctx.ldm_alloc(16)?;
+                    ctx.dma_get_strided(buf, 0, &src, 40 + ctx.id(), 2, 10, 8)?;
+                    Ok(())
+                })
+            },
+            |e| {
+                matches!(
+                    e,
+                    SimError::OutOfBounds {
+                        offset: 47,
+                        len: 18,
+                        size: 64
+                    }
+                )
+            },
+        ),
+        (
+            "get past the LDM buffer",
+            None,
+            |m| {
+                let src = vec![1.0; 64];
+                m.superstep(|ctx, _| {
+                    let buf = ctx.ldm_alloc(8)?;
+                    ctx.dma_get(buf, 4, &src, 0, 8)?;
+                    Ok(())
+                })
+            },
+            |e| matches!(e, SimError::Program(_)),
+        ),
+        (
+            "put past the LDM buffer",
+            None,
+            |m| {
+                m.superstep(|ctx, _| {
+                    let buf = ctx.ldm_alloc(8)?;
+                    ctx.dma_put_strided(buf, 2, 0, 2, 8, 4)?;
+                    Ok(())
+                })
+            },
+            |e| matches!(e, SimError::Program(_)),
+        ),
+        (
+            "scatter put past the LDM buffer",
+            None,
+            |m| {
+                m.superstep(|ctx, _| {
+                    let buf = ctx.ldm_alloc(8)?;
+                    ctx.dma_put_scatter(buf, 0, 6, 0, 8, 2, 4)?;
+                    Ok(())
+                })
+            },
+            |e| matches!(e, SimError::Program(_)),
+        ),
+        (
+            "drain_puts past the output",
+            None,
+            |m| {
+                m.superstep(|ctx, _| {
+                    let buf = ctx.ldm_alloc(8)?;
+                    // In bounds for most CPEs; the first one past the end of the
+                    // 256-double output, in log order, is the error.
+                    ctx.dma_put_strided(buf, 0, ctx.id() * 6, 2, 5, 4)?;
+                    Ok(())
+                })?;
+                m.drain_puts(&mut [0.0; 256])
+            },
+            |e| {
+                matches!(
+                    e,
+                    SimError::OutOfBounds {
+                        offset: 257,
+                        len: 4,
+                        size: 256
+                    }
+                )
+            },
+        ),
+        (
+            "EmptyInbox",
+            None,
+            |m| {
+                m.superstep(|ctx, _| {
+                    if ctx.row == 2 {
+                        ctx.recv_col()?;
+                    }
+                    Ok(())
+                })
+            },
+            |e| {
+                matches!(
+                    e,
+                    SimError::EmptyInbox {
+                        row: 2,
+                        col: 0,
+                        bus: Bus::Col
+                    }
+                )
+            },
+        ),
+        (
+            "exhausted-retry DmaFault",
+            Some(
+                FaultPlan::none(7)
+                    .with_dma_fail_rate(1.0)
+                    .with_retry(sw_sim::RetryPolicy {
+                        max_retries: 2,
+                        base_backoff_cycles: 16,
+                    }),
+            ),
+            |m| {
+                let src = vec![0.0; 64];
+                m.superstep(|ctx, _| {
+                    let buf = ctx.ldm_alloc(1)?;
+                    ctx.dma_get(buf, 0, &src, ctx.id(), 1)?;
+                    Ok(())
+                })
+            },
+            |e| {
+                matches!(
+                    e,
+                    SimError::DmaFault {
+                        row: 0,
+                        col: 0,
+                        attempts: 3
+                    }
+                )
+            },
+        ),
+        (
+            "CpeOffline",
+            Some(FaultPlan::none(0).with_dead_cpe(3, 5)),
+            |m| m.superstep(|_, _| Ok(())),
+            |e| matches!(e, SimError::CpeOffline { row: 3, col: 5 }),
+        ),
+    ];
+    for (name, fault, drive, is_the_class) in cases {
+        let functional = drive(&mut prog_mesh(fault, false)).expect_err(name);
+        let cost_only = drive(&mut prog_mesh(fault, true)).expect_err(name);
+        assert!(is_the_class(&functional), "{name}: got {functional:?}");
+        assert_eq!(cost_only, functional, "{name}");
+    }
+}
+
 /// A fixed kernel that moves every one of the 15 per-CPE counters, fault
 /// counters included: DMA gets and puts under injected failures and stalls,
 /// row broadcasts and column sends under message drops, CPE stalls, compute
 /// and issue-slot charges.
 fn all_counters_kernel(threads: usize) -> Vec<(usize, usize, u64, sw_sim::CpeStats)> {
-    use sw_sim::FaultPlan;
-    // Far above any grain: the pool path whenever `threads > 1`.
-    const POOL: sw_runtime::Work = sw_runtime::Work::Macs(u64::MAX);
     let src: Vec<f64> = (0..64 * 64).map(|i| (i % 97) as f64 * 0.25).collect();
     sw_runtime::with_threads(threads, || {
         let mut mesh: Mesh<LdmBuf> =

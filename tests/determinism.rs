@@ -17,6 +17,10 @@
 //! 3. **Per-CPE invariance.** Not just the aggregate: every CPE's clock
 //!    and counters after a raw mesh GEMM are identical on either host
 //!    schedule, and the schedule taken is the one the grain predicts.
+//! 4. **Timing without arithmetic.** `time_full_shape` walks the plan's
+//!    loop nest on a cost-only mesh; where its two-sample extrapolation is
+//!    exact (an outer trip count of 2) it must equal the functional run's
+//!    timing in cycles and all 15 counters, at every lane count.
 //!
 //! The superstep engine runs rotations below the runtime's grain
 //! (131 072 MACs per round, DESIGN.md §14) inline at every lane count. The
@@ -32,7 +36,9 @@ use sw_sim::{LdmBuf, Mesh};
 use sw_tensor::init::lattice_tensor;
 use sw_tensor::{ConvShape, Layout};
 use swdnn::plans::gemm_mesh::{regcomm_gemm, zero_c, GemmBlock};
-use swdnn::plans::{BatchAwarePlan, ConvPlan, ConvRun, ImageAwarePlan};
+use swdnn::plans::{
+    BatchAwarePlan, BwdFilterPlan, ConvPlan, ConvRun, ImageAwarePlan, PatchGemmPlan, PlanTiming,
+};
 
 #[derive(PartialEq, Eq, Debug, Clone)]
 struct RunDigest {
@@ -139,14 +145,31 @@ fn batch_case() -> ConvRun {
     )
 }
 
+/// One batch block, one column block, two output rows: an outer trip count
+/// of exactly 2.
+fn image_large(rt: &'static ExecutionContext) -> (ImageAwarePlan, ConvShape) {
+    (
+        ImageAwarePlan::new(Blocking { b_b: 32, b_co: 8 }).on_runtime(rt),
+        ConvShape::new(32, 64, 64, 2, 8, 3, 3),
+    )
+}
+
+/// One column block, two output rows: an outer trip count of exactly 2.
+fn batch_large(rt: &'static ExecutionContext) -> (BatchAwarePlan, ConvShape) {
+    (
+        BatchAwarePlan::new(2).on_runtime(rt),
+        ConvShape::new(128, 128, 64, 2, 2, 3, 3),
+    )
+}
+
 fn image_case_large(rt: &'static ExecutionContext) -> ConvRun {
-    let plan = ImageAwarePlan::new(Blocking { b_b: 32, b_co: 8 }).on_runtime(rt);
-    run_plan(&plan, ConvShape::new(32, 64, 64, 2, 8, 3, 3), 31)
+    let (plan, shape) = image_large(rt);
+    run_plan(&plan, shape, 31)
 }
 
 fn batch_case_large(rt: &'static ExecutionContext) -> ConvRun {
-    let plan = BatchAwarePlan::new(2).on_runtime(rt);
-    run_plan(&plan, ConvShape::new(128, 128, 64, 2, 2, 3, 3), 41)
+    let (plan, shape) = batch_large(rt);
+    run_plan(&plan, shape, 41)
 }
 
 /// A pool of this suite's own, so handoff counts are not inflated by the
@@ -202,6 +225,80 @@ fn digests_are_identical_across_host_thread_counts() {
     // Machine default (whatever available_parallelism says).
     assert_eq!(digest(&image_case()), image_golden());
     assert_eq!(digest(&batch_case()), batch_golden());
+}
+
+#[test]
+fn timing_equals_the_functional_run_where_extrapolation_is_exact() {
+    // Shapes whose outer trip count is exactly 2 (or, for patch-GEMM, few
+    // enough pixel blocks that every one is walked): `extrapolate` then
+    // reproduces the two-row sample, so the timing a cost-only mesh computed
+    // over zero operands must be the functional run's, counter for counter.
+    //
+    // Fault-free only. `extrapolate`'s saturating `lerp` needs each counter
+    // of the two-row sample to be at most twice the one-row sample's, and
+    // injected retries break that (ISSUE 22's prototype read 112 against
+    // 100 `dma_retries`);
+    // under faults the cost-only == functional gate is the per-plan
+    // `cost_only_walk_lands_on_the_functional_run` unit tests, and the
+    // sampling scheme itself is ROADMAP item 1b.
+    fn assert_exact(timed: PlanTiming, ran: PlanTiming, what: &str) {
+        assert_eq!(timed.cycles, ran.cycles, "{what}: cycles");
+        assert_eq!(
+            timed.stats.totals.named(),
+            ran.stats.totals.named(),
+            "{what}: counters"
+        );
+        assert_eq!(
+            timed.stats.ldm_high_water_doubles, ran.stats.ldm_high_water_doubles,
+            "{what}: LDM high water"
+        );
+    }
+    let rt = private_pool();
+    for threads in [1usize, 4, 8] {
+        let (timed_handoffs, ran_handoffs) = sw_runtime::with_threads(threads, || {
+            let (image, image_shape) = image_large(rt);
+            let (batch, batch_shape) = batch_large(rt);
+            let patch = PatchGemmPlan::new(64).on_runtime(rt);
+            let patch_shape = ConvShape::new(8, 8, 8, 4, 8, 3, 3); // 256 pixels: 4 blocks
+            let bwd = BwdFilterPlan::new(32, 4).on_runtime(rt);
+            let bwd_shape = ConvShape::new(32, 8, 8, 2, 4, 3, 3);
+
+            let before = rt.pool_handoffs();
+            let timed = [
+                image.time_full_shape(&image_shape).unwrap(),
+                batch.time_full_shape(&batch_shape).unwrap(),
+                patch.time_full_shape(&patch_shape).unwrap(),
+                bwd.time_full_shape(&bwd_shape).unwrap(),
+            ];
+            let timed_handoffs = rt.pool_handoffs() - before;
+
+            let d_out = lattice_tensor(bwd_shape.output_shape(), Layout::Nchw, 52);
+            let bwd_input = lattice_tensor(bwd_shape.input_shape(), Layout::Nchw, 51);
+            let ran = [
+                run_plan(&image, image_shape, 31).timing,
+                run_plan(&batch, batch_shape, 41).timing,
+                run_plan(&patch, patch_shape, 61).timing,
+                bwd.run(&bwd_shape, &bwd_input, &d_out).unwrap().1,
+            ];
+            let ran_handoffs = rt.pool_handoffs() - before - timed_handoffs;
+
+            for ((timed, ran), plan) in timed.into_iter().zip(ran).zip([
+                "image-aware",
+                "batch-aware",
+                "patch-GEMM",
+                "bwd-filter",
+            ]) {
+                assert_exact(timed, ran, &format!("{plan} @ {threads} lanes"));
+            }
+            (timed_handoffs, ran_handoffs)
+        });
+        assert_eq!(timed_handoffs, 0, "a timing never posts @ {threads}");
+        assert_eq!(
+            ran_handoffs > 0,
+            threads > 1,
+            "runs cross the pool @ {threads}"
+        );
+    }
 }
 
 /// Per-CPE state for the direct mesh-level GEMM below.
