@@ -20,6 +20,7 @@ use swdnn::tune::{autotune_general, autotune_with};
 
 pub fn autotune() -> Vec<Table> {
     let chip = ChipSpec::sw26010();
+    let ctx = LowerCtx::on_chip(chip);
     let mut t = Table::new(
         "autotune_search",
         "Model-guided schedule search vs hand presets (one CG)",
@@ -40,9 +41,9 @@ pub fn autotune() -> Vec<Table> {
         // `b_Co` the way the plan's auto constructor does.
         let hand = match tag {
             "img" => Schedule::image_aware(b_b, b_co),
-            _ => Schedule::batch_aware(BatchAwarePlan::auto_on(chip, &shape).b_co),
+            _ => Schedule::batch_aware(BatchAwarePlan::auto_on(ctx, &shape).b_co),
         };
-        let hand_cycles = lower_schedule(&hand, &shape, &LowerCtx::on_chip(chip))
+        let hand_cycles = lower_schedule(&hand, &shape, &ctx)
             .unwrap_or_else(|e| panic!("hand preset must lower for {shape}: {e}"))
             .time_full_shape(&shape)
             .unwrap_or_else(|e| panic!("hand preset must time for {shape}: {e}"))

@@ -22,6 +22,7 @@
 use crate::report::{f, Table};
 use sw_tensor::init::lattice_tensor;
 use sw_tensor::{conv2d_ref, ConvShape, Layout, Tensor4};
+use swdnn::plans::LowerCtx;
 use swdnn::resilient::ResilientExecutor;
 use swdnn::FaultPlan;
 
@@ -78,7 +79,7 @@ fn sweep(name: &'static str, shape: &ConvShape) -> Vec<Outcome> {
         .map(|&rate| {
             let fault = (rate > 0.0).then(|| FaultPlan::none(SEED).with_dma_fail_rate(rate));
             match ResilientExecutor::new()
-                .with_fault(fault)
+                .on(LowerCtx::default().with_fault(fault))
                 .run(shape, &input, &filter)
             {
                 Ok(rep) => Outcome {
@@ -167,7 +168,7 @@ pub fn fault_campaign() -> Vec<Table> {
     for (name, shape) in configs.iter().take(3) {
         let (input, filter, expect) = operands(shape);
         let rep = ResilientExecutor::new()
-            .with_fault(Some(FaultPlan::none(SEED).with_dead_cpe(2, 3)))
+            .on(LowerCtx::default().with_fault(Some(FaultPlan::none(SEED).with_dead_cpe(2, 3))))
             .run(shape, &input, &filter)
             .expect("degraded run must complete");
         d.row(vec![

@@ -32,7 +32,7 @@ use sw_sim::{CpeStats, LdmBuf, Mesh};
 use sw_tensor::init::seeded_tensor;
 use sw_tensor::{ConvShape, Layout};
 use swdnn::plans::gemm_mesh::{regcomm_gemm, zero_c, GemmBlock};
-use swdnn::{Conv2d, Executor};
+use swdnn::{Conv2d, Executor, LowerCtx};
 
 struct St {
     a: Vec<f64>,
@@ -175,7 +175,7 @@ fn table3_shapes_post_their_recorded_handoffs() {
                 let plan = Conv2d::new(*shape)
                     .unwrap()
                     .with_plan(*kind)
-                    .on_runtime(rt)
+                    .on(LowerCtx::default().on_runtime(rt))
                     .plan();
                 let blk = plan.blocking(shape);
                 let two_rows = ConvShape {

@@ -161,10 +161,6 @@ impl Cluster {
         &self.chips[chip].engine
     }
 
-    pub fn engine_mut(&mut self, chip: usize) -> &mut ServeEngine {
-        &mut self.chips[chip].engine
-    }
-
     pub fn is_down(&self, chip: usize) -> bool {
         self.chips[chip].down
     }

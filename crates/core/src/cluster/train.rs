@@ -200,10 +200,6 @@ impl DataParallelTrainer {
         &self.net
     }
 
-    pub fn network_mut(&mut self) -> &mut Sequential {
-        &mut self.net
-    }
-
     /// Chips currently able to take work.
     pub fn active_chips(&self) -> Vec<usize> {
         (0..self.cfg.chips).filter(|&c| !self.down[c]).collect()

@@ -3,21 +3,24 @@
 //! the performance model for different parameter configurations").
 
 use crate::error::SwdnnError;
-use crate::plans::{BatchAwarePlan, ConvPlan, ConvRun, DirectPlan, ImageAwarePlan, ReferencePlan};
-use sw_perfmodel::{select_plan, ChipSpec, PlanKind};
+use crate::plans::{
+    BatchAwarePlan, BwdFilterPlan, ConvPlan, ConvRun, DirectPlan, ImageAwarePlan, LowerCtx,
+    PatchGemmPlan, PlanTiming, ReferencePlan,
+};
+use sw_perfmodel::{select_plan, PlanKind};
 use sw_tensor::{conv2d_bwd_data_ref, conv2d_bwd_filter_ref, ConvShape, Tensor4};
 
 /// A configured convolution operator.
 #[derive(Clone, Copy, Debug)]
 pub struct Conv2d {
     pub shape: ConvShape,
-    pub chip: ChipSpec,
+    /// Where every mesh this operator builds runs — forward and both
+    /// backward passes. Plan selection and divisibility checks use this
+    /// context's chip (e.g. a degraded 4×4 mesh after masking a faulty CPE
+    /// row/column).
+    pub ctx: LowerCtx,
     /// Force a specific plan instead of consulting the model.
     pub forced: Option<PlanKind>,
-    /// Fault-injection plan threaded into every mesh the plans build.
-    pub fault: Option<sw_sim::FaultPlan>,
-    /// Execution context every mesh this operator builds runs on.
-    pub rt: &'static sw_runtime::ExecutionContext,
 }
 
 impl Conv2d {
@@ -30,36 +33,19 @@ impl Conv2d {
         }
         Ok(Self {
             shape,
-            chip: ChipSpec::sw26010(),
+            ctx: LowerCtx::default(),
             forced: None,
-            fault: None,
-            rt: sw_runtime::global(),
         })
     }
 
-    /// Run every simulated mesh on an explicit [`sw_runtime::ExecutionContext`]
-    /// instead of the process-wide pool.
-    pub fn on_runtime(mut self, rt: &'static sw_runtime::ExecutionContext) -> Self {
-        self.rt = rt;
+    /// Run in `ctx` (a degraded chip, injected faults, a private runtime).
+    pub fn on(mut self, ctx: LowerCtx) -> Self {
+        self.ctx = ctx;
         self
     }
 
     pub fn with_plan(mut self, kind: PlanKind) -> Self {
         self.forced = Some(kind);
-        self
-    }
-
-    /// Run on an explicit chip (e.g. a degraded 4×4 mesh after masking a
-    /// faulty CPE row/column). Plan selection and divisibility checks use
-    /// this chip's `mesh_dim`.
-    pub fn on_chip(mut self, chip: ChipSpec) -> Self {
-        self.chip = chip;
-        self
-    }
-
-    /// Inject faults into every simulated mesh this operator builds.
-    pub fn with_fault(mut self, fault: Option<sw_sim::FaultPlan>) -> Self {
-        self.fault = fault;
         self
     }
 
@@ -72,7 +58,7 @@ impl Conv2d {
         if let Some(kind) = self.forced {
             return self.instantiate(kind);
         }
-        if let Some(choice) = select_plan(&self.shape, &self.chip) {
+        if let Some(choice) = select_plan(&self.shape, &self.ctx.chip) {
             let plan = self.instantiate(choice.kind);
             if plan.supports(&self.shape).is_ok() {
                 return plan;
@@ -84,21 +70,20 @@ impl Conv2d {
                 return plan;
             }
         }
-        Box::new(ReferencePlan { chip: self.chip })
+        Box::new(ReferencePlan {
+            chip: self.ctx.chip,
+        })
     }
 
     fn instantiate(&self, kind: PlanKind) -> Box<dyn ConvPlan> {
         match kind {
             PlanKind::ImageSizeAware => {
                 // Use the model's blocking choice when available.
-                let blocking = select_plan(&self.shape, &self.chip)
+                let blocking = select_plan(&self.shape, &self.ctx.chip)
                     .filter(|c| c.kind == PlanKind::ImageSizeAware)
                     .map(|c| c.blocking)
                     .unwrap_or_else(|| self.fallback_blocking());
-                let plan = ImageAwarePlan::new(blocking)
-                    .on_chip(self.chip)
-                    .with_fault(self.fault)
-                    .on_runtime(self.rt);
+                let plan = ImageAwarePlan::new(blocking).on(self.ctx);
                 if plan.supports(&self.shape).is_ok() {
                     return Box::new(plan);
                 }
@@ -110,10 +95,8 @@ impl Conv2d {
                     if !self.shape.co.is_multiple_of(b_co) {
                         continue;
                     }
-                    let base = ImageAwarePlan::new(sw_perfmodel::Blocking { b_b: 32, b_co })
-                        .on_chip(self.chip)
-                        .with_fault(self.fault)
-                        .on_runtime(self.rt);
+                    let base =
+                        ImageAwarePlan::new(sw_perfmodel::Blocking { b_b: 32, b_co }).on(self.ctx);
                     let mut b_ni = self.shape.ni;
                     while b_ni >= 8 {
                         if self.shape.ni.is_multiple_of(b_ni) && b_ni.is_multiple_of(8) {
@@ -127,20 +110,12 @@ impl Conv2d {
                 }
                 Box::new(plan)
             }
-            PlanKind::BatchSizeAware => Box::new(
-                BatchAwarePlan::auto_on(self.chip, &self.shape)
-                    .with_fault(self.fault)
-                    .on_runtime(self.rt),
-            ),
+            PlanKind::BatchSizeAware => Box::new(BatchAwarePlan::auto_on(self.ctx, &self.shape)),
             PlanKind::DirectGload => Box::new(DirectPlan {
-                chip: self.chip,
-                rt: self.rt,
+                chip: self.ctx.chip,
+                rt: self.ctx.rt,
             }),
-            PlanKind::PatchGemm => Box::new(
-                crate::plans::PatchGemmPlan::auto(self.chip, &self.shape)
-                    .with_fault(self.fault)
-                    .on_runtime(self.rt),
-            ),
+            PlanKind::PatchGemm => Box::new(PatchGemmPlan::auto(self.ctx, &self.shape)),
         }
     }
 
@@ -202,7 +177,7 @@ impl Conv2d {
         &self,
         d_out: &Tensor4<f64>,
         filter: &Tensor4<f64>,
-    ) -> Result<crate::plans::ConvRun, SwdnnError> {
+    ) -> Result<ConvRun, SwdnnError> {
         if d_out.shape() != self.shape.output_shape() {
             return Err(SwdnnError::ShapeMismatch {
                 expected: format!("{:?}", self.shape.output_shape()),
@@ -243,33 +218,28 @@ impl Conv2d {
         }
         let bwd_conv = Conv2d {
             shape: bwd_shape,
-            chip: self.chip,
-            forced: self.forced,
-            fault: self.fault,
-            rt: self.rt,
+            ..*self
         };
         bwd_conv.forward(&padded, &flipped)
     }
 
     /// Gradient w.r.t. the filters, executed **on the simulated SW26010**
-    /// by the dedicated [`crate::plans::BwdFilterPlan`] (the pixel-reduced
-    /// GEMM rotation). Falls back with `Unsupported` for shapes the mesh
-    /// cannot tile; use [`Conv2d::backward_filter`] for the always-correct
-    /// host path.
+    /// by the dedicated [`BwdFilterPlan`] (the pixel-reduced GEMM rotation)
+    /// in this operator's context. Falls back with `Unsupported` for shapes
+    /// the mesh cannot tile; use [`Conv2d::backward_filter`] for the
+    /// always-correct host path.
     pub fn backward_filter_on_chip(
         &self,
         input: &Tensor4<f64>,
         d_out: &Tensor4<f64>,
-    ) -> Result<(Tensor4<f64>, crate::plans::PlanTiming), SwdnnError> {
+    ) -> Result<(Tensor4<f64>, PlanTiming), SwdnnError> {
         if d_out.shape() != self.shape.output_shape() {
             return Err(SwdnnError::ShapeMismatch {
                 expected: format!("{:?}", self.shape.output_shape()),
                 got: format!("{:?}", d_out.shape()),
             });
         }
-        let plan = crate::plans::BwdFilterPlan::auto(&self.shape);
-        plan.supports(&self.shape)?;
-        plan.run(&self.shape, input, d_out)
+        BwdFilterPlan::auto_on(self.ctx, &self.shape).run(&self.shape, input, d_out)
     }
 
     /// Gradient w.r.t. the filters.
@@ -451,6 +421,62 @@ mod backward_on_chip_tests {
         let (dw, timing) = conv.backward_filter_on_chip(&input, &d_out).unwrap();
         assert_eq!(dw.max_abs_diff(&expect), 0.0);
         assert!(timing.cycles > 0);
+    }
+
+    #[test]
+    fn chip_backward_filter_runs_on_the_operators_chip() {
+        // Ni = No = 12 tiles a degraded 4×4 mesh but not the stock 8×8 one.
+        let shape = ConvShape::new(32, 12, 12, 4, 8, 3, 3);
+        let chip = crate::ResilientExecutor::degraded_chip(sw_perfmodel::ChipSpec::sw26010());
+        let conv = Conv2d::new(shape).unwrap().on(LowerCtx::on_chip(chip));
+        let input = lattice_tensor(shape.input_shape(), Layout::Nchw, 207);
+        let d_out = lattice_tensor(shape.output_shape(), Layout::Nchw, 208);
+        let expect = conv.backward_filter(&input, &d_out).unwrap();
+        let (dw, timing) = conv.backward_filter_on_chip(&input, &d_out).unwrap();
+        assert_eq!(dw.max_abs_diff(&expect), 0.0);
+        assert!(timing.cycles > 0);
+    }
+
+    #[test]
+    fn chip_backward_filter_sees_the_operators_faults() {
+        let shape = ConvShape::new(32, 8, 16, 4, 8, 3, 3);
+        let fault = sw_sim::FaultPlan::none(1).with_dma_fail_rate(1.0);
+        let conv = Conv2d::new(shape)
+            .unwrap()
+            .on(LowerCtx::default().with_fault(Some(fault)));
+        let input = lattice_tensor(shape.input_shape(), Layout::Nchw, 209);
+        let d_out = lattice_tensor(shape.output_shape(), Layout::Nchw, 210);
+        let err = conv.backward_filter_on_chip(&input, &d_out).unwrap_err();
+        assert!(
+            matches!(err, SwdnnError::Sim(sw_sim::SimError::DmaFault { .. })),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn chip_backward_filter_runs_on_the_operators_runtime() {
+        // Rotation rounds of 8²·8·8·64 = 2¹⁸ MACs: above the runtime's grain,
+        // so every round is a pool handoff once there is more than one lane.
+        let shape = ConvShape::new(32, 64, 64, 2, 16, 3, 3);
+        let input = seeded_tensor(shape.input_shape(), Layout::Nchw, 211);
+        let d_out = seeded_tensor(shape.output_shape(), Layout::Nchw, 212);
+        let private = || -> &'static sw_runtime::ExecutionContext {
+            Box::leak(Box::new(sw_runtime::ExecutionContext::new()))
+        };
+        let (via_conv, direct) = (private(), private());
+        sw_runtime::with_threads(4, || {
+            let ctx = LowerCtx::default().on_runtime(via_conv);
+            let conv = Conv2d::new(shape).unwrap().on(ctx);
+            conv.backward_filter_on_chip(&input, &d_out).unwrap();
+            BwdFilterPlan::auto_on(LowerCtx::default().on_runtime(direct), &shape)
+                .run(&shape, &input, &d_out)
+                .unwrap();
+        });
+        // The global pool is shared with every concurrently running test, so
+        // its counter proves nothing here; instead the operator's context
+        // must have taken every handoff the plan posts — none went elsewhere.
+        assert!(via_conv.pool_handoffs() > 0);
+        assert_eq!(via_conv.pool_handoffs(), direct.pool_handoffs());
     }
 
     #[test]

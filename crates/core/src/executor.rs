@@ -9,7 +9,7 @@
 
 use crate::conv::Conv2d;
 use crate::error::SwdnnError;
-use crate::plans::PlanTiming;
+use crate::plans::{LowerCtx, PlanTiming};
 use sw_perfmodel::{
     comm_optimal_permille, mem_comm_lower_bound_bytes, Blocking, ChipSpec, ConvPerfModel,
     PerfEstimate, PlanKind,
@@ -136,9 +136,14 @@ impl Executor {
         self
     }
 
+    /// The context every simulation this executor launches runs in.
+    fn ctx(&self) -> LowerCtx {
+        LowerCtx::on_chip(self.chip).on_runtime(self.rt)
+    }
+
     /// Measure one configuration on one core group (sampled timing).
     pub fn run_config(&self, shape: &ConvShape) -> Result<ConvReport, SwdnnError> {
-        let conv = Conv2d::new(*shape)?.on_runtime(self.rt);
+        let conv = Conv2d::new(*shape)?.on(self.ctx());
         let plan = conv.plan();
         let handoffs_before = self.rt.pool_handoffs();
         let timing = plan.time_full_shape(shape)?;
@@ -159,7 +164,7 @@ impl Executor {
         shape: &ConvShape,
         kind: PlanKind,
     ) -> Result<ConvReport, SwdnnError> {
-        let conv = Conv2d::new(*shape)?.with_plan(kind).on_runtime(self.rt);
+        let conv = Conv2d::new(*shape)?.on(self.ctx()).with_plan(kind);
         let plan = conv.plan();
         plan.supports(shape)?;
         let handoffs_before = self.rt.pool_handoffs();
@@ -259,7 +264,7 @@ impl Executor {
             ro: shape.ro / cgs,
             ..*shape
         };
-        let conv = Conv2d::new(slice)?.on_runtime(self.rt);
+        let conv = Conv2d::new(slice)?.on(self.ctx());
         let plan = conv.plan();
         let timing = plan.time_full_shape(&slice)?;
         let (rep, _) = run_multi_cg_on(self.rt, cgs, |_| (timing.stats, ()));

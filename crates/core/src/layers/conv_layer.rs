@@ -85,7 +85,7 @@ impl Layer for Conv2dLayer {
         // Filter gradient: on the simulated chip when the mesh supports the
         // shape (the dedicated BwdFilterPlan), host reference otherwise.
         let dw = if self.engine == Engine::Simulated
-            && crate::plans::BwdFilterPlan::auto(&shape)
+            && crate::plans::BwdFilterPlan::auto_on(self.conv.ctx, &shape)
                 .supports(&shape)
                 .is_ok()
         {

@@ -21,75 +21,56 @@
 //! `no ∈ chunk_i`, `b ∈ chunk_j`.
 
 use super::gemm_mesh::{lease_scratch, regcomm_gemm_with, zero_c, GemmBlock};
-use super::{extrapolate, tap_major_filter, ConvPlan, ConvRun, PlanTiming};
+use super::{extrapolate, finish, tap_major_filter, ConvPlan, ConvRun, LowerCtx, PlanTiming};
 use crate::error::SwdnnError;
 use crate::plans::PlanKind;
-use sw_perfmodel::{Blocking, ChipSpec};
+use sw_perfmodel::Blocking;
 use sw_sim::{DmaHandle, LdmBuf, Mesh};
 use sw_tensor::{ConvShape, Layout, Tensor4};
 
 /// Algorithm 2. `b_co` is the output-column block held in LDM at once.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchAwarePlan {
-    pub chip: ChipSpec,
+    /// Where the simulated mesh runs: chip, injected faults, host runtime.
+    pub ctx: LowerCtx,
     pub b_co: usize,
     /// §VI kernel selection (ablation switch).
     pub reordered_kernel: bool,
-    /// Fault-injection plan applied to the mesh this plan runs on.
-    pub fault: Option<sw_sim::FaultPlan>,
-    /// Execution context the simulated mesh runs on.
-    pub rt: &'static sw_runtime::ExecutionContext,
 }
 
 impl BatchAwarePlan {
     pub fn new(b_co: usize) -> Self {
         Self {
-            chip: ChipSpec::sw26010(),
+            ctx: LowerCtx::default(),
             b_co,
             reordered_kernel: true,
-            fault: None,
-            rt: sw_runtime::global(),
         }
     }
 
     /// Pick the largest power-of-two `b_co` dividing `Co` that fits LDM.
     pub fn auto(shape: &ConvShape) -> Self {
-        Self::auto_on(ChipSpec::sw26010(), shape)
+        Self::auto_on(LowerCtx::default(), shape)
     }
 
-    /// [`BatchAwarePlan::auto`] on an explicit (possibly degraded) chip.
-    pub fn auto_on(chip: ChipSpec, shape: &ConvShape) -> Self {
+    /// [`BatchAwarePlan::auto`] in an explicit context: `b_co` is chosen
+    /// against that context's (possibly degraded) chip.
+    pub fn auto_on(ctx: LowerCtx, shape: &ConvShape) -> Self {
         let mut b_co = 16usize;
         while b_co > 1 {
             if shape.co.is_multiple_of(b_co) {
-                let plan = Self {
-                    b_co,
-                    ..Self::new(b_co).on_chip(chip)
-                };
-                if plan.ldm_doubles(shape) <= chip.ldm_doubles() {
+                let plan = Self::new(b_co).on(ctx);
+                if plan.ldm_doubles(shape) <= ctx.chip.ldm_doubles() {
                     return plan;
                 }
             }
             b_co /= 2;
         }
-        Self::new(1).on_chip(chip)
+        Self::new(1).on(ctx)
     }
 
-    /// Run on a different (e.g. degraded) chip.
-    pub fn on_chip(mut self, chip: ChipSpec) -> Self {
-        self.chip = chip;
-        self
-    }
-
-    /// Inject faults into the mesh this plan runs on.
-    pub fn with_fault(mut self, fault: Option<sw_sim::FaultPlan>) -> Self {
-        self.fault = fault;
-        self
-    }
-
-    /// Run the simulated mesh on an explicit execution context.
-    pub fn on_runtime(mut self, rt: &'static sw_runtime::ExecutionContext) -> Self {
-        self.rt = rt;
+    /// Run in `ctx` (a degraded chip, injected faults, a private runtime).
+    pub fn on(mut self, ctx: LowerCtx) -> Self {
+        self.ctx = ctx;
         self
     }
 
@@ -97,7 +78,7 @@ impl BatchAwarePlan {
     /// one filter slice (`Kc` matrices for the current `kr`), and the
     /// output block.
     pub fn ldm_doubles(&self, shape: &ConvShape) -> usize {
-        let dim = self.chip.mesh_dim;
+        let dim = self.ctx.chip.mesh_dim;
         let (ni8, no8, b8) = (shape.ni / dim, shape.no / dim, shape.batch / dim);
         2 * ni8 * b8 + shape.kc * ni8 * no8 + no8 * self.b_co * b8
     }
@@ -137,7 +118,7 @@ impl ConvPlan for BatchAwarePlan {
                 reason,
             })
         };
-        let dim = self.chip.mesh_dim;
+        let dim = self.ctx.chip.mesh_dim;
         if !shape.ni.is_multiple_of(dim) || !shape.no.is_multiple_of(dim) {
             return fail(format!("Ni and No must be multiples of {dim}"));
         }
@@ -151,10 +132,10 @@ impl ConvPlan for BatchAwarePlan {
             ));
         }
         let need = self.ldm_doubles(shape);
-        if need > self.chip.ldm_doubles() {
+        if need > self.ctx.chip.ldm_doubles() {
             return fail(format!(
                 "needs {need} LDM doubles > {}",
-                self.chip.ldm_doubles()
+                self.ctx.chip.ldm_doubles()
             ));
         }
         Ok(())
@@ -204,19 +185,15 @@ impl BatchAwarePlan {
         self.walk(shape, self.mesh().cost_only(), &input, &w_flat, &mut out)
     }
 
-    /// A fresh mesh for one walk, with this plan's faults injected.
+    /// A fresh mesh for one walk in this plan's context.
     fn mesh(&self) -> Mesh<Slot> {
-        let mut mesh = Mesh::new_on(self.rt, self.chip, |_, _| Slot {
+        self.ctx.mesh(|_, _| Slot {
             di: [LdmBuf { offset: 0, len: 0 }; 2],
             w: LdmBuf { offset: 0, len: 0 },
             c: LdmBuf { offset: 0, len: 0 },
             di_h: [None; 2],
             w_h: None,
-        });
-        if let Some(fp) = self.fault {
-            mesh.inject_faults(fp);
-        }
-        mesh
+        })
     }
 
     /// Algorithm 2's loop nest on a fresh `mesh` — the one `run` and
@@ -231,7 +208,7 @@ impl BatchAwarePlan {
         w_flat: &[f64],
         out: &mut [f64],
     ) -> Result<PlanTiming, SwdnnError> {
-        let dim = self.chip.mesh_dim;
+        let dim = self.ctx.chip.mesh_dim;
         let (ni8, no8, b8) = (shape.ni / dim, shape.no / dim, shape.batch / dim);
         let b_co = self.b_co;
         let (ri, ci_n) = (shape.ri(), shape.ci());
@@ -267,7 +244,7 @@ impl BatchAwarePlan {
 
         // One pack/payload arena reused by every GEMM rotation below, leased
         // from the execution context across runs.
-        let mut scratch = lease_scratch(self.rt, mesh.chip.mesh_dim);
+        let mut scratch = lease_scratch(self.ctx.rt, mesh.chip.mesh_dim);
 
         for tile_c in 0..co_n / b_co {
             let co0 = tile_c * b_co;
@@ -376,9 +353,7 @@ impl BatchAwarePlan {
             }
         }
 
-        mesh.drain_puts(out)?;
-        mesh.assert_inboxes_empty()?;
-        Ok(PlanTiming::simulated(mesh.stats()))
+        finish(mesh, out)
     }
 }
 
@@ -427,7 +402,7 @@ mod tests {
     fn auto_blocking_fits_ldm() {
         let shape = ConvShape::new(128, 256, 256, 64, 64, 3, 3);
         let plan = BatchAwarePlan::auto(&shape);
-        assert!(plan.ldm_doubles(&shape) <= plan.chip.ldm_doubles());
+        assert!(plan.ldm_doubles(&shape) <= plan.ctx.chip.ldm_doubles());
         assert!(plan.supports(&shape).is_ok());
     }
 
@@ -472,7 +447,7 @@ mod tests {
             let input = seeded_tensor(shape.input_shape(), Layout::Nchw, 1);
             let filter = seeded_tensor(shape.filter_shape(), Layout::Nchw, 2);
             for fault in [None, Some(faults)] {
-                let plan = plan.with_fault(fault);
+                let plan = plan.on(LowerCtx::default().with_fault(fault));
                 let functional = plan.run(&shape, &input, &filter).unwrap().timing;
                 let cost_only = plan.time_cost_only(&shape).unwrap();
                 let what = format!("{shape}, fault {}", fault.is_some());

@@ -24,23 +24,21 @@
 //! pattern with the reduction running over pixels instead of channels.
 
 use super::gemm_mesh::{lease_scratch, regcomm_gemm_with, zero_c, GemmBlock};
-use super::{extrapolate, PlanTiming};
+use super::{extrapolate, finish, LowerCtx, PlanTiming};
 use crate::error::SwdnnError;
-use sw_perfmodel::ChipSpec;
 use sw_sim::{DmaHandle, LdmBuf, Mesh};
 use sw_tensor::{ConvShape, Layout, Tensor4};
 
 /// The backward-filter plan.
 #[derive(Clone, Copy, Debug)]
 pub struct BwdFilterPlan {
-    pub chip: ChipSpec,
+    /// Where the simulated mesh runs: chip, injected faults, host runtime.
+    pub ctx: LowerCtx,
     /// Batch block (multiple of 32: whole quads per mesh chunk).
     pub b_b: usize,
     /// Output-column block.
     pub b_co: usize,
     pub reordered_kernel: bool,
-    /// Execution context the simulated mesh runs on.
-    pub rt: &'static sw_runtime::ExecutionContext,
 }
 
 struct Slot {
@@ -54,34 +52,39 @@ struct Slot {
 impl BwdFilterPlan {
     pub fn new(b_b: usize, b_co: usize) -> Self {
         Self {
-            chip: ChipSpec::sw26010(),
+            ctx: LowerCtx::default(),
             b_b,
             b_co,
             reordered_kernel: true,
-            rt: sw_runtime::global(),
         }
     }
 
-    /// Run the simulated mesh on an explicit execution context.
-    pub fn on_runtime(mut self, rt: &'static sw_runtime::ExecutionContext) -> Self {
-        self.rt = rt;
+    /// Run in `ctx` (a degraded chip, injected faults, a private runtime).
+    pub fn on(mut self, ctx: LowerCtx) -> Self {
+        self.ctx = ctx;
         self
     }
 
     /// Largest default blocking that fits the paper-scale shapes.
     pub fn auto(shape: &ConvShape) -> Self {
+        Self::auto_on(LowerCtx::default(), shape)
+    }
+
+    /// [`BwdFilterPlan::auto`] in an explicit context: the blocking is the
+    /// largest one `supports` accepts on that context's chip.
+    pub fn auto_on(ctx: LowerCtx, shape: &ConvShape) -> Self {
         for (b_b, b_co) in [(32usize, 16usize), (32, 8), (32, 4), (32, 2), (32, 1)] {
-            let plan = Self::new(b_b, b_co);
+            let plan = Self::new(b_b, b_co).on(ctx);
             if plan.supports(shape).is_ok() {
                 return plan;
             }
         }
-        Self::new(32, 1)
+        Self::new(32, 1).on(ctx)
     }
 
     /// Per-CPE LDM footprint in doubles.
     pub fn ldm_doubles(&self, shape: &ConvShape) -> usize {
-        let dim = self.chip.mesh_dim;
+        let dim = self.ctx.chip.mesh_dim;
         let (ni8, no8) = (shape.ni / dim, shape.no / dim);
         let quads = self.b_b / (4 * dim);
         let win4 = 4 * (self.b_co + shape.kc - 1);
@@ -99,7 +102,7 @@ impl BwdFilterPlan {
                 reason,
             })
         };
-        let dim = self.chip.mesh_dim;
+        let dim = self.ctx.chip.mesh_dim;
         if !shape.ni.is_multiple_of(dim) || !shape.no.is_multiple_of(dim) {
             return fail(format!("Ni and No must be multiples of {dim}"));
         }
@@ -116,10 +119,10 @@ impl BwdFilterPlan {
             ));
         }
         let need = self.ldm_doubles(shape);
-        if need > self.chip.ldm_doubles() {
+        if need > self.ctx.chip.ldm_doubles() {
             return fail(format!(
                 "needs {need} LDM doubles > {}",
-                self.chip.ldm_doubles()
+                self.ctx.chip.ldm_doubles()
             ));
         }
         Ok(())
@@ -187,9 +190,9 @@ impl BwdFilterPlan {
         self.walk(shape, self.mesh().cost_only(), &input, &g, &mut dw_flat)
     }
 
-    /// A fresh mesh for one walk.
+    /// A fresh mesh for one walk in this plan's context.
     fn mesh(&self) -> Mesh<Slot> {
-        Mesh::new_on(self.rt, self.chip, |_, _| Slot {
+        self.ctx.mesh(|_, _| Slot {
             g: [LdmBuf { offset: 0, len: 0 }; 2],
             x: [LdmBuf { offset: 0, len: 0 }; 2],
             c: LdmBuf { offset: 0, len: 0 },
@@ -210,7 +213,7 @@ impl BwdFilterPlan {
         g_data: &[f64],
         dw_flat: &mut [f64],
     ) -> Result<PlanTiming, SwdnnError> {
-        let dim = self.chip.mesh_dim;
+        let dim = self.ctx.chip.mesh_dim;
         let (ni8, no8) = (shape.ni / dim, shape.no / dim);
         let quads = self.b_b / (4 * dim);
         let (b_b, b_co) = (self.b_b, self.b_co);
@@ -233,7 +236,7 @@ impl BwdFilterPlan {
 
         // One pack/payload arena reused by every GEMM rotation below, leased
         // from the execution context across runs.
-        let mut scratch = lease_scratch(self.rt, mesh.chip.mesh_dim);
+        let mut scratch = lease_scratch(self.ctx.rt, mesh.chip.mesh_dim);
 
         // Pixel tiles: (batch block, output row, column block).
         let tiles: Vec<(usize, usize, usize)> = (0..shape.batch / b_b)
@@ -376,9 +379,7 @@ impl BwdFilterPlan {
             }
             Ok(())
         })?;
-        mesh.drain_puts(dw_flat)?;
-        mesh.assert_inboxes_empty()?;
-        Ok(PlanTiming::simulated(mesh.stats()))
+        finish(mesh, dw_flat)
     }
 }
 
@@ -431,7 +432,8 @@ mod tests {
     #[test]
     fn cost_only_walk_lands_on_the_functional_run() {
         // The one-row sample of the paper-scale 128×128 layer, and a ragged
-        // small shape with an asymmetric filter. The plan has no fault field.
+        // small shape with an asymmetric filter; fault-free and with DMA
+        // retries, which cost time and never accuracy.
         let paper = ConvShape::new(128, 128, 128, 64, 64, 3, 3);
         let plan128 = BwdFilterPlan::auto(&paper);
         let cases = [
@@ -449,12 +451,25 @@ mod tests {
                 ConvShape::new(32, 16, 8, 3, 8, 2, 3),
             ),
         ];
+        let faults = sw_sim::FaultPlan::none(5).with_dma_fail_rate(0.02);
         for (plan, shape) in cases {
             let input = seeded_tensor(shape.input_shape(), Layout::Nchw, 1);
             let d_out = seeded_tensor(shape.output_shape(), Layout::Nchw, 2);
-            let functional = plan.run(&shape, &input, &d_out).unwrap().1;
-            let cost_only = plan.time_cost_only(&shape).unwrap();
-            crate::plans::assert_same_timing(&cost_only, &functional, &shape.to_string());
+            let mut clean_dw = None;
+            for fault in [None, Some(faults)] {
+                let plan = plan.on(LowerCtx::default().with_fault(fault));
+                let (dw, functional) = plan.run(&shape, &input, &d_out).unwrap();
+                let cost_only = plan.time_cost_only(&shape).unwrap();
+                let what = format!("{shape}, fault {}", fault.is_some());
+                crate::plans::assert_same_timing(&cost_only, &functional, &what);
+                assert_eq!(
+                    functional.stats.totals.dma_retries > 0,
+                    fault.is_some(),
+                    "{what}"
+                );
+                let clean_dw = clean_dw.get_or_insert_with(|| dw.clone());
+                assert_eq!(dw.max_abs_diff(clean_dw), 0.0, "{what}");
+            }
         }
     }
 

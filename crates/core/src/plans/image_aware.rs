@@ -28,18 +28,18 @@
 //! * output: `no ∈ chunk_i`, pixels `∈ chunk_j`.
 
 use super::gemm_mesh::{lease_scratch, regcomm_gemm_with, zero_c, GemmBlock};
-use super::{extrapolate, tap_major_filter, ConvPlan, ConvRun, PlanTiming};
+use super::{extrapolate, finish, tap_major_filter, ConvPlan, ConvRun, LowerCtx, PlanTiming};
 use crate::error::SwdnnError;
 use crate::plans::PlanKind;
 use sw_perfmodel::select::{ldm_doubles_image_aware, Blocking};
-use sw_perfmodel::ChipSpec;
 use sw_sim::{DmaHandle, LdmBuf, Mesh};
 use sw_tensor::{ConvShape, Layout, Tensor4};
 
 /// Algorithm 1 with a fixed blocking choice.
 #[derive(Clone, Copy, Debug)]
 pub struct ImageAwarePlan {
-    pub chip: ChipSpec,
+    /// Where the simulated mesh runs: chip, injected faults, host runtime.
+    pub ctx: LowerCtx,
     pub blocking: Blocking,
     /// Reduction (input-channel) block `b_Ni` — §IV-A: "if LDM space is
     /// not enough for large Ni or No, we still need to apply loop blocking
@@ -51,28 +51,17 @@ pub struct ImageAwarePlan {
     /// Double-buffer DMA against compute (§IV-A). `false` fetches each
     /// tile synchronously — the ablation that shows why the paper bothers.
     pub double_buffer: bool,
-    /// Fault-injection plan applied to the mesh this plan runs on.
-    pub fault: Option<sw_sim::FaultPlan>,
-    /// Execution context the simulated mesh runs on.
-    pub rt: &'static sw_runtime::ExecutionContext,
 }
 
 impl ImageAwarePlan {
     pub fn new(blocking: Blocking) -> Self {
         Self {
-            chip: ChipSpec::sw26010(),
+            ctx: LowerCtx::default(),
             blocking,
             b_ni: None,
             reordered_kernel: true,
             double_buffer: true,
-            fault: None,
-            rt: sw_runtime::global(),
         }
-    }
-
-    /// Blocking from the performance model's default.
-    pub fn with_defaults() -> Self {
-        Self::new(Blocking::default())
     }
 
     /// Add input-channel blocking (must divide `Ni`, multiple of 8).
@@ -81,21 +70,9 @@ impl ImageAwarePlan {
         self
     }
 
-    /// Run on a different (e.g. degraded) chip.
-    pub fn on_chip(mut self, chip: ChipSpec) -> Self {
-        self.chip = chip;
-        self
-    }
-
-    /// Inject faults into the mesh this plan runs on.
-    pub fn with_fault(mut self, fault: Option<sw_sim::FaultPlan>) -> Self {
-        self.fault = fault;
-        self
-    }
-
-    /// Run the simulated mesh on an explicit execution context.
-    pub fn on_runtime(mut self, rt: &'static sw_runtime::ExecutionContext) -> Self {
-        self.rt = rt;
+    /// Run in `ctx` (a degraded chip, injected faults, a private runtime).
+    pub fn on(mut self, ctx: LowerCtx) -> Self {
+        self.ctx = ctx;
         self
     }
 
@@ -113,7 +90,7 @@ impl ImageAwarePlan {
     }
 
     fn dims(&self, shape: &ConvShape) -> Dims {
-        let dim = self.chip.mesh_dim;
+        let dim = self.ctx.chip.mesh_dim;
         let quads_per_cpe = self.blocking.b_b / (4 * dim);
         let win = self.blocking.b_co + shape.kc - 1;
         Dims {
@@ -171,7 +148,7 @@ impl ConvPlan for ImageAwarePlan {
             })
         };
         let Blocking { b_b, b_co } = self.blocking;
-        let dim = self.chip.mesh_dim;
+        let dim = self.ctx.chip.mesh_dim;
         if !shape.ni.is_multiple_of(dim) || !shape.no.is_multiple_of(dim) {
             return fail(format!("Ni and No must be multiples of {dim}"));
         }
@@ -192,10 +169,10 @@ impl ConvPlan for ImageAwarePlan {
             ));
         }
         let need = self.ldm_doubles(shape);
-        if need > self.chip.ldm_doubles() {
+        if need > self.ctx.chip.ldm_doubles() {
             return fail(format!(
                 "needs {need} LDM doubles > {}",
-                self.chip.ldm_doubles()
+                self.ctx.chip.ldm_doubles()
             ));
         }
         Ok(())
@@ -247,19 +224,15 @@ impl ImageAwarePlan {
         self.walk(shape, self.mesh().cost_only(), &input, &w_flat, &mut out)
     }
 
-    /// A fresh mesh for one walk, with this plan's faults injected.
+    /// A fresh mesh for one walk in this plan's context.
     fn mesh(&self) -> Mesh<Slot> {
-        let mut mesh = Mesh::new_on(self.rt, self.chip, |_, _| Slot {
+        self.ctx.mesh(|_, _| Slot {
             di: [LdmBuf { offset: 0, len: 0 }; 2],
             w: [LdmBuf { offset: 0, len: 0 }; 2],
             c: LdmBuf { offset: 0, len: 0 },
             di_h: [None; 2],
             w_h: [None; 2],
-        });
-        if let Some(fp) = self.fault {
-            mesh.inject_faults(fp);
-        }
-        mesh
+        })
     }
 
     /// Algorithm 1's loop nest on a fresh `mesh` — the one `run` and
@@ -298,7 +271,7 @@ impl ImageAwarePlan {
         // One pack/payload arena reused by every GEMM rotation below, leased
         // from the execution context so repeated runs (benches, serving)
         // skip the allocations entirely.
-        let mut scratch = lease_scratch(self.rt, mesh.chip.mesh_dim);
+        let mut scratch = lease_scratch(self.ctx.rt, mesh.chip.mesh_dim);
 
         for tile_b in 0..shape.batch / b_b {
             for r_o in 0..ro {
@@ -457,9 +430,7 @@ impl ImageAwarePlan {
             }
         }
 
-        mesh.drain_puts(out)?;
-        mesh.assert_inboxes_empty()?;
-        Ok(PlanTiming::simulated(mesh.stats()))
+        finish(mesh, out)
     }
 }
 
@@ -565,7 +536,7 @@ mod tests {
             let input = seeded_tensor(shape.input_shape(), Layout::Nchw, 1);
             let filter = seeded_tensor(shape.filter_shape(), Layout::Nchw, 2);
             for fault in [None, Some(faults)] {
-                let plan = plan.with_fault(fault);
+                let plan = plan.on(LowerCtx::default().with_fault(fault));
                 let functional = plan.run(&shape, &input, &filter).unwrap().timing;
                 let cost_only = plan.time_cost_only(&shape).unwrap();
                 let what = format!("{shape}, fault {}", fault.is_some());

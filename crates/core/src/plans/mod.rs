@@ -20,7 +20,9 @@
 //! `time_full_shape` hands `walk` all-zero operands of the right lengths on a
 //! cost-only mesh ([`sw_sim::Mesh::cost_only`]), which charges every cycle
 //! and counter of the same walk without moving or multiplying anything —
-//! timing a shape does not do its arithmetic.
+//! timing a shape does not do its arithmetic. Either mesh comes from the
+//! plan's one [`LowerCtx`] (chip, injected faults, host runtime), and every
+//! walk ends in the same epilogue, `finish`.
 
 pub mod batch_aware;
 pub mod bwd_filter;
@@ -59,16 +61,6 @@ pub struct PlanTiming {
 }
 
 impl PlanTiming {
-    /// Timing read off a mesh that simulated every outer iteration.
-    pub(crate) fn simulated(stats: CgStats) -> Self {
-        Self {
-            cycles: stats.cycles,
-            stats,
-            sampled: false,
-            modeled: false,
-        }
-    }
-
     /// Attained Gflops given the convolution's true flop count.
     pub fn gflops(&self, shape: &ConvShape, chip: &ChipSpec) -> f64 {
         if self.cycles == 0 {
@@ -134,6 +126,24 @@ pub trait ConvPlan {
             sw_tensor::init::seeded_tensor(shape.filter_shape(), sw_tensor::Layout::Nchw, 2);
         Ok(self.run(shape, &input, &filter)?.timing)
     }
+}
+
+/// The epilogue of every mesh plan's walk: land the logged DMA puts in
+/// `out`, check that no bus message was left undelivered, and read the
+/// timing off the mesh, which simulated every outer iteration it was given.
+pub(crate) fn finish<S: Send>(
+    mut mesh: sw_sim::Mesh<S>,
+    out: &mut [f64],
+) -> Result<PlanTiming, SwdnnError> {
+    mesh.drain_puts(out)?;
+    mesh.assert_inboxes_empty()?;
+    let stats = mesh.stats();
+    Ok(PlanTiming {
+        cycles: stats.cycles,
+        stats,
+        sampled: false,
+        modeled: false,
+    })
 }
 
 /// Filters repacked host-side to `(Kr, Kc, Ni, No)`, so each `(kr, kc)` tap

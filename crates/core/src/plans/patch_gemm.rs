@@ -29,7 +29,7 @@
 //! `Ni·b_P/64 + Ni·No/64 + No·b_P/64` doubles per CPE.
 
 use super::gemm_mesh::{lease_scratch, regcomm_gemm_with, zero_c, GemmBlock};
-use super::{extrapolate, tap_major_filter, ConvPlan, ConvRun, PlanTiming};
+use super::{extrapolate, finish, tap_major_filter, ConvPlan, ConvRun, LowerCtx, PlanTiming};
 use crate::error::SwdnnError;
 use crate::plans::PlanKind;
 use sw_perfmodel::{Blocking, ChipSpec};
@@ -48,56 +48,43 @@ struct Slot {
 /// dimension).
 #[derive(Clone, Copy, Debug)]
 pub struct PatchGemmPlan {
-    pub chip: ChipSpec,
+    /// Where the simulated mesh runs: chip, injected faults, host runtime.
+    pub ctx: LowerCtx,
     /// Gathered-pixel block `b_P`.
     pub b_p: usize,
     /// §VI kernel selection (ablation switch).
     pub reordered_kernel: bool,
-    /// Fault-injection plan applied to the mesh this plan runs on.
-    pub fault: Option<sw_sim::FaultPlan>,
-    /// Execution context the simulated mesh runs on.
-    pub rt: &'static sw_runtime::ExecutionContext,
 }
 
 impl PatchGemmPlan {
     pub fn new(b_p: usize) -> Self {
         Self {
-            chip: ChipSpec::sw26010(),
+            ctx: LowerCtx::default(),
             b_p,
             reordered_kernel: true,
-            fault: None,
-            rt: sw_runtime::global(),
         }
     }
 
     /// Largest pixel block (≤ 32·mesh_dim) whose patch + tap + output
     /// tiles fit the LDM budget for these channel counts.
-    pub fn auto(chip: ChipSpec, shape: &ConvShape) -> Self {
-        Self::auto_for(chip, shape.ni, shape.no)
+    pub fn auto(ctx: LowerCtx, shape: &ConvShape) -> Self {
+        Self::auto_for(ctx, shape.ni, shape.no)
     }
 
     /// [`PatchGemmPlan::auto`] from raw channel counts (general entry).
-    pub fn auto_for(chip: ChipSpec, ni: usize, no: usize) -> Self {
+    pub fn auto_for(ctx: LowerCtx, ni: usize, no: usize) -> Self {
+        let chip = ctx.chip;
         let dim = chip.mesh_dim;
         let mut b_p = 32 * dim;
         while b_p > dim && Self::ldm_doubles_for(chip, ni, no, b_p) > chip.ldm_doubles() {
             b_p /= 2;
         }
-        Self::new(b_p).on_chip(chip)
+        Self::new(b_p).on(ctx)
     }
 
-    pub fn on_chip(mut self, chip: ChipSpec) -> Self {
-        self.chip = chip;
-        self
-    }
-
-    pub fn with_fault(mut self, fault: Option<sw_sim::FaultPlan>) -> Self {
-        self.fault = fault;
-        self
-    }
-
-    pub fn on_runtime(mut self, rt: &'static sw_runtime::ExecutionContext) -> Self {
-        self.rt = rt;
+    /// Run in `ctx` (a degraded chip, injected faults, a private runtime).
+    pub fn on(mut self, ctx: LowerCtx) -> Self {
+        self.ctx = ctx;
         self
     }
 
@@ -115,7 +102,7 @@ impl PatchGemmPlan {
     /// Per-CPE LDM footprint in doubles: one gathered patch, one filter
     /// tap matrix, the output block.
     pub fn ldm_doubles(&self, ni: usize, no: usize) -> usize {
-        Self::ldm_doubles_for(self.chip, ni, no, self.b_p)
+        Self::ldm_doubles_for(self.ctx.chip, ni, no, self.b_p)
     }
 
     /// Legality against raw geometry (shapes a dense [`ConvShape`] cannot
@@ -147,7 +134,7 @@ impl PatchGemmPlan {
                 reason,
             })
         };
-        let dim = self.chip.mesh_dim;
+        let dim = self.ctx.chip.mesh_dim;
         if !ni.is_multiple_of(dim) || !no.is_multiple_of(dim) {
             return fail(format!("Ni and No must be multiples of {dim}"));
         }
@@ -158,10 +145,10 @@ impl PatchGemmPlan {
             ));
         }
         let need = self.ldm_doubles(ni, no);
-        if need > self.chip.ldm_doubles() {
+        if need > self.ctx.chip.ldm_doubles() {
             return fail(format!(
                 "needs {need} LDM doubles > {}",
-                self.chip.ldm_doubles()
+                self.ctx.chip.ldm_doubles()
             ));
         }
         Ok(())
@@ -227,17 +214,13 @@ impl PatchGemmPlan {
         )
     }
 
-    /// A fresh mesh for one walk, with this plan's faults injected.
+    /// A fresh mesh for one walk in this plan's context.
     fn mesh(&self) -> Mesh<Slot> {
-        let mut mesh = Mesh::new_on(self.rt, self.chip, |_, _| Slot {
+        self.ctx.mesh(|_, _| Slot {
             x: LdmBuf { offset: 0, len: 0 },
             w: LdmBuf { offset: 0, len: 0 },
             c: LdmBuf { offset: 0, len: 0 },
-        });
-        if let Some(fp) = self.fault {
-            mesh.inject_faults(fp);
-        }
-        mesh
+        })
     }
 
     /// The per-block, per-tap loop nest on a fresh `mesh` — the one
@@ -259,7 +242,7 @@ impl PatchGemmPlan {
         let (batch, ni) = (ishape.d0, ishape.d1);
         let (ri, ci) = (ishape.d2, ishape.d3);
         let (ro, co) = geom.output_extent(ri, ci).expect("checked by supports");
-        let dim = self.chip.mesh_dim;
+        let dim = self.ctx.chip.mesh_dim;
         let (ni8, no8, p8) = (ni / dim, no / dim, self.b_p / dim);
         let b_p = self.b_p;
         let pixels = batch * ro * co;
@@ -272,7 +255,7 @@ impl PatchGemmPlan {
             Ok(())
         })?;
 
-        let mut scratch = lease_scratch(self.rt, mesh.chip.mesh_dim);
+        let mut scratch = lease_scratch(self.ctx.rt, mesh.chip.mesh_dim);
         // The gather target, rebuilt per (block, tap): `x_tap[ni·b_p + p]`
         // with out-of-image taps (padding, edges, the zero-padded tail
         // block) already resolved to 0 — the mesh sees a dense matrix. A
@@ -381,9 +364,7 @@ impl PatchGemmPlan {
             })?;
         }
 
-        mesh.drain_puts(out)?;
-        mesh.assert_inboxes_empty()?;
-        Ok(PlanTiming::simulated(mesh.stats()))
+        finish(mesh, out)
     }
 }
 
@@ -514,7 +495,7 @@ mod tests {
     #[test]
     fn auto_blocking_fits_ldm() {
         let chip = ChipSpec::sw26010();
-        let plan = PatchGemmPlan::auto_for(chip, 256, 256);
+        let plan = PatchGemmPlan::auto_for(LowerCtx::on_chip(chip), 256, 256);
         assert!(plan.ldm_doubles(256, 256) <= chip.ldm_doubles());
         assert!(plan.b_p >= chip.mesh_dim);
     }
@@ -524,10 +505,9 @@ mod tests {
         // Two full pixel blocks at Table III channel counts, and a strided,
         // padded geometry whose 100 pixels leave a ragged tail block;
         // fault-free and with DMA retries.
-        let chip = ChipSpec::sw26010();
         let cases = [
             (
-                PatchGemmPlan::auto_for(chip, 128, 128),
+                PatchGemmPlan::auto_for(LowerCtx::default(), 128, 128),
                 ConvGeometry::valid(3, 3),
                 Shape4::new(8, 128, 3, 66),
                 128,
@@ -548,7 +528,7 @@ mod tests {
                 2,
             );
             for fault in [None, Some(faults)] {
-                let plan = plan.with_fault(fault);
+                let plan = plan.on(LowerCtx::default().with_fault(fault));
                 let functional = plan.run_general(&geom, &input, &filter).unwrap().timing;
                 let cost_only = plan.time_general(&geom, ishape, no).unwrap();
                 let what = format!("{ishape:?} -> {no}, fault {}", fault.is_some());

@@ -184,27 +184,6 @@ impl Schedule {
         }
     }
 
-    /// The `Blocking` the perf model prices this schedule with.
-    pub fn model_blocking(&self, shape: &ConvShape) -> Blocking {
-        match self.order {
-            LoopOrder::PixelTiled => Blocking {
-                b_b: self.b_b,
-                b_co: self.b_co,
-            },
-            // Algorithm 2 streams the whole batch and holds a b_co window.
-            LoopOrder::ColumnStreamed => Blocking {
-                b_b: shape.batch,
-                b_co: self.b_co,
-            },
-            // b_p rides in the model's b_b slot (see ConvPerfModel docs).
-            LoopOrder::PatchGathered => Blocking {
-                b_b: self.b_p,
-                b_co: 1,
-            },
-            LoopOrder::DirectNested | LoopOrder::HostReference => Blocking::default(),
-        }
-    }
-
     /// Short human-readable identity for logs and tune reports.
     pub fn describe(&self) -> String {
         match self.order {
@@ -285,9 +264,10 @@ impl Schedule {
     }
 }
 
-/// Everything a lowering needs besides the schedule itself: which chip
-/// description to target, fault injection, and the execution context the
-/// simulated mesh runs on.
+/// Where a simulated mesh runs — the one run context every mesh plan,
+/// [`crate::Conv2d`] and [`crate::ResilientExecutor`] hold: which chip
+/// description to target, which faults to inject, and which execution
+/// context the mesh's supersteps run on.
 #[derive(Clone, Copy, Debug)]
 pub struct LowerCtx {
     pub chip: ChipSpec,
@@ -306,11 +286,35 @@ impl Default for LowerCtx {
 }
 
 impl LowerCtx {
+    /// The stock context on an explicit (e.g. degraded 4×4) chip.
     pub fn on_chip(chip: ChipSpec) -> Self {
         Self {
             chip,
             ..Self::default()
         }
+    }
+
+    /// Inject faults into every mesh built from this context.
+    pub fn with_fault(mut self, fault: Option<sw_sim::FaultPlan>) -> Self {
+        self.fault = fault;
+        self
+    }
+
+    /// Run every mesh built from this context on an explicit
+    /// [`sw_runtime::ExecutionContext`] instead of the process-wide pool.
+    pub fn on_runtime(mut self, rt: &'static sw_runtime::ExecutionContext) -> Self {
+        self.rt = rt;
+        self
+    }
+
+    /// A fresh mesh for one walk: this context's chip and runtime, its
+    /// faults injected.
+    pub(crate) fn mesh<S: Send>(&self, init: impl FnMut(usize, usize) -> S) -> sw_sim::Mesh<S> {
+        let mut mesh = sw_sim::Mesh::new_on(self.rt, self.chip, init);
+        if let Some(fp) = self.fault {
+            mesh.inject_faults(fp);
+        }
+        mesh
     }
 }
 
@@ -340,19 +344,14 @@ pub fn lower_schedule(
                 b_b: s.b_b,
                 b_co: s.b_co,
             })
-            .on_chip(ctx.chip)
-            .with_fault(ctx.fault)
-            .on_runtime(ctx.rt);
+            .on(*ctx);
             p.b_ni = s.b_ni;
             p.reordered_kernel = s.reordered_kernel;
             p.double_buffer = s.double_buffer;
             Box::new(p)
         }
         LoopOrder::ColumnStreamed => {
-            let mut p = BatchAwarePlan::new(s.b_co)
-                .on_chip(ctx.chip)
-                .with_fault(ctx.fault)
-                .on_runtime(ctx.rt);
+            let mut p = BatchAwarePlan::new(s.b_co).on(*ctx);
             p.reordered_kernel = s.reordered_kernel;
             Box::new(p)
         }
@@ -363,9 +362,7 @@ pub fn lower_schedule(
         LoopOrder::HostReference => Box::new(ReferencePlan { chip: ctx.chip }),
         LoopOrder::PatchGathered => Box::new(
             PatchGemmPlan::new(s.b_p)
-                .on_chip(ctx.chip)
-                .with_fault(ctx.fault)
-                .on_runtime(ctx.rt)
+                .on(*ctx)
                 .with_reordered(s.reordered_kernel),
         ),
     };

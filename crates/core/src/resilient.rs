@@ -25,7 +25,7 @@
 
 use crate::conv::Conv2d;
 use crate::error::SwdnnError;
-use crate::plans::{ConvPlan, ConvRun, ReferencePlan};
+use crate::plans::{ConvPlan, ConvRun, LowerCtx, ReferencePlan};
 use sw_perfmodel::{ChipSpec, PlanKind};
 use sw_sim::fault::splitmix64_next;
 use sw_sim::{FaultPlan, SimError};
@@ -87,9 +87,11 @@ pub enum VerifyPolicy {
 /// Executes convolutions with retry, fallback, and degradation policies.
 #[derive(Clone, Copy, Debug)]
 pub struct ResilientExecutor {
-    pub chip: ChipSpec,
-    /// Faults injected into every simulated mesh.
-    pub fault: Option<FaultPlan>,
+    /// Where the first attempt runs: chip, injected faults, and the host
+    /// runtime every simulated mesh (including retries and the degraded
+    /// re-run) executes on. Recovery re-plans by swapping this context —
+    /// a reseeded fault per retry, the degraded chip after a dead CPE.
+    pub ctx: LowerCtx,
     /// Transient-error re-runs allowed per plan (on top of the simulator's
     /// own per-transfer DMA retries).
     pub max_retries: u32,
@@ -98,9 +100,6 @@ pub struct ResilientExecutor {
     /// Walk the plan-fallback chain on persistent failure. Disable to make
     /// exhaustion surface as [`SwdnnError::FaultExhausted`].
     pub allow_fallback: bool,
-    /// Execution context every simulated mesh (including retries and the
-    /// degraded re-run) executes on.
-    pub rt: &'static sw_runtime::ExecutionContext,
 }
 
 impl Default for ResilientExecutor {
@@ -112,28 +111,16 @@ impl Default for ResilientExecutor {
 impl ResilientExecutor {
     pub fn new() -> Self {
         Self {
-            chip: ChipSpec::sw26010(),
-            fault: None,
+            ctx: LowerCtx::default(),
             max_retries: 3,
             verify: VerifyPolicy::Off,
             allow_fallback: true,
-            rt: sw_runtime::global(),
         }
     }
 
-    /// Run every simulation on an explicit [`sw_runtime::ExecutionContext`].
-    pub fn on_runtime(mut self, rt: &'static sw_runtime::ExecutionContext) -> Self {
-        self.rt = rt;
-        self
-    }
-
-    pub fn on_chip(mut self, chip: ChipSpec) -> Self {
-        self.chip = chip;
-        self
-    }
-
-    pub fn with_fault(mut self, fault: Option<FaultPlan>) -> Self {
-        self.fault = fault;
+    /// Run in `ctx` (a degraded chip, injected faults, a private runtime).
+    pub fn on(mut self, ctx: LowerCtx) -> Self {
+        self.ctx = ctx;
         self
     }
 
@@ -173,8 +160,7 @@ impl ResilientExecutor {
         let mut fallbacks = Vec::new();
         let mut timeline = Vec::new();
         match self.run_chain(
-            self.chip,
-            self.fault,
+            self.ctx,
             shape,
             input,
             filter,
@@ -193,13 +179,15 @@ impl ResilientExecutor {
                     outcome: RecoveryOutcome::MeshDegraded,
                     detail: e.to_string(),
                 });
-                let chip = Self::degraded_chip(self.chip);
                 // The dead CPE is outside the masked 4×4 quadrant; other
                 // fault processes keep running on the survivors.
-                let fault = self.fault.map(|f| FaultPlan { dead_mask: 0, ..f });
+                let degraded = LowerCtx {
+                    chip: Self::degraded_chip(self.ctx.chip),
+                    fault: self.ctx.fault.map(|f| FaultPlan { dead_mask: 0, ..f }),
+                    ..self.ctx
+                };
                 let (run, plan_name) = self.run_chain(
-                    chip,
-                    fault,
+                    degraded,
                     shape,
                     input,
                     filter,
@@ -213,12 +201,11 @@ impl ResilientExecutor {
         }
     }
 
-    /// Walk the candidate-plan chain on one chip description.
+    /// Walk the candidate-plan chain in one context.
     #[allow(clippy::too_many_arguments)]
     fn run_chain(
         &self,
-        chip: ChipSpec,
-        fault: Option<FaultPlan>,
+        ctx: LowerCtx,
         shape: &ConvShape,
         input: &Tensor4<f64>,
         filter: &Tensor4<f64>,
@@ -242,19 +229,11 @@ impl ResilientExecutor {
         ];
         let make =
             |cand: Cand, fault: Option<FaultPlan>| -> Result<Box<dyn ConvPlan>, SwdnnError> {
+                let conv = Conv2d::new(*shape)?.on(ctx.with_fault(fault));
                 Ok(match cand {
-                    Cand::Model => Conv2d::new(*shape)?
-                        .on_chip(chip)
-                        .with_fault(fault)
-                        .on_runtime(self.rt)
-                        .plan(),
-                    Cand::Forced(k) => Conv2d::new(*shape)?
-                        .on_chip(chip)
-                        .with_fault(fault)
-                        .with_plan(k)
-                        .on_runtime(self.rt)
-                        .plan(),
-                    Cand::Reference => Box::new(ReferencePlan { chip }),
+                    Cand::Model => conv.plan(),
+                    Cand::Forced(k) => conv.with_plan(k).plan(),
+                    Cand::Reference => Box::new(ReferencePlan { chip: ctx.chip }),
                 })
             };
 
@@ -295,7 +274,7 @@ impl ResilientExecutor {
 
             for attempt in 0..=self.max_retries {
                 *attempts += 1;
-                let plan = make(cand, Self::reseed_for_attempt(fault, attempt))?;
+                let plan = make(cand, Self::reseed_for_attempt(ctx.fault, attempt))?;
                 let mut record = |outcome: RecoveryOutcome, detail: String| {
                     timeline.push(RecoveryEvent {
                         attempt: *attempts,
@@ -396,7 +375,7 @@ impl ResilientExecutor {
                 detail: format!("output contains non-finite value {v}"),
             });
         }
-        let mut state = self.fault.map_or(0xD1FF_5EED_u64, |f| f.seed) ^ 0x6A09_E667_F3BC_C909;
+        let mut state = self.ctx.fault.map_or(0xD1FF_5EED_u64, |f| f.seed) ^ 0x6A09_E667_F3BC_C909;
         for _ in 0..samples {
             let b = (splitmix64_next(&mut state) % shape.batch as u64) as usize;
             let no = (splitmix64_next(&mut state) % shape.no as u64) as usize;
@@ -485,9 +464,9 @@ impl ResilientReport {
     /// The recovery timeline as a Chrome-trace document: instant events on
     /// `pid 1 / tid 0` ("recovery" track), one per [`RecoveryEvent`],
     /// followed by a span for the accepted run covering its simulated
-    /// duration at `clock_ghz`. Merge with the mesh's execution trace
-    /// (`sw_sim::trace::to_chrome`) to see recovery decisions alongside
-    /// per-CPE activity.
+    /// duration at `clock_ghz`. It is an `sw_obs` document like the serve
+    /// and fleet traces, so [`sw_obs::ChromeTrace::extend`] puts recovery
+    /// decisions on the same timeline as theirs.
     pub fn recovery_trace(&self, clock_ghz: f64) -> sw_obs::ChromeTrace {
         let mut rec = sw_obs::Recorder::enabled();
         for (i, e) in self.timeline.iter().enumerate() {
@@ -609,7 +588,7 @@ mod tests {
         for seed in 0..64u64 {
             let fault = FaultPlan::none(seed).with_dma_fail_rate(2e-3);
             let rep = ResilientExecutor::new()
-                .with_fault(Some(fault))
+                .on(LowerCtx::default().with_fault(Some(fault)))
                 .run(&shape, &input, &filter)
                 .unwrap();
             if rep.dma_retries > 0 {
@@ -632,7 +611,8 @@ mod tests {
         assert_eq!(rep.run.output.max_abs_diff(&clean.run.output), 0.0);
         // Determinism: the same seed reproduces the identical recovery.
         let again = ResilientExecutor::new()
-            .with_fault(Some(FaultPlan::none(seed).with_dma_fail_rate(2e-3)))
+            .on(LowerCtx::default()
+                .with_fault(Some(FaultPlan::none(seed).with_dma_fail_rate(2e-3))))
             .run(&shape, &input, &filter)
             .unwrap();
         assert_eq!(again.run.timing.cycles, rep.run.timing.cycles);
@@ -646,7 +626,7 @@ mod tests {
         let (input, filter) = operands(&shape);
         let fault = FaultPlan::none(7).with_dead_cpe(2, 3);
         let rep = ResilientExecutor::new()
-            .with_fault(Some(fault))
+            .on(LowerCtx::default().with_fault(Some(fault)))
             .run(&shape, &input, &filter)
             .unwrap();
         assert!(rep.degraded, "a dead CPE must force the 4×4 mesh");
@@ -669,7 +649,7 @@ mod tests {
         let (input, filter) = operands(&shape);
         let fault = FaultPlan::none(1).with_dma_fail_rate(1.0);
         let err = ResilientExecutor::new()
-            .with_fault(Some(fault))
+            .on(LowerCtx::default().with_fault(Some(fault)))
             .with_max_retries(2)
             .with_fallback(false)
             .run(&shape, &input, &filter)
@@ -689,7 +669,7 @@ mod tests {
         let (input, filter) = operands(&shape);
         let fault = FaultPlan::none(1).with_dma_fail_rate(1.0);
         let rep = ResilientExecutor::new()
-            .with_fault(Some(fault))
+            .on(LowerCtx::default().with_fault(Some(fault)))
             .with_max_retries(1)
             .run(&shape, &input, &filter)
             .unwrap();
@@ -731,7 +711,7 @@ mod tests {
         let (input, filter) = operands(&shape);
         let fault = FaultPlan::none(1).with_dma_fail_rate(1.0);
         let rep = ResilientExecutor::new()
-            .with_fault(Some(fault))
+            .on(LowerCtx::default().with_fault(Some(fault)))
             .with_max_retries(1)
             .run(&shape, &input, &filter)
             .unwrap();
@@ -760,7 +740,7 @@ mod tests {
         let (input, filter) = operands(&shape);
         let fault = FaultPlan::none(7).with_dead_cpe(2, 3);
         let rep = ResilientExecutor::new()
-            .with_fault(Some(fault))
+            .on(LowerCtx::default().with_fault(Some(fault)))
             .run(&shape, &input, &filter)
             .unwrap();
         assert!(rep.degraded);

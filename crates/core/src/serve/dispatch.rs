@@ -26,6 +26,7 @@
 use super::plan_cache::PlanCache;
 use crate::conv::Conv2d;
 use crate::error::SwdnnError;
+use crate::plans::LowerCtx;
 use sw_perfmodel::{ChipSpec, PlanKind};
 use sw_sim::chip::LAUNCH_OVERHEAD_CYCLES;
 use sw_sim::{run_multi_cg_on, FaultPlan};
@@ -285,8 +286,7 @@ impl ShardedDispatcher {
                 }
             }
             let run = Conv2d::new(slice).and_then(|conv| {
-                conv.on_chip(self.chip)
-                    .on_runtime(self.rt)
+                conv.on(LowerCtx::on_chip(self.chip).on_runtime(self.rt))
                     .forward(&sliced, filter)
             });
             match run {

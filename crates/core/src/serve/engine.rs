@@ -767,11 +767,6 @@ impl ServeEngine {
         self.health.as_ref().map(|h| h.totals()).unwrap_or_default()
     }
 
-    /// Currently-open breakers.
-    pub fn open_breakers(&self) -> usize {
-        self.health.as_ref().map(|h| h.open_count()).unwrap_or(0)
-    }
-
     /// Reset measurement state (completions + drops + counters + cache
     /// counters + tags) after a warmup phase, keeping caches, breaker
     /// state, and the clock hot.

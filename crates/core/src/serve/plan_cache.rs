@@ -139,7 +139,7 @@ impl PlanCache {
             schedule: None,
         };
         self.plans.get_or_insert_with(&key, || {
-            let mut conv = Conv2d::new(*shape)?.on_chip(*chip).on_runtime(rt);
+            let mut conv = Conv2d::new(*shape)?.on(LowerCtx::on_chip(*chip).on_runtime(rt));
             if let Some(kind) = forced {
                 conv = conv.with_plan(kind);
             }
@@ -175,11 +175,7 @@ impl PlanCache {
             schedule: Some(*schedule),
         };
         self.plans.get_or_insert_with(&key, || {
-            let ctx = LowerCtx {
-                chip: *chip,
-                fault: None,
-                rt,
-            };
+            let ctx = LowerCtx::on_chip(*chip).on_runtime(rt);
             let plan = lower_schedule(schedule, shape, &ctx)?;
             let timing = plan.time_full_shape(shape)?;
             let blocking = plan.blocking(shape);

@@ -132,7 +132,7 @@ pub fn autotune_with(
     let model_pick: Option<(PlanKind, Blocking)> = select_plan(shape, chip).map(|c| match c.kind {
         PlanKind::BatchSizeAware => {
             // The executor's batch plan auto-selects its own b_co.
-            let auto = BatchAwarePlan::auto_on(*chip, shape);
+            let auto = BatchAwarePlan::auto_on(ctx, shape);
             (
                 c.kind,
                 Blocking {
@@ -289,13 +289,14 @@ pub fn autotune_general(
         chip: *chip,
         ..ConvPerfModel::default()
     };
+    let ctx = LowerCtx::on_chip(*chip);
     let dim = chip.mesh_dim;
     let (batch, ni) = (input.d0, input.d1);
     let mut legal: Vec<(usize, f64)> = Vec::new();
     let mut last_err = None;
     for exp in 0..6 {
         let b_p = dim << exp;
-        let plan = PatchGemmPlan::new(b_p).on_chip(*chip);
+        let plan = PatchGemmPlan::new(b_p).on(ctx);
         match plan.supports_general(geom, input, no) {
             Ok(()) => {
                 let est = model.estimate(
@@ -320,7 +321,7 @@ pub fn autotune_general(
     let flops = general_flops(geom, input, no) as f64;
     let mut best: Option<(Schedule, u64)> = None;
     for &(b_p, _) in legal.iter().take(3) {
-        let plan = PatchGemmPlan::new(b_p).on_chip(*chip);
+        let plan = PatchGemmPlan::new(b_p).on(ctx);
         let timing = plan.time_general(geom, input, no)?;
         if best.is_none_or(|(_, c)| timing.cycles < c) {
             best = Some((Schedule::patch_gemm(b_p), timing.cycles));

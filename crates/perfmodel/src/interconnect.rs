@@ -333,15 +333,6 @@ impl CollectiveSchedule {
         }
         sent.values().copied().max().unwrap_or(0)
     }
-
-    /// Total bytes moved by all members over all rounds.
-    pub fn total_wire_bytes(&self) -> u64 {
-        self.rounds
-            .iter()
-            .flat_map(|r| r.transfers.iter())
-            .map(|t| t.bytes)
-            .sum()
-    }
 }
 
 /// Occupancy of one named network resource (a chip's send/receive port

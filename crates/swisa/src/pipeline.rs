@@ -92,12 +92,6 @@ impl ExecReport {
     pub fn execution_efficiency(&self, flop_insts: u64) -> f64 {
         flop_insts as f64 / self.cycles as f64
     }
-
-    /// Achieved fraction of the CPE's peak FP throughput
-    /// (peak = 8 flops/cycle: one 4-lane FMA per cycle).
-    pub fn fp_utilization(&self) -> f64 {
-        self.flops as f64 / (8.0 * self.cycles as f64)
-    }
 }
 
 impl ExecReport {

@@ -37,7 +37,6 @@ pub mod fault;
 pub mod ldm;
 pub mod mesh;
 pub mod stats;
-pub mod trace;
 
 pub use chip::{run_multi_cg, run_multi_cg_on, run_multi_cg_with, MultiCgReport};
 pub use dma::{DmaEngine, DmaHandle};
@@ -45,7 +44,6 @@ pub use fault::{FaultPlan, RetryPolicy};
 pub use ldm::{Ldm, LdmBuf};
 pub use mesh::{Bus, CpeCtx, Mesh, SimError};
 pub use stats::{CgStats, CpeStats};
-pub use trace::{render_summary, Event, EventKind, TraceSummary};
 
 pub use sw_perfmodel::ChipSpec;
 

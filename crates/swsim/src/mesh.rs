@@ -191,7 +191,6 @@ struct CpeNode<S> {
     out_msgs: Vec<OutMsg>,
     out_puts: Vec<(usize, PutRun)>,
     result: Result<(), SimError>,
-    events: Vec<crate::trace::Event>,
     state: S,
 }
 
@@ -210,7 +209,6 @@ pub struct CpeCtx<'a> {
     fault: Option<FaultPlan>,
     cost_only: bool,
     block_hint: Option<usize>,
-    trace: Option<&'a mut Vec<crate::trace::Event>>,
     out_msgs: &'a mut Vec<OutMsg>,
     out_puts: &'a mut Vec<(usize, PutRun)>,
 }
@@ -318,12 +316,7 @@ impl CpeCtx<'_> {
         );
         self.stats.dma_get_bytes += bytes as u64;
         self.stats.dma_requests += 1;
-        let h = self.enqueue_dma(cycles)?;
-        self.record(crate::trace::EventKind::DmaGetIssue {
-            bytes: bytes as u64,
-            done_at: h.done_at,
-        });
-        Ok(h)
+        self.enqueue_dma(cycles)
     }
 
     /// Price the *next* DMA request at `block_bytes` instead of its run
@@ -374,14 +367,6 @@ impl CpeCtx<'_> {
         Ok(DmaHandle { done_at: done })
     }
 
-    #[inline]
-    fn record(&mut self, kind: crate::trace::EventKind) {
-        let at = *self.clock;
-        if let Some(t) = self.trace.as_deref_mut() {
-            t.push(crate::trace::Event { at, kind });
-        }
-    }
-
     /// Log one put run of `run_len` doubles from `src[at..]` to global offset
     /// `dst` (bounds already checked by the caller).
     fn log_put(&mut self, src: LdmBuf, at: usize, dst: usize, run_len: usize) {
@@ -430,12 +415,7 @@ impl CpeCtx<'_> {
         );
         self.stats.dma_put_bytes += bytes as u64;
         self.stats.dma_requests += 1;
-        let h = self.enqueue_dma(cycles)?;
-        self.record(crate::trace::EventKind::DmaPutIssue {
-            bytes: bytes as u64,
-            done_at: h.done_at,
-        });
-        Ok(h)
+        self.enqueue_dma(cycles)
     }
 
     /// Fully general scatter put: `runs` runs of `run_len` doubles read
@@ -475,12 +455,7 @@ impl CpeCtx<'_> {
         );
         self.stats.dma_put_bytes += bytes as u64;
         self.stats.dma_requests += 1;
-        let h = self.enqueue_dma(cycles)?;
-        self.record(crate::trace::EventKind::DmaPutIssue {
-            bytes: bytes as u64,
-            done_at: h.done_at,
-        });
-        Ok(h)
+        self.enqueue_dma(cycles)
     }
 
     /// Contiguous put.
@@ -498,7 +473,6 @@ impl CpeCtx<'_> {
     pub fn dma_wait(&mut self, h: DmaHandle) {
         if h.done_at > *self.clock {
             let stall = h.done_at - *self.clock;
-            self.record(crate::trace::EventKind::DmaWait { stall });
             self.stats.dma_stall_cycles += stall;
             *self.clock = h.done_at;
         }
@@ -562,7 +536,6 @@ impl CpeCtx<'_> {
     #[inline]
     fn charge_put(&mut self, doubles: usize) {
         let vectors = doubles.div_ceil(4) as u64;
-        self.record(crate::trace::EventKind::BusSend { vectors });
         self.stats.bus_vectors_sent += vectors;
         *self.clock += vectors; // one put per cycle on P1
     }
@@ -596,7 +569,6 @@ impl CpeCtx<'_> {
     #[inline]
     fn charge_get(&mut self, doubles: usize) {
         let vectors = doubles.div_ceil(4) as u64;
-        self.record(crate::trace::EventKind::BusRecv { vectors });
         self.stats.bus_vectors_received += vectors;
         *self.clock += vectors + GET_LATENCY;
     }
@@ -604,7 +576,6 @@ impl CpeCtx<'_> {
     /// Charge compute cycles (priced by the `sw-isa` kernel model).
     #[inline]
     pub fn charge_compute(&mut self, cycles: u64) {
-        self.record(crate::trace::EventKind::Compute { cycles });
         self.stats.compute_cycles += cycles;
         *self.clock += cycles;
     }
@@ -636,7 +607,6 @@ impl CpeCtx<'_> {
 struct StepCfg {
     dim: usize,
     dma: DmaEngine,
-    trace_on: bool,
     fault: Option<FaultPlan>,
     cost_only: bool,
     sync_cycles: u64,
@@ -680,11 +650,6 @@ where
         fault: cfg.fault,
         cost_only: cfg.cost_only,
         block_hint: None,
-        trace: if cfg.trace_on {
-            Some(&mut node.events)
-        } else {
-            None
-        },
         out_msgs: &mut node.out_msgs,
         out_puts: &mut node.out_puts,
     };
@@ -761,12 +726,6 @@ impl Seam {
         // Barrier: clocks synchronize to the slowest CPE.
         let max_clock = cpes.iter().map(|c| c.clock).max().unwrap_or(0) + cfg.sync_cycles;
         for c in cpes {
-            if cfg.trace_on {
-                c.events.push(crate::trace::Event {
-                    at: c.clock,
-                    kind: crate::trace::EventKind::Barrier { to: max_clock },
-                });
-            }
             c.clock = max_clock;
         }
         self.supersteps += 1;
@@ -837,7 +796,6 @@ pub struct Mesh<S> {
     seam: Seam,
     /// Cycle cost of each superstep barrier.
     pub sync_cycles: u64,
-    trace_on: bool,
     fault: Option<FaultPlan>,
     cost_only: bool,
 }
@@ -872,7 +830,6 @@ impl<S: Send> Mesh<S> {
                     out_msgs: Vec::new(),
                     out_puts: Vec::new(),
                     result: Ok(()),
-                    events: Vec::new(),
                     state: init(row, col),
                 });
             }
@@ -888,7 +845,6 @@ impl<S: Send> Mesh<S> {
                 msg_deliveries: 0,
             },
             sync_cycles: 8,
-            trace_on: false,
             fault: None,
             cost_only: false,
         }
@@ -917,22 +873,9 @@ impl<S: Send> Mesh<S> {
         self.rt
     }
 
-    /// Start recording per-CPE [`crate::trace::Event`]s.
-    pub fn enable_trace(&mut self) {
-        self.trace_on = true;
-    }
-
     /// Activate a fault-injection plan for all subsequent supersteps.
     pub fn inject_faults(&mut self, plan: FaultPlan) {
         self.fault = Some(plan);
-    }
-
-    /// Drain the recorded traces as `(row, col, events)` triples.
-    pub fn take_traces(&mut self) -> Vec<(usize, usize, Vec<crate::trace::Event>)> {
-        self.cpes
-            .iter_mut()
-            .map(|c| (c.row, c.col, std::mem::take(&mut c.events)))
-            .collect()
     }
 
     /// Run one superstep: `f` executes on all 64 CPEs, then messages are
@@ -1006,7 +949,6 @@ impl<S: Send> Mesh<S> {
         StepCfg {
             dim: self.chip.mesh_dim,
             dma: self.dma,
-            trace_on: self.trace_on,
             fault: self.fault,
             cost_only: self.cost_only,
             sync_cycles: self.sync_cycles,
@@ -1373,57 +1315,6 @@ mod tests {
             m.drain_puts(&mut out),
             Err(SimError::OutOfBounds { .. })
         ));
-    }
-
-    #[test]
-    fn tracing_records_dma_and_compute_events() {
-        let mut m: Mesh<()> = Mesh::new(ChipSpec::sw26010(), |_, _| ());
-        m.enable_trace();
-        let src = vec![1.0; 64 * 64];
-        m.superstep(|ctx, _| {
-            let buf = ctx.ldm_alloc(64)?;
-            let h = ctx.dma_get(buf, 0, &src, ctx.id() * 64, 64)?;
-            ctx.dma_wait(h);
-            ctx.charge_compute(100);
-            if ctx.col == 0 {
-                ctx.bcast_row(&[1.0; 8]);
-            }
-            Ok(())
-        })
-        .unwrap();
-        let traces = m.take_traces();
-        assert_eq!(traces.len(), 64);
-        let (_, _, ev0) = &traces[0];
-        use crate::trace::EventKind;
-        assert!(ev0
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::DmaGetIssue { .. })));
-        assert!(ev0
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::Compute { cycles: 100 })));
-        assert!(ev0
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::Barrier { .. })));
-        // CPE(0,0) broadcast.
-        assert!(ev0
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::BusSend { vectors: 2 })));
-        let text = crate::trace::render_summary(&traces);
-        assert!(text.contains("busiest CPE"));
-        // Tracing must not perturb timing.
-        let mut m2: Mesh<()> = Mesh::new(ChipSpec::sw26010(), |_, _| ());
-        m2.superstep(|ctx, _| {
-            let buf = ctx.ldm_alloc(64)?;
-            let h = ctx.dma_get(buf, 0, &src, ctx.id() * 64, 64)?;
-            ctx.dma_wait(h);
-            ctx.charge_compute(100);
-            if ctx.col == 0 {
-                ctx.bcast_row(&[1.0; 8]);
-            }
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(m.stats().cycles, m2.stats().cycles);
     }
 
     #[test]

@@ -266,20 +266,6 @@ impl<T: Scalar> Tensor4<T> {
         acc
     }
 
-    /// Fill every logical element from a closure (in-place).
-    pub fn fill_with(&mut self, mut f: impl FnMut(usize, usize, usize, usize) -> T) {
-        let s = self.shape;
-        for i0 in 0..s.d0 {
-            for i1 in 0..s.d1 {
-                for i2 in 0..s.d2 {
-                    for i3 in 0..s.d3 {
-                        self[(i0, i1, i2, i3)] = f(i0, i1, i2, i3);
-                    }
-                }
-            }
-        }
-    }
-
     /// Set every logical element to zero (padding included).
     pub fn zero(&mut self) {
         self.data.iter_mut().for_each(|v| *v = T::ZERO);

@@ -7,7 +7,7 @@
 //! ```
 
 use sw_tensor::init::seeded_tensor;
-use swdnn::{ConvShape, FaultPlan, Layout, ResilientExecutor, SwdnnError, VerifyPolicy};
+use swdnn::{ConvShape, FaultPlan, Layout, LowerCtx, ResilientExecutor, SwdnnError, VerifyPolicy};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let shape = ConvShape::new(32, 16, 16, 8, 8, 3, 3);
@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Transient DMA faults: retried with backoff charged into the
     //    timing model; the output stays bit-for-bit identical.
     let faulty = ResilientExecutor::new()
-        .with_fault(Some(FaultPlan::none(11).with_dma_fail_rate(5e-3)))
+        .on(LowerCtx::default().with_fault(Some(FaultPlan::none(11).with_dma_fail_rate(5e-3))))
         .with_verification(VerifyPolicy::SpotCheck {
             samples: 16,
             tol: 1e-10,
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. A dead CPE at (2, 3): the executor masks the faulty row/column
     //    and re-plans on a degraded 4x4 mesh.
     let dead = ResilientExecutor::new()
-        .with_fault(Some(FaultPlan::none(7).with_dead_cpe(2, 3)))
+        .on(LowerCtx::default().with_fault(Some(FaultPlan::none(7).with_dead_cpe(2, 3))))
         .run(&shape, &input, &filter)?;
     println!(
         "dead CPE:  plan={} degraded={} drift={:.1e}",
@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4. Unrecoverable: every DMA transfer fails and fallback is disabled,
     //    so the executor surfaces FaultExhausted instead of looping.
     let doomed = ResilientExecutor::new()
-        .with_fault(Some(FaultPlan::none(3).with_dma_fail_rate(1.0)))
+        .on(LowerCtx::default().with_fault(Some(FaultPlan::none(3).with_dma_fail_rate(1.0))))
         .with_max_retries(2)
         .with_fallback(false)
         .run(&shape, &input, &filter);

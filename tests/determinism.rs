@@ -37,7 +37,8 @@ use sw_tensor::init::lattice_tensor;
 use sw_tensor::{ConvShape, Layout};
 use swdnn::plans::gemm_mesh::{regcomm_gemm, zero_c, GemmBlock};
 use swdnn::plans::{
-    BatchAwarePlan, BwdFilterPlan, ConvPlan, ConvRun, ImageAwarePlan, PatchGemmPlan, PlanTiming,
+    BatchAwarePlan, BwdFilterPlan, ConvPlan, ConvRun, ImageAwarePlan, LowerCtx, PatchGemmPlan,
+    PlanTiming,
 };
 
 #[derive(PartialEq, Eq, Debug, Clone)]
@@ -149,7 +150,7 @@ fn batch_case() -> ConvRun {
 /// of exactly 2.
 fn image_large(rt: &'static ExecutionContext) -> (ImageAwarePlan, ConvShape) {
     (
-        ImageAwarePlan::new(Blocking { b_b: 32, b_co: 8 }).on_runtime(rt),
+        ImageAwarePlan::new(Blocking { b_b: 32, b_co: 8 }).on(LowerCtx::default().on_runtime(rt)),
         ConvShape::new(32, 64, 64, 2, 8, 3, 3),
     )
 }
@@ -157,7 +158,7 @@ fn image_large(rt: &'static ExecutionContext) -> (ImageAwarePlan, ConvShape) {
 /// One column block, two output rows: an outer trip count of exactly 2.
 fn batch_large(rt: &'static ExecutionContext) -> (BatchAwarePlan, ConvShape) {
     (
-        BatchAwarePlan::new(2).on_runtime(rt),
+        BatchAwarePlan::new(2).on(LowerCtx::default().on_runtime(rt)),
         ConvShape::new(128, 128, 64, 2, 2, 3, 3),
     )
 }
@@ -258,9 +259,9 @@ fn timing_equals_the_functional_run_where_extrapolation_is_exact() {
         let (timed_handoffs, ran_handoffs) = sw_runtime::with_threads(threads, || {
             let (image, image_shape) = image_large(rt);
             let (batch, batch_shape) = batch_large(rt);
-            let patch = PatchGemmPlan::new(64).on_runtime(rt);
+            let patch = PatchGemmPlan::new(64).on(LowerCtx::default().on_runtime(rt));
             let patch_shape = ConvShape::new(8, 8, 8, 4, 8, 3, 3); // 256 pixels: 4 blocks
-            let bwd = BwdFilterPlan::new(32, 4).on_runtime(rt);
+            let bwd = BwdFilterPlan::new(32, 4).on(LowerCtx::default().on_runtime(rt));
             let bwd_shape = ConvShape::new(32, 8, 8, 2, 4, 3, 3);
 
             let before = rt.pool_handoffs();

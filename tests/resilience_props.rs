@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use sw_tensor::init::lattice_tensor;
 use sw_tensor::{ConvShape, Layout};
 use swdnn::resilient::ResilientExecutor;
-use swdnn::{FaultPlan, SwdnnError};
+use swdnn::{FaultPlan, LowerCtx, SwdnnError};
 
 /// Shapes spanning mesh-friendly and mesh-hostile geometries: odd channel
 /// counts, tiny batches, and degenerate 1×1 images are all fair game.
@@ -73,7 +73,7 @@ proptest! {
         let filter = lattice_tensor(shape.filter_shape(), Layout::Nchw, 24);
         let clean = ResilientExecutor::new().run(&shape, &input, &filter).unwrap();
         let faulty = ResilientExecutor::new()
-            .with_fault(Some(FaultPlan::none(seed).with_dma_fail_rate(rate)))
+            .on(LowerCtx::default().with_fault(Some(FaultPlan::none(seed).with_dma_fail_rate(rate))))
             .run(&shape, &input, &filter)
             .unwrap();
         // Bit-for-bit identical output: recovery replays the exact work.

@@ -11,15 +11,18 @@
 //!    thread counts 1, 4, and 8.
 //! 2. **Plan-for-plan identity.** Each named preset, lowered, produces a
 //!    digest identical to the directly constructed plan it names — same
-//!    simulated cycles, same output bits.
+//!    simulated cycles, same output bits — in the stock context and in a
+//!    degraded, faulted, privately scheduled one, and `Conv2d` in that
+//!    context builds the same plan (one context, three doors).
 //! 3. **Reference equivalence.** Every preset that lowers legally for a
 //!    shape agrees exactly with the 7-loop reference on lattice data.
 
 use sw_perfmodel::select::Blocking;
+use sw_perfmodel::{ChipSpec, PlanKind};
 use sw_tensor::init::lattice_tensor;
 use sw_tensor::{conv2d_ref, ConvShape, Layout};
 use swdnn::plans::{BatchAwarePlan, ConvPlan, ConvRun, DirectPlan, ImageAwarePlan, ReferencePlan};
-use swdnn::{lower_schedule, LowerCtx, Schedule};
+use swdnn::{lower_schedule, Conv2d, FaultPlan, LowerCtx, ResilientExecutor, Schedule};
 
 #[derive(PartialEq, Eq, Debug, Clone)]
 struct RunDigest {
@@ -163,31 +166,69 @@ fn lowered_preset_above_the_grain_is_thread_count_invariant_on_the_pool() {
 
 #[test]
 fn each_preset_is_digest_identical_to_its_hand_built_plan() {
-    // (preset, hand-built plan) pairs on a shape every mesh plan accepts.
+    // The two `LowerCtx` fronts the benchmark harness calls keep their shape.
+    let _: fn() -> LowerCtx = LowerCtx::default;
+    let _: fn(ChipSpec) -> LowerCtx = LowerCtx::on_chip;
+
+    // A shape every mesh plan accepts, in the stock context and in one where
+    // nothing is the default: a degraded 4×4 chip, DMA faults, and a private
+    // runtime at two lanes.
     let shape = ConvShape::new(32, 16, 16, 4, 8, 3, 3);
     let input = lattice_tensor(shape.input_shape(), Layout::Nchw, 41);
     let filter = lattice_tensor(shape.filter_shape(), Layout::Nchw, 42);
-    let pairs: Vec<(Schedule, Box<dyn ConvPlan>)> = vec![
-        (
-            Schedule::image_aware(32, 4),
-            Box::new(ImageAwarePlan::new(Blocking { b_b: 32, b_co: 4 })),
-        ),
-        (Schedule::batch_aware(2), Box::new(BatchAwarePlan::new(2))),
-        (Schedule::direct(), Box::new(DirectPlan::default())),
-        (Schedule::reference(), Box::new(ReferencePlan::default())),
-    ];
-    for (schedule, hand) in pairs {
-        let lowered = lower_schedule(&schedule, &shape, &LowerCtx::default())
-            .unwrap_or_else(|e| panic!("{} must lower: {e}", schedule.describe()));
-        assert_eq!(lowered.name(), hand.name(), "{}", schedule.describe());
-        let from_ir = lowered.run(&shape, &input, &filter).unwrap();
-        let by_hand = hand.run(&shape, &input, &filter).unwrap();
-        assert_eq!(
-            digest(&from_ir),
-            digest(&by_hand),
-            "lowering {} must be invisible: same cycles, same bits",
-            schedule.describe()
-        );
+    let run = |plan: &dyn ConvPlan| {
+        sw_runtime::with_threads(2, || digest(&plan.run(&shape, &input, &filter).unwrap()))
+    };
+    let non_default = LowerCtx::on_chip(ResilientExecutor::degraded_chip(ChipSpec::sw26010()))
+        .with_fault(Some(FaultPlan::none(9).with_dma_fail_rate(0.01)))
+        .on_runtime(Box::leak(Box::new(sw_runtime::ExecutionContext::new())));
+    for ctx in [LowerCtx::default(), non_default] {
+        // Door 1 vs door 2: `lower_schedule(.., &ctx)` vs the hand
+        // constructor `.on(ctx)`.
+        let pairs: Vec<(Schedule, Box<dyn ConvPlan>)> = vec![
+            (
+                Schedule::image_aware(32, 4),
+                Box::new(ImageAwarePlan::new(Blocking { b_b: 32, b_co: 4 }).on(ctx)),
+            ),
+            (
+                Schedule::batch_aware(2),
+                Box::new(BatchAwarePlan::new(2).on(ctx)),
+            ),
+            (
+                Schedule::direct(),
+                Box::new(DirectPlan {
+                    chip: ctx.chip,
+                    rt: ctx.rt,
+                }),
+            ),
+            (
+                Schedule::reference(),
+                Box::new(ReferencePlan { chip: ctx.chip }),
+            ),
+        ];
+        for (schedule, hand) in pairs {
+            let lowered = lower_schedule(&schedule, &shape, &ctx)
+                .unwrap_or_else(|e| panic!("{} must lower: {e}", schedule.describe()));
+            assert_eq!(lowered.name(), hand.name(), "{}", schedule.describe());
+            assert_eq!(
+                run(lowered.as_ref()),
+                run(hand.as_ref()),
+                "lowering {} must be invisible: same cycles, same bits",
+                schedule.describe()
+            );
+        }
+        // Door 3: `Conv2d::on(ctx)` builds the plan the hand constructor
+        // builds from that plan's own reported blocking.
+        for kind in [PlanKind::ImageSizeAware, PlanKind::BatchSizeAware] {
+            let conv = Conv2d::new(shape).unwrap().on(ctx).with_plan(kind);
+            let chosen = conv.plan();
+            let b = chosen.blocking(&shape);
+            let hand: Box<dyn ConvPlan> = match kind {
+                PlanKind::BatchSizeAware => Box::new(BatchAwarePlan::new(b.b_co).on(ctx)),
+                _ => Box::new(ImageAwarePlan::new(b).on(ctx)),
+            };
+            assert_eq!(run(chosen.as_ref()), run(hand.as_ref()), "{kind:?} {b:?}");
+        }
     }
 }
 
