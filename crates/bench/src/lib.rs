@@ -19,7 +19,7 @@
 //! | `ablation_regblock` | §V-B/C Eqs. 3–5 — register blocking sweep |
 //! | `ablation_ldm`      | §IV-A — LDM blocking / kernel reordering / double buffering |
 //! | `training_pass`     | extension — forward + both backward passes at paper scale |
-//! | `model_vs_autotune` | §VII — model guidance vs exhaustive autotuning |
+//! | `model_vs_autotune` | §VII — model guidance vs exhaustive autotuning, paper scale and B = 32 |
 //! | `autotune`          | extension — schedule search vs hand presets, stride-2 coverage |
 //! | `perf_counters`     | exact cycles and counters of the Table III shapes |
 //! | `fig7_channels`     | Fig. 7 — 101 (Ni, No) configs vs K40m |
@@ -71,7 +71,7 @@ pub const ARTIFACTS: &[Artifact] = &[
     artifact("ablation_regblock", &["ablation_regblock", "ablation_regblock_spatial"], ablations::ablation_regblock),
     artifact("ablation_ldm", &["ablation_ldm_blocking", "ablation_kernel_reorder", "ablation_double_buffer"], ablations::ablation_ldm),
     artifact("training_pass", &["training_pass"], ablations::training_pass),
-    artifact("model_vs_autotune", &["model_vs_autotune"], ablations::model_vs_autotune),
+    artifact("model_vs_autotune", &["model_vs_autotune", "model_vs_autotune_small"], ablations::model_vs_autotune),
     artifact("autotune", &["autotune_search"], autotune::autotune),
     artifact("perf_counters", &["perf_counters"], ablations::perf_counters),
     artifact("fig7_channels", &["fig7_channels"], paper::fig7_channels),

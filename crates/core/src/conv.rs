@@ -7,7 +7,7 @@ use crate::plans::{
     BatchAwarePlan, BwdFilterPlan, ConvPlan, ConvRun, DirectPlan, ImageAwarePlan, LowerCtx,
     PatchGemmPlan, PlanTiming, ReferencePlan,
 };
-use sw_perfmodel::{select_plan, PlanKind};
+use sw_perfmodel::{co_blocks, select_plan, PlanChoice, PlanKind};
 use sw_tensor::{conv2d_bwd_data_ref, conv2d_bwd_filter_ref, ConvShape, Tensor4};
 
 /// A configured convolution operator.
@@ -53,19 +53,20 @@ impl Conv2d {
     ///
     /// Order: forced kind if set; otherwise the performance model's choice,
     /// verified against the plan's own `supports`; otherwise whichever mesh
-    /// plan supports the shape; otherwise the host reference plan.
+    /// plan supports the shape; otherwise the host reference plan. The
+    /// selector is consulted once, and its blocking serves every
+    /// image-size-aware instantiation below.
     pub fn plan(&self) -> Box<dyn ConvPlan> {
+        let choice = select_plan(&self.shape, &self.ctx.chip);
         if let Some(kind) = self.forced {
-            return self.instantiate(kind);
+            return self.instantiate(kind, choice.as_ref());
         }
-        if let Some(choice) = select_plan(&self.shape, &self.ctx.chip) {
-            let plan = self.instantiate(choice.kind);
-            if plan.supports(&self.shape).is_ok() {
-                return plan;
-            }
-        }
-        for kind in [PlanKind::BatchSizeAware, PlanKind::ImageSizeAware] {
-            let plan = self.instantiate(kind);
+        let modeled = choice.as_ref().map(|c| c.kind);
+        for kind in modeled
+            .into_iter()
+            .chain([PlanKind::BatchSizeAware, PlanKind::ImageSizeAware])
+        {
+            let plan = self.instantiate(kind, choice.as_ref());
             if plan.supports(&self.shape).is_ok() {
                 return plan;
             }
@@ -75,11 +76,11 @@ impl Conv2d {
         })
     }
 
-    fn instantiate(&self, kind: PlanKind) -> Box<dyn ConvPlan> {
+    fn instantiate(&self, kind: PlanKind, choice: Option<&PlanChoice>) -> Box<dyn ConvPlan> {
         match kind {
             PlanKind::ImageSizeAware => {
                 // Use the model's blocking choice when available.
-                let blocking = select_plan(&self.shape, &self.ctx.chip)
+                let blocking = choice
                     .filter(|c| c.kind == PlanKind::ImageSizeAware)
                     .map(|c| c.blocking)
                     .unwrap_or_else(|| self.fallback_blocking());
@@ -91,10 +92,7 @@ impl Conv2d {
                 // and block the Ni dimension until the footprint fits
                 // (largest surviving b_co first; b_ni halves down to one
                 // mesh row's worth of channels).
-                for b_co in [16usize, 8, 4, 2, 1] {
-                    if !self.shape.co.is_multiple_of(b_co) {
-                        continue;
-                    }
+                for b_co in co_blocks(self.shape.co, 16) {
                     let base =
                         ImageAwarePlan::new(sw_perfmodel::Blocking { b_b: 32, b_co }).on(self.ctx);
                     let mut b_ni = self.shape.ni;
@@ -120,15 +118,12 @@ impl Conv2d {
     }
 
     fn fallback_blocking(&self) -> sw_perfmodel::Blocking {
-        // Largest feasible power-of-two blocks.
+        // Largest feasible power-of-two batch block, largest column block.
         let mut b_b = 32;
         while b_b * 2 <= self.shape.batch && self.shape.batch.is_multiple_of(b_b * 2) && b_b < 128 {
             b_b *= 2;
         }
-        let mut b_co = 1;
-        while b_co * 2 <= self.shape.co.min(16) && self.shape.co.is_multiple_of(b_co * 2) {
-            b_co *= 2;
-        }
+        let b_co = co_blocks(self.shape.co, 16).next().unwrap_or(1);
         sw_perfmodel::Blocking { b_b, b_co }
     }
 
@@ -172,7 +167,9 @@ impl Conv2d {
     /// lowering to an equivalent forward convolution (zero-padded output
     /// gradient × flipped-transposed filters) and running it through the
     /// regular plan machinery — the same trick real training frameworks
-    /// use so one tuned kernel serves both directions.
+    /// use so one tuned kernel serves both directions. `Unsupported` when no
+    /// mesh plan tiles the lowered shape; use [`Conv2d::backward_data`] for
+    /// the always-correct host path.
     pub fn backward_data_on_chip(
         &self,
         d_out: &Tensor4<f64>,
@@ -186,6 +183,18 @@ impl Conv2d {
         }
         let s = self.shape;
         let bwd_shape = self.backward_data_shape();
+        let bwd_conv = Conv2d {
+            shape: bwd_shape,
+            ..*self
+        };
+        let plan = bwd_conv.plan();
+        if plan.name() == "reference" {
+            return Err(SwdnnError::Unsupported {
+                plan: plan.name(),
+                shape: bwd_shape,
+                reason: "no mesh plan tiles the lowered backward-data shape".into(),
+            });
+        }
 
         // Zero-pad the output gradient by (Kr-1, Kc-1) on every side.
         let mut padded = Tensor4::zeros(bwd_shape.input_shape(), sw_tensor::Layout::Nchw);
@@ -216,11 +225,7 @@ impl Conv2d {
                 }
             }
         }
-        let bwd_conv = Conv2d {
-            shape: bwd_shape,
-            ..*self
-        };
-        bwd_conv.forward(&padded, &flipped)
+        plan.run(&bwd_shape, &padded, &flipped)
     }
 
     /// Gradient w.r.t. the filters, executed **on the simulated SW26010**

@@ -124,6 +124,14 @@ mod tests {
     }
 
     #[test]
+    fn register_tile_is_the_perf_models() {
+        // Plan selection computes tile occupancy from the model's
+        // `rb_no × rb_b`; it must be the tile `block_profile` charges.
+        let model = sw_perfmodel::ConvPerfModel::default();
+        assert_eq!((model.rb_no, model.rb_b), (TILE_NO, TILE_PIX));
+    }
+
+    #[test]
     fn cache_returns_consistent_values() {
         let a = tile_cycles(16, true);
         let b = tile_cycles(16, true);

@@ -109,14 +109,13 @@ impl Layer for Conv2dLayer {
         }
         // Data gradient: likewise via the lowered forward convolution.
         if self.engine == Engine::Simulated {
-            let bwd_conv = crate::conv::Conv2d {
-                shape: self.conv.backward_data_shape(),
-                ..self.conv
-            };
-            if bwd_conv.plan().name() != "reference" {
-                let run = self.conv.backward_data_on_chip(d_out, &self.weights)?;
-                self.simulated_cycles += run.timing.cycles;
-                return Ok(run.output.to_layout(Layout::Nchw));
+            match self.conv.backward_data_on_chip(d_out, &self.weights) {
+                Ok(run) => {
+                    self.simulated_cycles += run.timing.cycles;
+                    return Ok(run.output.to_layout(Layout::Nchw));
+                }
+                Err(SwdnnError::Unsupported { .. }) => {}
+                Err(e) => return Err(e),
             }
         }
         self.conv.backward_data(d_out, &self.weights)

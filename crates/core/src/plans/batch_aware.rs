@@ -24,7 +24,7 @@ use super::gemm_mesh::{lease_scratch, regcomm_gemm_with, zero_c, GemmBlock};
 use super::{extrapolate, finish, tap_major_filter, ConvPlan, ConvRun, LowerCtx, PlanTiming};
 use crate::error::SwdnnError;
 use crate::plans::PlanKind;
-use sw_perfmodel::Blocking;
+use sw_perfmodel::{co_blocks, Blocking};
 use sw_sim::{DmaHandle, LdmBuf, Mesh};
 use sw_tensor::{ConvShape, Layout, Tensor4};
 
@@ -47,7 +47,7 @@ impl BatchAwarePlan {
         }
     }
 
-    /// Pick the largest power-of-two `b_co` dividing `Co` that fits LDM.
+    /// Pick the largest `b_co ≤ 16` dividing `Co` that fits LDM.
     pub fn auto(shape: &ConvShape) -> Self {
         Self::auto_on(LowerCtx::default(), shape)
     }
@@ -55,17 +55,10 @@ impl BatchAwarePlan {
     /// [`BatchAwarePlan::auto`] in an explicit context: `b_co` is chosen
     /// against that context's (possibly degraded) chip.
     pub fn auto_on(ctx: LowerCtx, shape: &ConvShape) -> Self {
-        let mut b_co = 16usize;
-        while b_co > 1 {
-            if shape.co.is_multiple_of(b_co) {
-                let plan = Self::new(b_co).on(ctx);
-                if plan.ldm_doubles(shape) <= ctx.chip.ldm_doubles() {
-                    return plan;
-                }
-            }
-            b_co /= 2;
-        }
-        Self::new(1).on(ctx)
+        co_blocks(shape.co, 16)
+            .map(|b_co| Self::new(b_co).on(ctx))
+            .find(|plan| plan.ldm_doubles(shape) <= ctx.chip.ldm_doubles())
+            .unwrap_or_else(|| Self::new(1).on(ctx))
     }
 
     /// Run in `ctx` (a degraded chip, injected faults, a private runtime).

@@ -26,6 +26,7 @@
 use super::gemm_mesh::{lease_scratch, regcomm_gemm_with, zero_c, GemmBlock};
 use super::{extrapolate, finish, LowerCtx, PlanTiming};
 use crate::error::SwdnnError;
+use sw_perfmodel::co_blocks;
 use sw_sim::{DmaHandle, LdmBuf, Mesh};
 use sw_tensor::{ConvShape, Layout, Tensor4};
 
@@ -73,13 +74,10 @@ impl BwdFilterPlan {
     /// [`BwdFilterPlan::auto`] in an explicit context: the blocking is the
     /// largest one `supports` accepts on that context's chip.
     pub fn auto_on(ctx: LowerCtx, shape: &ConvShape) -> Self {
-        for (b_b, b_co) in [(32usize, 16usize), (32, 8), (32, 4), (32, 2), (32, 1)] {
-            let plan = Self::new(b_b, b_co).on(ctx);
-            if plan.supports(shape).is_ok() {
-                return plan;
-            }
-        }
-        Self::new(32, 1).on(ctx)
+        co_blocks(shape.co, 16)
+            .map(|b_co| Self::new(32, b_co).on(ctx))
+            .find(|plan| plan.supports(shape).is_ok())
+            .unwrap_or_else(|| Self::new(32, 1).on(ctx))
     }
 
     /// Per-CPE LDM footprint in doubles.

@@ -21,7 +21,7 @@
 use crate::error::SwdnnError;
 use crate::plans::{lower_schedule, BatchAwarePlan, ConvPlan, LowerCtx, PatchGemmPlan, Schedule};
 use sw_perfmodel::select::Blocking;
-use sw_perfmodel::{select_plan, ChipSpec, ConvPerfModel, PlanKind};
+use sw_perfmodel::{co_blocks, select_plan, ChipSpec, ConvPerfModel, PlanKind};
 use sw_tensor::{general_flops, ConvGeometry, ConvShape, Shape4};
 
 /// One searched candidate.
@@ -81,21 +81,14 @@ impl TuneReport {
 /// can express for this shape. Legality is *not* decided here — the
 /// lowering's `supports` check is the arbiter (enumerating from `b_b = 8`
 /// matters on the degraded 4-wide mesh, where the row granule is 16).
-fn enumerate_schedules(shape: &ConvShape) -> Vec<Schedule> {
-    let mut out = Vec::new();
-    for b_co in [16usize, 8, 4, 2, 1] {
-        if shape.co.is_multiple_of(b_co) {
-            out.push(Schedule::batch_aware(b_co));
-        }
-    }
+/// `b_Co` runs over the divisors of `Co` up to 16 for Algorithm 2 and up to
+/// 32 for Algorithm 1.
+pub fn enumerate_schedules(shape: &ConvShape) -> Vec<Schedule> {
+    let mut out: Vec<Schedule> = co_blocks(shape.co, 16).map(Schedule::batch_aware).collect();
     let mut b_b = 8usize;
     while b_b <= shape.batch {
         if shape.batch.is_multiple_of(b_b) {
-            for b_co in [32usize, 16, 8, 4, 2, 1] {
-                if shape.co.is_multiple_of(b_co) {
-                    out.push(Schedule::image_aware(b_b, b_co));
-                }
-            }
+            out.extend(co_blocks(shape.co, 32).map(|b_co| Schedule::image_aware(b_b, b_co)));
         }
         b_b *= 2;
     }
@@ -357,17 +350,16 @@ mod tests {
 
     #[test]
     fn model_choice_is_feasible_and_reasonable() {
-        // At tiny shapes the model misranks (its Eqs. ignore fixed
-        // per-superstep costs that dominate small problems); the §VII
-        // near-optimality claim is asserted at paper scale by the
-        // `model_vs_autotune` bench, where the model finds the empirical
-        // optimum. Here: the choice must exist and not be catastrophic.
+        // The §VII near-optimality claim is held at paper scale and on
+        // the B = 32 shapes by the `model_vs_autotune` tables, and over a
+        // whole small-batch grid by `tests/selection.rs`. Here: the choice
+        // must map to a simulated candidate and attain what it ranks.
         let shape = ConvShape::new(32, 16, 16, 6, 8, 3, 3);
         let rep = autotune(&shape).unwrap();
         let frac = rep
             .model_fraction_of_best()
             .expect("model choice must be feasible");
-        assert!(frac > 0.2, "model at {frac:.2} of the empirical best");
+        assert!(frac >= 0.95, "model at {frac:.2} of the empirical best");
         assert!(frac <= 1.0 + 1e-12);
     }
 

@@ -44,4 +44,4 @@ pub use interconnect::{
     NetworkModel, Round, Topology, Transfer,
 };
 pub use model::{ConvPerfModel, PerfEstimate};
-pub use select::{select_plan, Blocking, PlanChoice, PlanKind};
+pub use select::{co_blocks, select_plan, tile_occupancy, Blocking, PlanChoice, PlanKind};

@@ -229,6 +229,54 @@ mod tests {
     }
 
     #[test]
+    fn estimate_is_the_fig2_closed_form_bit_for_bit() {
+        // Selection scales its ranking by tile occupancy outside this
+        // function; the estimate itself stays
+        // `742.4 · EE · min(1, MBW/RBW)²_reg · min(1, MBW/RBW)²_mem`.
+        let m = ConvPerfModel::default();
+        let fig2 = |rbw_mem: f64, block_bytes: usize, ni: usize| {
+            let mbw_mem = DmaTable.bandwidth_gbps(DmaDirection::Get, block_bytes) * 0.8;
+            let mem = (mbw_mem / rbw_mem).min(1.0);
+            let reg = (46.4 / rbw::rbw_reg_gemm_simd(16, 4, 11.6)).min(1.0);
+            742.4 * sw_isa::efficiency::ee_for_ni(ni) * reg * reg * mem * mem
+        };
+        let t_cg = m.chip.peak_gflops_per_cg();
+        // The Table III rows, then the B 32 shape selection moved.
+        for (b_b, b_co, batch, ni, no) in [
+            (32, 16, 128, 128, 128),
+            (32, 8, 128, 128, 256),
+            (32, 16, 32, 8, 16),
+        ] {
+            let est = m.estimate(
+                PlanKind::ImageSizeAware,
+                Blocking { b_b, b_co },
+                batch,
+                ni,
+                no,
+                3,
+            );
+            let expect = fig2(
+                rbw::rbw_image_aware(b_b, b_co, no, t_cg),
+                32 * (b_co + 2),
+                ni,
+            );
+            assert_eq!(est.gflops_per_cg.to_bits(), expect.to_bits());
+        }
+        for (batch, ni, no) in [(128, 256, 256), (128, 128, 384), (32, 8, 16)] {
+            let est = m.estimate(
+                PlanKind::BatchSizeAware,
+                Blocking::default(),
+                batch,
+                ni,
+                no,
+                3,
+            );
+            let expect = fig2(rbw::rbw_batch_aware(batch, 3, no, t_cg), 8 * batch, ni);
+            assert_eq!(est.gflops_per_cg.to_bits(), expect.to_bits());
+        }
+    }
+
+    #[test]
     fn register_blocking_is_never_the_bottleneck() {
         let m = ConvPerfModel::default();
         let est = m.estimate(

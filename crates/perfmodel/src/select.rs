@@ -8,6 +8,16 @@
 //! `(b_b, b_co)` pair that maximizes modeled performance under the LDM
 //! capacity constraint.
 //!
+//! Candidates are ranked by `estimate.gflops_per_cg × tile_occupancy`: the
+//! Fig. 2 estimate prices bandwidth, [`tile_occupancy`] prices the §V-C
+//! register tile. The kernel computes whole `rb_No × rb_B = 4 × 16` tiles,
+//! so a candidate whose per-CPE GEMM block fills only part of its tiles
+//! (Algorithm 2 at `B = 32`, `No = 16` hands each CPE a `2 × 4` block —
+//! one tile, 12.5 % full) pays for the empty part. Fig. 2 ranks, occupancy
+//! scales; [`ConvPerfModel::estimate`] is never edited for selection's
+//! sake, because the reference plan's modeled timing and every model
+//! column under `results/` read it.
+//!
 //! The LDM footprint formulas mirror how the `swdnn` plans actually buffer
 //! data (each CPE owns 1/64 of every tile; input and filter buffers are
 //! double-buffered to overlap DMA with compute):
@@ -15,8 +25,14 @@
 //! * image-size-aware, per CPE, in doubles:
 //!   `2·(b_b·Ni·(b_co+Kc−1))/64 + 2·(Ni·No)/64 + (b_b·No·b_co)/64`
 //! * batch-size-aware, per CPE:
-//!   `2·(B·Ni)/64 + 2·(Ni·No·Kc)/64 + (B·No·b_co... )/64` — the output tile
-//!   held is `B·No·Kc/64` (the `b_co = Kc` window Algorithm 2 accumulates).
+//!   `2·(B·Ni)/64 + 2·(Ni·No·Kc)/64 + (B·No·Kc)/64` — the output tile held
+//!   is the `b_co = Kc` window Algorithm 2 accumulates.
+//!
+//! [`ldm_doubles_batch_aware`] is deliberately more conservative than
+//! `BatchAwarePlan::ldm_doubles` (double-buffered filters and a `Kc`-wide
+//! output window, where the plan single-buffers the filter slice and
+//! shrinks its window down to `b_co = 1`); the two can disagree, which is
+//! why `Conv2d::plan` re-checks the instantiated plan's `supports`.
 
 use crate::chip::ChipSpec;
 use crate::model::{ConvPerfModel, PerfEstimate};
@@ -59,7 +75,19 @@ pub struct PlanChoice {
     pub blocking: Blocking,
     /// LDM doubles used per CPE (must be ≤ 8192).
     pub ldm_doubles: usize,
+    /// The Fig. 2 estimate of the candidate — what the plan is modeled to
+    /// attain, untouched by [`PlanChoice::tile_occupancy`].
     pub estimate: PerfEstimate,
+    /// [`tile_occupancy`] of the candidate's per-CPE GEMM block.
+    pub tile_occupancy: f64,
+}
+
+impl PlanChoice {
+    /// What candidates are ranked by: modeled Gflops scaled by the share
+    /// of the register tiles doing real work.
+    pub fn score(&self) -> f64 {
+        self.estimate.gflops_per_cg * self.tile_occupancy
+    }
 }
 
 /// Per-CPE LDM footprint of the image-size-aware plan, in doubles.
@@ -80,25 +108,66 @@ pub fn ldm_doubles_batch_aware(shape: &ConvShape) -> usize {
     input + filter + output
 }
 
+/// The divisors of `co` up to `cap`, largest first: the one `b_Co` ladder
+/// behind the selector's candidates, the plans' `auto` constructors and the
+/// autotuner's enumeration (each with its own cap). Every divisor, not
+/// only powers of two — backward-data shapes have odd extents (`Co = 66`
+/// at paper scale, 18 and 6 in small networks).
+pub fn co_blocks(co: usize, cap: usize) -> impl DoubleEndedIterator<Item = usize> {
+    (1..=co.min(cap))
+        .rev()
+        .filter(move |b_co| co.is_multiple_of(*b_co))
+}
+
 /// Candidate blockings searched for the image-size-aware plan.
 ///
 /// `b_B` starts at 32: the mesh distribution assigns whole batch-quads to
 /// each of the 8 pixel chunks, so the plan needs `b_B` to be a multiple of
-/// `4 · 8`.
+/// `4 · 8`. `b_Co` runs up to 33 (half of the `Co = 66` of a paper-scale
+/// backward-data shape), smallest first so that among equal scores the
+/// smaller LDM footprint wins.
 fn blocking_candidates(shape: &ConvShape) -> Vec<Blocking> {
     let mut out = Vec::new();
     let mut b_b = 32;
     while b_b <= shape.batch {
-        // Every divisor of Co up to 33 (covers power-of-two outputs and
-        // the odd extents of backward-data shapes like Co = 66).
-        for b_co in 1..=shape.co.min(33) {
-            if shape.co.is_multiple_of(b_co) {
-                out.push(Blocking { b_b, b_co });
-            }
-        }
+        out.extend(
+            co_blocks(shape.co, 33)
+                .rev()
+                .map(|b_co| Blocking { b_b, b_co }),
+        );
         b_b *= 2;
     }
     out
+}
+
+/// Fraction of the register tiles a candidate's per-CPE GEMM block
+/// touches that holds real work, in `(0, 1]`.
+///
+/// Each CPE updates an `m8 × n8` block per rotation — `m8 = No/mesh_dim`
+/// output channels by `n8` pixels, `B/mesh_dim` for the batch-size-aware
+/// plan and `b_B·b_Co/mesh_dim` for the image-size-aware one — in whole
+/// `rb_no × rb_b` register tiles (§V-C; `ConvPerfModel`'s fields, the
+/// tile `swdnn::kernel_cost` charges). Plans the selector does not rank
+/// report 1.
+pub fn tile_occupancy(
+    model: &ConvPerfModel,
+    kind: PlanKind,
+    blocking: Blocking,
+    shape: &ConvShape,
+) -> f64 {
+    let dim = model.chip.mesh_dim;
+    let n8 = match kind {
+        PlanKind::BatchSizeAware => shape.batch / dim,
+        PlanKind::ImageSizeAware => blocking.b_b * blocking.b_co / dim,
+        PlanKind::DirectGload | PlanKind::PatchGemm => return 1.0,
+    };
+    let m8 = shape.no / dim;
+    let padded = m8.next_multiple_of(model.rb_no) * n8.next_multiple_of(model.rb_b);
+    if padded == 0 {
+        // Extents below one mesh chunk: no plan supports the shape.
+        return 1.0;
+    }
+    (m8 * n8) as f64 / padded as f64
 }
 
 /// Choose a plan for `shape` on `chip` following the paper's policy.
@@ -112,58 +181,39 @@ pub fn select_plan(shape: &ConvShape, chip: &ChipSpec) -> Option<PlanChoice> {
         ..ConvPerfModel::default()
     };
     let budget = chip.ldm_doubles();
-    let mut best: Option<PlanChoice> = None;
+    let choice = |kind, blocking, ldm_doubles| {
+        // The batch-size-aware estimate ignores its blocking argument.
+        let estimate = model.estimate(kind, blocking, shape.batch, shape.ni, shape.no, shape.kc);
+        PlanChoice {
+            kind,
+            blocking,
+            ldm_doubles,
+            estimate,
+            tile_occupancy: tile_occupancy(&model, kind, blocking, shape),
+        }
+    };
 
-    // Batch-size-aware candidate.
+    // Batch-size-aware first; an image-size-aware blocking wins only with a
+    // strictly better score.
     let batch_ldm = ldm_doubles_batch_aware(shape);
-    if batch_ldm <= budget {
-        let est = model.estimate(
-            PlanKind::BatchSizeAware,
-            Blocking::default(),
-            shape.batch,
-            shape.ni,
-            shape.no,
-            shape.kc,
-        );
-        best = Some(PlanChoice {
-            kind: PlanKind::BatchSizeAware,
-            blocking: Blocking {
-                b_b: shape.batch,
-                b_co: shape.kc,
-            },
-            ldm_doubles: batch_ldm,
-            estimate: est,
-        });
-    }
-
-    // Image-size-aware candidates.
-    for blk in blocking_candidates(shape) {
-        let ldm = ldm_doubles_image_aware(shape, blk);
-        if ldm > budget {
-            continue;
-        }
-        let est = model.estimate(
-            PlanKind::ImageSizeAware,
-            blk,
-            shape.batch,
-            shape.ni,
-            shape.no,
-            shape.kc,
-        );
-        let better = match &best {
-            None => true,
-            Some(b) => est.gflops_per_cg > b.estimate.gflops_per_cg,
+    let batch = (batch_ldm <= budget).then(|| {
+        let blocking = Blocking {
+            b_b: shape.batch,
+            b_co: shape.kc,
         };
-        if better {
-            best = Some(PlanChoice {
-                kind: PlanKind::ImageSizeAware,
-                blocking: blk,
-                ldm_doubles: ldm,
-                estimate: est,
-            });
+        choice(PlanKind::BatchSizeAware, blocking, batch_ldm)
+    });
+    let image = blocking_candidates(shape).into_iter().filter_map(|blk| {
+        let ldm = ldm_doubles_image_aware(shape, blk);
+        (ldm <= budget).then(|| choice(PlanKind::ImageSizeAware, blk, ldm))
+    });
+    batch.into_iter().chain(image).reduce(|best, next| {
+        if next.score() > best.score() {
+            next
+        } else {
+            best
         }
-    }
-    best
+    })
 }
 
 #[cfg(test)]
@@ -242,6 +292,77 @@ mod tests {
             2 * above >= total,
             "only {above}/{total} configs above 45% of peak"
         );
+    }
+
+    #[test]
+    fn occupancy_is_full_at_paper_scale_and_partial_at_small_batch() {
+        let model = ConvPerfModel::default();
+        let occ = |kind, b_b, b_co, shape: ConvShape| {
+            tile_occupancy(&model, kind, Blocking { b_b, b_co }, &shape)
+        };
+        // Every Table III row fills its register tiles.
+        for (kind, b_b, b_co, ni, no) in [
+            (PlanKind::ImageSizeAware, 32, 16, 128, 128),
+            (PlanKind::ImageSizeAware, 32, 8, 128, 256),
+            (PlanKind::BatchSizeAware, 128, 3, 256, 256),
+            (PlanKind::BatchSizeAware, 128, 3, 128, 384),
+        ] {
+            assert_eq!(occ(kind, b_b, b_co, paper_shape(ni, no)), 1.0);
+        }
+        // B 32, No 16: Algorithm 2 hands each CPE a 2 × 4 block of one
+        // 4 × 16 tile; Algorithm 1 at (32, 16) a 2 × 64 block of four.
+        let small = ConvShape::new(32, 8, 16, 16, 16, 3, 3);
+        assert_eq!(occ(PlanKind::BatchSizeAware, 32, 3, small), 0.125);
+        assert_eq!(occ(PlanKind::ImageSizeAware, 32, 16, small), 0.5);
+        // Plans the selector does not rank are not scaled.
+        assert_eq!(occ(PlanKind::PatchGemm, 8, 1, small), 1.0);
+    }
+
+    #[test]
+    fn occupancy_follows_the_chips_mesh_dim() {
+        // On a 4×4 mesh the same B 32, No 16 shape hands each CPE a 4 × 8
+        // block: the rows fill, half the pixels do.
+        let mut model = ConvPerfModel::default();
+        model.chip.mesh_dim = 4;
+        let small = ConvShape::new(32, 8, 16, 16, 16, 3, 3);
+        let blk = Blocking { b_b: 32, b_co: 3 };
+        assert_eq!(
+            tile_occupancy(&model, PlanKind::BatchSizeAware, blk, &small),
+            0.5
+        );
+    }
+
+    #[test]
+    fn small_batch_leaves_the_batch_aware_plan() {
+        // conv 8→16 @ 16×16, B 32: Fig. 2 alone prefers Algorithm 2 (its
+        // estimate is the higher one); at 12.5 % occupancy it loses.
+        let chip = ChipSpec::sw26010();
+        let shape = ConvShape::new(32, 8, 16, 16, 16, 3, 3);
+        let choice = select_plan(&shape, &chip).unwrap();
+        assert_eq!(choice.kind, PlanKind::ImageSizeAware);
+        assert_eq!(choice.blocking, Blocking { b_b: 32, b_co: 16 });
+        assert_eq!(choice.tile_occupancy, 0.5);
+        let batch = ConvPerfModel::default().estimate(
+            PlanKind::BatchSizeAware,
+            Blocking::default(),
+            32,
+            8,
+            16,
+            3,
+        );
+        assert!(batch.gflops_per_cg > choice.estimate.gflops_per_cg);
+        assert!(choice.score() > batch.gflops_per_cg * 0.125);
+    }
+
+    #[test]
+    fn co_blocks_are_the_divisors_largest_first() {
+        let blocks = |co, cap| co_blocks(co, cap).collect::<Vec<_>>();
+        assert_eq!(blocks(64, 16), [16, 8, 4, 2, 1]);
+        assert_eq!(blocks(64, 32), [32, 16, 8, 4, 2, 1]);
+        assert_eq!(blocks(66, 16), [11, 6, 3, 2, 1]);
+        assert_eq!(blocks(66, 33), [33, 22, 11, 6, 3, 2, 1]);
+        assert_eq!(blocks(18, 16), [9, 6, 3, 2, 1]);
+        assert_eq!(blocks(6, 16), [6, 3, 2, 1]);
     }
 
     #[test]

@@ -79,8 +79,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     match select_plan(&shape, &chip) {
         Some(choice) => {
             println!(
-                "\nmodel selects: {:?} with blocking {:?} ({} LDM doubles, predicted {:.1} Gflops)",
-                choice.kind, choice.blocking, choice.ldm_doubles, choice.estimate.gflops_per_cg
+                "\nmodel selects: {:?} with blocking {:?} ({} LDM doubles, predicted {:.1} Gflops, \
+                 register tiles {:.0}% occupied)",
+                choice.kind,
+                choice.blocking,
+                choice.ldm_doubles,
+                choice.estimate.gflops_per_cg,
+                100.0 * choice.tile_occupancy
             );
         }
         None => println!("\nmodel selects: none (shape needs Ni/No blocking)"),
