@@ -4,10 +4,10 @@
 
 use crate::error::SwdnnError;
 use crate::plans::{
-    BatchAwarePlan, BwdFilterPlan, ConvPlan, ConvRun, DirectPlan, ImageAwarePlan, LowerCtx,
-    PatchGemmPlan, PlanTiming, ReferencePlan,
+    lower_schedule, BatchAwarePlan, BwdFilterPlan, ConvPlan, ConvRun, LowerCtx, PatchGemmPlan,
+    PlanTiming, Schedule,
 };
-use sw_perfmodel::{co_blocks, select_plan, PlanChoice, PlanKind};
+use sw_perfmodel::{co_blocks, select_plan, Blocking, PlanChoice, PlanKind};
 use sw_tensor::{conv2d_bwd_data_ref, conv2d_bwd_filter_ref, ConvShape, Tensor4};
 
 /// A configured convolution operator.
@@ -49,82 +49,86 @@ impl Conv2d {
         self
     }
 
-    /// Resolve the plan this configuration will use.
-    ///
-    /// Order: forced kind if set; otherwise the performance model's choice,
-    /// verified against the plan's own `supports`; otherwise whichever mesh
-    /// plan supports the shape; otherwise the host reference plan. The
-    /// selector is consulted once, and its blocking serves every
-    /// image-size-aware instantiation below.
+    /// The plan this configuration will use: [`Conv2d::schedule`], built
+    /// in this operator's context.
     pub fn plan(&self) -> Box<dyn ConvPlan> {
-        let choice = select_plan(&self.shape, &self.ctx.chip);
-        if let Some(kind) = self.forced {
-            return self.instantiate(kind, choice.as_ref());
-        }
-        let modeled = choice.as_ref().map(|c| c.kind);
-        for kind in modeled
-            .into_iter()
-            .chain([PlanKind::BatchSizeAware, PlanKind::ImageSizeAware])
-        {
-            let plan = self.instantiate(kind, choice.as_ref());
-            if plan.supports(&self.shape).is_ok() {
-                return plan;
-            }
-        }
-        Box::new(ReferencePlan {
-            chip: self.ctx.chip,
-        })
+        self.schedule().build(&self.ctx)
     }
 
-    fn instantiate(&self, kind: PlanKind, choice: Option<&PlanChoice>) -> Box<dyn ConvPlan> {
+    /// Resolve the schedule this configuration will use.
+    ///
+    /// Order: forced kind if set (returned even when its plan does not
+    /// support the shape — that plan's `supports` then says why);
+    /// otherwise the performance model's choice, verified against the
+    /// plan's own `supports`; otherwise whichever of batch-size-aware and
+    /// image-size-aware supports the shape; otherwise the host reference.
+    /// The selector is consulted once, and its blocking serves every
+    /// image-size-aware candidate below.
+    pub fn schedule(&self) -> Schedule {
+        let choice = select_plan(&self.shape, &self.ctx.chip);
+        if let Some(kind) = self.forced {
+            return self.schedule_for(kind, choice.as_ref());
+        }
+        let modeled = choice.as_ref().map(|c| c.kind);
+        modeled
+            .into_iter()
+            .chain([PlanKind::BatchSizeAware, PlanKind::ImageSizeAware])
+            .map(|kind| self.schedule_for(kind, choice.as_ref()))
+            .find(|s| self.lowers(s))
+            .unwrap_or(Schedule::reference())
+    }
+
+    fn lowers(&self, s: &Schedule) -> bool {
+        lower_schedule(s, &self.shape, &self.ctx).is_ok()
+    }
+
+    fn schedule_for(&self, kind: PlanKind, choice: Option<&PlanChoice>) -> Schedule {
+        let shape = &self.shape;
         match kind {
             PlanKind::ImageSizeAware => {
                 // Use the model's blocking choice when available.
-                let blocking = choice
+                let Blocking { b_b, b_co } = choice
                     .filter(|c| c.kind == PlanKind::ImageSizeAware)
                     .map(|c| c.blocking)
                     .unwrap_or_else(|| self.fallback_blocking());
-                let plan = ImageAwarePlan::new(blocking).on(self.ctx);
-                if plan.supports(&self.shape).is_ok() {
-                    return Box::new(plan);
+                let plain = Schedule::image_aware(b_b, b_co);
+                if self.lowers(&plain) {
+                    return plain;
                 }
                 // §IV-A fallback: jointly shrink the output-column block
                 // and block the Ni dimension until the footprint fits
                 // (largest surviving b_co first; b_ni halves down to one
                 // mesh row's worth of channels).
-                for b_co in co_blocks(self.shape.co, 16) {
-                    let base =
-                        ImageAwarePlan::new(sw_perfmodel::Blocking { b_b: 32, b_co }).on(self.ctx);
-                    let mut b_ni = self.shape.ni;
+                for b_co in co_blocks(shape.co, 16) {
+                    let mut b_ni = shape.ni;
                     while b_ni >= 8 {
-                        if self.shape.ni.is_multiple_of(b_ni) && b_ni.is_multiple_of(8) {
-                            let blocked = base.with_ni_blocking(b_ni);
-                            if blocked.supports(&self.shape).is_ok() {
-                                return Box::new(blocked);
+                        if shape.ni.is_multiple_of(b_ni) && b_ni.is_multiple_of(8) {
+                            let blocked = Schedule::image_aware_ni(32, b_co, b_ni);
+                            if self.lowers(&blocked) {
+                                return blocked;
                             }
                         }
                         b_ni /= 2;
                     }
                 }
-                Box::new(plan)
+                plain
             }
-            PlanKind::BatchSizeAware => Box::new(BatchAwarePlan::auto_on(self.ctx, &self.shape)),
-            PlanKind::DirectGload => Box::new(DirectPlan {
-                chip: self.ctx.chip,
-                rt: self.ctx.rt,
-            }),
-            PlanKind::PatchGemm => Box::new(PatchGemmPlan::auto(self.ctx, &self.shape)),
+            PlanKind::BatchSizeAware => {
+                Schedule::batch_aware(BatchAwarePlan::auto_on(self.ctx, shape).b_co)
+            }
+            PlanKind::DirectGload => Schedule::direct(),
+            PlanKind::PatchGemm => Schedule::patch_gemm(PatchGemmPlan::auto(self.ctx, shape).b_p),
         }
     }
 
-    fn fallback_blocking(&self) -> sw_perfmodel::Blocking {
+    fn fallback_blocking(&self) -> Blocking {
         // Largest feasible power-of-two batch block, largest column block.
         let mut b_b = 32;
         while b_b * 2 <= self.shape.batch && self.shape.batch.is_multiple_of(b_b * 2) && b_b < 128 {
             b_b *= 2;
         }
         let b_co = co_blocks(self.shape.co, 16).next().unwrap_or(1);
-        sw_perfmodel::Blocking { b_b, b_co }
+        Blocking { b_b, b_co }
     }
 
     /// Forward convolution.
@@ -319,6 +323,23 @@ mod tests {
     }
 
     #[test]
+    fn forced_direct_plan_sees_the_operators_faults() {
+        let shape = ConvShape::new(16, 8, 8, 4, 8, 3, 3);
+        let fault = sw_sim::FaultPlan::none(1).with_dma_fail_rate(1.0);
+        let conv = Conv2d::new(shape)
+            .unwrap()
+            .on(LowerCtx::default().with_fault(Some(fault)))
+            .with_plan(PlanKind::DirectGload);
+        let input = lattice_tensor(shape.input_shape(), Layout::Nchw, 58);
+        let filter = lattice_tensor(shape.filter_shape(), Layout::Nchw, 59);
+        let err = conv.forward(&input, &filter).unwrap_err();
+        assert!(
+            matches!(err, SwdnnError::Sim(sw_sim::SimError::DmaFault { .. })),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn operand_shapes_are_checked() {
         let shape = ConvShape::new(16, 8, 8, 4, 8, 3, 3);
         let conv = Conv2d::new(shape).unwrap();
@@ -364,6 +385,7 @@ mod ni_blocking_tests {
         // must fall back to Ni blocking, not to the host reference plan.
         let shape = ConvShape::new(128, 512, 512, 64, 64, 3, 3);
         let conv = Conv2d::new(shape).unwrap();
+        assert!(conv.schedule().b_ni.is_some());
         let plan = conv.plan();
         assert_eq!(plan.name(), "image_size_aware");
         assert!(plan.supports(&shape).is_ok());

@@ -57,7 +57,7 @@ pub use executor::{ConvReport, Executor};
 pub use optim::Optimizer;
 pub use plans::{
     lower_schedule, BatchAwarePlan, ConvPlan, ConvRun, DirectPlan, ImageAwarePlan, LoopOrder,
-    LowerCtx, MeshGrain, PatchGemmPlan, ReferencePlan, Schedule,
+    LowerCtx, PatchGemmPlan, ReferencePlan, Schedule,
 };
 pub use resilient::{
     RecoveryEvent, RecoveryOutcome, ResilientExecutor, ResilientReport, VerifyPolicy,

@@ -9,11 +9,11 @@
 //! collapse and anchors the "direct memory access" column of the Fig. 2
 //! reproduction.
 
-use super::{ConvPlan, ConvRun, PlanTiming};
+use super::{finish, ConvPlan, ConvRun, LowerCtx, PlanTiming};
 use crate::error::SwdnnError;
 use crate::plans::PlanKind;
 use sw_perfmodel::ChipSpec;
-use sw_sim::{CgStats, CpeStats, LdmBuf, Mesh};
+use sw_sim::{CgStats, CpeStats, LdmBuf};
 use sw_tensor::{ConvShape, Layout, Tensor4};
 
 /// Cycles one scalar 8-byte `gload` costs a CPE when all 64 CPEs contend
@@ -24,30 +24,26 @@ pub fn gload_cycles(chip: &ChipSpec) -> u64 {
 }
 
 /// The direct-gload convolution.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct DirectPlan {
-    pub chip: ChipSpec,
-    /// Execution context the simulated mesh runs on.
-    pub rt: &'static sw_runtime::ExecutionContext,
-}
-
-impl Default for DirectPlan {
-    fn default() -> Self {
-        Self {
-            chip: ChipSpec::default(),
-            rt: sw_runtime::global(),
-        }
-    }
+    /// Where the simulated mesh runs: chip, injected faults, host runtime.
+    pub ctx: LowerCtx,
 }
 
 impl DirectPlan {
+    /// Run in `ctx` (a degraded chip, injected faults, a private runtime).
+    pub fn on(mut self, ctx: LowerCtx) -> Self {
+        self.ctx = ctx;
+        self
+    }
+
     /// Analytic cycle count. The plan is perfectly regular, so (up to the
     /// final barrier) the closed form matches the simulated count —
     /// asserted in the tests.
     pub fn analytic_cycles(&self, shape: &ConvShape) -> u64 {
         let outputs = shape.batch * shape.no * shape.ro * shape.co;
-        let per_cpe_outputs = outputs.div_ceil(self.chip.cpes_per_cg);
-        let g = gload_cycles(&self.chip);
+        let per_cpe_outputs = outputs.div_ceil(self.ctx.chip.cpes_per_cg);
+        let g = gload_cycles(&self.ctx.chip);
         let inner = shape.ni * shape.kr * shape.kc;
         // 2 gloads (input + filter element) and 1 scalar fma per inner step,
         // plus one gstore per output.
@@ -97,11 +93,10 @@ impl ConvPlan for DirectPlan {
         );
         let (ri, ci) = (shape.ri(), shape.ci());
         let outputs = b_n * no * ro * co;
-        let g = gload_cycles(&self.chip);
+        let g = gload_cycles(&self.ctx.chip);
 
         let mut output = Tensor4::zeros(shape.output_shape(), Layout::Nchw);
-        let mut mesh: Mesh<LdmBuf> =
-            Mesh::new_on(self.rt, self.chip, |_, _| LdmBuf { offset: 0, len: 0 });
+        let mut mesh = self.ctx.mesh(|_, _| LdmBuf { offset: 0, len: 0 });
         mesh.superstep(|ctx, buf| {
             *buf = ctx.ldm_alloc(1)?;
             Ok(())
@@ -136,18 +131,8 @@ impl ConvPlan for DirectPlan {
             }
             Ok(())
         })?;
-        mesh.drain_puts(output.data_mut())?;
-
-        let stats = mesh.stats();
-        Ok(ConvRun {
-            output,
-            timing: PlanTiming {
-                cycles: stats.cycles,
-                stats,
-                sampled: false,
-                modeled: false,
-            },
-        })
+        let timing = finish(mesh, output.data_mut())?;
+        Ok(ConvRun { output, timing })
     }
 
     fn time_full_shape(&self, shape: &ConvShape) -> Result<PlanTiming, SwdnnError> {

@@ -22,7 +22,13 @@
 //! and counter of the same walk without moving or multiplying anything —
 //! timing a shape does not do its arithmetic. Either mesh comes from the
 //! plan's one [`LowerCtx`] (chip, injected faults, host runtime), and every
-//! walk ends in the same epilogue, `finish`.
+//! walk ends in the same epilogue, `finish` — the direct plan's functional
+//! run included (its timing is closed form).
+//!
+//! A forward plan is described by a [`Schedule`], and [`Schedule::build`]
+//! is the one place a description becomes one of these structs: `Conv2d`,
+//! the resilient fallback chain, the plan cache and the autotuner all go
+//! through it.
 
 pub mod batch_aware;
 pub mod bwd_filter;
@@ -39,7 +45,7 @@ pub use direct::DirectPlan;
 pub use image_aware::ImageAwarePlan;
 pub use patch_gemm::PatchGemmPlan;
 pub use reference::ReferencePlan;
-pub use schedule::{lower_schedule, LoopOrder, LowerCtx, MeshGrain, Schedule};
+pub use schedule::{lower_schedule, LoopOrder, LowerCtx, Schedule};
 
 use crate::error::SwdnnError;
 use sw_perfmodel::{Blocking, ChipSpec, PlanKind};

@@ -88,11 +88,6 @@ impl PatchGemmPlan {
         self
     }
 
-    pub fn with_reordered(mut self, reordered: bool) -> Self {
-        self.reordered_kernel = reordered;
-        self
-    }
-
     fn ldm_doubles_for(chip: ChipSpec, ni: usize, no: usize, b_p: usize) -> usize {
         let dim = chip.mesh_dim;
         let (ni8, no8, p8) = (ni / dim, no / dim, b_p / dim);

@@ -1,70 +1,51 @@
-//! The schedule IR: blocking, loop order, layout, and mesh-mapping grain
-//! as one composable value, plus the single interpreter that lowers a
-//! legal [`Schedule`] onto the existing plan/`regcomm_gemm` machinery.
+//! The schedule IR: every decision a conv plan makes, as one composable
+//! value, and the one place such a value becomes a plan.
 //!
-//! The four hand-written plans are points in a space of decisions the
-//! paper makes per shape: how to block (`b_B`, `b_Co`, `b_Ni`, `b_P`),
-//! which loop order streams the data (pixel tiles vs. batch columns vs.
-//! gathered patches), which physical layout feeds the DMA engine, and at
-//! what grain operand tiles map onto the 8×8 mesh. A [`Schedule`] records
-//! those decisions explicitly; [`lower_schedule`] turns any *legal*
-//! combination into a ready-to-run [`ConvPlan`] by configuring the
-//! existing plan structs — so a preset schedule lowers to *exactly* the
-//! plan the hand-written path would build, bit-identical output and
-//! identical simulated cycles included (see `tests/schedule_presets.rs`).
+//! The four hand-written loop nests are points in a space of decisions the
+//! paper makes per shape: which loop order streams the data (pixel tiles
+//! vs. batch columns vs. gathered patches) and how to block it (`b_B`,
+//! `b_Co`, `b_Ni`, `b_P`). A [`Schedule`] states each decision once — the
+//! loop order fixes the plan family, the operand layout and the mesh grain
+//! it is written against, so those are not separate fields.
+//! [`Schedule::build`] is the only constructor of a plan struct from a
+//! description: `Conv2d`, the resilient fallback chain, the plan cache and
+//! the autotuner all resolve a `Schedule` first and build it here.
 //!
-//! Legality has two layers:
+//! [`lower_schedule`] is `build` behind the legality check a caller-supplied
+//! schedule needs. Both layers surface as [`SwdnnError::PlanRejected`]
+//! carrying the human-readable reason, so a search (or a serving fallback
+//! chain) can log *why* a point in the space is infeasible instead of
+//! silently degrading:
 //!
-//! 1. **Structural** (shape-independent): the loop order fixes the layout
-//!    and mesh grain it is implemented against, and requires its own
-//!    blocking fields to be non-zero. A schedule claiming, say, a
-//!    batch-streamed loop over the image-aware layout describes a kernel
-//!    nobody wrote; it is rejected before any lowering.
-//! 2. **Per-shape**: the lowered plan's own `supports` check
-//!    (divisibility, LDM budget). Both layers surface as
-//!    [`SwdnnError::PlanRejected`] carrying the human-readable reason, so
-//!    a search (or a serving fallback chain) can log *why* a point in the
-//!    space is infeasible instead of silently degrading.
+//! 1. **Structural** (shape-independent): the loop order's own blocking
+//!    fields must be non-zero.
+//! 2. **Per-shape**: the built plan's `supports` check (divisibility, LDM
+//!    budget).
 
 use super::patch_gemm::PatchGemmPlan;
 use super::{BatchAwarePlan, ConvPlan, DirectPlan, ImageAwarePlan, ReferencePlan};
 use crate::error::SwdnnError;
 use sw_perfmodel::{Blocking, ChipSpec, PlanKind};
-use sw_tensor::{ConvShape, Layout};
+use sw_tensor::ConvShape;
 
-/// The loop order / mapping family a schedule streams data in.
+/// The loop order / mapping family a schedule streams data in. Each order
+/// is implemented against exactly one operand layout and mesh grain.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum LoopOrder {
-    /// Algorithm 1: tile `(b_B, b_Co)` output blocks, rotate filters.
+    /// Algorithm 1: tile `(b_B, b_Co)` output blocks, rotate filters;
+    /// image-aware layout, whole batch-quads per mesh pixel chunk.
     PixelTiled,
-    /// Algorithm 2: stream input pixel columns across the whole batch.
+    /// Algorithm 2: stream input pixel columns across the whole batch;
+    /// batch-aware layout, `B/8` batch slices per mesh column.
     ColumnStreamed,
     /// The pathological per-element `gload` nest (Fig. 2 ablation).
     DirectNested,
     /// Host MPE reference loops (always legal, never fast).
     HostReference,
     /// Per-tap GEMM over gathered output-pixel patches — the general
-    /// geometry (stride/dilation/padding) mapping.
+    /// geometry (stride/dilation/padding) mapping; `b_P/8` pixels per mesh
+    /// column.
     PatchGathered,
-}
-
-/// The grain at which operand tiles map onto the CPE mesh.
-///
-/// Today each [`LoopOrder`] is implemented against exactly one grain;
-/// the axis exists in the IR so multi-grained mappings (MG3MConv-style)
-/// can be added as new legal combinations rather than new plan monoliths.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum MeshGrain {
-    /// Whole batch-quads per mesh pixel chunk (image-size-aware).
-    BatchQuad,
-    /// `B/8` batch slices per mesh column (batch-size-aware).
-    BatchSlice,
-    /// One element per `gload` (direct mapping).
-    Element,
-    /// No mesh at all: the host MPE runs the loops.
-    Host,
-    /// `b_P/8` gathered output pixels per mesh column (patch GEMM).
-    PixelBlock,
 }
 
 /// One point in the schedule space. `Copy + Eq + Hash` so it can key
@@ -72,14 +53,7 @@ pub enum MeshGrain {
 /// `(shape, schedule)`).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Schedule {
-    /// The plan family this schedule lowers into (redundant with `order`
-    /// for the presets, but kept explicit: a structural check rejects
-    /// combinations where the two disagree).
-    pub kind: PlanKind,
     pub order: LoopOrder,
-    /// Physical operand layout the loop order is implemented against.
-    pub layout: Layout,
-    pub grain: MeshGrain,
     /// Batch block `b_B` (pixel-tiled; `0` = stream the whole batch).
     pub b_b: usize,
     /// Output-column block `b_Co`.
@@ -95,92 +69,78 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// Algorithm 1 preset: lowers to [`ImageAwarePlan`] with `(b_b, b_co)`.
-    pub const fn image_aware(b_b: usize, b_co: usize) -> Self {
+    /// `order` with no blocking and neither §VI nor §IV-A switched on.
+    const fn of(order: LoopOrder) -> Self {
         Self {
-            kind: PlanKind::ImageSizeAware,
-            order: LoopOrder::PixelTiled,
-            layout: Layout::ImageAware,
-            grain: MeshGrain::BatchQuad,
-            b_b,
-            b_co,
+            order,
+            b_b: 0,
+            b_co: 0,
             b_ni: None,
             b_p: 0,
+            reordered_kernel: false,
+            double_buffer: false,
+        }
+    }
+
+    /// Algorithm 1 preset: builds [`ImageAwarePlan`] with `(b_b, b_co)`.
+    pub const fn image_aware(b_b: usize, b_co: usize) -> Self {
+        Self {
+            b_b,
+            b_co,
             reordered_kernel: true,
             double_buffer: true,
+            ..Self::of(LoopOrder::PixelTiled)
         }
     }
 
     /// [`Schedule::image_aware`] with the §IV-A input-channel blocking.
     pub const fn image_aware_ni(b_b: usize, b_co: usize, b_ni: usize) -> Self {
-        let mut s = Self::image_aware(b_b, b_co);
-        s.b_ni = Some(b_ni);
-        s
+        Self {
+            b_ni: Some(b_ni),
+            ..Self::image_aware(b_b, b_co)
+        }
     }
 
-    /// Algorithm 2 preset: lowers to [`BatchAwarePlan`] with `b_co`.
+    /// Algorithm 2 preset: builds [`BatchAwarePlan`] with `b_co` (streams
+    /// the whole batch, so `b_b` stays 0).
     pub const fn batch_aware(b_co: usize) -> Self {
         Self {
-            kind: PlanKind::BatchSizeAware,
-            order: LoopOrder::ColumnStreamed,
-            layout: Layout::BatchAware,
-            grain: MeshGrain::BatchSlice,
-            b_b: 0, // streams the whole batch
             b_co,
-            b_ni: None,
-            b_p: 0,
             reordered_kernel: true,
             double_buffer: true,
+            ..Self::of(LoopOrder::ColumnStreamed)
         }
     }
 
-    /// Direct-`gload` preset: lowers to [`DirectPlan`].
+    /// Direct-`gload` preset: builds [`DirectPlan`].
     pub const fn direct() -> Self {
-        Self {
-            kind: PlanKind::DirectGload,
-            order: LoopOrder::DirectNested,
-            layout: Layout::Nchw,
-            grain: MeshGrain::Element,
-            b_b: 0,
-            b_co: 0,
-            b_ni: None,
-            b_p: 0,
-            reordered_kernel: false,
-            double_buffer: false,
-        }
+        Self::of(LoopOrder::DirectNested)
     }
 
-    /// Host-reference preset: lowers to [`ReferencePlan`] (which reports
-    /// itself as `ImageSizeAware`, so the preset does too).
+    /// Host-reference preset: builds [`ReferencePlan`].
     pub const fn reference() -> Self {
-        Self {
-            kind: PlanKind::ImageSizeAware,
-            order: LoopOrder::HostReference,
-            layout: Layout::Nchw,
-            grain: MeshGrain::Host,
-            b_b: 0,
-            b_co: 0,
-            b_ni: None,
-            b_p: 0,
-            reordered_kernel: false,
-            double_buffer: false,
-        }
+        Self::of(LoopOrder::HostReference)
     }
 
-    /// Patch-GEMM preset: lowers to [`PatchGemmPlan`] with pixel block
-    /// `b_p`. The only family whose lowering accepts stride/dilation.
+    /// Patch-GEMM preset: builds [`PatchGemmPlan`] with pixel block `b_p`.
+    /// The only family whose plan accepts stride/dilation.
     pub const fn patch_gemm(b_p: usize) -> Self {
         Self {
-            kind: PlanKind::PatchGemm,
-            order: LoopOrder::PatchGathered,
-            layout: Layout::Nchw,
-            grain: MeshGrain::PixelBlock,
-            b_b: 0,
-            b_co: 0,
-            b_ni: None,
             b_p,
             reordered_kernel: true,
-            double_buffer: false,
+            ..Self::of(LoopOrder::PatchGathered)
+        }
+    }
+
+    /// The plan family this schedule builds. The host reference reports
+    /// itself as `ImageSizeAware` (the model's generic blocked estimate),
+    /// as [`ReferencePlan::kind`] does.
+    pub const fn kind(&self) -> PlanKind {
+        match self.order {
+            LoopOrder::PixelTiled | LoopOrder::HostReference => PlanKind::ImageSizeAware,
+            LoopOrder::ColumnStreamed => PlanKind::BatchSizeAware,
+            LoopOrder::DirectNested => PlanKind::DirectGload,
+            LoopOrder::PatchGathered => PlanKind::PatchGemm,
         }
     }
 
@@ -201,66 +161,50 @@ impl Schedule {
         }
     }
 
-    /// The structural layer of legality: does this combination of
-    /// decisions describe a kernel that exists? Returns the reason when
-    /// it does not (shape-independent — no `ConvShape` needed).
-    pub fn structural_error(&self) -> Option<String> {
-        let expect = |kind: PlanKind, layout: Layout, grain: MeshGrain| -> Option<String> {
-            if self.kind != kind {
-                return Some(format!(
-                    "loop order {:?} lowers to {kind:?}, not {:?}",
-                    self.order, self.kind
-                ));
+    /// The structural layer of legality: a loop order with a zero block of
+    /// its own describes no kernel. Shape-independent.
+    fn structural_error(&self) -> Option<String> {
+        let zero = match self.order {
+            LoopOrder::PixelTiled => (self.b_b == 0 || self.b_co == 0)
+                .then_some("pixel-tiled order needs b_b > 0 and b_co > 0"),
+            LoopOrder::ColumnStreamed => {
+                (self.b_co == 0).then_some("column-streamed order needs b_co > 0")
             }
-            if self.layout != layout {
-                return Some(format!(
-                    "loop order {:?} is implemented against layout {layout:?}, not {:?}",
-                    self.order, self.layout
-                ));
-            }
-            if self.grain != grain {
-                return Some(format!(
-                    "loop order {:?} maps at grain {grain:?}, not {:?}",
-                    self.order, self.grain
-                ));
-            }
-            None
+            LoopOrder::PatchGathered => (self.b_p == 0).then_some("patch order needs b_p > 0"),
+            LoopOrder::DirectNested | LoopOrder::HostReference => None,
         };
-        match self.order {
-            LoopOrder::PixelTiled => expect(
-                PlanKind::ImageSizeAware,
-                Layout::ImageAware,
-                MeshGrain::BatchQuad,
-            )
-            .or_else(|| {
-                (self.b_b == 0 || self.b_co == 0)
-                    .then(|| "pixel-tiled order needs b_b > 0 and b_co > 0".into())
-            }),
-            LoopOrder::ColumnStreamed => expect(
-                PlanKind::BatchSizeAware,
-                Layout::BatchAware,
-                MeshGrain::BatchSlice,
-            )
-            .or_else(|| (self.b_co == 0).then(|| "column-streamed order needs b_co > 0".into())),
-            LoopOrder::DirectNested => {
-                expect(PlanKind::DirectGload, Layout::Nchw, MeshGrain::Element)
-            }
-            // ReferencePlan reports ImageSizeAware; the preset mirrors it.
-            LoopOrder::HostReference => {
-                expect(PlanKind::ImageSizeAware, Layout::Nchw, MeshGrain::Host)
-            }
-            LoopOrder::PatchGathered => {
-                expect(PlanKind::PatchGemm, Layout::Nchw, MeshGrain::PixelBlock)
-                    .or_else(|| (self.b_p == 0).then(|| "patch order needs b_p > 0".into()))
-            }
-        }
+        zero.map(String::from)
     }
 
-    /// Full legality for `shape`: structural check, then the lowered
-    /// plan's own `supports`. Errors arrive as
-    /// [`SwdnnError::PlanRejected`] with the concrete reason.
-    pub fn check(&self, shape: &ConvShape, ctx: &LowerCtx) -> Result<(), SwdnnError> {
-        lower_schedule(self, shape, ctx).map(|_| ())
+    /// The plan this schedule describes, running in `ctx`. Checks nothing:
+    /// the plan's own `supports` says whether it can run a shape
+    /// ([`lower_schedule`] asks it).
+    pub fn build(&self, ctx: &LowerCtx) -> Box<dyn ConvPlan> {
+        let ctx = *ctx;
+        match self.order {
+            LoopOrder::PixelTiled => Box::new(ImageAwarePlan {
+                ctx,
+                blocking: Blocking {
+                    b_b: self.b_b,
+                    b_co: self.b_co,
+                },
+                b_ni: self.b_ni,
+                reordered_kernel: self.reordered_kernel,
+                double_buffer: self.double_buffer,
+            }),
+            LoopOrder::ColumnStreamed => Box::new(BatchAwarePlan {
+                ctx,
+                b_co: self.b_co,
+                reordered_kernel: self.reordered_kernel,
+            }),
+            LoopOrder::DirectNested => Box::new(DirectPlan { ctx }),
+            LoopOrder::HostReference => Box::new(ReferencePlan { chip: ctx.chip }),
+            LoopOrder::PatchGathered => Box::new(PatchGemmPlan {
+                ctx,
+                b_p: self.b_p,
+                reordered_kernel: self.reordered_kernel,
+            }),
+        }
     }
 }
 
@@ -318,14 +262,10 @@ impl LowerCtx {
     }
 }
 
-/// The interpreter: lower a legal `Schedule` for `shape` into a
-/// ready-to-run plan on the existing mesh machinery.
-///
-/// Presets lower to exactly the plan struct the hand-written path
-/// constructs, so outputs and simulated cycles are identical by
-/// construction. An illegal schedule (structurally, or rejected by the
-/// plan's `supports`) returns [`SwdnnError::PlanRejected`] naming the
-/// reason.
+/// [`Schedule::build`] for a schedule that came from a caller: the
+/// structural check, the build, then the plan's own `supports` for
+/// `shape`. An illegal schedule returns [`SwdnnError::PlanRejected`]
+/// naming the reason.
 pub fn lower_schedule(
     s: &Schedule,
     shape: &ConvShape,
@@ -338,36 +278,7 @@ pub fn lower_schedule(
     if let Some(reason) = s.structural_error() {
         return Err(reject(reason));
     }
-    let plan: Box<dyn ConvPlan> = match s.order {
-        LoopOrder::PixelTiled => {
-            let mut p = ImageAwarePlan::new(Blocking {
-                b_b: s.b_b,
-                b_co: s.b_co,
-            })
-            .on(*ctx);
-            p.b_ni = s.b_ni;
-            p.reordered_kernel = s.reordered_kernel;
-            p.double_buffer = s.double_buffer;
-            Box::new(p)
-        }
-        LoopOrder::ColumnStreamed => {
-            let mut p = BatchAwarePlan::new(s.b_co).on(*ctx);
-            p.reordered_kernel = s.reordered_kernel;
-            Box::new(p)
-        }
-        LoopOrder::DirectNested => Box::new(DirectPlan {
-            chip: ctx.chip,
-            rt: ctx.rt,
-        }),
-        LoopOrder::HostReference => Box::new(ReferencePlan { chip: ctx.chip }),
-        LoopOrder::PatchGathered => Box::new(
-            PatchGemmPlan::new(s.b_p)
-                .on(*ctx)
-                .with_reordered(s.reordered_kernel),
-        ),
-    };
-    // Per-shape legality: the plan's own divisibility/LDM checks, mapped
-    // into the structured rejection so callers see one error class.
+    let plan = s.build(ctx);
     plan.supports(shape).map_err(|e| match e {
         SwdnnError::Unsupported { reason, .. } => reject(reason),
         other => other,
@@ -397,7 +308,7 @@ mod tests {
         for (sched, name) in cases {
             let plan = lower_schedule(&sched, &s, &ctx).unwrap();
             assert_eq!(plan.name(), name);
-            assert_eq!(plan.kind(), sched.kind);
+            assert_eq!(plan.kind(), sched.kind());
         }
     }
 
@@ -419,30 +330,23 @@ mod tests {
 
     #[test]
     fn structurally_inconsistent_schedules_are_rejected() {
+        // Zero blocking never describes a kernel; the plan, layout and grain
+        // follow from the loop order and cannot disagree with it.
         let ctx = LowerCtx::default();
         let s = shape();
-        // A batch-streamed loop cannot run over the image-aware layout.
-        let mut bad = Schedule::batch_aware(4);
-        bad.layout = Layout::ImageAware;
-        match lower_schedule(&bad, &s, &ctx).map(|_| ()) {
-            Err(SwdnnError::PlanRejected { reason, .. }) => {
-                assert!(reason.contains("layout"), "{reason}")
+        for bad in [
+            Schedule::image_aware(0, 4),
+            Schedule::image_aware(32, 0),
+            Schedule::batch_aware(0),
+            Schedule::patch_gemm(0),
+        ] {
+            match lower_schedule(&bad, &s, &ctx).map(|_| ()) {
+                Err(SwdnnError::PlanRejected { reason, .. }) => {
+                    assert!(reason.contains("> 0"), "{reason}")
+                }
+                other => panic!("{}: expected PlanRejected, got {other:?}", bad.describe()),
             }
-            other => panic!("expected PlanRejected, got {other:?}"),
         }
-        // Kind disagreeing with the loop order is a lie about the lowering.
-        let mut bad = Schedule::image_aware(32, 4);
-        bad.kind = PlanKind::BatchSizeAware;
-        assert!(matches!(
-            lower_schedule(&bad, &s, &ctx).map(|_| ()),
-            Err(SwdnnError::PlanRejected { .. })
-        ));
-        // Zero blocking never describes a kernel.
-        let bad = Schedule::image_aware(0, 4);
-        assert!(matches!(
-            lower_schedule(&bad, &s, &ctx).map(|_| ()),
-            Err(SwdnnError::PlanRejected { .. })
-        ));
     }
 
     #[test]
@@ -450,7 +354,7 @@ mod tests {
         let ctx = LowerCtx::default();
         // Ni = 7 is not a multiple of the mesh dim.
         let s = ConvShape::new(32, 7, 16, 4, 8, 3, 3);
-        match Schedule::image_aware(32, 4).check(&s, &ctx) {
+        match lower_schedule(&Schedule::image_aware(32, 4), &s, &ctx).map(|_| ()) {
             Err(SwdnnError::PlanRejected { shape, reason }) => {
                 assert_eq!(shape, s);
                 assert!(reason.contains("multiple"), "{reason}");
@@ -468,5 +372,22 @@ mod tests {
         set.insert(Schedule::batch_aware(4));
         assert_eq!(set.len(), 3);
         assert!(set.contains(&Schedule::image_aware(32, 4)));
+        // Preset-built schedules are equal exactly when they describe the
+        // same plan, so `PlanKey`s collide exactly where the plans do.
+        let presets = [
+            Schedule::image_aware(32, 4),
+            Schedule::image_aware(64, 4),
+            Schedule::image_aware_ni(32, 4, 8),
+            Schedule::batch_aware(4),
+            Schedule::batch_aware(8),
+            Schedule::direct(),
+            Schedule::reference(),
+            Schedule::patch_gemm(32),
+        ];
+        for a in presets {
+            for b in presets {
+                assert_eq!(a == b, a.describe() == b.describe(), "{a:?} vs {b:?}");
+            }
+        }
     }
 }

@@ -25,7 +25,7 @@
 
 use crate::conv::Conv2d;
 use crate::error::SwdnnError;
-use crate::plans::{ConvPlan, ConvRun, LowerCtx, ReferencePlan};
+use crate::plans::{ConvRun, LoopOrder, LowerCtx, Schedule};
 use sw_perfmodel::{ChipSpec, PlanKind};
 use sw_sim::fault::splitmix64_next;
 use sw_sim::{FaultPlan, SimError};
@@ -214,39 +214,26 @@ impl ResilientExecutor {
         timeline: &mut Vec<RecoveryEvent>,
     ) -> Result<(ConvRun, String), SwdnnError> {
         // Candidate chain: the model's pick, then each mesh family forced,
-        // then the always-correct host reference.
-        #[derive(Clone, Copy)]
-        enum Cand {
-            Model,
-            Forced(PlanKind),
-            Reference,
-        }
+        // then the always-correct host reference. Resolved once; each
+        // attempt builds its schedule with that attempt's reseeded faults.
+        let conv = Conv2d::new(*shape)?.on(ctx);
         let chain = [
-            Cand::Model,
-            Cand::Forced(PlanKind::ImageSizeAware),
-            Cand::Forced(PlanKind::BatchSizeAware),
-            Cand::Reference,
+            conv.schedule(),
+            conv.with_plan(PlanKind::ImageSizeAware).schedule(),
+            conv.with_plan(PlanKind::BatchSizeAware).schedule(),
+            Schedule::reference(),
         ];
-        let make =
-            |cand: Cand, fault: Option<FaultPlan>| -> Result<Box<dyn ConvPlan>, SwdnnError> {
-                let conv = Conv2d::new(*shape)?.on(ctx.with_fault(fault));
-                Ok(match cand {
-                    Cand::Model => conv.plan(),
-                    Cand::Forced(k) => conv.with_plan(k).plan(),
-                    Cand::Reference => Box::new(ReferencePlan { chip: ctx.chip }),
-                })
-            };
 
         let mut tried: Vec<String> = Vec::new();
         let mut rejected_logged: Vec<String> = Vec::new();
         // When automatic selection already degraded to the host reference,
-        // the mesh families were rejected silently inside `Conv2d::plan` —
-        // probe them here so the recovery timeline (and with it the Chrome
-        // trace) records the structured reason for the degrade instead of
-        // presenting the host run as a first-choice acceptance.
-        if make(Cand::Model, None)?.name() == "reference" {
-            for kind in [PlanKind::ImageSizeAware, PlanKind::BatchSizeAware] {
-                let probe = make(Cand::Forced(kind), None)?;
+        // the mesh families were rejected silently inside `Conv2d::schedule`
+        // — probe them here so the recovery timeline (and with it the
+        // Chrome trace) records the structured reason for the degrade
+        // instead of presenting the host run as a first-choice acceptance.
+        if chain[0].order == LoopOrder::HostReference {
+            for forced in &chain[1..3] {
+                let probe = forced.build(&ctx);
                 if let Err(e) = probe.supports(shape) {
                     log_rejection(
                         shape,
@@ -260,8 +247,8 @@ impl ResilientExecutor {
             }
         }
         let mut last_sim: Option<SimError> = None;
-        'candidates: for cand in chain {
-            let probe = make(cand, None)?;
+        'candidates: for sched in chain {
+            let probe = sched.build(&ctx);
             let name = probe.name().to_string();
             if tried.contains(&name) {
                 continue;
@@ -274,7 +261,8 @@ impl ResilientExecutor {
 
             for attempt in 0..=self.max_retries {
                 *attempts += 1;
-                let plan = make(cand, Self::reseed_for_attempt(ctx.fault, attempt))?;
+                let plan =
+                    sched.build(&ctx.with_fault(Self::reseed_for_attempt(ctx.fault, attempt)));
                 let mut record = |outcome: RecoveryOutcome, detail: String| {
                     timeline.push(RecoveryEvent {
                         attempt: *attempts,

@@ -27,7 +27,7 @@
 use super::sharded_map::ShardedMap;
 use crate::conv::Conv2d;
 use crate::error::SwdnnError;
-use crate::plans::{lower_schedule, LowerCtx, PlanTiming, Schedule};
+use crate::plans::{lower_schedule, ConvPlan, LowerCtx, PlanTiming, Schedule};
 use crate::tune::{autotune_on, TuneReport};
 use std::sync::Arc;
 use sw_perfmodel::{Blocking, ChipSpec, ConvPerfModel, PerfEstimate, PlanKind};
@@ -138,23 +138,14 @@ impl PlanCache {
             mesh_dim: chip.mesh_dim,
             schedule: None,
         };
-        self.plans.get_or_insert_with(&key, || {
+        self.fill(key, || {
             let mut conv = Conv2d::new(*shape)?.on(LowerCtx::on_chip(*chip).on_runtime(rt));
             if let Some(kind) = forced {
                 conv = conv.with_plan(kind);
             }
             let plan = conv.plan();
             plan.supports(shape)?;
-            let timing = plan.time_full_shape(shape)?;
-            let blocking = plan.blocking(shape);
-            Ok(Arc::new(Self::entry(
-                shape,
-                plan.kind(),
-                blocking,
-                plan.name().to_string(),
-                None,
-                timing,
-            )))
+            Ok(plan)
         })
     }
 
@@ -174,19 +165,40 @@ impl PlanCache {
             mesh_dim: chip.mesh_dim,
             schedule: Some(*schedule),
         };
+        self.fill(key, || {
+            lower_schedule(schedule, shape, &LowerCtx::on_chip(*chip).on_runtime(rt))
+        })
+    }
+
+    /// The entry under `key`, or — on a miss — the plan `resolve` builds,
+    /// timed for the key's shape and stored with its model estimate.
+    fn fill(
+        &self,
+        key: PlanKey,
+        resolve: impl FnOnce() -> Result<Box<dyn ConvPlan>, SwdnnError>,
+    ) -> Result<Arc<CachedPlan>, SwdnnError> {
         self.plans.get_or_insert_with(&key, || {
-            let ctx = LowerCtx::on_chip(*chip).on_runtime(rt);
-            let plan = lower_schedule(schedule, shape, &ctx)?;
+            let plan = resolve()?;
+            let shape = &key.shape;
             let timing = plan.time_full_shape(shape)?;
+            let kind = plan.kind();
             let blocking = plan.blocking(shape);
-            Ok(Arc::new(Self::entry(
-                shape,
-                plan.kind(),
+            let model = ConvPerfModel::default().estimate(
+                kind,
                 blocking,
-                plan.name().to_string(),
-                Some(*schedule),
+                shape.batch,
+                shape.ni,
+                shape.no,
+                shape.kc,
+            );
+            Ok(Arc::new(CachedPlan {
+                kind,
+                blocking,
+                plan_name: plan.name().to_string(),
+                schedule: key.schedule,
                 timing,
-            )))
+                model,
+            }))
         })
     }
 
@@ -212,32 +224,6 @@ impl PlanCache {
         };
         self.plans.insert(auto_key, Arc::clone(&winner));
         Ok(winner)
-    }
-
-    fn entry(
-        shape: &ConvShape,
-        kind: PlanKind,
-        blocking: Blocking,
-        plan_name: String,
-        schedule: Option<Schedule>,
-        timing: PlanTiming,
-    ) -> CachedPlan {
-        let model = ConvPerfModel::default().estimate(
-            kind,
-            blocking,
-            shape.batch,
-            shape.ni,
-            shape.no,
-            shape.kc,
-        );
-        CachedPlan {
-            kind,
-            blocking,
-            plan_name,
-            schedule,
-            timing,
-            model,
-        }
     }
 
     /// Memoized [`autotune_on`]: the full candidate sweep runs once per

@@ -18,10 +18,11 @@
 //! baseline (one CPE-speed core running the reference loops — not the
 //! mesh-level modeled timing the dense reference plan reports).
 
+use crate::conv::Conv2d;
 use crate::error::SwdnnError;
-use crate::plans::{lower_schedule, BatchAwarePlan, ConvPlan, LowerCtx, PatchGemmPlan, Schedule};
+use crate::plans::{lower_schedule, ConvPlan, LowerCtx, PatchGemmPlan, Schedule};
 use sw_perfmodel::select::Blocking;
-use sw_perfmodel::{co_blocks, select_plan, ChipSpec, ConvPerfModel, PlanKind};
+use sw_perfmodel::{co_blocks, ChipSpec, ConvPerfModel, PlanKind};
 use sw_tensor::{general_flops, ConvGeometry, ConvShape, Shape4};
 
 /// One searched candidate.
@@ -30,8 +31,6 @@ pub struct Candidate {
     pub description: String,
     /// The schedule-space point this candidate lowers.
     pub schedule: Schedule,
-    /// Which plan family this candidate instantiates.
-    pub kind: PlanKind,
     /// The LDM blocking the candidate executed with (for batch-size-aware
     /// plans `b_b` is the whole batch, matching
     /// [`crate::plans::ConvPlan::blocking`]).
@@ -49,8 +48,9 @@ pub struct Candidate {
 pub struct TuneReport {
     /// All *simulated* candidates, fastest first.
     pub candidates: Vec<Candidate>,
-    /// What the analytic model would have picked, as an index into
-    /// `candidates` (None if the model's choice was infeasible).
+    /// What [`Conv2d::plan`] would have picked, as an index into
+    /// `candidates` (None if that schedule was not simulated or is outside
+    /// the enumerated space).
     pub model_choice: Option<usize>,
     /// Legal schedules enumerated (simulated + pruned).
     pub enumerated: usize,
@@ -121,22 +121,6 @@ pub fn autotune_with(
         ..ConvPerfModel::default()
     };
 
-    // The model's own pick, matched structurally later.
-    let model_pick: Option<(PlanKind, Blocking)> = select_plan(shape, chip).map(|c| match c.kind {
-        PlanKind::BatchSizeAware => {
-            // The executor's batch plan auto-selects its own b_co.
-            let auto = BatchAwarePlan::auto_on(ctx, shape);
-            (
-                c.kind,
-                Blocking {
-                    b_b: shape.batch,
-                    b_co: auto.b_co,
-                },
-            )
-        }
-        _ => (c.kind, c.blocking),
-    });
-
     // Enumerate, lower, and price. Illegal points are recorded (their
     // rejection reasons feed the PlanRejected error when nothing is
     // legal); legal points carry their lowered plan and predicted Gflops.
@@ -159,7 +143,7 @@ pub fn autotune_with(
             Ok(plan) => {
                 let blocking = plan.blocking(shape);
                 let est = model.estimate(
-                    sched.kind,
+                    sched.kind(),
                     blocking,
                     shape.batch,
                     shape.ni,
@@ -188,18 +172,20 @@ pub fn autotune_with(
 
     // Prune by predicted bandwidth-derated throughput: simulate the
     // frontier (within 60% of the best prediction), the top 8 as a
-    // model-error hedge, every warm start, and the model's own pick.
+    // model-error hedge, every warm start, and the selector's pick — the
+    // schedule `Conv2d::plan()` builds.
+    let model_pick = Conv2d::new(*shape)?.on(ctx).schedule();
     let enumerated = legal.len();
     legal.sort_by(|a, b| b.3.partial_cmp(&a.3).unwrap_or(std::cmp::Ordering::Equal));
     let best_pred = legal[0].3;
-    let frontier = |rank: usize, sched: &Schedule, blocking: &Blocking, pred: f64, warm: bool| {
-        warm || rank < 8 || pred >= 0.6 * best_pred || model_pick == Some((sched.kind, *blocking))
+    let frontier = |rank: usize, sched: &Schedule, pred: f64, warm: bool| {
+        warm || rank < 8 || pred >= 0.6 * best_pred || *sched == model_pick
     };
 
     let mut candidates: Vec<Candidate> = Vec::new();
     let mut pruned = 0usize;
     for (rank, (sched, plan, blocking, pred, warm)) in legal.into_iter().enumerate() {
-        if !frontier(rank, &sched, &blocking, pred, warm) {
+        if !frontier(rank, &sched, pred, warm) {
             pruned += 1;
             continue;
         }
@@ -207,7 +193,6 @@ pub fn autotune_with(
         candidates.push(Candidate {
             description: sched.describe(),
             schedule: sched,
-            kind: sched.kind,
             blocking,
             predicted_gflops: pred,
             cycles: timing.cycles,
@@ -216,14 +201,7 @@ pub fn autotune_with(
     }
     candidates.sort_by_key(|c| c.cycles);
 
-    // Identify the analytic model's pick among the simulated candidates by
-    // structure (kind + blocking), not by description strings — a format
-    // tweak must not silently detach the model from its candidate.
-    let model_choice = model_pick.and_then(|(kind, blocking)| {
-        candidates
-            .iter()
-            .position(|c| c.kind == kind && c.blocking == blocking)
-    });
+    let model_choice = candidates.iter().position(|c| c.schedule == model_pick);
     Ok(TuneReport {
         candidates,
         model_choice,
@@ -376,7 +354,7 @@ mod tests {
         assert!(
             rep.candidates
                 .iter()
-                .any(|c| c.kind == PlanKind::ImageSizeAware && c.blocking.b_b == 16),
+                .any(|c| c.schedule.kind() == PlanKind::ImageSizeAware && c.blocking.b_b == 16),
             "batch 16 must yield image-aware candidates: {:?}",
             rep.candidates
                 .iter()
@@ -387,17 +365,17 @@ mod tests {
 
     #[test]
     fn model_choice_matches_on_structure_not_strings() {
-        let chip = ChipSpec::sw26010();
+        // The model's pick is the candidate whose schedule is the one
+        // `Conv2d::plan()` builds — one type, no re-derived blocking.
         let shape = ConvShape::new(32, 16, 16, 6, 8, 3, 3);
         let rep = autotune(&shape).unwrap();
-        let pick = select_plan(&shape, &chip).expect("selector has a pick");
+        let pick = Conv2d::new(shape).unwrap().schedule();
         let i = rep
             .model_choice
             .expect("model pick must map to a candidate");
-        assert_eq!(rep.candidates[i].kind, pick.kind);
-        if pick.kind == PlanKind::ImageSizeAware {
-            assert_eq!(rep.candidates[i].blocking, pick.blocking);
-        }
+        assert_eq!(rep.candidates[i].schedule, pick);
+        let plan = Conv2d::new(shape).unwrap().plan();
+        assert_eq!(rep.candidates[i].blocking, plan.blocking(&shape));
     }
 
     #[test]
@@ -444,7 +422,7 @@ mod tests {
             tune.host_cycles
         );
         assert!(tune.speedup_vs_host() > 1.0);
-        assert_eq!(tune.schedule.kind, PlanKind::PatchGemm);
+        assert_eq!(tune.schedule.kind(), PlanKind::PatchGemm);
     }
 
     #[test]

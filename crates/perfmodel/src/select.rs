@@ -32,7 +32,8 @@
 //! `BatchAwarePlan::ldm_doubles` (double-buffered filters and a `Kc`-wide
 //! output window, where the plan single-buffers the filter slice and
 //! shrinks its window down to `b_co = 1`); the two can disagree, which is
-//! why `Conv2d::plan` re-checks the instantiated plan's `supports`.
+//! why `Conv2d::schedule` re-checks the picked schedule against its plan's
+//! `supports`.
 
 use crate::chip::ChipSpec;
 use crate::model::{ConvPerfModel, PerfEstimate};

@@ -1,16 +1,17 @@
 //! Plan explorer: interrogate the performance model the way §III-D uses it
-//! — for a configuration of your choosing, enumerate the candidate plans,
-//! their required bandwidths, LDM footprints, and predictions, then run
-//! the winner on the simulator to see how well the model did.
+//! — for a configuration of your choosing, list every candidate schedule of
+//! the dense schedule space with its verdict (why the plan rejects it, or
+//! its Fig. 2 required bandwidth and prediction), then time the pick on the
+//! simulator to see how well the model did.
 //!
 //! ```sh
 //! cargo run --release --example plan_explorer -- [Ni] [No] [batch] [K]
 //! cargo run --release --example plan_explorer -- 256 128 128 5
 //! ```
 
-use sw_perfmodel::select::{ldm_doubles_batch_aware, ldm_doubles_image_aware, Blocking};
-use sw_perfmodel::{rbw, select_plan, ChipSpec, ConvPerfModel, PlanKind};
-use swdnn::{ConvShape, Executor};
+use sw_perfmodel::{ChipSpec, ConvPerfModel};
+use swdnn::tune::enumerate_schedules;
+use swdnn::{lower_schedule, Conv2d, ConvShape, Executor, LowerCtx, SwdnnError};
 
 fn arg(n: usize, default: usize) -> usize {
     std::env::args()
@@ -24,6 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let shape = ConvShape::new(batch, ni, no, 64, 64, k, k);
     let chip = ChipSpec::sw26010();
     let model = ConvPerfModel::default();
+    let ctx = LowerCtx::default();
     println!("configuration: {shape}");
     println!(
         "LDM budget: {} doubles/CPE; CG peak {:.1} Gflops\n",
@@ -31,67 +33,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         chip.peak_gflops_per_cg()
     );
 
-    // Batch-size-aware candidate.
-    let batch_ldm = ldm_doubles_batch_aware(&shape);
-    let batch_est = model.estimate(
-        PlanKind::BatchSizeAware,
-        Blocking::default(),
-        batch,
-        ni,
-        no,
-        k,
-    );
-    println!(
-        "batch-size-aware   : RBW {:6.1} GB/s (Eq.2)  LDM {:>5} {}  model {:6.1} Gflops",
-        rbw::rbw_batch_aware(batch, k, no, chip.peak_gflops_per_cg()),
-        batch_ldm,
-        if batch_ldm <= chip.ldm_doubles() {
-            "ok      "
-        } else {
-            "OVERFLOW"
-        },
-        batch_est.gflops_per_cg
-    );
-
-    // Image-size-aware candidates.
-    println!("image-size-aware candidates:");
-    for b_b in [32usize, 64, 128] {
-        if batch % b_b != 0 {
-            continue;
-        }
-        for b_co in [4usize, 8, 16, 32] {
-            if !shape.co.is_multiple_of(b_co) {
-                continue;
+    println!("candidate schedules:");
+    for schedule in enumerate_schedules(&shape) {
+        let verdict = match lower_schedule(&schedule, &shape, &ctx) {
+            Ok(plan) => {
+                let est = model.estimate(schedule.kind(), plan.blocking(&shape), batch, ni, no, k);
+                format!(
+                    "RBW {:6.1} GB/s  model {:6.1} Gflops",
+                    est.rbw_mem_ldm, est.gflops_per_cg
+                )
             }
-            let blk = Blocking { b_b, b_co };
-            let ldm = ldm_doubles_image_aware(&shape, blk);
-            let est = model.estimate(PlanKind::ImageSizeAware, blk, batch, ni, no, k);
-            println!(
-                "  bB={b_b:<3} bCo={b_co:<2}: RBW {:6.1} GB/s (Eq.1)  LDM {:>5} {}  model {:6.1} Gflops",
-                est.rbw_mem_ldm,
-                ldm,
-                if ldm <= chip.ldm_doubles() { "ok      " } else { "OVERFLOW" },
-                est.gflops_per_cg
-            );
-        }
+            Err(SwdnnError::PlanRejected { reason, .. }) => format!("rejected: {reason}"),
+            Err(e) => format!("error: {e}"),
+        };
+        println!("  {:<34} {verdict}", schedule.describe());
     }
 
-    match select_plan(&shape, &chip) {
-        Some(choice) => {
-            println!(
-                "\nmodel selects: {:?} with blocking {:?} ({} LDM doubles, predicted {:.1} Gflops, \
-                 register tiles {:.0}% occupied)",
-                choice.kind,
-                choice.blocking,
-                choice.ldm_doubles,
-                choice.estimate.gflops_per_cg,
-                100.0 * choice.tile_occupancy
-            );
-        }
-        None => println!("\nmodel selects: none (shape needs Ni/No blocking)"),
-    }
+    let pick = Conv2d::new(shape)?.schedule();
+    println!("\npick: {}", pick.describe());
 
-    // Run the winner on the simulator.
+    // Time the pick on the simulator.
     let rep = Executor::new().run_config(&shape)?;
     println!(
         "simulated ({}): {:.1} Gflops/CG = {:.1}% of peak (model said {:.1})",

@@ -1,27 +1,25 @@
 //! Schedule-IR preset equivalence suite.
 //!
-//! The schedule IR replaces nothing at runtime: `lower_schedule` must hand
-//! back exactly the plan objects the hand-written constructors built
-//! before it existed. This suite pins that contract three ways:
+//! `Schedule::build` is the one place a schedule becomes a plan, and every
+//! caller goes through it. This suite pins that contract three ways:
 //!
 //! 1. **Golden digests.** The image-aware and batch-aware presets, lowered
 //!    through the IR, must reproduce the same golden digests (cycles, DMA
 //!    and bus counters, flops, bit-exact output checksum) that
-//!    `tests/determinism.rs` pins for the hand-constructed plans — at host
-//!    thread counts 1, 4, and 8.
-//! 2. **Plan-for-plan identity.** Each named preset, lowered, produces a
-//!    digest identical to the directly constructed plan it names — same
+//!    `tests/determinism.rs` pins for the plan structs — at host thread
+//!    counts 1, 4, and 8.
+//! 2. **One door.** For automatic selection and every forced kind,
+//!    `Conv2d::plan()`, `Conv2d::schedule().build(ctx)` and
+//!    `lower_schedule(&conv.schedule(), ..)` produce one digest — same
 //!    simulated cycles, same output bits — in the stock context and in a
-//!    degraded, faulted, privately scheduled one, and `Conv2d` in that
-//!    context builds the same plan (one context, three doors).
+//!    degraded, faulted, privately scheduled one.
 //! 3. **Reference equivalence.** Every preset that lowers legally for a
 //!    shape agrees exactly with the 7-loop reference on lattice data.
 
-use sw_perfmodel::select::Blocking;
 use sw_perfmodel::{ChipSpec, PlanKind};
 use sw_tensor::init::lattice_tensor;
 use sw_tensor::{conv2d_ref, ConvShape, Layout};
-use swdnn::plans::{BatchAwarePlan, ConvPlan, ConvRun, DirectPlan, ImageAwarePlan, ReferencePlan};
+use swdnn::plans::{ConvPlan, ConvRun};
 use swdnn::{lower_schedule, Conv2d, FaultPlan, LowerCtx, ResilientExecutor, Schedule};
 
 #[derive(PartialEq, Eq, Debug, Clone)]
@@ -165,7 +163,7 @@ fn lowered_preset_above_the_grain_is_thread_count_invariant_on_the_pool() {
 }
 
 #[test]
-fn each_preset_is_digest_identical_to_its_hand_built_plan() {
+fn conv2d_plan_its_schedule_and_lower_schedule_are_one_door() {
     // The two `LowerCtx` fronts the benchmark harness calls keep their shape.
     let _: fn() -> LowerCtx = LowerCtx::default;
     let _: fn(ChipSpec) -> LowerCtx = LowerCtx::on_chip;
@@ -182,52 +180,32 @@ fn each_preset_is_digest_identical_to_its_hand_built_plan() {
     let non_default = LowerCtx::on_chip(ResilientExecutor::degraded_chip(ChipSpec::sw26010()))
         .with_fault(Some(FaultPlan::none(9).with_dma_fail_rate(0.01)))
         .on_runtime(Box::leak(Box::new(sw_runtime::ExecutionContext::new())));
+    let forced = [
+        None,
+        Some(PlanKind::ImageSizeAware),
+        Some(PlanKind::BatchSizeAware),
+        Some(PlanKind::DirectGload),
+        Some(PlanKind::PatchGemm),
+    ];
     for ctx in [LowerCtx::default(), non_default] {
-        // Door 1 vs door 2: `lower_schedule(.., &ctx)` vs the hand
-        // constructor `.on(ctx)`.
-        let pairs: Vec<(Schedule, Box<dyn ConvPlan>)> = vec![
-            (
-                Schedule::image_aware(32, 4),
-                Box::new(ImageAwarePlan::new(Blocking { b_b: 32, b_co: 4 }).on(ctx)),
-            ),
-            (
-                Schedule::batch_aware(2),
-                Box::new(BatchAwarePlan::new(2).on(ctx)),
-            ),
-            (
-                Schedule::direct(),
-                Box::new(DirectPlan {
-                    chip: ctx.chip,
-                    rt: ctx.rt,
-                }),
-            ),
-            (
-                Schedule::reference(),
-                Box::new(ReferencePlan { chip: ctx.chip }),
-            ),
-        ];
-        for (schedule, hand) in pairs {
+        for kind in forced {
+            let mut conv = Conv2d::new(shape).unwrap().on(ctx);
+            if let Some(kind) = kind {
+                conv = conv.with_plan(kind);
+            }
+            let schedule = conv.schedule();
+            let what = format!("{kind:?} -> {}", schedule.describe());
             let lowered = lower_schedule(&schedule, &shape, &ctx)
-                .unwrap_or_else(|e| panic!("{} must lower: {e}", schedule.describe()));
-            assert_eq!(lowered.name(), hand.name(), "{}", schedule.describe());
-            assert_eq!(
-                run(lowered.as_ref()),
-                run(hand.as_ref()),
-                "lowering {} must be invisible: same cycles, same bits",
-                schedule.describe()
-            );
-        }
-        // Door 3: `Conv2d::on(ctx)` builds the plan the hand constructor
-        // builds from that plan's own reported blocking.
-        for kind in [PlanKind::ImageSizeAware, PlanKind::BatchSizeAware] {
-            let conv = Conv2d::new(shape).unwrap().on(ctx).with_plan(kind);
-            let chosen = conv.plan();
-            let b = chosen.blocking(&shape);
-            let hand: Box<dyn ConvPlan> = match kind {
-                PlanKind::BatchSizeAware => Box::new(BatchAwarePlan::new(b.b_co).on(ctx)),
-                _ => Box::new(ImageAwarePlan::new(b).on(ctx)),
-            };
-            assert_eq!(run(chosen.as_ref()), run(hand.as_ref()), "{kind:?} {b:?}");
+                .unwrap_or_else(|e| panic!("{what} must lower: {e}"));
+            let doors = [conv.plan(), schedule.build(&ctx), lowered];
+            for door in &doors {
+                assert_eq!(door.kind(), schedule.kind(), "{what}");
+                assert_eq!(door.name(), doors[0].name(), "{what}");
+            }
+            let want = run(doors[0].as_ref());
+            for door in &doors[1..] {
+                assert_eq!(run(door.as_ref()), want, "{what}: same cycles, same bits");
+            }
         }
     }
 }

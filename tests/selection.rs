@@ -10,8 +10,8 @@
 //!
 //! * Paper scale (the 21-point Fig. 7 diagonal plus three off-diagonal
 //!   shapes, B 128): the pick stays within 1.02× of the searched minimum
-//!   *and* equals the pinned `(kind, blocking)` list — the "paper-scale
-//!   picks do not move" gate. `(128, 256)` and `(128, 384)` are Table III's
+//!   *and* `Conv2d::schedule()` equals the pinned `Schedule` list — the
+//!   "paper-scale picks do not move" gate. `(128, 256)` and `(128, 384)` are Table III's
 //!   off-diagonal rows, `(256, 128)` is `training_pass.csv`'s.
 //! * The small-batch grid (B 32 and 64, 8–64 channels, 6–18 pixel images),
 //!   where the register tile decides. At B 32 the occupancy term closes the
@@ -28,7 +28,7 @@ use sw_perfmodel::{ChipSpec, PlanKind};
 use sw_tensor::ConvShape;
 use swdnn::plans::ConvPlan;
 use swdnn::tune::{autotune, enumerate_schedules};
-use swdnn::{lower_schedule, zoo, Conv2d, LowerCtx, ResilientExecutor};
+use swdnn::{lower_schedule, zoo, Conv2d, LowerCtx, ResilientExecutor, Schedule};
 
 fn cycles(plan: &dyn ConvPlan, shape: &ConvShape) -> u64 {
     plan.time_full_shape(shape)
@@ -55,20 +55,29 @@ fn regret(shape: &ConvShape) -> f64 {
     cycles(plan.as_ref(), shape) as f64 / searched_minimum(shape) as f64
 }
 
+/// B 32 and 64 × Ni, No ∈ {8, 16, 32, 64} × 6–18 pixel square outputs, 3×3:
+/// 128 shapes, batch-major.
+fn small_batch_grid() -> impl Iterator<Item = ConvShape> {
+    [32usize, 64].into_iter().flat_map(|batch| {
+        [8usize, 16, 32, 64].into_iter().flat_map(move |ni| {
+            [8usize, 16, 32, 64].into_iter().flat_map(move |no| {
+                [6usize, 8, 16, 18]
+                    .into_iter()
+                    .map(move |out| ConvShape::new(batch, ni, no, out, out, 3, 3))
+            })
+        })
+    })
+}
+
 #[test]
 fn small_batch_picks_stay_near_the_searched_best() {
     // (batch, shapes of 64 that must be within 1.25×, ratchet on the rest).
     for (batch, priced, ratchet) in [(32usize, 60usize, 3.0f64), (64, 24, 2.3)] {
         let mut within = 0;
-        for ni in [8usize, 16, 32, 64] {
-            for no in [8usize, 16, 32, 64] {
-                for out in [6usize, 8, 16, 18] {
-                    let shape = ConvShape::new(batch, ni, no, out, out, 3, 3);
-                    let r = regret(&shape);
-                    assert!(r <= ratchet, "{shape}: pick at {r:.3}x the searched best");
-                    within += usize::from(r <= 1.25);
-                }
-            }
+        for shape in small_batch_grid().filter(|s| s.batch == batch) {
+            let r = regret(&shape);
+            assert!(r <= ratchet, "{shape}: pick at {r:.3}x the searched best");
+            within += usize::from(r <= 1.25);
         }
         assert!(
             within >= priced,
@@ -78,35 +87,55 @@ fn small_batch_picks_stay_near_the_searched_best() {
 }
 
 /// The paper-scale shapes with the picks of the commit before the
-/// occupancy term: `(Ni, No, kind, b_B, b_Co)`.
+/// occupancy term: `(Ni, No, schedule)`.
 #[rustfmt::skip]
-const PAPER_SCALE_PICKS: [(usize, usize, PlanKind, usize, usize); 24] = {
-    use PlanKind::{BatchSizeAware as Batch, ImageSizeAware as Image};
+const PAPER_SCALE_PICKS: [(usize, usize, Schedule); 24] = {
+    const fn batch(b_co: usize) -> Schedule { Schedule::batch_aware(b_co) }
+    const fn image(b_co: usize) -> Schedule { Schedule::image_aware(32, b_co) }
     [
-        (64, 64, Batch, 128, 16), (80, 80, Batch, 128, 16), (96, 96, Batch, 128, 16),
-        (112, 112, Image, 32, 32), (128, 128, Image, 32, 32), (144, 144, Image, 32, 32),
-        (160, 160, Image, 32, 16), (176, 176, Image, 32, 16), (192, 192, Image, 32, 16),
-        (208, 208, Image, 32, 16), (224, 224, Image, 32, 16), (240, 240, Image, 32, 16),
-        (256, 256, Image, 32, 8), (272, 272, Image, 32, 8), (288, 288, Image, 32, 8),
-        (304, 304, Image, 32, 8), (320, 320, Image, 32, 8), (336, 336, Image, 32, 4),
-        (352, 352, Image, 32, 4), (368, 368, Image, 32, 4), (384, 384, Image, 32, 4),
-        (128, 256, Image, 32, 16), (128, 384, Image, 32, 16), (256, 128, Batch, 128, 16),
+        (64, 64, batch(16)), (80, 80, batch(16)), (96, 96, batch(16)),
+        (112, 112, image(32)), (128, 128, image(32)), (144, 144, image(32)),
+        (160, 160, image(16)), (176, 176, image(16)), (192, 192, image(16)),
+        (208, 208, image(16)), (224, 224, image(16)), (240, 240, image(16)),
+        (256, 256, image(8)), (272, 272, image(8)), (288, 288, image(8)),
+        (304, 304, image(8)), (320, 320, image(8)), (336, 336, image(4)),
+        (352, 352, image(4)), (368, 368, image(4)), (384, 384, image(4)),
+        (128, 256, image(16)), (128, 384, image(16)), (256, 128, batch(16)),
     ]
 };
 
 #[test]
 fn paper_scale_picks_are_pinned_and_near_the_searched_best() {
-    for (ni, no, kind, b_b, b_co) in PAPER_SCALE_PICKS {
+    for (ni, no, pick) in PAPER_SCALE_PICKS {
         let shape = ConvShape::new(128, ni, no, 64, 64, 3, 3);
-        let plan = Conv2d::new(shape).unwrap().plan();
         assert_eq!(
-            (plan.kind(), plan.blocking(&shape)),
-            (kind, Blocking { b_b, b_co }),
+            Conv2d::new(shape).unwrap().schedule(),
+            pick,
             "{shape}: the paper-scale pick moved"
         );
         // (160, 160) is the maximum, at 1.013.
         let r = regret(&shape);
         assert!(r <= 1.02, "{shape}: pick at {r:.4}x the searched best");
+    }
+}
+
+#[test]
+fn the_picked_schedule_lowers_exactly_when_the_plan_runs() {
+    // `Conv2d::plan()` is its schedule built; lowering that schedule is the
+    // checked door to the same plan, so the two agree on every grid shape.
+    let ctx = LowerCtx::default();
+    for shape in small_batch_grid() {
+        let conv = Conv2d::new(shape).unwrap();
+        let plan = conv.plan();
+        let lowered = lower_schedule(&conv.schedule(), &shape, &ctx);
+        assert_eq!(lowered.is_ok(), plan.supports(&shape).is_ok(), "{shape}");
+        if let Ok(lowered) = lowered {
+            assert_eq!(
+                (lowered.name(), lowered.kind(), lowered.blocking(&shape)),
+                (plan.name(), plan.kind(), plan.blocking(&shape)),
+                "{shape}"
+            );
+        }
     }
 }
 
