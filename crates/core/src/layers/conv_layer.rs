@@ -84,16 +84,16 @@ impl Layer for Conv2dLayer {
         let shape = self.conv.shape;
         // Filter gradient: on the simulated chip when the mesh supports the
         // shape (the dedicated BwdFilterPlan), host reference otherwise.
-        let dw = if self.engine == Engine::Simulated
-            && crate::plans::BwdFilterPlan::auto_on(self.conv.ctx, &shape)
-                .supports(&shape)
-                .is_ok()
-        {
-            let (dw, timing) = self.conv.backward_filter_on_chip(input, d_out)?;
-            self.simulated_cycles += timing.cycles;
-            dw
-        } else {
-            self.conv.backward_filter(input, d_out)?
+        let dw = match self.engine {
+            Engine::Simulated => match self.conv.backward_filter_on_chip(input, d_out) {
+                Ok((dw, timing)) => {
+                    self.simulated_cycles += timing.cycles;
+                    dw
+                }
+                Err(SwdnnError::Unsupported { .. }) => self.conv.backward_filter(input, d_out)?,
+                Err(e) => return Err(e),
+            },
+            Engine::Host => self.conv.backward_filter(input, d_out)?,
         };
         for i in 0..dw.data().len() {
             self.d_weights.data_mut()[i] += dw.data()[i];

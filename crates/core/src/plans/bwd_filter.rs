@@ -1,12 +1,13 @@
 //! The filter-gradient ("backward filter") pass on the CPE mesh.
 //!
 //! Training needs `dW[no][ni][kr][kc] = Σ_{b,ro,co} x[b][ni][ro+kr][co+kc] ·
-//! g[b][no][ro][co]` — per `(kr, kc)` tap a GEMM whose *reduction* runs
-//! over every output pixel and whose result is only `No × Ni`. That shape
-//! inverts the forward plan's economics: the accumulator is tiny (the
-//! whole `dW` tile lives in LDM for the entire pass), while the operands
-//! stream once — the ideal case for the register-communication rotation,
-//! since each streamed tile is reduced against every other chunk.
+//! g[b][no][ro][co]` — in GEMM form `dW[No × Ni·Kr·Kc] = G · X_colᵀ`, a
+//! GEMM whose *reduction* runs over every output pixel and whose result is
+//! only `No × Ni·Kr·Kc`. That shape inverts the forward plan's economics:
+//! the accumulator is tiny (the whole `dW` tile lives in LDM for the entire
+//! pass), while the operands stream once — the ideal case for the
+//! register-communication rotation, since each streamed tile is reduced
+//! against every other chunk.
 //!
 //! Mesh distribution per pixel tile (batch block `b_B`, one output row,
 //! column block `b_co`):
@@ -17,11 +18,19 @@
 //! * `x` (activations): CPE `(i, j)` holds the input window of batch quad
 //!   `i`, channels `ni ∈ chunk_j`;
 //! * `dW`: CPE `(i, j)` accumulates `no ∈ chunk_i`, `ni ∈ chunk_j` for all
-//!   `(kr, kc)` taps.
+//!   `(kr, kc)` taps, held in LDM as `[no][(kr·Kc+kc)·ni8 + ni]`.
 //!
-//! Each rotation round `r` broadcasts `g` blocks along rows from column
-//! `r` and `x` blocks along columns from row `r`, exactly the Fig. 3
-//! pattern with the reduction running over pixels instead of channels.
+//! Each pixel tile is **one** rotation with the `Kr·Kc` taps folded into
+//! the GEMM's `n` (`Kr·Kc·Ni/8` per CPE): round `r` broadcasts `g` blocks
+//! along rows from column `r` and every tap's `x` window of the same pixels
+//! along columns from row `r` — the Fig. 3 pattern, reducing over pixels.
+//! A rotation per tap would broadcast `g` `Kr·Kc` times and charge each
+//! `No/8 × Ni/8` block a whole register tile. Folding costs no LDM: the `x`
+//! block is packed from the tile's `x` buffer into the bus payload, and
+//! received blocks are register-communication payloads, which no plan
+//! holds in LDM. `x`'s bus volume, the DMA gets and puts, and each `dW`
+//! element's summation order (tile by tile, round by round, pixels
+//! ascending) are those of a rotation per tap.
 
 use super::gemm_mesh::{lease_scratch, regcomm_gemm_with, zero_c, GemmBlock};
 use super::{extrapolate, finish, LowerCtx, PlanTiming};
@@ -220,10 +229,11 @@ impl BwdFilterPlan {
         let (ro, co, kr_n, kc_n) = (shape.ro, shape.co, shape.kr, shape.kc);
         let (ni, no) = (shape.ni, shape.no);
         let n8 = quads * 4 * b_co; // pixels per chunk
+        let taps = kr_n * kc_n;
 
         let g_len = no8 * n8;
         let x_len = kr_n * quads * ni8 * win4;
-        let c_len = kr_n * kc_n * no8 * ni8;
+        let c_len = no8 * taps * ni8;
         mesh.superstep(|ctx, s| {
             s.g = [ctx.ldm_alloc(g_len)?, ctx.ldm_alloc(g_len)?];
             s.x = [ctx.ldm_alloc(x_len)?, ctx.ldm_alloc(x_len)?];
@@ -241,9 +251,8 @@ impl BwdFilterPlan {
             .flat_map(|tb| (0..ro).flat_map(move |r| (0..co / b_co).map(move |tc| (tb, r, tc))))
             .collect();
 
-        for (t_idx, &(tile_b, r_o, tile_c)) in tiles.iter().enumerate() {
+        for (t_idx, &tile) in tiles.iter().enumerate() {
             let par = t_idx % 2;
-            let co0 = tile_c * b_co;
             // Load superstep: issue this tile's operands (or reuse the
             // prefetched ones), prefetch the next tile, wait.
             let next = tiles.get(t_idx + 1).copied();
@@ -296,7 +305,7 @@ impl BwdFilterPlan {
                     Ok(())
                 };
                 if t_idx == 0 {
-                    issue(ctx, s, (tile_b, r_o, tile_c), 0)?;
+                    issue(ctx, s, tile, 0)?;
                 }
                 if let Some(nx) = next {
                     issue(ctx, s, nx, (t_idx + 1) % 2)?;
@@ -309,66 +318,53 @@ impl BwdFilterPlan {
                 }
                 Ok(())
             })?;
-            let _ = co0;
 
-            // One rotation per (kr, kc) tap, accumulating into the
-            // resident dW slice.
-            for kr in 0..kr_n {
-                for kc in 0..kc_n {
-                    let c_off = (kr * kc_n + kc) * no8 * ni8;
-                    regcomm_gemm_with(
-                        &mut mesh,
-                        GemmBlock {
-                            m8: no8,
-                            n8: ni8,
-                            k8: n8,
-                            c_stride: ni8,
-                            reordered: self.reordered_kernel,
-                        },
-                        &mut scratch,
-                        // A block: g, packed k-major (pixel, no).
-                        move |ctx, s: &Slot, dst: &mut Vec<f64>| {
-                            let gbuf = ctx.ldm(s.g[par]);
-                            for q in 0..quads {
-                                for p in 0..4 * b_co {
-                                    for m in 0..no8 {
-                                        dst.push(gbuf[(q * no8 + m) * 4 * b_co + p]);
+            // One rotation for the whole tile, every tap folded into n.
+            regcomm_gemm_with(
+                &mut mesh,
+                GemmBlock::dense(no8, taps * ni8, n8, self.reordered_kernel),
+                &mut scratch,
+                // A block: g, packed k-major (pixel, no).
+                move |ctx, s: &Slot, dst: &mut Vec<f64>| {
+                    let gbuf = ctx.ldm(s.g[par]);
+                    for q in 0..quads {
+                        for p in 0..4 * b_co {
+                            for m in 0..no8 {
+                                dst.push(gbuf[(q * no8 + m) * 4 * b_co + p]);
+                            }
+                        }
+                    }
+                },
+                // B block: packed k-major (pixel, (kr·Kc+kc)·ni8 + ni),
+                // every tap's window read from the same LDM buffer.
+                move |ctx, s: &Slot, dst: &mut Vec<f64>| {
+                    let xbuf = ctx.ldm(s.x[par]);
+                    for q in 0..quads {
+                        for p in 0..b_co {
+                            for lane in 0..4 {
+                                for kr in 0..kr_n {
+                                    let row = (kr * quads + q) * ni8 * win4 + lane;
+                                    for kc in 0..kc_n {
+                                        let at = row + 4 * (p + kc);
+                                        dst.extend((0..ni8).map(|nl| xbuf[at + nl * win4]));
                                     }
                                 }
                             }
-                        },
-                        // B block: x taps, packed k-major (pixel, ni).
-                        move |ctx, s: &Slot, dst: &mut Vec<f64>| {
-                            let xbuf = ctx.ldm(s.x[par]);
-                            for q in 0..quads {
-                                for p in 0..b_co {
-                                    for lane in 0..4 {
-                                        for nl in 0..ni8 {
-                                            dst.push(
-                                                xbuf[(kr * quads + q) * ni8 * win4
-                                                    + nl * win4
-                                                    + 4 * (p + kc)
-                                                    + lane],
-                                            );
-                                        }
-                                    }
-                                }
-                            }
-                        },
-                        move |s: &Slot| (s.c, c_off),
-                    )?;
-                }
-            }
+                        }
+                    }
+                },
+                |s: &Slot| (s.c, 0),
+            )?;
         }
 
         // Store the accumulated dW blocks.
         mesh.superstep(|ctx, s| {
             let mut last = None;
-            for krkc in 0..kr_n * kc_n {
+            for krkc in 0..taps {
                 for m in 0..no8 {
                     let n_o = ctx.row * no8 + m;
                     let dst = (krkc * no + n_o) * ni + ctx.col * ni8;
-                    let h = ctx.dma_put(s.c, krkc * no8 * ni8 + m * ni8, dst, ni8)?;
+                    let h = ctx.dma_put(s.c, (m * taps + krkc) * ni8, dst, ni8)?;
                     last = Some(h);
                 }
             }
@@ -460,6 +456,7 @@ mod tests {
                 let cost_only = plan.time_cost_only(&shape).unwrap();
                 let what = format!("{shape}, fault {}", fault.is_some());
                 crate::plans::assert_same_timing(&cost_only, &functional, &what);
+                assert_eq!(functional.stats.totals.flops, shape.flops(), "{what}");
                 assert_eq!(
                     functional.stats.totals.dma_retries > 0,
                     fault.is_some(),

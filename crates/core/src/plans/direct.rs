@@ -94,6 +94,7 @@ impl ConvPlan for DirectPlan {
         let (ri, ci) = (shape.ri(), shape.ci());
         let outputs = b_n * no * ro * co;
         let g = gload_cycles(&self.ctx.chip);
+        let (dim, cpes) = (self.ctx.chip.mesh_dim, self.ctx.chip.cpes_per_cg);
 
         let mut output = Tensor4::zeros(shape.output_shape(), Layout::Nchw);
         let mut mesh = self.ctx.mesh(|_, _| LdmBuf { offset: 0, len: 0 });
@@ -102,7 +103,8 @@ impl ConvPlan for DirectPlan {
             Ok(())
         })?;
         mesh.superstep(|ctx, buf| {
-            let mut idx = ctx.id();
+            // The chip's own linear CPE index (`ctx.id()` assumes 8 × 8).
+            let mut idx = ctx.row * dim + ctx.col;
             while idx < outputs {
                 let c = idx % co;
                 let r = (idx / co) % ro;
@@ -127,7 +129,7 @@ impl ConvPlan for DirectPlan {
                 let inner = (ni * kr_n * kc_n) as u64;
                 ctx.charge_compute(inner * (2 * g + 1) + g);
                 ctx.add_flops(2 * inner);
-                idx += 64;
+                idx += cpes;
             }
             Ok(())
         })?;
@@ -183,6 +185,23 @@ mod tests {
             0.0,
             "same summation order => exact"
         );
+    }
+
+    #[test]
+    fn degraded_chip_writes_every_output() {
+        // The 4×4 chip has 16 CPEs: the output loop starts at the chip's
+        // linear CPE index and strides by its CPE count, not the healthy
+        // mesh's 64.
+        let shape = ConvShape::new(4, 3, 5, 4, 6, 3, 2);
+        let input = seeded_tensor(shape.input_shape(), Layout::Nchw, 31);
+        let filter = seeded_tensor(shape.filter_shape(), Layout::Nchw, 32);
+        let expect = conv2d_ref(shape, &input, &filter);
+        let chip = crate::ResilientExecutor::degraded_chip(ChipSpec::sw26010());
+        let run = DirectPlan::default()
+            .on(LowerCtx::on_chip(chip))
+            .run(&shape, &input, &filter)
+            .unwrap();
+        assert_eq!(run.output.max_abs_diff(&expect), 0.0);
     }
 
     #[test]

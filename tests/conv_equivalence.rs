@@ -107,14 +107,16 @@ proptest! {
 
     #[test]
     fn bwd_filter_plan_equals_reference(
-        ni8 in 1usize..=3, no8 in 1usize..=3,
+        (ni8, no8) in (1usize..=3, 1usize..=3),
         ro in 1usize..=4, cob in 1usize..=2,
         kr in 1usize..=3, kc in 1usize..=3,
-        b_co in prop::sample::select(vec![2usize, 4]),
+        // b_B 64 puts two batch quads on each mesh chunk.
+        (batch, b_b) in prop::sample::select(vec![(32usize, 32usize), (64, 32), (64, 64)]),
+        b_co in prop::sample::select(vec![1usize, 2, 3, 4]),
         seed in 0u64..1000,
     ) {
-        let shape = ConvShape::new(32, 8 * ni8, 8 * no8, ro, b_co * cob, kr, kc);
-        let plan = swdnn::plans::BwdFilterPlan::new(32, b_co);
+        let shape = ConvShape::new(batch, 8 * ni8, 8 * no8, ro, b_co * cob, kr, kc);
+        let plan = swdnn::plans::BwdFilterPlan::new(b_b, b_co);
         prop_assume!(plan.supports(&shape).is_ok());
         let input = lattice_tensor(shape.input_shape(), Layout::Nchw, seed);
         let d_out = lattice_tensor(shape.output_shape(), Layout::Nchw, seed + 1);

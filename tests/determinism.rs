@@ -9,7 +9,8 @@
 //! 1. **Golden digests.** One image-aware and one batch-aware plan run
 //!    against digests (cycles, DMA/bus counters, flops, an order-sensitive
 //!    checksum of the exact output bit patterns) captured from the
-//!    pre-optimisation implementation.
+//!    pre-optimisation implementation; one backward-filter plan run on
+//!    seeded data, whose output bits predate its tap-folded rotation.
 //! 2. **Thread-count independence.** The same runs repeated under host
 //!    fan-outs of 1, 4, 8, and the machine default (via
 //!    `sw_runtime::with_threads`, the policy every layer now shares) must
@@ -33,7 +34,7 @@ use sw_perfmodel::select::Blocking;
 use sw_perfmodel::ChipSpec;
 use sw_runtime::ExecutionContext;
 use sw_sim::{LdmBuf, Mesh};
-use sw_tensor::init::lattice_tensor;
+use sw_tensor::init::{lattice_tensor, seeded_tensor};
 use sw_tensor::{ConvShape, Layout};
 use swdnn::plans::gemm_mesh::{regcomm_gemm, zero_c, GemmBlock};
 use swdnn::plans::{
@@ -126,6 +127,24 @@ fn batch_large_golden() -> RunDigest {
     }
 }
 
+/// The backward-filter pass on seeded (non-lattice) data, where a changed
+/// summation order changes bits. `output_bits` was captured before the
+/// `Kr·Kc` taps were folded into one rotation per pixel tile; the cycle and
+/// bus counts are the folded rotation's (one rotation per tap read 116 530
+/// cycles and 27 648 / 193 536 bus vectors, with the same DMA bytes and
+/// flops).
+fn bwd_filter_golden() -> RunDigest {
+    RunDigest {
+        cycles: 38525,
+        dma_get_bytes: 344064,
+        dma_put_bytes: 6144,
+        bus_vectors_sent: 19968,
+        bus_vectors_received: 139776,
+        flops: 1179648,
+        output_bits: 14628683591305572534,
+    }
+}
+
 fn run_plan(plan: &dyn ConvPlan, shape: ConvShape, seed: u64) -> ConvRun {
     plan.supports(&shape).expect("shape supported");
     let input = lattice_tensor(shape.input_shape(), Layout::Nchw, seed);
@@ -144,6 +163,16 @@ fn batch_case() -> ConvRun {
         ConvShape::new(16, 16, 16, 2, 4, 3, 3),
         21,
     )
+}
+
+fn bwd_filter_case() -> ConvRun {
+    let shape = ConvShape::new(32, 16, 8, 3, 8, 2, 3);
+    let input = seeded_tensor(shape.input_shape(), Layout::Nchw, 71);
+    let d_out = seeded_tensor(shape.output_shape(), Layout::Nchw, 72);
+    let (output, timing) = BwdFilterPlan::new(32, 4)
+        .run(&shape, &input, &d_out)
+        .expect("plan runs");
+    ConvRun { output, timing }
 }
 
 /// One batch block, one column block, two output rows: an outer trip count
@@ -198,6 +227,11 @@ fn batch_aware_plan_matches_golden_digest() {
 }
 
 #[test]
+fn bwd_filter_plan_matches_golden_digest() {
+    assert_eq!(digest(&bwd_filter_case()), bwd_filter_golden());
+}
+
+#[test]
 fn above_grain_plans_match_golden_digests() {
     let rt = private_pool();
     assert_eq!(digest(&image_case_large(rt)), image_large_golden());
@@ -208,9 +242,11 @@ fn above_grain_plans_match_golden_digests() {
 fn digests_are_identical_across_host_thread_counts() {
     let rt = private_pool();
     for threads in [1usize, 4, 8] {
-        let (img, bat) = sw_runtime::with_threads(threads, || (image_case(), batch_case()));
+        let (img, bat, bwd) =
+            sw_runtime::with_threads(threads, || (image_case(), batch_case(), bwd_filter_case()));
         assert_eq!(digest(&img), image_golden(), "image @ {threads} threads");
         assert_eq!(digest(&bat), batch_golden(), "batch @ {threads} threads");
+        assert_eq!(digest(&bwd), bwd_filter_golden(), "bwd @ {threads} threads");
         // The small shapes run inline whatever the lane count; these two
         // are what keeps the pool path under the same golden regime.
         let ((img, bat), handoffs) =
@@ -226,6 +262,7 @@ fn digests_are_identical_across_host_thread_counts() {
     // Machine default (whatever available_parallelism says).
     assert_eq!(digest(&image_case()), image_golden());
     assert_eq!(digest(&batch_case()), batch_golden());
+    assert_eq!(digest(&bwd_filter_case()), bwd_filter_golden());
 }
 
 #[test]
