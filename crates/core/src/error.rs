@@ -56,6 +56,21 @@ pub enum SwdnnError {
     InsufficientMicrobatches { microbatches: usize, chips: usize },
 }
 
+impl SwdnnError {
+    /// [`SwdnnError::Unsupported`]: `plan` cannot run `shape`, for `reason`.
+    pub(crate) fn unsupported(
+        plan: &'static str,
+        shape: &ConvShape,
+        reason: impl Into<String>,
+    ) -> Self {
+        SwdnnError::Unsupported {
+            plan,
+            shape: *shape,
+            reason: reason.into(),
+        }
+    }
+}
+
 impl std::fmt::Display for SwdnnError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -377,7 +377,6 @@ mod tests {
             cycles: 0,
             stats: sw_sim::CgStats::default(),
             sampled: false,
-            modeled: true,
         };
         let rep = e
             .report(

@@ -21,7 +21,7 @@
 //! `no ∈ chunk_i`, `b ∈ chunk_j`.
 
 use super::gemm_mesh::{lease_scratch, regcomm_gemm_with, zero_c, GemmBlock};
-use super::{extrapolate, finish, tap_major_filter, ConvPlan, ConvRun, LowerCtx, PlanTiming};
+use super::{finish, tap_major_filter, ConvPlan, ConvRun, LowerCtx, MeshWalk, PlanTiming, Walks};
 use crate::error::SwdnnError;
 use crate::plans::PlanKind;
 use sw_perfmodel::{co_blocks, Blocking};
@@ -77,7 +77,8 @@ impl BatchAwarePlan {
     }
 }
 
-struct Slot {
+#[derive(Default)]
+pub(crate) struct Slot {
     di: [LdmBuf; 2],
     w: LdmBuf,
     c: LdmBuf,
@@ -104,13 +105,7 @@ impl ConvPlan for BatchAwarePlan {
     }
 
     fn supports(&self, shape: &ConvShape) -> Result<(), SwdnnError> {
-        let fail = |reason: String| {
-            Err(SwdnnError::Unsupported {
-                plan: "batch_size_aware",
-                shape: *shape,
-                reason,
-            })
-        };
+        let fail = |reason: String| Err(SwdnnError::unsupported("batch_size_aware", shape, reason));
         let dim = self.ctx.chip.mesh_dim;
         if !shape.ni.is_multiple_of(dim) || !shape.no.is_multiple_of(dim) {
             return fail(format!("Ni and No must be multiples of {dim}"));
@@ -124,14 +119,7 @@ impl ConvPlan for BatchAwarePlan {
                 shape.co, self.b_co
             ));
         }
-        let need = self.ldm_doubles(shape);
-        if need > self.ctx.chip.ldm_doubles() {
-            return fail(format!(
-                "needs {need} LDM doubles > {}",
-                self.ctx.chip.ldm_doubles()
-            ));
-        }
-        Ok(())
+        self.ctx.fit_ldm(self.ldm_doubles(shape)).or_else(fail)
     }
 
     fn run(
@@ -142,51 +130,35 @@ impl ConvPlan for BatchAwarePlan {
     ) -> Result<ConvRun, SwdnnError> {
         self.supports(shape)?;
         let input = input.to_layout(Layout::BatchAware);
-        let w_flat = tap_major_filter(filter);
+        let w = tap_major_filter(filter);
         let mut output = Tensor4::zeros(shape.output_shape(), Layout::BatchAware);
-        let timing = self.walk(shape, self.mesh(), input.data(), &w_flat, output.data_mut())?;
+        let timing = self.walk(shape, self.ctx.mesh(), input.data(), &w, output.data_mut())?;
         Ok(ConvRun { output, timing })
     }
 
     fn time_full_shape(&self, shape: &ConvShape) -> Result<PlanTiming, SwdnnError> {
         self.supports(shape)?;
-        let reduced = |n_ro: usize| ConvShape {
-            batch: shape.batch,
-            ni: shape.ni,
-            no: shape.no,
-            ro: n_ro,
-            co: self.b_co,
-            kr: shape.kr,
-            kc: shape.kc,
-        };
-        let t1 = self.time_cost_only(&reduced(1))?;
-        let t2 = self.time_cost_only(&reduced(2))?;
-        let n_full = (shape.co / self.b_co) as u64 * shape.ro as u64;
-        Ok(extrapolate(&t1, 1, &t2, 2, n_full))
+        self.time_sampled(shape)
     }
 }
 
-impl BatchAwarePlan {
-    /// Exact timing of `shape` with no arithmetic: [`Self::walk`] on a
-    /// cost-only mesh over all-zero operands of the real lengths (never
-    /// read, so they stay untouched zero pages).
-    fn time_cost_only(&self, shape: &ConvShape) -> Result<PlanTiming, SwdnnError> {
-        self.supports(shape)?;
-        let input = vec![0.0; Layout::BatchAware.buffer_len(shape.input_shape())];
-        let w_flat = vec![0.0; shape.filter_shape().len()];
-        let mut out = vec![0.0; Layout::BatchAware.buffer_len(shape.output_shape())];
-        self.walk(shape, self.mesh().cost_only(), &input, &w_flat, &mut out)
+impl MeshWalk for BatchAwarePlan {
+    type Extent = ConvShape;
+    type Slot = Slot;
+
+    fn ctx(&self) -> &LowerCtx {
+        &self.ctx
     }
 
-    /// A fresh mesh for one walk in this plan's context.
-    fn mesh(&self) -> Mesh<Slot> {
-        self.ctx.mesh(|_, _| Slot {
-            di: [LdmBuf { offset: 0, len: 0 }; 2],
-            w: LdmBuf { offset: 0, len: 0 },
-            c: LdmBuf { offset: 0, len: 0 },
-            di_h: [None; 2],
-            w_h: None,
-        })
+    fn operand_lens(&self, shape: &ConvShape) -> [usize; 3] {
+        let layout = Layout::BatchAware;
+        let [i, o] = [shape.input_shape(), shape.output_shape()].map(|s| layout.buffer_len(s));
+        [i, shape.filter_shape().len(), o]
+    }
+
+    /// Whole-batch tiles: one `b_co` column block per output row.
+    fn timing_walks(&self, shape: &ConvShape) -> Walks<ConvShape> {
+        Walks::pixel_tiles(shape, shape.batch, self.b_co)
     }
 
     /// Algorithm 2's loop nest on a fresh `mesh` — the one `run` and
@@ -419,57 +391,11 @@ mod tests {
 
     #[test]
     fn cost_only_walk_lands_on_the_functional_run() {
-        // The one-row sample of Table III row 4 (B 128, Ni 128, No 384), and
-        // a ragged small shape with an asymmetric filter; fault-free and
-        // with DMA retries.
-        let table3 = ConvShape::new(128, 128, 384, 64, 64, 3, 3);
-        let plan3 = BatchAwarePlan::auto(&table3);
-        let cases = [
-            (
-                plan3,
-                ConvShape {
-                    ro: 1,
-                    co: plan3.b_co,
-                    ..table3
-                },
-            ),
-            (BatchAwarePlan::new(2), ConvShape::new(8, 8, 16, 3, 6, 2, 3)),
-        ];
-        let faults = sw_sim::FaultPlan::none(5).with_dma_fail_rate(0.02);
-        for (plan, shape) in cases {
-            let input = seeded_tensor(shape.input_shape(), Layout::Nchw, 1);
-            let filter = seeded_tensor(shape.filter_shape(), Layout::Nchw, 2);
-            for fault in [None, Some(faults)] {
-                let plan = plan.on(LowerCtx::default().with_fault(fault));
-                let functional = plan.run(&shape, &input, &filter).unwrap().timing;
-                let cost_only = plan.time_cost_only(&shape).unwrap();
-                let what = format!("{shape}, fault {}", fault.is_some());
-                crate::plans::assert_same_timing(&cost_only, &functional, &what);
-                assert_eq!(
-                    functional.stats.totals.dma_retries > 0,
-                    fault.is_some(),
-                    "{what}"
-                );
-            }
-        }
+        crate::plans::tests::assert_cost_only_walk_lands_on_the_functional_run("batch-aware");
     }
 
     #[test]
     fn sampled_timing_tracks_full_timing() {
-        let shape = ConvShape::new(16, 8, 8, 6, 8, 3, 3);
-        let plan = BatchAwarePlan::new(4);
-        let full = {
-            let input = seeded_tensor(shape.input_shape(), Layout::BatchAware, 23);
-            let filter = seeded_tensor(shape.filter_shape(), Layout::Nchw, 24);
-            plan.run(&shape, &input, &filter).unwrap().timing
-        };
-        let sampled = plan.time_full_shape(&shape).unwrap();
-        let rel = (sampled.cycles as f64 - full.cycles as f64).abs() / full.cycles as f64;
-        assert!(
-            rel < 0.05,
-            "sampled {} vs full {} ({rel:.3})",
-            sampled.cycles,
-            full.cycles
-        );
+        crate::plans::tests::assert_sampled_timing_tracks_full_timing("batch-aware");
     }
 }

@@ -33,7 +33,7 @@
 //! ascending) are those of a rotation per tap.
 
 use super::gemm_mesh::{lease_scratch, regcomm_gemm_with, zero_c, GemmBlock};
-use super::{extrapolate, finish, LowerCtx, PlanTiming};
+use super::{finish, LowerCtx, MeshWalk, PlanTiming, Walks};
 use crate::error::SwdnnError;
 use sw_perfmodel::co_blocks;
 use sw_sim::{DmaHandle, LdmBuf, Mesh};
@@ -51,7 +51,8 @@ pub struct BwdFilterPlan {
     pub reordered_kernel: bool,
 }
 
-struct Slot {
+#[derive(Default)]
+pub(crate) struct Slot {
     g: [LdmBuf; 2],
     x: [LdmBuf; 2],
     c: LdmBuf,
@@ -102,13 +103,7 @@ impl BwdFilterPlan {
     }
 
     pub fn supports(&self, shape: &ConvShape) -> Result<(), SwdnnError> {
-        let fail = |reason: String| {
-            Err(SwdnnError::Unsupported {
-                plan: "bwd_filter",
-                shape: *shape,
-                reason,
-            })
-        };
+        let fail = |reason: String| Err(SwdnnError::unsupported("bwd_filter", shape, reason));
         let dim = self.ctx.chip.mesh_dim;
         if !shape.ni.is_multiple_of(dim) || !shape.no.is_multiple_of(dim) {
             return fail(format!("Ni and No must be multiples of {dim}"));
@@ -125,14 +120,7 @@ impl BwdFilterPlan {
                 shape.co, self.b_co
             ));
         }
-        let need = self.ldm_doubles(shape);
-        if need > self.ctx.chip.ldm_doubles() {
-            return fail(format!(
-                "needs {need} LDM doubles > {}",
-                self.ctx.chip.ldm_doubles()
-            ));
-        }
-        Ok(())
+        self.ctx.fit_ldm(self.ldm_doubles(shape)).or_else(fail)
     }
 
     /// Compute `dW` with full simulation; returns the gradient and timing.
@@ -148,7 +136,7 @@ impl BwdFilterPlan {
         let g = d_out.to_layout(Layout::ImageAware);
         // Global accumulation buffer ordered [(kr*Kc+kc)][no][ni].
         let mut dw_flat = vec![0.0f64; kr_n * kc_n * no * ni];
-        let timing = self.walk(shape, self.mesh(), input.data(), g.data(), &mut dw_flat)?;
+        let timing = self.walk(shape, self.ctx.mesh(), input.data(), g.data(), &mut dw_flat)?;
 
         // Transpose [(kr,kc)][no][ni] -> (No, Ni, Kr, Kc).
         let mut dw = Tensor4::zeros(shape.filter_shape(), Layout::Nchw);
@@ -173,39 +161,26 @@ impl BwdFilterPlan {
     /// Sampled full-shape timing (the pass is linear in the pixel tiles).
     pub fn time_full_shape(&self, shape: &ConvShape) -> Result<PlanTiming, SwdnnError> {
         self.supports(shape)?;
-        let reduced = |n_ro: usize| ConvShape {
-            batch: self.b_b,
-            ro: n_ro,
-            co: self.b_co,
-            ..*shape
-        };
-        let t1 = self.time_cost_only(&reduced(1))?;
-        let t2 = self.time_cost_only(&reduced(2))?;
-        let n_full =
-            (shape.batch / self.b_b) as u64 * shape.ro as u64 * (shape.co / self.b_co) as u64;
-        Ok(extrapolate(&t1, 1, &t2, 2, n_full))
+        self.time_sampled(shape)
+    }
+}
+
+impl MeshWalk for BwdFilterPlan {
+    type Extent = ConvShape;
+    type Slot = Slot;
+
+    fn ctx(&self) -> &LowerCtx {
+        &self.ctx
     }
 
-    /// Exact timing of `shape` with no arithmetic: [`Self::walk`] on a
-    /// cost-only mesh over all-zero operands of the real lengths (never
-    /// read, so they stay untouched zero pages).
-    fn time_cost_only(&self, shape: &ConvShape) -> Result<PlanTiming, SwdnnError> {
-        self.supports(shape)?;
-        let input = vec![0.0; Layout::ImageAware.buffer_len(shape.input_shape())];
-        let g = vec![0.0; Layout::ImageAware.buffer_len(shape.output_shape())];
-        let mut dw_flat = vec![0.0; shape.filter_shape().len()];
-        self.walk(shape, self.mesh().cost_only(), &input, &g, &mut dw_flat)
+    fn operand_lens(&self, shape: &ConvShape) -> [usize; 3] {
+        let layout = Layout::ImageAware;
+        let [i, o] = [shape.input_shape(), shape.output_shape()].map(|s| layout.buffer_len(s));
+        [i, o, shape.filter_shape().len()]
     }
 
-    /// A fresh mesh for one walk in this plan's context.
-    fn mesh(&self) -> Mesh<Slot> {
-        self.ctx.mesh(|_, _| Slot {
-            g: [LdmBuf { offset: 0, len: 0 }; 2],
-            x: [LdmBuf { offset: 0, len: 0 }; 2],
-            c: LdmBuf { offset: 0, len: 0 },
-            g_h: [None; 2],
-            x_h: [None; 2],
-        })
+    fn timing_walks(&self, shape: &ConvShape) -> Walks<ConvShape> {
+        Walks::pixel_tiles(shape, self.b_b, self.b_co)
     }
 
     /// The pixel-tile loop nest on a fresh `mesh` — the one `run` and
@@ -424,70 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn cost_only_walk_lands_on_the_functional_run() {
-        // The one-row sample of the paper-scale 128×128 layer, and a ragged
-        // small shape with an asymmetric filter; fault-free and with DMA
-        // retries, which cost time and never accuracy.
-        let paper = ConvShape::new(128, 128, 128, 64, 64, 3, 3);
-        let plan128 = BwdFilterPlan::auto(&paper);
-        let cases = [
-            (
-                plan128,
-                ConvShape {
-                    batch: plan128.b_b,
-                    ro: 1,
-                    co: plan128.b_co,
-                    ..paper
-                },
-            ),
-            (
-                BwdFilterPlan::new(32, 4),
-                ConvShape::new(32, 16, 8, 3, 8, 2, 3),
-            ),
-        ];
-        let faults = sw_sim::FaultPlan::none(5).with_dma_fail_rate(0.02);
-        for (plan, shape) in cases {
-            let input = seeded_tensor(shape.input_shape(), Layout::Nchw, 1);
-            let d_out = seeded_tensor(shape.output_shape(), Layout::Nchw, 2);
-            let mut clean_dw = None;
-            for fault in [None, Some(faults)] {
-                let plan = plan.on(LowerCtx::default().with_fault(fault));
-                let (dw, functional) = plan.run(&shape, &input, &d_out).unwrap();
-                let cost_only = plan.time_cost_only(&shape).unwrap();
-                let what = format!("{shape}, fault {}", fault.is_some());
-                crate::plans::assert_same_timing(&cost_only, &functional, &what);
-                assert_eq!(functional.stats.totals.flops, shape.flops(), "{what}");
-                assert_eq!(
-                    functional.stats.totals.dma_retries > 0,
-                    fault.is_some(),
-                    "{what}"
-                );
-                let clean_dw = clean_dw.get_or_insert_with(|| dw.clone());
-                assert_eq!(dw.max_abs_diff(clean_dw), 0.0, "{what}");
-            }
-        }
-    }
-
-    #[test]
-    fn sampled_timing_tracks_full_timing() {
-        let shape = ConvShape::new(32, 8, 8, 6, 8, 3, 3);
-        let plan = BwdFilterPlan::new(32, 4);
-        let full = {
-            let input = seeded_tensor(shape.input_shape(), Layout::ImageAware, 305);
-            let d_out = seeded_tensor(shape.output_shape(), Layout::ImageAware, 306);
-            plan.run(&shape, &input, &d_out).unwrap().1
-        };
-        let sampled = plan.time_full_shape(&shape).unwrap();
-        let rel = (sampled.cycles as f64 - full.cycles as f64).abs() / full.cycles as f64;
-        assert!(
-            rel < 0.06,
-            "sampled {} vs full {} ({rel:.3})",
-            sampled.cycles,
-            full.cycles
-        );
-    }
-
-    #[test]
     fn rejects_bad_shapes() {
         let plan = BwdFilterPlan::new(32, 4);
         assert!(plan
@@ -499,5 +410,15 @@ mod tests {
         assert!(plan
             .supports(&ConvShape::new(32, 8, 8, 4, 7, 3, 3))
             .is_err());
+    }
+
+    #[test]
+    fn cost_only_walk_lands_on_the_functional_run() {
+        crate::plans::tests::assert_cost_only_walk_lands_on_the_functional_run("bwd-filter");
+    }
+
+    #[test]
+    fn sampled_timing_tracks_full_timing() {
+        crate::plans::tests::assert_sampled_timing_tracks_full_timing("bwd-filter");
     }
 }

@@ -62,11 +62,11 @@ impl ConvPlan for DirectPlan {
 
     fn supports(&self, shape: &ConvShape) -> Result<(), SwdnnError> {
         if !shape.is_valid() {
-            return Err(SwdnnError::Unsupported {
-                plan: "direct_gload",
-                shape: *shape,
-                reason: "degenerate shape".into(),
-            });
+            return Err(SwdnnError::unsupported(
+                "direct_gload",
+                shape,
+                "degenerate shape",
+            ));
         }
         Ok(())
     }
@@ -97,7 +97,7 @@ impl ConvPlan for DirectPlan {
         let (dim, cpes) = (self.ctx.chip.mesh_dim, self.ctx.chip.cpes_per_cg);
 
         let mut output = Tensor4::zeros(shape.output_shape(), Layout::Nchw);
-        let mut mesh = self.ctx.mesh(|_, _| LdmBuf { offset: 0, len: 0 });
+        let mut mesh = self.ctx.mesh::<LdmBuf>();
         mesh.superstep(|ctx, buf| {
             *buf = ctx.ldm_alloc(1)?;
             Ok(())
@@ -152,12 +152,7 @@ impl ConvPlan for DirectPlan {
             },
             ..Default::default()
         };
-        Ok(PlanTiming {
-            cycles,
-            stats,
-            sampled: true,
-            modeled: false,
-        })
+        Ok(stats.into())
     }
 }
 

@@ -28,7 +28,7 @@
 //! * output: `no ∈ chunk_i`, pixels `∈ chunk_j`.
 
 use super::gemm_mesh::{lease_scratch, regcomm_gemm_with, zero_c, GemmBlock};
-use super::{extrapolate, finish, tap_major_filter, ConvPlan, ConvRun, LowerCtx, PlanTiming};
+use super::{finish, tap_major_filter, ConvPlan, ConvRun, LowerCtx, MeshWalk, PlanTiming, Walks};
 use crate::error::SwdnnError;
 use crate::plans::PlanKind;
 use sw_perfmodel::select::{ldm_doubles_image_aware, Blocking};
@@ -118,7 +118,8 @@ struct Dims {
 }
 
 /// Per-CPE buffers and in-flight DMA handles.
-struct Slot {
+#[derive(Default)]
+pub(crate) struct Slot {
     di: [LdmBuf; 2],
     w: [LdmBuf; 2],
     c: LdmBuf,
@@ -140,13 +141,7 @@ impl ConvPlan for ImageAwarePlan {
     }
 
     fn supports(&self, shape: &ConvShape) -> Result<(), SwdnnError> {
-        let fail = |reason: String| {
-            Err(SwdnnError::Unsupported {
-                plan: "image_size_aware",
-                shape: *shape,
-                reason,
-            })
-        };
+        let fail = |reason: String| Err(SwdnnError::unsupported("image_size_aware", shape, reason));
         let Blocking { b_b, b_co } = self.blocking;
         let dim = self.ctx.chip.mesh_dim;
         if !shape.ni.is_multiple_of(dim) || !shape.no.is_multiple_of(dim) {
@@ -168,14 +163,7 @@ impl ConvPlan for ImageAwarePlan {
                 shape.ni
             ));
         }
-        let need = self.ldm_doubles(shape);
-        if need > self.ctx.chip.ldm_doubles() {
-            return fail(format!(
-                "needs {need} LDM doubles > {}",
-                self.ctx.chip.ldm_doubles()
-            ));
-        }
-        Ok(())
+        self.ctx.fit_ldm(self.ldm_doubles(shape)).or_else(fail)
     }
 
     fn run(
@@ -187,52 +175,34 @@ impl ConvPlan for ImageAwarePlan {
         self.supports(shape)?;
         // Host-side layout preparation (done once per layer in practice).
         let input = input.to_layout(Layout::ImageAware);
-        let w_flat = tap_major_filter(filter);
+        let w = tap_major_filter(filter);
         let mut output = Tensor4::zeros(shape.output_shape(), Layout::ImageAware);
-        let timing = self.walk(shape, self.mesh(), input.data(), &w_flat, output.data_mut())?;
+        let timing = self.walk(shape, self.ctx.mesh(), input.data(), &w, output.data_mut())?;
         Ok(ConvRun { output, timing })
     }
 
     fn time_full_shape(&self, shape: &ConvShape) -> Result<PlanTiming, SwdnnError> {
         self.supports(shape)?;
-        let Blocking { b_b, b_co } = self.blocking;
-        let reduced = |n_ro: usize| ConvShape {
-            batch: b_b,
-            ni: shape.ni,
-            no: shape.no,
-            ro: n_ro,
-            co: b_co,
-            kr: shape.kr,
-            kc: shape.kc,
-        };
-        let t1 = self.time_cost_only(&reduced(1))?;
-        let t2 = self.time_cost_only(&reduced(2))?;
-        let n_full = (shape.batch / b_b) as u64 * shape.ro as u64 * (shape.co / b_co) as u64;
-        Ok(extrapolate(&t1, 1, &t2, 2, n_full))
+        self.time_sampled(shape)
     }
 }
 
-impl ImageAwarePlan {
-    /// Exact timing of `shape` with no arithmetic: [`Self::walk`] on a
-    /// cost-only mesh over all-zero operands of the real lengths (never
-    /// read, so they stay untouched zero pages).
-    fn time_cost_only(&self, shape: &ConvShape) -> Result<PlanTiming, SwdnnError> {
-        self.supports(shape)?;
-        let input = vec![0.0; Layout::ImageAware.buffer_len(shape.input_shape())];
-        let w_flat = vec![0.0; shape.filter_shape().len()];
-        let mut out = vec![0.0; Layout::ImageAware.buffer_len(shape.output_shape())];
-        self.walk(shape, self.mesh().cost_only(), &input, &w_flat, &mut out)
+impl MeshWalk for ImageAwarePlan {
+    type Extent = ConvShape;
+    type Slot = Slot;
+
+    fn ctx(&self) -> &LowerCtx {
+        &self.ctx
     }
 
-    /// A fresh mesh for one walk in this plan's context.
-    fn mesh(&self) -> Mesh<Slot> {
-        self.ctx.mesh(|_, _| Slot {
-            di: [LdmBuf { offset: 0, len: 0 }; 2],
-            w: [LdmBuf { offset: 0, len: 0 }; 2],
-            c: LdmBuf { offset: 0, len: 0 },
-            di_h: [None; 2],
-            w_h: [None; 2],
-        })
+    fn operand_lens(&self, shape: &ConvShape) -> [usize; 3] {
+        let layout = Layout::ImageAware;
+        let [i, o] = [shape.input_shape(), shape.output_shape()].map(|s| layout.buffer_len(s));
+        [i, shape.filter_shape().len(), o]
+    }
+
+    fn timing_walks(&self, shape: &ConvShape) -> Walks<ConvShape> {
+        Walks::pixel_tiles(shape, self.blocking.b_b, self.blocking.b_co)
     }
 
     /// Algorithm 1's loop nest on a fresh `mesh` — the one `run` and
@@ -495,62 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_timing_tracks_full_timing() {
-        // On a shape small enough to run fully, the sampled extrapolation
-        // must agree with the full simulation within a few percent.
-        let shape = ConvShape::new(32, 8, 8, 6, 8, 3, 3);
-        let p = plan();
-        let full = {
-            let input = seeded_tensor(shape.input_shape(), Layout::ImageAware, 1);
-            let filter = seeded_tensor(shape.filter_shape(), Layout::Nchw, 2);
-            p.run(&shape, &input, &filter).unwrap().timing
-        };
-        let sampled = p.time_full_shape(&shape).unwrap();
-        let rel = (sampled.cycles as f64 - full.cycles as f64).abs() / full.cycles as f64;
-        assert!(
-            rel < 0.05,
-            "sampled {} vs full {} ({rel:.3})",
-            sampled.cycles,
-            full.cycles
-        );
-        assert!(sampled.sampled);
-    }
-
-    #[test]
-    fn cost_only_walk_lands_on_the_functional_run() {
-        // The one-row sample of Table III row 2 (Ni 128, No 256, b_B 32,
-        // b_Co 8), and a ragged small shape with Ni blocking; fault-free and
-        // with DMA retries eating into the double-buffer slack.
-        let cases = [
-            (
-                ImageAwarePlan::new(Blocking { b_b: 32, b_co: 8 }),
-                ConvShape::new(32, 128, 256, 1, 8, 3, 3),
-            ),
-            (
-                plan().with_ni_blocking(8),
-                ConvShape::new(32, 16, 8, 3, 8, 2, 3),
-            ),
-        ];
-        let faults = sw_sim::FaultPlan::none(5).with_dma_fail_rate(0.02);
-        for (plan, shape) in cases {
-            let input = seeded_tensor(shape.input_shape(), Layout::Nchw, 1);
-            let filter = seeded_tensor(shape.filter_shape(), Layout::Nchw, 2);
-            for fault in [None, Some(faults)] {
-                let plan = plan.on(LowerCtx::default().with_fault(fault));
-                let functional = plan.run(&shape, &input, &filter).unwrap().timing;
-                let cost_only = plan.time_cost_only(&shape).unwrap();
-                let what = format!("{shape}, fault {}", fault.is_some());
-                crate::plans::assert_same_timing(&cost_only, &functional, &what);
-                assert_eq!(
-                    functional.stats.totals.dma_retries > 0,
-                    fault.is_some(),
-                    "{what}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn ni_blocking_matches_unblocked_exactly() {
         let shape = ConvShape::new(32, 16, 8, 3, 8, 3, 3);
         let input = lattice_tensor(shape.input_shape(), Layout::Nchw, 71);
@@ -632,5 +546,15 @@ mod tests {
         let slow = slowp.run(&shape, &input, &filter).unwrap();
         assert!(slow.timing.cycles > fast.timing.cycles);
         assert_eq!(slow.output.max_abs_diff(&fast.output), 0.0);
+    }
+
+    #[test]
+    fn cost_only_walk_lands_on_the_functional_run() {
+        crate::plans::tests::assert_cost_only_walk_lands_on_the_functional_run("image-aware");
+    }
+
+    #[test]
+    fn sampled_timing_tracks_full_timing() {
+        crate::plans::tests::assert_sampled_timing_tracks_full_timing("image-aware");
     }
 }

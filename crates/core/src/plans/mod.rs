@@ -14,16 +14,15 @@
 //!
 //! Every plan's `run` computes real `f64` results, checked against the
 //! reference convolution in the test suites. Each mesh plan keeps its loop
-//! nest in one private `walk` function over plain `&[f64]` operands and a
-//! `&mut [f64]` output: `run` prepares the operands (layout conversion,
-//! filter repack) and hands them to `walk` on a functional mesh;
-//! `time_full_shape` hands `walk` all-zero operands of the right lengths on a
-//! cost-only mesh ([`sw_sim::Mesh::cost_only`]), which charges every cycle
-//! and counter of the same walk without moving or multiplying anything —
-//! timing a shape does not do its arithmetic. Either mesh comes from the
-//! plan's one [`LowerCtx`] (chip, injected faults, host runtime), and every
-//! walk ends in the same epilogue, `finish` — the direct plan's functional
-//! run included (its timing is closed form).
+//! nest in one `walk` (`MeshWalk`) over plain `&[f64]` operands and a
+//! `&mut [f64]` output: `run` hands it prepared operands on a functional
+//! mesh; the one timing protocol, `MeshWalk::time_sampled`, hands it
+//! all-zero operands on a cost-only mesh ([`sw_sim::Mesh::cost_only`]),
+//! which charges every cycle and counter without moving or multiplying
+//! anything, for two outer-loop samples and the line through them. Either
+//! mesh comes from the plan's one [`LowerCtx`] (chip, injected faults, host
+//! runtime), and every walk ends in the same epilogue, `finish` — the
+//! direct plan's functional run included (its timing is closed form).
 //!
 //! A forward plan is described by a [`Schedule`], and [`Schedule::build`]
 //! is the one place a description becomes one of these structs: `Conv2d`,
@@ -49,7 +48,7 @@ pub use schedule::{lower_schedule, LoopOrder, LowerCtx, Schedule};
 
 use crate::error::SwdnnError;
 use sw_perfmodel::{Blocking, ChipSpec, PlanKind};
-use sw_sim::CgStats;
+use sw_sim::{CgStats, Mesh};
 use sw_tensor::{ConvShape, Tensor4};
 
 /// Timing of one plan execution on one core group.
@@ -62,8 +61,6 @@ pub struct PlanTiming {
     /// True when the cycles were extrapolated from sampled outer iterations
     /// rather than a full simulation.
     pub sampled: bool,
-    /// True when timing comes from the analytic model only (reference plan).
-    pub modeled: bool,
 }
 
 impl PlanTiming {
@@ -79,6 +76,17 @@ impl PlanTiming {
     /// Fraction of one CG's peak attained.
     pub fn efficiency(&self, shape: &ConvShape, chip: &ChipSpec) -> f64 {
         self.gflops(shape, chip) / chip.peak_gflops_per_cg()
+    }
+}
+
+impl From<CgStats> for PlanTiming {
+    /// The timing of a whole walk (or a closed form): nothing sampled.
+    fn from(stats: CgStats) -> Self {
+        Self {
+            cycles: stats.cycles,
+            stats,
+            sampled: false,
+        }
     }
 }
 
@@ -117,39 +125,81 @@ pub trait ConvPlan {
         filter: &Tensor4<f64>,
     ) -> Result<ConvRun, SwdnnError>;
 
-    /// Estimate full-shape timing by simulating a small number of outer
-    /// iterations and extrapolating linearly (see [`extrapolate`]). The
-    /// mesh plans walk those iterations on a cost-only mesh over zero
-    /// operands: same cycles and counters as a functional run, no tensors
-    /// seeded, laid out or multiplied.
-    ///
-    /// The default implementation runs the plan in full, arithmetic
-    /// included — plans whose cost is linear in an outer trip count override
-    /// this.
-    fn time_full_shape(&self, shape: &ConvShape) -> Result<PlanTiming, SwdnnError> {
-        let input = sw_tensor::init::seeded_tensor(shape.input_shape(), sw_tensor::Layout::Nchw, 1);
-        let filter =
-            sw_tensor::init::seeded_tensor(shape.filter_shape(), sw_tensor::Layout::Nchw, 2);
-        Ok(self.run(shape, &input, &filter)?.timing)
-    }
+    /// Timing of the full shape without its arithmetic: a mesh plan's
+    /// `MeshWalk::time_sampled`, else a closed form or the model.
+    fn time_full_shape(&self, shape: &ConvShape) -> Result<PlanTiming, SwdnnError>;
 }
 
 /// The epilogue of every mesh plan's walk: land the logged DMA puts in
 /// `out`, check that no bus message was left undelivered, and read the
 /// timing off the mesh, which simulated every outer iteration it was given.
-pub(crate) fn finish<S: Send>(
-    mut mesh: sw_sim::Mesh<S>,
-    out: &mut [f64],
-) -> Result<PlanTiming, SwdnnError> {
+pub(crate) fn finish(mut mesh: Mesh<impl Send>, out: &mut [f64]) -> Result<PlanTiming, SwdnnError> {
     mesh.drain_puts(out)?;
     mesh.assert_inboxes_empty()?;
-    let stats = mesh.stats();
-    Ok(PlanTiming {
-        cycles: stats.cycles,
-        stats,
-        sampled: false,
-        modeled: false,
-    })
+    Ok(mesh.stats().into())
+}
+
+/// A mesh plan's walk and the one timing protocol over it: a plan states
+/// what differs, the provided methods are the protocol.
+pub(crate) trait MeshWalk {
+    /// What one walk covers: a dense [`ConvShape`], or a general geometry.
+    type Extent;
+    /// Per-CPE state of the walk's mesh: LDM tiles and DMA handles.
+    type Slot: Default + Send;
+
+    fn ctx(&self) -> &LowerCtx;
+
+    /// Lengths of the walk's two operands and its output.
+    fn operand_lens(&self, extent: &Self::Extent) -> [usize; 3];
+
+    /// The walks that time `shape`, which the plan supports.
+    fn timing_walks(&self, shape: &ConvShape) -> Walks<Self::Extent>;
+
+    /// The loop nest over `extent` on `mesh`: reads `a`, `b`, puts to `out`.
+    fn walk(
+        &self,
+        extent: &Self::Extent,
+        mesh: Mesh<Self::Slot>,
+        a: &[f64],
+        b: &[f64],
+        out: &mut [f64],
+    ) -> Result<PlanTiming, SwdnnError>;
+
+    /// Exact timing of `extent` with no arithmetic: the walk on a cost-only
+    /// mesh over all-zero operands (never read: untouched zero pages).
+    fn time_cost_only(&self, extent: &Self::Extent) -> Result<PlanTiming, SwdnnError> {
+        let [a, b, mut out] = self.operand_lens(extent).map(|len| vec![0.0; len]);
+        self.walk(extent, self.ctx().mesh().cost_only(), &a, &b, &mut out)
+    }
+
+    /// Every mesh plan's `time_full_shape`: two cost-only samples and the
+    /// line through them, or the whole shape walked cost-only.
+    fn time_sampled(&self, shape: &ConvShape) -> Result<PlanTiming, SwdnnError> {
+        match self.timing_walks(shape) {
+            Walks::Whole(extent) => self.time_cost_only(&extent),
+            Walks::Sampled(samples, n_full) => {
+                let [s1, s2] = samples.map(|(e, n)| self.time_cost_only(&e).map(|t| (t, n)));
+                Ok(extrapolate([s1?, s2?], n_full))
+            }
+        }
+    }
+}
+
+/// How `MeshWalk::time_sampled` times a shape: walk it whole, or walk two
+/// outer-loop samples `(extent, trip count)` and extrapolate to a trip count.
+pub(crate) enum Walks<E> {
+    Whole(E),
+    Sampled([(E, u64); 2], u64),
+}
+
+impl Walks<ConvShape> {
+    /// Outer loop over `b_b × 1 × b_co` pixel tiles: one tile over one and
+    /// two output rows, extrapolated to the tile count.
+    pub(crate) fn pixel_tiles(shape: &ConvShape, b_b: usize, b_co: usize) -> Self {
+        let tile = |ro| ConvShape::new(b_b, shape.ni, shape.no, ro, b_co, shape.kr, shape.kc);
+        let tiles = shape.batch / b_b * shape.ro * (shape.co / b_co);
+        Walks::Sampled([(tile(1), 1), (tile(2), 2)], tiles as u64)
+    }
 }
 
 /// Filters repacked host-side to `(Kr, Kc, Ni, No)`, so each `(kr, kc)` tap
@@ -172,58 +222,40 @@ pub(crate) fn tap_major_filter(filter: &Tensor4<f64>) -> Vec<f64> {
 
 /// Linear extrapolation of timing from two sampled runs.
 ///
-/// A plan's cost is `a + b·N` in the outer trip count `N`; given
-/// measurements at `n1 < n2` outer iterations, recover `(a, b)` and predict
-/// the full count. Counters extrapolate the same way.
-pub fn extrapolate(t1: &PlanTiming, n1: u64, t2: &PlanTiming, n2: u64, n_full: u64) -> PlanTiming {
+/// A plan's cost is `a + b·N` in the outer trip count `N`; given samples at
+/// `n1 < n2` outer iterations, predict `n_full` on the line through them,
+/// `t1 + (t2 − t1)/(n2 − n1)·(n_full − n1)`, counters alike. The line is
+/// signed, so it passes through both samples even where a counter falls or
+/// more than doubles between them (injected DMA retries do both); only the
+/// prediction is floored at 0.
+pub(crate) fn extrapolate(samples: [(PlanTiming, u64); 2], n_full: u64) -> PlanTiming {
+    let [(t1, n1), (t2, n2)] = samples;
+    let (s1, s2) = (t1.stats, t2.stats);
     assert!(n2 > n1 && n1 > 0, "need two distinct positive sample sizes");
-    let per_iter = (t2.cycles.saturating_sub(t1.cycles)) / (n2 - n1);
-    let setup = t1.cycles.saturating_sub(per_iter * n1);
-    let cycles = setup + per_iter * n_full;
-
-    let lerp_u64 = |a: u64, b: u64| -> u64 {
-        let per = (b.saturating_sub(a)) / (n2 - n1);
-        let base = a.saturating_sub(per * n1);
-        base + per * n_full
+    let line = |a: u64, b: u64| {
+        let per = (i128::from(b) - i128::from(a)) / i128::from(n2 - n1);
+        let at = i128::from(a) + per * (i128::from(n_full) - i128::from(n1));
+        u64::try_from(at.max(0)).unwrap_or(u64::MAX)
     };
     // `combine` iterates the complete counter field list, so counters added
     // to CpeStats extrapolate without this function changing.
-    let mut stats = t1.stats;
-    stats.cycles = cycles;
-    stats.totals = t1.stats.totals.combine(&t2.stats.totals, lerp_u64);
-    stats.ldm_high_water_doubles = t1
-        .stats
-        .ldm_high_water_doubles
-        .max(t2.stats.ldm_high_water_doubles);
-
+    let stats = CgStats {
+        cycles: line(t1.cycles, t2.cycles),
+        totals: s1.totals.combine(&s2.totals, line),
+        ldm_high_water_doubles: s1.ldm_high_water_doubles.max(s2.ldm_high_water_doubles),
+    };
     PlanTiming {
-        cycles,
-        stats,
         sampled: true,
-        modeled: false,
+        ..stats.into()
     }
-}
-
-/// Assert that a cost-only walk landed exactly where the functional run of
-/// the same shape did: cycles, all 15 counter totals, LDM high water.
-#[cfg(test)]
-pub(crate) fn assert_same_timing(cost_only: &PlanTiming, functional: &PlanTiming, what: &str) {
-    assert_eq!(cost_only.cycles, functional.cycles, "{what}: cycles");
-    assert_eq!(
-        cost_only.stats.totals, functional.stats.totals,
-        "{what}: counters"
-    );
-    assert_eq!(
-        cost_only.stats.ldm_high_water_doubles, functional.stats.ldm_high_water_doubles,
-        "{what}: LDM high water"
-    );
-    assert!(!cost_only.sampled && !functional.sampled, "{what}");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sw_sim::CpeStats;
+    use sw_sim::{CpeStats, FaultPlan};
+    use sw_tensor::init::seeded_tensor;
+    use sw_tensor::{ConvGeometry, Layout, Shape4};
 
     fn timing(cycles: u64, flops: u64) -> PlanTiming {
         PlanTiming {
@@ -237,7 +269,6 @@ mod tests {
                 ..Default::default()
             },
             sampled: false,
-            modeled: false,
         }
     }
 
@@ -246,10 +277,21 @@ mod tests {
         // cost = 100 + 50*N
         let t1 = timing(150, 10);
         let t2 = timing(200, 20);
-        let full = extrapolate(&t1, 1, &t2, 2, 100);
+        let full = extrapolate([(t1, 1), (t2, 2)], 100);
         assert_eq!(full.cycles, 100 + 50 * 100);
         assert_eq!(full.stats.totals.flops, 10 * 100);
         assert!(full.sampled);
+    }
+
+    #[test]
+    fn extrapolation_is_the_signed_line_through_both_samples() {
+        // Cycles fall and flops more than double between the samples: the
+        // two-row count lands on the second sample, and far out the falling
+        // line floors at 0.
+        let samples = [(timing(300, 4), 1), (timing(200, 10), 2)];
+        let at2 = extrapolate(samples, 2);
+        assert_eq!((at2.cycles, at2.stats.totals.flops), (200, 10));
+        assert_eq!(extrapolate(samples, 10).cycles, 0);
     }
 
     #[test]
@@ -265,6 +307,176 @@ mod tests {
     #[should_panic(expected = "two distinct")]
     fn extrapolate_rejects_bad_samples() {
         let t = timing(100, 1);
-        let _ = extrapolate(&t, 2, &t, 2, 10);
+        let _ = extrapolate([(t, 2), (t, 2)], 10);
+    }
+
+    /// A functional run and a cost-only walk of one extent: the functional
+    /// timing, the cost-only timing, the output's bits.
+    type Walked = (PlanTiming, PlanTiming, Vec<u64>);
+
+    fn bits(t: &Tensor4<f64>) -> Vec<u64> {
+        t.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn run_seeded(plan: &dyn ConvPlan, shape: ConvShape) -> ConvRun {
+        let input = seeded_tensor(shape.input_shape(), Layout::Nchw, 1);
+        let filter = seeded_tensor(shape.filter_shape(), Layout::Nchw, 2);
+        plan.run(&shape, &input, &filter).unwrap()
+    }
+
+    fn dense<P: ConvPlan + MeshWalk<Extent = ConvShape>>(plan: P, shape: ConvShape) -> Walked {
+        let run = run_seeded(&plan, shape);
+        (
+            run.timing,
+            plan.time_cost_only(&shape).unwrap(),
+            bits(&run.output),
+        )
+    }
+
+    /// The backward-filter pass, whose flop count is exact.
+    fn bwd(plan: BwdFilterPlan, shape: ConvShape) -> Walked {
+        let input = seeded_tensor(shape.input_shape(), Layout::Nchw, 1);
+        let d_out = seeded_tensor(shape.output_shape(), Layout::Nchw, 2);
+        let (dw, ran) = plan.run(&shape, &input, &d_out).unwrap();
+        assert_eq!(ran.stats.totals.flops, shape.flops(), "{shape}");
+        (ran, plan.time_cost_only(&shape).unwrap(), bits(&dw))
+    }
+
+    fn general(plan: PatchGemmPlan, geom: ConvGeometry, ishape: Shape4, no: usize) -> Walked {
+        let input = seeded_tensor(ishape, Layout::Nchw, 1);
+        let filter = seeded_tensor(
+            Shape4::new(no, ishape.d1, geom.kr, geom.kc),
+            Layout::Nchw,
+            2,
+        );
+        let run = plan.run_general(&geom, &input, &filter).unwrap();
+        (
+            run.timing,
+            plan.time_general(&geom, ishape, no).unwrap(),
+            bits(&run.output),
+        )
+    }
+
+    /// The rows of the mesh plans' two timing tables whose label starts
+    /// with `plan`; each plan's own tests run its rows.
+    fn rows_of<T>(
+        plan: &str,
+        rows: impl IntoIterator<Item = (&'static str, T)>,
+    ) -> Vec<(&'static str, T)> {
+        let rows: Vec<_> = rows
+            .into_iter()
+            .filter(|(case, _)| case.starts_with(plan))
+            .collect();
+        assert!(!rows.is_empty(), "no timing rows for {plan}");
+        rows
+    }
+
+    /// Per mesh plan a paper-scale sample and a ragged small extent, each
+    /// fault-free and with DMA retries eating into the double-buffer slack:
+    /// the cost-only walk lands exactly on the functional run, and the
+    /// retries cost time, never output bits.
+    pub(super) fn assert_cost_only_walk_lands_on_the_functional_run(plan: &str) {
+        let image = |b_co| ImageAwarePlan::new(sw_perfmodel::Blocking { b_b: 32, b_co });
+        let row4 = ConvShape::new(128, 128, 384, 64, 64, 3, 3);
+        let paper = ConvShape::new(128, 128, 128, 64, 64, 3, 3);
+        let cases: [(&str, &dyn Fn(LowerCtx) -> Walked); 8] = [
+            ("image-aware, Table III row 2 one-row sample", &|ctx| {
+                dense(image(8).on(ctx), ConvShape::new(32, 128, 256, 1, 8, 3, 3))
+            }),
+            ("image-aware, ragged, Ni blocked", &|ctx| {
+                let plan = image(4).with_ni_blocking(8).on(ctx);
+                dense(plan, ConvShape::new(32, 16, 8, 3, 8, 2, 3))
+            }),
+            ("batch-aware, Table III row 4 one-row sample", &|ctx| {
+                let plan = BatchAwarePlan::auto_on(ctx, &row4);
+                dense(plan, ConvShape::new(128, 128, 384, 1, plan.b_co, 3, 3))
+            }),
+            ("batch-aware, asymmetric filter", &|ctx| {
+                dense(
+                    BatchAwarePlan::new(2).on(ctx),
+                    ConvShape::new(8, 8, 16, 3, 6, 2, 3),
+                )
+            }),
+            ("bwd-filter, 128x128 layer one-row sample", &|ctx| {
+                let plan = BwdFilterPlan::auto_on(ctx, &paper);
+                bwd(plan, ConvShape::new(plan.b_b, 128, 128, 1, plan.b_co, 3, 3))
+            }),
+            ("bwd-filter, asymmetric filter", &|ctx| {
+                bwd(
+                    BwdFilterPlan::new(32, 4).on(ctx),
+                    ConvShape::new(32, 16, 8, 3, 8, 2, 3),
+                )
+            }),
+            ("patch-GEMM, two blocks at Table III channels", &|ctx| {
+                let plan = PatchGemmPlan::auto_for(ctx, 128, 128);
+                general(
+                    plan,
+                    ConvGeometry::valid(3, 3),
+                    Shape4::new(8, 128, 3, 66),
+                    128,
+                )
+            }),
+            ("patch-GEMM, strided and padded, ragged tail", &|ctx| {
+                let geom = ConvGeometry::same(3, 2).with_stride(2, 2);
+                general(
+                    PatchGemmPlan::new(32).on(ctx),
+                    geom,
+                    Shape4::new(4, 8, 9, 10),
+                    16,
+                )
+            }),
+        ];
+        let faults = FaultPlan::none(5).with_dma_fail_rate(0.02);
+        for (case, walk) in rows_of(plan, cases) {
+            let mut clean = None;
+            for fault in [None, Some(faults)] {
+                let (ran, timed, out) = walk(LowerCtx::default().with_fault(fault));
+                let what = format!("{case}, fault {}", fault.is_some());
+                assert_eq!(timed.cycles, ran.cycles, "{what}: cycles");
+                assert_eq!(timed.stats.totals, ran.stats.totals, "{what}: counters");
+                let ldm = |t: PlanTiming| t.stats.ldm_high_water_doubles;
+                assert_eq!(ldm(timed), ldm(ran), "{what}: LDM high water");
+                assert!(!timed.sampled && !ran.sampled, "{what}");
+                let retried = ran.stats.totals.dma_retries > 0;
+                assert_eq!(retried, fault.is_some(), "{what}: retries");
+                assert!(
+                    out == *clean.get_or_insert_with(|| out.clone()),
+                    "{what}: bits"
+                );
+            }
+        }
+    }
+
+    /// On shapes small enough to run fully, the plan's sampled timing is
+    /// within 5 % of its functional run.
+    pub(super) fn assert_sampled_timing_tracks_full_timing(plan: &str) {
+        let shape = |batch| ConvShape::new(batch, 8, 8, 6, 8, 3, 3);
+        let timed = |plan: &dyn ConvPlan, s| (run_seeded(plan, s).timing, plan.time_full_shape(&s));
+        let image = ImageAwarePlan::new(sw_perfmodel::Blocking { b_b: 32, b_co: 4 });
+        let (bwd_plan, bwd_shape) = (BwdFilterPlan::new(32, 4), shape(32));
+        type Timed = (PlanTiming, Result<PlanTiming, SwdnnError>);
+        let cases: [(&str, &dyn Fn() -> Timed); 4] = [
+            ("image-aware", &|| timed(&image, shape(32))),
+            ("batch-aware", &|| timed(&BatchAwarePlan::new(4), shape(16))),
+            ("bwd-filter", &|| {
+                (
+                    bwd(bwd_plan, bwd_shape).0,
+                    bwd_plan.time_full_shape(&bwd_shape),
+                )
+            }),
+            ("patch-GEMM", &|| timed(&PatchGemmPlan::new(64), shape(8))),
+        ];
+        for (plan, time) in rows_of(plan, cases) {
+            let (full, sampled) = time();
+            let sampled = sampled.unwrap();
+            let rel = (sampled.cycles as f64 - full.cycles as f64).abs() / full.cycles as f64;
+            assert!(
+                rel < 0.05,
+                "{plan}: sampled {} vs full {} ({rel:.3})",
+                sampled.cycles,
+                full.cycles
+            );
+            assert!(sampled.sampled, "{plan}");
+        }
     }
 }

@@ -29,7 +29,7 @@
 //! `Ni·b_P/64 + Ni·No/64 + No·b_P/64` doubles per CPE.
 
 use super::gemm_mesh::{lease_scratch, regcomm_gemm_with, zero_c, GemmBlock};
-use super::{extrapolate, finish, tap_major_filter, ConvPlan, ConvRun, LowerCtx, PlanTiming};
+use super::{finish, tap_major_filter, ConvPlan, ConvRun, LowerCtx, MeshWalk, PlanTiming, Walks};
 use crate::error::SwdnnError;
 use crate::plans::PlanKind;
 use sw_perfmodel::{Blocking, ChipSpec};
@@ -37,7 +37,8 @@ use sw_sim::{LdmBuf, Mesh};
 use sw_tensor::{ConvGeometry, ConvShape, Layout, Shape4, Tensor4};
 
 /// Per-CPE buffers: one gathered patch, one tap matrix, the output block.
-struct Slot {
+#[derive(Default)]
+pub(crate) struct Slot {
     x: LdmBuf,
     w: LdmBuf,
     c: LdmBuf,
@@ -139,14 +140,7 @@ impl PatchGemmPlan {
                 self.b_p
             ));
         }
-        let need = self.ldm_doubles(ni, no);
-        if need > self.ctx.chip.ldm_doubles() {
-            return fail(format!(
-                "needs {need} LDM doubles > {}",
-                self.ctx.chip.ldm_doubles()
-            ));
-        }
-        Ok(())
+        self.ctx.fit_ldm(self.ldm_doubles(ni, no)).or_else(fail)
     }
 
     /// Run the convolution under an arbitrary [`ConvGeometry`] — the
@@ -168,10 +162,8 @@ impl PatchGemmPlan {
         let w_flat = tap_major_filter(filter);
         let mut output = Tensor4::zeros(Shape4::new(ishape.d0, no, ro, co), Layout::Nchw);
         let timing = self.walk(
-            geom,
-            ishape,
-            no,
-            self.mesh(),
+            &(*geom, ishape, no),
+            self.ctx.mesh(),
             input.data(),
             &w_flat,
             output.data_mut(),
@@ -181,10 +173,7 @@ impl PatchGemmPlan {
 
     /// Exact timing for an arbitrary geometry with no arithmetic: the loop
     /// nest [`Self::run_general`] walks, over every pixel block, on a
-    /// cost-only mesh handed all-zero operands of the real lengths (never
-    /// read, so they stay untouched zero pages). General shapes reachable
-    /// today are small; sampling rides on [`ConvPlan::time_full_shape`] for
-    /// the dense path.
+    /// cost-only mesh. Dense shapes sample it ([`ConvPlan::time_full_shape`]).
     pub fn time_general(
         &self,
         geom: &ConvGeometry,
@@ -192,30 +181,43 @@ impl PatchGemmPlan {
         no: usize,
     ) -> Result<PlanTiming, SwdnnError> {
         self.supports_general(geom, input_shape, no)?;
-        let (ro, co) = geom
-            .output_extent(input_shape.d2, input_shape.d3)
-            .expect("checked by supports");
-        let input = vec![0.0; input_shape.len()];
-        let w_flat = vec![0.0; geom.kr * geom.kc * input_shape.d1 * no];
-        let mut out = vec![0.0; input_shape.d0 * no * ro * co];
-        self.walk(
-            geom,
-            input_shape,
-            no,
-            self.mesh().cost_only(),
-            &input,
-            &w_flat,
-            &mut out,
-        )
+        self.time_cost_only(&(*geom, input_shape, no))
+    }
+}
+
+impl MeshWalk for PatchGemmPlan {
+    /// A general-geometry convolution: geometry, NCHW input shape, No.
+    type Extent = (ConvGeometry, Shape4, usize);
+    type Slot = Slot;
+
+    fn ctx(&self) -> &LowerCtx {
+        &self.ctx
     }
 
-    /// A fresh mesh for one walk in this plan's context.
-    fn mesh(&self) -> Mesh<Slot> {
-        self.ctx.mesh(|_, _| Slot {
-            x: LdmBuf { offset: 0, len: 0 },
-            w: LdmBuf { offset: 0, len: 0 },
-            c: LdmBuf { offset: 0, len: 0 },
-        })
+    /// NCHW input, filters tap-major, NCHW output.
+    fn operand_lens(&self, &(geom, ishape, no): &Self::Extent) -> [usize; 3] {
+        let (ro, co) = geom
+            .output_extent(ishape.d2, ishape.d3)
+            .expect("checked by supports");
+        let (taps, pixels) = (geom.kr * geom.kc, ishape.d0 * ro * co);
+        [ishape.len(), taps * ishape.d1 * no, pixels * no]
+    }
+
+    /// One and two output rows of every image, counted in pixel blocks; the
+    /// whole shape at four blocks or fewer, or when two rows fill no more.
+    fn timing_walks(&self, shape: &ConvShape) -> Walks<Self::Extent> {
+        let geom = ConvGeometry::valid(shape.kr, shape.kc);
+        let rows = |ro: usize| {
+            let s = ConvShape { ro, ..*shape };
+            let blocks = (s.batch * ro * s.co).div_ceil(self.b_p) as u64;
+            ((geom, s.input_shape(), s.no), blocks)
+        };
+        let (one, two, whole) = (rows(1), rows(2), rows(shape.ro));
+        if whole.1 <= 4 || two.1 <= one.1 {
+            Walks::Whole(whole.0)
+        } else {
+            Walks::Sampled([one, two], whole.1)
+        }
     }
 
     /// The per-block, per-tap loop nest on a fresh `mesh` — the one
@@ -223,12 +225,9 @@ impl PatchGemmPlan {
     /// NCHW input of shape `ishape`, `w_flat` the filters repacked tap-major
     /// (`w_flat[(tap·Ni + ni)·No + no]`, one strided fetch per tap per CPE),
     /// `out` the NCHW output buffer.
-    #[allow(clippy::too_many_arguments)] // the operands of one convolution
     fn walk(
         &self,
-        geom: &ConvGeometry,
-        ishape: Shape4,
-        no: usize,
+        &(geom, ishape, no): &Self::Extent,
         mut mesh: Mesh<Slot>,
         in_data: &[f64],
         w_flat: &[f64],
@@ -385,11 +384,9 @@ impl ConvPlan for PatchGemmPlan {
         self.supports_general(&geom, shape.input_shape(), shape.no)
             .map_err(|e| match e {
                 // The trait contract is the plans' Unsupported class.
-                SwdnnError::PlanRejected { reason, .. } => SwdnnError::Unsupported {
-                    plan: "patch_gemm",
-                    shape: *shape,
-                    reason,
-                },
+                SwdnnError::PlanRejected { reason, .. } => {
+                    SwdnnError::unsupported("patch_gemm", shape, reason)
+                }
                 other => other,
             })
     }
@@ -407,17 +404,7 @@ impl ConvPlan for PatchGemmPlan {
 
     fn time_full_shape(&self, shape: &ConvShape) -> Result<PlanTiming, SwdnnError> {
         self.supports(shape)?;
-        let blocks = |ro: usize| (shape.batch * ro * shape.co).div_ceil(self.b_p) as u64;
-        let geom = ConvGeometry::valid(shape.kr, shape.kc);
-        let time = |ro: usize| {
-            let s = ConvShape { ro, ..*shape };
-            self.time_general(&geom, s.input_shape(), s.no)
-        };
-        let (n1, n2, n_full) = (blocks(1), blocks(2), blocks(shape.ro));
-        if n_full <= 4 || n2 <= n1 {
-            return time(shape.ro);
-        }
-        Ok(extrapolate(&time(1)?, n1, &time(2)?, n2, n_full))
+        self.time_sampled(shape)
     }
 }
 
@@ -497,63 +484,11 @@ mod tests {
 
     #[test]
     fn cost_only_walk_lands_on_the_functional_run() {
-        // Two full pixel blocks at Table III channel counts, and a strided,
-        // padded geometry whose 100 pixels leave a ragged tail block;
-        // fault-free and with DMA retries.
-        let cases = [
-            (
-                PatchGemmPlan::auto_for(LowerCtx::default(), 128, 128),
-                ConvGeometry::valid(3, 3),
-                Shape4::new(8, 128, 3, 66),
-                128,
-            ),
-            (
-                PatchGemmPlan::new(32),
-                ConvGeometry::same(3, 2).with_stride(2, 2),
-                Shape4::new(4, 8, 9, 10),
-                16,
-            ),
-        ];
-        let faults = sw_sim::FaultPlan::none(5).with_dma_fail_rate(0.02);
-        for (plan, geom, ishape, no) in cases {
-            let input = seeded_tensor(ishape, Layout::Nchw, 1);
-            let filter = seeded_tensor(
-                Shape4::new(no, ishape.d1, geom.kr, geom.kc),
-                Layout::Nchw,
-                2,
-            );
-            for fault in [None, Some(faults)] {
-                let plan = plan.on(LowerCtx::default().with_fault(fault));
-                let functional = plan.run_general(&geom, &input, &filter).unwrap().timing;
-                let cost_only = plan.time_general(&geom, ishape, no).unwrap();
-                let what = format!("{ishape:?} -> {no}, fault {}", fault.is_some());
-                crate::plans::assert_same_timing(&cost_only, &functional, &what);
-                assert_eq!(
-                    functional.stats.totals.dma_retries > 0,
-                    fault.is_some(),
-                    "{what}"
-                );
-            }
-        }
+        crate::plans::tests::assert_cost_only_walk_lands_on_the_functional_run("patch-GEMM");
     }
 
     #[test]
     fn sampled_timing_tracks_full_timing() {
-        let shape = ConvShape::new(8, 8, 8, 6, 8, 3, 3);
-        let plan = PatchGemmPlan::new(64);
-        let full = {
-            let input = seeded_tensor(shape.input_shape(), Layout::Nchw, 1);
-            let filter = seeded_tensor(shape.filter_shape(), Layout::Nchw, 2);
-            plan.run(&shape, &input, &filter).unwrap().timing
-        };
-        let sampled = plan.time_full_shape(&shape).unwrap();
-        assert!(sampled.sampled);
-        let rel = (sampled.cycles as f64 - full.cycles as f64).abs() / full.cycles as f64;
-        assert!(
-            rel < 0.05,
-            "sampled {} vs full {} ({rel:.3})",
-            sampled.cycles,
-            full.cycles
-        );
+        crate::plans::tests::assert_sampled_timing_tracks_full_timing("patch-GEMM");
     }
 }

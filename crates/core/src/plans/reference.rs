@@ -33,11 +33,11 @@ impl ConvPlan for ReferencePlan {
 
     fn supports(&self, shape: &ConvShape) -> Result<(), SwdnnError> {
         if !shape.is_valid() {
-            return Err(SwdnnError::Unsupported {
-                plan: "reference",
-                shape: *shape,
-                reason: "degenerate shape".into(),
-            });
+            return Err(SwdnnError::unsupported(
+                "reference",
+                shape,
+                "degenerate shape",
+            ));
         }
         Ok(())
     }
@@ -73,19 +73,16 @@ impl ReferencePlan {
         );
         let secs = shape.flops() as f64 / (est.gflops_per_cg.max(1e-9) * 1e9);
         let cycles = (secs * self.chip.clock_ghz * 1e9).ceil() as u64;
-        PlanTiming {
+        let totals = CpeStats {
+            flops: shape.flops(),
+            ..Default::default()
+        };
+        CgStats {
             cycles,
-            stats: CgStats {
-                cycles,
-                totals: CpeStats {
-                    flops: shape.flops(),
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-            sampled: false,
-            modeled: true,
+            totals,
+            ..Default::default()
         }
+        .into()
     }
 }
 
@@ -104,7 +101,6 @@ mod tests {
         let run = ReferencePlan::default()
             .run(&shape, &input, &filter)
             .unwrap();
-        assert!(run.timing.modeled);
         assert!(run.timing.cycles > 0);
         let expect = sw_tensor::conv2d_ref(shape, &input, &filter);
         assert_eq!(run.output.max_abs_diff(&expect), 0.0);

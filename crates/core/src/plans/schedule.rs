@@ -251,10 +251,19 @@ impl LowerCtx {
         self
     }
 
-    /// A fresh mesh for one walk: this context's chip and runtime, its
-    /// faults injected.
-    pub(crate) fn mesh<S: Send>(&self, init: impl FnMut(usize, usize) -> S) -> sw_sim::Mesh<S> {
-        let mut mesh = sw_sim::Mesh::new_on(self.rt, self.chip, init);
+    /// Every mesh plan's LDM check: `need` doubles per CPE fit this chip.
+    pub(crate) fn fit_ldm(&self, need: usize) -> Result<(), String> {
+        let have = self.chip.ldm_doubles();
+        if need > have {
+            return Err(format!("needs {need} LDM doubles > {have}"));
+        }
+        Ok(())
+    }
+
+    /// A fresh mesh for one walk, every CPE's state at its default: this
+    /// context's chip and runtime, its faults injected.
+    pub(crate) fn mesh<S: Default + Send>(&self) -> sw_sim::Mesh<S> {
+        let mut mesh = sw_sim::Mesh::new_on(self.rt, self.chip, |_, _| S::default());
         if let Some(fp) = self.fault {
             mesh.inject_faults(fp);
         }

@@ -20,7 +20,7 @@
 //! The pool changes *who* runs a slot, never *what* the slots are: slot
 //! boundaries depend only on the item count and the effective thread
 //! count, and results are written into slot-indexed positions of the
-//! output, so a [`ExecutionContext::map_index`] over the same input is
+//! output, so a [`ExecutionContext::map_index_affine`] over the same input is
 //! bit-identical regardless of which worker executed which slot, in which
 //! order, on how many cores. The simulator additionally synchronizes all
 //! simulated clocks at superstep barriers, so simulated time is
@@ -653,9 +653,13 @@ impl ExecutionContext {
         });
     }
 
-    /// [`Self::map_index`] scheduled through [`Self::run_affine`]: same
-    /// deterministic chunking and index-ordered results, but chunk `i`
-    /// prefers pool lane `i` across calls.
+    /// `(0..n).map(f)` across the pool, results in index order. Chunking
+    /// is the deterministic static partition the old rayon shim used:
+    /// `chunk = n.div_ceil(threads)`, chunks in order — so the slot
+    /// boundaries (and therefore everything observable) depend only on
+    /// `n` and the effective thread count, never on scheduling. Scheduled
+    /// through [`Self::run_affine`], so chunk `i` prefers pool lane `i`
+    /// across calls.
     pub fn map_index_affine<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -679,41 +683,8 @@ impl ExecutionContext {
             }
         });
         // SAFETY: `run_affine` returns only after every slot finished, so
-        // all `n` elements are initialized.
-        unsafe { out.set_len(n) };
-        out
-    }
-
-    /// `(0..n).map(f)` across the pool, results in index order. Chunking
-    /// is the deterministic static partition the old rayon shim used:
-    /// `chunk = n.div_ceil(threads)`, chunks in order — so the slot
-    /// boundaries (and therefore everything observable) depend only on
-    /// `n` and the effective thread count, never on scheduling.
-    pub fn map_index<R, F>(&self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let threads = effective_threads().min(n.max(1));
-        if threads <= 1 || n <= 1 {
-            return (0..n).map(f).collect();
-        }
-        let chunk = n.div_ceil(threads);
-        let slots = n.div_ceil(chunk);
-        let mut out: Vec<R> = Vec::with_capacity(n);
-        let base = SendPtr(out.as_mut_ptr());
-        self.run(slots, |slot| {
-            let lo = slot * chunk;
-            let hi = ((slot + 1) * chunk).min(n);
-            for i in lo..hi {
-                // SAFETY: slots cover disjoint index ranges and each index
-                // is written exactly once, into capacity reserved above.
-                unsafe { base.get().add(i).write(f(i)) };
-            }
-        });
-        // SAFETY: `run` returns only after every slot finished, so all `n`
-        // elements are initialized. (On a panic `run` unwinds first and
-        // the written elements leak — safe, and only on the panic path.)
+        // all `n` elements are initialized. (On a panic it unwinds first
+        // and the written elements leak — safe, and only on the panic path.)
         unsafe { out.set_len(n) };
         out
     }
@@ -743,7 +714,7 @@ impl ExecutionContext {
         // SAFETY: 0 <= capacity, and no element is left for the Vec to
         // drop: all `n` now belong to the slots below.
         unsafe { items.set_len(0) };
-        let out = self.map_index(n, |i| {
+        let out = self.map_index_affine(n, |i| {
             // SAFETY: each index read exactly once, see above.
             let item = unsafe { src.get().add(i).read() };
             f(i, item)
@@ -927,7 +898,7 @@ mod tests {
         let ctx = ExecutionContext::new();
         let want: Vec<usize> = (0..103).map(|i| i * 3 + 1).collect();
         for threads in [1, 2, 4, 8] {
-            let got = with_threads(threads, || ctx.map_index(103, |i| i * 3 + 1));
+            let got = with_threads(threads, || ctx.map_index_affine(103, |i| i * 3 + 1));
             assert_eq!(got, want, "threads = {threads}");
         }
     }
@@ -955,7 +926,7 @@ mod tests {
         });
         assert!(result.is_err(), "slot panic must reach the caller");
         // The same pool serves the next region: nothing was poisoned.
-        let after = with_threads(4, || ctx.map_index(64, |i| i * 2));
+        let after = with_threads(4, || ctx.map_index_affine(64, |i| i * 2));
         assert_eq!(after, (0..64).map(|i| i * 2).collect::<Vec<_>>());
     }
 
@@ -969,7 +940,10 @@ mod tests {
         let total = AtomicU64::new(0);
         with_threads(4, || {
             ctx.run(8, |outer| {
-                let inner: u64 = ctx.map_index(8, |i| (outer * 8 + i) as u64).iter().sum();
+                let inner: u64 = ctx
+                    .map_index_affine(8, |i| (outer * 8 + i) as u64)
+                    .iter()
+                    .sum();
                 total.fetch_add(inner, Ordering::Relaxed);
             });
         });
@@ -1147,7 +1121,7 @@ mod tests {
             "remaining steps skipped"
         );
         // Pool still serves the next region.
-        let after = with_threads(4, || ctx.map_index(16, |i| i));
+        let after = with_threads(4, || ctx.map_index_affine(16, |i| i));
         assert_eq!(after, (0..16).collect::<Vec<_>>());
     }
 

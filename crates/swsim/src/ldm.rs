@@ -9,8 +9,9 @@
 
 use std::fmt;
 
-/// Handle to an allocated LDM region, in doubles.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// Handle to an allocated LDM region, in doubles. The default is the empty
+/// region at offset 0, what a CPE's state holds before its first allocation.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct LdmBuf {
     pub offset: usize,
     pub len: usize,

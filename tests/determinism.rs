@@ -21,7 +21,8 @@
 //! 4. **Timing without arithmetic.** `time_full_shape` walks the plan's
 //!    loop nest on a cost-only mesh; where its two-sample extrapolation is
 //!    exact (an outer trip count of 2) it must equal the functional run's
-//!    timing in cycles and all 15 counters, at every lane count.
+//!    timing in cycles and all 15 counters, at every lane count, with and
+//!    without injected DMA faults.
 //!
 //! The superstep engine runs rotations below the runtime's grain
 //! (131 072 MACs per round, DESIGN.md §14) inline at every lane count. The
@@ -33,7 +34,7 @@
 use sw_perfmodel::select::Blocking;
 use sw_perfmodel::ChipSpec;
 use sw_runtime::ExecutionContext;
-use sw_sim::{LdmBuf, Mesh};
+use sw_sim::{FaultPlan, LdmBuf, Mesh};
 use sw_tensor::init::{lattice_tensor, seeded_tensor};
 use sw_tensor::{ConvShape, Layout};
 use swdnn::plans::gemm_mesh::{regcomm_gemm, zero_c, GemmBlock};
@@ -268,17 +269,11 @@ fn digests_are_identical_across_host_thread_counts() {
 #[test]
 fn timing_equals_the_functional_run_where_extrapolation_is_exact() {
     // Shapes whose outer trip count is exactly 2 (or, for patch-GEMM, few
-    // enough pixel blocks that every one is walked): `extrapolate` then
-    // reproduces the two-row sample, so the timing a cost-only mesh computed
-    // over zero operands must be the functional run's, counter for counter.
-    //
-    // Fault-free only. `extrapolate`'s saturating `lerp` needs each counter
-    // of the two-row sample to be at most twice the one-row sample's, and
-    // injected retries break that (ISSUE 22's prototype read 112 against
-    // 100 `dma_retries`);
-    // under faults the cost-only == functional gate is the per-plan
-    // `cost_only_walk_lands_on_the_functional_run` unit tests, and the
-    // sampling scheme itself is ROADMAP item 1b.
+    // enough pixel blocks that every one is walked): `extrapolate`'s line
+    // then passes through the two-row sample, so the timing a cost-only mesh
+    // computed over zero operands must be the functional run's, counter for
+    // counter — also under injected DMA retries, which make a counter's
+    // two-row sample more than twice its one-row sample.
     fn assert_exact(timed: PlanTiming, ran: PlanTiming, what: &str) {
         assert_eq!(timed.cycles, ran.cycles, "{what}: cycles");
         assert_eq!(
@@ -292,13 +287,20 @@ fn timing_equals_the_functional_run_where_extrapolation_is_exact() {
         );
     }
     let rt = private_pool();
-    for threads in [1usize, 4, 8] {
+    let faulted = Some(FaultPlan::none(5).with_dma_fail_rate(0.02));
+    for (threads, fault) in [1usize, 4, 8]
+        .into_iter()
+        .flat_map(|t| [(t, None), (t, faulted)])
+    {
         let (timed_handoffs, ran_handoffs) = sw_runtime::with_threads(threads, || {
+            let ctx = LowerCtx::default().on_runtime(rt).with_fault(fault);
             let (image, image_shape) = image_large(rt);
+            let image = image.on(ctx);
             let (batch, batch_shape) = batch_large(rt);
-            let patch = PatchGemmPlan::new(64).on(LowerCtx::default().on_runtime(rt));
+            let batch = batch.on(ctx);
+            let patch = PatchGemmPlan::new(64).on(ctx);
             let patch_shape = ConvShape::new(8, 8, 8, 4, 8, 3, 3); // 256 pixels: 4 blocks
-            let bwd = BwdFilterPlan::new(32, 4).on(LowerCtx::default().on_runtime(rt));
+            let bwd = BwdFilterPlan::new(32, 4).on(ctx);
             let bwd_shape = ConvShape::new(32, 8, 8, 2, 4, 3, 3);
 
             let before = rt.pool_handoffs();
@@ -326,7 +328,9 @@ fn timing_equals_the_functional_run_where_extrapolation_is_exact() {
                 "patch-GEMM",
                 "bwd-filter",
             ]) {
-                assert_exact(timed, ran, &format!("{plan} @ {threads} lanes"));
+                let what = format!("{plan} @ {threads} lanes, fault {}", fault.is_some());
+                assert_eq!(ran.stats.totals.dma_retries > 0, fault.is_some(), "{what}");
+                assert_exact(timed, ran, &what);
             }
             (timed_handoffs, ran_handoffs)
         });
