@@ -23,10 +23,12 @@
 //!
 //! # Host-side hot path
 //!
-//! This rotation is where the simulator spends nearly all of its host
+//! This rotation is where a functional run spends nearly all of its host
 //! time, so it is organised around these invariants (see DESIGN.md §8 and
 //! §14):
 //!
+//! * **Price what is not computed.** A cost-only rotation no fault can
+//!   touch is one [`sw_sim::Mesh::price_rotation`] call (see below).
 //! * **Pack once.** Each rotation's broadcast phase runs as a *serial*
 //!   superstep: every broadcaster packs its block exactly once into a
 //!   reused scratch buffer ([`GemmScratch`]) and hands the mesh a shared
@@ -59,17 +61,21 @@
 //! superstep counts are identical to running the `2·dim` supersteps of a
 //! rotation one by one.
 //!
-//! On a cost-only mesh ([`sw_sim::Mesh::cost_only`]) the same rotation
-//! body runs with the host arithmetic left out: broadcasters put a shared
-//! all-zero payload of the block's length on the bus instead of packing,
-//! and the microkernel is skipped. Message lengths, length checks and
-//! every charge are unchanged, so the rotation costs the same cycles.
+//! On a cost-only mesh ([`sw_sim::Mesh::cost_only`]), unless a message
+//! drop, CPE stall or dead CPE could touch the rotation or a transfer
+//! buffer still holds a message, the mesh prices it in one step from the
+//! two block lengths and one round's compute charge. Otherwise the same
+//! rotation body runs with the host arithmetic left out: broadcasters put
+//! a shared all-zero payload of the block's length on the bus instead of
+//! packing, and the microkernel is skipped. Message lengths, length checks
+//! and every charge are unchanged, so either way the rotation costs the
+//! same cycles.
 
 use crate::error::SwdnnError;
 use crate::kernel_cost;
 use std::sync::{Arc, Mutex};
 use sw_runtime::{PayloadPool, Work};
-use sw_sim::{CpeCtx, LdmBuf, Mesh, SimError};
+use sw_sim::{CpeCtx, CpeStats, LdmBuf, Mesh, SimError};
 
 /// Shape of the distributed GEMM (per-CPE block sizes).
 #[derive(Clone, Copy, Debug)]
@@ -211,21 +217,41 @@ where
     );
     // Constant for the whole rotation: resolved here, not per CPE per round.
     let prof = kernel_cost::block_profile(blk.m8, blk.n8, blk.k8, blk.reordered);
-    let flops = kernel_cost::block_flops(blk.m8, blk.n8, blk.k8);
+    let round = CpeStats {
+        compute_cycles: prof.cycles,
+        flops: kernel_cost::block_flops(blk.m8, blk.n8, blk.k8),
+        ldm_reg_bytes: prof.ldm_load_bytes + prof.ldm_store_bytes,
+        p0_issue_slots: prof.p0_slots,
+        p1_issue_slots: prof.p1_slots,
+        ..CpeStats::default()
+    };
+    let (a_len, b_len) = (blk.k8 * blk.m8, blk.k8 * blk.n8);
+    let (m8, n8, cs) = (blk.m8, blk.n8, blk.c_stride);
+    let c_in_bounds = |s: &S| {
+        let (cb, c_off) = c_buf(s);
+        c_off + (m8 - 1) * cs + n8 <= cb.len
+    };
+    if mesh.price_rotation(a_len, b_len, &round) {
+        // The stepped rotation's receive-length check cannot fire here:
+        // every transfer buffer was empty, so each receive would have taken
+        // a block this rotation put on the bus.
+        debug_assert!(mesh.states().all(c_in_bounds), "C slice in bounds");
+        return Ok(());
+    }
     // On a cost-only mesh nothing reads a block's values: every broadcaster
     // hands out the same zero payload of the right length and no CPE
     // multiplies anything.
     let zeros = mesh.is_cost_only().then(|| {
         (
-            zero_block(&mut scratch.zero_a, blk.k8 * blk.m8),
-            zero_block(&mut scratch.zero_b, blk.k8 * blk.n8),
+            zero_block(&mut scratch.zero_a, a_len),
+            zero_block(&mut scratch.zero_b, b_len),
         )
     });
     // What one compute superstep costs the host: every CPE multiplies an
     // `m8×k8` by a `k8×n8` block.
     let round_work = Work::Macs(match zeros {
         Some(_) => 0,
-        None => (dim * dim * blk.m8 * blk.n8 * blk.k8) as u64,
+        None => (dim * dim * m8 * n8 * blk.k8) as u64,
     });
 
     // The mesh may run the phase closures from worker lanes (`Fn + Sync`),
@@ -258,9 +284,7 @@ where
                 None => {
                     let g = &mut *shared.lock().unwrap();
                     let own = &mut g.a_own[ctx.row];
-                    pack_block(g.pack, g.pool, own, blk.k8 * blk.m8, |dst| {
-                        pack_a(ctx, s, dst)
-                    })
+                    pack_block(g.pack, g.pool, own, a_len, |dst| pack_a(ctx, s, dst))
                 }
             };
             ctx.bcast_row_shared(payload);
@@ -271,9 +295,7 @@ where
                 None => {
                     let g = &mut *shared.lock().unwrap();
                     let own = &mut g.b_own[ctx.col];
-                    pack_block(g.pack, g.pool, own, blk.k8 * blk.n8, |dst| {
-                        pack_b(ctx, s, dst)
-                    })
+                    pack_block(g.pack, g.pool, own, b_len, |dst| pack_b(ctx, s, dst))
                 }
             };
             ctx.bcast_col_shared(payload);
@@ -302,7 +324,7 @@ where
                 .clone()
                 .ok_or_else(|| missing_own_block(ctx, 'B', r))?
         };
-        if a.len() != blk.k8 * blk.m8 || b.len() != blk.k8 * blk.n8 {
+        if a.len() != a_len || b.len() != b_len {
             return Err(SimError::Program(format!(
                 "GEMM block mismatch at CPE({},{}): a={} b={} expected {}x{} {}x{}",
                 ctx.row,
@@ -315,17 +337,16 @@ where
                 blk.n8
             )));
         }
-        let (cb, c_off) = c_buf(s);
-        let (m8, n8, k8, cs) = (blk.m8, blk.n8, blk.k8, blk.c_stride);
-        debug_assert!(c_off + (m8 - 1) * cs + n8 <= cb.len, "C slice in bounds");
+        debug_assert!(c_in_bounds(s), "C slice in bounds");
         if zeros.is_none() {
+            let (cb, c_off) = c_buf(s);
             let c = &mut ctx.ldm_data_mut()[cb.range()];
-            microkernel_tiled(c, c_off, cs, &a, &b, m8, n8, k8);
+            microkernel_tiled(c, c_off, cs, &a, &b, m8, n8, blk.k8);
         }
-        ctx.charge_compute(prof.cycles);
-        ctx.add_flops(flops);
-        ctx.add_ldm_reg_bytes(prof.ldm_load_bytes + prof.ldm_store_bytes);
-        ctx.add_issue_slots(prof.p0_slots, prof.p1_slots);
+        ctx.charge_compute(round.compute_cycles);
+        ctx.add_flops(round.flops);
+        ctx.add_ldm_reg_bytes(round.ldm_reg_bytes);
+        ctx.add_issue_slots(round.p0_issue_slots, round.p1_issue_slots);
         Ok(())
     };
 

@@ -166,10 +166,19 @@ pub(crate) trait MeshWalk {
     ) -> Result<PlanTiming, SwdnnError>;
 
     /// Exact timing of `extent` with no arithmetic: the walk on a cost-only
-    /// mesh over all-zero operands (never read: untouched zero pages).
+    /// mesh over all-zero operands (never read: untouched zero pages),
+    /// leased from the run context as [`ZeroOperands`].
     fn time_cost_only(&self, extent: &Self::Extent) -> Result<PlanTiming, SwdnnError> {
-        let [a, b, mut out] = self.operand_lens(extent).map(|len| vec![0.0; len]);
-        self.walk(extent, self.ctx().mesh().cost_only(), &a, &b, &mut out)
+        let [a, b, out] = self.operand_lens(extent);
+        let mut zeros = self.ctx().rt.scratch(0, ZeroOperands::default);
+        let ZeroOperands { read, written } = &mut *zeros;
+        for (buf, len) in [(&mut *read, a.max(b)), (&mut *written, out)] {
+            if buf.len() < len {
+                *buf = vec![0.0; len];
+            }
+        }
+        let mesh = self.ctx().mesh().cost_only();
+        self.walk(extent, mesh, &read[..a], &read[..b], &mut written[..out])
     }
 
     /// Every mesh plan's `time_full_shape`: two cost-only samples and the
@@ -183,6 +192,16 @@ pub(crate) trait MeshWalk {
             }
         }
     }
+}
+
+/// What cost-only walks read (`a` and `b` share one buffer) and put to,
+/// kept in the run context's scratch arena: a walk writes none of it, so
+/// its pages stay untouched zeros. Allocated per walk, the allocator
+/// re-zeroed and re-faulted them, at more host time than the walk took.
+#[derive(Default)]
+struct ZeroOperands {
+    read: Vec<f64>,
+    written: Vec<f64>,
 }
 
 /// How `MeshWalk::time_sampled` times a shape: walk it whole, or walk two
@@ -372,77 +391,115 @@ mod tests {
     }
 
     /// Per mesh plan a paper-scale sample and a ragged small extent, each
-    /// fault-free and with DMA retries eating into the double-buffer slack:
-    /// the cost-only walk lands exactly on the functional run, and the
-    /// retries cost time, never output bits.
+    /// fault-free, with DMA retries eating into the double-buffer slack, and
+    /// with CPE stalls on top; the small extents on the degraded 4×4 chip
+    /// too. The cost-only walk lands exactly on the functional run — with
+    /// its GEMM rotations priced in one step where no fault can touch them,
+    /// stepped under the stalls — and faults cost time, never output bits.
     pub(super) fn assert_cost_only_walk_lands_on_the_functional_run(plan: &str) {
         let image = |b_co| ImageAwarePlan::new(sw_perfmodel::Blocking { b_b: 32, b_co });
         let row4 = ConvShape::new(128, 128, 384, 64, 64, 3, 3);
         let paper = ConvShape::new(128, 128, 128, 64, 64, 3, 3);
-        let cases: [(&str, &dyn Fn(LowerCtx) -> Walked); 8] = [
-            ("image-aware, Table III row 2 one-row sample", &|ctx| {
-                dense(image(8).on(ctx), ConvShape::new(32, 128, 256, 1, 8, 3, 3))
-            }),
-            ("image-aware, ragged, Ni blocked", &|ctx| {
+        /// (case, also on the degraded 4×4 chip, walk)
+        type Case<'a> = (&'static str, bool, &'a dyn Fn(LowerCtx) -> Walked);
+        let cases: [Case; 8] = [
+            (
+                "image-aware, Table III row 2 one-row sample",
+                false,
+                &|ctx| dense(image(8).on(ctx), ConvShape::new(32, 128, 256, 1, 8, 3, 3)),
+            ),
+            ("image-aware, ragged, Ni blocked", true, &|ctx| {
                 let plan = image(4).with_ni_blocking(8).on(ctx);
                 dense(plan, ConvShape::new(32, 16, 8, 3, 8, 2, 3))
             }),
-            ("batch-aware, Table III row 4 one-row sample", &|ctx| {
-                let plan = BatchAwarePlan::auto_on(ctx, &row4);
-                dense(plan, ConvShape::new(128, 128, 384, 1, plan.b_co, 3, 3))
-            }),
-            ("batch-aware, asymmetric filter", &|ctx| {
+            (
+                "batch-aware, Table III row 4 one-row sample",
+                false,
+                &|ctx| {
+                    let plan = BatchAwarePlan::auto_on(ctx, &row4);
+                    dense(plan, ConvShape::new(128, 128, 384, 1, plan.b_co, 3, 3))
+                },
+            ),
+            ("batch-aware, asymmetric filter", true, &|ctx| {
                 dense(
                     BatchAwarePlan::new(2).on(ctx),
                     ConvShape::new(8, 8, 16, 3, 6, 2, 3),
                 )
             }),
-            ("bwd-filter, 128x128 layer one-row sample", &|ctx| {
+            ("bwd-filter, 128x128 layer one-row sample", false, &|ctx| {
                 let plan = BwdFilterPlan::auto_on(ctx, &paper);
                 bwd(plan, ConvShape::new(plan.b_b, 128, 128, 1, plan.b_co, 3, 3))
             }),
-            ("bwd-filter, asymmetric filter", &|ctx| {
+            ("bwd-filter, asymmetric filter", true, &|ctx| {
                 bwd(
                     BwdFilterPlan::new(32, 4).on(ctx),
                     ConvShape::new(32, 16, 8, 3, 8, 2, 3),
                 )
             }),
-            ("patch-GEMM, two blocks at Table III channels", &|ctx| {
-                let plan = PatchGemmPlan::auto_for(ctx, 128, 128);
-                general(
-                    plan,
-                    ConvGeometry::valid(3, 3),
-                    Shape4::new(8, 128, 3, 66),
-                    128,
-                )
-            }),
-            ("patch-GEMM, strided and padded, ragged tail", &|ctx| {
-                let geom = ConvGeometry::same(3, 2).with_stride(2, 2);
-                general(
-                    PatchGemmPlan::new(32).on(ctx),
-                    geom,
-                    Shape4::new(4, 8, 9, 10),
-                    16,
-                )
-            }),
+            (
+                "patch-GEMM, two blocks at Table III channels",
+                false,
+                &|ctx| {
+                    let plan = PatchGemmPlan::auto_for(ctx, 128, 128);
+                    general(
+                        plan,
+                        ConvGeometry::valid(3, 3),
+                        Shape4::new(8, 128, 3, 66),
+                        128,
+                    )
+                },
+            ),
+            (
+                "patch-GEMM, strided and padded, ragged tail",
+                true,
+                &|ctx| {
+                    let geom = ConvGeometry::same(3, 2).with_stride(2, 2);
+                    general(
+                        PatchGemmPlan::new(32).on(ctx),
+                        geom,
+                        Shape4::new(4, 8, 9, 10),
+                        16,
+                    )
+                },
+            ),
         ];
-        let faults = FaultPlan::none(5).with_dma_fail_rate(0.02);
-        for (case, walk) in rows_of(plan, cases) {
-            let mut clean = None;
-            for fault in [None, Some(faults)] {
-                let (ran, timed, out) = walk(LowerCtx::default().with_fault(fault));
-                let what = format!("{case}, fault {}", fault.is_some());
-                assert_eq!(timed.cycles, ran.cycles, "{what}: cycles");
-                assert_eq!(timed.stats.totals, ran.stats.totals, "{what}: counters");
-                let ldm = |t: PlanTiming| t.stats.ldm_high_water_doubles;
-                assert_eq!(ldm(timed), ldm(ran), "{what}: LDM high water");
-                assert!(!timed.sampled && !ran.sampled, "{what}");
-                let retried = ran.stats.totals.dma_retries > 0;
-                assert_eq!(retried, fault.is_some(), "{what}: retries");
-                assert!(
-                    out == *clean.get_or_insert_with(|| out.clone()),
-                    "{what}: bits"
-                );
+        let dma = FaultPlan::none(5).with_dma_fail_rate(0.02);
+        let faults = [
+            ("no fault", None),
+            ("DMA faults", Some(dma)),
+            (
+                "DMA faults, CPE stalls",
+                Some(dma.with_cpe_stalls(0.05, 1_000)),
+            ),
+        ];
+        let full = ChipSpec::sw26010();
+        let degraded = crate::ResilientExecutor::degraded_chip(full);
+        let cases = cases.map(|(case, small, walk)| (case, (small, walk)));
+        for (case, (small, walk)) in rows_of(plan, cases) {
+            let chips = if small {
+                &[full, degraded][..]
+            } else {
+                &[full]
+            };
+            for chip in chips {
+                let mut clean = None;
+                for (faulted, fault) in faults {
+                    let ctx = LowerCtx::on_chip(*chip).with_fault(fault);
+                    let (ran, timed, out) = walk(ctx);
+                    let dim = chip.mesh_dim;
+                    let what = format!("{case}, {dim}×{dim} mesh, {faulted}");
+                    assert_eq!(timed.cycles, ran.cycles, "{what}: cycles");
+                    assert_eq!(timed.stats.totals, ran.stats.totals, "{what}: counters");
+                    let ldm = |t: PlanTiming| t.stats.ldm_high_water_doubles;
+                    assert_eq!(ldm(timed), ldm(ran), "{what}: LDM high water");
+                    assert!(!timed.sampled && !ran.sampled, "{what}");
+                    let retried = ran.stats.totals.dma_retries > 0;
+                    assert_eq!(retried, fault.is_some(), "{what}: retries");
+                    assert!(
+                        out == *clean.get_or_insert_with(|| out.clone()),
+                        "{what}: bits"
+                    );
+                }
             }
         }
     }

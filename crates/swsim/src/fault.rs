@@ -181,6 +181,13 @@ impl FaultPlan {
             || self.chip_fail_rate > 0.0
     }
 
+    /// True when an injection can land in a superstep that issues no DMA —
+    /// a dropped message, a CPE stall or a dead CPE. DMA faults cannot: a
+    /// register-communication rotation is such a superstep.
+    pub fn touches_dma_free_steps(&self) -> bool {
+        self.msg_drop_rate > 0.0 || self.cpe_stall_rate > 0.0 || self.dead_mask != 0
+    }
+
     /// Uniform draw in `[0, 1)` for `(stream, actor, seq)` — pure in the
     /// plan seed, independent of evaluation order.
     fn roll(&self, stream: Stream, actor: u64, seq: u64) -> f64 {

@@ -15,8 +15,8 @@
 //! and the simulation stays deterministic regardless of the worker pool's
 //! scheduling.
 //!
-//! Every superstep — alone or in a batch of rounds — goes through one
-//! private runner with two host schedules, picked by
+//! Every superstep that runs CPE programs — alone or in a batch of rounds —
+//! goes through one private runner with two host schedules, picked by
 //! [`sw_runtime::lanes_for`] from the step's estimated work: everything
 //! inline on the caller, or the parallel steps of one
 //! [`sw_runtime::ExecutionContext::run_stepped`] call on the persistent
@@ -36,7 +36,9 @@
 //! fault decision is a function of lengths, offsets and sequence numbers
 //! only, so a cost-only run lands on the same cycles, the same per-CPE
 //! counters and the same errors as the functional run of the same program —
-//! it is how plans time a shape without doing its arithmetic.
+//! it is how plans time a shape without doing its arithmetic. There a GEMM
+//! rotation no fault can touch runs no CPE program: [`Mesh::price_rotation`]
+//! applies its `2·dim` supersteps' exact effect in one step.
 
 use crate::dma::{DmaEngine, DmaHandle};
 use crate::fault::FaultPlan;
@@ -211,6 +213,9 @@ pub struct CpeCtx<'a> {
     block_hint: Option<usize>,
     out_msgs: &'a mut Vec<OutMsg>,
     out_puts: &'a mut Vec<(usize, PutRun)>,
+    /// The first point-to-point send addressed outside the mesh: the
+    /// program's result once it returns.
+    send_error: Option<SimError>,
 }
 
 /// Cycles to receive one message header from a transfer buffer.
@@ -513,22 +518,30 @@ impl CpeCtx<'_> {
 
     /// Point-to-point put along this row to column `to_col`.
     pub fn send_row(&mut self, to_col: usize, data: &[f64]) {
-        assert!(to_col < crate::MESH_DIM);
-        self.charge_put(data.len());
-        self.out_msgs.push(OutMsg {
-            bus: Bus::Row,
-            to: Some(to_col),
-            data: Arc::from(data),
-        });
+        self.send(Bus::Row, to_col, data);
     }
 
     /// Point-to-point put along this column to row `to_row`.
     pub fn send_col(&mut self, to_row: usize, data: &[f64]) {
-        assert!(to_row < crate::MESH_DIM);
+        self.send(Bus::Col, to_row, data);
+    }
+
+    /// A put to position `to` along `bus`. A position outside this chip's
+    /// mesh sends nothing and fails the superstep once the program returns.
+    fn send(&mut self, bus: Bus, to: usize, data: &[f64]) {
+        let dim = self.dma.chip.mesh_dim;
+        if to >= dim {
+            let msg = format!(
+                "CPE({},{}) sends on the {bus:?} bus to position {to} of a {dim}-wide mesh",
+                self.row, self.col
+            );
+            self.send_error.get_or_insert(SimError::Program(msg));
+            return;
+        }
         self.charge_put(data.len());
         self.out_msgs.push(OutMsg {
-            bus: Bus::Col,
-            to: Some(to_row),
+            bus,
+            to: Some(to),
             data: Arc::from(data),
         });
     }
@@ -652,8 +665,10 @@ where
         block_hint: None,
         out_msgs: &mut node.out_msgs,
         out_puts: &mut node.out_puts,
+        send_error: None,
     };
-    node.result = f(&mut ctx, &mut node.state);
+    let ran = f(&mut ctx, &mut node.state);
+    node.result = ctx.send_error.map_or(ran, Err);
 }
 
 /// The mesh state a superstep boundary updates besides the nodes.
@@ -851,8 +866,9 @@ impl<S: Send> Mesh<S> {
     }
 
     /// Make this a cost-only mesh: DMA gets copy nothing, DMA puts log
-    /// `(offset, len)` without the data, and [`Self::superstep`] runs
-    /// inline (there is no resident data to touch). Bounds checks, cycle
+    /// `(offset, len)` without the data, [`Self::superstep`] runs inline
+    /// (there is no resident data to touch), and [`Self::price_rotation`]
+    /// may apply a whole GEMM rotation in one step. Bounds checks, cycle
     /// charges, counters, DMA queueing, fault keys and
     /// [`Self::drain_puts`] errors are those of the functional mesh; LDM
     /// contents and drained outputs are not meaningful.
@@ -930,7 +946,8 @@ impl<S: Send> Mesh<S> {
     /// lowest-CPE-id error. Simulated cycles, counters and outputs are
     /// bit-identical at every thread count and on either side of the grain;
     /// only the number of pool handoffs changes (0 below the grain, 1 per
-    /// batch above it at ≥2 threads).
+    /// batch above it at ≥2 threads). On a cost-only mesh a rotation of
+    /// this fixed shape can skip the batch: see [`Self::price_rotation`].
     pub fn superstep_rounds<FS, FP>(
         &mut self,
         rounds: usize,
@@ -943,6 +960,56 @@ impl<S: Send> Mesh<S> {
         FP: Fn(usize, &mut CpeCtx<'_>, &mut S) -> Result<(), SimError> + Sync,
     {
         self.run_batch(rounds, round_work, Some(serial_f), parallel_f)
+    }
+
+    /// Apply a whole register-communication rotation (§V-A, Fig. 3) in one
+    /// exact step: the `2·dim` supersteps in which, in round `r`, column `r`
+    /// broadcasts an `a_len` block on the row buses and row `r` a `b_len`
+    /// block on the column buses, then every CPE receives what it does not
+    /// own and is charged `round` (one round's compute counters, its
+    /// `compute_cycles` also on the clock). Clocks, counters and the
+    /// superstep and delivery numbers that key later faults land where
+    /// stepping the rotation would leave them.
+    ///
+    /// Returns `false`, changing nothing, unless the mesh is cost-only, its
+    /// fault plan cannot touch a superstep without DMA
+    /// ([`FaultPlan::touches_dma_free_steps`]) and every transfer buffer is
+    /// empty; the caller then steps the rotation.
+    pub fn price_rotation(&mut self, a_len: usize, b_len: usize, round: &CpeStats) -> bool {
+        let drained = |c: &CpeNode<S>| c.row_inbox.is_empty() && c.col_inbox.is_empty();
+        if !self.cost_only
+            || self.fault.is_some_and(|fp| fp.touches_dma_free_steps())
+            || !self.cpes.iter().all(drained)
+        {
+            return false;
+        }
+        let dim = self.chip.mesh_dim as u64;
+        let (va, vb) = (a_len.div_ceil(4) as u64, b_len.div_ceil(4) as u64);
+        let sync = self.sync_cycles;
+        // Round 0's pack barrier, from the current (possibly unequal) clocks:
+        // column 0 puts A, row 0 puts B.
+        let first = self
+            .cpes
+            .iter()
+            .map(|c| c.clock + va * u64::from(c.col == 0) + vb * u64::from(c.row == 0))
+            .max()
+            .unwrap_or(0)
+            + sync;
+        // From there every barrier waits on the same CPE: in a compute
+        // phase one that receives both blocks, in a later pack phase CPE
+        // (r, r), which puts both.
+        let receive = (va + vb + 2 * GET_LATENCY) * u64::from(dim > 1);
+        let compute = receive + round.compute_cycles + sync;
+        let clock = first + dim * compute + (dim - 1) * (va + vb + sync);
+        for c in &mut self.cpes {
+            c.clock = clock;
+            c.stats = c.stats.combine(round, |total, once| total + dim * once);
+            c.stats.bus_vectors_sent += va + vb;
+            c.stats.bus_vectors_received += (dim - 1) * (va + vb);
+        }
+        self.seam.supersteps += 2 * dim;
+        self.seam.msg_deliveries += 2 * dim * dim * (dim - 1);
+        true
     }
 
     fn cfg(&self) -> StepCfg {
@@ -1115,6 +1182,11 @@ impl<S: Send> Mesh<S> {
             .collect()
     }
 
+    /// Every CPE's program state, in CPE-id order.
+    pub fn states(&self) -> impl Iterator<Item = &S> {
+        self.cpes.iter().map(|c| &c.state)
+    }
+
     /// Check that every transfer buffer has been drained (catches plans
     /// that broadcast more than they receive).
     pub fn assert_inboxes_empty(&self) -> Result<(), SimError> {
@@ -1265,6 +1337,39 @@ mod tests {
         })
         .unwrap();
         m.assert_inboxes_empty().unwrap();
+    }
+
+    #[test]
+    fn a_send_outside_a_4x4_mesh_fails_the_superstep() {
+        // On the degraded 4×4 chip, position 5 of a bus is off the mesh:
+        // from CPE(0,0) a row send used to land in CPE(1,1)'s row inbox, and
+        // from CPE(3,0) index past the last node.
+        let chip = ChipSpec {
+            mesh_dim: 4,
+            cpes_per_cg: 16,
+            ..ChipSpec::sw26010()
+        };
+        for (row, col) in [(0, 0), (3, 0)] {
+            let mut m: Mesh<()> = Mesh::new(chip, |_, _| ());
+            let err = m
+                .superstep(|ctx, _| {
+                    if (ctx.row, ctx.col) == (row, col) {
+                        ctx.send_row(5, &[1.0; 4]);
+                    }
+                    if ctx.row == 3 && ctx.col == 3 {
+                        ctx.send_col(4, &[2.0; 4]);
+                    }
+                    ctx.send_col(0, &[3.0; 4]);
+                    Ok(())
+                })
+                .unwrap_err();
+            let SimError::Program(msg) = err else {
+                panic!("CPE({row},{col}): {err:?}")
+            };
+            assert!(msg.starts_with(&format!("CPE({row},{col}) sends")), "{msg}");
+            m.assert_inboxes_empty().unwrap();
+            assert_eq!(m.supersteps(), 0, "a failed step is not counted");
+        }
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! every error class.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use sw_perfmodel::dma::DmaDirection;
 use sw_perfmodel::ChipSpec;
-use sw_sim::{Bus, CpeCtx, DmaEngine, DmaHandle, FaultPlan, Ldm, LdmBuf, Mesh, SimError};
+use sw_sim::{Bus, CpeCtx, CpeStats, DmaEngine, DmaHandle, FaultPlan, Ldm, LdmBuf, Mesh, SimError};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
@@ -684,5 +685,183 @@ fn plain_counters_count_what_the_atomic_counters_counted() {
             PER_CPE_FOLD,
             "per-CPE fold @ {threads} threads"
         );
+    }
+}
+
+/// The SW26010 core group with a `dim`×`dim` mesh (4: the degraded chip).
+fn chip(dim: usize) -> ChipSpec {
+    ChipSpec {
+        mesh_dim: dim,
+        cpes_per_cg: dim * dim,
+        ..ChipSpec::sw26010()
+    }
+}
+
+/// One round's compute charge of a generated rotation.
+fn round_charge(cycles: u64) -> CpeStats {
+    CpeStats {
+        compute_cycles: cycles,
+        flops: 2 * cycles + 1,
+        ldm_reg_bytes: 32 * cycles,
+        p0_issue_slots: cycles / 2,
+        p1_issue_slots: cycles / 3 + 1,
+        ..CpeStats::default()
+    }
+}
+
+/// The rotation [`Mesh::price_rotation`] prices, stepped: in round `r`
+/// column `r` broadcasts an `a_len` block on the row buses and row `r` a
+/// `b_len` block on the column buses, then every CPE receives the blocks it
+/// does not own and is charged `round`. Under message drops (`lossy`) an
+/// empty transfer buffer is part of the run.
+fn step_rotation<S: Send>(
+    mesh: &mut Mesh<S>,
+    a_len: usize,
+    b_len: usize,
+    round: &CpeStats,
+    lossy: bool,
+) -> Result<(), SimError> {
+    let a: Arc<[f64]> = vec![0.0; a_len].into();
+    let b: Arc<[f64]> = vec![0.0; b_len].into();
+    let received = |got: Result<Arc<[f64]>, SimError>| match got {
+        Err(_) if lossy => Ok(()),
+        got => got.map(|_| ()),
+    };
+    let dim = mesh.chip.mesh_dim;
+    mesh.superstep_rounds(
+        dim,
+        sw_runtime::Work::Macs(0),
+        &|r, ctx: &mut CpeCtx<'_>, _: &mut S| {
+            if ctx.col == r {
+                ctx.bcast_row_shared(Arc::clone(&a));
+            }
+            if ctx.row == r {
+                ctx.bcast_col_shared(Arc::clone(&b));
+            }
+            Ok(())
+        },
+        &|r, ctx: &mut CpeCtx<'_>, _: &mut S| {
+            if ctx.col != r {
+                received(ctx.recv_row())?;
+            }
+            if ctx.row != r {
+                received(ctx.recv_col())?;
+            }
+            ctx.charge_compute(round.compute_cycles);
+            ctx.add_flops(round.flops);
+            ctx.add_ldm_reg_bytes(round.ldm_reg_bytes);
+            ctx.add_issue_slots(round.p0_issue_slots, round.p1_issue_slots);
+            Ok(())
+        },
+    )
+}
+
+type Snapshots = Vec<(usize, usize, u64, CpeStats)>;
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    #[test]
+    fn priced_rotation_equals_stepped_rotation(
+        dim in prop::sample::select(vec![8usize, 4]),
+        a_len in 1usize..40,
+        b_len in 1usize..40,
+        cycles in 0u64..400,
+        sync in 0u64..40,
+        skewed in prop::sample::select(vec![false, true]),
+        seed in 0u64..1000,
+    ) {
+        // Every CPE's clock and counters and the superstep count after one
+        // rotation, priced on one cost-only mesh and stepped on another —
+        // across a DMA in flight, under DMA-only faults, from clocks a failed
+        // step left unequal. Then both step one more rotation under message
+        // drops and CPE stalls, which key off the delivery and superstep
+        // sequence numbers the priced rotation advanced.
+        let round = round_charge(cycles);
+        let src = vec![0.0; 1024];
+        let run = |priced: bool| -> (Snapshots, u64, Snapshots, u64) {
+            let mut mesh: Mesh<Vec<DmaHandle>> = Mesh::new(chip(dim), |_, _| Vec::new()).cost_only();
+            mesh.sync_cycles = sync;
+            mesh.inject_faults(FaultPlan::none(seed).with_dma_fail_rate(0.05).with_dma_stalls(0.1, 300));
+            mesh.superstep(|ctx, pending| {
+                let buf = ctx.ldm_alloc(64)?;
+                pending.push(ctx.dma_get(buf, 0, &src, 8 * ctx.id(), 64)?);
+                ctx.charge_compute(7 * ctx.id() as u64);
+                Ok(())
+            }).unwrap();
+            if skewed {
+                mesh.superstep(|ctx, _| {
+                    ctx.charge_compute(13 * (ctx.id() as u64 % 7));
+                    match (ctx.row, ctx.col) {
+                        (1, 2) => Err(SimError::Program("leaves the clocks unequal".into())),
+                        _ => Ok(()),
+                    }
+                }).unwrap_err();
+            }
+            if priced {
+                assert!(mesh.price_rotation(a_len, b_len, &round), "DMA-only faults");
+            } else {
+                step_rotation(&mut mesh, a_len, b_len, &round, false).unwrap();
+            }
+            let rotated = (mesh.cpe_snapshots(), mesh.supersteps());
+            mesh.inject_faults(FaultPlan::none(seed).with_msg_drop_rate(0.2).with_cpe_stalls(0.2, 500));
+            step_rotation(&mut mesh, a_len, b_len, &round, true).unwrap();
+            mesh.superstep(|ctx, pending| {
+                for h in pending.drain(..) {
+                    ctx.dma_wait(h);
+                }
+                Ok(())
+            }).unwrap();
+            (rotated.0, rotated.1, mesh.cpe_snapshots(), mesh.supersteps())
+        };
+        let (priced, stepped) = (run(true), run(false));
+        prop_assert_eq!(&priced, &stepped);
+        let dropped: u64 = priced.2.iter().map(|(_, _, _, s)| s.msgs_dropped).sum();
+        prop_assert!(dropped > 0, "the drop plan must drop deliveries");
+    }
+}
+
+#[test]
+fn price_rotation_declines_whatever_a_rotation_step_could_meet() {
+    // Declining leaves every clock, counter and sequence number as it was.
+    let drops = FaultPlan::none(1).with_msg_drop_rate(0.1);
+    let stalls = FaultPlan::none(1).with_cpe_stalls(0.1, 100);
+    let dead = FaultPlan::none(1).with_dead_cpe(2, 6);
+    let dma = FaultPlan::none(1)
+        .with_dma_fail_rate(0.5)
+        .with_dma_stalls(0.5, 300);
+    // (case, cost-only, faults, a message unread, accepted)
+    let cases = [
+        ("cost-only, no faults", true, None, false, true),
+        ("DMA faults only", true, Some(dma), false, true),
+        ("functional mesh", false, None, false, false),
+        ("an unread message", true, None, true, false),
+        ("message drops", true, Some(drops), false, false),
+        ("CPE stalls", true, Some(stalls), false, false),
+        ("a dead CPE", true, Some(dead), false, false),
+    ];
+    for (case, cost_only, fault, unread, accepted) in cases {
+        let mut mesh: Mesh<()> = Mesh::new(ChipSpec::sw26010(), |_, _| ());
+        if cost_only {
+            mesh = mesh.cost_only();
+        }
+        if unread {
+            mesh.superstep(|ctx, _| {
+                if ctx.col == 0 {
+                    ctx.bcast_row(&[1.0; 4]);
+                }
+                Ok(())
+            })
+            .unwrap();
+        }
+        if let Some(fp) = fault {
+            mesh.inject_faults(fp);
+        }
+        let before = (mesh.cpe_snapshots(), mesh.supersteps());
+        let priced = mesh.price_rotation(12, 20, &round_charge(50));
+        assert_eq!(priced, accepted, "{case}");
+        if !priced {
+            assert_eq!((mesh.cpe_snapshots(), mesh.supersteps()), before, "{case}");
+        }
     }
 }
