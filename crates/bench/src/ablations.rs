@@ -110,7 +110,7 @@ pub fn ablation_ldm() -> Vec<Table> {
             t.row(vec![
                 b_b.to_string(),
                 b_co.to_string(),
-                ldm_doubles_image_aware(&shape, blk).to_string(),
+                ldm_doubles_image_aware(&shape, blk, &chip).to_string(),
                 f(rbw::rbw_image_aware(b_b, b_co, shape.no, peak), 1),
                 gflops,
                 eff,

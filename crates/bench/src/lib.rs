@@ -24,7 +24,8 @@
 //! | `perf_counters`     | exact cycles and counters of the Table III shapes |
 //! | `fig7_channels`     | Fig. 7 — 101 (Ni, No) configs vs K40m |
 //! | `fig9_filters`      | Fig. 9 — filter sizes 3×3 … 21×21 vs K40m |
-//! | `fault_campaign`    | extension — DMA fault-rate sweep + degraded mesh |
+//! | `fault_campaign`    | extension — DMA fault-rate sweep |
+//! | `fault_campaign_dead_cpe` | extension — one dead CPE, degraded-mesh re-plan |
 //! | `serve`             | extension — closed-loop batch serving over paper shapes |
 //! | `chaos`             | extension — open-loop serving, fault × traffic sweep |
 //! | `cluster`           | extension — 1→8 chip weak- and strong-scaling curves |
@@ -76,7 +77,8 @@ pub const ARTIFACTS: &[Artifact] = &[
     artifact("perf_counters", &["perf_counters"], ablations::perf_counters),
     artifact("fig7_channels", &["fig7_channels"], paper::fig7_channels),
     artifact("fig9_filters", &["fig9_filters"], paper::fig9_filters),
-    artifact("fault_campaign", &["fault_campaign", "fault_campaign_dead_cpe"], fault_campaign::fault_campaign),
+    artifact("fault_campaign", &["fault_campaign"], fault_campaign::fault_campaign),
+    artifact("fault_campaign_dead_cpe", &["fault_campaign_dead_cpe"], fault_campaign::dead_cpe),
     artifact("serve", &["serve_bench"], serve_load::serve),
     artifact("chaos", &["chaos_serve"], chaos_load::chaos),
     artifact("cluster", &["cluster_serve_scaling", "cluster_train_scaling", "cluster_train_strong_scaling"], cluster_scale::cluster),

@@ -35,8 +35,10 @@ fn regenerates(name: &str) {
 // on a 2-core box, now that timings walk a cost-only mesh: `table3_model`
 // 0.1 s, `ablation_ldm` 0.2 s, `training_pass` 0.4 s, `model_vs_autotune`
 // 1.9 s, `autotune` 1.6 s, `perf_counters` 0.1 s, `fig7_channels` 3.3 s.
-// Not rendered here: `fig9_filters` (22 s unoptimized) and `fault_campaign`
-// (functional runs, over five minutes unoptimized).
+// Not rendered here: `fig9_filters` (22 s unoptimized), `fault_campaign`
+// (functional runs, over five minutes unoptimized) and
+// `fault_campaign_dead_cpe` (three functional runs on the 4×4 mesh, 58 s
+// unoptimized).
 
 #[test]
 fn table2_dma_regenerates_byte_for_byte() {

@@ -21,11 +21,12 @@
 //! `no ∈ chunk_i`, `b ∈ chunk_j`.
 
 use super::gemm_mesh::{lease_scratch, regcomm_gemm_with, zero_c, GemmBlock};
-use super::{finish, tap_major_filter, ConvPlan, ConvRun, LowerCtx, MeshWalk, PlanTiming, Walks};
+use super::{finish, tap_major_filter, ConvPlan, ConvRun, LdmBuffers, LowerCtx, MeshWalk};
+use super::{PlanTiming, Slot, Walks};
 use crate::error::SwdnnError;
 use crate::plans::PlanKind;
 use sw_perfmodel::{co_blocks, Blocking};
-use sw_sim::{DmaHandle, LdmBuf, Mesh};
+use sw_sim::Mesh;
 use sw_tensor::{ConvShape, Layout, Tensor4};
 
 /// Algorithm 2. `b_co` is the output-column block held in LDM at once.
@@ -57,7 +58,7 @@ impl BatchAwarePlan {
     pub fn auto_on(ctx: LowerCtx, shape: &ConvShape) -> Self {
         co_blocks(shape.co, 16)
             .map(|b_co| Self::new(b_co).on(ctx))
-            .find(|plan| plan.ldm_doubles(shape) <= ctx.chip.ldm_doubles())
+            .find(|plan| ctx.fit_ldm(plan.ldm_doubles(shape)).is_ok())
             .unwrap_or_else(|| Self::new(1).on(ctx))
     }
 
@@ -66,24 +67,6 @@ impl BatchAwarePlan {
         self.ctx = ctx;
         self
     }
-
-    /// Per-CPE LDM footprint in doubles: double-buffered input column,
-    /// one filter slice (`Kc` matrices for the current `kr`), and the
-    /// output block.
-    pub fn ldm_doubles(&self, shape: &ConvShape) -> usize {
-        let dim = self.ctx.chip.mesh_dim;
-        let (ni8, no8, b8) = (shape.ni / dim, shape.no / dim, shape.batch / dim);
-        2 * ni8 * b8 + shape.kc * ni8 * no8 + no8 * self.b_co * b8
-    }
-}
-
-#[derive(Default)]
-pub(crate) struct Slot {
-    di: [LdmBuf; 2],
-    w: LdmBuf,
-    c: LdmBuf,
-    di_h: [Option<DmaHandle>; 2],
-    w_h: Option<DmaHandle>,
 }
 
 impl ConvPlan for BatchAwarePlan {
@@ -144,7 +127,6 @@ impl ConvPlan for BatchAwarePlan {
 
 impl MeshWalk for BatchAwarePlan {
     type Extent = ConvShape;
-    type Slot = Slot;
 
     fn ctx(&self) -> &LowerCtx {
         &self.ctx
@@ -156,16 +138,28 @@ impl MeshWalk for BatchAwarePlan {
         [i, shape.filter_shape().len(), o]
     }
 
+    /// A: one filter slice (the `Kc` matrices of the current `kr`); B: the
+    /// input column, double-buffered; C: the output block.
+    fn ldm_buffers(&self, shape: &ConvShape) -> LdmBuffers {
+        let dim = self.ctx.chip.mesh_dim;
+        let (ni8, no8, b8) = (shape.ni / dim, shape.no / dim, shape.batch / dim);
+        [
+            (shape.kc * ni8 * no8, 1),
+            (ni8 * b8, 2),
+            (no8 * self.b_co * b8, 1),
+        ]
+    }
+
     /// Whole-batch tiles: one `b_co` column block per output row.
     fn timing_walks(&self, shape: &ConvShape) -> Walks<ConvShape> {
         Walks::pixel_tiles(shape, shape.batch, self.b_co)
     }
 
-    /// Algorithm 2's loop nest on a fresh `mesh` — the one `run` and
-    /// `time_full_shape` both walk. `in_data` is the input in
-    /// [`Layout::BatchAware`], `w_flat` the filters repacked to
-    /// `(Kr, Kc, Ni, No)`, `out` the output buffer in [`Layout::BatchAware`].
-    fn walk(
+    /// Algorithm 2's loop nest — the one `run` and `time_full_shape` both
+    /// walk. `in_data` is the input in [`Layout::BatchAware`], `w_flat` the
+    /// filters repacked to `(Kr, Kc, Ni, No)`, `out` the output buffer in
+    /// [`Layout::BatchAware`].
+    fn loop_nest(
         &self,
         shape: &ConvShape,
         mut mesh: Mesh<Slot>,
@@ -180,16 +174,6 @@ impl MeshWalk for BatchAwarePlan {
         let (ro_n, co_n, kr_n, kc_n) = (shape.ro, shape.co, shape.kr, shape.kc);
         let (ni, no, batch) = (shape.ni, shape.no, shape.batch);
 
-        let di_len = ni8 * b8;
-        let w_len = kc_n * ni8 * no8;
-        let c_len = no8 * b_co * b8;
-        mesh.superstep(|ctx, s| {
-            s.di = [ctx.ldm_alloc(di_len)?, ctx.ldm_alloc(di_len)?];
-            s.w = ctx.ldm_alloc(w_len)?;
-            s.c = ctx.ldm_alloc(c_len)?;
-            Ok(())
-        })?;
-
         // Fetch one input column (ci, ri) into di[p]; returns via state.
         let get_column = |ctx: &mut sw_sim::CpeCtx<'_>,
                           s: &mut Slot,
@@ -201,9 +185,8 @@ impl MeshWalk for BatchAwarePlan {
             // the contiguous B-double run of each (ni, pixel).
             let src_off = ((ctx.row * ni8) * ri + r_i) * ci_n * batch + ci * batch + ctx.col * b8;
             ctx.dma_block_hint(8 * batch);
-            let h =
-                ctx.dma_get_strided(s.di[p], 0, in_data, src_off, ni8, ri * ci_n * batch, b8)?;
-            s.di_h[p] = Some(h);
+            let h = ctx.dma_get_strided(s.b[p], 0, in_data, src_off, ni8, ri * ci_n * batch, b8)?;
+            s.b_h[p] = Some(h);
             Ok(())
         };
 
@@ -225,7 +208,7 @@ impl MeshWalk for BatchAwarePlan {
                         let mut last = None;
                         for kc in 0..kc_n {
                             let h = ctx.dma_get_strided(
-                                s.w,
+                                s.a[0],
                                 kc * ni8 * no8,
                                 w_flat,
                                 src_off + kc * ni * no,
@@ -235,9 +218,9 @@ impl MeshWalk for BatchAwarePlan {
                             )?;
                             last = Some(h);
                         }
-                        s.w_h = last;
+                        s.a_h[0] = last;
                         get_column(ctx, s, co0, r_i, 0)?;
-                        if let Some(h) = s.w_h.take() {
+                        if let Some(h) = s.a_h[0].take() {
                             ctx.dma_wait(h);
                         }
                         Ok(())
@@ -251,7 +234,7 @@ impl MeshWalk for BatchAwarePlan {
                             if ci_local + 1 < win {
                                 get_column(ctx, s, ci + 1, r_i, (ci_local + 1) % 2)?;
                             }
-                            if let Some(h) = s.di_h[p].take() {
+                            if let Some(h) = s.b_h[p].take() {
                                 ctx.dma_wait(h);
                             }
                             Ok(())
@@ -278,11 +261,11 @@ impl MeshWalk for BatchAwarePlan {
                                 &mut scratch,
                                 move |ctx, s: &Slot, dst: &mut Vec<f64>| {
                                     dst.extend_from_slice(
-                                        &ctx.ldm(s.w)[kc * ni8 * no8..(kc + 1) * ni8 * no8],
+                                        &ctx.ldm(s.a[0])[kc * ni8 * no8..(kc + 1) * ni8 * no8],
                                     );
                                 },
                                 move |ctx, s: &Slot, dst: &mut Vec<f64>| {
-                                    dst.extend_from_slice(ctx.ldm(s.di[p]));
+                                    dst.extend_from_slice(ctx.ldm(s.b[p]));
                                 },
                                 move |s: &Slot| (s.c, co_local * b8),
                             )?;
@@ -392,6 +375,11 @@ mod tests {
     #[test]
     fn cost_only_walk_lands_on_the_functional_run() {
         crate::plans::tests::assert_cost_only_walk_lands_on_the_functional_run("batch-aware");
+    }
+
+    #[test]
+    fn supports_is_exactly_what_the_walk_allocates() {
+        crate::plans::tests::assert_supports_matches_the_walks_ldm("batch-aware");
     }
 
     #[test]

@@ -33,10 +33,10 @@
 //! ascending) are those of a rotation per tap.
 
 use super::gemm_mesh::{lease_scratch, regcomm_gemm_with, zero_c, GemmBlock};
-use super::{finish, LowerCtx, MeshWalk, PlanTiming, Walks};
+use super::{finish, LdmBuffers, LowerCtx, MeshWalk, PlanTiming, Slot, Walks};
 use crate::error::SwdnnError;
 use sw_perfmodel::co_blocks;
-use sw_sim::{DmaHandle, LdmBuf, Mesh};
+use sw_sim::Mesh;
 use sw_tensor::{ConvShape, Layout, Tensor4};
 
 /// The backward-filter plan.
@@ -49,15 +49,6 @@ pub struct BwdFilterPlan {
     /// Output-column block.
     pub b_co: usize,
     pub reordered_kernel: bool,
-}
-
-#[derive(Default)]
-pub(crate) struct Slot {
-    g: [LdmBuf; 2],
-    x: [LdmBuf; 2],
-    c: LdmBuf,
-    g_h: [Option<DmaHandle>; 2],
-    x_h: [Option<DmaHandle>; 2],
 }
 
 impl BwdFilterPlan {
@@ -88,18 +79,6 @@ impl BwdFilterPlan {
             .map(|b_co| Self::new(32, b_co).on(ctx))
             .find(|plan| plan.supports(shape).is_ok())
             .unwrap_or_else(|| Self::new(32, 1).on(ctx))
-    }
-
-    /// Per-CPE LDM footprint in doubles.
-    pub fn ldm_doubles(&self, shape: &ConvShape) -> usize {
-        let dim = self.ctx.chip.mesh_dim;
-        let (ni8, no8) = (shape.ni / dim, shape.no / dim);
-        let quads = self.b_b / (4 * dim);
-        let win4 = 4 * (self.b_co + shape.kc - 1);
-        let g_len = no8 * quads * 4 * self.b_co;
-        let x_len = shape.kr * quads * ni8 * win4;
-        let c_len = shape.kr * shape.kc * no8 * ni8;
-        2 * g_len + 2 * x_len + c_len
     }
 
     pub fn supports(&self, shape: &ConvShape) -> Result<(), SwdnnError> {
@@ -167,7 +146,6 @@ impl BwdFilterPlan {
 
 impl MeshWalk for BwdFilterPlan {
     type Extent = ConvShape;
-    type Slot = Slot;
 
     fn ctx(&self) -> &LowerCtx {
         &self.ctx
@@ -179,15 +157,29 @@ impl MeshWalk for BwdFilterPlan {
         [i, o, shape.filter_shape().len()]
     }
 
+    /// A: the tile's `g`; B: its `x` windows, every `kr` row; both
+    /// double-buffered. C: the `dW` blocks of every tap.
+    fn ldm_buffers(&self, shape: &ConvShape) -> LdmBuffers {
+        let dim = self.ctx.chip.mesh_dim;
+        let (ni8, no8) = (shape.ni / dim, shape.no / dim);
+        let quads = self.b_b / (4 * dim);
+        let win4 = 4 * (self.b_co + shape.kc - 1);
+        [
+            (no8 * quads * 4 * self.b_co, 2),
+            (shape.kr * quads * ni8 * win4, 2),
+            (no8 * shape.kr * shape.kc * ni8, 1),
+        ]
+    }
+
     fn timing_walks(&self, shape: &ConvShape) -> Walks<ConvShape> {
         Walks::pixel_tiles(shape, self.b_b, self.b_co)
     }
 
-    /// The pixel-tile loop nest on a fresh `mesh` — the one `run` and
-    /// `time_full_shape` both walk. `in_data` and `g_data` are the
-    /// activations and the output gradient in [`Layout::ImageAware`],
-    /// `dw_flat` the gradient buffer ordered `[(kr·Kc+kc)][no][ni]`.
-    fn walk(
+    /// The pixel-tile loop nest — the one `run` and `time_full_shape` both
+    /// walk. `in_data` and `g_data` are the activations and the output
+    /// gradient in [`Layout::ImageAware`], `dw_flat` the gradient buffer
+    /// ordered `[(kr·Kc+kc)][no][ni]`.
+    fn loop_nest(
         &self,
         shape: &ConvShape,
         mut mesh: Mesh<Slot>,
@@ -206,15 +198,6 @@ impl MeshWalk for BwdFilterPlan {
         let n8 = quads * 4 * b_co; // pixels per chunk
         let taps = kr_n * kc_n;
 
-        let g_len = no8 * n8;
-        let x_len = kr_n * quads * ni8 * win4;
-        let c_len = no8 * taps * ni8;
-        mesh.superstep(|ctx, s| {
-            s.g = [ctx.ldm_alloc(g_len)?, ctx.ldm_alloc(g_len)?];
-            s.x = [ctx.ldm_alloc(x_len)?, ctx.ldm_alloc(x_len)?];
-            s.c = ctx.ldm_alloc(c_len)?;
-            Ok(())
-        })?;
         zero_c(&mut mesh, |s: &Slot| s.c)?;
 
         // One pack/payload arena reused by every GEMM rotation below, leased
@@ -245,7 +228,7 @@ impl MeshWalk for BwdFilterPlan {
                         let gq = (tb * b_b) / 4 + ctx.col * quads + q;
                         let src_off = (((gq * no + ctx.row * no8) * ro + r_o) * co + co0) * 4;
                         let h = ctx.dma_get_strided(
-                            s.g[p],
+                            s.a[p],
                             q * no8 * 4 * b_co,
                             g_data,
                             src_off,
@@ -255,7 +238,7 @@ impl MeshWalk for BwdFilterPlan {
                         )?;
                         last = Some(h);
                     }
-                    s.g_h[p] = last;
+                    s.a_h[p] = last;
                     // x: batch quad i, ni in chunk_j, rows r_o..r_o+Kr,
                     // cols co0..co0+b_co+Kc-1.
                     let mut lastx = None;
@@ -265,7 +248,7 @@ impl MeshWalk for BwdFilterPlan {
                             let src_off =
                                 (((gq * ni + ctx.col * ni8) * ri + r_o + kr) * ci + co0) * 4;
                             let h = ctx.dma_get_strided(
-                                s.x[p],
+                                s.b[p],
                                 (kr * quads + q) * ni8 * win4,
                                 in_data,
                                 src_off,
@@ -276,7 +259,7 @@ impl MeshWalk for BwdFilterPlan {
                             lastx = Some(h);
                         }
                     }
-                    s.x_h[p] = lastx;
+                    s.b_h[p] = lastx;
                     Ok(())
                 };
                 if t_idx == 0 {
@@ -285,10 +268,10 @@ impl MeshWalk for BwdFilterPlan {
                 if let Some(nx) = next {
                     issue(ctx, s, nx, (t_idx + 1) % 2)?;
                 }
-                if let Some(h) = s.g_h[par].take() {
+                if let Some(h) = s.a_h[par].take() {
                     ctx.dma_wait(h);
                 }
-                if let Some(h) = s.x_h[par].take() {
+                if let Some(h) = s.b_h[par].take() {
                     ctx.dma_wait(h);
                 }
                 Ok(())
@@ -301,7 +284,7 @@ impl MeshWalk for BwdFilterPlan {
                 &mut scratch,
                 // A block: g, packed k-major (pixel, no).
                 move |ctx, s: &Slot, dst: &mut Vec<f64>| {
-                    let gbuf = ctx.ldm(s.g[par]);
+                    let gbuf = ctx.ldm(s.a[par]);
                     for q in 0..quads {
                         for p in 0..4 * b_co {
                             for m in 0..no8 {
@@ -313,7 +296,7 @@ impl MeshWalk for BwdFilterPlan {
                 // B block: packed k-major (pixel, (kr·Kc+kc)·ni8 + ni),
                 // every tap's window read from the same LDM buffer.
                 move |ctx, s: &Slot, dst: &mut Vec<f64>| {
-                    let xbuf = ctx.ldm(s.x[par]);
+                    let xbuf = ctx.ldm(s.b[par]);
                     for q in 0..quads {
                         for p in 0..b_co {
                             for lane in 0..4 {
@@ -415,6 +398,11 @@ mod tests {
     #[test]
     fn cost_only_walk_lands_on_the_functional_run() {
         crate::plans::tests::assert_cost_only_walk_lands_on_the_functional_run("bwd-filter");
+    }
+
+    #[test]
+    fn supports_is_exactly_what_the_walk_allocates() {
+        crate::plans::tests::assert_supports_matches_the_walks_ldm("bwd-filter");
     }
 
     #[test]

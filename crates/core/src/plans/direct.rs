@@ -94,7 +94,7 @@ impl ConvPlan for DirectPlan {
         let (ri, ci) = (shape.ri(), shape.ci());
         let outputs = b_n * no * ro * co;
         let g = gload_cycles(&self.ctx.chip);
-        let (dim, cpes) = (self.ctx.chip.mesh_dim, self.ctx.chip.cpes_per_cg);
+        let cpes = self.ctx.chip.cpes_per_cg;
 
         let mut output = Tensor4::zeros(shape.output_shape(), Layout::Nchw);
         let mut mesh = self.ctx.mesh::<LdmBuf>();
@@ -103,8 +103,7 @@ impl ConvPlan for DirectPlan {
             Ok(())
         })?;
         mesh.superstep(|ctx, buf| {
-            // The chip's own linear CPE index (`ctx.id()` assumes 8 × 8).
-            let mut idx = ctx.row * dim + ctx.col;
+            let mut idx = ctx.id();
             while idx < outputs {
                 let c = idx % co;
                 let r = (idx / co) % ro;

@@ -28,11 +28,12 @@
 //! * output: `no ∈ chunk_i`, pixels `∈ chunk_j`.
 
 use super::gemm_mesh::{lease_scratch, regcomm_gemm_with, zero_c, GemmBlock};
-use super::{finish, tap_major_filter, ConvPlan, ConvRun, LowerCtx, MeshWalk, PlanTiming, Walks};
+use super::{finish, tap_major_filter, ConvPlan, ConvRun, LdmBuffers, LowerCtx, MeshWalk};
+use super::{PlanTiming, Slot, Walks};
 use crate::error::SwdnnError;
 use crate::plans::PlanKind;
-use sw_perfmodel::select::{ldm_doubles_image_aware, Blocking};
-use sw_sim::{DmaHandle, LdmBuf, Mesh};
+use sw_perfmodel::Blocking;
+use sw_sim::Mesh;
 use sw_tensor::{ConvShape, Layout, Tensor4};
 
 /// Algorithm 1 with a fixed blocking choice.
@@ -80,15 +81,6 @@ impl ImageAwarePlan {
         self.b_ni.unwrap_or(shape.ni).min(shape.ni)
     }
 
-    /// Per-CPE LDM footprint in doubles with this plan's blocking.
-    pub fn ldm_doubles(&self, shape: &ConvShape) -> usize {
-        let blocked = ConvShape {
-            ni: self.effective_b_ni(shape),
-            ..*shape
-        };
-        ldm_doubles_image_aware(&blocked, self.blocking)
-    }
-
     fn dims(&self, shape: &ConvShape) -> Dims {
         let dim = self.ctx.chip.mesh_dim;
         let quads_per_cpe = self.blocking.b_b / (4 * dim);
@@ -115,16 +107,6 @@ struct Dims {
     /// Output pixels per CPE (`quads · 4 · b_co`).
     n8: usize,
     b_co: usize,
-}
-
-/// Per-CPE buffers and in-flight DMA handles.
-#[derive(Default)]
-pub(crate) struct Slot {
-    di: [LdmBuf; 2],
-    w: [LdmBuf; 2],
-    c: LdmBuf,
-    di_h: [Option<DmaHandle>; 2],
-    w_h: [Option<DmaHandle>; 2],
 }
 
 impl ConvPlan for ImageAwarePlan {
@@ -189,7 +171,6 @@ impl ConvPlan for ImageAwarePlan {
 
 impl MeshWalk for ImageAwarePlan {
     type Extent = ConvShape;
-    type Slot = Slot;
 
     fn ctx(&self) -> &LowerCtx {
         &self.ctx
@@ -201,15 +182,27 @@ impl MeshWalk for ImageAwarePlan {
         [i, shape.filter_shape().len(), o]
     }
 
+    /// A: one `(kr, kc)` filter slice (Algorithm 1 line 7 re-fetches W
+    /// inside the filter loops), double-buffered like B, the input row
+    /// window; C: the output tile.
+    fn ldm_buffers(&self, shape: &ConvShape) -> LdmBuffers {
+        let d = self.dims(shape);
+        [
+            (d.ni8 * d.no8, 2),
+            (d.quads * d.ni8 * d.win4, 2),
+            (d.no8 * d.n8, 1),
+        ]
+    }
+
     fn timing_walks(&self, shape: &ConvShape) -> Walks<ConvShape> {
         Walks::pixel_tiles(shape, self.blocking.b_b, self.blocking.b_co)
     }
 
-    /// Algorithm 1's loop nest on a fresh `mesh` — the one `run` and
-    /// `time_full_shape` both walk. `in_data` is the input in
-    /// [`Layout::ImageAware`], `w_flat` the filters repacked to
-    /// `(Kr, Kc, Ni, No)`, `out` the output buffer in [`Layout::ImageAware`].
-    fn walk(
+    /// Algorithm 1's loop nest — the one `run` and `time_full_shape` both
+    /// walk. `in_data` is the input in [`Layout::ImageAware`], `w_flat` the
+    /// filters repacked to `(Kr, Kc, Ni, No)`, `out` the output buffer in
+    /// [`Layout::ImageAware`].
+    fn loop_nest(
         &self,
         shape: &ConvShape,
         mut mesh: Mesh<Slot>,
@@ -224,19 +217,6 @@ impl MeshWalk for ImageAwarePlan {
         let (ni, no) = (shape.ni, shape.no);
         let b_ni = self.effective_b_ni(shape);
         let ni_blocks = ni / b_ni;
-
-        // Setup superstep: allocate LDM tiles. The filter buffer holds one
-        // (kr, kc) slice (Algorithm 1 line 7 re-fetches W inside the filter
-        // loops), double-buffered like the input window.
-        let di_len = d.quads * d.ni8 * d.win4;
-        let w_len = d.ni8 * d.no8;
-        let c_len = d.no8 * d.n8;
-        mesh.superstep(|ctx, s| {
-            s.di = [ctx.ldm_alloc(di_len)?, ctx.ldm_alloc(di_len)?];
-            s.w = [ctx.ldm_alloc(w_len)?, ctx.ldm_alloc(w_len)?];
-            s.c = ctx.ldm_alloc(c_len)?;
-            Ok(())
-        })?;
 
         // One pack/payload arena reused by every GEMM rotation below, leased
         // from the execution context so repeated runs (benches, serving)
@@ -272,7 +252,7 @@ impl MeshWalk for ImageAwarePlan {
                                     let src_off =
                                         (((gq * ni + ni0) * ri + r_i) * ci + co0) * 4;
                                     let h = ctx.dma_get_strided(
-                                        s.di[didx_x % 2],
+                                        s.b[didx_x % 2],
                                         q * d.ni8 * d.win4,
                                         in_data,
                                         src_off,
@@ -282,7 +262,7 @@ impl MeshWalk for ImageAwarePlan {
                                     )?;
                                     last = Some(h);
                                 }
-                                s.di_h[didx_x % 2] = last;
+                                s.b_h[didx_x % 2] = last;
                                 Ok(())
                             };
                                 if self.double_buffer {
@@ -295,7 +275,7 @@ impl MeshWalk for ImageAwarePlan {
                                 } else {
                                     issue_di(ctx, s, didx)?;
                                 }
-                                if let Some(h) = s.di_h[di_par].take() {
+                                if let Some(h) = s.b_h[di_par].take() {
                                     ctx.dma_wait(h);
                                 }
                                 Ok(())
@@ -317,7 +297,7 @@ impl MeshWalk for ImageAwarePlan {
                                     let src_off =
                                         (krkc_x * ni + ni0) * no + ctx.row * d.no8;
                                     let h = ctx.dma_get_strided(
-                                        s.w[idx_x % 2],
+                                        s.a[idx_x % 2],
                                         0,
                                         w_flat,
                                         src_off,
@@ -325,7 +305,7 @@ impl MeshWalk for ImageAwarePlan {
                                         no,
                                         d.no8,
                                     )?;
-                                    s.w_h[idx_x % 2] = Some(h);
+                                    s.a_h[idx_x % 2] = Some(h);
                                     Ok(())
                                 };
                                     if self.double_buffer {
@@ -338,7 +318,7 @@ impl MeshWalk for ImageAwarePlan {
                                     } else {
                                         issue_w(ctx, s, idx)?;
                                     }
-                                    if let Some(h) = s.w_h[w_par].take() {
+                                    if let Some(h) = s.a_h[w_par].take() {
                                         ctx.dma_wait(h);
                                     }
                                     Ok(())
@@ -356,11 +336,11 @@ impl MeshWalk for ImageAwarePlan {
                                     &mut scratch,
                                     // A block: the (ni8 x no8) slice for this (kr, kc).
                                     move |ctx, s: &Slot, dst: &mut Vec<f64>| {
-                                        dst.extend_from_slice(ctx.ldm(s.w[w_par]));
+                                        dst.extend_from_slice(ctx.ldm(s.a[w_par]));
                                     },
                                     // B block: shifted window, packed k-major.
                                     move |ctx, s: &Slot, dst: &mut Vec<f64>| {
-                                        let di = ctx.ldm(s.di[par]);
+                                        let di = ctx.ldm(s.b[par]);
                                         for k in 0..d.ni8 {
                                             for q in 0..d.quads {
                                                 let base = q * d.ni8 * d.win4 + k * d.win4 + 4 * kc;
@@ -551,6 +531,11 @@ mod tests {
     #[test]
     fn cost_only_walk_lands_on_the_functional_run() {
         crate::plans::tests::assert_cost_only_walk_lands_on_the_functional_run("image-aware");
+    }
+
+    #[test]
+    fn supports_is_exactly_what_the_walk_allocates() {
+        crate::plans::tests::assert_supports_matches_the_walks_ldm("image-aware");
     }
 
     #[test]

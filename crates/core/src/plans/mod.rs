@@ -15,9 +15,11 @@
 //! Every plan's `run` computes real `f64` results, checked against the
 //! reference convolution in the test suites. Each mesh plan keeps its loop
 //! nest in one `walk` (`MeshWalk`) over plain `&[f64]` operands and a
-//! `&mut [f64]` output: `run` hands it prepared operands on a functional
-//! mesh; the one timing protocol, `MeshWalk::time_sampled`, hands it
-//! all-zero operands on a cost-only mesh ([`sw_sim::Mesh::cost_only`]),
+//! `&mut [f64]` output, and states the LDM that walk holds once, as
+//! `ldm_buffers`: the walk's setup allocates that list and `supports`
+//! checks its sum, so a plan fits exactly when its walk does. `run` hands
+//! the walk prepared operands on a functional mesh; the one timing
+//! protocol, `MeshWalk::time_sampled`, hands it all-zero operands on a cost-only mesh ([`sw_sim::Mesh::cost_only`]),
 //! which charges every cycle and counter without moving or multiplying
 //! anything, for two outer-loop samples and the line through them. Either
 //! mesh comes from the plan's one [`LowerCtx`] (chip, injected faults, host
@@ -48,7 +50,8 @@ pub use schedule::{lower_schedule, LoopOrder, LowerCtx, Schedule};
 
 use crate::error::SwdnnError;
 use sw_perfmodel::{Blocking, ChipSpec, PlanKind};
-use sw_sim::{CgStats, Mesh};
+use sw_sim::ldm::padded_len;
+use sw_sim::{CgStats, DmaHandle, LdmBuf, Mesh};
 use sw_tensor::{ConvShape, Tensor4};
 
 /// Timing of one plan execution on one core group.
@@ -139,31 +142,83 @@ pub(crate) fn finish(mut mesh: Mesh<impl Send>, out: &mut [f64]) -> Result<PlanT
     Ok(mesh.stats().into())
 }
 
+/// One CPE's state in a mesh plan's walk: its GEMM's LDM buffers — operands
+/// A and B (`[1]` unused when single-buffered) and the accumulator C — and
+/// the DMA in flight into A and B.
+#[derive(Default)]
+pub(crate) struct Slot {
+    a: [LdmBuf; 2],
+    b: [LdmBuf; 2],
+    c: LdmBuf,
+    a_h: [Option<DmaHandle>; 2],
+    b_h: [Option<DmaHandle>; 2],
+}
+
+/// The LDM a walk holds per CPE: `(len in doubles, copies)` of [`Slot`]'s
+/// `a`, `b` and `c`, `copies` 2 where an operand is double-buffered.
+pub(crate) type LdmBuffers = [(usize, usize); 3];
+
 /// A mesh plan's walk and the one timing protocol over it: a plan states
-/// what differs, the provided methods are the protocol.
+/// what differs (its loop nest, LDM buffers, operands and timing samples),
+/// the provided methods are the walk's setup, footprint and timing.
 pub(crate) trait MeshWalk {
     /// What one walk covers: a dense [`ConvShape`], or a general geometry.
     type Extent;
-    /// Per-CPE state of the walk's mesh: LDM tiles and DMA handles.
-    type Slot: Default + Send;
 
     fn ctx(&self) -> &LowerCtx;
 
     /// Lengths of the walk's two operands and its output.
     fn operand_lens(&self, extent: &Self::Extent) -> [usize; 3];
 
+    /// The plan's one statement of the LDM its walk over `extent` holds.
+    /// Arithmetic only, no allocation: `supports` asks it on every timing,
+    /// tune candidate and plan-cache miss.
+    fn ldm_buffers(&self, extent: &Self::Extent) -> LdmBuffers;
+
     /// The walks that time `shape`, which the plan supports.
     fn timing_walks(&self, shape: &ConvShape) -> Walks<Self::Extent>;
 
-    /// The loop nest over `extent` on `mesh`: reads `a`, `b`, puts to `out`.
-    fn walk(
+    /// The loop nest over `extent` on `mesh`, whose [`Slot`]s hold the
+    /// allocated [`MeshWalk::ldm_buffers`]: reads `a`, `b`, puts to `out`.
+    fn loop_nest(
         &self,
         extent: &Self::Extent,
-        mesh: Mesh<Self::Slot>,
+        mesh: Mesh<Slot>,
         a: &[f64],
         b: &[f64],
         out: &mut [f64],
     ) -> Result<PlanTiming, SwdnnError>;
+
+    /// The walk's LDM high water per CPE: its buffers, each rounded as the
+    /// allocator rounds it. `supports` checks this through
+    /// [`LowerCtx::fit_ldm`], so it accepts exactly what the walk allocates.
+    fn ldm_doubles(&self, extent: &Self::Extent) -> usize {
+        let bufs = self.ldm_buffers(extent);
+        bufs.iter().map(|&(len, n)| n * padded_len(len)).sum()
+    }
+
+    /// The walk over `extent` on a fresh `mesh`: the one setup superstep,
+    /// allocating [`MeshWalk::ldm_buffers`] on every CPE, then the loop nest.
+    fn walk(
+        &self,
+        extent: &Self::Extent,
+        mut mesh: Mesh<Slot>,
+        a: &[f64],
+        b: &[f64],
+        out: &mut [f64],
+    ) -> Result<PlanTiming, SwdnnError> {
+        let buffers = self.ldm_buffers(extent);
+        mesh.superstep(|ctx, s| {
+            let slots: [&mut [LdmBuf]; 3] = [&mut s.a, &mut s.b, std::slice::from_mut(&mut s.c)];
+            for (slot, (len, copies)) in slots.into_iter().zip(buffers) {
+                for buf in &mut slot[..copies] {
+                    *buf = ctx.ldm_alloc(len)?;
+                }
+            }
+            Ok(())
+        })?;
+        self.loop_nest(extent, mesh, a, b, out)
+    }
 
     /// Exact timing of `extent` with no arithmetic: the walk on a cost-only
     /// mesh over all-zero operands (never read: untouched zero pages),
@@ -499,6 +554,125 @@ mod tests {
                         out == *clean.get_or_insert_with(|| out.clone()),
                         "{what}: bits"
                     );
+                }
+            }
+        }
+    }
+
+    /// `tests/selection.rs`'s 128-shape small-batch grid and its 24
+    /// paper-scale shapes.
+    fn selection_shapes() -> Vec<ConvShape> {
+        let mut shapes = vec![];
+        for batch in [32, 64] {
+            for ni in [8, 16, 32, 64] {
+                for no in [8, 16, 32, 64] {
+                    for out in [6, 8, 16, 18] {
+                        shapes.push(ConvShape::new(batch, ni, no, out, out, 3, 3));
+                    }
+                }
+            }
+        }
+        let diagonal = (64..=384).step_by(16).map(|c| (c, c));
+        for (ni, no) in diagonal.chain([(128, 256), (128, 384), (256, 128)]) {
+            shapes.push(ConvShape::new(128, ni, no, 64, 64, 3, 3));
+        }
+        shapes
+    }
+
+    /// `n`, `n / 2`, `n / 4`, … while a multiple of `dim` dividing `n`.
+    fn halvings(n: usize, dim: usize) -> impl Iterator<Item = usize> {
+        std::iter::successors(Some(n), |b| Some(b / 2))
+            .take_while(move |b| *b >= dim && b.is_multiple_of(dim))
+            .filter(move |b| n.is_multiple_of(*b))
+    }
+
+    /// `supports` accepts `shape` exactly when the cost-only walk of the
+    /// plan's first timing sample allocates without overflow, and that
+    /// walk's LDM high water is exactly `ldm_doubles`. The blocking is
+    /// legal but for LDM, so a rejection must be an LDM one.
+    fn assert_fits_iff_the_walk_allocates<P: MeshWalk>(
+        what: String,
+        plan: &P,
+        (supported, declared): (Result<(), SwdnnError>, usize),
+        shape: &ConvShape,
+    ) {
+        let first = match plan.timing_walks(shape) {
+            Walks::Whole(e) | Walks::Sampled([(e, _), _], _) => e,
+        };
+        match (supported, plan.time_cost_only(&first)) {
+            (Ok(()), Ok(t)) => {
+                assert_eq!(t.stats.ldm_high_water_doubles, declared as u64, "{what}")
+            }
+            (Err(e), Err(SwdnnError::Sim(sw_sim::SimError::Ldm(_)))) => {
+                assert!(e.to_string().contains("LDM doubles"), "{what}: {e}")
+            }
+            (s, w) => panic!("{what}: supports {s:?}, walk {:?}", w.map(|t| t.cycles)),
+        }
+    }
+
+    /// What fits is what the walk allocates, for every blocking of `plan`
+    /// on the selection shapes, on the 8×8 and the degraded 4×4 chip.
+    /// Patch-GEMM walks the top three rungs of `auto_for`'s `b_P` ladder
+    /// (`32·dim` halving), each where its sample — one output row of every
+    /// image — is at most 64 pixel blocks, to keep the debug build quick.
+    pub(super) fn assert_supports_matches_the_walks_ldm(plan: &str) {
+        let full = ChipSpec::sw26010();
+        for chip in [full, crate::ResilientExecutor::degraded_chip(full)] {
+            let ctx = LowerCtx::on_chip(chip);
+            let dim = chip.mesh_dim;
+            for shape in selection_shapes() {
+                let what = |blocking: String| format!("{plan} {blocking}, {shape}, {dim}×{dim}");
+                let co_blocks = |cap| sw_perfmodel::co_blocks(shape.co, cap);
+                let tiles = |cap| {
+                    halvings(shape.batch, 4 * dim)
+                        .flat_map(move |b_b| co_blocks(cap).map(move |b_co| (b_b, b_co)))
+                };
+                match plan {
+                    "image-aware" => {
+                        for ((b_b, b_co), b_ni) in tiles(32)
+                            .flat_map(|tile| halvings(shape.ni, dim).map(move |b_ni| (tile, b_ni)))
+                        {
+                            let p = ImageAwarePlan::new(Blocking { b_b, b_co });
+                            let p = p.with_ni_blocking(b_ni).on(ctx);
+                            let w = what(format!("b_B {b_b} b_Co {b_co} b_Ni {b_ni}"));
+                            let ldm = (p.supports(&shape), p.ldm_doubles(&shape));
+                            assert_fits_iff_the_walk_allocates(w, &p, ldm, &shape);
+                        }
+                    }
+                    "batch-aware" => {
+                        for b_co in co_blocks(16) {
+                            let p = BatchAwarePlan::new(b_co).on(ctx);
+                            let ldm = (p.supports(&shape), p.ldm_doubles(&shape));
+                            assert_fits_iff_the_walk_allocates(
+                                what(format!("b_Co {b_co}")),
+                                &p,
+                                ldm,
+                                &shape,
+                            );
+                        }
+                    }
+                    "bwd-filter" => {
+                        for (b_b, b_co) in tiles(16) {
+                            let p = BwdFilterPlan::new(b_b, b_co).on(ctx);
+                            let w = what(format!("b_B {b_b} b_Co {b_co}"));
+                            let ldm = (p.supports(&shape), p.ldm_doubles(&shape));
+                            assert_fits_iff_the_walk_allocates(w, &p, ldm, &shape);
+                        }
+                    }
+                    _ => {
+                        let extent = (ConvGeometry::valid(3, 3), shape.input_shape(), shape.no);
+                        let row = shape.batch * shape.co;
+                        for b_p in (3..6).map(|k| dim << k).filter(|b_p| row <= 64 * b_p) {
+                            let p = PatchGemmPlan::new(b_p).on(ctx);
+                            let ldm = (p.supports(&shape), p.ldm_doubles(&extent));
+                            assert_fits_iff_the_walk_allocates(
+                                what(format!("b_P {b_p}")),
+                                &p,
+                                ldm,
+                                &shape,
+                            );
+                        }
+                    }
                 }
             }
         }

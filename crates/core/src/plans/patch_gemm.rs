@@ -24,25 +24,18 @@
 //! The filter tap is reused `b_P` times and each gathered input element
 //! `No` times, so the required MEM→LDM bandwidth follows Eq. 1 with
 //! `b_Co·b_B → b_P` (priced by `ConvPerfModel` under
-//! `PlanKind::PatchGemm`). LDM holds one patch, one tap matrix and the
+//! `PlanKind::PatchGemm`). LDM holds one tap matrix, one patch and the
 //! output block — no double buffering, which keeps the footprint at
-//! `Ni·b_P/64 + Ni·No/64 + No·b_P/64` doubles per CPE.
+//! `(Ni·No + Ni·b_P + No·b_P)/cpes` doubles per CPE.
 
 use super::gemm_mesh::{lease_scratch, regcomm_gemm_with, zero_c, GemmBlock};
-use super::{finish, tap_major_filter, ConvPlan, ConvRun, LowerCtx, MeshWalk, PlanTiming, Walks};
+use super::{finish, tap_major_filter, ConvPlan, ConvRun, LdmBuffers, LowerCtx, MeshWalk};
+use super::{PlanTiming, Slot, Walks};
 use crate::error::SwdnnError;
 use crate::plans::PlanKind;
-use sw_perfmodel::{Blocking, ChipSpec};
-use sw_sim::{LdmBuf, Mesh};
+use sw_perfmodel::Blocking;
+use sw_sim::Mesh;
 use sw_tensor::{ConvGeometry, ConvShape, Layout, Shape4, Tensor4};
-
-/// Per-CPE buffers: one gathered patch, one tap matrix, the output block.
-#[derive(Default)]
-pub(crate) struct Slot {
-    x: LdmBuf,
-    w: LdmBuf,
-    c: LdmBuf,
-}
 
 /// Per-tap GEMM over gathered output-pixel patches. `b_p` is the number
 /// of flattened output pixels held in LDM at once (a multiple of the mesh
@@ -74,31 +67,21 @@ impl PatchGemmPlan {
 
     /// [`PatchGemmPlan::auto`] from raw channel counts (general entry).
     pub fn auto_for(ctx: LowerCtx, ni: usize, no: usize) -> Self {
-        let chip = ctx.chip;
-        let dim = chip.mesh_dim;
-        let mut b_p = 32 * dim;
-        while b_p > dim && Self::ldm_doubles_for(chip, ni, no, b_p) > chip.ldm_doubles() {
-            b_p /= 2;
+        let dim = ctx.chip.mesh_dim;
+        // The buffers depend on the channel counts alone: any extent with
+        // them will do.
+        let extent = (ConvGeometry::valid(1, 1), Shape4::new(1, ni, 1, 1), no);
+        let mut plan = Self::new(32 * dim).on(ctx);
+        while plan.b_p > dim && ctx.fit_ldm(plan.ldm_doubles(&extent)).is_err() {
+            plan.b_p /= 2;
         }
-        Self::new(b_p).on(ctx)
+        plan
     }
 
     /// Run in `ctx` (a degraded chip, injected faults, a private runtime).
     pub fn on(mut self, ctx: LowerCtx) -> Self {
         self.ctx = ctx;
         self
-    }
-
-    fn ldm_doubles_for(chip: ChipSpec, ni: usize, no: usize, b_p: usize) -> usize {
-        let dim = chip.mesh_dim;
-        let (ni8, no8, p8) = (ni / dim, no / dim, b_p / dim);
-        ni8 * p8 + ni8 * no8 + no8 * p8
-    }
-
-    /// Per-CPE LDM footprint in doubles: one gathered patch, one filter
-    /// tap matrix, the output block.
-    pub fn ldm_doubles(&self, ni: usize, no: usize) -> usize {
-        Self::ldm_doubles_for(self.ctx.chip, ni, no, self.b_p)
     }
 
     /// Legality against raw geometry (shapes a dense [`ConvShape`] cannot
@@ -140,7 +123,8 @@ impl PatchGemmPlan {
                 self.b_p
             ));
         }
-        self.ctx.fit_ldm(self.ldm_doubles(ni, no)).or_else(fail)
+        let extent = (*geom, input, no);
+        self.ctx.fit_ldm(self.ldm_doubles(&extent)).or_else(fail)
     }
 
     /// Run the convolution under an arbitrary [`ConvGeometry`] — the
@@ -188,7 +172,6 @@ impl PatchGemmPlan {
 impl MeshWalk for PatchGemmPlan {
     /// A general-geometry convolution: geometry, NCHW input shape, No.
     type Extent = (ConvGeometry, Shape4, usize);
-    type Slot = Slot;
 
     fn ctx(&self) -> &LowerCtx {
         &self.ctx
@@ -201,6 +184,14 @@ impl MeshWalk for PatchGemmPlan {
             .expect("checked by supports");
         let (taps, pixels) = (geom.kr * geom.kc, ishape.d0 * ro * co);
         [ishape.len(), taps * ishape.d1 * no, pixels * no]
+    }
+
+    /// A: one filter tap matrix; B: one gathered patch; C: the output block.
+    /// None double-buffered.
+    fn ldm_buffers(&self, &(_, ishape, no): &Self::Extent) -> LdmBuffers {
+        let dim = self.ctx.chip.mesh_dim;
+        let (ni8, no8, p8) = (ishape.d1 / dim, no / dim, self.b_p / dim);
+        [(ni8 * no8, 1), (ni8 * p8, 1), (no8 * p8, 1)]
     }
 
     /// One and two output rows of every image, counted in pixel blocks; the
@@ -220,12 +211,12 @@ impl MeshWalk for PatchGemmPlan {
         }
     }
 
-    /// The per-block, per-tap loop nest on a fresh `mesh` — the one
-    /// `run_general` and the timing entry points both walk. `in_data` is the
-    /// NCHW input of shape `ishape`, `w_flat` the filters repacked tap-major
+    /// The per-block, per-tap loop nest — the one `run_general` and the
+    /// timing entry points both walk. `in_data` is the NCHW input of shape
+    /// `ishape`, `w_flat` the filters repacked tap-major
     /// (`w_flat[(tap·Ni + ni)·No + no]`, one strided fetch per tap per CPE),
     /// `out` the NCHW output buffer.
-    fn walk(
+    fn loop_nest(
         &self,
         &(geom, ishape, no): &Self::Extent,
         mut mesh: Mesh<Slot>,
@@ -241,13 +232,6 @@ impl MeshWalk for PatchGemmPlan {
         let b_p = self.b_p;
         let pixels = batch * ro * co;
         let img = ro * co;
-
-        mesh.superstep(|ctx, s| {
-            s.x = ctx.ldm_alloc(ni8 * p8)?;
-            s.w = ctx.ldm_alloc(ni8 * no8)?;
-            s.c = ctx.ldm_alloc(no8 * p8)?;
-            Ok(())
-        })?;
 
         let mut scratch = lease_scratch(self.ctx.rt, mesh.chip.mesh_dim);
         // The gather target, rebuilt per (block, tap): `x_tap[ni·b_p + p]`
@@ -291,7 +275,7 @@ impl MeshWalk for PatchGemmPlan {
                         // fetches the b_p-pixel run of each channel.
                         ctx.dma_block_hint(8 * b_p);
                         let hx = ctx.dma_get_strided(
-                            s.x,
+                            s.b[0],
                             0,
                             &x_tap,
                             (ctx.row * ni8) * b_p + ctx.col * p8,
@@ -300,7 +284,7 @@ impl MeshWalk for PatchGemmPlan {
                             p8,
                         )?;
                         let hw = ctx.dma_get_strided(
-                            s.w,
+                            s.a[0],
                             0,
                             w_flat,
                             (tap * ni + ctx.col * ni8) * no + ctx.row * no8,
@@ -323,10 +307,10 @@ impl MeshWalk for PatchGemmPlan {
                         },
                         &mut scratch,
                         |ctx, s: &Slot, dst: &mut Vec<f64>| {
-                            dst.extend_from_slice(ctx.ldm(s.w));
+                            dst.extend_from_slice(ctx.ldm(s.a[0]));
                         },
                         |ctx, s: &Slot, dst: &mut Vec<f64>| {
-                            dst.extend_from_slice(ctx.ldm(s.x));
+                            dst.extend_from_slice(ctx.ldm(s.b[0]));
                         },
                         |s: &Slot| (s.c, 0),
                     )?;
@@ -476,15 +460,21 @@ mod tests {
 
     #[test]
     fn auto_blocking_fits_ldm() {
-        let chip = ChipSpec::sw26010();
+        let chip = sw_perfmodel::ChipSpec::sw26010();
         let plan = PatchGemmPlan::auto_for(LowerCtx::on_chip(chip), 256, 256);
-        assert!(plan.ldm_doubles(256, 256) <= chip.ldm_doubles());
+        let extent = (ConvGeometry::valid(3, 3), Shape4::new(8, 256, 6, 6), 256);
+        assert!(plan.ldm_doubles(&extent) <= chip.ldm_doubles());
         assert!(plan.b_p >= chip.mesh_dim);
     }
 
     #[test]
     fn cost_only_walk_lands_on_the_functional_run() {
         crate::plans::tests::assert_cost_only_walk_lands_on_the_functional_run("patch-GEMM");
+    }
+
+    #[test]
+    fn supports_is_exactly_what_the_walk_allocates() {
+        crate::plans::tests::assert_supports_matches_the_walks_ldm("patch-GEMM");
     }
 
     #[test]

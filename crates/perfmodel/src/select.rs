@@ -19,17 +19,21 @@
 //! column under `results/` read it.
 //!
 //! The LDM footprint formulas mirror how the `swdnn` plans actually buffer
-//! data (each CPE owns 1/64 of every tile; input and filter buffers are
-//! double-buffered to overlap DMA with compute):
+//! data (each CPE owns `1/cpes_per_cg` of every tile, the chip's
+//! [`ChipSpec::cpes_per_cg`]; input and filter buffers are double-buffered
+//! to overlap DMA with compute), written here with `P = cpes_per_cg`:
 //!
 //! * image-size-aware, per CPE, in doubles:
-//!   `2·(b_b·Ni·(b_co+Kc−1))/64 + 2·(Ni·No)/64 + (b_b·No·b_co)/64`
+//!   `2·(b_b·Ni·(b_co+Kc−1))/P + 2·(Ni·No)/P + (b_b·No·b_co)/P`
 //! * batch-size-aware, per CPE:
-//!   `2·(B·Ni)/64 + 2·(Ni·No·Kc)/64 + (B·No·Kc)/64` — the output tile held
+//!   `2·(B·Ni)/P + 2·(Ni·No·Kc)/P + (B·No·Kc)/P` — the output tile held
 //!   is the `b_co = Kc` window Algorithm 2 accumulates.
 //!
-//! [`ldm_doubles_batch_aware`] is deliberately more conservative than
-//! `BatchAwarePlan::ldm_doubles` (double-buffered filters and a `Kc`-wide
+//! The selector cannot see the plans, so these are its own estimates; a
+//! plan's legality is the LDM its walk declares (`MeshWalk::ldm_buffers` in
+//! `swdnn`), rounded like the allocator rounds.
+//! [`ldm_doubles_batch_aware`] is deliberately more conservative than the
+//! batch-size-aware plan's buffers (double-buffered filters and a `Kc`-wide
 //! output window, where the plan single-buffers the filter slice and
 //! shrinks its window down to `b_co = 1`); the two can disagree, which is
 //! why `Conv2d::schedule` re-checks the picked schedule against its plan's
@@ -91,18 +95,18 @@ impl PlanChoice {
     }
 }
 
-/// Per-CPE LDM footprint of the image-size-aware plan, in doubles.
-pub fn ldm_doubles_image_aware(shape: &ConvShape, blk: Blocking) -> usize {
-    let cpes = 64;
+/// Per-CPE LDM footprint of the image-size-aware plan on `chip`, in doubles.
+pub fn ldm_doubles_image_aware(shape: &ConvShape, blk: Blocking, chip: &ChipSpec) -> usize {
+    let cpes = chip.cpes_per_cg;
     let input = 2 * blk.b_b * shape.ni * (blk.b_co + shape.kc - 1) / cpes;
     let filter = 2 * shape.ni * shape.no / cpes;
     let output = blk.b_b * shape.no * blk.b_co / cpes;
     input + filter + output
 }
 
-/// Per-CPE LDM footprint of the batch-size-aware plan, in doubles.
-pub fn ldm_doubles_batch_aware(shape: &ConvShape) -> usize {
-    let cpes = 64;
+/// Per-CPE LDM footprint of the batch-size-aware plan on `chip`, in doubles.
+pub fn ldm_doubles_batch_aware(shape: &ConvShape, chip: &ChipSpec) -> usize {
+    let cpes = chip.cpes_per_cg;
     let input = 2 * shape.batch * shape.ni / cpes;
     let filter = 2 * shape.ni * shape.no * shape.kc / cpes;
     let output = shape.batch * shape.no * shape.kc / cpes;
@@ -196,7 +200,7 @@ pub fn select_plan(shape: &ConvShape, chip: &ChipSpec) -> Option<PlanChoice> {
 
     // Batch-size-aware first; an image-size-aware blocking wins only with a
     // strictly better score.
-    let batch_ldm = ldm_doubles_batch_aware(shape);
+    let batch_ldm = ldm_doubles_batch_aware(shape, chip);
     let batch = (batch_ldm <= budget).then(|| {
         let blocking = Blocking {
             b_b: shape.batch,
@@ -205,7 +209,7 @@ pub fn select_plan(shape: &ConvShape, chip: &ChipSpec) -> Option<PlanChoice> {
         choice(PlanKind::BatchSizeAware, blocking, batch_ldm)
     });
     let image = blocking_candidates(shape).into_iter().filter_map(|blk| {
-        let ldm = ldm_doubles_image_aware(shape, blk);
+        let ldm = ldm_doubles_image_aware(shape, blk, chip);
         (ldm <= budget).then(|| choice(PlanKind::ImageSizeAware, blk, ldm))
     });
     batch.into_iter().chain(image).reduce(|best, next| {
@@ -260,7 +264,7 @@ mod tests {
         // (2*384*384*3/64 = 13824 doubles) exceeds LDM, so the image plan
         // must be chosen.
         let chip = ChipSpec::sw26010();
-        assert!(ldm_doubles_batch_aware(&paper_shape(384, 384)) > chip.ldm_doubles());
+        assert!(ldm_doubles_batch_aware(&paper_shape(384, 384), &chip) > chip.ldm_doubles());
         let choice = select_plan(&paper_shape(384, 384), &chip).unwrap();
         assert_eq!(choice.kind, PlanKind::ImageSizeAware);
     }
@@ -375,9 +379,26 @@ mod tests {
 
     #[test]
     fn footprint_formulas_are_monotone() {
-        let s = paper_shape(128, 128);
-        let small = ldm_doubles_image_aware(&s, Blocking { b_b: 8, b_co: 4 });
-        let large = ldm_doubles_image_aware(&s, Blocking { b_b: 64, b_co: 32 });
+        let (s, chip) = (paper_shape(128, 128), ChipSpec::sw26010());
+        let small = ldm_doubles_image_aware(&s, Blocking { b_b: 8, b_co: 4 }, &chip);
+        let large = ldm_doubles_image_aware(&s, Blocking { b_b: 64, b_co: 32 }, &chip);
         assert!(small < large);
+    }
+
+    #[test]
+    fn footprints_on_the_4x4_chip_are_four_times_the_8x8_ones() {
+        // Every division is exact for this shape: a quarter of the CPEs
+        // each own four times the share of every tile.
+        let full = ChipSpec::sw26010();
+        let quarter = ChipSpec {
+            mesh_dim: 4,
+            cpes_per_cg: 16,
+            ..full
+        };
+        let (s, blk) = (paper_shape(128, 128), Blocking { b_b: 32, b_co: 4 });
+        assert_eq!(ldm_doubles_image_aware(&s, blk, &full), 1536);
+        assert_eq!(ldm_doubles_image_aware(&s, blk, &quarter), 4 * 1536);
+        assert_eq!(ldm_doubles_batch_aware(&s, &full), 2816);
+        assert_eq!(ldm_doubles_batch_aware(&s, &quarter), 4 * 2816);
     }
 }

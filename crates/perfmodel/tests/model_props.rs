@@ -55,14 +55,18 @@ proptest! {
     }
 
     #[test]
-    fn selection_respects_ldm_budget_when_some(ni in arb_channels(), no in arb_channels()) {
-        let chip = ChipSpec::sw26010();
+    fn selection_respects_ldm_budget_when_some(
+        ni in arb_channels(), no in arb_channels(),
+        mesh_dim in prop::sample::select(vec![8usize, 4]),
+    ) {
+        // The stock chip, or the degraded 4×4 one.
+        let chip = ChipSpec { mesh_dim, cpes_per_cg: mesh_dim * mesh_dim, ..ChipSpec::sw26010() };
         let shape = ConvShape::new(128, ni, no, 64, 64, 3, 3);
         if let Some(c) = select_plan(&shape, &chip) {
             prop_assert!(c.ldm_doubles <= chip.ldm_doubles());
             prop_assert!(c.estimate.gflops_per_cg > 0.0);
             if c.kind == PlanKind::ImageSizeAware {
-                prop_assert_eq!(ldm_doubles_image_aware(&shape, c.blocking), c.ldm_doubles);
+                prop_assert_eq!(ldm_doubles_image_aware(&shape, c.blocking, &chip), c.ldm_doubles);
             }
         }
     }

@@ -54,6 +54,13 @@ pub struct Ldm {
 /// Alignment of every allocation, in doubles (32 B = one vector register).
 const ALIGN_DOUBLES: usize = 4;
 
+/// Doubles an allocation of `len` takes: `len` rounded up to the
+/// allocator's vector alignment. [`Ldm::alloc`] bumps by exactly this, so
+/// a plan that sums it over its buffers states its high water.
+pub const fn padded_len(len: usize) -> usize {
+    len.div_ceil(ALIGN_DOUBLES) * ALIGN_DOUBLES
+}
+
 impl Ldm {
     /// A scratchpad of `capacity_bytes` (64 KB on SW26010).
     pub fn new(capacity_bytes: usize) -> Self {
@@ -80,7 +87,7 @@ impl Ldm {
 
     /// Allocate `len` doubles (rounded up to vector alignment).
     pub fn alloc(&mut self, len: usize) -> Result<LdmBuf, LdmOverflow> {
-        let padded = len.div_ceil(ALIGN_DOUBLES) * ALIGN_DOUBLES;
+        let padded = padded_len(len);
         if self.top + padded > self.data.len() {
             return Err(LdmOverflow {
                 requested_doubles: padded,

@@ -222,10 +222,10 @@ pub struct CpeCtx<'a> {
 const GET_LATENCY: u64 = 4;
 
 impl CpeCtx<'_> {
-    /// Linear CPE id (`row * 8 + col`).
+    /// Linear CPE id on this chip's mesh (`row * mesh_dim + col`).
     #[inline]
     pub fn id(&self) -> usize {
-        self.row * crate::MESH_DIM + self.col
+        self.row * self.dma.chip.mesh_dim + self.col
     }
 
     /// Current CPE-local cycle.
@@ -344,6 +344,9 @@ impl CpeCtx<'_> {
         if let Some(fp) = self.fault {
             let seq = *self.dma_seq;
             *self.dma_seq += 1;
+            // Fault decisions key on the 8×8 position `row * 8 + col`, not
+            // `id()`: `FaultPlan::dead_mask` is an 8×8 bitmask, and a 4×4
+            // mesh keeps the decision stream it has always drawn.
             let id = self.row * crate::MESH_DIM + self.col;
             let stall = fp.dma_stall(id, seq);
             if stall > 0 {
@@ -642,6 +645,7 @@ where
             });
             return;
         }
+        // The 8×8 position, not `id()`, as in `CpeCtx::enqueue_dma`.
         let id = node.row * crate::MESH_DIM + node.col;
         let stall = fp.cpe_stall(id, step);
         if stall > 0 {
@@ -1337,6 +1341,24 @@ mod tests {
         })
         .unwrap();
         m.assert_inboxes_empty().unwrap();
+    }
+
+    #[test]
+    fn ids_on_a_4x4_mesh_are_0_to_16_once_each() {
+        let chip = ChipSpec {
+            mesh_dim: 4,
+            cpes_per_cg: 16,
+            ..ChipSpec::sw26010()
+        };
+        let mut m: Mesh<usize> = Mesh::new(chip, |_, _| usize::MAX);
+        m.superstep(|ctx, s| {
+            *s = ctx.id();
+            Ok(())
+        })
+        .unwrap();
+        let mut ids: Vec<usize> = m.states().copied().collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..16).collect::<Vec<_>>());
     }
 
     #[test]

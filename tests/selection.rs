@@ -155,6 +155,31 @@ fn autotune_best_is_never_slower_than_the_selectors_pick() {
 }
 
 #[test]
+fn degraded_mesh_picks_time_without_overflowing_ldm() {
+    // On the 4×4 chip each CPE holds four times the share of every tile. A
+    // pick that `supports` a shape must then also walk it: the picked plan
+    // times every grid shape, and B 64/128 × 64–384 channels, without an
+    // LDM overflow.
+    let ctx = LowerCtx::on_chip(ResilientExecutor::degraded_chip(ChipSpec::sw26010()));
+    let channels = [64usize, 128, 256, 384];
+    let large = [64usize, 128].into_iter().flat_map(|batch| {
+        channels.into_iter().flat_map(move |ni| {
+            channels
+                .into_iter()
+                .map(move |no| ConvShape::new(batch, ni, no, 8, 16, 3, 3))
+        })
+    });
+    for shape in small_batch_grid().chain(large) {
+        let plan = Conv2d::new(shape).unwrap().on(ctx).plan();
+        if plan.name() != "reference" {
+            if let Err(e) = plan.time_full_shape(&shape) {
+                panic!("{shape}: the 4×4 pick {} cannot time: {e}", plan.name());
+            }
+        }
+    }
+}
+
+#[test]
 fn degraded_mesh_picks_for_the_serving_mix_are_pinned() {
     // Occupancy is computed against `chip.mesh_dim`, and the serving shapes
     // (B 16 and 8) have no image-size-aware candidate (`b_B ≥ 32`): the 4×4
