@@ -9,9 +9,9 @@ use sw_perfmodel::select::{ldm_doubles_image_aware, Blocking};
 use sw_perfmodel::{rbw, ChipSpec};
 use sw_sim::CpeStats;
 use sw_tensor::ConvShape;
-use swdnn::plans::{BwdFilterPlan, ConvPlan, ImageAwarePlan};
+use swdnn::plans::{BwdDataPlan, BwdFilterPlan, ConvPlan, ImageAwarePlan};
 use swdnn::tune::autotune;
-use swdnn::{Conv2d, Executor};
+use swdnn::Executor;
 
 /// §V-B/§V-C — register blocking ablation (Eqs. 3, 4, 5).
 ///
@@ -180,11 +180,12 @@ pub fn ablation_ldm() -> Vec<Table> {
 /// Extension: the full training step on the simulated chip.
 ///
 /// The paper focuses on the forward kernel but motivates swDNN with
-/// *training*. All three convolution passes of a step — forward,
-/// backward-data (a forward convolution with flipped/transposed filters),
-/// backward-filter (the dedicated pixel-reduction rotation plan) — at paper
-/// scale. All three run through the same register-communication GEMM
-/// machinery, so a step sustains the forward kernel's efficiency class.
+/// *training*. All three convolution passes of a step — forward (the
+/// executor's plan), backward-data (the dedicated `Wᵀ·dY` rotation plus
+/// col2im, `BwdDataPlan`), backward-filter (the dedicated pixel-reduction
+/// rotation, `BwdFilterPlan`) — at paper scale, each timed on the shape
+/// whose flops it does. All three run through the same
+/// register-communication GEMM machinery.
 pub fn training_pass() -> Vec<Table> {
     let chip = ChipSpec::sw26010();
     let exec = Executor::new();
@@ -199,20 +200,25 @@ pub fn training_pass() -> Vec<Table> {
     let mut total_ms = [0.0f64; 3];
     for (ni, no) in [(64usize, 64usize), (128, 128), (256, 128)] {
         let shape = paper_shape(ni, no);
-        let bwd_shape = Conv2d::new(shape).unwrap().backward_data_shape();
         let fwd = exec.run_config(&shape).expect("forward");
-        let bwd = exec.run_config(&bwd_shape).expect("backward data");
-        let bwf = BwdFilterPlan::auto(&shape)
-            .time_full_shape(&shape)
-            .expect("backward filter")
-            .gflops(&shape, &chip);
+        let gflops = |timed: Result<swdnn::plans::PlanTiming, _>, pass| {
+            timed.expect(pass).gflops(&shape, &chip)
+        };
+        let bwd = gflops(
+            BwdDataPlan::auto(&shape).time_full_shape(&shape),
+            "backward data",
+        );
+        let bwf = gflops(
+            BwdFilterPlan::auto(&shape).time_full_shape(&shape),
+            "backward filter",
+        );
         let passes = [
-            ("forward", fwd.plan_name, fwd.gflops_cg, &shape),
-            ("bwd-data", bwd.plan_name, bwd.gflops_cg, &bwd_shape),
-            ("bwd-filter", "bwd_filter".to_string(), bwf, &shape),
+            ("forward", fwd.plan_name, fwd.gflops_cg),
+            ("bwd-data", "bwd_data".to_string(), bwd),
+            ("bwd-filter", "bwd_filter".to_string(), bwf),
         ];
-        for (i, (pass, plan, gflops, pass_shape)) in passes.into_iter().enumerate() {
-            let ms = chip_ms(pass_shape, gflops);
+        for (i, (pass, plan, gflops)) in passes.into_iter().enumerate() {
+            let ms = chip_ms(&shape, gflops);
             total_ms[i] += ms;
             t.row(vec![
                 ni.to_string(),
@@ -234,18 +240,18 @@ pub fn training_pass() -> Vec<Table> {
 }
 
 /// The B = 32 shapes of the small-batch regime: the two convolutions of the
-/// `train_sim` network (8→16 @ 16×16, 16→32 @ 6×6), each forward and as its
-/// lowered backward-data pass, and two 8×8 neighbours.
+/// `train_sim` network (8→16 @ 16×16, 16→32 @ 6×6), each forward and as the
+/// zero-padded forward convolution its backward-data pass once ran, and two
+/// 8×8 neighbours.
 pub fn small_batch_shapes() -> Vec<ConvShape> {
-    let conv = |ni, no, out| Conv2d::new(ConvShape::new(32, ni, no, out, out, 3, 3)).unwrap();
-    let (conv1, conv2) = (conv(8, 16, 16), conv(16, 32, 6));
+    let conv = |ni, no, out| ConvShape::new(32, ni, no, out, out, 3, 3);
     vec![
-        conv1.shape,
-        conv1.backward_data_shape(),
-        conv2.shape,
-        conv2.backward_data_shape(),
-        conv(8, 8, 8).shape,
-        conv(8, 16, 8).shape,
+        conv(8, 16, 16),
+        conv(16, 8, 18),
+        conv(16, 32, 6),
+        conv(32, 16, 8),
+        conv(8, 8, 8),
+        conv(8, 16, 8),
     ]
 }
 

@@ -1,14 +1,16 @@
 //! The user-facing convolution API with model-driven plan selection (§VII:
 //! "we adopt different loop scheduling and blocking strategies according to
 //! the performance model for different parameter configurations").
+//! The two backward passes run on their dedicated mesh plans,
+//! [`BwdDataPlan`] and [`BwdFilterPlan`], or on the host reference loops.
 
 use crate::error::SwdnnError;
 use crate::plans::{
-    lower_schedule, BatchAwarePlan, BwdFilterPlan, ConvPlan, ConvRun, LowerCtx, PatchGemmPlan,
-    PlanTiming, Schedule,
+    lower_schedule, BatchAwarePlan, BwdDataPlan, BwdFilterPlan, ConvPlan, ConvRun, LowerCtx,
+    PatchGemmPlan, PlanTiming, Schedule,
 };
 use sw_perfmodel::{co_blocks, select_plan, Blocking, PlanChoice, PlanKind};
-use sw_tensor::{conv2d_bwd_data_ref, conv2d_bwd_filter_ref, ConvShape, Tensor4};
+use sw_tensor::{conv2d_bwd_data_ref, conv2d_bwd_filter_ref, ConvShape, Shape4, Tensor4};
 
 /// A configured convolution operator.
 #[derive(Clone, Copy, Debug)]
@@ -137,8 +139,9 @@ impl Conv2d {
         input: &Tensor4<f64>,
         filter: &Tensor4<f64>,
     ) -> Result<ConvRun, SwdnnError> {
-        self.check_operands(input, filter)?;
-        self.plan().run(&self.shape, input, filter)
+        let s = &self.shape;
+        Self::check_operands([(input, s.input_shape()), (filter, s.filter_shape())])?;
+        self.plan().run(s, input, filter)
     }
 
     /// Gradient w.r.t. the input, computed host-side with the reference
@@ -149,87 +152,24 @@ impl Conv2d {
         d_out: &Tensor4<f64>,
         filter: &Tensor4<f64>,
     ) -> Result<Tensor4<f64>, SwdnnError> {
-        if d_out.shape() != self.shape.output_shape() {
-            return Err(SwdnnError::ShapeMismatch {
-                expected: format!("{:?}", self.shape.output_shape()),
-                got: format!("{:?}", d_out.shape()),
-            });
-        }
+        let s = &self.shape;
+        Self::check_operands([(d_out, s.output_shape()), (filter, s.filter_shape())])?;
         Ok(conv2d_bwd_data_ref(self.shape, d_out, filter))
     }
 
-    /// The [`ConvShape`] of the backward-data pass expressed as a forward
-    /// convolution: `d_in = conv_valid(pad(d_out, K−1), rot180(Wᵀ))`, i.e.
-    /// channels swap roles (`Ni ↔ No`) and the output extent is the input
-    /// extent.
-    pub fn backward_data_shape(&self) -> ConvShape {
-        let s = self.shape;
-        ConvShape::new(s.batch, s.no, s.ni, s.ri(), s.ci(), s.kr, s.kc)
-    }
-
     /// Gradient w.r.t. the input, executed **on the simulated SW26010** by
-    /// lowering to an equivalent forward convolution (zero-padded output
-    /// gradient × flipped-transposed filters) and running it through the
-    /// regular plan machinery — the same trick real training frameworks
-    /// use so one tuned kernel serves both directions. `Unsupported` when no
-    /// mesh plan tiles the lowered shape; use [`Conv2d::backward_data`] for
-    /// the always-correct host path.
+    /// the dedicated [`BwdDataPlan`] (one `Wᵀ·dY` rotation per pixel tile,
+    /// then col2im in LDM) in this operator's context. `Unsupported` for
+    /// shapes the mesh cannot tile; use [`Conv2d::backward_data`] for the
+    /// always-correct host path.
     pub fn backward_data_on_chip(
         &self,
         d_out: &Tensor4<f64>,
         filter: &Tensor4<f64>,
     ) -> Result<ConvRun, SwdnnError> {
-        if d_out.shape() != self.shape.output_shape() {
-            return Err(SwdnnError::ShapeMismatch {
-                expected: format!("{:?}", self.shape.output_shape()),
-                got: format!("{:?}", d_out.shape()),
-            });
-        }
-        let s = self.shape;
-        let bwd_shape = self.backward_data_shape();
-        let bwd_conv = Conv2d {
-            shape: bwd_shape,
-            ..*self
-        };
-        let plan = bwd_conv.plan();
-        if plan.name() == "reference" {
-            return Err(SwdnnError::Unsupported {
-                plan: plan.name(),
-                shape: bwd_shape,
-                reason: "no mesh plan tiles the lowered backward-data shape".into(),
-            });
-        }
-
-        // Zero-pad the output gradient by (Kr-1, Kc-1) on every side.
-        let mut padded = Tensor4::zeros(bwd_shape.input_shape(), sw_tensor::Layout::Nchw);
-        for b in 0..s.batch {
-            for no in 0..s.no {
-                for r in 0..s.ro {
-                    for c in 0..s.co {
-                        padded.set(b, no, r + s.kr - 1, c + s.kc - 1, d_out.get(b, no, r, c));
-                    }
-                }
-            }
-        }
-        // Flip and transpose the filters: W'[ni][no][kr][kc] =
-        // W[no][ni][Kr-1-kr][Kc-1-kc].
-        let mut flipped = Tensor4::zeros(bwd_shape.filter_shape(), sw_tensor::Layout::Nchw);
-        for no in 0..s.no {
-            for ni in 0..s.ni {
-                for kr in 0..s.kr {
-                    for kc in 0..s.kc {
-                        flipped.set(
-                            ni,
-                            no,
-                            s.kr - 1 - kr,
-                            s.kc - 1 - kc,
-                            filter.get(no, ni, kr, kc),
-                        );
-                    }
-                }
-            }
-        }
-        plan.run(&bwd_shape, &padded, &flipped)
+        let s = &self.shape;
+        Self::check_operands([(d_out, s.output_shape()), (filter, s.filter_shape())])?;
+        BwdDataPlan::auto_on(self.ctx, s).run(s, d_out, filter)
     }
 
     /// Gradient w.r.t. the filters, executed **on the simulated SW26010**
@@ -242,13 +182,9 @@ impl Conv2d {
         input: &Tensor4<f64>,
         d_out: &Tensor4<f64>,
     ) -> Result<(Tensor4<f64>, PlanTiming), SwdnnError> {
-        if d_out.shape() != self.shape.output_shape() {
-            return Err(SwdnnError::ShapeMismatch {
-                expected: format!("{:?}", self.shape.output_shape()),
-                got: format!("{:?}", d_out.shape()),
-            });
-        }
-        BwdFilterPlan::auto_on(self.ctx, &self.shape).run(&self.shape, input, d_out)
+        let s = &self.shape;
+        Self::check_operands([(input, s.input_shape()), (d_out, s.output_shape())])?;
+        BwdFilterPlan::auto_on(self.ctx, s).run(s, input, d_out)
     }
 
     /// Gradient w.r.t. the filters.
@@ -257,31 +193,21 @@ impl Conv2d {
         input: &Tensor4<f64>,
         d_out: &Tensor4<f64>,
     ) -> Result<Tensor4<f64>, SwdnnError> {
-        if d_out.shape() != self.shape.output_shape() {
-            return Err(SwdnnError::ShapeMismatch {
-                expected: format!("{:?}", self.shape.output_shape()),
-                got: format!("{:?}", d_out.shape()),
-            });
-        }
+        let s = &self.shape;
+        Self::check_operands([(input, s.input_shape()), (d_out, s.output_shape())])?;
         Ok(conv2d_bwd_filter_ref(self.shape, input, d_out))
     }
 
-    fn check_operands(
-        &self,
-        input: &Tensor4<f64>,
-        filter: &Tensor4<f64>,
-    ) -> Result<(), SwdnnError> {
-        if input.shape() != self.shape.input_shape() {
-            return Err(SwdnnError::ShapeMismatch {
-                expected: format!("{:?}", self.shape.input_shape()),
-                got: format!("{:?}", input.shape()),
-            });
-        }
-        if filter.shape() != self.shape.filter_shape() {
-            return Err(SwdnnError::ShapeMismatch {
-                expected: format!("{:?}", self.shape.filter_shape()),
-                got: format!("{:?}", filter.shape()),
-            });
+    /// The one operand check of every entry point: each operand has the
+    /// shape this operator expects of it.
+    fn check_operands(operands: [(&Tensor4<f64>, Shape4); 2]) -> Result<(), SwdnnError> {
+        for (tensor, expected) in operands {
+            if tensor.shape() != expected {
+                return Err(SwdnnError::ShapeMismatch {
+                    expected: format!("{expected:?}"),
+                    got: format!("{:?}", tensor.shape()),
+                });
+            }
         }
         Ok(())
     }
@@ -341,14 +267,38 @@ mod tests {
 
     #[test]
     fn operand_shapes_are_checked() {
-        let shape = ConvShape::new(16, 8, 8, 4, 8, 3, 3);
+        // One wrong operand per call on a mesh-eligible shape: every entry
+        // point returns `ShapeMismatch` before any loop or DMA reads it.
+        let shape = ConvShape::new(32, 8, 8, 4, 8, 3, 3);
         let conv = Conv2d::new(shape).unwrap();
-        let wrong = seeded_tensor(sw_tensor::Shape4::new(1, 1, 1, 1), Layout::Nchw, 1);
-        let filter = seeded_tensor(shape.filter_shape(), Layout::Nchw, 2);
-        assert!(matches!(
-            conv.forward(&wrong, &filter),
-            Err(SwdnnError::ShapeMismatch { .. })
-        ));
+        let t = |s| seeded_tensor(s, Layout::Nchw, 1);
+        let [x, w, dy] = [
+            shape.input_shape(),
+            shape.filter_shape(),
+            shape.output_shape(),
+        ]
+        .map(t);
+        // A 2×2 filter on a 3×3 shape, an input and a gradient one row short.
+        let [w_bad, x_bad, dy_bad] = [(8, 8, 2, 2), (32, 8, 5, 10), (32, 8, 3, 8)]
+            .map(|(b, c, r, k)| t(Shape4::new(b, c, r, k)));
+        // Forward, backward-data on host and chip, backward-filter on host
+        // and chip: each with its first, then its second operand wrong.
+        let calls = [
+            conv.forward(&x_bad, &w).map(drop),
+            conv.forward(&x, &w_bad).map(drop),
+            conv.backward_data(&dy_bad, &w).map(drop),
+            conv.backward_data(&dy, &w_bad).map(drop),
+            conv.backward_data_on_chip(&dy_bad, &w).map(drop),
+            conv.backward_data_on_chip(&dy, &w_bad).map(drop),
+            conv.backward_filter(&x_bad, &dy).map(drop),
+            conv.backward_filter(&x, &dy_bad).map(drop),
+            conv.backward_filter_on_chip(&x_bad, &dy).map(drop),
+            conv.backward_filter_on_chip(&x, &dy_bad).map(drop),
+        ];
+        for (i, result) in calls.into_iter().enumerate() {
+            let mismatch = matches!(result, Err(SwdnnError::ShapeMismatch { .. }));
+            assert!(mismatch, "call {i}: {result:?}");
+        }
     }
 
     #[test]
@@ -504,15 +454,5 @@ mod backward_on_chip_tests {
         // must have taken every handoff the plan posts — none went elsewhere.
         assert!(via_conv.pool_handoffs() > 0);
         assert_eq!(via_conv.pool_handoffs(), direct.pool_handoffs());
-    }
-
-    #[test]
-    fn backward_shape_swaps_channels() {
-        let shape = ConvShape::new(128, 64, 128, 64, 64, 3, 3);
-        let conv = Conv2d::new(shape).unwrap();
-        let b = conv.backward_data_shape();
-        assert_eq!((b.ni, b.no), (128, 64));
-        assert_eq!((b.ro, b.co), (66, 66));
-        assert_eq!(b.input_shape().d2, 68);
     }
 }

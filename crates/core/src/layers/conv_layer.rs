@@ -5,14 +5,24 @@ use crate::conv::Conv2d;
 use crate::error::SwdnnError;
 use sw_tensor::{init::xavier_filter, ConvShape, Layout, Tensor4};
 
-/// Where the forward convolution executes.
+/// Where the convolution's three passes execute.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Engine {
     /// Host loops (fast for unit tests and training demos).
     #[default]
     Host,
-    /// The simulated SW26010 core group via the selected swDNN plan.
+    /// The simulated SW26010 core group: the selected forward plan, then
+    /// [`crate::plans::BwdDataPlan`] and [`crate::plans::BwdFilterPlan`],
+    /// each falling back to the host loops on a shape the mesh cannot tile.
     Simulated,
+}
+
+/// Simulated cycles each pass of a layer has charged (all 0 for host runs).
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct PassCycles {
+    pub forward: u64,
+    pub bwd_data: u64,
+    pub bwd_filter: u64,
 }
 
 /// `Conv2d` with trainable filters and per-output-channel bias.
@@ -24,8 +34,10 @@ pub struct Conv2dLayer {
     d_weights: Tensor4<f64>,
     d_bias: Vec<f64>,
     cached_input: Option<Tensor4<f64>>,
-    /// Cycles charged by the simulated engine so far (0 for host runs).
+    /// Cycles charged by the simulated engine so far (0 for host runs):
+    /// the sum of `pass_cycles`.
     pub simulated_cycles: u64,
+    pub pass_cycles: PassCycles,
 }
 
 impl Conv2dLayer {
@@ -40,7 +52,14 @@ impl Conv2dLayer {
             d_bias: vec![0.0; shape.no],
             cached_input: None,
             simulated_cycles: 0,
+            pass_cycles: PassCycles::default(),
         })
+    }
+
+    /// Add `cycles` to one pass's counter and to the total.
+    fn charge(&mut self, pass: fn(&mut PassCycles) -> &mut u64, cycles: u64) {
+        *pass(&mut self.pass_cycles) += cycles;
+        self.simulated_cycles += cycles;
     }
 }
 
@@ -55,7 +74,7 @@ impl Layer for Conv2dLayer {
             Engine::Host => sw_tensor::conv2d_ref(shape, input, &self.weights),
             Engine::Simulated => {
                 let run = self.conv.forward(input, &self.weights)?;
-                self.simulated_cycles += run.timing.cycles;
+                self.charge(|p| &mut p.forward, run.timing.cycles);
                 run.output.to_layout(Layout::Nchw)
             }
         };
@@ -87,7 +106,7 @@ impl Layer for Conv2dLayer {
         let dw = match self.engine {
             Engine::Simulated => match self.conv.backward_filter_on_chip(input, d_out) {
                 Ok((dw, timing)) => {
-                    self.simulated_cycles += timing.cycles;
+                    self.charge(|p| &mut p.bwd_filter, timing.cycles);
                     dw
                 }
                 Err(SwdnnError::Unsupported { .. }) => self.conv.backward_filter(input, d_out)?,
@@ -107,11 +126,11 @@ impl Layer for Conv2dLayer {
                 }
             }
         }
-        // Data gradient: likewise via the lowered forward convolution.
+        // Data gradient: likewise (the dedicated BwdDataPlan).
         if self.engine == Engine::Simulated {
             match self.conv.backward_data_on_chip(d_out, &self.weights) {
                 Ok(run) => {
-                    self.simulated_cycles += run.timing.cycles;
+                    self.charge(|p| &mut p.bwd_data, run.timing.cycles);
                     return Ok(run.output.to_layout(Layout::Nchw));
                 }
                 Err(SwdnnError::Unsupported { .. }) => {}

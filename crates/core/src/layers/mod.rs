@@ -7,7 +7,7 @@
 //! what their backward pass needs, and accumulate parameter gradients for
 //! an SGD step.
 //!
-//! The convolution layer can route its forward pass through the simulated
+//! The convolution layer can route its three passes through the simulated
 //! SW26010 ([`Engine::Simulated`]) or run host-side ([`Engine::Host`]) —
 //! numerically both paths agree (the plan tests prove it), so training
 //! tests use the host path for speed and the examples demonstrate the
@@ -25,13 +25,15 @@ pub mod softmax;
 pub use activation::{ReLU, Sigmoid, Tanh};
 pub use batchnorm::BatchNorm2d;
 pub use conv_general_layer::ConvGeneralLayer;
-pub use conv_layer::{Conv2dLayer, Engine};
+pub use conv_layer::{Conv2dLayer, Engine, PassCycles};
 pub use dropout::Dropout;
 pub use linear::Linear;
 pub use pool::{AvgPool2, MaxPool2};
 pub use softmax::SoftmaxCrossEntropy;
 
 use crate::error::SwdnnError;
+use std::cell::RefCell;
+use std::rc::Rc;
 use sw_tensor::Tensor4;
 
 /// A differentiable layer.
@@ -62,5 +64,28 @@ pub trait Layer {
     /// Number of trainable parameters.
     fn param_count(&self) -> usize {
         0
+    }
+}
+
+/// A layer shared with its caller, who can still read it (a conv layer's
+/// [`PassCycles`], say) once a [`crate::network::Sequential`] owns a clone.
+impl<L: Layer> Layer for Rc<RefCell<L>> {
+    fn forward(&mut self, input: &Tensor4<f64>) -> Result<Tensor4<f64>, SwdnnError> {
+        self.borrow_mut().forward(input)
+    }
+    fn backward(&mut self, d_out: &Tensor4<f64>) -> Result<Tensor4<f64>, SwdnnError> {
+        self.borrow_mut().backward(d_out)
+    }
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
+        self.borrow_mut().visit_params(f)
+    }
+    fn sgd_step(&mut self, lr: f64) {
+        self.borrow_mut().sgd_step(lr)
+    }
+    fn name(&self) -> &'static str {
+        self.borrow().name()
+    }
+    fn param_count(&self) -> usize {
+        self.borrow().param_count()
     }
 }

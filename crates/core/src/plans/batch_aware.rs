@@ -147,6 +147,7 @@ impl MeshWalk for BatchAwarePlan {
             (shape.kc * ni8 * no8, 1),
             (ni8 * b8, 2),
             (no8 * self.b_co * b8, 1),
+            (0, 0),
         ]
     }
 

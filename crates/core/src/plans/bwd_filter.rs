@@ -168,6 +168,7 @@ impl MeshWalk for BwdFilterPlan {
             (no8 * quads * 4 * self.b_co, 2),
             (shape.kr * quads * ni8 * win4, 2),
             (no8 * shape.kr * shape.kc * ni8, 1),
+            (0, 0),
         ]
     }
 

@@ -560,16 +560,23 @@ pub fn zero_c<S: Send>(
     let store = !mesh.is_cost_only();
     mesh.superstep(|ctx, s| {
         let cb = c_buf(s);
-        if store {
-            ctx.ldm_data_mut()[cb.range()].fill(0.0);
-        }
-        let vectors = cb.len.div_ceil(4) as u64;
-        ctx.charge_compute(vectors);
-        ctx.add_ldm_reg_bytes(32 * vectors);
-        ctx.add_issue_slots(0, vectors);
+        zero_ldm(ctx, cb, 0, cb.len, store);
         Ok(())
     })?;
     Ok(())
+}
+
+/// Zero `len` doubles of `buf` from `at` — on a cost-only mesh (`store`
+/// false) charge only — as vector stores, one P1 issue slot and cycle each.
+pub(crate) fn zero_ldm(ctx: &mut CpeCtx<'_>, buf: LdmBuf, at: usize, len: usize, store: bool) {
+    if store {
+        let start = buf.offset + at;
+        ctx.ldm_data_mut()[start..start + len].fill(0.0);
+    }
+    let vectors = len.div_ceil(4) as u64;
+    ctx.charge_compute(vectors);
+    ctx.add_ldm_reg_bytes(32 * vectors);
+    ctx.add_issue_slots(0, vectors);
 }
 
 #[cfg(test)]

@@ -191,6 +191,7 @@ impl MeshWalk for ImageAwarePlan {
             (d.ni8 * d.no8, 2),
             (d.quads * d.ni8 * d.win4, 2),
             (d.no8 * d.n8, 1),
+            (0, 0),
         ]
     }
 

@@ -32,6 +32,7 @@
 //! through it.
 
 pub mod batch_aware;
+pub mod bwd_data;
 pub mod bwd_filter;
 pub mod direct;
 pub mod gemm_mesh;
@@ -41,6 +42,7 @@ pub mod reference;
 pub mod schedule;
 
 pub use batch_aware::BatchAwarePlan;
+pub use bwd_data::BwdDataPlan;
 pub use bwd_filter::BwdFilterPlan;
 pub use direct::DirectPlan;
 pub use image_aware::ImageAwarePlan;
@@ -143,20 +145,24 @@ pub(crate) fn finish(mut mesh: Mesh<impl Send>, out: &mut [f64]) -> Result<PlanT
 }
 
 /// One CPE's state in a mesh plan's walk: its GEMM's LDM buffers — operands
-/// A and B (`[1]` unused when single-buffered) and the accumulator C — and
-/// the DMA in flight into A and B.
+/// A and B (`[1]` unused when single-buffered) and the accumulator C — the
+/// backward-data pass's `dX` window, and the DMA in flight into A and B and
+/// out of the window.
 #[derive(Default)]
 pub(crate) struct Slot {
     a: [LdmBuf; 2],
     b: [LdmBuf; 2],
     c: LdmBuf,
+    win: LdmBuf,
     a_h: [Option<DmaHandle>; 2],
     b_h: [Option<DmaHandle>; 2],
+    win_h: Option<DmaHandle>,
 }
 
 /// The LDM a walk holds per CPE: `(len in doubles, copies)` of [`Slot`]'s
-/// `a`, `b` and `c`, `copies` 2 where an operand is double-buffered.
-pub(crate) type LdmBuffers = [(usize, usize); 3];
+/// `a`, `b`, `c` and `win`, `copies` 2 where an operand is double-buffered
+/// and 0 where the walk does not hold it.
+pub(crate) type LdmBuffers = [(usize, usize); 4];
 
 /// A mesh plan's walk and the one timing protocol over it: a plan states
 /// what differs (its loop nest, LDM buffers, operands and timing samples),
@@ -209,7 +215,8 @@ pub(crate) trait MeshWalk {
     ) -> Result<PlanTiming, SwdnnError> {
         let buffers = self.ldm_buffers(extent);
         mesh.superstep(|ctx, s| {
-            let slots: [&mut [LdmBuf]; 3] = [&mut s.a, &mut s.b, std::slice::from_mut(&mut s.c)];
+            let [c, win] = [&mut s.c, &mut s.win].map(std::slice::from_mut);
+            let slots: [&mut [LdmBuf]; 4] = [&mut s.a, &mut s.b, c, win];
             for (slot, (len, copies)) in slots.into_iter().zip(buffers) {
                 for buf in &mut slot[..copies] {
                     *buf = ctx.ldm_alloc(len)?;
@@ -416,6 +423,15 @@ mod tests {
         (ran, plan.time_cost_only(&shape).unwrap(), bits(&dw))
     }
 
+    /// The backward-data pass, whose flop count is exact.
+    fn bwd_data(plan: BwdDataPlan, shape: ConvShape) -> Walked {
+        let d_out = seeded_tensor(shape.output_shape(), Layout::Nchw, 1);
+        let filter = seeded_tensor(shape.filter_shape(), Layout::Nchw, 2);
+        let ConvRun { output, timing } = plan.run(&shape, &d_out, &filter).unwrap();
+        assert_eq!(timing.stats.totals.flops, shape.flops(), "{shape}");
+        (timing, plan.time_cost_only(&shape).unwrap(), bits(&output))
+    }
+
     fn general(plan: PatchGemmPlan, geom: ConvGeometry, ishape: Shape4, no: usize) -> Walked {
         let input = seeded_tensor(ishape, Layout::Nchw, 1);
         let filter = seeded_tensor(
@@ -457,7 +473,7 @@ mod tests {
         let paper = ConvShape::new(128, 128, 128, 64, 64, 3, 3);
         /// (case, also on the degraded 4×4 chip, walk)
         type Case<'a> = (&'static str, bool, &'a dyn Fn(LowerCtx) -> Walked);
-        let cases: [Case; 8] = [
+        let cases: [Case; 10] = [
             (
                 "image-aware, Table III row 2 one-row sample",
                 false,
@@ -490,6 +506,14 @@ mod tests {
                     BwdFilterPlan::new(32, 4).on(ctx),
                     ConvShape::new(32, 16, 8, 3, 8, 2, 3),
                 )
+            }),
+            ("bwd-data, 128x128 layer one-row sample", false, &|ctx| {
+                let plan = BwdDataPlan::auto_on(ctx, &paper);
+                bwd_data(plan, ConvShape::new(plan.b_b, 128, 128, 1, plan.b_co, 3, 3))
+            }),
+            ("bwd-data, ragged, asymmetric filter", true, &|ctx| {
+                let plan = BwdDataPlan::new(16, 3, 8).on(ctx);
+                bwd_data(plan, ConvShape::new(16, 16, 8, 3, 6, 2, 3))
             }),
             (
                 "patch-GEMM, two blocks at Table III channels",
@@ -659,6 +683,19 @@ mod tests {
                             assert_fits_iff_the_walk_allocates(w, &p, ldm, &shape);
                         }
                     }
+                    "bwd-data" => {
+                        let b_bs = [4 * dim, 2 * dim, dim].into_iter();
+                        let b_nis = || halvings(shape.ni, dim);
+                        for ((b_b, b_co), b_ni) in b_bs
+                            .flat_map(|b_b| co_blocks(16).map(move |b_co| (b_b, b_co)))
+                            .flat_map(|tile| b_nis().map(move |b_ni| (tile, b_ni)))
+                        {
+                            let p = BwdDataPlan::new(b_b, b_co, b_ni).on(ctx);
+                            let w = what(format!("b_B {b_b} b_Co {b_co} b_Ni {b_ni}"));
+                            let ldm = (p.supports(&shape), p.ldm_doubles(&shape));
+                            assert_fits_iff_the_walk_allocates(w, &p, ldm, &shape);
+                        }
+                    }
                     _ => {
                         let extent = (ConvGeometry::valid(3, 3), shape.input_shape(), shape.no);
                         let row = shape.batch * shape.co;
@@ -685,8 +722,9 @@ mod tests {
         let timed = |plan: &dyn ConvPlan, s| (run_seeded(plan, s).timing, plan.time_full_shape(&s));
         let image = ImageAwarePlan::new(sw_perfmodel::Blocking { b_b: 32, b_co: 4 });
         let (bwd_plan, bwd_shape) = (BwdFilterPlan::new(32, 4), shape(32));
+        let data_plan = BwdDataPlan::new(32, 4, 8);
         type Timed = (PlanTiming, Result<PlanTiming, SwdnnError>);
-        let cases: [(&str, &dyn Fn() -> Timed); 4] = [
+        let cases: [(&str, &dyn Fn() -> Timed); 5] = [
             ("image-aware", &|| timed(&image, shape(32))),
             ("batch-aware", &|| timed(&BatchAwarePlan::new(4), shape(16))),
             ("bwd-filter", &|| {
@@ -694,6 +732,10 @@ mod tests {
                     bwd(bwd_plan, bwd_shape).0,
                     bwd_plan.time_full_shape(&bwd_shape),
                 )
+            }),
+            ("bwd-data", &|| {
+                let ran = bwd_data(data_plan, shape(32)).0;
+                (ran, data_plan.time_full_shape(&shape(32)))
             }),
             ("patch-GEMM", &|| timed(&PatchGemmPlan::new(64), shape(8))),
         ];

@@ -191,7 +191,7 @@ impl MeshWalk for PatchGemmPlan {
     fn ldm_buffers(&self, &(_, ishape, no): &Self::Extent) -> LdmBuffers {
         let dim = self.ctx.chip.mesh_dim;
         let (ni8, no8, p8) = (ishape.d1 / dim, no / dim, self.b_p / dim);
-        [(ni8 * no8, 1), (ni8 * p8, 1), (no8 * p8, 1)]
+        [(ni8 * no8, 1), (ni8 * p8, 1), (no8 * p8, 1), (0, 0)]
     }
 
     /// One and two output rows of every image, counted in pixel blocks; the

@@ -116,8 +116,8 @@ pub fn ldm_doubles_batch_aware(shape: &ConvShape, chip: &ChipSpec) -> usize {
 /// The divisors of `co` up to `cap`, largest first: the one `b_Co` ladder
 /// behind the selector's candidates, the plans' `auto` constructors and the
 /// autotuner's enumeration (each with its own cap). Every divisor, not
-/// only powers of two — backward-data shapes have odd extents (`Co = 66`
-/// at paper scale, 18 and 6 in small networks).
+/// only powers of two — real extents are odd (`Co = 66` for a 64×64
+/// output padded by `K − 1`, 18 and 6 in small networks).
 pub fn co_blocks(co: usize, cap: usize) -> impl DoubleEndedIterator<Item = usize> {
     (1..=co.min(cap))
         .rev()
@@ -128,8 +128,8 @@ pub fn co_blocks(co: usize, cap: usize) -> impl DoubleEndedIterator<Item = usize
 ///
 /// `b_B` starts at 32: the mesh distribution assigns whole batch-quads to
 /// each of the 8 pixel chunks, so the plan needs `b_B` to be a multiple of
-/// `4 · 8`. `b_Co` runs up to 33 (half of the `Co = 66` of a paper-scale
-/// backward-data shape), smallest first so that among equal scores the
+/// `4 · 8`. `b_Co` runs up to 33 (half of `Co = 66`, a paper-scale output
+/// padded by `K − 1`), smallest first so that among equal scores the
 /// smaller LDM footprint wins.
 fn blocking_candidates(shape: &ConvShape) -> Vec<Blocking> {
     let mut out = Vec::new();

@@ -13,6 +13,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::RefCell;
+use std::rc::Rc;
 use swdnn::layers::{Conv2dLayer, Engine, Linear, MaxPool2, ReLU};
 use swdnn::network::Sequential;
 use swdnn::{ConvShape, Layout, Tensor4};
@@ -41,7 +43,9 @@ fn make_batch(seed: u64) -> (Tensor4<f64>, Vec<usize>) {
     (x, y)
 }
 
-fn build(engine: Engine) -> Sequential {
+/// The network, and a handle on conv2 — the mesh-eligible layer
+/// (32 × 8→8 @ 8×8; conv1's single input channel does not tile the mesh).
+fn build(engine: Engine) -> (Sequential, Rc<RefCell<Conv2dLayer>>) {
     // 1x12x12 -> conv(8ch, 3x3) -> 8x10x10 -> relu -> pool -> 8x5x5... 5 is
     // odd for pooling; use 4x4 output via a second conv instead:
     // conv1: 1 -> 8, out 10x10; relu; pool -> 8x5x5 is odd, so conv to 8x8:
@@ -49,20 +53,22 @@ fn build(engine: Engine) -> Sequential {
         Conv2dLayer::new(ConvShape::new(BATCH, 1, 8, 10, 10, 3, 3), engine, 1).expect("conv1");
     let conv2 =
         Conv2dLayer::new(ConvShape::new(BATCH, 8, 8, 8, 8, 3, 3), engine, 2).expect("conv2");
-    Sequential::new(vec![
+    let conv2 = Rc::new(RefCell::new(conv2));
+    let net = Sequential::new(vec![
         Box::new(conv1),
         Box::new(ReLU::new()),
-        Box::new(conv2),
+        Box::new(conv2.clone()),
         Box::new(ReLU::new()),
         Box::new(MaxPool2::new()),
         Box::new(Linear::new(8 * 4 * 4, CLASSES, 3)),
-    ])
+    ]);
+    (net, conv2)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Host engine for training speed; the simulated engine is exercised on
     // one batch at the end to show the acceleration path.
-    let mut net = build(Engine::Host);
+    let (mut net, _) = build(Engine::Host);
     println!("network: conv(1->8,3x3) relu conv(8->8,3x3) relu maxpool fc({CLASSES})");
     println!("trainable parameters: {}", net.param_count());
 
@@ -89,12 +95,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("final held-out accuracy: {:.0}%", acc * 100.0);
     assert!(acc > 0.9, "the synthetic task should be learned");
 
-    // One forward pass with the convolutions on the simulated SW26010.
+    // One training step with the convolutions on the simulated SW26010.
+    // Exits non-zero unless conv2 ran both backward passes on the chip.
     println!("\nrunning one batch with convolutions on the simulated chip...");
-    let mut sim_net = build(Engine::Simulated);
+    let (mut sim_net, conv2) = build(Engine::Simulated);
     let (x, y) = make_batch(7);
     let loss = sim_net.train_step(&x, &y, lr)?;
     println!("simulated-engine training step complete (loss {loss:.4}).");
+    let c = conv2.borrow().pass_cycles;
+    println!(
+        "conv2 on the chip: forward {} / bwd-data {} / bwd-filter {} cycles",
+        c.forward, c.bwd_data, c.bwd_filter
+    );
+    if c.bwd_data == 0 || c.bwd_filter == 0 {
+        eprintln!("conv2 ran a backward pass on the host instead of the chip");
+        std::process::exit(1);
+    }
     println!("ok.");
     Ok(())
 }

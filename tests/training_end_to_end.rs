@@ -4,7 +4,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use swdnn::layers::{AvgPool2, Conv2dLayer, Engine, Linear, MaxPool2, ReLU};
+use std::cell::RefCell;
+use std::rc::Rc;
+use swdnn::layers::{AvgPool2, Conv2dLayer, Engine, Linear, MaxPool2, PassCycles, ReLU};
 use swdnn::network::Sequential;
 use swdnn::{ConvShape, Layout, Tensor4};
 
@@ -128,4 +130,47 @@ fn deeper_stack_with_both_pools_trains() {
         last = net.train_step(&x, &y, 0.1).unwrap();
     }
     assert!(last < first, "loss should decrease: {first} -> {last}");
+}
+
+#[test]
+fn train_sim_network_pass_cycles_are_pinned() {
+    // The benchmark's train_sim network, B 32: conv 8→16 @ 16×16 → ReLU →
+    // pool → conv 16→32 @ 6×6 → ReLU → FC, convolutions on the simulated
+    // chip. Every pass of both layers runs on the mesh — a nonzero
+    // bwd-data count rules out a silent fallback to the host loops. With
+    // backward-data lowered to a zero-padded forward convolution the
+    // bwd-data counts were 867 824 and 359 480.
+    let convs = [
+        ConvShape::new(32, 8, 16, 16, 16, 3, 3),
+        ConvShape::new(32, 16, 32, 6, 6, 3, 3),
+    ]
+    .map(|s| {
+        Rc::new(RefCell::new(
+            Conv2dLayer::new(s, Engine::Simulated, 7).unwrap(),
+        ))
+    });
+    let mut net = Sequential::new(vec![
+        Box::new(convs[0].clone()),
+        Box::new(ReLU::new()),
+        Box::new(MaxPool2::new()),
+        Box::new(convs[1].clone()),
+        Box::new(ReLU::new()),
+        Box::new(Linear::new(32 * 6 * 6, 4, 8)),
+    ]);
+    let x = sw_tensor::init::seeded_tensor(sw_tensor::Shape4::new(32, 8, 18, 18), Layout::Nchw, 9);
+    let y: Vec<usize> = (0..32).map(|b| b % 4).collect();
+    net.train_step(&x, &y, 0.05).unwrap();
+    let cycles = convs.map(|c| c.borrow().pass_cycles);
+    let pass = |forward, bwd_data, bwd_filter| PassCycles {
+        forward,
+        bwd_data,
+        bwd_filter,
+    };
+    assert_eq!(
+        cycles,
+        [
+            pass(490_456, 152_614, 223_707),
+            pass(156_800, 74_458, 113_308)
+        ]
+    );
 }
