@@ -19,7 +19,8 @@
 use super::router::ShapeRouter;
 use crate::error::SwdnnError;
 use crate::serve::{Completion, Priority, RequestClass, ServeConfig, ServeEngine, ServeSummary};
-use sw_obs::{chip_tag, link_tag, ChromeTrace, TagCounters};
+use std::sync::Arc;
+use sw_obs::{chip_tag, link_tag, ChromeTrace, Counter, TagCounters};
 use sw_perfmodel::{InterconnectSpec, Topology};
 use sw_tensor::ConvShape;
 
@@ -66,9 +67,44 @@ impl Default for ClusterConfig {
     }
 }
 
-struct ChipNode {
-    engine: ServeEngine,
-    down: bool,
+/// One chip's registered fleet tags (`chip/N/…` and `link/ingress-N/…`),
+/// plus its switch group's shared uplink tags on a grouped topology.
+struct ChipTags {
+    routed: Arc<Counter>,
+    spill_in: Arc<Counter>,
+    rerouted_in: Arc<Counter>,
+    shed: Arc<Counter>,
+    failed: Arc<Counter>,
+    recovered: Arc<Counter>,
+    ingress_bytes: Arc<Counter>,
+    ingress_busy_us: Arc<Counter>,
+    /// `link/uplink-G-0/{bytes,busy_us}` of the chip's group `G`.
+    uplink: Option<(usize, Arc<Counter>, Arc<Counter>)>,
+}
+
+impl ChipTags {
+    fn register(tags: &TagCounters, chip: usize, group: Option<usize>) -> Self {
+        let chip_metric = |metric| tags.register(&chip_tag(chip, metric));
+        let ingress = format!("ingress-{chip}");
+        Self {
+            routed: chip_metric("routed"),
+            spill_in: chip_metric("spill_in"),
+            rerouted_in: chip_metric("rerouted_in"),
+            shed: chip_metric("shed"),
+            failed: chip_metric("failed"),
+            recovered: chip_metric("recovered"),
+            ingress_bytes: tags.register(&link_tag(&ingress, "bytes")),
+            ingress_busy_us: tags.register(&link_tag(&ingress, "busy_us")),
+            uplink: group.map(|g| {
+                let uplink = format!("uplink-{g}-0");
+                (
+                    g,
+                    tags.register(&link_tag(&uplink, "bytes")),
+                    tags.register(&link_tag(&uplink, "busy_us")),
+                )
+            }),
+        }
+    }
 }
 
 /// Fleet-level aggregates on top of the per-chip [`ServeSummary`]s.
@@ -94,7 +130,13 @@ pub struct ClusterSummary {
 pub struct Cluster {
     cfg: ClusterConfig,
     router: ShapeRouter,
-    chips: Vec<ChipNode>,
+    engines: Vec<ServeEngine>,
+    /// Per-chip down flags — the router's `down` argument, as stored.
+    down: Vec<bool>,
+    /// Per-chip queue depths, refreshed in place before every routing
+    /// decision — the router's `loads` argument.
+    loads: Vec<usize>,
+    chip_tags: Vec<ChipTags>,
     /// Front-door clock: the latest departure time seen, µs.
     clock_us: u64,
     /// Running digest of every routing decision, for determinism tests.
@@ -117,7 +159,7 @@ impl Cluster {
                 got: "chips=0".into(),
             });
         }
-        let mut chips = Vec::with_capacity(cfg.chips);
+        let mut engines = Vec::with_capacity(cfg.chips);
         for _ in 0..cfg.chips {
             let mut engine = ServeEngine::new(cfg.serve)?;
             if cfg.dedicated_runtimes {
@@ -125,26 +167,30 @@ impl Cluster {
                     Box::leak(Box::new(sw_runtime::ExecutionContext::new()));
                 engine = engine.on_runtime(rt);
             }
-            chips.push(ChipNode {
-                engine,
-                down: false,
-            });
+            engines.push(engine);
         }
+        let tags = TagCounters::new();
+        let chip_tags = (0..cfg.chips)
+            .map(|chip| ChipTags::register(&tags, chip, cfg.topology.group_of(chip)))
+            .collect();
         Ok(Self {
             router: ShapeRouter::new(cfg.chips, cfg.vnodes),
             cfg,
-            chips,
+            engines,
+            down: vec![false; cfg.chips],
+            loads: vec![0; cfg.chips],
+            chip_tags,
             clock_us: 0,
             fingerprint: 0,
             spilled: 0,
             rerouted: 0,
             ingress_busy_until: std::collections::BTreeMap::new(),
-            tags: TagCounters::new(),
+            tags,
         })
     }
 
     pub fn chips(&self) -> usize {
-        self.chips.len()
+        self.engines.len()
     }
 
     pub fn now_us(&self) -> u64 {
@@ -158,25 +204,31 @@ impl Cluster {
     }
 
     pub fn engine(&self, chip: usize) -> &ServeEngine {
-        &self.chips[chip].engine
+        &self.engines[chip]
     }
 
     pub fn is_down(&self, chip: usize) -> bool {
-        self.chips[chip].down
+        self.down[chip]
     }
 
-    fn loads(&self) -> Vec<usize> {
-        self.chips.iter().map(|c| c.engine.queue_depth()).collect()
-    }
-
-    fn down_mask(&self) -> Vec<bool> {
-        self.chips.iter().map(|c| c.down).collect()
-    }
-
-    fn spill_depth(&self) -> usize {
-        self.cfg
+    /// Route `shape` on the current queue depths and down flags and fold
+    /// the decision into the fingerprint.
+    fn route(&mut self, shape: &ConvShape) -> Result<usize, SwdnnError> {
+        for (load, engine) in self.loads.iter_mut().zip(&self.engines) {
+            *load = engine.queue_depth();
+        }
+        let spill_depth = self
+            .cfg
             .route_spill_depth
-            .unwrap_or(self.cfg.serve.queue_limit)
+            .unwrap_or(self.cfg.serve.queue_limit);
+        let chip = self
+            .router
+            .route(shape, &self.loads, &self.down, spill_depth)
+            .ok_or(SwdnnError::ClusterUnavailable {
+                chips: self.engines.len(),
+            })?;
+        self.fingerprint = ShapeRouter::fold_fingerprint(self.fingerprint, shape, chip);
+        Ok(chip)
     }
 
     /// Route one request departing the front door at `depart_us` and
@@ -192,16 +244,10 @@ impl Cluster {
         depart_us: u64,
     ) -> Result<(usize, u64), SwdnnError> {
         self.clock_us = self.clock_us.max(depart_us);
-        let chip = self
-            .router
-            .route(&shape, &self.loads(), &self.down_mask(), self.spill_depth())
-            .ok_or(SwdnnError::ClusterUnavailable {
-                chips: self.chips.len(),
-            })?;
-        self.fingerprint = ShapeRouter::fold_fingerprint(self.fingerprint, &shape, chip);
+        let chip = self.route(&shape)?;
         if chip != self.router.primary(&shape) {
             self.spilled += 1;
-            self.tags.inc(&chip_tag(chip, "spill_in"));
+            self.chip_tags[chip].spill_in.inc();
         }
         self.deliver(chip, shape, class, depart_us)
     }
@@ -216,36 +262,26 @@ impl Cluster {
     ) -> Result<(usize, u64), SwdnnError> {
         let bytes = (shape.input_shape().len() * 8) as u64;
         let transfer_us = self.cfg.interconnect.transfer_us(bytes).ceil() as u64;
+        let tags = &self.chip_tags[chip];
         let mut start_us = depart_us;
-        if let Some(group) = self.cfg.topology.group_of(chip) {
+        if let Some((group, bytes_tag, busy_tag)) = &tags.uplink {
             // The board's shared downlink: wait for whatever is already
             // in flight into this group, then hold it for the transfer.
-            let busy = self.ingress_busy_until.entry(group).or_insert(0);
+            let busy = self.ingress_busy_until.entry(*group).or_insert(0);
             start_us = start_us.max(*busy);
             *busy = start_us + transfer_us;
-            self.tags
-                .add(&link_tag(&format!("uplink-{group}-0"), "bytes"), bytes);
-            self.tags.add(
-                &link_tag(&format!("uplink-{group}-0"), "busy_us"),
-                transfer_us,
-            );
+            bytes_tag.add(bytes);
+            busy_tag.add(transfer_us);
         }
         let arrival_us = start_us + transfer_us;
-        self.tags
-            .add(&link_tag(&format!("ingress-{chip}"), "bytes"), bytes);
-        self.tags.add(
-            &link_tag(&format!("ingress-{chip}"), "busy_us"),
-            transfer_us,
-        );
-        self.tags.inc(&chip_tag(chip, "routed"));
-        match self.chips[chip]
-            .engine
-            .submit_arriving(shape, class, arrival_us)
-        {
+        tags.ingress_bytes.add(bytes);
+        tags.ingress_busy_us.add(transfer_us);
+        tags.routed.inc();
+        match self.engines[chip].submit_arriving(shape, class, arrival_us) {
             Ok(id) => Ok((chip, id)),
             Err(e) => {
                 if matches!(e, SwdnnError::Overloaded { .. }) {
-                    self.tags.inc(&chip_tag(chip, "shed"));
+                    self.chip_tags[chip].shed.inc();
                 }
                 Err(e)
             }
@@ -257,9 +293,9 @@ impl Cluster {
     pub fn run_until(&mut self, target_us: u64) -> Result<usize, SwdnnError> {
         self.clock_us = self.clock_us.max(target_us);
         let mut served = 0;
-        for chip in &mut self.chips {
-            if !chip.down {
-                served += chip.engine.run_until(target_us)?;
+        for (engine, &down) in self.engines.iter_mut().zip(&self.down) {
+            if !down {
+                served += engine.run_until(target_us)?;
             }
         }
         Ok(served)
@@ -268,9 +304,9 @@ impl Cluster {
     /// Drain every chip's queue dry.
     pub fn drain(&mut self) -> Result<usize, SwdnnError> {
         let mut served = 0;
-        for chip in &mut self.chips {
-            if !chip.down {
-                served += chip.engine.drain()?;
+        for (engine, &down) in self.engines.iter_mut().zip(&self.down) {
+            if !down {
+                served += engine.drain()?;
             }
         }
         Ok(served)
@@ -280,16 +316,23 @@ impl Cluster {
     /// Each evacuated request pays one more link transfer (departing at
     /// the failed chip's clock) and re-enters admission on its new chip
     /// — so it either completes elsewhere or is *accounted* as shed
-    /// there, never silently lost. Returns `(rerouted, shed)` counts.
+    /// there, never silently lost. Returns `(rerouted, shed)` counts; a
+    /// `chip` outside the fleet is a [`SwdnnError::ShapeMismatch`].
     pub fn fail_chip(&mut self, chip: usize) -> Result<(usize, usize), SwdnnError> {
-        assert!(chip < self.chips.len());
-        if self.chips[chip].down {
+        let chips = self.engines.len();
+        if chip >= chips {
+            return Err(SwdnnError::ShapeMismatch {
+                expected: format!("a chip index below {chips}"),
+                got: format!("chip {chip}"),
+            });
+        }
+        if self.down[chip] {
             return Ok((0, 0));
         }
-        self.chips[chip].down = true;
-        self.tags.inc(&chip_tag(chip, "failed"));
-        let depart_us = self.chips[chip].engine.now_us().max(self.clock_us);
-        let evacuated = self.chips[chip].engine.evacuate();
+        self.down[chip] = true;
+        self.chip_tags[chip].failed.inc();
+        let depart_us = self.engines[chip].now_us().max(self.clock_us);
+        let evacuated = self.engines[chip].evacuate();
         let mut moved = 0;
         let mut shed = 0;
         for req in evacuated {
@@ -299,19 +342,8 @@ impl Cluster {
                 // Preserve the absolute dispatch deadline across the move.
                 deadline_us: req.expires_us.map(|e| e.saturating_sub(depart_us)),
             };
-            let target = self
-                .router
-                .route(
-                    &req.shape,
-                    &self.loads(),
-                    &self.down_mask(),
-                    self.spill_depth(),
-                )
-                .ok_or(SwdnnError::ClusterUnavailable {
-                    chips: self.chips.len(),
-                })?;
-            self.fingerprint = ShapeRouter::fold_fingerprint(self.fingerprint, &req.shape, target);
-            self.tags.inc(&chip_tag(target, "rerouted_in"));
+            let target = self.route(&req.shape)?;
+            self.chip_tags[target].rerouted_in.inc();
             match self.deliver(target, req.shape, class, depart_us) {
                 Ok(_) => moved += 1,
                 Err(SwdnnError::Overloaded { .. }) => shed += 1,
@@ -323,26 +355,27 @@ impl Cluster {
     }
 
     /// Bring a failed chip back into rotation (its breakers and caches
-    /// kept whatever state they had).
+    /// kept whatever state they had). A chip that is not down, or not in
+    /// the fleet, is left as it is.
     pub fn recover_chip(&mut self, chip: usize) {
-        if self.chips[chip].down {
-            self.chips[chip].down = false;
-            self.tags.inc(&chip_tag(chip, "recovered"));
+        if self.down.get(chip) == Some(&true) {
+            self.down[chip] = false;
+            self.chip_tags[chip].recovered.inc();
         }
     }
 
     /// All completions across chips as `(chip, completion)` pairs.
     pub fn completions(&self) -> Vec<(usize, Completion)> {
         let mut all = Vec::new();
-        for (i, chip) in self.chips.iter().enumerate() {
-            all.extend(chip.engine.completions().iter().map(|&c| (i, c)));
+        for (i, engine) in self.engines.iter().enumerate() {
+            all.extend(engine.completions().iter().map(|&c| (i, c)));
         }
         all
     }
 
     /// Per-chip serving summaries.
     pub fn chip_summaries(&self) -> Vec<ServeSummary> {
-        self.chips.iter().map(|c| c.engine.summary()).collect()
+        self.engines.iter().map(ServeEngine::summary).collect()
     }
 
     /// Fleet-level aggregate. Latency percentiles are computed over the
@@ -351,8 +384,8 @@ impl Cluster {
         let per_chip = self.chip_summaries();
         let mut latencies: Vec<u64> = Vec::new();
         let mut high: Vec<u64> = Vec::new();
-        for chip in &self.chips {
-            for c in chip.engine.completions() {
+        for engine in &self.engines {
+            for c in engine.completions() {
                 latencies.push(c.latency_us());
                 if c.priority == Priority::High {
                     high.push(c.latency_us());
@@ -367,11 +400,9 @@ impl Cluster {
             let rank = ((p / 100.0) * (v.len() - 1) as f64).round() as usize;
             v[rank.min(v.len() - 1)]
         };
-        let ingress_bytes = (0..self.chips.len())
-            .map(|i| self.tags.get(&link_tag(&format!("ingress-{i}"), "bytes")))
-            .sum();
+        let ingress_bytes = self.chip_tags.iter().map(|t| t.ingress_bytes.get()).sum();
         ClusterSummary {
-            chips: self.chips.len(),
+            chips: self.engines.len(),
             served: per_chip.iter().map(|s| s.served).sum(),
             rejected: per_chip.iter().map(|s| s.rejected).sum(),
             evicted: per_chip.iter().map(|s| s.evicted).sum(),
@@ -388,8 +419,8 @@ impl Cluster {
     /// Reset every chip's measurement window (post-warmup), keeping
     /// caches, breaker state, and clocks hot.
     pub fn reset_measurements(&mut self) {
-        for chip in &mut self.chips {
-            chip.engine.reset_measurements();
+        for engine in &mut self.engines {
+            engine.reset_measurements();
         }
         self.tags.reset();
         self.spilled = 0;
@@ -400,9 +431,9 @@ impl Cluster {
     /// `pid` (process track) per chip.
     pub fn take_trace(&mut self) -> ChromeTrace {
         let per_chip: Vec<ChromeTrace> = self
-            .chips
+            .engines
             .iter_mut()
-            .map(|c| c.engine.take_trace())
+            .map(ServeEngine::take_trace)
             .collect();
         ChromeTrace::merge_per_chip(per_chip)
     }
@@ -548,6 +579,25 @@ mod tests {
             .submit_at(serving_mix()[0].1, RequestClass::default(), 0)
             .unwrap_err();
         assert!(matches!(err, SwdnnError::ClusterUnavailable { chips: 2 }));
+    }
+
+    #[test]
+    fn failing_or_recovering_a_chip_outside_the_fleet_changes_nothing() {
+        let mut c = cluster(2);
+        mix_traffic(&mut c, 8);
+        let before = (c.tags.snapshot(), c.route_fingerprint());
+        let err = c.fail_chip(2).unwrap_err();
+        assert!(
+            matches!(&err, SwdnnError::ShapeMismatch { got, .. } if got == "chip 2"),
+            "{err}"
+        );
+        assert!(c.fail_chip(usize::MAX).is_err());
+        c.recover_chip(2);
+        c.recover_chip(usize::MAX);
+        assert_eq!((c.tags.snapshot(), c.route_fingerprint()), before);
+        assert!(!c.is_down(0) && !c.is_down(1));
+        c.drain().unwrap();
+        assert_eq!(c.summary().served, 8);
     }
 
     #[test]

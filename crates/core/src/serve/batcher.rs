@@ -82,7 +82,7 @@ impl Default for BatchPolicy {
 }
 
 /// One queued inference request.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct QueuedRequest {
     pub id: u64,
     pub shape: ConvShape,
@@ -113,7 +113,7 @@ impl QueuedRequest {
 }
 
 /// A coalesced batch, ready for dispatch.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Batch {
     pub shape: ConvShape,
     pub requests: Vec<QueuedRequest>,
@@ -130,12 +130,20 @@ pub enum BatchTrigger {
 }
 
 /// Priority FIFOs + coalescing + admission control.
+///
+/// Every operation works on the two tier queues in place: once the queues
+/// have grown to their working depth, only the request vector of a
+/// released batch (or of the expired / evacuated set) is allocated.
 #[derive(Debug)]
 pub struct MicroBatcher {
     policy: BatchPolicy,
     limit: usize,
     /// One FIFO per [`Priority`] tier, high first.
     tiers: [VecDeque<QueuedRequest>; 2],
+    /// Queued requests that carry a dispatch deadline. While it is zero
+    /// (all default-class traffic), [`MicroBatcher::expire`] and
+    /// [`MicroBatcher::next_expiry_us`] return without scanning.
+    with_expiry: usize,
 }
 
 impl MicroBatcher {
@@ -144,6 +152,7 @@ impl MicroBatcher {
             policy,
             limit: queue_limit.max(1),
             tiers: [VecDeque::new(), VecDeque::new()],
+            with_expiry: 0,
         }
     }
 
@@ -173,14 +182,15 @@ impl MicroBatcher {
     ///   retry-after hint.
     pub fn push(&mut self, req: QueuedRequest) -> Result<Option<QueuedRequest>, SwdnnError> {
         if self.len() < self.limit {
-            self.tiers[req.priority as usize].push_back(req);
+            self.enqueue(req);
             return Ok(None);
         }
         // Full queue: a high push may displace the newest low request so
         // shedding lands on the low tier first.
         if req.priority == Priority::High {
             if let Some(victim) = self.tiers[Priority::Low as usize].pop_back() {
-                self.tiers[Priority::High as usize].push_back(req);
+                self.with_expiry -= usize::from(victim.expires_us.is_some());
+                self.enqueue(req);
                 return Ok(Some(victim));
             }
         }
@@ -189,6 +199,11 @@ impl MicroBatcher {
             limit: self.limit,
             retry_after_us: self.retry_after_us(req.priority, req.arrival_us),
         })
+    }
+
+    fn enqueue(&mut self, req: QueuedRequest) {
+        self.with_expiry += usize::from(req.expires_us.is_some());
+        self.tiers[req.priority as usize].push_back(req);
     }
 
     /// Suggested retry delay at `now_us` for a rejected request of the
@@ -213,17 +228,21 @@ impl MicroBatcher {
     /// caller records them as timed out; they never reach a batch.
     pub fn expire(&mut self, now_us: u64) -> Vec<QueuedRequest> {
         let mut expired = Vec::new();
-        for tier in [Priority::Low, Priority::High] {
-            let q = &mut self.tiers[tier as usize];
-            let mut keep = VecDeque::with_capacity(q.len());
-            for r in q.drain(..) {
-                match r.expires_us {
-                    Some(e) if now_us > e => expired.push(r),
-                    _ => keep.push_back(r),
-                }
-            }
-            self.tiers[tier as usize] = keep;
+        if self.with_expiry == 0 {
+            return expired;
         }
+        for tier in [Priority::Low, Priority::High] {
+            // `retain` visits in queue order, so `expired` comes out
+            // oldest first within the tier.
+            self.tiers[tier as usize].retain(|r| match r.expires_us {
+                Some(e) if now_us > e => {
+                    expired.push(*r);
+                    false
+                }
+                _ => true,
+            });
+        }
+        self.with_expiry -= expired.len();
         expired
     }
 
@@ -242,11 +261,7 @@ impl MicroBatcher {
                 continue;
             };
             let shape = seed.shape;
-            let same_shape: usize = self
-                .tiers
-                .iter()
-                .map(|q| q.iter().filter(|r| r.shape == shape).count())
-                .sum();
+            let same_shape = self.count_shape(shape);
             let deadline_hit = now_us.saturating_sub(seed.arrival_us) >= self.policy.deadline_us;
             let trigger = if same_shape >= self.policy.max_batch {
                 BatchTrigger::Cap
@@ -255,7 +270,7 @@ impl MicroBatcher {
             } else {
                 continue;
             };
-            return Some(self.take_batch(shape, trigger));
+            return Some(self.take_batch(shape, trigger, same_shape));
         }
         None
     }
@@ -264,7 +279,15 @@ impl MicroBatcher {
     /// high tier first.
     pub fn flush(&mut self) -> Option<Batch> {
         let shape = self.tiers.iter().find_map(|q| q.front()).map(|r| r.shape)?;
-        Some(self.take_batch(shape, BatchTrigger::Flush))
+        Some(self.take_batch(shape, BatchTrigger::Flush, self.count_shape(shape)))
+    }
+
+    /// Queued requests of `shape`, across both tiers.
+    fn count_shape(&self, shape: ConvShape) -> usize {
+        self.tiers
+            .iter()
+            .map(|q| q.iter().filter(|r| r.shape == shape).count())
+            .sum()
     }
 
     /// Earliest batching deadline among tier fronts — when the caller's
@@ -280,6 +303,9 @@ impl MicroBatcher {
     /// Earliest dispatch-deadline expiry among queued requests, for
     /// callers that want to fire timeouts eagerly while idle.
     pub fn next_expiry_us(&self) -> Option<u64> {
+        if self.with_expiry == 0 {
+            return None;
+        }
         self.tiers
             .iter()
             .flat_map(|q| q.iter())
@@ -296,23 +322,26 @@ impl MicroBatcher {
         for tier in [Priority::High, Priority::Low] {
             all.extend(self.tiers[tier as usize].drain(..));
         }
+        self.with_expiry = 0;
         all
     }
 
-    fn take_batch(&mut self, shape: ConvShape, trigger: BatchTrigger) -> Batch {
-        let mut requests = Vec::new();
+    /// Remove the first `max_batch` of the `same_shape` queued requests of
+    /// `shape` — high tier first, FIFO within each tier — leaving every
+    /// other request in its place.
+    fn take_batch(&mut self, shape: ConvShape, trigger: BatchTrigger, same_shape: usize) -> Batch {
+        let take = same_shape.min(self.policy.max_batch);
+        let mut requests = Vec::with_capacity(take);
         for tier in [Priority::High, Priority::Low] {
-            let q = &mut self.tiers[tier as usize];
-            let mut rest = VecDeque::with_capacity(q.len());
-            for r in q.drain(..) {
-                if r.shape == shape && requests.len() < self.policy.max_batch {
-                    requests.push(r);
-                } else {
-                    rest.push_back(r);
+            self.tiers[tier as usize].retain(|r| {
+                let taken = r.shape == shape && requests.len() < take;
+                if taken {
+                    requests.push(*r);
                 }
-            }
-            self.tiers[tier as usize] = rest;
+                !taken
+            });
         }
+        self.with_expiry -= requests.iter().filter(|r| r.expires_us.is_some()).count();
         Batch {
             shape,
             requests,
@@ -572,6 +601,144 @@ mod tests {
         let expired = b.expire(10_000);
         assert_eq!(expired.len(), 1, "the deadline-free request never expires");
         assert_eq!(expired[0].id, 2);
+    }
+
+    /// The rebuild-based `expire`, `take_batch` and `next_expiry_us` the
+    /// in-place versions replaced, kept as the oracle they are checked
+    /// against. They touch only the tier queues.
+    mod rebuild {
+        use super::*;
+
+        pub fn expire(b: &mut MicroBatcher, now_us: u64) -> Vec<QueuedRequest> {
+            let mut expired = Vec::new();
+            for tier in [Priority::Low, Priority::High] {
+                let q = &mut b.tiers[tier as usize];
+                let mut keep = VecDeque::with_capacity(q.len());
+                for r in q.drain(..) {
+                    match r.expires_us {
+                        Some(e) if now_us > e => expired.push(r),
+                        _ => keep.push_back(r),
+                    }
+                }
+                b.tiers[tier as usize] = keep;
+            }
+            expired
+        }
+
+        fn take_batch(b: &mut MicroBatcher, shape: ConvShape, trigger: BatchTrigger) -> Batch {
+            let mut requests = Vec::new();
+            for tier in [Priority::High, Priority::Low] {
+                let q = &mut b.tiers[tier as usize];
+                let mut rest = VecDeque::with_capacity(q.len());
+                for r in q.drain(..) {
+                    if r.shape == shape && requests.len() < b.policy.max_batch {
+                        requests.push(r);
+                    } else {
+                        rest.push_back(r);
+                    }
+                }
+                b.tiers[tier as usize] = rest;
+            }
+            Batch {
+                shape,
+                requests,
+                trigger,
+            }
+        }
+
+        pub fn pop_batch(b: &mut MicroBatcher, now_us: u64) -> Option<Batch> {
+            for tier in [Priority::High, Priority::Low] {
+                let Some(seed) = b.tier(tier).front() else {
+                    continue;
+                };
+                let shape = seed.shape;
+                let same_shape: usize = b
+                    .tiers
+                    .iter()
+                    .map(|q| q.iter().filter(|r| r.shape == shape).count())
+                    .sum();
+                let deadline_hit = now_us.saturating_sub(seed.arrival_us) >= b.policy.deadline_us;
+                let trigger = if same_shape >= b.policy.max_batch {
+                    BatchTrigger::Cap
+                } else if deadline_hit {
+                    BatchTrigger::Deadline
+                } else {
+                    continue;
+                };
+                return Some(take_batch(b, shape, trigger));
+            }
+            None
+        }
+
+        pub fn flush(b: &mut MicroBatcher) -> Option<Batch> {
+            let shape = b.tiers.iter().find_map(|q| q.front()).map(|r| r.shape)?;
+            Some(take_batch(b, shape, BatchTrigger::Flush))
+        }
+
+        pub fn next_expiry_us(b: &MicroBatcher) -> Option<u64> {
+            b.tiers
+                .iter()
+                .flat_map(|q| q.iter())
+                .filter_map(|r| r.expires_us)
+                .min()
+        }
+    }
+
+    #[test]
+    fn in_place_batcher_matches_the_rebuild_oracle() {
+        let shapes = [shape_a(), shape_b(), ConvShape::new(16, 16, 16, 8, 8, 3, 3)];
+        for seed in 0..64u64 {
+            let mut state = seed;
+            let mut draw = |n: u64| {
+                state = sw_sim::fault::splitmix64(state);
+                state % n
+            };
+            let policy = BatchPolicy {
+                max_batch: 1 + draw(6) as usize,
+                deadline_us: 1 + draw(400),
+            };
+            let limit = 1 + draw(16) as usize;
+            let mut fast = MicroBatcher::new(policy, limit);
+            let mut oracle = MicroBatcher::new(policy, limit);
+            let (mut now, mut id) = (0u64, 0u64);
+            for step in 0..400 {
+                now += draw(60);
+                match draw(10) {
+                    0..=4 => {
+                        let req = QueuedRequest {
+                            priority: if draw(3) == 0 {
+                                Priority::Low
+                            } else {
+                                Priority::High
+                            },
+                            tenant: draw(3) as u32,
+                            expires_us: (draw(2) == 0).then(|| now + draw(300)),
+                            ..QueuedRequest::basic(id, shapes[draw(3) as usize], now)
+                        };
+                        id += 1;
+                        // `push` itself is shared; its result must agree.
+                        let got = fast.push(req).map_err(|e| e.to_string());
+                        assert_eq!(got, oracle.push(req).map_err(|e| e.to_string()));
+                    }
+                    5 | 6 => assert_eq!(
+                        fast.expire(now),
+                        rebuild::expire(&mut oracle, now),
+                        "seed {seed} step {step}: expire"
+                    ),
+                    7 => assert_eq!(
+                        fast.pop_batch(now),
+                        rebuild::pop_batch(&mut oracle, now),
+                        "seed {seed} step {step}: pop_batch"
+                    ),
+                    8 => assert_eq!(fast.flush(), rebuild::flush(&mut oracle)),
+                    _ if draw(8) == 0 => assert_eq!(fast.take_all(), oracle.take_all()),
+                    _ => {}
+                }
+                assert_eq!(fast.tiers, oracle.tiers, "seed {seed} step {step}: queues");
+                assert_eq!(fast.next_expiry_us(), rebuild::next_expiry_us(&oracle));
+                assert_eq!(fast.next_deadline_us(), oracle.next_deadline_us());
+            }
+        }
     }
 
     #[test]

@@ -43,6 +43,8 @@ use crate::error::SwdnnError;
 use crate::plans::{ConvPlan, ReferencePlan};
 use crate::resilient::ResilientExecutor;
 use serde_json::Value;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 use sw_obs::{Counter, Recorder, TagCounters};
 use sw_perfmodel::{ChipSpec, PlanKind};
 use sw_sim::chip::LAUNCH_OVERHEAD_CYCLES;
@@ -174,11 +176,34 @@ pub enum DropKind {
 }
 
 impl DropKind {
+    const ALL: [DropKind; 3] = [
+        DropKind::ShedAtAdmission,
+        DropKind::Evicted,
+        DropKind::DeadlineExceeded,
+    ];
+
     pub fn name(&self) -> &'static str {
         match self {
             DropKind::ShedAtAdmission => "shed",
             DropKind::Evicted => "evicted",
             DropKind::DeadlineExceeded => "timed_out",
+        }
+    }
+}
+
+/// One tenant's registered tag handles: `tenant/N/served` and one
+/// `tenant/N/<kind>` per [`DropKind`], in [`DropKind::ALL`] order.
+#[derive(Debug)]
+struct TenantTags {
+    served: Arc<Counter>,
+    dropped: [Arc<Counter>; 3],
+}
+
+impl TenantTags {
+    fn register(tags: &TagCounters, tenant: u32) -> Self {
+        Self {
+            served: tags.register(&format!("tenant/{tenant}/served")),
+            dropped: DropKind::ALL.map(|k| tags.register(&format!("tenant/{tenant}/{}", k.name()))),
         }
     }
 }
@@ -282,6 +307,9 @@ pub struct ServeEngine {
     pub counters: ServeCounters,
     /// Per-tenant / per-CG keyed counters.
     pub tags: TagCounters,
+    /// Handles into `tags` per tenant, registered on a tenant's first
+    /// submission.
+    tenant_tags: BTreeMap<u32, TenantTags>,
     completions: Vec<Completion>,
     drops: Vec<DropRecord>,
 }
@@ -306,6 +334,7 @@ impl ServeEngine {
             batch_seq: 0,
             counters: ServeCounters::default(),
             tags: TagCounters::new(),
+            tenant_tags: BTreeMap::new(),
             completions: Vec::new(),
             drops: Vec::new(),
         })
@@ -357,6 +386,10 @@ impl ServeEngine {
         class: RequestClass,
     ) -> Result<u64, SwdnnError> {
         self.counters.submitted.inc();
+        if !self.tenant_tags.contains_key(&class.tenant) {
+            let tags = TenantTags::register(&self.tags, class.tenant);
+            self.tenant_tags.insert(class.tenant, tags);
+        }
         let id = self.next_id;
         let req = QueuedRequest {
             id,
@@ -416,8 +449,8 @@ impl ServeEngine {
             DropKind::Evicted => self.counters.evicted.inc(),
             DropKind::DeadlineExceeded => self.counters.timed_out.inc(),
         }
-        self.tags
-            .inc(&format!("tenant/{}/{}", req.tenant, kind.name()));
+        // Every request passed `submit_with`, which registered its tenant.
+        self.tenant_tags[&req.tenant].dropped[kind as usize].inc();
         self.drops.push(DropRecord {
             // A shed request never got its id assigned.
             id: (kind != DropKind::ShedAtAdmission).then_some(req.id),
@@ -536,7 +569,7 @@ impl ServeEngine {
             ServePath::Sharded { .. } => {}
         }
         for r in &batch.requests {
-            self.tags.inc(&format!("tenant/{}/served", r.tenant));
+            self.tenant_tags[&r.tenant].served.inc();
             self.completions.push(Completion {
                 id: r.id,
                 shape: r.shape,
@@ -547,24 +580,26 @@ impl ServeEngine {
                 path,
             });
         }
-        self.recorder.span_cat(
-            &format!("batch {}", batch.shape),
-            "serve",
-            0,
-            0,
-            start_us as f64,
-            timing.wall_us as f64,
-            vec![
-                ("requests".into(), Value::from(n as u64)),
-                (
-                    "trigger".into(),
-                    Value::from(format!("{:?}", batch.trigger)),
-                ),
-                ("queue_depth".into(), Value::from(self.batcher.len() as u64)),
-                ("wall_cycles".into(), Value::from(timing.wall_cycles)),
-                ("path".into(), Value::from(path.name())),
-            ],
-        );
+        if self.recorder.is_enabled() {
+            self.recorder.span_cat(
+                &format!("batch {}", batch.shape),
+                "serve",
+                0,
+                0,
+                start_us as f64,
+                timing.wall_us as f64,
+                vec![
+                    ("requests".into(), Value::from(n as u64)),
+                    (
+                        "trigger".into(),
+                        Value::from(format!("{:?}", batch.trigger)),
+                    ),
+                    ("queue_depth".into(), Value::from(self.batcher.len() as u64)),
+                    ("wall_cycles".into(), Value::from(timing.wall_cycles)),
+                    ("path".into(), Value::from(path.name())),
+                ],
+            );
+        }
         Ok(n)
     }
 
@@ -658,6 +693,11 @@ impl ServeEngine {
                 }
                 if tripped {
                     self.tags.inc(&format!("cg/{cg}/trip"));
+                }
+                if !self.recorder.is_enabled() {
+                    continue;
+                }
+                if tripped {
                     self.recorder.instant(
                         "breaker_open",
                         "health",

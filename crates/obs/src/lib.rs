@@ -12,8 +12,9 @@
 //! * [`level`] — the three paper levels and the mapping every counter
 //!   declares onto them;
 //! * [`tags`] — keyed monotonic counters ([`TagCounters`]) for
-//!   low-cardinality runtime dimensions (tenant id, core-group index),
-//!   feeding the serving layer's per-tenant/per-CG health accounting;
+//!   low-cardinality runtime dimensions (tenant id, chip, core-group
+//!   index, link), bumped per request on the serving path through handles
+//!   registered once, so a bump is one relaxed atomic add;
 //! * [`chrome`] — span-style event recording ([`Recorder`], zero-cost when
 //!   disabled) and a Chrome-trace JSON exporter whose output loads directly
 //!   into `chrome://tracing` / Perfetto;

@@ -353,6 +353,117 @@ fn chip_failure_loses_no_high_priority_work() {
     c.drain().expect("drain tail");
 }
 
+/// Every tag value of a small 4-chip fleet run, pinned: over capacity
+/// through chip 0 (spills, sheds, evictions), tenant 1 low priority with
+/// 400 µs deadlines (time-outs), chip 1 failed half-way through (its
+/// queue rerouted) and recovered at three quarters.
+#[test]
+fn fleet_tag_values_are_pinned() {
+    let mut c = Cluster::new(ClusterConfig {
+        chips: 4,
+        serve: ServeConfig {
+            queue_limit: 8,
+            ..serve_config()
+        },
+        ..ClusterConfig::default()
+    })
+    .expect("build cluster");
+    let shapes = serving_mix();
+    let n = 240usize;
+    for i in 0..n {
+        if i == n / 2 {
+            c.fail_chip(1).expect("fail chip 1");
+        }
+        if i == 3 * n / 4 {
+            c.recover_chip(1);
+        }
+        let (_, shape) = shapes[i % shapes.len()];
+        let class = if i % 3 == 0 {
+            RequestClass {
+                priority: Priority::Low,
+                tenant: 1,
+                deadline_us: Some(400),
+            }
+        } else {
+            RequestClass::default()
+        };
+        match c.submit_at(shape, class, (i as u64) * 100) {
+            Ok(_) | Err(SwdnnError::Overloaded { .. }) => {}
+            Err(e) => panic!("unexpected {e}"),
+        }
+    }
+    c.drain().expect("drain");
+    let s = c.summary();
+    assert_eq!(
+        (
+            s.served,
+            s.rejected,
+            s.evicted,
+            s.timed_out,
+            s.spilled,
+            s.rerouted
+        ),
+        (164, 27, 12, 37, 113, 8)
+    );
+    let owned = |pairs: &[(&str, u64)]| -> Vec<(String, u64)> {
+        pairs.iter().map(|&(k, v)| (k.to_string(), v)).collect()
+    };
+    assert_eq!(
+        c.tags.snapshot(),
+        owned(&[
+            ("chip/0/routed", 117),
+            ("chip/0/shed", 27),
+            ("chip/0/spill_in", 23),
+            ("chip/1/failed", 1),
+            ("chip/1/recovered", 1),
+            ("chip/1/routed", 29),
+            ("chip/1/spill_in", 29),
+            ("chip/2/rerouted_in", 2),
+            ("chip/2/routed", 59),
+            ("chip/2/spill_in", 24),
+            ("chip/3/rerouted_in", 6),
+            ("chip/3/routed", 43),
+            ("chip/3/spill_in", 37),
+            ("link/ingress-0/busy_us", 1606),
+            ("link/ingress-0/bytes", 11653120),
+            ("link/ingress-1/busy_us", 398),
+            ("link/ingress-1/bytes", 2887680),
+            ("link/ingress-2/busy_us", 804),
+            ("link/ingress-2/bytes", 5816320),
+            ("link/ingress-3/busy_us", 602),
+            ("link/ingress-3/bytes", 4403200),
+        ])
+    );
+    let engines: [&[(&str, u64)]; 4] = [
+        &[
+            ("tenant/0/served", 62),
+            ("tenant/0/shed", 15),
+            ("tenant/1/evicted", 12),
+            ("tenant/1/served", 2),
+            ("tenant/1/shed", 12),
+            ("tenant/1/timed_out", 14),
+        ],
+        &[
+            ("tenant/0/served", 14),
+            ("tenant/1/served", 2),
+            ("tenant/1/timed_out", 5),
+        ],
+        &[
+            ("tenant/0/served", 40),
+            ("tenant/1/served", 11),
+            ("tenant/1/timed_out", 8),
+        ],
+        &[
+            ("tenant/0/served", 29),
+            ("tenant/1/served", 4),
+            ("tenant/1/timed_out", 10),
+        ],
+    ];
+    for (chip, want) in engines.into_iter().enumerate() {
+        assert_eq!(c.engine(chip).tags.snapshot(), owned(want), "chip {chip}");
+    }
+}
+
 #[test]
 fn every_chip_down_surfaces_a_structured_error() {
     let mut c = Cluster::new(ClusterConfig {
