@@ -18,6 +18,7 @@
 
 use super::router::ShapeRouter;
 use crate::error::SwdnnError;
+use crate::serve::engine::percentile;
 use crate::serve::{Completion, Priority, RequestClass, ServeConfig, ServeEngine, ServeSummary};
 use std::sync::Arc;
 use sw_obs::{chip_tag, link_tag, ChromeTrace, Counter, TagCounters};
@@ -392,14 +393,6 @@ impl Cluster {
                 }
             }
         }
-        let pct = |mut v: Vec<u64>, p: f64| -> u64 {
-            if v.is_empty() {
-                return 0;
-            }
-            v.sort_unstable();
-            let rank = ((p / 100.0) * (v.len() - 1) as f64).round() as usize;
-            v[rank.min(v.len() - 1)]
-        };
         let ingress_bytes = self.chip_tags.iter().map(|t| t.ingress_bytes.get()).sum();
         ClusterSummary {
             chips: self.engines.len(),
@@ -409,9 +402,9 @@ impl Cluster {
             timed_out: per_chip.iter().map(|s| s.timed_out).sum(),
             spilled: self.spilled,
             rerouted: self.rerouted,
-            p50_latency_us: pct(latencies.clone(), 50.0),
-            p99_latency_us: pct(latencies, 99.0),
-            high_p99_latency_us: pct(high, 99.0),
+            p50_latency_us: percentile(latencies.clone(), 50.0),
+            p99_latency_us: percentile(latencies, 99.0),
+            high_p99_latency_us: percentile(high, 99.0),
             ingress_bytes,
         }
     }

@@ -10,6 +10,7 @@
 use crate::conv::Conv2d;
 use crate::error::SwdnnError;
 use crate::plans::{LowerCtx, PlanTiming};
+use crate::serve::ShardedDispatcher;
 use sw_perfmodel::{
     comm_optimal_permille, mem_comm_lower_bound_bytes, Blocking, ChipSpec, ConvPerfModel,
     PerfEstimate, PlanKind,
@@ -248,22 +249,9 @@ impl Executor {
         shape: &ConvShape,
         cgs: usize,
     ) -> Result<MultiCgConvReport, SwdnnError> {
-        if cgs < 1 || cgs > self.chip.core_groups {
-            return Err(SwdnnError::ShapeMismatch {
-                expected: format!("between 1 and {} core groups", self.chip.core_groups),
-                got: format!("{cgs} core groups"),
-            });
-        }
-        if !shape.ro.is_multiple_of(cgs) {
-            return Err(SwdnnError::ShapeMismatch {
-                expected: format!("output rows divisible by {cgs} core groups"),
-                got: format!("ro = {}", shape.ro),
-            });
-        }
-        let slice = ConvShape {
-            ro: shape.ro / cgs,
-            ..*shape
-        };
+        // The dispatcher's core-group range check and row split.
+        ShardedDispatcher::new(self.chip, cgs)?;
+        let slice = ShardedDispatcher::slice_shape(shape, cgs)?;
         let conv = Conv2d::new(slice)?.on(self.ctx());
         let plan = conv.plan();
         let timing = plan.time_full_shape(&slice)?;

@@ -151,6 +151,24 @@ mod tests {
     }
 
     #[test]
+    fn tile_cache_key_is_schedule_independent() {
+        // The tile cache keys on `(n, reordered)` — the inner-kernel trip
+        // count and kernel flavor. Every schedule prices its GEMM through
+        // the same per-tile profiles, so two different schedules that
+        // produce the same tile shape must (and do) share one entry; the
+        // cache needs no schedule key.
+        let a = tile_profile(2, true);
+        let (_, misses_before) = tile_cache_stats();
+        let b = tile_profile(2, true);
+        let (_, misses_after) = tile_cache_stats();
+        assert_eq!(a.cycles, b.cycles);
+        assert_eq!(
+            misses_before, misses_after,
+            "same tile shape must hit regardless of which schedule asked"
+        );
+    }
+
+    #[test]
     fn block_cycles_tile_count() {
         // 16x64 block = 4*4 = 16 tiles.
         let c = block_cycles(16, 64, 16, true);

@@ -382,7 +382,7 @@ mod tests {
         assert_eq!(set.len(), 3);
         assert!(set.contains(&Schedule::image_aware(32, 4)));
         // Preset-built schedules are equal exactly when they describe the
-        // same plan, so `PlanKey`s collide exactly where the plans do.
+        // same plan, so schedule-keyed maps collide exactly where the plans do.
         let presets = [
             Schedule::image_aware(32, 4),
             Schedule::image_aware(64, 4),

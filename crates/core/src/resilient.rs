@@ -261,8 +261,7 @@ impl ResilientExecutor {
 
             for attempt in 0..=self.max_retries {
                 *attempts += 1;
-                let plan =
-                    sched.build(&ctx.with_fault(Self::reseed_for_attempt(ctx.fault, attempt)));
+                let plan = sched.build(&ctx.with_fault(ctx.fault.map(|f| reseeded(f, attempt))));
                 let mut record = |outcome: RecoveryOutcome, detail: String| {
                     timeline.push(RecoveryEvent {
                         attempt: *attempts,
@@ -333,18 +332,6 @@ impl ResilientExecutor {
                     ..
                 }
         )
-    }
-
-    /// Attempt 0 uses the plan as configured; each retry derives a fresh
-    /// seed (re-running the identical seed would reproduce the fault).
-    fn reseed_for_attempt(fault: Option<FaultPlan>, attempt: u32) -> Option<FaultPlan> {
-        fault.map(|f| {
-            if attempt == 0 {
-                f
-            } else {
-                f.reseed(f.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(attempt as u64))
-            }
-        })
     }
 
     fn verify_run(
@@ -496,6 +483,13 @@ impl ResilientReport {
         );
         rec.take()
     }
+}
+
+/// `fault` for retry `attempt` of the same work: the same rates under a
+/// seed derived per attempt (re-running the identical seed would reproduce
+/// the fault). Attempt 0 keeps the seed as configured.
+pub(crate) fn reseeded(fault: FaultPlan, attempt: u32) -> FaultPlan {
+    fault.reseed(fault.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(attempt)))
 }
 
 /// Record one planner rejection as a structured [`SwdnnError::PlanRejected`]

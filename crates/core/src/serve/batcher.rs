@@ -147,9 +147,15 @@ pub struct MicroBatcher {
 }
 
 impl MicroBatcher {
+    /// A batcher releasing by `policy` with at most `queue_limit` queued
+    /// requests. A zero cap or limit is clamped to 1, so every released
+    /// batch holds at least one request.
     pub fn new(policy: BatchPolicy, queue_limit: usize) -> Self {
         Self {
-            policy,
+            policy: BatchPolicy {
+                max_batch: policy.max_batch.max(1),
+                ..policy
+            },
             limit: queue_limit.max(1),
             tiers: [VecDeque::new(), VecDeque::new()],
             with_expiry: 0,
@@ -394,6 +400,24 @@ mod tests {
             "FIFO within the shape"
         );
         assert_eq!(b.len(), 1, "overflow request stays queued");
+    }
+
+    #[test]
+    fn zero_cap_is_clamped_and_never_releases_an_empty_batch() {
+        let mut b = MicroBatcher::new(
+            BatchPolicy {
+                max_batch: 0,
+                deadline_us: 1_000,
+            },
+            64,
+        );
+        assert_eq!(b.policy().max_batch, 1);
+        b.push(req(0, shape_a(), 0)).unwrap();
+        let batch = b.pop_batch(0).expect("a cap of 1 fires at once");
+        assert_eq!(batch.trigger, BatchTrigger::Cap);
+        assert_eq!(batch.requests.len(), 1);
+        assert!(b.is_empty());
+        assert_eq!(b.pop_batch(0), None, "nothing queued, nothing released");
     }
 
     #[test]

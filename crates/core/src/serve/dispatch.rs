@@ -21,13 +21,14 @@
 //!   so the stitched tensor is bit-identical to an unsharded run.
 //! * [`ShardedDispatcher::time_batch`] — the accounting path the serving
 //!   engine uses: per-slice timing comes from the [`PlanCache`], so after
-//!   warmup a batch costs two map lookups, not a simulation.
+//!   warmup a batch costs one map lookup, not a simulation.
 
-use super::plan_cache::PlanCache;
+use super::plan_cache::{CachedPlan, PlanCache};
 use crate::conv::Conv2d;
 use crate::error::SwdnnError;
 use crate::plans::LowerCtx;
-use sw_perfmodel::{ChipSpec, PlanKind};
+use std::sync::Arc;
+use sw_perfmodel::ChipSpec;
 use sw_sim::chip::LAUNCH_OVERHEAD_CYCLES;
 use sw_sim::{run_multi_cg_on, FaultPlan};
 use sw_tensor::{ConvShape, Layout, Tensor4};
@@ -183,16 +184,10 @@ impl ShardedDispatcher {
         self
     }
 
-    /// The per-CG slice of `shape`: same batch/channels, `ro / cgs` output
-    /// rows. Errors when the rows don't divide.
-    pub fn slice_shape(&self, shape: &ConvShape) -> Result<ConvShape, SwdnnError> {
-        Self::slice_shape_for(shape, self.cgs)
-    }
-
-    /// [`ShardedDispatcher::slice_shape`] for an explicit shard width —
-    /// the fault-tolerant path re-slices on whatever subset of CGs is
-    /// currently healthy.
-    pub fn slice_shape_for(shape: &ConvShape, cgs: usize) -> Result<ConvShape, SwdnnError> {
+    /// The per-CG slice of `shape` on `cgs` core groups (§III-D): same
+    /// batch and channels, `ro / cgs` output rows. Errors when the rows
+    /// don't divide.
+    pub fn slice_shape(shape: &ConvShape, cgs: usize) -> Result<ConvShape, SwdnnError> {
         if cgs == 0 || !shape.ro.is_multiple_of(cgs) {
             return Err(SwdnnError::ShapeMismatch {
                 expected: format!("output rows divisible by {cgs} core groups"),
@@ -205,33 +200,23 @@ impl ShardedDispatcher {
         })
     }
 
-    /// Account a batch of `requests` same-shape convolutions without
-    /// simulating: per-slice timing is served by `cache` (one simulation on
-    /// the first encounter of the slice shape, lookups after).
+    /// Account a batch of `requests` same-shape convolutions row-split
+    /// over `cgs` core groups of `chip`, without simulating. The slice's
+    /// timing is served by `cache` (one simulation on the first encounter
+    /// of the slice shape, lookups after), and the cached entry is
+    /// returned beside the batch timing. The engine passes its configured
+    /// width and chip, the surviving width for a rerouted batch, and the
+    /// degraded 4×4 chip for the fallback.
     pub fn time_batch(
         &self,
         cache: &PlanCache,
         shape: &ConvShape,
         requests: usize,
-        forced: Option<PlanKind>,
-    ) -> Result<BatchTiming, SwdnnError> {
-        self.time_batch_for(cache, shape, requests, forced, self.cgs, self.chip)
-    }
-
-    /// [`ShardedDispatcher::time_batch`] generalized over shard width and
-    /// chip: the fault-tolerant engine accounts rerouted batches on however
-    /// many CGs survive, and fallback batches on the degraded 4×4 mesh.
-    pub fn time_batch_for(
-        &self,
-        cache: &PlanCache,
-        shape: &ConvShape,
-        requests: usize,
-        forced: Option<PlanKind>,
         cgs: usize,
         chip: ChipSpec,
-    ) -> Result<BatchTiming, SwdnnError> {
-        let slice = Self::slice_shape_for(shape, cgs)?;
-        let cached = cache.plan_on(self.rt, &chip, &slice, forced)?;
+    ) -> Result<(BatchTiming, Arc<CachedPlan>), SwdnnError> {
+        let slice = Self::slice_shape(shape, cgs)?;
+        let cached = cache.plan_on(self.rt, &chip, &slice)?;
         let n = requests as u64;
         // Each request's slices run concurrently across CGs (wall = slice
         // cycles); requests within the batch run back-to-back; the MPE
@@ -239,12 +224,13 @@ impl ShardedDispatcher {
         // makes batching worth the queueing delay.
         let wall_cycles = n * cached.timing.cycles + LAUNCH_OVERHEAD_CYCLES;
         let wall_us = (chip.cycles_to_seconds(wall_cycles) * 1e6).ceil() as u64;
-        Ok(BatchTiming {
+        let timing = BatchTiming {
             requests,
             wall_cycles,
             wall_us,
             total_flops: n * shape.flops(),
-        })
+        };
+        Ok((timing, cached))
     }
 
     /// Execute one convolution row-sharded across the CGs, returning the
@@ -262,7 +248,7 @@ impl ShardedDispatcher {
         input: &Tensor4<f64>,
         filter: &Tensor4<f64>,
     ) -> Result<(Tensor4<f64>, u64), SwdnnError> {
-        let slice = self.slice_shape(shape)?;
+        let slice = Self::slice_shape(shape, self.cgs)?;
         if input.shape() != shape.input_shape() {
             return Err(SwdnnError::ShapeMismatch {
                 expected: format!("{:?}", shape.input_shape()),
@@ -346,7 +332,7 @@ mod tests {
         let d = ShardedDispatcher::new(ChipSpec::sw26010(), 4).unwrap();
         let odd = ConvShape::new(16, 8, 8, 6, 8, 3, 3);
         assert!(matches!(
-            d.slice_shape(&odd),
+            ShardedDispatcher::slice_shape(&odd, d.cgs),
             Err(SwdnnError::ShapeMismatch { .. })
         ));
     }
@@ -403,15 +389,19 @@ mod tests {
     fn routed_timing_matches_full_width_when_all_cgs_survive() {
         let cache = PlanCache::new();
         let d = ShardedDispatcher::new(ChipSpec::sw26010(), 4).unwrap();
-        let full = d.time_batch(&cache, &shape(), 4, None).unwrap();
-        let routed = d
-            .time_batch_for(&cache, &shape(), 4, None, 4, d.chip)
-            .unwrap();
-        assert_eq!(full.wall_cycles, routed.wall_cycles);
+        let (full, entry) = d.time_batch(&cache, &shape(), 4, 4, d.chip).unwrap();
+        // The returned entry is the cached slice plan the timing charges.
+        let slice = ShardedDispatcher::slice_shape(&shape(), 4).unwrap();
+        assert!(Arc::ptr_eq(
+            &entry,
+            &cache.plan_on(d.rt, &d.chip, &slice).unwrap()
+        ));
+        assert_eq!(
+            full.wall_cycles,
+            4 * entry.timing.cycles + LAUNCH_OVERHEAD_CYCLES
+        );
         // Narrower routing pays more cycles: each CG owns more rows.
-        let narrow = d
-            .time_batch_for(&cache, &shape(), 4, None, 2, d.chip)
-            .unwrap();
+        let (narrow, _) = d.time_batch(&cache, &shape(), 4, 2, d.chip).unwrap();
         assert!(narrow.wall_cycles > full.wall_cycles);
     }
 
@@ -419,8 +409,8 @@ mod tests {
     fn batch_timing_amortizes_launch_overhead() {
         let cache = PlanCache::new();
         let d = ShardedDispatcher::new(ChipSpec::sw26010(), 4).unwrap();
-        let one = d.time_batch(&cache, &shape(), 1, None).unwrap();
-        let eight = d.time_batch(&cache, &shape(), 8, None).unwrap();
+        let (one, _) = d.time_batch(&cache, &shape(), 1, 4, d.chip).unwrap();
+        let (eight, _) = d.time_batch(&cache, &shape(), 8, 4, d.chip).unwrap();
         let per_req_batched = eight.wall_cycles as f64 / 8.0;
         assert!(
             per_req_batched < one.wall_cycles as f64,

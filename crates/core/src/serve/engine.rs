@@ -37,16 +37,16 @@
 
 use super::batcher::{Batch, BatchPolicy, MicroBatcher, Priority, QueuedRequest};
 use super::dispatch::{effective_cgs, sample_slice_faults, BatchTiming, ShardedDispatcher};
-use super::health::{BreakerPolicy, CgHealthStats, HealthBoard, Route};
+use super::health::{BreakerPolicy, CgHealthStats, CgSet, HealthBoard};
 use super::plan_cache::{CacheStats, PlanCache};
 use crate::error::SwdnnError;
 use crate::plans::{ConvPlan, ReferencePlan};
-use crate::resilient::ResilientExecutor;
+use crate::resilient::{reseeded, ResilientExecutor};
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use sw_obs::{Counter, Recorder, TagCounters};
-use sw_perfmodel::{ChipSpec, PlanKind};
+use sw_perfmodel::ChipSpec;
 use sw_sim::chip::LAUNCH_OVERHEAD_CYCLES;
 use sw_sim::FaultPlan;
 use sw_tensor::ConvShape;
@@ -75,6 +75,28 @@ impl Default for ChaosConfig {
             breaker: BreakerPolicy::default(),
             dispatch_retries: 2,
         }
+    }
+}
+
+impl ChaosConfig {
+    /// A chaos engine over `cgs` core groups needs its breakers to fit a
+    /// [`CgSet`] and its dead CPEs pinned to a CG that exists: with
+    /// `dead_cg` outside the shard width every CG would clear the mask,
+    /// and the dead CPE would silently vanish.
+    fn check(&self, cgs: usize) -> Result<(), SwdnnError> {
+        if cgs > CgSet::CAPACITY {
+            return Err(SwdnnError::ShapeMismatch {
+                expected: format!("at most {} core groups under chaos", CgSet::CAPACITY),
+                got: format!("{cgs} core groups"),
+            });
+        }
+        if self.fault.dead_mask != 0 && self.dead_cg >= cgs {
+            return Err(SwdnnError::ShapeMismatch {
+                expected: format!("a dead_cg below {cgs} core groups"),
+                got: format!("dead_cg = {}", self.dead_cg),
+            });
+        }
+        Ok(())
     }
 }
 
@@ -208,6 +230,26 @@ impl TenantTags {
     }
 }
 
+/// One CG's registered breaker tags: `cg/N/success`, `cg/N/failure`
+/// and `cg/N/trip`.
+#[derive(Debug)]
+struct CgTags {
+    success: Arc<Counter>,
+    failure: Arc<Counter>,
+    trip: Arc<Counter>,
+}
+
+impl CgTags {
+    fn register(tags: &TagCounters, cg: usize) -> Self {
+        let tag = |metric: &str| tags.register(&format!("cg/{cg}/{metric}"));
+        Self {
+            success: tag("success"),
+            failure: tag("failure"),
+            trip: tag("trip"),
+        }
+    }
+}
+
 /// One dropped request. Drops live in their own histogram
 /// ([`ServeEngine::shed_wait_percentile_us`]): they are *never* folded
 /// into — or silently omitted from — the completed-request latency
@@ -310,14 +352,36 @@ pub struct ServeEngine {
     /// Handles into `tags` per tenant, registered on a tenant's first
     /// submission.
     tenant_tags: BTreeMap<u32, TenantTags>,
+    /// Handles into `tags` per CG, registered up front under chaos
+    /// (empty otherwise).
+    cg_tags: Vec<CgTags>,
     completions: Vec<Completion>,
     drops: Vec<DropRecord>,
 }
 
 impl ServeEngine {
+    /// An idle engine. [`SwdnnError::ShapeMismatch`] for a shard width
+    /// outside the chip, a zero batch cap (its batches would hold no
+    /// request, and `run_until` and `drain` would spin on them), or a
+    /// chaos configuration that fails its check.
     pub fn new(config: ServeConfig) -> Result<Self, SwdnnError> {
+        let dispatcher = ShardedDispatcher::new(config.chip, config.cgs)?;
+        if config.policy.max_batch == 0 {
+            return Err(SwdnnError::ShapeMismatch {
+                expected: "a batch cap of at least 1".into(),
+                got: "max_batch = 0".into(),
+            });
+        }
+        let tags = TagCounters::new();
+        let mut cg_tags = Vec::new();
+        if let Some(chaos) = config.chaos {
+            chaos.check(config.cgs)?;
+            cg_tags = (0..config.cgs)
+                .map(|cg| CgTags::register(&tags, cg))
+                .collect();
+        }
         Ok(Self {
-            dispatcher: ShardedDispatcher::new(config.chip, config.cgs)?,
+            dispatcher,
             batcher: MicroBatcher::new(config.policy, config.queue_limit),
             cache: PlanCache::new(),
             recorder: if config.trace {
@@ -333,8 +397,9 @@ impl ServeEngine {
             next_id: 0,
             batch_seq: 0,
             counters: ServeCounters::default(),
-            tags: TagCounters::new(),
+            tags,
             tenant_tags: BTreeMap::new(),
+            cg_tags,
             completions: Vec::new(),
             drops: Vec::new(),
         })
@@ -547,13 +612,13 @@ impl ServeEngine {
         self.batch_seq += 1;
         let (timing, path) = match self.config.chaos {
             Some(chaos) => self.account_chaos_batch(&batch, seq, &chaos)?,
-            None => (
-                self.dispatcher
-                    .time_batch(&self.cache, &batch.shape, n, None::<PlanKind>)?,
-                ServePath::Sharded {
-                    cgs: self.config.cgs,
-                },
-            ),
+            None => {
+                let (cgs, chip) = (self.config.cgs, self.config.chip);
+                let (timing, _) =
+                    self.dispatcher
+                        .time_batch(&self.cache, &batch.shape, n, cgs, chip)?;
+                (timing, ServePath::Sharded { cgs })
+            }
         };
         let start_us = self.clock_us;
         self.clock_us += timing.wall_us;
@@ -611,10 +676,7 @@ impl ServeEngine {
         if cg != chaos.dead_cg {
             f.dead_mask = 0;
         }
-        if round > 0 {
-            f = f.reseed(f.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(round as u64));
-        }
-        f
+        reseeded(f, round)
     }
 
     /// Account one batch under fault injection: route on the health board,
@@ -633,66 +695,45 @@ impl ServeEngine {
         let mut wasted_cycles: u64 = 0;
         let mut round: u32 = 0;
         loop {
-            let route = self
-                .health
-                .as_mut()
-                .expect("chaos implies a health board")
-                .route(self.clock_us);
+            let health = self.health.as_mut().expect("chaos implies a health board");
+            let route = health.route(self.clock_us);
             let k = effective_cgs(&batch.shape, route.cgs.len());
             if k == 0 {
                 break; // every breaker open → fallback chain
             }
-            let active: Vec<usize> = route.cgs[..k].to_vec();
+            let active = route.cgs.first(k);
             // Probes excluded by the row split must be re-admittable.
-            let unused = Route {
-                cgs: Vec::new(),
-                probes: route
-                    .probes
-                    .iter()
-                    .copied()
-                    .filter(|p| !active.contains(p))
-                    .collect(),
-            };
-            self.health.as_mut().unwrap().cancel_probes(&unused);
+            health.cancel_probes(route.probes.without(active));
 
-            let timing = self.dispatcher.time_batch_for(
-                &self.cache,
-                &batch.shape,
-                n,
-                None::<PlanKind>,
-                k,
-                self.config.chip,
-            )?;
-            let slice = ShardedDispatcher::slice_shape_for(&batch.shape, k)?;
-            let cached = self
-                .cache
-                .plan_on(self.dispatcher.rt, &self.config.chip, &slice, None)?;
+            let (timing, cached) =
+                self.dispatcher
+                    .time_batch(&self.cache, &batch.shape, n, k, self.config.chip)?;
             let transfers = cached.timing.stats.totals.dma_requests.max(1) * n as u64;
 
             // Slices run concurrently: wall time extends by the slowest.
             let mut extra_max = 0u64;
-            let mut failed: Vec<usize> = Vec::new();
-            for &cg in &active {
+            let mut failed = CgSet::default();
+            for cg in active.iter() {
                 let fault = Self::cg_fault(chaos, cg, round);
                 let out = sample_slice_faults(&fault, cg, seq, transfers);
                 extra_max = extra_max.max(out.extra_cycles);
                 self.counters.fault_dma_retries.add(out.dma_retries);
                 if out.failed() {
-                    failed.push(cg);
+                    failed.insert(cg);
                 }
             }
-            for &cg in &active {
-                let ok = !failed.contains(&cg);
+            for cg in active.iter() {
+                let ok = !failed.contains(cg);
                 let tripped = self.health.as_mut().unwrap().record(cg, ok, self.clock_us);
-                self.tags.inc(&format!(
-                    "cg/{cg}/{}",
-                    if ok { "success" } else { "failure" }
-                ));
-                if !ok {
+                let tags = &self.cg_tags[cg];
+                if ok {
+                    tags.success.inc();
+                } else {
+                    tags.failure.inc();
                     self.counters.cg_failures.inc();
                 }
                 if tripped {
-                    self.tags.inc(&format!("cg/{cg}/trip"));
+                    tags.trip.inc();
                 }
                 if !self.recorder.is_enabled() {
                     continue;
@@ -709,7 +750,7 @@ impl ServeEngine {
                             ("batch_seq".into(), Value::from(seq)),
                         ],
                     );
-                } else if ok && route.probes.contains(&cg) {
+                } else if ok && route.probes.contains(cg) {
                     self.recorder.instant(
                         "breaker_close",
                         "health",
@@ -741,14 +782,10 @@ impl ServeEngine {
         // engines misbehave like everyone else's — but dead CPEs are
         // masked by the re-planning, per resilient.rs).
         let degraded = ResilientExecutor::degraded_chip(self.config.chip);
-        if let Ok(timing) = self.dispatcher.time_batch_for(
-            &self.cache,
-            &batch.shape,
-            n,
-            None::<PlanKind>,
-            1,
-            degraded,
-        ) {
+        if let Ok((timing, _)) =
+            self.dispatcher
+                .time_batch(&self.cache, &batch.shape, n, 1, degraded)
+        {
             let mut fault = chaos.fault;
             fault.dead_mask = 0;
             // Actor 64 is off-mesh: an independent decision stream from
@@ -823,18 +860,9 @@ impl ServeEngine {
         self.recorder.take()
     }
 
-    fn percentile(mut vals: Vec<u64>, pct: f64) -> u64 {
-        if vals.is_empty() {
-            return 0;
-        }
-        vals.sort_unstable();
-        let rank = ((pct / 100.0) * (vals.len() - 1) as f64).round() as usize;
-        vals[rank.min(vals.len() - 1)]
-    }
-
     /// Order-statistic latency percentile over all completions (0–100).
     pub fn latency_percentile_us(&self, pct: f64) -> u64 {
-        Self::percentile(
+        percentile(
             self.completions.iter().map(|c| c.latency_us()).collect(),
             pct,
         )
@@ -842,7 +870,7 @@ impl ServeEngine {
 
     /// Latency percentile over completions of one priority tier only.
     pub fn latency_percentile_for(&self, priority: Priority, pct: f64) -> u64 {
-        Self::percentile(
+        percentile(
             self.completions
                 .iter()
                 .filter(|c| c.priority == priority)
@@ -856,7 +884,7 @@ impl ServeEngine {
     /// histogram, kept apart from the completion percentiles so shedding
     /// can never flatter the reported latency.
     pub fn shed_wait_percentile_us(&self, pct: f64) -> u64 {
-        Self::percentile(self.drops.iter().map(|d| d.waited_us()).collect(), pct)
+        percentile(self.drops.iter().map(|d| d.waited_us()).collect(), pct)
     }
 
     pub fn summary(&self) -> ServeSummary {
@@ -889,6 +917,17 @@ impl ServeEngine {
             host_batches: self.counters.host_batches.get(),
         }
     }
+}
+
+/// Order-statistic percentile (0–100) of `vals`: the value at the
+/// nearest rank `pct/100 · (len − 1)`, 0 for an empty set.
+pub(crate) fn percentile(mut vals: Vec<u64>, pct: f64) -> u64 {
+    if vals.is_empty() {
+        return 0;
+    }
+    vals.sort_unstable();
+    let rank = ((pct / 100.0) * (vals.len() - 1) as f64).round() as usize;
+    vals[rank.min(vals.len() - 1)]
 }
 
 #[cfg(test)]
@@ -1073,6 +1112,55 @@ mod tests {
         assert!(snap[1].1.failures > 0);
         assert_eq!(snap[0].1.failures, 0, "healthy CGs never fail");
         assert!(e.tags.get("cg/1/trip") >= 1);
+    }
+
+    #[test]
+    fn zero_batch_cap_is_rejected_not_spun_on() {
+        // A zero cap made every `pop_batch` a Cap release of no requests,
+        // so `run_until` and `drain` (and a fleet of such engines) spun.
+        let serve = ServeConfig {
+            policy: BatchPolicy {
+                max_batch: 0,
+                deadline_us: 1_000,
+            },
+            ..ServeConfig::default()
+        };
+        assert!(matches!(
+            ServeEngine::new(serve),
+            Err(SwdnnError::ShapeMismatch { .. })
+        ));
+        let fleet = crate::cluster::Cluster::new(crate::cluster::ClusterConfig {
+            serve,
+            ..crate::cluster::ClusterConfig::default()
+        });
+        assert!(matches!(fleet, Err(SwdnnError::ShapeMismatch { .. })));
+    }
+
+    #[test]
+    fn dead_cg_outside_the_shard_width_is_rejected() {
+        let config = |cgs: usize, dead_cg: usize, fault: FaultPlan| ServeConfig {
+            cgs,
+            chaos: Some(ChaosConfig {
+                fault,
+                dead_cg,
+                ..ChaosConfig::default()
+            }),
+            ..ServeConfig::default()
+        };
+        let dead = FaultPlan::none(3).with_dead_cpe(2, 2);
+        // Every CG would clear the mask: the dead CPE would vanish.
+        for (cgs, dead_cg) in [(4, 4), (2, 2), (2, 3)] {
+            assert!(
+                matches!(
+                    ServeEngine::new(config(cgs, dead_cg, dead)),
+                    Err(SwdnnError::ShapeMismatch { .. })
+                ),
+                "dead_cg {dead_cg} on {cgs} CGs"
+            );
+        }
+        assert!(ServeEngine::new(config(2, 1, dead)).is_ok());
+        // Without a dead CPE, `dead_cg` pins nothing.
+        assert!(ServeEngine::new(config(2, 3, FaultPlan::none(3))).is_ok());
     }
 
     #[test]

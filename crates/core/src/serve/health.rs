@@ -170,17 +170,74 @@ pub struct HealthBoard {
     breakers: Vec<CgBreaker>,
 }
 
+/// A set of core-group indices, held as a bitmask so that routing a batch
+/// allocates nothing. Indices run below [`CgSet::CAPACITY`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CgSet(u64);
+
+impl CgSet {
+    /// Largest CG count a set (and so a [`HealthBoard`]) can hold.
+    pub const CAPACITY: usize = u64::BITS as usize;
+
+    /// Callers hold `cg` below [`CgSet::CAPACITY`].
+    pub(crate) fn insert(&mut self, cg: usize) {
+        self.0 |= 1 << cg;
+    }
+
+    pub fn contains(&self, cg: usize) -> bool {
+        cg < Self::CAPACITY && self.0 >> cg & 1 == 1
+    }
+
+    pub fn len(&self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.0 == 0
+    }
+
+    /// The members in index order.
+    pub fn iter(&self) -> impl Iterator<Item = usize> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let cg = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                cg
+            })
+        })
+    }
+
+    /// The `k` lowest-indexed members.
+    pub(crate) fn first(&self, k: usize) -> CgSet {
+        let mut set = CgSet::default();
+        for cg in self.iter().take(k) {
+            set.insert(cg);
+        }
+        set
+    }
+
+    /// The members not in `other`.
+    pub(crate) fn without(&self, other: CgSet) -> CgSet {
+        CgSet(self.0 & !other.0)
+    }
+}
+
 /// A routing decision for one batch.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Route {
-    /// CGs the batch may use, in index order (probes included).
-    pub cgs: Vec<usize>,
+    /// CGs the batch may use (probes included).
+    pub cgs: CgSet,
     /// Subset of `cgs` running as half-open probes.
-    pub probes: Vec<usize>,
+    pub probes: CgSet,
 }
 
 impl HealthBoard {
+    /// One closed breaker per CG. Panics if `cgs` exceeds
+    /// [`CgSet::CAPACITY`]; [`super::ServeEngine::new`] rejects such a
+    /// configuration with an error before building a board.
     pub fn new(cgs: usize, policy: BreakerPolicy) -> Self {
+        assert!(cgs <= CgSet::CAPACITY, "{cgs} CGs exceed a CgSet");
         Self {
             policy,
             breakers: vec![CgBreaker::default(); cgs],
@@ -203,19 +260,21 @@ impl HealthBoard {
     /// means every breaker is open: the caller must take the fallback
     /// chain (degraded mesh → host reference).
     pub fn route(&mut self, now_us: u64) -> Route {
-        let mut cgs = Vec::new();
-        let mut probes = Vec::new();
+        let mut route = Route {
+            cgs: CgSet::default(),
+            probes: CgSet::default(),
+        };
         for (g, b) in self.breakers.iter_mut().enumerate() {
             match b.availability(now_us) {
-                Availability::Ready => cgs.push(g),
+                Availability::Ready => route.cgs.insert(g),
                 Availability::Probe => {
-                    cgs.push(g);
-                    probes.push(g);
+                    route.cgs.insert(g);
+                    route.probes.insert(g);
                 }
                 Availability::Unavailable => {}
             }
         }
-        Route { cgs, probes }
+        route
     }
 
     /// Record a batch outcome on `cg`; returns `true` on a fresh trip.
@@ -224,11 +283,11 @@ impl HealthBoard {
         self.breakers[cg].record(success, now_us, &policy)
     }
 
-    /// Un-admit the probes of a route that was computed but not executed
-    /// (e.g. the caller re-routed after a mid-dispatch trip). Without this
-    /// an abandoned probe admission would block the half-open CG forever.
-    pub fn cancel_probes(&mut self, route: &Route) {
-        for &g in &route.probes {
+    /// Un-admit probes that were routed but will not run (the row split
+    /// left them out). Without this an abandoned probe admission would
+    /// block the half-open CG forever.
+    pub fn cancel_probes(&mut self, probes: CgSet) {
+        for g in probes.iter() {
             let b = &mut self.breakers[g];
             if matches!(b.state, BreakerState::HalfOpen) && b.probe_in_flight {
                 b.probe_in_flight = false;
@@ -346,13 +405,13 @@ mod tests {
             board.record(1, false, 0);
         }
         let r = board.route(0);
-        assert_eq!(r.cgs, vec![0, 2, 3]);
+        assert_eq!(r.cgs.iter().collect::<Vec<_>>(), vec![0, 2, 3]);
         assert!(r.probes.is_empty());
         assert_eq!(board.open_count(), 1);
         // After the cooldown CG 1 returns as a probe.
         let r = board.route(1_000);
-        assert_eq!(r.cgs, vec![0, 1, 2, 3]);
-        assert_eq!(r.probes, vec![1]);
+        assert_eq!(r.cgs.iter().collect::<Vec<_>>(), vec![0, 1, 2, 3]);
+        assert_eq!(r.probes.iter().collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]
@@ -362,10 +421,10 @@ mod tests {
             board.record(0, false, 0);
         }
         let r = board.route(1_000);
-        assert_eq!(r.probes, vec![0]);
-        board.cancel_probes(&r);
+        assert_eq!(r.probes.iter().collect::<Vec<_>>(), vec![0]);
+        board.cancel_probes(r.probes);
         let again = board.route(1_000);
-        assert_eq!(again.probes, vec![0], "cancelled probe is re-admittable");
+        assert_eq!(again.probes, r.probes, "cancelled probe is re-admittable");
         assert_eq!(
             board.breaker(0).stats.probes,
             1,

@@ -6,8 +6,8 @@
 //! module turns the existing plan/executor machinery into that request
 //! path:
 //!
-//! * [`PlanCache`] — shape-keyed memoization of plan resolution, sampled
-//!   timing, and autotune sweeps behind striped concurrent maps
+//! * [`PlanCache`] — memoization of plan resolution and sampled timing,
+//!   keyed by shape and mesh, behind a striped concurrent map
 //!   ([`ShardedMap`]) with hit/miss counters;
 //! * [`MicroBatcher`] — coalesces queued requests per shape up to a batch
 //!   cap or deadline, with a bounded queue that rejects
@@ -50,7 +50,7 @@ pub use engine::{
     ServeEngine, ServePath, ServeSummary,
 };
 pub use health::{
-    Availability, BreakerPolicy, BreakerState, CgBreaker, CgHealthStats, HealthBoard, Route,
+    Availability, BreakerPolicy, BreakerState, CgBreaker, CgHealthStats, CgSet, HealthBoard, Route,
 };
-pub use plan_cache::{CacheStats, CachedPlan, PlanCache, PlanKey, TuneKey};
+pub use plan_cache::{CacheStats, CachedPlan, PlanCache, PlanKey};
 pub use sharded_map::ShardedMap;

@@ -62,11 +62,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
         found
     }
 
-    /// Insert without touching the hit/miss counters.
-    pub fn insert(&self, key: K, value: V) {
-        self.shard(&key).lock().insert(key, value);
-    }
-
     /// Cached lookup: on a miss, run `make` *outside* the shard lock and
     /// insert its result. Two racing misses may both compute; the first
     /// insert wins and the duplicate result is returned to its caller —
@@ -117,14 +112,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
     pub fn reset_counters(&self) {
         self.hits.reset();
         self.misses.reset();
-    }
-
-    /// Drop every entry and zero the counters.
-    pub fn clear(&self) {
-        for s in &self.shards {
-            s.lock().clear();
-        }
-        self.reset_counters();
     }
 }
 

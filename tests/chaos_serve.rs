@@ -17,6 +17,10 @@
 //!    number-for-number under `sw_runtime::with_threads` at 1, 4, and 8
 //!    lanes: same completions, same drops, same breaker snapshot, same
 //!    tags.
+//! 4. **Pinned numbers** — the same run's tags, breaker snapshot, cycle
+//!    totals and a digest of everything it produced equal literals, so an
+//!    accounting rewrite is checked for bit identity, not only for
+//!    determinism.
 
 use proptest::prelude::*;
 use sw_tensor::ConvShape;
@@ -127,7 +131,7 @@ proptest! {
             for step in 0u64..40 {
                 let now = step * 100;
                 let route = board.route(now);
-                for &g in &route.cgs {
+                for g in route.cgs.iter() {
                     rng = rng
                         .wrapping_mul(6364136223846793005)
                         .wrapping_add(1442695040888963407);
@@ -228,4 +232,45 @@ fn chaos_serving_is_identical_across_thread_counts() {
             "chaos run diverged at {threads} worker threads"
         );
     }
+}
+
+/// FNV-1a over the fingerprint's `Debug` rendering: one number that moves
+/// if any completion, drop, breaker count, tag or cycle total does.
+fn digest(fingerprint: &impl std::fmt::Debug) -> u64 {
+    format!("{fingerprint:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+#[test]
+fn chaos_run_is_pinned() {
+    let fp = chaos_fingerprint();
+    assert_eq!((fp.0.len(), fp.1.len()), (144, 48), "completions, drops");
+    let tags: Vec<(&str, u64)> = fp.3.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+    assert_eq!(
+        tags,
+        [
+            ("cg/0/success", 38),
+            ("cg/1/success", 38),
+            ("cg/2/failure", 3),
+            ("cg/2/trip", 2),
+            ("cg/3/success", 3),
+            ("tenant/0/served", 144),
+            ("tenant/0/shed", 12),
+            ("tenant/1/evicted", 12),
+            ("tenant/1/timed_out", 12),
+            ("tenant/2/evicted", 6),
+            ("tenant/2/timed_out", 6),
+        ]
+    );
+    let cg2 = fp.2[2];
+    assert_eq!(cg2.0, "open");
+    assert_eq!(
+        (cg2.1.successes, cg2.1.failures, cg2.1.trips, cg2.1.probes),
+        (0, 3, 2, 1)
+    );
+    assert_eq!((fp.4, fp.5), (11_508_224, 46_189_024), "fault, busy cycles");
+    assert_eq!(digest(&fp), 0x49ad_bf47_3848_394c);
 }

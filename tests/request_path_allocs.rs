@@ -1,13 +1,16 @@
 //! The warm serving request path allocates nothing per request.
 //!
-//! A counting global allocator wraps the system one, and a warm 4-chip
-//! fleet takes 12 000 more requests through `Cluster::submit_at`, served,
-//! shed at admission and evicted. Per dispatched batch one allocation is
-//! expected: the batch's request vector. Beyond that, only the
-//! completion and drop logs may grow, by doubling, so the allowance is
-//! logarithmic in the request count. Whatever a request costs besides —
-//! a tag key, a routing buffer, a trace name — shows up here as at least
-//! one allocation per request.
+//! A counting global allocator wraps the system one. A warm 4-chip fleet
+//! takes 12 000 more requests through `Cluster::submit_at`, served, shed
+//! at admission and evicted; then a warm 4-CG engine under the default
+//! `ChaosConfig` serves 1 000 more batches through the fault-aware
+//! accounting path (breaker routing, fault sampling, per-CG tags). Per
+//! dispatched batch one allocation is expected: the batch's request
+//! vector. Beyond that, only the completion and drop logs may grow, by
+//! doubling, so the allowance is logarithmic in the request count.
+//! Whatever a request or a batch costs besides — a tag key, a routing
+//! buffer, a trace name — shows up here as at least one allocation per
+//! request or batch.
 //!
 //! The allocator counts every thread, so worker-pool threads cannot hide
 //! an allocation; CI runs this file under a 2-thread pool as well. The
@@ -15,8 +18,9 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use sw_tensor::ConvShape;
 use swdnn::cluster::{Cluster, ClusterConfig};
-use swdnn::serve::{BatchPolicy, Priority, RequestClass, ServeConfig};
+use swdnn::serve::{BatchPolicy, ChaosConfig, Priority, RequestClass, ServeConfig, ServeEngine};
 use swdnn::zoo::serving_mix;
 use swdnn::SwdnnError;
 
@@ -86,6 +90,27 @@ fn offer(c: &mut Cluster, from: usize, to: usize) -> u64 {
     shed
 }
 
+/// Log growth allowance: the completion and drop logs of `logs` holders
+/// double at most once per power of two of the `requests` they hold.
+fn log_growth(logs: usize, requests: usize) -> u64 {
+    2 * logs as u64 * u64::from(usize::BITS - requests.leading_zeros())
+}
+
+/// Serve `batches` full batches of one shape on a chaos engine, one cap
+/// release per four submissions. Returns the requests served.
+fn serve_batches(e: &mut ServeEngine, batches: usize) -> usize {
+    // ro = 8 splits over all four CGs.
+    let shape = ConvShape::new(16, 8, 8, 8, 8, 3, 3);
+    let mut served = 0;
+    for _ in 0..batches {
+        for _ in 0..4 {
+            e.submit(shape).expect("the queue has room");
+        }
+        served += e.poll().expect("chaos dispatch");
+    }
+    served
+}
+
 fn batches(c: &Cluster) -> u64 {
     (0..CHIPS).map(|i| c.engine(i).counters.batches.get()).sum()
 }
@@ -123,12 +148,38 @@ fn warm_requests_allocate_only_their_batches() {
     assert!(shed > 0, "the trace must shed at admission");
     assert!(evicted(&c) > evicted_before, "the trace must evict");
     assert!(dispatched > 0, "the trace must serve");
-    // Each chip's completion and drop logs double at most once per
-    // power of two of the requests they hold.
-    let growth = 2 * CHIPS as u64 * u64::from(usize::BITS - (warm + measured).leading_zeros());
+    let growth = log_growth(CHIPS, warm + measured);
     assert!(
         allocs <= dispatched + growth,
         "{allocs} allocations over {measured} requests, {dispatched} batches \
+         (allowance {dispatched} + {growth})"
+    );
+
+    // The chaos accounting path: same gate, one engine, inert faults.
+    let mut e = ServeEngine::new(ServeConfig {
+        policy: BatchPolicy {
+            max_batch: 4,
+            deadline_us: 1_000,
+        },
+        chaos: Some(ChaosConfig::default()),
+        ..ServeConfig::default()
+    })
+    .expect("build chaos engine");
+    let (warm, measured) = (100, 1_000);
+    serve_batches(&mut e, warm);
+    let allocs_before = ALLOCS.load(Ordering::Relaxed);
+    let served = serve_batches(&mut e, measured);
+    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+    assert_eq!(
+        served,
+        4 * measured,
+        "every batch must be a full cap release"
+    );
+    let dispatched = measured as u64;
+    let growth = log_growth(1, 4 * (warm + measured));
+    assert!(
+        allocs <= dispatched + growth,
+        "chaos engine: {allocs} allocations over {dispatched} batches \
          (allowance {dispatched} + {growth})"
     );
 }

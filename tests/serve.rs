@@ -40,9 +40,10 @@ fn engine(max_batch: usize, queue_limit: usize) -> ServeEngine {
 fn plan_cache_hits_are_deterministic_and_identical() {
     let cache = PlanCache::new();
     let chip = ChipSpec::sw26010();
-    let first = cache.plan(&chip, &shape(), None).unwrap();
+    let rt = sw_runtime::global();
+    let first = cache.plan_on(rt, &chip, &shape()).unwrap();
     for _ in 0..10 {
-        let again = cache.plan(&chip, &shape(), None).unwrap();
+        let again = cache.plan_on(rt, &chip, &shape()).unwrap();
         assert!(Arc::ptr_eq(&first, &again), "hits return the cached entry");
         assert_eq!(first.timing.cycles, again.timing.cycles);
         assert_eq!(first.model.gflops_per_cg, again.model.gflops_per_cg);
@@ -53,7 +54,7 @@ fn plan_cache_hits_are_deterministic_and_identical() {
 
     // A fresh cache re-derives the exact same timing: the simulation is
     // deterministic, so cached and uncached answers can never diverge.
-    let fresh = PlanCache::new().plan(&chip, &shape(), None).unwrap();
+    let fresh = PlanCache::new().plan_on(rt, &chip, &shape()).unwrap();
     assert_eq!(fresh.timing.cycles, first.timing.cycles);
     assert_eq!(fresh.blocking, first.blocking);
 }
