@@ -22,9 +22,9 @@
 //!    vanishes, regardless of fault rate;
 //! 2. **zero numeric drift** — completed requests are bit-identical to
 //!    the scalar reference at every row-split width rerouting can pick
-//!    ([`check_numeric_drift`]);
+//!    (`check_numeric_drift`);
 //! 3. **bounded high-priority tail** — p99 over high-priority completions
-//!    stays under [`CHAOS_MAX_HIGH_P99_US`] while faults are active.
+//!    stays under `CHAOS_MAX_HIGH_P99_US` while faults are active.
 //!
 //! Faults cost simulated time, never answers: breaker trips reroute the
 //! row split to healthy CGs, exhausted retries fall back to the degraded
@@ -34,34 +34,25 @@
 use crate::report::Table;
 use sw_sim::fault::splitmix64_next;
 use sw_sim::FaultPlan;
-use sw_tensor::{conv2d_ref, init::lattice_tensor, ConvShape, Layout};
+use sw_tensor::ConvShape;
 use swdnn::serve::{
     BatchPolicy, BreakerPolicy, ChaosConfig, Priority, RequestClass, ServeConfig, ServeEngine,
-    ServeSummary, ShardedDispatcher,
+    ServeSummary,
 };
 use swdnn::zoo::serving_mix;
-use swdnn::{ChipSpec, SwdnnError};
+use swdnn::SwdnnError;
 
 /// Root seed for every trace and fault stream in the sweep.
-pub const CHAOS_SEED: u64 = 0xC8A0_5EED;
+const CHAOS_SEED: u64 = 0xC8A0_5EED;
 
 /// Arrivals replayed per sweep cell of the committed `chaos_serve.csv`;
-/// the gate unit test replays [`SNAPSHOT_CHAOS_REQUESTS`] of one cell.
-pub const FULL_CHAOS_REQUESTS: usize = 400;
-pub const SNAPSHOT_CHAOS_REQUESTS: usize = 160;
+/// the gate unit test replays `SNAPSHOT_CHAOS_REQUESTS` of one cell.
+const FULL_CHAOS_REQUESTS: usize = 400;
 
 /// Dispatch deadline attached to every low-priority arrival, logical µs —
 /// a few batch-service times, so low traffic queued behind a burst times
 /// out instead of waiting it out.
-pub const LOW_PRIORITY_DEADLINE_US: u64 = 6_000;
-
-/// Hard ceiling on p99 latency over *high-priority* completions in every
-/// sweep cell, faults included. The logical clock makes the measurement
-/// exact; the ceiling sits above the worst cell of the committed sweep
-/// (steady Poisson against the lossy bus, currently ≈ 29.6 ms of
-/// simulated time, dominated by redispatch and fallback costs) and fails
-/// on any change that lets faults push the high tier's tail further out.
-pub const CHAOS_MAX_HIGH_P99_US: u64 = 40_000;
+const LOW_PRIORITY_DEADLINE_US: u64 = 6_000;
 
 /// Uniform in `(0, 1]` — never 0, so `ln` below is always finite.
 fn unit(state: &mut u64) -> f64 {
@@ -70,7 +61,7 @@ fn unit(state: &mut u64) -> f64 {
 
 /// One arrival-process shape for the sweep.
 #[derive(Clone, Copy, Debug)]
-pub struct TrafficProfile {
+struct TrafficProfile {
     pub name: &'static str,
     /// Mean inter-arrival gap while traffic flows, logical µs.
     pub mean_gap_us: f64,
@@ -82,7 +73,7 @@ pub struct TrafficProfile {
 
 /// The committed traffic axis: steady Poisson plus an on/off burst train
 /// at the same average rate within windows.
-pub fn traffic_profiles() -> Vec<TrafficProfile> {
+fn traffic_profiles() -> Vec<TrafficProfile> {
     vec![
         // A batch of 8 mix-shape requests serves in ≈ 2.3 ms, so the chip
         // sustains ≈ 3.5 req/ms fully batched. Poisson at 1/400 µs keeps
@@ -103,7 +94,7 @@ pub fn traffic_profiles() -> Vec<TrafficProfile> {
 }
 
 /// The committed fault axis, from a clean chip to a dead core group.
-pub fn fault_profiles() -> Vec<(&'static str, ChaosConfig)> {
+fn fault_profiles() -> Vec<(&'static str, ChaosConfig)> {
     let base = |fault: FaultPlan| ChaosConfig {
         fault,
         dead_cg: 0,
@@ -140,7 +131,7 @@ pub fn fault_profiles() -> Vec<(&'static str, ChaosConfig)> {
 
 /// One request in the replayable arrival trace.
 #[derive(Clone, Copy, Debug)]
-pub struct Arrival {
+struct Arrival {
     pub at_us: u64,
     pub shape: ConvShape,
     pub class: RequestClass,
@@ -150,7 +141,7 @@ pub struct Arrival {
 /// profile says so), shapes drawn from the serving mix, ~70% high-priority
 /// traffic across four tenants, low-priority requests carrying a dispatch
 /// deadline. Pure function of `(profile, requests, seed)`.
-pub fn generate_trace(profile: &TrafficProfile, requests: usize, seed: u64) -> Vec<Arrival> {
+fn generate_trace(profile: &TrafficProfile, requests: usize, seed: u64) -> Vec<Arrival> {
     let mix = serving_mix();
     let mut rng = seed;
     let mut t_us: u64 = 0;
@@ -183,9 +174,11 @@ pub fn generate_trace(profile: &TrafficProfile, requests: usize, seed: u64) -> V
     out
 }
 
-/// Outcome of one sweep cell.
+/// Outcome of one sweep cell. The admission counts are read only by the
+/// SLO gates in `tests`.
 #[derive(Clone, Debug)]
-pub struct ChaosReport {
+#[cfg_attr(not(test), expect(dead_code))]
+struct ChaosReport {
     pub traffic: &'static str,
     pub faults: &'static str,
     pub offered: u64,
@@ -199,13 +192,12 @@ pub struct ChaosReport {
     /// zero retry hint) — must be 0.
     pub malformed_sheds: u64,
     pub summary: ServeSummary,
-    pub busy_cycles: u64,
 }
 
 /// Engine configuration for every sweep cell: snapshot-sized batching over
 /// a deliberately tight queue so bursts actually exercise admission
 /// control.
-pub fn chaos_serve_config(chaos: ChaosConfig) -> ServeConfig {
+fn chaos_serve_config(chaos: ChaosConfig) -> ServeConfig {
     ServeConfig {
         policy: BatchPolicy {
             max_batch: 8,
@@ -220,7 +212,7 @@ pub fn chaos_serve_config(chaos: ChaosConfig) -> ServeConfig {
 /// Replay one trace against one fault profile: advance the logical clock
 /// to each arrival (dispatching whatever triggers on the way), submit,
 /// account the outcome, then drain the tail.
-pub fn run_chaos_scenario(
+fn run_chaos_scenario(
     traffic: &TrafficProfile,
     fault_name: &'static str,
     chaos: ChaosConfig,
@@ -265,99 +257,7 @@ pub fn run_chaos_scenario(
         high_shed,
         malformed_sheds,
         summary: engine.summary(),
-        busy_cycles: engine.counters.busy_cycles.get(),
     })
-}
-
-/// Evaluate one sweep cell against the chaos SLOs. Returns the one-line
-/// pass description, or a violation message.
-pub fn check_chaos_gates(rep: &ChaosReport) -> Result<String, String> {
-    let s = rep.summary;
-    let line = format!(
-        "{}/{}: {} served, {} shed, {} evicted, {} timed out; high p99 {} us \
-         (ceiling {CHAOS_MAX_HIGH_P99_US}); trips {}, degraded {}, host {}",
-        rep.traffic,
-        rep.faults,
-        s.served,
-        s.rejected,
-        s.evicted,
-        s.timed_out,
-        s.high_p99_latency_us,
-        s.breaker_trips,
-        s.degraded_batches,
-        s.host_batches,
-    );
-    let high_accounted = rep.high_served + rep.high_shed;
-    if high_accounted != rep.offered_high {
-        return Err(format!(
-            "{line} — lost high-priority work: {} of {} accounted",
-            high_accounted, rep.offered_high
-        ));
-    }
-    if rep.malformed_sheds > 0 {
-        return Err(format!(
-            "{line} — {} shed responses lacked structured Overloaded context",
-            rep.malformed_sheds
-        ));
-    }
-    let accounted = s.served + s.rejected + s.evicted + s.timed_out;
-    if accounted != rep.offered {
-        return Err(format!(
-            "{line} — request accounting leak: {accounted} of {} accounted",
-            rep.offered
-        ));
-    }
-    if s.high_p99_latency_us > CHAOS_MAX_HIGH_P99_US {
-        return Err(format!(
-            "{line} — high-priority p99 above ceiling: {} > {CHAOS_MAX_HIGH_P99_US}",
-            s.high_p99_latency_us
-        ));
-    }
-    if s.served == 0 || s.gflops_chip <= 0.0 {
-        return Err(format!("{line} — zero serving throughput"));
-    }
-    Ok(line)
-}
-
-/// The numeric-drift gate: every row-split width breaker rerouting can
-/// pick must produce output bit-identical to the scalar reference on every
-/// serving-mix shape. Fault injection only ever changes *timing* and
-/// *routing*; if any width drifted numerically, a rerouted batch would
-/// silently serve different answers than the fault-free golden run.
-pub fn check_numeric_drift() -> Result<String, String> {
-    let chip = ChipSpec::sw26010();
-    let mut checked = 0usize;
-    for (name, shape) in serving_mix() {
-        let input = lattice_tensor(shape.input_shape(), Layout::Nchw, 40);
-        let filter = lattice_tensor(shape.filter_shape(), Layout::Nchw, 41);
-        let golden = conv2d_ref(shape, &input, &filter);
-        for cgs in [1usize, 2, 4] {
-            let d = ShardedDispatcher::new(chip, cgs)
-                .map_err(|e| format!("{name} at {cgs} CGs: {e}"))?;
-            let (out, _) = d
-                .run(&shape, &input, &filter)
-                .map_err(|e| format!("{name} at {cgs} CGs: {e}"))?;
-            let drift = out.max_abs_diff(&golden);
-            if drift != 0.0 {
-                return Err(format!(
-                    "{name} drifts {drift:e} from the reference at {cgs} CGs"
-                ));
-            }
-            checked += 1;
-        }
-    }
-    Ok(format!(
-        "numeric drift: 0.0 across {checked} shape x width combinations"
-    ))
-}
-
-/// The sweep cell the gate unit test replays: steady Poisson traffic
-/// against the flaky-DMA profile — faulty enough that retry/stall charging
-/// shows up in the counters, tame enough to run on every `cargo test`.
-pub fn snapshot_chaos_cell() -> (TrafficProfile, &'static str, ChaosConfig) {
-    let traffic = traffic_profiles()[0];
-    let (name, chaos) = fault_profiles()[1];
-    (traffic, name, chaos)
 }
 
 pub fn chaos() -> Vec<Table> {
@@ -404,6 +304,111 @@ pub fn chaos() -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sw_tensor::{conv2d_ref, init::lattice_tensor, Layout};
+    use swdnn::serve::ShardedDispatcher;
+    use swdnn::ChipSpec;
+
+    /// Arrivals the gate tests replay of one cell.
+    const SNAPSHOT_CHAOS_REQUESTS: usize = 160;
+
+    /// Hard ceiling on p99 latency over *high-priority* completions in every
+    /// sweep cell, faults included. The logical clock makes the measurement
+    /// exact; the ceiling sits above the worst cell of the committed sweep
+    /// (steady Poisson against the lossy bus, currently ≈ 29.6 ms of
+    /// simulated time, dominated by redispatch and fallback costs) and fails
+    /// on any change that lets faults push the high tier's tail further out.
+    const CHAOS_MAX_HIGH_P99_US: u64 = 40_000;
+
+    /// Evaluate one sweep cell against the chaos SLOs. Returns the one-line
+    /// pass description, or a violation message.
+    fn check_chaos_gates(rep: &ChaosReport) -> Result<String, String> {
+        let s = rep.summary;
+        let line = format!(
+            "{}/{}: {} served, {} shed, {} evicted, {} timed out; high p99 {} us \
+             (ceiling {CHAOS_MAX_HIGH_P99_US}); trips {}, degraded {}, host {}",
+            rep.traffic,
+            rep.faults,
+            s.served,
+            s.rejected,
+            s.evicted,
+            s.timed_out,
+            s.high_p99_latency_us,
+            s.breaker_trips,
+            s.degraded_batches,
+            s.host_batches,
+        );
+        let high_accounted = rep.high_served + rep.high_shed;
+        if high_accounted != rep.offered_high {
+            return Err(format!(
+                "{line} — lost high-priority work: {} of {} accounted",
+                high_accounted, rep.offered_high
+            ));
+        }
+        if rep.malformed_sheds > 0 {
+            return Err(format!(
+                "{line} — {} shed responses lacked structured Overloaded context",
+                rep.malformed_sheds
+            ));
+        }
+        let accounted = s.served + s.rejected + s.evicted + s.timed_out;
+        if accounted != rep.offered {
+            return Err(format!(
+                "{line} — request accounting leak: {accounted} of {} accounted",
+                rep.offered
+            ));
+        }
+        if s.high_p99_latency_us > CHAOS_MAX_HIGH_P99_US {
+            return Err(format!(
+                "{line} — high-priority p99 above ceiling: {} > {CHAOS_MAX_HIGH_P99_US}",
+                s.high_p99_latency_us
+            ));
+        }
+        if s.served == 0 || s.gflops_chip <= 0.0 {
+            return Err(format!("{line} — zero serving throughput"));
+        }
+        Ok(line)
+    }
+
+    /// The numeric-drift gate: every row-split width breaker rerouting can
+    /// pick must produce output bit-identical to the scalar reference on every
+    /// serving-mix shape. Fault injection only ever changes *timing* and
+    /// *routing*; if any width drifted numerically, a rerouted batch would
+    /// silently serve different answers than the fault-free golden run.
+    fn check_numeric_drift() -> Result<String, String> {
+        let chip = ChipSpec::sw26010();
+        let mut checked = 0usize;
+        for (name, shape) in serving_mix() {
+            let input = lattice_tensor(shape.input_shape(), Layout::Nchw, 40);
+            let filter = lattice_tensor(shape.filter_shape(), Layout::Nchw, 41);
+            let golden = conv2d_ref(shape, &input, &filter);
+            for cgs in [1usize, 2, 4] {
+                let d = ShardedDispatcher::new(chip, cgs)
+                    .map_err(|e| format!("{name} at {cgs} CGs: {e}"))?;
+                let (out, _) = d
+                    .run(&shape, &input, &filter)
+                    .map_err(|e| format!("{name} at {cgs} CGs: {e}"))?;
+                let drift = out.max_abs_diff(&golden);
+                if drift != 0.0 {
+                    return Err(format!(
+                        "{name} drifts {drift:e} from the reference at {cgs} CGs"
+                    ));
+                }
+                checked += 1;
+            }
+        }
+        Ok(format!(
+            "numeric drift: 0.0 across {checked} shape x width combinations"
+        ))
+    }
+
+    /// The sweep cell the gate unit test replays: steady Poisson traffic
+    /// against the flaky-DMA profile — faulty enough that retry/stall charging
+    /// shows up in the counters, tame enough to run on every `cargo test`.
+    fn snapshot_chaos_cell() -> (TrafficProfile, &'static str, ChaosConfig) {
+        let traffic = traffic_profiles()[0];
+        let (name, chaos) = fault_profiles()[1];
+        (traffic, name, chaos)
+    }
 
     #[test]
     fn traces_are_deterministic_and_mixed() {

@@ -15,7 +15,7 @@
 //! allreduce overhead. Both sweeps run entirely on the deterministic
 //! logical clock, so every efficiency figure is exact: the three
 //! `cluster_*_scaling.csv` pin the curves, and this module's tests hold
-//! the floor ([`SCALING_MIN_EFFICIENCY`]) at [`GATED_CHIPS`] chips.
+//! the floor (`SCALING_MIN_EFFICIENCY`) at `GATED_CHIPS` chips.
 //!
 //! **Strong scaling** holds the *total* batch fixed while chips grow —
 //! the regime where collective latency actually bites, because per-chip
@@ -23,7 +23,7 @@
 //! strong sweep runs the bucketized, overlap-aware collective on the
 //! grouped supernode topology and, at every point, also runs the same
 //! configuration with overlap disabled; overlap must *strictly* reduce the
-//! modeled step time at every multi-chip point ([`check_strong_gates`]).
+//! modeled step time at every multi-chip point (`check_strong_gates`).
 
 use crate::report::{f, Table};
 use sw_perfmodel::Topology;
@@ -37,48 +37,39 @@ use swdnn::zoo::{lenet_12, serving_mix};
 use swdnn::SwdnnError;
 
 /// Chip counts the sweep covers.
-pub const SCALING_CHIPS: [usize; 4] = [1, 2, 4, 8];
-
-/// The chip count the efficiency floor is enforced at.
-pub const GATED_CHIPS: usize = 8;
-
-/// Hard floor on weak-scaling efficiency at [`GATED_CHIPS`] chips, for
-/// both serving req/s and training samples/s. The committed sweep sits
-/// comfortably above this; the floor fails any change that lets routing
-/// imbalance or collective overhead eat the scale-out.
-pub const SCALING_MIN_EFFICIENCY: f64 = 0.80;
+const SCALING_CHIPS: [usize; 4] = [1, 2, 4, 8];
 
 /// Requests offered *per chip* in the serving sweep (so a `C`-chip run
 /// replays `C ×` this many arrivals at `C ×` the single-chip rate).
-pub const SERVE_REQUESTS_PER_CHIP: usize = 80;
+const SERVE_REQUESTS_PER_CHIP: usize = 80;
 
 /// Mean inter-arrival gap of the single-chip serving load, logical µs.
 /// A batch of 8 mix-shape requests serves in ≈ 2.3 ms, so one chip
 /// sustains ≈ 3.5 req/ms fully batched; offering ≈ 1.4 req/ms keeps
 /// every chip busy without driving the bounded queues into shedding.
-pub const SERVE_BASE_GAP_US: f64 = 700.0;
+const SERVE_BASE_GAP_US: f64 = 700.0;
 
 /// Root seed for the serving arrival trace.
-pub const CLUSTER_SEED: u64 = 0xC1A5_7E12_5EED;
+const CLUSTER_SEED: u64 = 0xC1A5_7E12_5EED;
 
 /// Microbatches per chip per training step (weak scaling: the global
 /// batch grows with the chip count, per-chip work stays fixed).
-pub const TRAIN_MICROBATCHES_PER_CHIP: usize = 2;
+const TRAIN_MICROBATCHES_PER_CHIP: usize = 2;
 
 /// Samples per microbatch (the master network's fixed batch size).
-pub const TRAIN_MICROBATCH_SIZE: usize = 4;
+const TRAIN_MICROBATCH_SIZE: usize = 4;
 
 /// Training steps measured per sweep point.
-pub const TRAIN_STEPS: usize = 3;
+const TRAIN_STEPS: usize = 3;
 
 /// Total microbatches of the strong-scaling sweep — fixed across chip
 /// counts, so per-chip compute shrinks as chips grow.
-pub const STRONG_TOTAL_MICROBATCHES: usize = 8;
+const STRONG_TOTAL_MICROBATCHES: usize = 8;
 
 /// Bucket size (parameters) of the strong sweep's collective. lenet_12
 /// at 2 classes has 646 parameters, so this cuts the gradient into 7
 /// buckets — enough in-flight collectives to exercise port contention.
-pub const STRONG_BUCKET_PARAMS: usize = 100;
+const STRONG_BUCKET_PARAMS: usize = 100;
 
 fn unit(state: &mut u64) -> f64 {
     ((splitmix64_next(state) >> 11) + 1) as f64 / (1u64 << 53) as f64
@@ -88,7 +79,7 @@ fn unit(state: &mut u64) -> f64 {
 /// shape at two batch sizes — 8 distinct shapes, enough consistent-hash
 /// arcs that an 8-chip ring sees work on most chips *before* load
 /// spilling evens out the rest.
-pub fn cluster_mix() -> Vec<ConvShape> {
+fn cluster_mix() -> Vec<ConvShape> {
     let mut out = Vec::new();
     for (_, s) in serving_mix() {
         out.push(s);
@@ -108,7 +99,7 @@ pub fn cluster_mix() -> Vec<ConvShape> {
 /// Per-chip engine configuration for the sweep: the chaos bench's tight
 /// batching over a queue deep enough that spilling, not shedding,
 /// absorbs transient imbalance.
-pub fn cluster_serve_config() -> ServeConfig {
+fn cluster_serve_config() -> ServeConfig {
     ServeConfig {
         policy: BatchPolicy {
             max_batch: 8,
@@ -119,9 +110,11 @@ pub fn cluster_serve_config() -> ServeConfig {
     }
 }
 
-/// One serving sweep point.
+/// One serving sweep point. `duration_us` and `fingerprint` are read only
+/// by the determinism test.
 #[derive(Clone, Copy, Debug)]
-pub struct ServeScalePoint {
+#[cfg_attr(not(test), expect(dead_code))]
+struct ServeScalePoint {
     pub chips: usize,
     pub summary: ClusterSummary,
     /// First arrival to last completion, logical µs.
@@ -134,10 +127,7 @@ pub struct ServeScalePoint {
 
 /// Replay the weak-scaled open-loop trace against a `chips`-chip fleet.
 /// Pure function of `(chips, requests_per_chip)` on the logical clock.
-pub fn run_serve_scale(
-    chips: usize,
-    requests_per_chip: usize,
-) -> Result<ServeScalePoint, SwdnnError> {
+fn run_serve_scale(chips: usize, requests_per_chip: usize) -> Result<ServeScalePoint, SwdnnError> {
     let mix = cluster_mix();
     let mut cluster = Cluster::new(ClusterConfig {
         chips,
@@ -171,7 +161,7 @@ pub fn run_serve_scale(
 
 /// One training sweep point.
 #[derive(Clone, Copy, Debug)]
-pub struct TrainScalePoint {
+struct TrainScalePoint {
     pub chips: usize,
     /// Samples in each global batch (`chips × microbatches/chip × mb`).
     pub samples_per_step: usize,
@@ -206,7 +196,7 @@ fn train_task(batch: usize, seed: u64) -> (Tensor4<f64>, Vec<usize>) {
 /// per-chip microbatch load fixed, reporting the last step's modeled
 /// cost (steady state: the first steps are identical in time anyway —
 /// the model is closed-form — but loss settles).
-pub fn run_train_scale(chips: usize) -> Result<TrainScalePoint, SwdnnError> {
+fn run_train_scale(chips: usize) -> Result<TrainScalePoint, SwdnnError> {
     let microbatches = TRAIN_MICROBATCHES_PER_CHIP * chips;
     let batch = microbatches * TRAIN_MICROBATCH_SIZE;
     let net = lenet_12(TRAIN_MICROBATCH_SIZE, 1, 2, Engine::Host, 42)?;
@@ -236,8 +226,10 @@ pub fn run_train_scale(chips: usize) -> Result<TrainScalePoint, SwdnnError> {
 
 /// One strong-scaling sweep point: the overlapped, bucketized collective
 /// on the grouped topology, next to its overlap-disabled twin.
+/// `samples_per_step` and `loss` are read only by the gates in `tests`.
 #[derive(Clone, Copy, Debug)]
-pub struct StrongScalePoint {
+#[cfg_attr(not(test), expect(dead_code))]
+struct StrongScalePoint {
     pub chips: usize,
     /// Samples per step — constant across the sweep by construction.
     pub samples_per_step: usize,
@@ -259,7 +251,7 @@ pub struct StrongScalePoint {
 /// Run the strong-scaling point at `chips` chips: fixed
 /// [`STRONG_TOTAL_MICROBATCHES`] global microbatches, bucketized
 /// collectives on [`Topology::sw_supernode`], overlapped and not.
-pub fn run_train_strong(chips: usize) -> Result<StrongScalePoint, SwdnnError> {
+fn run_train_strong(chips: usize) -> Result<StrongScalePoint, SwdnnError> {
     let batch = STRONG_TOTAL_MICROBATCHES * TRAIN_MICROBATCH_SIZE;
     let cfg = TrainConfig {
         chips,
@@ -296,56 +288,6 @@ pub fn run_train_strong(chips: usize) -> Result<StrongScalePoint, SwdnnError> {
         buckets: over.collective.buckets,
         loss: over.loss,
     })
-}
-
-/// Evaluate the strong sweep: overlap must *strictly* beat the
-/// non-overlapped schedule at every multi-chip point (and visibly hide
-/// wire time), and adding chips at fixed total batch must keep cutting
-/// the step time through the gated count.
-pub fn check_strong_gates(strong: &[StrongScalePoint]) -> Result<Vec<String>, Vec<String>> {
-    let mut lines = Vec::new();
-    let mut failures = Vec::new();
-    for p in strong {
-        if p.chips == 1 {
-            if p.comm_us != 0.0 {
-                failures.push(format!(
-                    "strong-scaling 1-chip anchor has {} µs of wire time",
-                    p.comm_us
-                ));
-            }
-            continue;
-        }
-        let line = format!(
-            "train strong-scaling at {} chips: step {:.1} µs overlapped vs {:.1} µs serial \
-             ({} buckets, {}‰ of wire time hidden)",
-            p.chips, p.step_us, p.serial_step_us, p.buckets, p.overlap_permille
-        );
-        if p.step_us < p.serial_step_us && p.overlap_permille > 0 {
-            lines.push(line);
-        } else {
-            failures.push(format!("{line} — overlap must strictly win"));
-        }
-    }
-    if let Some(anchor) = strong.iter().find(|p| p.chips == 1) {
-        for p in strong
-            .iter()
-            .filter(|p| p.chips > 1 && p.chips <= GATED_CHIPS)
-        {
-            if p.step_us >= anchor.step_us {
-                failures.push(format!(
-                    "strong-scaling stopped paying at {} chips: step {:.1} µs ≥ 1-chip {:.1} µs",
-                    p.chips, p.step_us, anchor.step_us
-                ));
-            }
-        }
-    } else {
-        failures.push("strong sweep has no 1-chip anchor".into());
-    }
-    if failures.is_empty() {
-        Ok(lines)
-    } else {
-        Err(failures)
-    }
 }
 
 /// Weak-scaling efficiency of a sweep point against the 1-chip anchor.
@@ -447,6 +389,65 @@ pub fn cluster() -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The chip count the efficiency floor is enforced at.
+    const GATED_CHIPS: usize = 8;
+
+    /// Hard floor on weak-scaling efficiency at [`GATED_CHIPS`] chips, for
+    /// both serving req/s and training samples/s. The committed sweep sits
+    /// comfortably above this; the floor fails any change that lets routing
+    /// imbalance or collective overhead eat the scale-out.
+    const SCALING_MIN_EFFICIENCY: f64 = 0.80;
+
+    /// Evaluate the strong sweep: overlap must *strictly* beat the
+    /// non-overlapped schedule at every multi-chip point (and visibly hide
+    /// wire time), and adding chips at fixed total batch must keep cutting
+    /// the step time through the gated count.
+    fn check_strong_gates(strong: &[StrongScalePoint]) -> Result<Vec<String>, Vec<String>> {
+        let mut lines = Vec::new();
+        let mut failures = Vec::new();
+        for p in strong {
+            if p.chips == 1 {
+                if p.comm_us != 0.0 {
+                    failures.push(format!(
+                        "strong-scaling 1-chip anchor has {} µs of wire time",
+                        p.comm_us
+                    ));
+                }
+                continue;
+            }
+            let line = format!(
+                "train strong-scaling at {} chips: step {:.1} µs overlapped vs {:.1} µs serial \
+                 ({} buckets, {}‰ of wire time hidden)",
+                p.chips, p.step_us, p.serial_step_us, p.buckets, p.overlap_permille
+            );
+            if p.step_us < p.serial_step_us && p.overlap_permille > 0 {
+                lines.push(line);
+            } else {
+                failures.push(format!("{line} — overlap must strictly win"));
+            }
+        }
+        if let Some(anchor) = strong.iter().find(|p| p.chips == 1) {
+            for p in strong
+                .iter()
+                .filter(|p| p.chips > 1 && p.chips <= GATED_CHIPS)
+            {
+                if p.step_us >= anchor.step_us {
+                    failures.push(format!(
+                        "strong-scaling stopped paying at {} chips: step {:.1} µs ≥ 1-chip {:.1} µs",
+                        p.chips, p.step_us, anchor.step_us
+                    ));
+                }
+            }
+        } else {
+            failures.push("strong sweep has no 1-chip anchor".into());
+        }
+        if failures.is_empty() {
+            Ok(lines)
+        } else {
+            Err(failures)
+        }
+    }
 
     #[test]
     fn serve_points_are_deterministic() {

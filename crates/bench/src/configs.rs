@@ -20,7 +20,7 @@ use sw_tensor::ConvShape;
 
 /// Canonical evaluation constants (§VII).
 pub const BATCH: usize = 128;
-pub const OUT_IMAGE: usize = 64;
+const OUT_IMAGE: usize = 64;
 
 /// The canonical §VII shape at the given channel counts: `B = 128`,
 /// `64×64` output, `3×3` filter.
@@ -29,14 +29,14 @@ pub fn paper_shape(ni: usize, no: usize) -> ConvShape {
 }
 
 /// Left script of Fig. 8: configurations 1–21 (diagonal channel sweep).
-pub fn fig8_left() -> Vec<ConvShape> {
+fn fig8_left() -> Vec<ConvShape> {
     (0..21)
         .map(|i| paper_shape(64 + 16 * i, 64 + 16 * i))
         .collect()
 }
 
 /// Center script of Fig. 8: configurations 22–101 (channel grid).
-pub fn fig8_center() -> Vec<ConvShape> {
+fn fig8_center() -> Vec<ConvShape> {
     let mut v = Vec::with_capacity(80);
     for ni in (64..=352).step_by(32) {
         for no in (64..=288).step_by(32) {

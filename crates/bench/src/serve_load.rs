@@ -16,7 +16,7 @@ use swdnn::SwdnnError;
 /// Paper shapes the serving load cycles over (Table III channels at the
 /// canonical `B = 128`, `64×64` output — `ro = 64` splits evenly over the
 /// 4 CGs).
-pub fn serve_shapes() -> Vec<ConvShape> {
+fn serve_shapes() -> Vec<ConvShape> {
     vec![
         ConvShape::new(128, 64, 64, 64, 64, 3, 3),
         ConvShape::new(128, 128, 128, 64, 64, 3, 3),
@@ -25,7 +25,7 @@ pub fn serve_shapes() -> Vec<ConvShape> {
 }
 
 /// Canonical bench engine configuration.
-pub fn serve_config() -> ServeConfig {
+fn serve_config() -> ServeConfig {
     ServeConfig {
         policy: BatchPolicy {
             max_batch: 8,
@@ -38,11 +38,9 @@ pub fn serve_config() -> ServeConfig {
 
 /// Outcome of one full scenario run.
 #[derive(Clone, Copy, Debug)]
-pub struct LoadReport {
+struct LoadReport {
     /// Measured window (post-warmup) summary.
     pub summary: ServeSummary,
-    /// Busy chip cycles over the measured window.
-    pub busy_cycles: u64,
     /// Requests rejected with `Overloaded` during the 10× overload phase.
     pub overload_rejected: u64,
     pub overload_accepted: u64,
@@ -58,7 +56,7 @@ pub struct LoadReport {
 ///    draining; everything past the bound must reject with
 ///    [`SwdnnError::Overloaded`] (measured-window stats are captured
 ///    before this phase so the SLO numbers stay clean).
-pub fn run_scenario(rounds: usize) -> Result<LoadReport, SwdnnError> {
+fn run_scenario(rounds: usize) -> Result<LoadReport, SwdnnError> {
     let shapes = serve_shapes();
     let cfg = serve_config();
     let mut engine = ServeEngine::new(cfg)?;
@@ -84,7 +82,6 @@ pub fn run_scenario(rounds: usize) -> Result<LoadReport, SwdnnError> {
         }
     }
     let summary = engine.summary();
-    let busy_cycles = engine.counters.busy_cycles.get();
 
     // Overload: 10× the queue bound with no draining. The queue must shed
     // load via Overloaded, never grow or panic.
@@ -111,17 +108,13 @@ pub fn run_scenario(rounds: usize) -> Result<LoadReport, SwdnnError> {
 
     Ok(LoadReport {
         summary,
-        busy_cycles,
         overload_rejected,
         overload_accepted,
     })
 }
 
 /// Rounds of the committed `serve_bench.csv`.
-pub const FULL_ROUNDS: usize = 12;
-
-/// Rounds the SLO unit test runs (same scenario, a quarter of the window).
-pub const SNAPSHOT_ROUNDS: usize = 3;
+const FULL_ROUNDS: usize = 12;
 
 /// After warmup every request is served from the plan cache — the engine
 /// re-times nothing, and the 4-CG row partition (§III-D) turns the per-CG
@@ -154,6 +147,9 @@ pub fn serve() -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Rounds the SLO unit test runs (same scenario, a quarter of the window).
+    const SNAPSHOT_ROUNDS: usize = 3;
 
     #[test]
     fn scenario_meets_the_serving_slos() {

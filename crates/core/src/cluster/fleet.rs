@@ -375,7 +375,7 @@ impl Cluster {
     }
 
     /// Per-chip serving summaries.
-    pub fn chip_summaries(&self) -> Vec<ServeSummary> {
+    fn chip_summaries(&self) -> Vec<ServeSummary> {
         self.engines.iter().map(ServeEngine::summary).collect()
     }
 

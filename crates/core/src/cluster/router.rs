@@ -48,7 +48,7 @@ impl ShapeRouter {
     }
 
     /// Stable hash of a shape's identity fields.
-    pub fn hash_shape(shape: &ConvShape) -> u64 {
+    fn hash_shape(shape: &ConvShape) -> u64 {
         let mut h = 0x5EED_0000_0000_0001u64;
         for field in [
             shape.batch,

@@ -16,17 +16,17 @@ use sw_isa::{naive_gemm_kernel, reordered_gemm_kernel, DualPipe, KernelSpec};
 /// accumulators between rotation rounds (16 `vload` + 16 `vstore` of the
 /// C tile, plus loop control) — the C tile lives in registers only inside
 /// one round.
-pub const TILE_OVERHEAD_CYCLES: u64 = 40;
+const TILE_OVERHEAD_CYCLES: u64 = 40;
 
 /// Rows (output channels) covered by one register tile (`rb_no`).
-pub const TILE_NO: usize = 4;
+const TILE_NO: usize = 4;
 /// Pixels covered by one register tile (`rb_b`).
-pub const TILE_PIX: usize = 16;
+const TILE_PIX: usize = 16;
 
 /// The C tile is `TILE_NO x TILE_PIX = 64` doubles = 16 vector registers;
 /// the spill/refill between rotation rounds moves it twice (16 `vload` +
 /// 16 `vstore`) and accounts for most of [`TILE_OVERHEAD_CYCLES`].
-pub const TILE_SPILL_VECTORS: u64 = (TILE_NO * TILE_PIX / 4) as u64;
+const TILE_SPILL_VECTORS: u64 = (TILE_NO * TILE_PIX / 4) as u64;
 
 /// Issue-level profile of one register tile: timing plus the observable
 /// side channels (per-pipe slots, LDM traffic) the observability layer
@@ -57,7 +57,7 @@ pub fn tile_cache_stats() -> (u64, u64) {
 }
 
 /// Full issue profile of one register tile over `n` reduction steps.
-pub fn tile_profile(n: usize, reordered: bool) -> TileProfile {
+fn tile_profile(n: usize, reordered: bool) -> TileProfile {
     let n = n.max(1);
     let computed: Result<TileProfile, std::convert::Infallible> =
         cache().get_or_insert_with(&(n, reordered), || {
@@ -79,17 +79,6 @@ pub fn tile_profile(n: usize, reordered: bool) -> TileProfile {
     match computed {
         Ok(p) => p,
     }
-}
-
-/// Issue cycles of one register tile over `n` reduction steps.
-pub fn tile_cycles(n: usize, reordered: bool) -> u64 {
-    tile_profile(n, reordered).cycles
-}
-
-/// Cycles for a full per-CPE GEMM block update: an `m × p` C block
-/// accumulated over `n` reduction steps, tiled `TILE_NO × TILE_PIX`.
-pub fn block_cycles(m: usize, p: usize, n: usize, reordered: bool) -> u64 {
-    block_profile(m, p, n, reordered).cycles
 }
 
 /// Full issue profile of a per-CPE GEMM block update, including the
@@ -118,8 +107,8 @@ mod tests {
     #[test]
     fn tile_cycles_match_closed_forms() {
         for n in 2..=48 {
-            assert_eq!(tile_cycles(n, true), 17 * n as u64 + 4);
-            assert_eq!(tile_cycles(n, false), 26 * n as u64 - 1);
+            assert_eq!(tile_profile(n, true).cycles, 17 * n as u64 + 4);
+            assert_eq!(tile_profile(n, false).cycles, 26 * n as u64 - 1);
         }
     }
 
@@ -133,8 +122,8 @@ mod tests {
 
     #[test]
     fn cache_returns_consistent_values() {
-        let a = tile_cycles(16, true);
-        let b = tile_cycles(16, true);
+        let a = tile_profile(16, true).cycles;
+        let b = tile_profile(16, true).cycles;
         assert_eq!(a, b);
     }
 
@@ -142,9 +131,9 @@ mod tests {
     fn tile_cache_counts_hits_and_misses() {
         // The cache is process-global and other tests hit it concurrently,
         // so assert deltas, not absolutes.
-        let _ = tile_cycles(37, true);
+        let _ = tile_profile(37, true).cycles;
         let (h0, m0) = tile_cache_stats();
-        let _ = tile_cycles(37, true);
+        let _ = tile_profile(37, true).cycles;
         let (h1, m1) = tile_cache_stats();
         assert!(h1 > h0, "second lookup must be a hit");
         assert!(m1 >= m0.max(1), "first lookup was a miss");
@@ -171,13 +160,13 @@ mod tests {
     #[test]
     fn block_cycles_tile_count() {
         // 16x64 block = 4*4 = 16 tiles.
-        let c = block_cycles(16, 64, 16, true);
+        let c = block_profile(16, 64, 16, true).cycles;
         assert_eq!(c, 16 * (17 * 16 + 4 + TILE_OVERHEAD_CYCLES));
     }
 
     #[test]
     fn reordered_blocks_are_faster() {
-        assert!(block_cycles(16, 64, 16, true) < block_cycles(16, 64, 16, false));
+        assert!(block_profile(16, 64, 16, true).cycles < block_profile(16, 64, 16, false).cycles);
     }
 
     #[test]
@@ -187,8 +176,8 @@ mod tests {
 
     #[test]
     fn partial_tiles_round_up() {
-        let full = block_cycles(4, 16, 8, true);
-        let partial = block_cycles(3, 15, 8, true);
+        let full = block_profile(4, 16, 8, true).cycles;
+        let partial = block_profile(3, 15, 8, true).cycles;
         assert_eq!(full, partial, "partial tiles cost a full tile");
     }
 

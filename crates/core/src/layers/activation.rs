@@ -1,6 +1,6 @@
 //! Activation layers.
 
-use super::Layer;
+use super::{check_grad_shape, Layer};
 use crate::error::SwdnnError;
 use sw_tensor::Tensor4;
 
@@ -35,6 +35,7 @@ impl Layer for Sigmoid {
             expected: "forward before backward".into(),
             got: "no cache".into(),
         })?;
+        check_grad_shape(out.shape(), d_out)?;
         let mut dx = d_out.to_layout(out.layout());
         for (g, &y) in dx.data_mut().iter_mut().zip(out.data()) {
             *g *= y * (1.0 - y);
@@ -74,6 +75,7 @@ impl Layer for Tanh {
             expected: "forward before backward".into(),
             got: "no cache".into(),
         })?;
+        check_grad_shape(out.shape(), d_out)?;
         let mut dx = d_out.to_layout(out.layout());
         for (g, &y) in dx.data_mut().iter_mut().zip(out.data()) {
             *g *= 1.0 - y * y;
@@ -121,12 +123,7 @@ impl Layer for ReLU {
                 expected: "forward before backward".into(),
                 got: "no mask".into(),
             })?;
-        if mask.shape() != d_out.shape() {
-            return Err(SwdnnError::ShapeMismatch {
-                expected: format!("{:?}", mask.shape()),
-                got: format!("{:?}", d_out.shape()),
-            });
-        }
+        check_grad_shape(mask.shape(), d_out)?;
         let mut dx = d_out.to_layout(mask.layout());
         for (g, m) in dx.data_mut().iter_mut().zip(mask.data()) {
             *g *= m;

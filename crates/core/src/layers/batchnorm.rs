@@ -5,7 +5,7 @@
 //! per-channel scale `gamma` and shift `beta`. Evaluation mode uses the
 //! running statistics.
 
-use super::Layer;
+use super::{check_grad_shape, Layer};
 use crate::error::SwdnnError;
 use sw_tensor::{Shape4, Tensor4};
 
@@ -44,11 +44,6 @@ impl BatchNorm2d {
             cache_xhat: None,
             cache_inv_std: Vec::new(),
         }
-    }
-
-    pub fn eval_mode(mut self) -> Self {
-        self.training = false;
-        self
     }
 
     fn check(&self, s: Shape4) -> Result<(), SwdnnError> {
@@ -123,7 +118,7 @@ impl Layer for BatchNorm2d {
                 got: "no cache".into(),
             })?;
         let s = xhat.shape();
-        self.check(d_out.shape())?;
+        check_grad_shape(s, d_out)?;
         let n = (s.d0 * s.d2 * s.d3) as f64;
         let mut dx = Tensor4::zeros(s, d_out.layout());
 

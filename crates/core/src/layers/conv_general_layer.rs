@@ -6,7 +6,7 @@
 //! to the dense case it routes through [`super::Conv2dLayer`]'s machinery
 //! implicitly by producing identical results.
 
-use super::Layer;
+use super::{check_grad_shape, Layer};
 use crate::error::SwdnnError;
 use sw_tensor::conv_general::{
     conv2d_general, conv2d_general_bwd_data, conv2d_general_bwd_filter, ConvGeometry,
@@ -83,6 +83,9 @@ impl Layer for ConvGeneralLayer {
                 expected: "forward before backward".into(),
                 got: "no cached input".into(),
             })?;
+        let s = input.shape();
+        let (ro, co) = self.geom.output_extent(s.d2, s.d3).unwrap_or((0, 0));
+        check_grad_shape(Shape4::new(s.d0, self.out_channels, ro, co), d_out)?;
         let dw = conv2d_general_bwd_filter(&self.geom, input, d_out);
         for i in 0..dw.data().len() {
             self.d_weights.data_mut()[i] += dw.data()[i];

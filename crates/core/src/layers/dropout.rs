@@ -5,16 +5,19 @@
 //! evaluation mode is the identity. The mask stream is seeded, so training
 //! runs are reproducible.
 
-use super::Layer;
+use super::{check_grad_shape, Layer};
 use crate::error::SwdnnError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sw_tensor::Tensor4;
+use sw_tensor::{Shape4, Tensor4};
 
 pub struct Dropout {
     pub p: f64,
     pub training: bool,
     rng: StdRng,
+    /// Shape of the last forward pass.
+    shape: Option<Shape4>,
+    /// Its scaled keep-mask; `None` when that pass was the identity.
     mask: Option<Tensor4<f64>>,
 }
 
@@ -28,13 +31,9 @@ impl Dropout {
             p,
             training: true,
             rng: StdRng::seed_from_u64(seed),
+            shape: None,
             mask: None,
         }
-    }
-
-    pub fn eval_mode(mut self) -> Self {
-        self.training = false;
-        self
     }
 }
 
@@ -44,6 +43,7 @@ impl Layer for Dropout {
     }
 
     fn forward(&mut self, input: &Tensor4<f64>) -> Result<Tensor4<f64>, SwdnnError> {
+        self.shape = Some(input.shape());
         if !self.training || self.p == 0.0 {
             self.mask = None;
             return Ok(input.clone());
@@ -65,34 +65,32 @@ impl Layer for Dropout {
     }
 
     fn backward(&mut self, d_out: &Tensor4<f64>) -> Result<Tensor4<f64>, SwdnnError> {
-        match &self.mask {
-            None => Ok(d_out.clone()),
-            Some(mask) => {
-                if mask.shape() != d_out.shape() {
-                    return Err(SwdnnError::ShapeMismatch {
-                        expected: format!("{:?}", mask.shape()),
-                        got: format!("{:?}", d_out.shape()),
-                    });
-                }
-                let mut dx = d_out.to_layout(mask.layout());
-                for (g, m) in dx.data_mut().iter_mut().zip(mask.data()) {
-                    *g *= m;
-                }
-                Ok(dx)
-            }
+        let shape = self.shape.ok_or_else(|| SwdnnError::ShapeMismatch {
+            expected: "forward before backward".into(),
+            got: "no cache".into(),
+        })?;
+        check_grad_shape(shape, d_out)?;
+        let Some(mask) = &self.mask else {
+            return Ok(d_out.clone());
+        };
+        let mut dx = d_out.to_layout(mask.layout());
+        for (g, m) in dx.data_mut().iter_mut().zip(mask.data()) {
+            *g *= m;
         }
+        Ok(dx)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sw_tensor::{Layout, Shape4};
+    use sw_tensor::Layout;
 
     #[test]
     fn eval_mode_is_identity() {
         let x = Tensor4::full(Shape4::new(2, 2, 2, 2), Layout::Nchw, 3.0);
-        let mut d = Dropout::new(0.5, 1).eval_mode();
+        let mut d = Dropout::new(0.5, 1);
+        d.training = false;
         let y = d.forward(&x).unwrap();
         assert_eq!(y.max_abs_diff(&x), 0.0);
     }

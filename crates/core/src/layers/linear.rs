@@ -3,7 +3,7 @@
 //! Activations flow as `(batch, features, 1, 1)` tensors; the layer
 //! flattens whatever spatial shape arrives.
 
-use super::Layer;
+use super::{check_grad_shape, Layer};
 use crate::error::SwdnnError;
 use rand::distributions::{Distribution, Uniform};
 use rand::rngs::StdRng;
@@ -102,6 +102,7 @@ impl Layer for Linear {
             })?;
         let in_shape = self.cached_shape.unwrap();
         let batch = flat.shape().d0;
+        check_grad_shape(Shape4::new(batch, self.out_features, 1, 1), d_out)?;
         let mut d_flat = vec![0.0; batch * self.in_features];
         for b in 0..batch {
             for o in 0..self.out_features {

@@ -34,7 +34,19 @@ pub use softmax::SoftmaxCrossEntropy;
 use crate::error::SwdnnError;
 use std::cell::RefCell;
 use std::rc::Rc;
-use sw_tensor::Tensor4;
+use sw_tensor::{Shape4, Tensor4};
+
+/// The check every layer's `backward` makes first: `d_out` has `expected`,
+/// the output shape its forward pass cached.
+fn check_grad_shape(expected: Shape4, d_out: &Tensor4<f64>) -> Result<(), SwdnnError> {
+    if d_out.shape() != expected {
+        return Err(SwdnnError::ShapeMismatch {
+            expected: format!("{expected:?}"),
+            got: format!("{:?}", d_out.shape()),
+        });
+    }
+    Ok(())
+}
 
 /// A differentiable layer.
 pub trait Layer {

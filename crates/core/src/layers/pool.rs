@@ -1,7 +1,7 @@
 //! Subsampling layers (the paper's "extractor" stack pairs convolutions
 //! with subsampling layers).
 
-use super::Layer;
+use super::{check_grad_shape, Layer};
 use crate::error::SwdnnError;
 use sw_tensor::{Shape4, Tensor4};
 
@@ -83,6 +83,7 @@ impl Layer for MaxPool2 {
             }
         };
         let os = halved(s);
+        check_grad_shape(os, d_out)?;
         let mut dx = Tensor4::zeros(s, d_out.layout());
         let mut idx = 0;
         for b in 0..s.d0 {
@@ -147,6 +148,7 @@ impl Layer for AvgPool2 {
             got: "no cache".into(),
         })?;
         let os = halved(s);
+        check_grad_shape(os, d_out)?;
         let mut dx = Tensor4::zeros(s, d_out.layout());
         for b in 0..s.d0 {
             for c in 0..s.d1 {

@@ -19,22 +19,11 @@ impl SoftmaxCrossEntropy {
     #[allow(clippy::needless_range_loop)] // b indexes both logits and labels
     pub fn forward(&mut self, logits: &Tensor4<f64>, labels: &[usize]) -> Result<f64, SwdnnError> {
         let s = logits.shape();
-        if labels.len() != s.d0 {
-            return Err(SwdnnError::ShapeMismatch {
-                expected: format!("{} labels", s.d0),
-                got: format!("{}", labels.len()),
-            });
-        }
+        check_labels(labels, s)?;
         let classes = s.d1;
         let mut probs = Tensor4::zeros(s, logits.layout());
         let mut loss = 0.0;
         for b in 0..s.d0 {
-            if labels[b] >= classes {
-                return Err(SwdnnError::ShapeMismatch {
-                    expected: format!("label < {classes}"),
-                    got: format!("{}", labels[b]),
-                });
-            }
             let mut mx = f64::NEG_INFINITY;
             for c in 0..classes {
                 mx = mx.max(logits.get(b, c, 0, 0));
@@ -64,6 +53,7 @@ impl SoftmaxCrossEntropy {
                 got: "no cache".into(),
             })?;
         let s = probs.shape();
+        check_labels(labels, s)?;
         let mut grad = probs.clone();
         let inv_b = 1.0 / s.d0 as f64;
         for b in 0..s.d0 {
@@ -94,15 +84,32 @@ impl SoftmaxCrossEntropy {
     }
 }
 
-/// Helper: build a logits tensor from a flat batch-major vector.
-pub fn logits_from(batch: usize, classes: usize, vals: &[f64]) -> Tensor4<f64> {
-    assert_eq!(vals.len(), batch * classes);
-    Tensor4::from_vec(Shape4::new(batch, classes, 1, 1), vals.to_vec())
+/// One label per image of the `(B, C, 1, 1)` logits, each below `C`.
+fn check_labels(labels: &[usize], s: Shape4) -> Result<(), SwdnnError> {
+    if labels.len() != s.d0 {
+        return Err(SwdnnError::ShapeMismatch {
+            expected: format!("{} labels", s.d0),
+            got: format!("{}", labels.len()),
+        });
+    }
+    match labels.iter().find(|&&l| l >= s.d1) {
+        Some(l) => Err(SwdnnError::ShapeMismatch {
+            expected: format!("label < {}", s.d1),
+            got: format!("{l}"),
+        }),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Build a logits tensor from a flat batch-major vector.
+    fn logits_from(batch: usize, classes: usize, vals: &[f64]) -> Tensor4<f64> {
+        assert_eq!(vals.len(), batch * classes);
+        Tensor4::from_vec(Shape4::new(batch, classes, 1, 1), vals.to_vec())
+    }
 
     #[test]
     fn uniform_logits_give_log_c_loss() {
@@ -164,5 +171,19 @@ mod tests {
         let logits = logits_from(1, 2, &[0.0, 0.0]);
         assert!(sm.forward(&logits, &[2]).is_err());
         assert!(sm.forward(&logits, &[0, 1]).is_err());
+    }
+
+    #[test]
+    fn backward_checks_its_labels_too() {
+        let mut sm = SoftmaxCrossEntropy::new();
+        let logits = logits_from(2, 3, &[0.0; 6]);
+        sm.forward(&logits, &[0, 2]).unwrap();
+        for bad in [&[0][..], &[0, 1, 2], &[0, 3]] {
+            assert!(
+                matches!(sm.backward(bad), Err(SwdnnError::ShapeMismatch { .. })),
+                "labels {bad:?}"
+            );
+        }
+        assert!(sm.backward(&[0, 2]).is_ok());
     }
 }

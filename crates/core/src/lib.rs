@@ -37,7 +37,6 @@
 
 pub mod cluster;
 pub mod conv;
-pub mod data;
 pub mod error;
 pub mod executor;
 pub mod kernel_cost;

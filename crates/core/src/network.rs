@@ -31,19 +31,6 @@ impl Sequential {
         Ok(x)
     }
 
-    /// [`Sequential::forward`] with NaN/Inf guards at every layer boundary:
-    /// an activation poisoned by a numeric fault is caught at the layer
-    /// that produced it, not three layers later as a useless loss value.
-    pub fn forward_checked(&mut self, input: &Tensor4<f64>) -> Result<Tensor4<f64>, SwdnnError> {
-        check_finite("network input", input.data())?;
-        let mut x = input.clone();
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            x = layer.forward(&x)?;
-            check_finite(&format!("layer {i} ({}) output", layer.name()), x.data())?;
-        }
-        Ok(x)
-    }
-
     /// One optimizer step on a batch with a stateful [`crate::optim::Optimizer`];
     /// returns the loss before the update.
     pub fn train_step_opt(
@@ -59,38 +46,6 @@ impl Sequential {
             grad = layer.backward(&grad)?;
         }
         opt.step(&mut self.layers);
-        Ok(loss)
-    }
-
-    /// [`Sequential::train_step_opt`] with NaN/Inf guards: activations are
-    /// checked at every layer boundary, the loss must be finite, gradients
-    /// are checked flowing back through every layer, and the optimizer
-    /// refuses to apply a non-finite update
-    /// ([`crate::optim::Optimizer::step_checked`]). On error the parameters
-    /// are left as they were before the step.
-    pub fn train_step_checked(
-        &mut self,
-        input: &Tensor4<f64>,
-        labels: &[usize],
-        opt: &mut crate::optim::Optimizer,
-    ) -> Result<f64, SwdnnError> {
-        let logits = self.forward_checked(input)?;
-        let loss = self.loss.forward(&logits, labels)?;
-        if !loss.is_finite() {
-            return Err(SwdnnError::Numeric {
-                context: "loss".into(),
-                detail: format!("loss is {loss}"),
-            });
-        }
-        let mut grad = self.loss.backward(labels)?;
-        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
-            grad = layer.backward(&grad)?;
-            check_finite(
-                &format!("layer {i} ({}) input gradient", layer.name()),
-                grad.data(),
-            )?;
-        }
-        opt.step_checked(&mut self.layers)?;
         Ok(loss)
     }
 
@@ -159,17 +114,6 @@ impl Sequential {
     }
 }
 
-/// Reject the first non-finite value in `data`, naming where it appeared.
-pub(crate) fn check_finite(context: &str, data: &[f64]) -> Result<(), SwdnnError> {
-    match data.iter().position(|v| !v.is_finite()) {
-        None => Ok(()),
-        Some(i) => Err(SwdnnError::Numeric {
-            context: context.to_string(),
-            detail: format!("element {i} is {}", data[i]),
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,42 +176,6 @@ mod tests {
         let (xt, yt) = synthetic_batch(16, 9);
         let acc = net.accuracy(&xt, &yt).unwrap();
         assert!(acc >= 0.85, "held-out accuracy {acc}");
-    }
-
-    #[test]
-    fn checked_training_works_on_clean_data() {
-        let mut net = small_cnn();
-        let (x, y) = synthetic_batch(16, 7);
-        let mut opt = crate::optim::Optimizer::sgd(0.1);
-        let first = net.train_step_checked(&x, &y, &mut opt).unwrap();
-        let mut last = first;
-        for _ in 0..30 {
-            last = net.train_step_checked(&x, &y, &mut opt).unwrap();
-        }
-        assert!(last < first * 0.5, "loss {first} -> {last}");
-    }
-
-    #[test]
-    fn checked_forward_rejects_non_finite_input() {
-        let mut net = small_cnn();
-        let (mut x, _) = synthetic_batch(16, 7);
-        x.set(3, 0, 2, 2, f64::NAN);
-        let err = net.forward_checked(&x).unwrap_err();
-        assert!(matches!(err, SwdnnError::Numeric { .. }));
-        assert!(err.to_string().contains("network input"), "{err}");
-    }
-
-    #[test]
-    fn checked_training_names_the_poisoned_layer() {
-        let mut net = small_cnn();
-        let (x, y) = synthetic_batch(16, 7);
-        let mut opt = crate::optim::Optimizer::sgd(0.1);
-        net.train_step_checked(&x, &y, &mut opt).unwrap();
-        // Poison a conv weight so the next forward produces NaN outputs.
-        net.layers[0].visit_params(&mut |w, _| w[0] = f64::INFINITY);
-        let err = net.train_step_checked(&x, &y, &mut opt).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("layer 0"), "guard must name the layer: {msg}");
     }
 
     #[test]

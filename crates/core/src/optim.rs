@@ -5,7 +5,6 @@
 //! (velocity for momentum, first/second moments for Adam) in parallel
 //! buffers, lazily sized on the first step.
 
-use crate::error::SwdnnError;
 use crate::layers::Layer;
 
 /// Update rule.
@@ -42,16 +41,6 @@ impl Optimizer {
         }
     }
 
-    pub fn sgd_momentum(lr: f64, momentum: f64) -> Self {
-        assert!((0.0..1.0).contains(&momentum));
-        Self {
-            lr,
-            method: Method::Sgd { momentum },
-            state: Vec::new(),
-            t: 0,
-        }
-    }
-
     pub fn adam(lr: f64) -> Self {
         Self {
             lr,
@@ -68,33 +57,6 @@ impl Optimizer {
     /// Steps taken so far.
     pub fn steps(&self) -> u64 {
         self.t
-    }
-
-    /// [`Optimizer::step`] guarded against numeric faults: every gradient
-    /// is scanned for NaN/Inf *before* any parameter is touched, so a
-    /// poisoned gradient (e.g. from a faulty accelerator run) cannot
-    /// corrupt the weights. On error no parameter changes and the step
-    /// counter does not advance; the gradients are left in place for
-    /// inspection.
-    pub fn step_checked(&mut self, layers: &mut [Box<dyn Layer>]) -> Result<(), SwdnnError> {
-        for (i, layer) in layers.iter_mut().enumerate() {
-            let mut bad: Option<(usize, f64)> = None;
-            layer.visit_params(&mut |_, g| {
-                if bad.is_none() {
-                    if let Some(j) = g.iter().position(|v| !v.is_finite()) {
-                        bad = Some((j, g[j]));
-                    }
-                }
-            });
-            if let Some((j, v)) = bad {
-                return Err(SwdnnError::Numeric {
-                    context: format!("layer {i} ({}) gradient", layer.name()),
-                    detail: format!("element {j} is {v}"),
-                });
-            }
-        }
-        self.step(layers);
-        Ok(())
     }
 
     /// Apply one update to every parameter of every layer and clear the
@@ -197,7 +159,8 @@ mod tests {
     #[test]
     fn momentum_accumulates_velocity() {
         let (mut layers, x) = quadratic_layer();
-        let mut opt = Optimizer::sgd_momentum(0.1, 0.5);
+        let mut opt = Optimizer::sgd(0.1);
+        opt.method = Method::Sgd { momentum: 0.5 };
         forward_backward(&mut layers, &x);
         opt.step(&mut layers); // v = 2,    w = 5 - 0.2  = 4.8
         forward_backward(&mut layers, &x);
@@ -228,32 +191,6 @@ mod tests {
         let mut grads = Vec::new();
         layers[0].visit_params(&mut |_, g| grads.extend_from_slice(g));
         assert!(grads.iter().all(|&g| g == 0.0));
-    }
-
-    #[test]
-    fn checked_step_refuses_poisoned_gradients() {
-        let (mut layers, x) = quadratic_layer();
-        let mut opt = Optimizer::sgd(0.1);
-        forward_backward(&mut layers, &x);
-        layers[0].visit_params(&mut |_, g| g[0] = f64::NAN);
-        let err = opt.step_checked(&mut layers).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("gradient") && msg.contains("NaN"), "{msg}");
-        assert_eq!(opt.steps(), 0, "a refused step must not count");
-        let mut w = Vec::new();
-        layers[0].visit_params(&mut |p, _| w.push(p[0]));
-        assert_eq!(w[0], 5.0, "weights must be untouched");
-    }
-
-    #[test]
-    fn checked_step_applies_clean_gradients() {
-        let (mut layers, x) = quadratic_layer();
-        let mut opt = Optimizer::sgd(0.1);
-        forward_backward(&mut layers, &x);
-        opt.step_checked(&mut layers).unwrap();
-        let mut w = Vec::new();
-        layers[0].visit_params(&mut |p, _| w.push(p[0]));
-        assert!((w[0] - 4.8).abs() < 1e-12);
     }
 
     #[test]

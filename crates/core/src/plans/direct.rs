@@ -18,7 +18,7 @@ use sw_tensor::{ConvShape, Layout, Tensor4};
 
 /// Cycles one scalar 8-byte `gload` costs a CPE when all 64 CPEs contend
 /// for the 8 GB/s interface: `8 B / (8/64 GB/s) · 1.45 GHz = 92.8`.
-pub fn gload_cycles(chip: &ChipSpec) -> u64 {
+fn gload_cycles(chip: &ChipSpec) -> u64 {
     let share = chip.gload_gbps / chip.cpes_per_cg as f64;
     (8.0 / (share * 1e9) * chip.clock_ghz * 1e9).ceil() as u64
 }
@@ -40,7 +40,7 @@ impl DirectPlan {
     /// Analytic cycle count. The plan is perfectly regular, so (up to the
     /// final barrier) the closed form matches the simulated count —
     /// asserted in the tests.
-    pub fn analytic_cycles(&self, shape: &ConvShape) -> u64 {
+    fn analytic_cycles(&self, shape: &ConvShape) -> u64 {
         let outputs = shape.batch * shape.no * shape.ro * shape.co;
         let per_cpe_outputs = outputs.div_ceil(self.ctx.chip.cpes_per_cg);
         let g = gload_cycles(&self.ctx.chip);

@@ -45,20 +45,8 @@ pub enum RecoveryOutcome {
     /// The planner rejected the shape outright (`supports` said no before
     /// any execution). The event's `detail` carries the structured
     /// [`SwdnnError::PlanRejected`] reason, so a degrade to the host
-    /// reference is diagnosable from the Chrome trace instead of silent.
+    /// reference is diagnosable from the timeline instead of silent.
     PlanRejected,
-}
-
-impl RecoveryOutcome {
-    pub fn name(&self) -> &'static str {
-        match self {
-            RecoveryOutcome::Accepted => "accepted",
-            RecoveryOutcome::TransientRetry => "transient_retry",
-            RecoveryOutcome::Abandoned => "abandoned",
-            RecoveryOutcome::MeshDegraded => "mesh_degraded",
-            RecoveryOutcome::PlanRejected => "plan_rejected",
-        }
-    }
 }
 
 /// One step of the recovery timeline: which plan ran (as which attempt)
@@ -228,8 +216,8 @@ impl ResilientExecutor {
         let mut rejected_logged: Vec<String> = Vec::new();
         // When automatic selection already degraded to the host reference,
         // the mesh families were rejected silently inside `Conv2d::schedule`
-        // — probe them here so the recovery timeline (and with it the
-        // Chrome trace) records the structured reason for the degrade
+        // — probe them here so the recovery timeline records the
+        // structured reason for the degrade
         // instead of presenting the host run as a first-choice acceptance.
         if chain[0].order == LoopOrder::HostReference {
             for forced in &chain[1..3] {
@@ -422,69 +410,6 @@ pub struct ResilientReport {
     pub retry_cycles: u64,
 }
 
-impl ResilientReport {
-    /// Depth of the fallback chain actually walked: how many distinct plans
-    /// were abandoned before one was accepted.
-    pub fn fallback_depth(&self) -> usize {
-        let mut abandoned: Vec<&str> = self
-            .timeline
-            .iter()
-            .filter(|e| e.outcome == RecoveryOutcome::Abandoned)
-            .map(|e| e.plan.as_str())
-            .collect();
-        abandoned.dedup();
-        abandoned.len()
-    }
-
-    /// The recovery timeline as a Chrome-trace document: instant events on
-    /// `pid 1 / tid 0` ("recovery" track), one per [`RecoveryEvent`],
-    /// followed by a span for the accepted run covering its simulated
-    /// duration at `clock_ghz`. It is an `sw_obs` document like the serve
-    /// and fleet traces, so [`sw_obs::ChromeTrace::extend`] puts recovery
-    /// decisions on the same timeline as theirs.
-    pub fn recovery_trace(&self, clock_ghz: f64) -> sw_obs::ChromeTrace {
-        let mut rec = sw_obs::Recorder::enabled();
-        for (i, e) in self.timeline.iter().enumerate() {
-            rec.instant(
-                e.outcome.name(),
-                "exec",
-                1,
-                0,
-                i as f64,
-                vec![
-                    ("plan".into(), serde_json::Value::from(e.plan.as_str())),
-                    ("attempt".into(), serde_json::Value::from(e.attempt as u64)),
-                    ("detail".into(), serde_json::Value::from(e.detail.as_str())),
-                ],
-            );
-        }
-        let dur_us = self.run.timing.cycles as f64 / (clock_ghz * 1e3);
-        rec.span_cat(
-            "accepted_run",
-            "exec",
-            1,
-            0,
-            self.timeline.len() as f64,
-            dur_us,
-            vec![
-                (
-                    "plan".into(),
-                    serde_json::Value::from(self.plan_name.as_str()),
-                ),
-                (
-                    "dma_retries".into(),
-                    serde_json::Value::from(self.dma_retries),
-                ),
-                (
-                    "retry_cycles".into(),
-                    serde_json::Value::from(self.retry_cycles),
-                ),
-            ],
-        );
-        rec.take()
-    }
-}
-
 /// `fault` for retry `attempt` of the same work: the same rates under a
 /// seed derived per attempt (re-running the identical seed would reproduce
 /// the fault). Attempt 0 keeps the seed as configured.
@@ -493,9 +418,8 @@ pub(crate) fn reseeded(fault: FaultPlan, attempt: u32) -> FaultPlan {
 }
 
 /// Record one planner rejection as a structured [`SwdnnError::PlanRejected`]
-/// in both the human-readable fallback trail and the recovery timeline
-/// (which [`ResilientReport::recovery_trace`] emits into the Chrome
-/// trace). Deduplicated per plan name: the pre-probe in `run_chain` and
+/// in both the human-readable fallback trail and the recovery timeline.
+/// Deduplicated per plan name: the pre-probe in `run_chain` and
 /// the chain walk itself may both see the same rejection.
 fn log_rejection(
     shape: &ConvShape,
@@ -677,14 +601,6 @@ mod tests {
         assert_eq!(rep.timeline.len(), 1);
         assert_eq!(rep.timeline[0].outcome, RecoveryOutcome::Accepted);
         assert_eq!(rep.timeline[0].plan, rep.plan_name);
-        assert_eq!(rep.fallback_depth(), 0);
-        let trace = rep.recovery_trace(1.45);
-        // One instant per timeline event plus the accepted-run span.
-        assert_eq!(trace.events.len(), 2);
-        assert!(trace.events.iter().all(|e| e.cat == "exec"));
-        let span = trace.events.last().unwrap();
-        assert_eq!(span.name, "accepted_run");
-        assert!(span.dur_us > 0.0);
     }
 
     #[test]
@@ -698,7 +614,12 @@ mod tests {
             .run(&shape, &input, &filter)
             .unwrap();
         assert_eq!(rep.plan_name, "reference");
-        assert!(rep.fallback_depth() >= 1, "mesh plans were abandoned");
+        assert!(
+            rep.timeline
+                .iter()
+                .any(|e| e.outcome == RecoveryOutcome::Abandoned),
+            "mesh plans were abandoned"
+        );
         assert_eq!(
             rep.timeline.last().unwrap().outcome,
             RecoveryOutcome::Accepted
@@ -709,11 +630,6 @@ mod tests {
                 .any(|e| e.outcome == RecoveryOutcome::TransientRetry),
             "100% DMA loss must show reseeded retries before abandonment"
         );
-        let trace = rep.recovery_trace(1.45);
-        assert_eq!(trace.events.len(), rep.timeline.len() + 1);
-        // The document is valid Chrome-trace JSON.
-        let back = sw_obs::ChromeTrace::from_json_str(&trace.to_json_string()).unwrap();
-        assert_eq!(back, trace);
     }
 
     #[test]
@@ -762,14 +678,6 @@ mod tests {
             .fallbacks
             .iter()
             .any(|f| f.contains("image_size_aware") && f.contains("rejected")));
-        // The Chrome trace carries the rejection instants with reasons.
-        let trace = rep.recovery_trace(1.45);
-        let rejected: Vec<_> = trace
-            .events
-            .iter()
-            .filter(|e| e.name == "plan_rejected")
-            .collect();
-        assert_eq!(rejected.len(), 2);
         // Rejection never degrades correctness.
         let expect = conv2d_ref(shape, &input, &filter);
         assert_eq!(rep.run.output.max_abs_diff(&expect), 0.0);

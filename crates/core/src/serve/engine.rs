@@ -251,7 +251,7 @@ impl CgTags {
 }
 
 /// One dropped request. Drops live in their own histogram
-/// ([`ServeEngine::shed_wait_percentile_us`]): they are *never* folded
+/// ([`ServeSummary::shed_p99_wait_us`]): they are *never* folded
 /// into — or silently omitted from — the completed-request latency
 /// percentiles.
 #[derive(Clone, Copy, Debug)]
@@ -268,7 +268,7 @@ pub struct DropRecord {
 
 impl DropRecord {
     /// How long the request waited before being dropped.
-    pub fn waited_us(&self) -> u64 {
+    fn waited_us(&self) -> u64 {
         self.drop_us - self.arrival_us
     }
 }
@@ -840,7 +840,7 @@ impl ServeEngine {
     }
 
     /// Aggregate breaker stats (zeros without a [`ChaosConfig`]).
-    pub fn health_totals(&self) -> CgHealthStats {
+    fn health_totals(&self) -> CgHealthStats {
         self.health.as_ref().map(|h| h.totals()).unwrap_or_default()
     }
 
@@ -861,7 +861,7 @@ impl ServeEngine {
     }
 
     /// Order-statistic latency percentile over all completions (0–100).
-    pub fn latency_percentile_us(&self, pct: f64) -> u64 {
+    fn latency_percentile_us(&self, pct: f64) -> u64 {
         percentile(
             self.completions.iter().map(|c| c.latency_us()).collect(),
             pct,
@@ -869,7 +869,7 @@ impl ServeEngine {
     }
 
     /// Latency percentile over completions of one priority tier only.
-    pub fn latency_percentile_for(&self, priority: Priority, pct: f64) -> u64 {
+    fn latency_percentile_for(&self, priority: Priority, pct: f64) -> u64 {
         percentile(
             self.completions
                 .iter()
@@ -883,7 +883,7 @@ impl ServeEngine {
     /// Queue-wait percentile over *dropped* requests — the shed/timeout
     /// histogram, kept apart from the completion percentiles so shedding
     /// can never flatter the reported latency.
-    pub fn shed_wait_percentile_us(&self, pct: f64) -> u64 {
+    fn shed_wait_percentile_us(&self, pct: f64) -> u64 {
         percentile(self.drops.iter().map(|d| d.waited_us()).collect(), pct)
     }
 

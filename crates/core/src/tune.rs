@@ -97,16 +97,12 @@ pub fn enumerate_schedules(shape: &ConvShape) -> Vec<Schedule> {
 
 /// Search the schedule space for `shape` on the stock SW26010.
 pub fn autotune(shape: &ConvShape) -> Result<TuneReport, SwdnnError> {
-    autotune_on(&ChipSpec::sw26010(), shape)
+    autotune_with(&ChipSpec::sw26010(), shape, &[])
 }
 
 /// [`autotune`] on an explicit chip (e.g. the degraded 4×4 mesh
-/// [`crate::resilient::ResilientExecutor::degraded_chip`] builds).
-pub fn autotune_on(chip: &ChipSpec, shape: &ConvShape) -> Result<TuneReport, SwdnnError> {
-    autotune_with(chip, shape, &[])
-}
-
-/// [`autotune_on`] with warm-start schedules: `extra` points are searched
+/// [`crate::resilient::ResilientExecutor::degraded_chip`] builds), with
+/// warm-start schedules: `extra` points are searched
 /// ahead of the enumerated space and always simulated, so a known-good
 /// hand preset is guaranteed to bound the result from above (the searched
 /// winner can never be slower than a legal warm start).
@@ -215,7 +211,7 @@ pub fn autotune_with(
 /// loops. This is the bar a searched mesh schedule must beat — the dense
 /// reference plan's mesh-level modeled timing is not an achievable
 /// fallback for shapes the mesh cannot serve.
-pub fn host_general_cycles(chip: &ChipSpec, geom: &ConvGeometry, input: Shape4, no: usize) -> u64 {
+fn host_general_cycles(chip: &ChipSpec, geom: &ConvGeometry, input: Shape4, no: usize) -> u64 {
     let flops = general_flops(geom, input, no) as f64;
     let secs = flops / (chip.peak_gflops_per_cpe().max(1e-9) * 1e9);
     (secs * chip.clock_ghz * 1e9).ceil() as u64
@@ -230,7 +226,8 @@ pub struct GeneralTune {
     pub cycles: u64,
     /// Attained Gflops on one CG.
     pub gflops: f64,
-    /// The host MPE baseline ([`host_general_cycles`]).
+    /// The host MPE baseline: one MPE-speed core running the reference
+    /// loops.
     pub host_cycles: u64,
     /// Legal pixel-block candidates considered.
     pub enumerated: usize,
@@ -350,7 +347,7 @@ mod tests {
         // maps cleanly with b_b = 16.
         let chip = crate::resilient::ResilientExecutor::degraded_chip(ChipSpec::sw26010());
         let shape = ConvShape::new(16, 16, 16, 8, 8, 3, 3);
-        let rep = autotune_on(&chip, &shape).unwrap();
+        let rep = autotune_with(&chip, &shape, &[]).unwrap();
         assert!(
             rep.candidates
                 .iter()

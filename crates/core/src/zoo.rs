@@ -5,11 +5,8 @@
 //! can train them in seconds while still exercising every layer type.
 
 use crate::error::SwdnnError;
-use crate::layers::{
-    BatchNorm2d, Conv2dLayer, ConvGeneralLayer, Dropout, Engine, Linear, MaxPool2, ReLU, Tanh,
-};
+use crate::layers::{Conv2dLayer, Engine, Linear, MaxPool2, Tanh};
 use crate::network::Sequential;
-use sw_tensor::conv_general::ConvGeometry;
 use sw_tensor::ConvShape;
 
 /// A LeNet-style stack for `in_ch × 12 × 12` inputs:
@@ -32,32 +29,6 @@ pub fn lenet_12(
         Box::new(conv2),           // 5 -> 3
         Box::new(Tanh::new()),
         Box::new(Linear::new(8 * 3 * 3, classes, seed + 2)),
-    ]))
-}
-
-/// A modern-flavoured block for `1 × H × W` inputs (H, W ≥ 10, even after
-/// the stem): strided stem conv + BN + ReLU, a same-padded body conv,
-/// pooling, dropout and a classifier.
-pub fn mini_convnet(classes: usize, input_hw: usize, seed: u64) -> Result<Sequential, SwdnnError> {
-    let stem = ConvGeometry::valid(3, 3); // H -> H-2
-    let body = ConvGeometry::same(3, 3);
-    let after_stem = input_hw - 2;
-    if !after_stem.is_multiple_of(2) {
-        return Err(SwdnnError::ShapeMismatch {
-            expected: "input_hw such that input_hw-2 is even".into(),
-            got: format!("{input_hw}"),
-        });
-    }
-    let pooled = after_stem / 2;
-    Ok(Sequential::new(vec![
-        Box::new(ConvGeneralLayer::new(stem, 1, 8, seed)),
-        Box::new(BatchNorm2d::new(8)),
-        Box::new(ReLU::new()),
-        Box::new(ConvGeneralLayer::new(body, 8, 8, seed + 1)),
-        Box::new(ReLU::new()),
-        Box::new(MaxPool2::new()),
-        Box::new(Dropout::new(0.1, seed + 2)),
-        Box::new(Linear::new(8 * pooled * pooled, classes, seed + 3)),
     ]))
 }
 
@@ -88,21 +59,6 @@ pub fn serving_mix() -> Vec<(&'static str, ConvShape)> {
     ]
 }
 
-/// Sanity helper: forward a zero batch through a network and return the
-/// logits shape, proving the plumbing end to end.
-pub fn smoke_forward(
-    net: &mut Sequential,
-    batch: usize,
-    in_ch: usize,
-    hw: usize,
-) -> Result<sw_tensor::Shape4, SwdnnError> {
-    let x = sw_tensor::Tensor4::zeros(
-        sw_tensor::Shape4::new(batch, in_ch, hw, hw),
-        sw_tensor::Layout::Nchw,
-    );
-    Ok(net.forward(&x)?.shape())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,20 +69,8 @@ mod tests {
     #[test]
     fn lenet_forward_shape() {
         let mut net = lenet_12(4, 1, 10, Engine::Host, 1).unwrap();
-        let s = smoke_forward(&mut net, 4, 1, 12).unwrap();
-        assert_eq!(s, Shape4::new(4, 10, 1, 1));
-    }
-
-    #[test]
-    fn mini_convnet_forward_shape() {
-        let mut net = mini_convnet(5, 12, 2).unwrap();
-        let s = smoke_forward(&mut net, 3, 1, 12).unwrap();
-        assert_eq!(s, Shape4::new(3, 5, 1, 1));
-    }
-
-    #[test]
-    fn mini_convnet_rejects_odd_geometry() {
-        assert!(mini_convnet(5, 11, 2).is_err());
+        let x = Tensor4::zeros(Shape4::new(4, 1, 12, 12), Layout::Nchw);
+        assert_eq!(net.forward(&x).unwrap().shape(), Shape4::new(4, 10, 1, 1));
     }
 
     #[test]

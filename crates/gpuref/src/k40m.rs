@@ -68,20 +68,15 @@ impl K40m {
             * self.stability_factor(shape)
     }
 
-    /// Seconds for one forward convolution.
-    pub fn conv_seconds(&self, shape: &ConvShape) -> f64 {
-        shape.flops() as f64 / (self.conv_gflops(shape) * 1e9)
-    }
-
     /// Mild preference for larger channel counts (GEMMs get fatter).
-    pub fn channel_factor(&self, shape: &ConvShape) -> f64 {
+    fn channel_factor(&self, shape: &ConvShape) -> f64 {
         let m = shape.ni.min(shape.no) as f64;
         (m / 384.0).powf(0.08).clamp(0.5, 1.0)
     }
 
     /// cuDNN's tuned kernels favour small filters; large ones fall off the
     /// fast paths (Fig. 9).
-    pub fn filter_factor(&self, shape: &ConvShape) -> f64 {
+    fn filter_factor(&self, shape: &ConvShape) -> f64 {
         let k = shape.kr.max(shape.kc).max(3) as f64;
         (3.0 / k).powf(0.25)
     }
@@ -89,7 +84,7 @@ impl K40m {
     /// Kernel-selection instability: deterministic pseudo-random factor in
     /// [0.55, 1.0] — wide enough that Fig. 7's GPU curve swings while the
     /// swDNN curve stays flat.
-    pub fn stability_factor(&self, shape: &ConvShape) -> f64 {
+    fn stability_factor(&self, shape: &ConvShape) -> f64 {
         0.55 + 0.45 * unit_hash(shape)
     }
 
@@ -162,14 +157,5 @@ mod tests {
         let min = effs.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = effs.iter().cloned().fold(0.0f64, f64::max);
         assert!(max / min > 1.35, "spread {min}..{max} too flat");
-    }
-
-    #[test]
-    fn conv_seconds_is_flops_over_gflops() {
-        let gpu = K40m::default();
-        let s = paper_shape(128, 128, 3);
-        let t = gpu.conv_seconds(&s);
-        let g = gpu.conv_gflops(&s);
-        assert!((t * g * 1e9 - s.flops() as f64).abs() / (s.flops() as f64) < 1e-12);
     }
 }

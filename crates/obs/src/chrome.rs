@@ -61,6 +61,7 @@ impl ChromeEvent {
         Value::Object(pairs)
     }
 
+    #[cfg(test)]
     fn from_json(v: &Value) -> Option<ChromeEvent> {
         Some(ChromeEvent {
             name: v.get("name")?.as_str()?.to_string(),
@@ -103,7 +104,7 @@ impl ChromeTrace {
     /// chaining. Single-chip recorders emit everything under pid 0; the
     /// cluster layer claims one pid per chip before merging so cross-chip
     /// spans land on separate process tracks in `chrome://tracing`.
-    pub fn with_pid(mut self, pid: u64) -> ChromeTrace {
+    fn with_pid(mut self, pid: u64) -> ChromeTrace {
         for e in &mut self.events {
             e.pid = pid;
         }
@@ -142,8 +143,10 @@ impl ChromeTrace {
         serde_json::to_string(&self.to_json())
     }
 
-    /// Parse a trace document produced by [`Self::to_json_string`].
-    pub fn from_json_str(s: &str) -> Result<ChromeTrace, serde_json::Error> {
+    /// Parse a trace document produced by [`Self::to_json_string`]: the
+    /// round-trip oracle for the export.
+    #[cfg(test)]
+    fn from_json_str(s: &str) -> Result<ChromeTrace, serde_json::Error> {
         let doc = serde_json::from_str(s)?;
         let events = doc
             .get("traceEvents")

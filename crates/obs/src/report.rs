@@ -39,16 +39,6 @@ impl LevelIo {
         }
     }
 
-    /// measured / modeled — how much of the model's credited bandwidth the
-    /// implementation actually sustains (0 when the model credits none).
-    pub fn attainment(&self) -> f64 {
-        if self.modeled_gbps > 0.0 {
-            self.measured_gbps / self.modeled_gbps
-        } else {
-            0.0
-        }
-    }
-
     pub fn to_json(&self) -> Value {
         object([
             ("level", Value::from(self.level.name())),
@@ -226,13 +216,6 @@ mod tests {
         let s = serde_json::to_string(&r.to_json());
         let back = PerfReport::from_json(&serde_json::from_str(&s).unwrap()).unwrap();
         assert_eq!(back, r);
-    }
-
-    #[test]
-    fn attainment_is_measured_over_modeled() {
-        let r = sample_report("c", "p");
-        assert!((r.reg.attainment() - 15.4 / 23.2).abs() < 1e-12);
-        assert_eq!(LevelIo::zero(Level::Ldm).attainment(), 0.0);
     }
 
     #[test]

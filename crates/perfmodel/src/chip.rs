@@ -75,16 +75,6 @@ impl ChipSpec {
         self.ldm_bytes / 8
     }
 
-    /// Peak *single*-precision Gflops — identical to double precision on
-    /// the SW26010, which is why the paper evaluates in f64: "the current
-    /// arithmetic architecture does not allow an easy doubling or even
-    /// quadrupling of the performance by using single or even half
-    /// precision" (§VII). The vector unit is 256-bit with 4 f64 lanes; it
-    /// does not widen to 8 f32 lanes.
-    pub fn peak_sp_gflops_per_cg(&self) -> f64 {
-        self.peak_gflops_per_cg()
-    }
-
     /// Convert a CPE cycle count into seconds.
     pub fn cycles_to_seconds(&self, cycles: u64) -> f64 {
         cycles as f64 / (self.clock_ghz * 1e9)
@@ -138,13 +128,6 @@ mod tests {
         let c = ChipSpec::sw26010();
         let u = (c.gload_gbps / c.rbw_direct_mem_gbps).powi(2);
         assert!((u - 0.0033).abs() < 3e-4);
-    }
-
-    #[test]
-    fn single_precision_gains_nothing() {
-        // The architectural fact behind the paper's all-f64 evaluation.
-        let c = ChipSpec::sw26010();
-        assert_eq!(c.peak_sp_gflops_per_cg(), c.peak_gflops_per_cg());
     }
 
     #[test]

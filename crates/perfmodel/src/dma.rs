@@ -60,12 +60,6 @@ impl DmaTable {
         let t = ((s as f64).ln() - x0.ln()) / (x1.ln() - x0.ln());
         ys[i] + t * (ys[i + 1] - ys[i])
     }
-
-    /// Seconds to move `bytes` total across one CG when each CPE issues
-    /// blocks of `block_bytes`.
-    pub fn transfer_seconds(self, dir: DmaDirection, bytes: u64, block_bytes: usize) -> f64 {
-        bytes as f64 / (self.bandwidth_gbps(dir, block_bytes) * 1e9)
-    }
 }
 
 /// Mechanistic saturating-bandwidth fit (see module docs).
@@ -95,13 +89,6 @@ impl RationalFit {
             bmax: 38.5,
             half_size: 122.0,
             misalign_penalty: 0.93,
-        }
-    }
-
-    pub const fn for_direction(dir: DmaDirection) -> Self {
-        match dir {
-            DmaDirection::Get => Self::get(),
-            DmaDirection::Put => Self::put(),
         }
     }
 
@@ -154,17 +141,11 @@ mod tests {
     }
 
     #[test]
-    fn transfer_time_scales_linearly_in_bytes() {
-        let t = DmaTable;
-        let a = t.transfer_seconds(DmaDirection::Get, 1 << 20, 512);
-        let b = t.transfer_seconds(DmaDirection::Get, 2 << 20, 512);
-        assert!((b / a - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn rational_fit_tracks_table_for_ge_128b() {
-        for dir in [DmaDirection::Get, DmaDirection::Put] {
-            let fit = RationalFit::for_direction(dir);
+        for (dir, fit) in [
+            (DmaDirection::Get, RationalFit::get()),
+            (DmaDirection::Put, RationalFit::put()),
+        ] {
             let tab = DmaTable;
             for &s in TABLE_II_SIZES.iter().filter(|&&s| s >= 128) {
                 let m = fit.bandwidth_gbps(s);

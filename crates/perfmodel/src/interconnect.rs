@@ -61,7 +61,7 @@ impl InterconnectSpec {
     /// Ring allreduce over `chips` peers: reduce-scatter then allgather,
     /// `2·(C−1)` steps each moving a `bytes/C` segment. Returns 0 for a
     /// single chip (no wire traffic).
-    pub fn ring_allreduce_us(&self, bytes: u64, chips: usize) -> f64 {
+    fn ring_allreduce_us(&self, bytes: u64, chips: usize) -> f64 {
         if chips <= 1 {
             return 0.0;
         }
@@ -72,7 +72,7 @@ impl InterconnectSpec {
 
     /// Tree allreduce (reduce then broadcast): `2·⌈log₂C⌉` steps moving
     /// the whole tensor each step.
-    pub fn tree_allreduce_us(&self, bytes: u64, chips: usize) -> f64 {
+    fn tree_allreduce_us(&self, bytes: u64, chips: usize) -> f64 {
         if chips <= 1 {
             return 0.0;
         }
@@ -93,13 +93,10 @@ impl InterconnectSpec {
     }
 
     /// Bytes each chip puts on the wire under the given schedule — the
-    /// Demmel-style first-class metric the cluster counters report.
-    pub fn allreduce_wire_bytes_per_chip(
-        &self,
-        kind: AllreduceKind,
-        bytes: u64,
-        chips: usize,
-    ) -> u64 {
+    /// Demmel-style first-class metric; the oracle for
+    /// [`CollectiveSchedule::wire_bytes_per_chip`].
+    #[cfg(test)]
+    fn allreduce_wire_bytes_per_chip(&self, kind: AllreduceKind, bytes: u64, chips: usize) -> u64 {
         if chips <= 1 {
             return 0;
         }
@@ -183,7 +180,7 @@ impl Topology {
     }
 
     /// Is grouping active at all?
-    pub fn is_grouped(&self) -> bool {
+    fn is_grouped(&self) -> bool {
         self.group_size > 0 && self.uplinks_per_group > 0
     }
 
@@ -197,7 +194,7 @@ impl Topology {
     }
 
     /// Do `src → dst` cross a group boundary?
-    pub fn crosses_groups(&self, src: usize, dst: usize) -> bool {
+    fn crosses_groups(&self, src: usize, dst: usize) -> bool {
         match (self.group_of(src), self.group_of(dst)) {
             (Some(a), Some(b)) => a != b,
             _ => false,
@@ -406,12 +403,12 @@ impl NetworkModel {
     }
 
     /// Name of chip `chip`'s send port resource.
-    pub fn tx_link(chip: usize) -> String {
+    fn tx_link(chip: usize) -> String {
         format!("tx-{chip}")
     }
 
     /// Name of chip `chip`'s receive port resource.
-    pub fn rx_link(chip: usize) -> String {
+    fn rx_link(chip: usize) -> String {
         format!("rx-{chip}")
     }
 

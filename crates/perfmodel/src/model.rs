@@ -98,7 +98,7 @@ impl ConvPerfModel {
     /// * batch-size-aware: one pixel across the batch — `B` doubles;
     /// * patch-GEMM: one input-channel row of the gathered patch tile —
     ///   `b_p` doubles (`b_p` rides in `blocking.b_b`).
-    pub fn dma_block_bytes(
+    fn dma_block_bytes(
         &self,
         kind: PlanKind,
         blocking: Blocking,

@@ -32,7 +32,7 @@
 //! The selector cannot see the plans, so these are its own estimates; a
 //! plan's legality is the LDM its walk declares (`MeshWalk::ldm_buffers` in
 //! `swdnn`), rounded like the allocator rounds.
-//! [`ldm_doubles_batch_aware`] is deliberately more conservative than the
+//! The batch-size-aware estimate is deliberately more conservative than the
 //! batch-size-aware plan's buffers (double-buffered filters and a `Kc`-wide
 //! output window, where the plan single-buffers the filter slice and
 //! shrinks its window down to `b_co = 1`); the two can disagree, which is
@@ -90,7 +90,7 @@ pub struct PlanChoice {
 impl PlanChoice {
     /// What candidates are ranked by: modeled Gflops scaled by the share
     /// of the register tiles doing real work.
-    pub fn score(&self) -> f64 {
+    fn score(&self) -> f64 {
         self.estimate.gflops_per_cg * self.tile_occupancy
     }
 }
@@ -105,7 +105,7 @@ pub fn ldm_doubles_image_aware(shape: &ConvShape, blk: Blocking, chip: &ChipSpec
 }
 
 /// Per-CPE LDM footprint of the batch-size-aware plan on `chip`, in doubles.
-pub fn ldm_doubles_batch_aware(shape: &ConvShape, chip: &ChipSpec) -> usize {
+fn ldm_doubles_batch_aware(shape: &ConvShape, chip: &ChipSpec) -> usize {
     let cpes = chip.cpes_per_cg;
     let input = 2 * shape.batch * shape.ni / cpes;
     let filter = 2 * shape.ni * shape.no * shape.kc / cpes;

@@ -104,7 +104,7 @@ fn machine_threads() -> usize {
 /// The lane count parallel regions on this thread will use, resolved from
 /// (in priority order) the [`with_threads`] override, the `SWDNN_THREADS`
 /// environment variable, and the machine's `available_parallelism`.
-pub fn effective_threads() -> usize {
+fn effective_threads() -> usize {
     current_override()
         .or_else(env_threads)
         .unwrap_or_else(machine_threads)
@@ -161,8 +161,10 @@ const DOUBLES_GRAIN: u64 = 1 << 17;
 
 /// How many lanes a step of `items` items and estimated `work` should fan
 /// out over: 1 (run inline on the caller) when the estimate is under the
-/// grain for its kind, otherwise [`effective_threads`] capped by `items`.
-/// A pure function of `(items, work, effective_threads())`, so whether a
+/// grain for its kind, otherwise the effective lane count (the
+/// [`with_threads`] override, else `SWDNN_THREADS`, else the machine's
+/// parallelism) capped by `items`. A pure function of `items`, `work` and
+/// that lane count, so whether a
 /// region crosses the pool — and hence every handoff count — depends on
 /// the problem's shape and the lane count, never on timing.
 pub fn lanes_for(items: usize, work: Work) -> usize {
@@ -309,7 +311,8 @@ fn worker_loop(shared: Arc<PoolShared>, lane: usize) {
 type ScratchKey = (TypeId, usize);
 
 /// A persistent worker pool plus the policies and arenas every layer of
-/// the stack shares: thread-count resolution ([`effective_threads`]) and
+/// the stack shares: thread-count resolution ([`with_threads`], then
+/// `SWDNN_THREADS`) and
 /// reusable host-side scratch (e.g. the GEMM pack arenas), keyed so
 /// concurrent leases get distinct instances.
 ///
@@ -412,7 +415,8 @@ impl ExecutionContext {
     }
 
     /// Workers currently spawned (not necessarily busy).
-    pub fn workers(&self) -> usize {
+    #[cfg(test)]
+    fn workers(&self) -> usize {
         self.shared.state.lock().unwrap().spawned
     }
 
@@ -631,7 +635,7 @@ impl ExecutionContext {
     /// pigeonhole (one claim per invocation) every slot runs exactly once.
     /// Purely a scheduling hint — observable results are identical to
     /// [`Self::run`].
-    pub fn run_affine(&self, slots: usize, f: impl Fn(usize) + Sync) {
+    fn run_affine(&self, slots: usize, f: impl Fn(usize) + Sync) {
         if slots == 0 {
             return;
         }
@@ -657,9 +661,8 @@ impl ExecutionContext {
     /// is the deterministic static partition the old rayon shim used:
     /// `chunk = n.div_ceil(threads)`, chunks in order — so the slot
     /// boundaries (and therefore everything observable) depend only on
-    /// `n` and the effective thread count, never on scheduling. Scheduled
-    /// through [`Self::run_affine`], so chunk `i` prefers pool lane `i`
-    /// across calls.
+    /// `n` and the effective thread count, never on scheduling. Chunk `i`
+    /// prefers pool lane `i` across calls.
     pub fn map_index_affine<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,

@@ -13,11 +13,6 @@ pub fn iterations_for_ni(ni: usize) -> usize {
     (ni / 8).max(1)
 }
 
-/// Steady-state EE of the naive kernel: `16/26 ≈ 0.615`.
-pub fn ee_naive_asymptotic() -> f64 {
-    16.0 / 26.0
-}
-
 /// Exact EE of the naive kernel for `n` iterations as simulated
 /// (the final fall-through branch saves its bubble: `16n / (26n − 1)`).
 pub fn ee_naive(n: usize) -> f64 {
@@ -52,6 +47,11 @@ mod tests {
     use super::*;
     use crate::kernels::{naive_gemm_kernel, reordered_gemm_kernel, KernelSpec};
     use crate::pipeline::DualPipe;
+
+    /// Steady-state EE of the naive kernel: `16/26 ≈ 0.615`.
+    fn ee_naive_asymptotic() -> f64 {
+        16.0 / 26.0
+    }
 
     #[test]
     fn formulas_match_simulation() {

@@ -38,7 +38,7 @@ impl KernelSpec {
     }
 
     /// Flop-bearing instructions per full kernel (16 FMAs per iteration).
-    pub fn fma_count(&self) -> u64 {
+    fn fma_count(&self) -> u64 {
         16 * self.iterations as u64
     }
 

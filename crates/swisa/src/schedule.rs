@@ -144,7 +144,7 @@ impl DepGraph {
     }
 
     /// Longest-path priority of each node (critical path to any sink).
-    pub fn critical_path(&self) -> Vec<u64> {
+    fn critical_path(&self) -> Vec<u64> {
         let mut prio = vec![0u64; self.n];
         // edges go from lower to higher index; reverse topological = reverse index order.
         let mut succs: Vec<Vec<(usize, u64)>> = vec![Vec::new(); self.n];

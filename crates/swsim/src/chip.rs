@@ -33,11 +33,6 @@ impl MultiCgReport {
         let secs = self.wall_cycles as f64 / (clock_ghz * 1e9);
         self.total_flops as f64 / secs / 1e9
     }
-
-    /// Parallel speedup relative to a single-CG run of the whole problem.
-    pub fn speedup_vs(&self, single_cg_cycles: u64) -> f64 {
-        single_cg_cycles as f64 / self.wall_cycles as f64
-    }
 }
 
 /// Run `work(cg_index)` for each of `cgs` core groups (in parallel over
@@ -117,7 +112,7 @@ mod tests {
         let total_work = 40_000_000u64;
         let one = run_multi_cg(1, |_| fake_cg(total_work, total_work));
         let four = run_multi_cg(4, |_| fake_cg(total_work / 4, total_work / 4));
-        let speedup = four.speedup_vs(one.wall_cycles);
+        let speedup = one.wall_cycles as f64 / four.wall_cycles as f64;
         assert!(speedup > 3.9 && speedup <= 4.01, "speedup {speedup}");
     }
 

@@ -104,12 +104,6 @@ impl Ldm {
         Ok(buf)
     }
 
-    /// Allocate a double-buffer pair of `len` doubles each (§IV-A's
-    /// "Double Buffering ... overlap DMA with computing").
-    pub fn alloc_pair(&mut self, len: usize) -> Result<[LdmBuf; 2], LdmOverflow> {
-        Ok([self.alloc(len)?, self.alloc(len)?])
-    }
-
     /// Release everything (between independent kernel launches).
     pub fn reset(&mut self) {
         self.top = 0;
@@ -174,7 +168,7 @@ mod tests {
     #[test]
     fn double_buffer_pair_is_disjoint() {
         let mut ldm = Ldm::new(64 * 1024);
-        let [a, b] = ldm.alloc_pair(100).unwrap();
+        let (a, b) = (ldm.alloc(100).unwrap(), ldm.alloc(100).unwrap());
         assert!(a.range().end <= b.range().start);
     }
 

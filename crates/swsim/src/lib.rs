@@ -47,7 +47,5 @@ pub use stats::{CgStats, CpeStats};
 
 pub use sw_perfmodel::ChipSpec;
 
-/// Number of CPEs in one core group.
-pub const CPES: usize = 64;
 /// Mesh side length.
 pub const MESH_DIM: usize = 8;

@@ -239,11 +239,6 @@ impl CpeCtx<'_> {
         Ok(self.ldm.alloc(doubles)?)
     }
 
-    /// Allocate a double-buffer pair.
-    pub fn ldm_alloc_pair(&mut self, doubles: usize) -> Result<[LdmBuf; 2], SimError> {
-        Ok(self.ldm.alloc_pair(doubles)?)
-    }
-
     /// Read-only view of one LDM buffer.
     #[inline]
     pub fn ldm(&self, buf: LdmBuf) -> &[f64] {
@@ -1766,7 +1761,7 @@ mod tests {
         let run = |overlap: bool| -> u64 {
             let mut m: Mesh<()> = Mesh::new(ChipSpec::sw26010(), |_, _| ());
             m.superstep(|ctx, _| {
-                let bufs = ctx.ldm_alloc_pair(512)?;
+                let bufs = [ctx.ldm_alloc(512)?, ctx.ldm_alloc(512)?];
                 if overlap {
                     let mut pending = ctx.dma_get(bufs[0], 0, &src, 0, 512)?;
                     for t in 0..tiles {

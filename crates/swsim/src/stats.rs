@@ -131,17 +131,8 @@ impl CgStats {
         self.totals.flops as f64 / self.seconds(clock_ghz) / 1e9
     }
 
-    /// Achieved MEM→LDM bandwidth in GB/s over the kernel's lifetime.
-    pub fn dma_get_gbps(&self, clock_ghz: f64) -> f64 {
-        if self.cycles == 0 {
-            return 0.0;
-        }
-        self.totals.dma_get_bytes as f64 / self.seconds(clock_ghz) / 1e9
-    }
-
-    /// Achieved LDM→REG bandwidth in GB/s (per CPE, lifetime average):
-    /// the Eq. 5 counterpart of [`Self::dma_get_gbps`]. Per-CPE because
-    /// the paper's 46.4 GB/s LDM→REG figure is a single CPE's load path.
+    /// Achieved LDM→REG bandwidth in GB/s (per CPE, lifetime average),
+    /// the Eq. 5 level of the model. Per-CPE because the paper's 46.4 GB/s LDM→REG figure is a single CPE's load path.
     pub fn ldm_reg_gbps_per_cpe(&self, clock_ghz: f64, cpes: u64) -> f64 {
         if self.cycles == 0 || cpes == 0 {
             return 0.0;
@@ -191,13 +182,11 @@ mod tests {
         let s = CgStats {
             cycles: 1_450_000_000,
             totals: CpeStats {
-                dma_get_bytes: 36_000_000_000,
                 ldm_reg_bytes: 64 * 46_400_000_000,
                 ..Default::default()
             },
             ..Default::default()
         };
-        assert!((s.dma_get_gbps(1.45) - 36.0).abs() < 1e-9);
         assert!((s.ldm_reg_gbps_per_cpe(1.45, 64) - 46.4).abs() < 1e-9);
     }
 
@@ -205,7 +194,6 @@ mod tests {
     fn zero_cycles_is_not_a_division_error() {
         let s = CgStats::default();
         assert_eq!(s.gflops(1.45), 0.0);
-        assert_eq!(s.dma_get_gbps(1.45), 0.0);
         assert_eq!(s.ldm_reg_gbps_per_cpe(1.45, 64), 0.0);
         assert_eq!(s.ldm_high_water_frac(0), 0.0);
     }

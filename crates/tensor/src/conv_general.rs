@@ -11,7 +11,7 @@
 //! With input `Ri×Ci`, filter `Kr×Kc`, padding `(pr, pc)` and stride
 //! `(sr, sc)`:  `Ro = (Ri + 2·pr − Kr)/sr + 1` (and likewise for columns).
 
-use crate::shape::{ConvShape, Shape4};
+use crate::shape::Shape4;
 use crate::tensor::{Scalar, Tensor4};
 
 /// Convolution geometry: filter extent, padding, stride and dilation.
@@ -64,12 +64,6 @@ impl ConvGeometry {
         self
     }
 
-    pub const fn with_padding(mut self, pr: usize, pc: usize) -> Self {
-        self.pad_r = pr;
-        self.pad_c = pc;
-        self
-    }
-
     pub const fn with_dilation(mut self, dr: usize, dc: usize) -> Self {
         self.dil_r = dr;
         self.dil_c = dc;
@@ -98,16 +92,6 @@ impl ConvGeometry {
             (er - self.kr_eff()) / self.stride_r + 1,
             (ec - self.kc_eff()) / self.stride_c + 1,
         ))
-    }
-
-    /// Whether this geometry degenerates to the paper's dense case.
-    pub const fn is_valid_dense(&self) -> bool {
-        self.pad_r == 0
-            && self.pad_c == 0
-            && self.stride_r == 1
-            && self.stride_c == 1
-            && self.dil_r == 1
-            && self.dil_c == 1
     }
 }
 
@@ -249,24 +233,12 @@ pub fn general_flops(geom: &ConvGeometry, input_shape: Shape4, no: usize) -> u64
     2 * (input_shape.d0 * no * ro * co * input_shape.d1 * geom.kr * geom.kc) as u64
 }
 
-impl ConvGeometry {
-    /// The equivalent dense [`ConvShape`] when this geometry is valid/dense.
-    pub fn as_dense_shape(&self, input: Shape4, no: usize) -> Option<ConvShape> {
-        if !self.is_valid_dense() {
-            return None;
-        }
-        let (ro, co) = self.output_extent(input.d2, input.d3)?;
-        Some(ConvShape::new(
-            input.d0, input.d1, no, ro, co, self.kr, self.kc,
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::conv_ref::conv2d_ref;
     use crate::init::seeded_tensor;
+    use crate::shape::ConvShape;
     use crate::Layout;
 
     #[test]
@@ -332,9 +304,10 @@ mod tests {
 
     #[test]
     fn bwd_filter_matches_finite_difference() {
-        let geom = ConvGeometry::valid(2, 2)
-            .with_stride(2, 1)
-            .with_padding(1, 0);
+        let geom = ConvGeometry {
+            pad_r: 1,
+            ..ConvGeometry::valid(2, 2).with_stride(2, 1)
+        };
         let in_shape = Shape4::new(2, 1, 4, 4);
         let input = seeded_tensor::<f64>(in_shape, Layout::Nchw, 8);
         let filter = seeded_tensor::<f64>(Shape4::new(2, 1, 2, 2), Layout::Nchw, 9);
@@ -354,16 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_shape_conversion() {
-        let geom = ConvGeometry::valid(3, 3);
-        let shape = geom.as_dense_shape(Shape4::new(8, 16, 10, 10), 32).unwrap();
-        assert_eq!(shape, ConvShape::new(8, 16, 32, 8, 8, 3, 3));
-        assert!(ConvGeometry::same(3, 3)
-            .as_dense_shape(Shape4::new(1, 1, 4, 4), 1)
-            .is_none());
-    }
-
-    #[test]
     fn too_small_inputs_are_rejected() {
         assert_eq!(ConvGeometry::valid(5, 5).output_extent(3, 3), None);
     }
@@ -376,7 +339,6 @@ mod tests {
         assert_eq!(geom.kr_eff(), 5);
         assert_eq!(geom.output_extent(7, 7), Some((3, 3)));
         assert_eq!(geom.output_extent(4, 4), None);
-        assert!(!geom.is_valid_dense());
 
         // Equivalence: dilated conv == dense conv with a zero-stuffed filter.
         let input = seeded_tensor::<f64>(Shape4::new(1, 2, 7, 7), Layout::Nchw, 13);

@@ -46,14 +46,6 @@ pub fn lattice_tensor<T: Scalar>(shape: Shape4, layout: Layout, seed: u64) -> Te
     })
 }
 
-/// Index-encoded tensor (`v = i0*1e3 + i1*1e2 + i2*10 + i3`), useful for
-/// debugging layout transforms because every element is identifiable.
-pub fn index_tensor<T: Scalar>(shape: Shape4, layout: Layout) -> Tensor4<T> {
-    Tensor4::from_fn(shape, layout, |a, b, c, d| {
-        T::from_f64((a * 1000 + b * 100 + c * 10 + d) as f64)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,11 +88,5 @@ mod tests {
             assert_eq!(q, q.round());
             assert!(v.abs() <= 1.0);
         }
-    }
-
-    #[test]
-    fn index_tensor_encodes_indices() {
-        let t = index_tensor::<f64>(Shape4::new(2, 2, 2, 2), Layout::BatchAware);
-        assert_eq!(t.get(1, 0, 1, 1), 1011.0);
     }
 }

@@ -74,21 +74,6 @@ impl Layout {
             }
         }
     }
-
-    /// Length in elements of the longest contiguous run this layout
-    /// guarantees for DMA transfers (the "leading blocking size" of §III-D).
-    ///
-    /// Plans use this to predict the DMA block size and therefore the
-    /// effective bandwidth from the Table II curve.
-    pub fn contiguous_run(self, s: Shape4) -> usize {
-        match self {
-            Layout::Nchw => s.d3,
-            // lane * d3 contiguous per (quad, d1, d2)
-            Layout::ImageAware => VECTOR_WIDTH * s.d3,
-            // lane * quads contiguous per (d1, d2, d3)
-            Layout::BatchAware => VECTOR_WIDTH * ceil_div(s.d0, VECTOR_WIDTH),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -150,14 +135,5 @@ mod tests {
         assert_eq!(Layout::Nchw.buffer_len(s), 5);
         assert_eq!(Layout::ImageAware.buffer_len(s), 8);
         assert_eq!(Layout::BatchAware.buffer_len(s), 8);
-    }
-
-    #[test]
-    fn contiguous_runs_match_paper_intent() {
-        // B=128, Ni=64, 66x66 input images.
-        let s = Shape4::new(128, 64, 66, 66);
-        assert_eq!(Layout::ImageAware.contiguous_run(s), 4 * 66);
-        assert_eq!(Layout::BatchAware.contiguous_run(s), 128);
-        assert_eq!(Layout::Nchw.contiguous_run(s), 66);
     }
 }

@@ -35,10 +35,6 @@ impl Shape4 {
         debug_assert!(i0 < self.d0 && i1 < self.d1 && i2 < self.d2 && i3 < self.d3);
         ((i0 * self.d1 + i1) * self.d2 + i2) * self.d3 + i3
     }
-
-    pub const fn as_tuple(&self) -> (usize, usize, usize, usize) {
-        (self.d0, self.d1, self.d2, self.d3)
-    }
 }
 
 impl fmt::Debug for Shape4 {
@@ -175,7 +171,7 @@ mod tests {
     #[test]
     fn shape_from_tuple_round_trips() {
         let s: Shape4 = (7, 1, 2, 9).into();
-        assert_eq!(s.as_tuple(), (7, 1, 2, 9));
+        assert_eq!((s.d0, s.d1, s.d2, s.d3), (7, 1, 2, 9));
     }
 
     #[test]

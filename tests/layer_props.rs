@@ -2,11 +2,60 @@
 //! layer must satisfy regardless of shape or data.
 
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use sw_tensor::conv_general::ConvGeometry;
 use sw_tensor::init::seeded_tensor;
-use sw_tensor::{ConvShape, Layout, Shape4};
+use sw_tensor::{ConvShape, Layout, Shape4, Tensor4};
 use swdnn::layers::{
-    AvgPool2, Conv2dLayer, Engine, Layer, MaxPool2, ReLU, Sigmoid, SoftmaxCrossEntropy,
+    AvgPool2, BatchNorm2d, Conv2dLayer, ConvGeneralLayer, Dropout, Engine, Layer, Linear, MaxPool2,
+    ReLU, Sigmoid, SoftmaxCrossEntropy, Tanh,
 };
+use swdnn::SwdnnError;
+
+/// Every layer's `backward` checks `d_out` against the output shape its
+/// forward pass cached: a wrong-shaped gradient is a `ShapeMismatch`, never
+/// a panic and never a silently truncated or padded result.
+#[test]
+fn every_layer_rejects_a_wrong_shaped_gradient() {
+    let s = Shape4::new(2, 3, 4, 4);
+    let x = seeded_tensor::<f64>(s, Layout::Nchw, 7);
+    let mut identity_dropout = Dropout::new(0.5, 1);
+    identity_dropout.training = false;
+    let layers: Vec<Box<dyn Layer>> = vec![
+        Box::new(ReLU::new()),
+        Box::new(Sigmoid::new()),
+        Box::new(Tanh::new()),
+        Box::new(MaxPool2::new()),
+        Box::new(AvgPool2::new()),
+        Box::new(Linear::new(3 * 4 * 4, 5, 1)),
+        Box::new(BatchNorm2d::new(3)),
+        Box::new(Dropout::new(0.5, 1)),
+        Box::new(identity_dropout),
+        Box::new(ConvGeneralLayer::new(ConvGeometry::same(3, 3), 3, 2, 1)),
+        Box::new(Conv2dLayer::new(ConvShape::new(2, 3, 2, 2, 2, 3, 3), Engine::Host, 1).unwrap()),
+    ];
+    for mut layer in layers {
+        let o = layer.forward(&x).unwrap().shape();
+        let wrong = [
+            s,
+            Shape4::new(o.d0 + 1, o.d1, o.d2, o.d3),
+            Shape4::new(o.d0, o.d1 + 1, o.d2, o.d3),
+            Shape4::new(o.d0, o.d1, o.d2, o.d3 + 1),
+            Shape4::new(o.d0, o.d1, o.d2.max(2) - 1, o.d3),
+        ];
+        for w in wrong.into_iter().filter(|&w| w != o) {
+            let d_out = Tensor4::full(w, Layout::Nchw, 1.0);
+            let got = catch_unwind(AssertUnwindSafe(|| layer.backward(&d_out)));
+            assert!(
+                matches!(got, Ok(Err(SwdnnError::ShapeMismatch { .. }))),
+                "{}: forward gave {o:?}, backward accepted or panicked on {w:?}",
+                layer.name()
+            );
+        }
+        let d_out = Tensor4::full(o, Layout::Nchw, 1.0);
+        assert!(layer.backward(&d_out).is_ok(), "{}", layer.name());
+    }
+}
 
 fn arb_shape() -> impl Strategy<Value = Shape4> {
     (1usize..4, 1usize..4, 1usize..4, 1usize..4)
