@@ -29,7 +29,7 @@ impl Conv2d {
     pub fn new(shape: ConvShape) -> Result<Self, SwdnnError> {
         if !shape.is_valid() {
             return Err(SwdnnError::ShapeMismatch {
-                expected: "positive extents".into(),
+                expected: "positive extents whose counts fit".into(),
                 got: format!("{shape}"),
             });
         }
@@ -298,6 +298,23 @@ mod tests {
         for (i, result) in calls.into_iter().enumerate() {
             let mismatch = matches!(result, Err(SwdnnError::ShapeMismatch { .. }));
             assert!(mismatch, "call {i}: {result:?}");
+        }
+    }
+
+    #[test]
+    fn shapes_whose_counts_overflow_are_rejected() {
+        // Every extent is positive, but the first two overflow `flops`, and
+        // the third's input buffer, padded to a whole vector, overflows
+        // `usize`.
+        let overflowing = [
+            ConvShape::new(1 << 22, 1 << 22, 1 << 22, 1 << 22, 1, 1, 1),
+            ConvShape::new(1 << 16, 1 << 16, 1 << 16, 64, 64, 3, 3),
+            ConvShape::new(1, 1, 1, 1, 1, usize::MAX / 2, 1),
+        ];
+        for shape in overflowing {
+            let result = Conv2d::new(shape);
+            let mismatch = matches!(result, Err(SwdnnError::ShapeMismatch { .. }));
+            assert!(mismatch, "{shape}: {result:?}");
         }
     }
 

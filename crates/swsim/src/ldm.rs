@@ -6,6 +6,11 @@
 //! allocated once at plan setup and live for the whole kernel, so nothing
 //! fancier is needed) with 32-byte alignment so every buffer can serve
 //! 256-bit vector loads.
+//!
+//! The capacity is a number: allocation, overflow and the high water are
+//! bookkeeping over it alone. The doubles behind it exist only once
+//! [`Ldm::back`] is called — on a functional mesh at a CPE's first
+//! allocation, on a cost-only mesh, which reads no LDM, never.
 
 use std::fmt;
 
@@ -46,7 +51,9 @@ impl std::error::Error for LdmOverflow {}
 /// One CPE's scratchpad.
 #[derive(Clone, Debug)]
 pub struct Ldm {
+    /// The contents: empty until [`Self::back`], then `capacity` doubles.
     data: Vec<f64>,
+    capacity: usize,
     top: usize,
     high_water: usize,
 }
@@ -62,18 +69,26 @@ pub const fn padded_len(len: usize) -> usize {
 }
 
 impl Ldm {
-    /// A scratchpad of `capacity_bytes` (64 KB on SW26010).
+    /// A scratchpad of `capacity_bytes` (64 KB on SW26010), not yet backed.
     pub fn new(capacity_bytes: usize) -> Self {
-        let doubles = capacity_bytes / 8;
         Self {
-            data: vec![0.0; doubles],
+            data: Vec::new(),
+            capacity: capacity_bytes / 8,
             top: 0,
             high_water: 0,
         }
     }
 
+    /// Back the scratchpad with its capacity of zeroed doubles, once; the
+    /// buffer views below read and write this backing.
+    pub fn back(&mut self) {
+        if self.data.len() != self.capacity {
+            self.data = vec![0.0; self.capacity];
+        }
+    }
+
     pub fn capacity_doubles(&self) -> usize {
-        self.data.len()
+        self.capacity
     }
 
     pub fn used_doubles(&self) -> usize {
@@ -85,14 +100,15 @@ impl Ldm {
         self.high_water
     }
 
-    /// Allocate `len` doubles (rounded up to vector alignment).
+    /// Allocate `len` doubles (rounded up to vector alignment). Bookkeeping
+    /// only: it does not back the scratchpad.
     pub fn alloc(&mut self, len: usize) -> Result<LdmBuf, LdmOverflow> {
         let padded = padded_len(len);
-        if self.top + padded > self.data.len() {
+        if self.top + padded > self.capacity {
             return Err(LdmOverflow {
                 requested_doubles: padded,
                 used_doubles: self.top,
-                capacity_doubles: self.data.len(),
+                capacity_doubles: self.capacity,
             });
         }
         let buf = LdmBuf {
@@ -128,11 +144,6 @@ impl Ldm {
     pub fn data_mut(&mut self) -> &mut [f64] {
         &mut self.data
     }
-
-    #[inline]
-    pub fn data(&self) -> &[f64] {
-        &self.data
-    }
 }
 
 #[cfg(test)]
@@ -166,6 +177,19 @@ mod tests {
     }
 
     #[test]
+    fn allocation_is_bookkeeping_until_backed() {
+        let mut ldm = Ldm::new(64 * 1024);
+        let a = ldm.alloc(101).unwrap();
+        assert!(ldm.alloc(8192).is_err());
+        assert_eq!((ldm.high_water_doubles(), ldm.data.len()), (104, 0));
+        ldm.back();
+        assert_eq!(ldm.buf(a), &[0.0; 101][..]);
+        ldm.buf_mut(a)[0] = 1.0;
+        ldm.back();
+        assert_eq!(ldm.buf(a)[0], 1.0, "backing twice keeps the contents");
+    }
+
+    #[test]
     fn double_buffer_pair_is_disjoint() {
         let mut ldm = Ldm::new(64 * 1024);
         let (a, b) = (ldm.alloc(100).unwrap(), ldm.alloc(100).unwrap());
@@ -186,6 +210,7 @@ mod tests {
     fn buffers_read_back_written_values() {
         let mut ldm = Ldm::new(1024);
         let b = ldm.alloc(8).unwrap();
+        ldm.back();
         ldm.buf_mut(b)
             .copy_from_slice(&[1., 2., 3., 4., 5., 6., 7., 8.]);
         assert_eq!(ldm.buf(b)[3], 4.0);

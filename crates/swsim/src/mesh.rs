@@ -31,14 +31,18 @@
 //! step succeeded or not.
 //!
 //! A mesh built with [`Mesh::cost_only`] prices, counts, queues and
-//! fault-keys every operation exactly as above but moves no operand data:
-//! DMA gets copy nothing and puts log a length. Every clock, counter and
-//! fault decision is a function of lengths, offsets and sequence numbers
-//! only, so a cost-only run lands on the same cycles, the same per-CPE
-//! counters and the same errors as the functional run of the same program —
-//! it is how plans time a shape without doing its arithmetic. There a GEMM
-//! rotation no fault can touch runs no CPE program: [`Mesh::price_rotation`]
-//! applies its `2·dim` supersteps' exact effect in one step.
+//! fault-keys every operation exactly as above but moves no operand data
+//! and holds no LDM: DMA gets copy nothing, puts log a length, and LDM
+//! allocation is bookkeeping over the capacity, with no doubles behind it.
+//! Every clock, counter, fault decision and LDM overflow is a function of
+//! lengths, offsets and sequence numbers only, so a cost-only run lands on
+//! the same cycles, the same per-CPE counters, the same high water and the
+//! same errors as the functional run of the same program — it is how plans
+//! time a shape without doing its arithmetic. Its put buffers are leased
+//! from the run context's scratch arena and returned, emptied, when the mesh
+//! drops, so a warm timing walk regrows none of them. There a GEMM rotation
+//! no fault can touch runs no CPE program: [`Mesh::price_rotation`] applies
+//! its `2·dim` supersteps' exact effect in one step.
 
 use crate::dma::{DmaEngine, DmaHandle};
 use crate::fault::FaultPlan;
@@ -234,21 +238,36 @@ impl CpeCtx<'_> {
         *self.clock
     }
 
-    /// Allocate LDM.
+    /// Allocate LDM. On a functional mesh the first allocation also backs
+    /// the scratchpad; on a cost-only one allocation is bookkeeping only.
     pub fn ldm_alloc(&mut self, doubles: usize) -> Result<LdmBuf, SimError> {
-        Ok(self.ldm.alloc(doubles)?)
+        let buf = self.ldm.alloc(doubles)?;
+        if !self.cost_only {
+            self.ldm.back();
+        }
+        Ok(buf)
     }
 
-    /// Read-only view of one LDM buffer.
+    /// Read-only view of one LDM buffer. Not on a cost-only mesh, which
+    /// holds no LDM.
     #[inline]
     pub fn ldm(&self, buf: LdmBuf) -> &[f64] {
+        debug_assert!(
+            !self.cost_only,
+            "CpeCtx::ldm on a cost-only mesh, which holds no LDM to read"
+        );
         self.ldm.buf(buf)
     }
 
     /// Mutable view of the whole scratchpad (for inner kernels spanning
-    /// several disjoint buffers).
+    /// several disjoint buffers). Not on a cost-only mesh, which holds no
+    /// LDM.
     #[inline]
     pub fn ldm_data_mut(&mut self) -> &mut [f64] {
+        debug_assert!(
+            !self.cost_only,
+            "CpeCtx::ldm_data_mut on a cost-only mesh, which holds no LDM to write"
+        );
         self.ldm.data_mut()
     }
 
@@ -800,6 +819,25 @@ impl<T> RawShare<T> {
 /// The serial phase of a batch that has none (a single superstep).
 type NoPhase<S> = fn(usize, &mut CpeCtx<'_>, &mut S) -> Result<(), SimError>;
 
+/// A cost-only mesh's put buffers while it lives — its nodes' `out_puts`
+/// and its seam's `put_log` — parked in the run context's scratch arena
+/// between meshes, keyed by CPE count. The lease holds the mesh's empty
+/// buffers in their place until the mesh drops and swaps them back.
+struct PutBuffers {
+    log: Vec<(usize, PutRun)>,
+    outs: Vec<Vec<(usize, PutRun)>>,
+}
+
+impl PutBuffers {
+    /// Exchange these buffers with the ones `seam` and `cpes` hold.
+    fn swap<S>(&mut self, seam: &mut Seam, cpes: &mut [CpeNode<S>]) {
+        std::mem::swap(&mut seam.put_log, &mut self.log);
+        for (node, out) in cpes.iter_mut().zip(&mut self.outs) {
+            std::mem::swap(&mut node.out_puts, out);
+        }
+    }
+}
+
 /// One core group's 8×8 mesh plus its DMA engine and put log.
 pub struct Mesh<S> {
     pub chip: ChipSpec,
@@ -812,6 +850,8 @@ pub struct Mesh<S> {
     pub sync_cycles: u64,
     fault: Option<FaultPlan>,
     cost_only: bool,
+    /// On a cost-only mesh, the lease its put buffers came from.
+    puts: Option<sw_runtime::ScratchLease<'static, PutBuffers>>,
 }
 
 impl<S: Send> Mesh<S> {
@@ -861,17 +901,27 @@ impl<S: Send> Mesh<S> {
             sync_cycles: 8,
             fault: None,
             cost_only: false,
+            puts: None,
         }
     }
 
-    /// Make this a cost-only mesh: DMA gets copy nothing, DMA puts log
-    /// `(offset, len)` without the data, [`Self::superstep`] runs inline
-    /// (there is no resident data to touch), and [`Self::price_rotation`]
-    /// may apply a whole GEMM rotation in one step. Bounds checks, cycle
-    /// charges, counters, DMA queueing, fault keys and
-    /// [`Self::drain_puts`] errors are those of the functional mesh; LDM
-    /// contents and drained outputs are not meaningful.
+    /// Make this a cost-only mesh: it moves no operand data and holds no
+    /// LDM. DMA gets copy nothing, DMA puts log `(offset, len)` without the
+    /// data into buffers leased from the run context, [`Self::superstep`]
+    /// runs inline (there is no resident data to touch), and
+    /// [`Self::price_rotation`] may apply a whole GEMM rotation in one step.
+    /// Bounds checks, cycle charges, counters, DMA queueing, fault keys, LDM
+    /// allocation, overflow and high water, and [`Self::drain_puts`] errors
+    /// are those of the functional mesh; drained outputs are not meaningful,
+    /// and a program must not read LDM ([`CpeCtx::ldm`] debug-asserts).
     pub fn cost_only(mut self) -> Self {
+        let n = self.cpes.len();
+        let mut puts = self.rt.scratch(n, || PutBuffers {
+            log: Vec::new(),
+            outs: (0..n).map(|_| Vec::new()).collect(),
+        });
+        puts.swap(&mut self.seam, &mut self.cpes);
+        self.puts = Some(puts);
         self.cost_only = true;
         self
     }
@@ -1211,6 +1261,20 @@ impl<S: Send> Mesh<S> {
     }
 }
 
+impl<S> Drop for Mesh<S> {
+    /// A cost-only mesh returns its put buffers to the arena emptied, on
+    /// the error path too: whatever a walk left undrained is dropped here.
+    fn drop(&mut self) {
+        if let Some(mut puts) = self.puts.take() {
+            self.seam.put_log.clear();
+            for node in &mut self.cpes {
+                node.out_puts.clear();
+            }
+            puts.swap(&mut self.seam, &mut self.cpes);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1411,14 +1475,70 @@ mod tests {
 
     #[test]
     fn ldm_overflow_surfaces_as_error() {
-        let mut m = mesh();
-        let err = m
-            .superstep(|ctx, _| {
-                ctx.ldm_alloc(10_000)?;
-                Ok(())
-            })
-            .unwrap_err();
-        assert!(matches!(err, SimError::Ldm(_)));
+        // A cost-only mesh holds no LDM but allocates over the same
+        // capacity: it overflows at the same request with the same
+        // accounting and reports the same high water, on either chip. In
+        // the second step even CPEs fit and odd ones overflow; CPE 1's
+        // error is the step's.
+        let full = ChipSpec::sw26010();
+        let quarter = ChipSpec {
+            mesh_dim: 4,
+            cpes_per_cg: 16,
+            ..full
+        };
+        for (chip, high_water) in [(full, 1064 + 7100), (quarter, 1016 + 7100)] {
+            let run = |cost_only: bool| {
+                let mut m: Mesh<()> = Mesh::new(chip, |_, _| ());
+                if cost_only {
+                    m = m.cost_only();
+                }
+                m.superstep(|ctx, _| ctx.ldm_alloc(1000 + ctx.id()).map(drop))
+                    .unwrap();
+                let err = m
+                    .superstep(|ctx, _| ctx.ldm_alloc(7100 + ctx.id() % 2 * 200).map(drop))
+                    .unwrap_err();
+                (err, m.ldm_high_water(), m.stats().ldm_high_water_doubles)
+            };
+            let overflow = LdmOverflow {
+                requested_doubles: 7300,
+                used_doubles: 1004,
+                capacity_doubles: 8192,
+            };
+            let dim = chip.mesh_dim;
+            let expect = (SimError::Ldm(overflow), high_water, high_water as u64);
+            assert_eq!(run(false), expect, "functional {dim}×{dim}");
+            assert_eq!(run(true), expect, "cost-only {dim}×{dim}");
+        }
+    }
+
+    #[test]
+    fn a_cost_only_mesh_returns_its_put_buffers_emptied() {
+        // A mesh dropped mid-walk, after a failed step, with puts logged and
+        // undrained: the next cost-only mesh on the same context starts
+        // with no pending put but with the grown buffers.
+        let rt: &'static sw_runtime::ExecutionContext =
+            Box::leak(Box::new(sw_runtime::ExecutionContext::new()));
+        let puts = |ctx: &mut CpeCtx<'_>, _: &mut ()| {
+            let buf = ctx.ldm_alloc(64)?;
+            ctx.dma_put_strided(buf, 0, 0, 16, 8, 4).map(drop)
+        };
+        let build = || Mesh::<()>::new_on(rt, ChipSpec::sw26010(), |_, _| ()).cost_only();
+        let mut m = build();
+        m.superstep(puts).unwrap();
+        let err = m.superstep(|ctx, s| {
+            puts(ctx, s)?;
+            Err(SimError::Program(format!("CPE {} fails", ctx.id())))
+        });
+        assert_eq!(err, Err(SimError::Program("CPE 0 fails".into())));
+        assert_eq!(m.pending_puts(), 64 * 16);
+        drop(m);
+        let m = build();
+        assert_eq!(m.pending_puts(), 0);
+        assert!(m.seam.put_log.capacity() >= 64 * 16);
+        assert!(m
+            .cpes
+            .iter()
+            .all(|c| c.out_puts.is_empty() && c.out_puts.capacity() >= 16));
     }
 
     #[test]

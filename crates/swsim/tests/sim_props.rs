@@ -278,13 +278,16 @@ fn receive(ctx: &mut CpeCtx<'_>, sent: Sent, lossy: bool) -> Result<(), SimError
 /// Interpret `ops` — `(kind, p, q, r)` tuples, one pooled superstep each —
 /// on `mesh`, reading `src` and finally draining into an output segment.
 /// Every CPE does the same kind of thing with sizes and offsets bent by its
-/// id, so clocks and DMA queues differ across the mesh.
+/// id, so clocks and DMA queues differ across the mesh. A cost-only mesh
+/// holds no LDM, so there a bus payload is zeros of the same length, as in
+/// the plans' cost-only rotations.
 fn run_program(
     mesh: &mut Mesh<Prog>,
     ops: &[(usize, usize, usize, usize)],
     src: &[f64],
     lossy: bool,
 ) -> Result<(), SimError> {
+    let cost_only = mesh.is_cost_only();
     mesh.superstep(|ctx, s| {
         s.buf = ctx.ldm_alloc(PROG_BUF)?;
         Ok(())
@@ -320,7 +323,12 @@ fn run_program(
                     s.pending.push(h);
                 }
                 3..=6 => {
-                    let payload = ctx.ldm(s.buf)[..q + id % 3].to_vec();
+                    let len = q + id % 3;
+                    let payload = if cost_only {
+                        vec![0.0; len]
+                    } else {
+                        ctx.ldm(s.buf)[..len].to_vec()
+                    };
                     match sent {
                         Sent::Bcast(Bus::Row, from) if ctx.col == from => ctx.bcast_row(&payload),
                         Sent::Bcast(Bus::Col, from) if ctx.row == from => ctx.bcast_col(&payload),

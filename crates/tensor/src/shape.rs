@@ -1,5 +1,6 @@
 //! Dimension bookkeeping for 4-D tensors and convolutional layers.
 
+use crate::VECTOR_WIDTH;
 use std::fmt;
 
 /// Shape of a dense 4-D tensor, in logical `(d0, d1, d2, d3)` order.
@@ -133,15 +134,44 @@ impl ConvShape {
             as u64
     }
 
-    /// `true` when all extents are positive and the output fits the input.
-    pub const fn is_valid(&self) -> bool {
-        self.batch > 0
-            && self.ni > 0
-            && self.no > 0
-            && self.ro > 0
-            && self.co > 0
-            && self.kr > 0
-            && self.kc > 0
+    /// `true` when all extents are positive and every count taken of the
+    /// shape fits: the input, filter and output buffers together — each
+    /// with its `d0` padded to the vector width, as the vectorized layouts
+    /// store it — in at most `isize::MAX` bytes, the most one allocation can
+    /// hold, and [`Self::flops`] in a `u64`.
+    pub fn is_valid(&self) -> bool {
+        let extents = [
+            self.batch, self.ni, self.no, self.ro, self.co, self.kr, self.kc,
+        ];
+        extents.iter().all(|&d| d > 0) && self.counts_fit(extents)
+    }
+
+    /// The count half of [`Self::is_valid`], for positive `extents`.
+    fn counts_fit(&self, extents: [usize; 7]) -> bool {
+        let (Some(ri), Some(ci)) = (
+            self.ro.checked_add(self.kr - 1),
+            self.co.checked_add(self.kc - 1),
+        ) else {
+            return false;
+        };
+        // Bytes of a `(d0, d1, d2, d3)` buffer with `d0` padded to a whole
+        // vector.
+        let bytes = |d: [usize; 4]| {
+            [VECTOR_WIDTH * 8, d[1], d[2], d[3]]
+                .into_iter()
+                .try_fold(d[0].div_ceil(VECTOR_WIDTH), usize::checked_mul)
+        };
+        let buffers = [
+            [self.batch, self.ni, ri, ci],
+            [self.no, self.ni, self.kr, self.kc],
+            [self.batch, self.no, self.ro, self.co],
+        ]
+        .into_iter()
+        .try_fold(0usize, |sum, d| sum.checked_add(bytes(d)?));
+        let flops = extents
+            .into_iter()
+            .try_fold(2u64, |acc, d| acc.checked_mul(d as u64));
+        buffers.is_some_and(|b| b <= isize::MAX as usize) && flops.is_some()
     }
 }
 
@@ -197,6 +227,25 @@ mod tests {
         assert!(ConvShape::new(1, 1, 1, 1, 1, 1, 1).is_valid());
         assert!(!ConvShape::new(0, 1, 1, 1, 1, 1, 1).is_valid());
         assert!(!ConvShape::new(1, 1, 1, 1, 1, 0, 1).is_valid());
+    }
+
+    #[test]
+    fn shapes_whose_counts_overflow_are_invalid() {
+        let huge = [
+            // Every element count overflows.
+            ConvShape::new(1 << 22, 1 << 22, 1 << 22, 1 << 22, 1, 1, 1),
+            // The tensors fit; `flops` does not.
+            ConvShape::new(1 << 16, 1 << 16, 1 << 16, 64, 64, 3, 3),
+            // The input fits unpadded; padded to a whole vector it does not.
+            ConvShape::new(1, 1, 1, 1, 1, usize::MAX / 2, 1),
+            // `Ri = Ro + Kr - 1` itself overflows.
+            ConvShape::new(1, 1, 1, usize::MAX, 1, 2, 1),
+        ];
+        for s in huge {
+            assert!(!s.is_valid(), "{s}");
+        }
+        // The largest paper-scale shapes stay valid.
+        assert!(ConvShape::new(128, 384, 384, 64, 64, 21, 21).is_valid());
     }
 
     #[test]
