@@ -10,7 +10,11 @@
 //!    against digests (cycles, DMA/bus counters, flops, an order-sensitive
 //!    checksum of the exact output bit patterns) captured from the
 //!    pre-optimisation implementation; one backward-filter plan run on
-//!    seeded data, whose output bits predate its tap-folded rotation.
+//!    seeded data, whose output bits predate its tap-folded rotation; one
+//!    patch-GEMM run on a strided, padded geometry. The three forward plans
+//!    also run under injected DMA faults and CPE stalls, whose digests
+//!    (DMA retries included) pin the order of every superstep, DMA and bus
+//!    delivery, which the fault draws are keyed by.
 //! 2. **Thread-count independence.** The same runs repeated under host
 //!    fan-outs of 1, 4, 8, and the machine default (via
 //!    `sw_runtime::with_threads`, the policy every layer now shares) must
@@ -36,7 +40,7 @@ use sw_perfmodel::ChipSpec;
 use sw_runtime::ExecutionContext;
 use sw_sim::{FaultPlan, LdmBuf, Mesh};
 use sw_tensor::init::{lattice_tensor, seeded_tensor};
-use sw_tensor::{ConvShape, Layout};
+use sw_tensor::{ConvGeometry, ConvShape, Layout, Shape4};
 use swdnn::plans::gemm_mesh::{regcomm_gemm, zero_c, GemmBlock};
 use swdnn::plans::{
     BatchAwarePlan, BwdFilterPlan, ConvPlan, ConvRun, ImageAwarePlan, LowerCtx, PatchGemmPlan,
@@ -51,6 +55,7 @@ struct RunDigest {
     bus_vectors_sent: u64,
     bus_vectors_received: u64,
     flops: u64,
+    dma_retries: u64,
     output_bits: u64,
 }
 
@@ -69,6 +74,7 @@ fn digest(run: &ConvRun) -> RunDigest {
         bus_vectors_sent: t.bus_vectors_sent,
         bus_vectors_received: t.bus_vectors_received,
         flops: t.flops,
+        dma_retries: t.dma_retries,
         output_bits: checksum(run.output.data()),
     }
 }
@@ -85,6 +91,7 @@ fn image_golden() -> RunDigest {
         bus_vectors_sent: 20736,
         bus_vectors_received: 145152,
         flops: 2359296,
+        dma_retries: 0,
         output_bits: 8771703832349549151,
     }
 }
@@ -97,6 +104,7 @@ fn batch_golden() -> RunDigest {
         bus_vectors_sent: 9216,
         bus_vectors_received: 64512,
         flops: 589824,
+        dma_retries: 0,
         output_bits: 11020029646220698066,
     }
 }
@@ -111,6 +119,7 @@ fn image_large_golden() -> RunDigest {
         bus_vectors_sent: 92160,
         bus_vectors_received: 645120,
         flops: 37748736,
+        dma_retries: 0,
         output_bits: 10428746408275829906,
     }
 }
@@ -124,6 +133,7 @@ fn batch_large_golden() -> RunDigest {
         bus_vectors_sent: 221184,
         bus_vectors_received: 1548288,
         flops: 75497472,
+        dma_retries: 0,
         output_bits: 15884816419428590194,
     }
 }
@@ -142,8 +152,60 @@ fn bwd_filter_golden() -> RunDigest {
         bus_vectors_sent: 19968,
         bus_vectors_received: 139776,
         flops: 1179648,
+        dma_retries: 0,
         output_bits: 14628683591305572534,
     }
+}
+
+/// Patch-GEMM on a strided, padded geometry with a ragged last pixel block
+/// (200 pixels in blocks of 32), so the MPE gather and the clipped put run.
+fn patch_golden() -> RunDigest {
+    RunDigest {
+        cycles: 160266,
+        dma_get_bytes: 387072,
+        dma_put_bytes: 25600,
+        bus_vectors_sent: 12096,
+        bus_vectors_received: 84672,
+        flops: 1032192,
+        dma_retries: 0,
+        output_bits: 3668136545317930996,
+    }
+}
+
+/// The image-aware, batch-aware and patch-GEMM cases under [`faulted`].
+fn faulted_goldens() -> [RunDigest; 3] {
+    [
+        RunDigest {
+            cycles: 668770,
+            dma_get_bytes: 368640,
+            dma_put_bytes: 65536,
+            bus_vectors_sent: 20736,
+            bus_vectors_received: 145152,
+            flops: 2359296,
+            dma_retries: 64,
+            output_bits: 8771703832349549151,
+        },
+        RunDigest {
+            cycles: 1290529,
+            dma_get_bytes: 172032,
+            dma_put_bytes: 16384,
+            bus_vectors_sent: 9216,
+            bus_vectors_received: 64512,
+            flops: 589824,
+            dma_retries: 130,
+            output_bits: 11020029646220698066,
+        },
+        RunDigest {
+            cycles: 1236547,
+            dma_get_bytes: 387072,
+            dma_put_bytes: 25600,
+            bus_vectors_sent: 12096,
+            bus_vectors_received: 84672,
+            flops: 1032192,
+            dma_retries: 184,
+            output_bits: 3668136545317930996,
+        },
+    ]
 }
 
 fn run_plan(plan: &dyn ConvPlan, shape: ConvShape, seed: u64) -> ConvRun {
@@ -154,16 +216,49 @@ fn run_plan(plan: &dyn ConvPlan, shape: ConvShape, seed: u64) -> ConvRun {
 }
 
 fn image_case() -> ConvRun {
-    let plan = ImageAwarePlan::new(Blocking { b_b: 32, b_co: 4 });
+    image_case_on(LowerCtx::default())
+}
+
+fn image_case_on(ctx: LowerCtx) -> ConvRun {
+    let plan = ImageAwarePlan::new(Blocking { b_b: 32, b_co: 4 }).on(ctx);
     run_plan(&plan, ConvShape::new(32, 16, 16, 2, 8, 3, 3), 11)
 }
 
 fn batch_case() -> ConvRun {
+    batch_case_on(LowerCtx::default())
+}
+
+fn batch_case_on(ctx: LowerCtx) -> ConvRun {
     run_plan(
-        &BatchAwarePlan::new(2),
+        &BatchAwarePlan::new(2).on(ctx),
         ConvShape::new(16, 16, 16, 2, 4, 3, 3),
         21,
     )
+}
+
+fn patch_case() -> ConvRun {
+    patch_case_on(LowerCtx::default())
+}
+
+fn patch_case_on(ctx: LowerCtx) -> ConvRun {
+    let geom = ConvGeometry::same(3, 3).with_stride(2, 2);
+    let input = lattice_tensor(Shape4::new(8, 16, 9, 10), Layout::Nchw, 81);
+    let filter = lattice_tensor(Shape4::new(16, 16, 3, 3), Layout::Nchw, 82);
+    PatchGemmPlan::new(32)
+        .on(ctx)
+        .run_general(&geom, &input, &filter)
+        .expect("plan runs")
+}
+
+/// DMA retries eating into the double-buffer slack, CPE stalls on top.
+/// Faults key on superstep and delivery sequence numbers, so a walk that
+/// issues its supersteps, DMAs or bus deliveries in another order moves
+/// these digests.
+fn faulted() -> LowerCtx {
+    let fault = FaultPlan::none(5)
+        .with_dma_fail_rate(0.02)
+        .with_cpe_stalls(0.05, 1_000);
+    LowerCtx::default().with_fault(Some(fault))
 }
 
 fn bwd_filter_case() -> ConvRun {
@@ -228,6 +323,20 @@ fn batch_aware_plan_matches_golden_digest() {
 }
 
 #[test]
+fn patch_gemm_plan_matches_golden_digest() {
+    assert_eq!(digest(&patch_case()), patch_golden());
+}
+
+#[test]
+fn faulted_plans_match_golden_digests() {
+    let ctx = faulted();
+    let [image, batch, patch] = faulted_goldens();
+    assert_eq!(digest(&image_case_on(ctx)), image, "image-aware");
+    assert_eq!(digest(&batch_case_on(ctx)), batch, "batch-aware");
+    assert_eq!(digest(&patch_case_on(ctx)), patch, "patch-GEMM");
+}
+
+#[test]
 fn bwd_filter_plan_matches_golden_digest() {
     assert_eq!(digest(&bwd_filter_case()), bwd_filter_golden());
 }
@@ -243,10 +352,12 @@ fn above_grain_plans_match_golden_digests() {
 fn digests_are_identical_across_host_thread_counts() {
     let rt = private_pool();
     for threads in [1usize, 4, 8] {
-        let (img, bat, bwd) =
-            sw_runtime::with_threads(threads, || (image_case(), batch_case(), bwd_filter_case()));
+        let (img, bat, bwd, patch) = sw_runtime::with_threads(threads, || {
+            (image_case(), batch_case(), bwd_filter_case(), patch_case())
+        });
         assert_eq!(digest(&img), image_golden(), "image @ {threads} threads");
         assert_eq!(digest(&bat), batch_golden(), "batch @ {threads} threads");
+        assert_eq!(digest(&patch), patch_golden(), "patch @ {threads} threads");
         assert_eq!(digest(&bwd), bwd_filter_golden(), "bwd @ {threads} threads");
         // The small shapes run inline whatever the lane count; these two
         // are what keeps the pool path under the same golden regime.

@@ -1,13 +1,15 @@
 //! A warm Table III timing allocates O(1), whatever the shape's size.
 //!
 //! A counting global allocator wraps the system one. Each of the four
-//! Table III rows is timed with its published plan and blocking until the
-//! run context's scratch arena holds everything a timing leases (the zero
-//! operands, the GEMM scratch, a cost-only mesh's put buffers); one more
-//! `time_full_shape` of each row may then allocate at most
-//! [`WARM_ALLOWANCE`] times. What is left is the two sample meshes' CPE
+//! Table III rows is timed with its published plan and blocking and with
+//! patch-GEMM, and patch-GEMM's general entry times tune_search's stride-2
+//! and same-padded geometries, until the run context's scratch arena holds
+//! everything a timing leases (the zero operands, the GEMM scratch, a
+//! cost-only mesh's put buffers); one more timing of each may then allocate
+//! at most [`WARM_ALLOWANCE`] times. What is left is the sample meshes' CPE
 //! vectors. A cost-only mesh that backs its LDM (one 64 KB allocation per
-//! CPE) or regrows a put buffer by doubling shows up here as hundreds.
+//! CPE), regrows a put buffer by doubling or a loop nest that allocates per
+//! step shows up here as hundreds.
 //!
 //! The allocator counts every thread, so worker-pool threads cannot hide
 //! an allocation; CI runs this file under a 2-thread pool as well. The
@@ -17,7 +19,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use sw_bench::configs::{paper_shape, table3_configs};
 use sw_perfmodel::Blocking;
-use swdnn::plans::{BatchAwarePlan, ConvPlan, ImageAwarePlan};
+use sw_tensor::{ConvGeometry, Shape4};
+use swdnn::plans::{BatchAwarePlan, ConvPlan, ImageAwarePlan, LowerCtx, PatchGemmPlan, PlanTiming};
 
 /// Allocations (including reallocations) made so far, by any thread.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -62,31 +65,54 @@ const WARM_ALLOWANCE: u64 = 4;
 
 #[test]
 fn a_warm_table3_timing_allocates_a_fixed_few_times() {
-    let rows: Vec<_> = table3_configs()
-        .into_iter()
-        .map(|(plan, b_b, b_co, ni, no)| {
-            let shape = paper_shape(ni, no);
-            let plan: Box<dyn ConvPlan> = match plan {
-                "img" => Box::new(ImageAwarePlan::new(Blocking { b_b, b_co })),
-                _ => Box::new(BatchAwarePlan::auto(&shape)),
-            };
-            (shape, plan)
-        })
-        .collect();
-    // Every row once: the arena's buffers then fit the largest row's walk.
-    for (shape, plan) in &rows {
-        plan.time_full_shape(shape)
-            .expect("Table III row is supported");
+    let mut rows: Vec<(String, Box<dyn Fn() -> PlanTiming>)> = vec![];
+    for (plan, b_b, b_co, ni, no) in table3_configs() {
+        let shape = paper_shape(ni, no);
+        let plan: Box<dyn ConvPlan> = match plan {
+            "img" => Box::new(ImageAwarePlan::new(Blocking { b_b, b_co })),
+            _ => Box::new(BatchAwarePlan::auto(&shape)),
+        };
+        let what = format!("{} on {shape}", plan.name());
+        rows.push((
+            what,
+            Box::new(move || plan.time_full_shape(&shape).unwrap()),
+        ));
+        // Patch-GEMM on the same row: no test covers its timing path else.
+        let patch = PatchGemmPlan::auto(LowerCtx::default(), &shape);
+        let what = format!("patch_gemm b_P {} on {shape}", patch.b_p);
+        rows.push((
+            what,
+            Box::new(move || patch.time_full_shape(&shape).unwrap()),
+        ));
     }
-    for (shape, plan) in &rows {
+    // Patch-GEMM's general entry on tune_search's stride-2 and same-padded
+    // geometries.
+    let general = [
+        (
+            ConvGeometry::valid(3, 3).with_stride(2, 2),
+            Shape4::new(32, 128, 35, 35),
+            128,
+        ),
+        (ConvGeometry::same(3, 3), Shape4::new(32, 64, 16, 16), 64),
+    ];
+    for (geom, input, no) in general {
+        let patch = PatchGemmPlan::auto_for(LowerCtx::default(), input.d1, no);
+        let what = format!("patch_gemm b_P {} general {input:?} No {no}", patch.b_p);
+        let time = move || patch.time_general(&geom, input, no).unwrap();
+        rows.push((what, Box::new(time)));
+    }
+    // Every row once: the arena's buffers then fit the largest row's walk.
+    for (_, time) in &rows {
+        time();
+    }
+    for (what, time) in &rows {
         let before = ALLOCS.load(Ordering::Relaxed);
-        let timing = plan.time_full_shape(shape).expect("warm timing");
+        let timing = time();
         let allocs = ALLOCS.load(Ordering::Relaxed) - before;
-        assert!(timing.cycles > 0, "{shape}");
+        assert!(timing.cycles > 0, "{what}");
         assert!(
             allocs <= WARM_ALLOWANCE,
-            "{} on {shape}: {allocs} allocations in one warm timing (allowance {WARM_ALLOWANCE})",
-            plan.name()
+            "{what}: {allocs} allocations in one warm timing (allowance {WARM_ALLOWANCE})"
         );
     }
 }
