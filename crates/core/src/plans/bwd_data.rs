@@ -12,7 +12,7 @@
 //! DESIGN.md §16 has the window, the charges and the `Ni` blocking.
 
 use super::gemm_mesh::{lease_scratch, regcomm_gemm_with, zero_c, zero_ldm, GemmBlock};
-use super::{finish, ConvRun, LdmBuffers, LowerCtx, MeshWalk, PlanTiming, Slot, Walks};
+use super::{finish, ConvRun, LdmBuffers, LoopNest, LowerCtx, MeshWalk, PlanTiming, Slot, Walks};
 use crate::error::SwdnnError;
 use sw_perfmodel::co_blocks;
 use sw_sim::{CpeCtx, Mesh, SimError};
@@ -159,7 +159,9 @@ impl MeshWalk for BwdDataPlan {
         let n_full = s.ni / self.b_ni * s.batch / self.b_b * s.ro;
         Walks::Sampled([(rows(1), 1), (rows(2), 2)], n_full as u64)
     }
+}
 
+impl LoopNest for BwdDataPlan {
     /// The loop nest `run` and `time_full_shape` both walk: `dy` is the
     /// output gradient in [`Layout::ImageAware`], `w` the filters in NCHW,
     /// `dx` the input gradient in [`Layout::ImageAware`].
