@@ -11,10 +11,11 @@
 //!    checksum of the exact output bit patterns) captured from the
 //!    pre-optimisation implementation; one backward-filter plan run on
 //!    seeded data, whose output bits predate its tap-folded rotation; one
-//!    patch-GEMM run on a strided, padded geometry. The three forward plans
-//!    also run under injected DMA faults and CPE stalls, whose digests
-//!    (DMA retries included) pin the order of every superstep, DMA and bus
-//!    delivery, which the fault draws are keyed by.
+//!    backward-data plan run on seeded data over two column blocks and two
+//!    `Ni` blocks; one patch-GEMM run on a strided, padded geometry. All
+//!    five plans also run under injected DMA faults and CPE stalls, whose
+//!    digests (DMA retries included) pin the order of every superstep, DMA
+//!    and bus delivery, which the fault draws are keyed by.
 //! 2. **Thread-count independence.** The same runs repeated under host
 //!    fan-outs of 1, 4, 8, and the machine default (via
 //!    `sw_runtime::with_threads`, the policy every layer now shares) must
@@ -43,8 +44,8 @@ use sw_tensor::init::{lattice_tensor, seeded_tensor};
 use sw_tensor::{ConvGeometry, ConvShape, Layout, Shape4};
 use swdnn::plans::gemm_mesh::{regcomm_gemm, zero_c, GemmBlock};
 use swdnn::plans::{
-    BatchAwarePlan, BwdFilterPlan, ConvPlan, ConvRun, ImageAwarePlan, LowerCtx, PatchGemmPlan,
-    PlanTiming,
+    BatchAwarePlan, BwdDataPlan, BwdFilterPlan, ConvPlan, ConvRun, ImageAwarePlan, LowerCtx,
+    PatchGemmPlan, PlanTiming,
 };
 
 #[derive(PartialEq, Eq, Debug, Clone)]
@@ -157,6 +158,38 @@ fn bwd_filter_golden() -> RunDigest {
     }
 }
 
+/// The backward-data pass on seeded data: two column blocks, two `Ni`
+/// blocks, so the cross-block `dY` prefetch, the filter re-fetch and every
+/// window put run.
+fn bwd_data_golden() -> RunDigest {
+    RunDigest {
+        cycles: 40843,
+        dma_get_bytes: 140288,
+        dma_put_bytes: 245760,
+        bus_vectors_sent: 7168,
+        bus_vectors_received: 50176,
+        flops: 2359296,
+        dma_retries: 0,
+        output_bits: 829913498486874884,
+    }
+}
+
+/// The backward-filter and backward-data cases under [`faulted`].
+fn faulted_bwd_goldens() -> [RunDigest; 2] {
+    [
+        RunDigest {
+            cycles: 132917,
+            dma_retries: 32,
+            ..bwd_filter_golden()
+        },
+        RunDigest {
+            cycles: 319047,
+            dma_retries: 39,
+            ..bwd_data_golden()
+        },
+    ]
+}
+
 /// Patch-GEMM on a strided, padded geometry with a ragged last pixel block
 /// (200 pixels in blocks of 32), so the MPE gather and the clipped put run.
 fn patch_golden() -> RunDigest {
@@ -262,13 +295,32 @@ fn faulted() -> LowerCtx {
 }
 
 fn bwd_filter_case() -> ConvRun {
+    bwd_filter_case_on(LowerCtx::default())
+}
+
+fn bwd_filter_case_on(ctx: LowerCtx) -> ConvRun {
     let shape = ConvShape::new(32, 16, 8, 3, 8, 2, 3);
     let input = seeded_tensor(shape.input_shape(), Layout::Nchw, 71);
     let d_out = seeded_tensor(shape.output_shape(), Layout::Nchw, 72);
     let (output, timing) = BwdFilterPlan::new(32, 4)
+        .on(ctx)
         .run(&shape, &input, &d_out)
         .expect("plan runs");
     ConvRun { output, timing }
+}
+
+fn bwd_data_case() -> ConvRun {
+    bwd_data_case_on(LowerCtx::default())
+}
+
+fn bwd_data_case_on(ctx: LowerCtx) -> ConvRun {
+    let shape = ConvShape::new(32, 16, 8, 4, 8, 3, 3);
+    let d_out = seeded_tensor(shape.output_shape(), Layout::Nchw, 91);
+    let filter = seeded_tensor(shape.filter_shape(), Layout::Nchw, 92);
+    BwdDataPlan::new(32, 4, 8)
+        .on(ctx)
+        .run(&shape, &d_out, &filter)
+        .expect("plan runs")
 }
 
 /// One batch block, one column block, two output rows: an outer trip count
@@ -334,11 +386,19 @@ fn faulted_plans_match_golden_digests() {
     assert_eq!(digest(&image_case_on(ctx)), image, "image-aware");
     assert_eq!(digest(&batch_case_on(ctx)), batch, "batch-aware");
     assert_eq!(digest(&patch_case_on(ctx)), patch, "patch-GEMM");
+    let [filter, data] = faulted_bwd_goldens();
+    assert_eq!(digest(&bwd_filter_case_on(ctx)), filter, "bwd-filter");
+    assert_eq!(digest(&bwd_data_case_on(ctx)), data, "bwd-data");
 }
 
 #[test]
 fn bwd_filter_plan_matches_golden_digest() {
     assert_eq!(digest(&bwd_filter_case()), bwd_filter_golden());
+}
+
+#[test]
+fn bwd_data_plan_matches_golden_digest() {
+    assert_eq!(digest(&bwd_data_case()), bwd_data_golden());
 }
 
 #[test]
@@ -352,13 +412,15 @@ fn above_grain_plans_match_golden_digests() {
 fn digests_are_identical_across_host_thread_counts() {
     let rt = private_pool();
     for threads in [1usize, 4, 8] {
-        let (img, bat, bwd, patch) = sw_runtime::with_threads(threads, || {
-            (image_case(), batch_case(), bwd_filter_case(), patch_case())
+        let (img, bat, bwd, dx, patch) = sw_runtime::with_threads(threads, || {
+            let bwd = (bwd_filter_case(), bwd_data_case());
+            (image_case(), batch_case(), bwd.0, bwd.1, patch_case())
         });
         assert_eq!(digest(&img), image_golden(), "image @ {threads} threads");
         assert_eq!(digest(&bat), batch_golden(), "batch @ {threads} threads");
         assert_eq!(digest(&patch), patch_golden(), "patch @ {threads} threads");
         assert_eq!(digest(&bwd), bwd_filter_golden(), "bwd @ {threads} threads");
+        assert_eq!(digest(&dx), bwd_data_golden(), "dx @ {threads} threads");
         // The small shapes run inline whatever the lane count; these two
         // are what keeps the pool path under the same golden regime.
         let ((img, bat), handoffs) =
@@ -375,6 +437,7 @@ fn digests_are_identical_across_host_thread_counts() {
     assert_eq!(digest(&image_case()), image_golden());
     assert_eq!(digest(&batch_case()), batch_golden());
     assert_eq!(digest(&bwd_filter_case()), bwd_filter_golden());
+    assert_eq!(digest(&bwd_data_case()), bwd_data_golden());
 }
 
 #[test]
