@@ -21,7 +21,7 @@
 //! `no ∈ chunk_i`, `b ∈ chunk_j`.
 
 use super::gemm_mesh::GemmBlock;
-use super::nest::{Dma, Fetch, ForwardNest, Get, Operand, Rotate, Step};
+use super::nest::{Dma, Fetch, Get, Nest, Operand, Rotate, Step};
 use super::{tap_major_filter, ConvPlan, ConvRun, LdmBuffers, LoopNest, LowerCtx, MeshWalk};
 use super::{PlanTiming, Walks};
 use crate::error::SwdnnError;
@@ -72,7 +72,7 @@ impl BatchAwarePlan {
 
 /// Algorithm 2: `input` in [`Layout::BatchAware`], the filters repacked to
 /// `(Kr, Kc, Ni, No)`, the output in [`Layout::BatchAware`].
-impl ForwardNest for BatchAwarePlan {
+impl Nest for BatchAwarePlan {
     /// The shape, and `Ni`, `No` and the batch per mesh row or column.
     type Dims = (ConvShape, [usize; 3]);
     /// First output column, output row.

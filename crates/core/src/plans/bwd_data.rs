@@ -9,13 +9,17 @@
 //! contribution to a `dX` element lands on one CPE. B, the tile's `dY`, is
 //! double-buffered with a next-tile prefetch. col2im scatter-adds C into a
 //! `Kr`-row window of `dX` rows in LDM and puts each row once, complete.
+//! The pass runs on the one loop nest (`nest::run`) as a single tile whose
+//! steps are the pixel tiles; holding the window gives it col2im as the
+//! nest's `fold` superstep after every rotation, and no closing put.
 //! DESIGN.md §16 has the window, the charges and the `Ni` blocking.
 
-use super::gemm_mesh::{lease_scratch, regcomm_gemm_with, zero_c, zero_ldm, GemmBlock};
-use super::{finish, ConvRun, LdmBuffers, LoopNest, LowerCtx, MeshWalk, PlanTiming, Slot, Walks};
+use super::gemm_mesh::{zero_ldm, GemmBlock};
+use super::nest::{Dma, Fetch, Get, Nest, Operand, Rotate, Step};
+use super::{ConvRun, LdmBuffers, LoopNest, LowerCtx, MeshWalk, PlanTiming, Slot, Walks};
 use crate::error::SwdnnError;
 use sw_perfmodel::co_blocks;
-use sw_sim::{CpeCtx, Mesh, SimError};
+use sw_sim::CpeCtx;
 use sw_tensor::{ConvShape, Layout, Tensor4};
 
 /// The backward-data plan.
@@ -115,14 +119,28 @@ impl BwdDataPlan {
         self.time_sampled(shape)
     }
 
-    /// Per-CPE extents: `[ni8, no8, lanes, m8, n8, row]` — channels of an
-    /// `Ni` block, output channels, images (ImageAware lanes), GEMM rows
-    /// and pixels, doubles of one window row.
-    fn dims(&self, shape: &ConvShape) -> [usize; 6] {
-        let dim = self.ctx.chip.mesh_dim;
-        let (ni8, lanes) = (self.b_ni / dim, self.b_b / dim);
-        let (m8, n8) = (ni8 * shape.kr * shape.kc, lanes * self.b_co);
-        [ni8, shape.no / dim, lanes, m8, n8, ni8 * lanes * shape.ci()]
+    /// Pixel tiles per `Ni` block.
+    fn per_block(&self, s: &ConvShape) -> usize {
+        s.batch / self.b_b * s.ro * (s.co / self.b_co)
+    }
+
+    /// Pixel tile `j`: `[Ni block, batch block, output row, column block]`.
+    fn pixel_tile(&self, s: &ConvShape, j: usize) -> [usize; 4] {
+        let (per_block, cols) = (self.per_block(s), s.co / self.b_co);
+        let (rows, tc) = (j % per_block / cols, j % cols);
+        [j / per_block, rows / s.ro, rows % s.ro, tc]
+    }
+
+    /// Quad and first lane of mesh column `col`'s `lanes` images in batch
+    /// block `tb`, and how one channel's DMA runs over `cols` columns: a
+    /// whole quad is one run, a sub-quad slice a run of `lanes` per column.
+    fn images(&self, lanes: usize, tb: usize, col: usize, cols: usize) -> [usize; 4] {
+        let img = tb * self.b_b + col * lanes;
+        let (n, len) = match lanes {
+            4 => (1, 4 * cols),
+            lanes => (cols, lanes),
+        };
+        [img / 4, img % 4, n, len]
     }
 }
 
@@ -142,7 +160,7 @@ impl MeshWalk for BwdDataPlan {
     /// A: the `Ni` block's filters, resident; B: the tile's `dY`,
     /// double-buffered; C: the tile's `dX_col`; the `Kr`-row `dX` window.
     fn ldm_buffers(&self, shape: &ConvShape) -> LdmBuffers {
-        let [_, no8, _, m8, n8, row] = self.dims(shape);
+        let [_, no8, _, m8, n8, row] = self.dims(shape).1;
         [
             (no8 * m8, 1),
             (no8 * n8, 2),
@@ -161,149 +179,123 @@ impl MeshWalk for BwdDataPlan {
     }
 }
 
-impl LoopNest for BwdDataPlan {
-    /// The loop nest `run` and `time_full_shape` both walk: `dy` is the
-    /// output gradient in [`Layout::ImageAware`], `w` the filters in NCHW,
-    /// `dx` the input gradient in [`Layout::ImageAware`].
-    fn loop_nest(
-        &self,
-        shape: &ConvShape,
-        mut mesh: Mesh<Slot>,
-        dy: &[f64],
-        w: &[f64],
-        dx: &mut [f64],
-    ) -> Result<PlanTiming, SwdnnError> {
-        let [ni8, no8, lanes, m8, n8, row] = self.dims(shape);
-        let (b_b, b_co, b_ni) = (self.b_b, self.b_co, self.b_ni);
-        let (ri, ci, ro, co) = (shape.ri(), shape.ci(), shape.ro, shape.co);
-        let (ni, no, kr_n, kc_n) = (shape.ni, shape.no, shape.kr, shape.kc);
-        let taps = kr_n * kc_n;
-        // Quad and first lane of mesh column `col`'s images in batch block `tb`.
-        let quad_lane = |tb: usize, col: usize| {
-            let img = tb * b_b + col * lanes;
-            (img / 4, img % 4)
-        };
-        // One channel's DMA runs over `cols` columns: a whole quad is one
-        // run, a sub-quad slice a run of `lanes` per column.
-        let runs = |cols: usize| match lanes {
-            4 => (1, 4 * cols),
-            lanes => (cols, lanes),
-        };
-        // Fetch tile `[_, tb, r_o, tc]`'s dY into B buffer `p`.
-        let get_dy =
-            |ctx: &mut CpeCtx<'_>, s: &mut Slot, [_, tb, r_o, tc]: [usize; 4], p: usize| {
-                let (gq, lane) = quad_lane(tb, ctx.col);
-                let (n, len) = runs(b_co);
-                for k in 0..no8 {
-                    let mem = (((gq * no + ctx.row * no8 + k) * ro + r_o) * co + tc * b_co) * 4;
-                    s.b_h[p] =
-                        Some(ctx.dma_get_strided(s.b[p], k * n8, dy, mem + lane, n, 4, len)?);
-                }
-                Ok::<(), SimError>(())
-            };
-        let store = !mesh.is_cost_only();
+/// The pass and its per-CPE extents `[ni8, no8, lanes, m8, n8, row]`:
+/// channels of an `Ni` block, output channels, images (ImageAware lanes),
+/// GEMM rows and pixels, doubles of one window row.
+type Dims = (ConvShape, [usize; 6]);
 
-        zero_c(&mut mesh, |s: &Slot| s.c)?;
-        zero_c(&mut mesh, |s: &Slot| s.win)?;
-        let mut scratch = lease_scratch(self.ctx.rt, mesh.chip.mesh_dim);
+/// One tile, the whole pass; its steps are the pixel tiles, `Ni` block
+/// outermost. A is the filters in NCHW, B the output gradient `dY` in
+/// [`Layout::ImageAware`]; the window's puts land `dX` in
+/// [`Layout::ImageAware`].
+impl Nest for BwdDataPlan {
+    type Dims = Dims;
+    type Tile = ();
 
-        // Pixel tiles (Ni block, batch block, output row, column block).
-        let tiles: Vec<[usize; 4]> = (0..ni / b_ni)
-            .flat_map(|nb| (0..shape.batch / b_b).map(move |tb| (nb, tb)))
-            .flat_map(|(nb, tb)| (0..ro).map(move |r| (nb, tb, r)))
-            .flat_map(|(nb, tb, r)| (0..co / b_co).map(move |tc| [nb, tb, r, tc]))
-            .collect();
+    fn dims(&self, shape: &ConvShape) -> Dims {
+        let dim = self.ctx.chip.mesh_dim;
+        let (ni8, lanes) = (self.b_ni / dim, self.b_b / dim);
+        let (m8, n8) = (ni8 * shape.kr * shape.kc, lanes * self.b_co);
+        let row = ni8 * lanes * shape.ci();
+        (*shape, [ni8, shape.no / dim, lanes, m8, n8, row])
+    }
 
-        for (t_idx, &[nb, tb, r_o, tc]) in tiles.iter().enumerate() {
-            let par = t_idx % 2;
-            let next = tiles.get(t_idx + 1).copied();
-            // Load superstep: the Ni block's filters on its first tile,
-            // this tile's dY (or the prefetched one), the next tile's dY.
-            mesh.superstep(|ctx, s| {
-                if tb == 0 && r_o == 0 && tc == 0 {
-                    let mem = (ctx.col * no8 * ni + nb * b_ni + ctx.row * ni8) * taps;
-                    let h = ctx.dma_get_strided(s.a[0], 0, w, mem, no8, ni * taps, m8);
-                    s.a_h[0] = Some(h?);
-                }
-                if t_idx == 0 {
-                    get_dy(ctx, s, tiles[0], 0)?;
-                }
-                if let Some(nx) = next {
-                    get_dy(ctx, s, nx, 1 - par)?;
-                }
-                for h in [s.a_h[0].take(), s.b_h[par].take()].into_iter().flatten() {
-                    ctx.dma_wait(h);
-                }
-                Ok(())
-            })?;
+    /// One rotation per pixel tile, every tap folded into `m`: A and B are
+    /// k-major (`no` rows) exactly as fetched.
+    fn block(&self, &(_, [_, no8, _, m8, n8, _]): &Dims) -> GemmBlock {
+        GemmBlock::dense(m8, n8, no8, true)
+    }
 
-            // One rotation for the whole tile, every tap folded into m: A
-            // and B are k-major (`no` rows) exactly as fetched.
-            regcomm_gemm_with(
-                &mut mesh,
-                GemmBlock::dense(m8, n8, no8, true),
-                &mut scratch,
-                |ctx, s: &Slot, dst: &mut Vec<f64>| dst.extend_from_slice(ctx.ldm(s.a[0])),
-                |ctx, s: &Slot, dst: &mut Vec<f64>| dst.extend_from_slice(ctx.ldm(s.b[par])),
-                |s: &Slot| (s.c, 0),
-            )?;
+    fn tiles(&self, _: &Dims) -> impl Iterator<Item = ()> {
+        std::iter::once(())
+    }
 
-            // col2im superstep: scatter-add C into the window, zero C, put
-            // the row(s) this tile completes.
-            let row_done = tc + 1 == co / b_co;
-            let rows = if r_o + 1 == ro { r_o..ri } else { r_o..r_o + 1 };
-            mesh.superstep(|ctx, s| {
-                // The last put has drained: its slot becomes row
-                // `r_o + Kr − 1`, or a new batch or Ni block clears the window.
-                if let Some(h) = s.win_h.take() {
-                    ctx.dma_wait(h);
-                    let (at, len) = match r_o {
-                        0 => (0, kr_n * row),
-                        _ => ((r_o + kr_n - 1) % kr_n * row, row),
-                    };
-                    zero_ldm(ctx, s.win, at, len, store);
-                }
-                if store {
-                    let (c, win) = (s.c.offset, s.win.offset);
-                    let data = ctx.ldm_data_mut();
-                    for m in 0..m8 {
-                        let (nl, kr, kc) = (m / taps, m / kc_n % kr_n, m % kc_n);
-                        let slot = (r_o + kr) % kr_n;
-                        let dst = win + slot * row + (nl * ci + tc * b_co + kc) * lanes;
-                        for i in 0..n8 {
-                            data[dst + i] += data[c + m * n8 + i];
-                        }
-                    }
-                }
-                // Per vector: load C, load and store the window on P1, add
-                // on P0. A `kc` shift moves whole vectors of image lanes, or
-                // part of one in a sub-quad run, charged per double.
-                let ops = (m8 * n8 / if lanes == 4 { 4 } else { 1 }) as u64;
-                ctx.charge_compute(3 * ops);
-                ctx.add_ldm_reg_bytes(3 * 8 * (m8 * n8) as u64);
-                ctx.add_issue_slots(ops, 3 * ops);
-                zero_ldm(ctx, s.c, 0, m8 * n8, store);
+    /// Per pixel tile, the `Ni` block's filters on its first tile (A,
+    /// resident), the tile's `dY` (B, prefetched a tile ahead, across `Ni`
+    /// blocks too), then the rotation.
+    fn steps(&self, &(s, _): &Dims, _: ()) -> impl Iterator<Item = Step> {
+        let per_block = self.per_block(&s);
+        let n = s.ni / self.b_ni * per_block;
+        (0..n).map(move |j| {
+            let w = (Operand::A, Fetch::Need(j / per_block, 0, 1));
+            let dy = (Operand::B, Fetch::Need(0, j, n));
+            Step {
+                fetch: [(j % per_block == 0).then_some(w), Some(dy)],
+                rotate: Some(Rotate::default()),
+            }
+        })
+    }
 
-                if row_done {
-                    let (gq, lane) = quad_lane(tb, ctx.col);
-                    let (n, len) = runs(ci);
-                    for (r_i, nl) in rows.clone().flat_map(|r| (0..ni8).map(move |nl| (r, nl))) {
-                        let ni_l = nb * b_ni + ctx.row * ni8 + nl;
-                        let mem = ((gq * ni + ni_l) * ri + r_i) * ci * 4 + lane;
-                        let at = r_i % kr_n * row + nl * ci * lanes;
-                        let h = ctx.dma_put_scatter(s.win, at, lanes, mem, 4, n, len)?;
-                        s.win_h = Some(h);
-                    }
-                }
-                if next.is_none() {
-                    if let Some(h) = s.win_h.take() {
-                        ctx.dma_wait(h);
-                    }
-                }
-                Ok(())
-            })?;
+    #[inline]
+    fn fetch(&self, ctx: &mut CpeCtx<'_>, d: &Dims, get: Get<()>) -> Dma {
+        let &(s, [ni8, no8, lanes, m8, n8, _]) = d;
+        let (dst, src) = (get.dst, get.src);
+        if let Operand::A = get.op {
+            let taps = s.kr * s.kc;
+            let at = (ctx.col * no8 * s.ni + get.run * self.b_ni + ctx.row * ni8) * taps;
+            return ctx
+                .dma_get_strided(dst, 0, src, at, no8, s.ni * taps, m8)
+                .map(Some);
         }
-        finish(mesh, dx)
+        let [_, tb, r_o, tc] = self.pixel_tile(&s, get.j);
+        let [gq, lane, n, len] = self.images(lanes, tb, ctx.col, self.b_co);
+        (0..no8).try_fold(None, |_, k| {
+            let at = (((gq * s.no + ctx.row * no8 + k) * s.ro + r_o) * s.co + tc * self.b_co) * 4;
+            ctx.dma_get_strided(dst, k * n8, src, at + lane, n, 4, len)
+                .map(Some)
+        })
+    }
+
+    /// col2im: scatter-add C into the window, zero C, put the row(s) pixel
+    /// tile `j` completes.
+    fn fold(&self, ctx: &mut CpeCtx<'_>, d: &Dims, s: &mut Slot, j: usize) -> Dma {
+        let &(sh, [ni8, _, lanes, m8, n8, row]) = d;
+        let (ri, ci, ro, kr_n, kc_n) = (sh.ri(), sh.ci(), sh.ro, sh.kr, sh.kc);
+        let [nb, tb, r_o, tc] = self.pixel_tile(&sh, j);
+        // The last put has drained: its slot becomes row `r_o + Kr − 1`, or
+        // a new batch or Ni block clears the window.
+        if let Some(h) = s.win_h.take() {
+            ctx.dma_wait(h);
+            let (at, len) = match r_o {
+                0 => (0, kr_n * row),
+                _ => ((r_o + kr_n - 1) % kr_n * row, row),
+            };
+            zero_ldm(ctx, s.win, at, len);
+        }
+        if !ctx.is_cost_only() {
+            let (c, win, taps) = (s.c.offset, s.win.offset, kr_n * kc_n);
+            let data = ctx.ldm_data_mut();
+            for m in 0..m8 {
+                let (nl, kr, kc) = (m / taps, m / kc_n % kr_n, m % kc_n);
+                let slot = (r_o + kr) % kr_n;
+                let dst = win + slot * row + (nl * ci + tc * self.b_co + kc) * lanes;
+                for i in 0..n8 {
+                    data[dst + i] += data[c + m * n8 + i];
+                }
+            }
+        }
+        // Per vector: load C, load and store the window on P1, add on P0.
+        // A `kc` shift moves whole vectors of image lanes, or part of one in
+        // a sub-quad run, charged per double.
+        let ops = (m8 * n8 / if lanes == 4 { 4 } else { 1 }) as u64;
+        ctx.charge_compute(3 * ops);
+        ctx.add_ldm_reg_bytes(3 * 8 * (m8 * n8) as u64);
+        ctx.add_issue_slots(ops, 3 * ops);
+        zero_ldm(ctx, s.c, 0, m8 * n8);
+
+        if tc + 1 == sh.co / self.b_co {
+            let [gq, lane, n, len] = self.images(lanes, tb, ctx.col, ci);
+            let rows = if r_o + 1 == ro { r_o..ri } else { r_o..r_o + 1 };
+            for (r_i, nl) in rows.flat_map(|r| (0..ni8).map(move |nl| (r, nl))) {
+                let ni_l = nb * self.b_ni + ctx.row * ni8 + nl;
+                let mem = ((gq * sh.ni + ni_l) * ri + r_i) * ci * 4 + lane;
+                let at = r_i % kr_n * row + nl * ci * lanes;
+                s.win_h = Some(ctx.dma_put_scatter(s.win, at, lanes, mem, 4, n, len)?);
+            }
+        }
+        // The walk's last tile waits for its puts.
+        let last = j + 1 == sh.ni / self.b_ni * self.per_block(&sh);
+        Ok(if last { s.win_h.take() } else { None })
     }
 }
 

@@ -31,12 +31,17 @@
 //! holds in LDM. `x`'s bus volume, the DMA gets and puts, and each `dW`
 //! element's summation order (tile by tile, round by round, pixels
 //! ascending) are those of a rotation per tap.
+//!
+//! The pass runs on the one loop nest (`nest::run`) as a single tile: `dW`
+//! is zeroed once, each pixel tile is a step that needs its `g` and `x`
+//! (both prefetched a tile ahead) and rotates, and `dW` is put at the end.
 
-use super::gemm_mesh::{lease_scratch, regcomm_gemm_with, zero_c, GemmBlock};
-use super::{finish, LdmBuffers, LoopNest, LowerCtx, MeshWalk, PlanTiming, Slot, Walks};
+use super::gemm_mesh::GemmBlock;
+use super::nest::{Dma, Fetch, Get, Nest, Operand, Rotate, Step};
+use super::{LdmBuffers, LoopNest, LowerCtx, MeshWalk, PlanTiming, Walks};
 use crate::error::SwdnnError;
 use sw_perfmodel::co_blocks;
-use sw_sim::Mesh;
+use sw_sim::{CpeCtx, LdmBuf};
 use sw_tensor::{ConvShape, Layout, Tensor4};
 
 /// The backward-filter plan.
@@ -158,14 +163,11 @@ impl MeshWalk for BwdFilterPlan {
     /// A: the tile's `g`; B: its `x` windows, every `kr` row; both
     /// double-buffered. C: the `dW` blocks of every tap.
     fn ldm_buffers(&self, shape: &ConvShape) -> LdmBuffers {
-        let dim = self.ctx.chip.mesh_dim;
-        let (ni8, no8) = (shape.ni / dim, shape.no / dim);
-        let quads = self.b_b / (4 * dim);
-        let win4 = 4 * (self.b_co + shape.kc - 1);
+        let d = self.dims(shape);
         [
-            (no8 * quads * 4 * self.b_co, 2),
-            (shape.kr * quads * ni8 * win4, 2),
-            (no8 * shape.kr * shape.kc * ni8, 1),
+            (d.no8 * d.n8, 2),
+            (shape.kr * d.quads * d.ni8 * d.win4, 2),
+            (d.no8 * shape.kr * shape.kc * d.ni8, 1),
             (0, 0),
         ]
     }
@@ -175,164 +177,131 @@ impl MeshWalk for BwdFilterPlan {
     }
 }
 
-impl LoopNest for BwdFilterPlan {
-    /// The pixel-tile loop nest — the one `run` and `time_full_shape` both
-    /// walk. `in_data` and `g_data` are the activations and the output
-    /// gradient in [`Layout::ImageAware`], `dw_flat` the gradient buffer
-    /// ordered `[(kr·Kc+kc)][no][ni]`.
-    fn loop_nest(
-        &self,
-        shape: &ConvShape,
-        mut mesh: Mesh<Slot>,
-        in_data: &[f64],
-        g_data: &[f64],
-        dw_flat: &mut [f64],
-    ) -> Result<PlanTiming, SwdnnError> {
+/// The pass over one shape, per CPE.
+#[derive(Clone, Copy)]
+pub(crate) struct Dims {
+    s: ConvShape,
+    ni8: usize,
+    no8: usize,
+    /// Batch quads per mesh chunk.
+    quads: usize,
+    /// Doubles per `(kr, quad, ni)` input row window (`4·(b_co+Kc−1)`).
+    win4: usize,
+    /// Pixels per chunk (`quads · 4 · b_co`).
+    n8: usize,
+    /// Column blocks per output row.
+    cols: usize,
+}
+
+/// One tile, the whole `dW`, zeroed once and put at the end; its steps are
+/// the pixel tiles `(batch block, output row, column block)`. A is `g`,
+/// the output gradient, and B `x`, the activations, both in
+/// [`Layout::ImageAware`]; the put lands `dW` ordered
+/// `[(kr·Kc+kc)][no][ni]`.
+impl Nest for BwdFilterPlan {
+    type Dims = Dims;
+    type Tile = ();
+
+    fn dims(&self, shape: &ConvShape) -> Dims {
         let dim = self.ctx.chip.mesh_dim;
-        let (ni8, no8) = (shape.ni / dim, shape.no / dim);
         let quads = self.b_b / (4 * dim);
-        let (b_b, b_co) = (self.b_b, self.b_co);
-        let win4 = 4 * (b_co + shape.kc - 1);
-        let (ri, ci) = (shape.ri(), shape.ci());
-        let (ro, co, kr_n, kc_n) = (shape.ro, shape.co, shape.kr, shape.kc);
-        let (ni, no) = (shape.ni, shape.no);
-        let n8 = quads * 4 * b_co; // pixels per chunk
-        let taps = kr_n * kc_n;
-
-        zero_c(&mut mesh, |s: &Slot| s.c)?;
-
-        // One pack/payload arena reused by every GEMM rotation below, leased
-        // from the execution context across runs.
-        let mut scratch = lease_scratch(self.ctx.rt, mesh.chip.mesh_dim);
-
-        // Pixel tiles: (batch block, output row, column block).
-        let tiles: Vec<(usize, usize, usize)> = (0..shape.batch / b_b)
-            .flat_map(|tb| (0..ro).flat_map(move |r| (0..co / b_co).map(move |tc| (tb, r, tc))))
-            .collect();
-
-        for (t_idx, &tile) in tiles.iter().enumerate() {
-            let par = t_idx % 2;
-            // Load superstep: issue this tile's operands (or reuse the
-            // prefetched ones), prefetch the next tile, wait.
-            let next = tiles.get(t_idx + 1).copied();
-            mesh.superstep(|ctx, s| {
-                let issue = |ctx: &mut sw_sim::CpeCtx<'_>,
-                             s: &mut Slot,
-                             tile: (usize, usize, usize),
-                             p: usize|
-                 -> Result<(), sw_sim::SimError> {
-                    let (tb, r_o, tc) = tile;
-                    let co0 = tc * b_co;
-                    // g: batch quad j, no in chunk_i, row r_o, cols co0..+b_co.
-                    let mut last = None;
-                    for q in 0..quads {
-                        let gq = (tb * b_b) / 4 + ctx.col * quads + q;
-                        let src_off = (((gq * no + ctx.row * no8) * ro + r_o) * co + co0) * 4;
-                        let h = ctx.dma_get_strided(
-                            s.a[p],
-                            q * no8 * 4 * b_co,
-                            g_data,
-                            src_off,
-                            no8,
-                            ro * co * 4,
-                            4 * b_co,
-                        )?;
-                        last = Some(h);
-                    }
-                    s.a_h[p] = last;
-                    // x: batch quad i, ni in chunk_j, rows r_o..r_o+Kr,
-                    // cols co0..co0+b_co+Kc-1.
-                    let mut lastx = None;
-                    for kr in 0..kr_n {
-                        for q in 0..quads {
-                            let gq = (tb * b_b) / 4 + ctx.row * quads + q;
-                            let src_off =
-                                (((gq * ni + ctx.col * ni8) * ri + r_o + kr) * ci + co0) * 4;
-                            let h = ctx.dma_get_strided(
-                                s.b[p],
-                                (kr * quads + q) * ni8 * win4,
-                                in_data,
-                                src_off,
-                                ni8,
-                                ri * ci * 4,
-                                win4,
-                            )?;
-                            lastx = Some(h);
-                        }
-                    }
-                    s.b_h[p] = lastx;
-                    Ok(())
-                };
-                if t_idx == 0 {
-                    issue(ctx, s, tile, 0)?;
-                }
-                if let Some(nx) = next {
-                    issue(ctx, s, nx, (t_idx + 1) % 2)?;
-                }
-                if let Some(h) = s.a_h[par].take() {
-                    ctx.dma_wait(h);
-                }
-                if let Some(h) = s.b_h[par].take() {
-                    ctx.dma_wait(h);
-                }
-                Ok(())
-            })?;
-
-            // One rotation for the whole tile, every tap folded into n.
-            regcomm_gemm_with(
-                &mut mesh,
-                GemmBlock::dense(no8, taps * ni8, n8, true),
-                &mut scratch,
-                // A block: g, packed k-major (pixel, no).
-                move |ctx, s: &Slot, dst: &mut Vec<f64>| {
-                    let gbuf = ctx.ldm(s.a[par]);
-                    for q in 0..quads {
-                        for p in 0..4 * b_co {
-                            for m in 0..no8 {
-                                dst.push(gbuf[(q * no8 + m) * 4 * b_co + p]);
-                            }
-                        }
-                    }
-                },
-                // B block: packed k-major (pixel, (kr·Kc+kc)·ni8 + ni),
-                // every tap's window read from the same LDM buffer.
-                move |ctx, s: &Slot, dst: &mut Vec<f64>| {
-                    let xbuf = ctx.ldm(s.b[par]);
-                    for q in 0..quads {
-                        for p in 0..b_co {
-                            for lane in 0..4 {
-                                for kr in 0..kr_n {
-                                    let row = (kr * quads + q) * ni8 * win4 + lane;
-                                    for kc in 0..kc_n {
-                                        let at = row + 4 * (p + kc);
-                                        dst.extend((0..ni8).map(|nl| xbuf[at + nl * win4]));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                },
-                |s: &Slot| (s.c, 0),
-            )?;
+        Dims {
+            s: *shape,
+            ni8: shape.ni / dim,
+            no8: shape.no / dim,
+            quads,
+            win4: 4 * (self.b_co + shape.kc - 1),
+            n8: quads * 4 * self.b_co,
+            cols: shape.co / self.b_co,
         }
+    }
 
-        // Store the accumulated dW blocks.
-        mesh.superstep(|ctx, s| {
-            let mut last = None;
-            for krkc in 0..taps {
-                for m in 0..no8 {
-                    let n_o = ctx.row * no8 + m;
-                    let dst = (krkc * no + n_o) * ni + ctx.col * ni8;
-                    let h = ctx.dma_put(s.c, (m * taps + krkc) * ni8, dst, ni8)?;
-                    last = Some(h);
+    /// One rotation per pixel tile, every tap folded into `n`.
+    fn block(&self, d: &Dims) -> GemmBlock {
+        GemmBlock::dense(d.no8, d.s.kr * d.s.kc * d.ni8, d.n8, true)
+    }
+
+    fn tiles(&self, _: &Dims) -> impl Iterator<Item = ()> {
+        std::iter::once(())
+    }
+
+    /// Per pixel tile, its `g` (A) and `x` (B), both prefetched a tile
+    /// ahead, then the rotation.
+    fn steps(&self, d: &Dims, _: ()) -> impl Iterator<Item = Step> {
+        let n = d.s.batch / self.b_b * d.s.ro * d.cols;
+        (0..n).map(move |j| Step {
+            fetch: [Operand::A, Operand::B].map(|op| Some((op, Fetch::Need(0, j, n)))),
+            rotate: Some(Rotate::default()),
+        })
+    }
+
+    #[inline]
+    fn fetch(&self, ctx: &mut CpeCtx<'_>, d: &Dims, get: Get<()>) -> Dma {
+        let (s, b_co, dst, src) = (&d.s, self.b_co, get.dst, get.src);
+        let (r_o, co0) = (get.j / d.cols % s.ro, get.j % d.cols * b_co);
+        let q0 = get.j / d.cols / s.ro * self.b_b / 4;
+        if let Operand::A = get.op {
+            // g: the batch quads of this CPE's column, its row's `no`
+            // chunk, output row r_o, columns co0..co0+b_co.
+            return (0..d.quads).try_fold(None, |_, q| {
+                let gq = q0 + ctx.col * d.quads + q;
+                let at = (((gq * s.no + ctx.row * d.no8) * s.ro + r_o) * s.co + co0) * 4;
+                let (len, stride) = (4 * b_co, s.ro * s.co * 4);
+                ctx.dma_get_strided(dst, q * d.no8 * len, src, at, d.no8, stride, len)
+                    .map(Some)
+            });
+        }
+        // x: the batch quads of this CPE's row, its column's `ni` chunk,
+        // input rows r_o..r_o+Kr, columns co0..co0+b_co+Kc-1.
+        let (ri, ci) = (s.ri(), s.ci());
+        (0..s.kr * d.quads).try_fold(None, |_, kq| {
+            let (kr, q) = (kq / d.quads, kq % d.quads);
+            let gq = q0 + ctx.row * d.quads + q;
+            let at = (((gq * s.ni + ctx.col * d.ni8) * ri + r_o + kr) * ci + co0) * 4;
+            let (len, stride) = (d.ni8 * d.win4, ri * ci * 4);
+            ctx.dma_get_strided(dst, kq * len, src, at, d.ni8, stride, d.win4)
+                .map(Some)
+        })
+    }
+
+    /// Every tap's `dW` blocks.
+    fn put(&self, ctx: &mut CpeCtx<'_>, d: &Dims, c: LdmBuf, _: ()) -> Dma {
+        let (s, taps) = (&d.s, d.s.kr * d.s.kc);
+        (0..taps * d.no8).try_fold(None, |_, i| {
+            let (krkc, m) = (i / d.no8, i % d.no8);
+            let at = (krkc * s.no + ctx.row * d.no8 + m) * s.ni + ctx.col * d.ni8;
+            ctx.dma_put(c, (m * taps + krkc) * d.ni8, at, d.ni8)
+                .map(Some)
+        })
+    }
+
+    /// `g`, packed k-major: `(pixel, no)`.
+    fn pack_a(&self, d: &Dims, g: &[f64], dst: &mut Vec<f64>) {
+        let run = 4 * self.b_co;
+        for q in 0..d.quads {
+            for p in 0..run {
+                dst.extend((0..d.no8).map(|m| g[(q * d.no8 + m) * run + p]));
+            }
+        }
+    }
+
+    /// Every tap's window of the tile's pixels, packed k-major:
+    /// `(pixel, (kr·Kc+kc)·ni8 + ni)`.
+    fn pack_b(&self, d: &Dims, x: &[f64], dst: &mut Vec<f64>) {
+        let (s, win4) = (&d.s, d.win4);
+        for q in 0..d.quads {
+            for p in 0..self.b_co {
+                for lane in 0..4 {
+                    for kr in 0..s.kr {
+                        let row = (kr * d.quads + q) * d.ni8 * win4 + lane;
+                        for kc in 0..s.kc {
+                            let at = row + 4 * (p + kc);
+                            dst.extend((0..d.ni8).map(|nl| x[at + nl * win4]));
+                        }
+                    }
                 }
             }
-            if let Some(h) = last {
-                ctx.dma_wait(h);
-            }
-            Ok(())
-        })?;
-        finish(mesh, dw_flat)
+        }
     }
 }
 

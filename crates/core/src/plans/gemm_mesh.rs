@@ -557,19 +557,18 @@ pub fn zero_c<S: Send>(
     mesh: &mut Mesh<S>,
     c_buf: impl Fn(&S) -> LdmBuf + Sync,
 ) -> Result<(), SwdnnError> {
-    let store = !mesh.is_cost_only();
     mesh.superstep(|ctx, s| {
         let cb = c_buf(s);
-        zero_ldm(ctx, cb, 0, cb.len, store);
+        zero_ldm(ctx, cb, 0, cb.len);
         Ok(())
     })?;
     Ok(())
 }
 
-/// Zero `len` doubles of `buf` from `at` — on a cost-only mesh (`store`
-/// false) charge only — as vector stores, one P1 issue slot and cycle each.
-pub(crate) fn zero_ldm(ctx: &mut CpeCtx<'_>, buf: LdmBuf, at: usize, len: usize, store: bool) {
-    if store {
+/// Zero `len` doubles of `buf` from `at` — on a cost-only mesh charge
+/// only — as vector stores, one P1 issue slot and cycle each.
+pub(crate) fn zero_ldm(ctx: &mut CpeCtx<'_>, buf: LdmBuf, at: usize, len: usize) {
+    if !ctx.is_cost_only() {
         let start = buf.offset + at;
         ctx.ldm_data_mut()[start..start + len].fill(0.0);
     }

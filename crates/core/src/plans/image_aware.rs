@@ -28,7 +28,7 @@
 //! * output: `no ∈ chunk_i`, pixels `∈ chunk_j`.
 
 use super::gemm_mesh::GemmBlock;
-use super::nest::{Dma, Fetch, ForwardNest, Get, Operand, Rotate, Step};
+use super::nest::{Dma, Fetch, Get, Nest, Operand, Rotate, Step};
 use super::{tap_major_filter, ConvPlan, ConvRun, LdmBuffers, LoopNest, LowerCtx, MeshWalk};
 use super::{PlanTiming, Walks};
 use crate::error::SwdnnError;
@@ -101,7 +101,7 @@ pub(crate) struct Dims {
 
 /// Algorithm 1: `input` in [`Layout::ImageAware`], the filters repacked to
 /// `(Kr, Kc, Ni, No)`, the output in [`Layout::ImageAware`].
-impl ForwardNest for ImageAwarePlan {
+impl Nest for ImageAwarePlan {
     type Dims = Dims;
     /// First batch quad, output row, first output column.
     type Tile = (usize, usize, usize);
@@ -189,12 +189,11 @@ impl ForwardNest for ImageAwarePlan {
         })
     }
 
-    /// The window shifted by `kc` (at `4·kc`), packed k-major.
-    fn pack_b(&self, ctx: &CpeCtx<'_>, d: &Dims, b: LdmBuf, at: usize, dst: &mut Vec<f64>) {
-        let window = ctx.ldm(b);
+    /// The window shifted by `kc` (it starts at `4·kc`), packed k-major.
+    fn pack_b(&self, d: &Dims, window: &[f64], dst: &mut Vec<f64>) {
         for k in 0..d.ni8 {
             for q in 0..d.quads {
-                let at = (q * d.ni8 + k) * d.win4 + at;
+                let at = (q * d.ni8 + k) * d.win4;
                 dst.extend_from_slice(&window[at..at + 4 * d.b_co]);
             }
         }

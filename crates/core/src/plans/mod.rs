@@ -18,9 +18,9 @@
 //! output, and states the LDM that walk holds once, as
 //! `MeshWalk::ldm_buffers`: the walk's setup allocates that list and
 //! `supports` checks its sum, so a plan fits exactly when its walk does.
-//! The three forward mesh plans share one loop nest, `nest::run`, and each
-//! states only its tiles, steps, strided gets and put to it
-//! (`nest::ForwardNest`); the two backward plans keep their own. `run`
+//! All five mesh plans share one loop nest, `nest::run`, and each states
+//! only its tiles, steps, strided gets, packs and put to it (`nest::Nest`);
+//! a backward pass is one tile whose steps are its pixel tiles. `run`
 //! hands the walk prepared operands on a functional mesh; the one timing
 //! protocol, `LoopNest::time_sampled`, hands it all-zero operands on a
 //! cost-only mesh ([`sw_sim::Mesh::cost_only`]), which charges every cycle
@@ -187,7 +187,8 @@ pub(crate) trait MeshWalk {
 
     fn ctx(&self) -> &LowerCtx;
 
-    /// Lengths of the walk's two operands and its output.
+    /// Lengths of what the walk reads for its `B` and `A` operands, and of
+    /// its output.
     fn operand_lens(&self, extent: &Self::Extent) -> [usize; 3];
 
     /// The plan's one statement of the LDM its walk over `extent` holds.
@@ -207,28 +208,19 @@ pub(crate) trait MeshWalk {
     }
 }
 
-/// A mesh plan's loop nest, and its walk and timing. The forward plans'
-/// nest is the one [`nest::run`]; each backward plan writes its own.
-pub(crate) trait LoopNest: MeshWalk {
-    /// The loop nest over `extent` on `mesh`, whose [`Slot`]s hold the
-    /// allocated [`MeshWalk::ldm_buffers`]: reads `a`, `b`, puts to `out`.
-    fn loop_nest(
-        &self,
-        extent: &Self::Extent,
-        mesh: Mesh<Slot>,
-        a: &[f64],
-        b: &[f64],
-        out: &mut [f64],
-    ) -> Result<PlanTiming, SwdnnError>;
-
+/// A mesh plan's walk and timing: every mesh plan's loop nest is the one
+/// [`nest::run`], which each states as a [`nest::Nest`].
+pub(crate) trait LoopNest: nest::Nest {
     /// The walk over `extent` on a fresh `mesh`: the one setup superstep,
-    /// allocating [`MeshWalk::ldm_buffers`] on every CPE, then the loop nest.
+    /// allocating [`MeshWalk::ldm_buffers`] on every CPE, then the loop nest
+    /// (reading `B`'s fetches from `b_src` and `A`'s from `a_src`, putting
+    /// to `out`).
     fn walk(
         &self,
         extent: &Self::Extent,
         mut mesh: Mesh<Slot>,
-        a: &[f64],
-        b: &[f64],
+        b_src: &[f64],
+        a_src: &[f64],
         out: &mut [f64],
     ) -> Result<PlanTiming, SwdnnError> {
         let buffers = self.ldm_buffers(extent);
@@ -242,14 +234,14 @@ pub(crate) trait LoopNest: MeshWalk {
             }
             Ok(())
         })?;
-        self.loop_nest(extent, mesh, a, b, out)
+        nest::run(self, extent, mesh, b_src, a_src, out)
     }
 
     /// Exact timing of `extent` with no arithmetic: the walk on a cost-only
     /// mesh over all-zero operands (never read: untouched zero pages),
     /// leased from the run context as [`ZeroOperands`].
     fn time_cost_only(&self, extent: &Self::Extent) -> Result<PlanTiming, SwdnnError> {
-        let [a, b, out] = self.operand_lens(extent);
+        let [b, a, out] = self.operand_lens(extent);
         let mut zeros = self.ctx().rt.scratch(0, ZeroOperands::default);
         let ZeroOperands { read, written } = &mut *zeros;
         for (buf, len) in [(&mut *read, a.max(b)), (&mut *written, out)] {
@@ -258,7 +250,7 @@ pub(crate) trait LoopNest: MeshWalk {
             }
         }
         let mesh = self.ctx().mesh().cost_only();
-        self.walk(extent, mesh, &read[..a], &read[..b], &mut written[..out])
+        self.walk(extent, mesh, &read[..b], &read[..a], &mut written[..out])
     }
 
     /// Every mesh plan's `time_full_shape`: two cost-only samples and the
@@ -274,20 +266,9 @@ pub(crate) trait LoopNest: MeshWalk {
     }
 }
 
-impl<P: nest::ForwardNest> LoopNest for P {
-    fn loop_nest(
-        &self,
-        extent: &Self::Extent,
-        mesh: Mesh<Slot>,
-        input: &[f64],
-        filters: &[f64],
-        out: &mut [f64],
-    ) -> Result<PlanTiming, SwdnnError> {
-        nest::run(self, extent, mesh, input, filters, out)
-    }
-}
+impl<P: nest::Nest> LoopNest for P {}
 
-/// What cost-only walks read (`a` and `b` share one buffer) and put to,
+/// What cost-only walks read (both operands share one buffer) and put to,
 /// kept in the run context's scratch arena: a walk writes none of it, so
 /// its pages stay untouched zeros. Allocated per walk, the allocator
 /// re-zeroed and re-faulted them, at more host time than the walk took.

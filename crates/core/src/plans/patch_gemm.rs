@@ -29,7 +29,7 @@
 //! `(Ni·No + Ni·b_P + No·b_P)/cpes` doubles per CPE.
 
 use super::gemm_mesh::GemmBlock;
-use super::nest::{Dma, Fetch, ForwardNest, Get, Operand, Rotate, Step};
+use super::nest::{Dma, Fetch, Get, Nest, Operand, Rotate, Step};
 use super::{tap_major_filter, ConvPlan, ConvRun, LdmBuffers, LoopNest, LowerCtx, MeshWalk};
 use super::{PlanTiming, Walks};
 use crate::error::SwdnnError;
@@ -226,7 +226,7 @@ pub(crate) struct Dims {
 
 /// Input and output NCHW, the filters repacked tap-major
 /// (`w[(tap·Ni + ni)·No + no]`, one strided get per tap per CPE).
-impl ForwardNest for PatchGemmPlan {
+impl Nest for PatchGemmPlan {
     type Dims = Dims;
     /// The block's first flattened output pixel.
     type Tile = usize;

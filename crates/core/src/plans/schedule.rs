@@ -3,7 +3,7 @@
 //!
 //! The forward plans are points in a space of decisions the paper makes
 //! per shape: which loop order streams the data (pixel tiles vs. batch
-//! columns vs. gathered patches, each stated to the one forward loop nest,
+//! columns vs. gathered patches, each stated to the one loop nest,
 //! `plans::nest`; or the direct and host-reference loops) and how to block
 //! it (`b_B`, `b_Co`, `b_Ni`, `b_P`). A [`Schedule`] states each decision
 //! once — the loop order fixes the plan family, the operand layout and the

@@ -271,6 +271,13 @@ impl CpeCtx<'_> {
         self.ldm.data_mut()
     }
 
+    /// Whether this CPE runs on a cost-only mesh, which holds no LDM: a
+    /// kernel skips its LDM arithmetic there and keeps its charges.
+    #[inline]
+    pub fn is_cost_only(&self) -> bool {
+        self.cost_only
+    }
+
     pub fn ldm_high_water(&self) -> usize {
         self.ldm.high_water_doubles()
     }

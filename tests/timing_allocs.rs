@@ -2,14 +2,15 @@
 //!
 //! A counting global allocator wraps the system one. Each of the four
 //! Table III rows is timed with its published plan and blocking and with
-//! patch-GEMM, and patch-GEMM's general entry times tune_search's stride-2
-//! and same-padded geometries, until the run context's scratch arena holds
-//! everything a timing leases (the zero operands, the GEMM scratch, a
-//! cost-only mesh's put buffers); one more timing of each may then allocate
-//! at most [`WARM_ALLOWANCE`] times. What is left is the sample meshes' CPE
-//! vectors. A cost-only mesh that backs its LDM (one 64 KB allocation per
-//! CPE), regrows a put buffer by doubling or a loop nest that allocates per
-//! step shows up here as hundreds.
+//! patch-GEMM; patch-GEMM's general entry times tune_search's stride-2 and
+//! same-padded geometries; both backward plans (`auto`) time train_sim's
+//! two convolutions and a 128×128 paper layer. Every row runs until the run
+//! context's scratch arena holds everything a timing leases (the zero
+//! operands, the GEMM scratch, a cost-only mesh's put buffers); one more
+//! timing of each may then allocate at most [`WARM_ALLOWANCE`] times. What
+//! is left is the sample meshes' CPE vectors. A cost-only mesh that backs
+//! its LDM (one 64 KB allocation per CPE), regrows a put buffer by doubling
+//! or a loop nest that allocates per walk or per step shows up here.
 //!
 //! The allocator counts every thread, so worker-pool threads cannot hide
 //! an allocation; CI runs this file under a 2-thread pool as well. The
@@ -19,8 +20,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use sw_bench::configs::{paper_shape, table3_configs};
 use sw_perfmodel::Blocking;
-use sw_tensor::{ConvGeometry, Shape4};
-use swdnn::plans::{BatchAwarePlan, ConvPlan, ImageAwarePlan, LowerCtx, PatchGemmPlan, PlanTiming};
+use sw_tensor::{ConvGeometry, ConvShape, Shape4};
+use swdnn::plans::{
+    BatchAwarePlan, BwdDataPlan, BwdFilterPlan, ConvPlan, ImageAwarePlan, LowerCtx, PatchGemmPlan,
+    PlanTiming,
+};
 
 /// Allocations (including reallocations) made so far, by any thread.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -99,6 +103,22 @@ fn a_warm_table3_timing_allocates_a_fixed_few_times() {
         let patch = PatchGemmPlan::auto_for(LowerCtx::default(), input.d1, no);
         let what = format!("patch_gemm b_P {} general {input:?} No {no}", patch.b_p);
         let time = move || patch.time_general(&geom, input, no).unwrap();
+        rows.push((what, Box::new(time)));
+    }
+    // Both backward passes on train_sim's conv1 and conv2 and a paper layer.
+    let backward = [
+        ConvShape::new(32, 8, 16, 16, 16, 3, 3),
+        ConvShape::new(32, 16, 32, 6, 6, 3, 3),
+        paper_shape(128, 128),
+    ];
+    for shape in backward {
+        let filter = BwdFilterPlan::auto(&shape);
+        let what = format!("bwd_filter b_co {} on {shape}", filter.b_co);
+        let time = move || filter.time_full_shape(&shape).unwrap();
+        rows.push((what, Box::new(time)));
+        let data = BwdDataPlan::auto(&shape);
+        let what = format!("bwd_data b_co {} b_Ni {} on {shape}", data.b_co, data.b_ni);
+        let time = move || data.time_full_shape(&shape).unwrap();
         rows.push((what, Box::new(time)));
     }
     // Every row once: the arena's buffers then fit the largest row's walk.
