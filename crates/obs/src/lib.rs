@@ -15,6 +15,9 @@
 //!   low-cardinality runtime dimensions (tenant id, chip, core-group
 //!   index, link), bumped per request on the serving path through handles
 //!   registered once, so a bump is one relaxed atomic add;
+//! * [`histogram`] — [`Histogram`], the exact multiset of `u64` samples
+//!   (request latencies, queue waits) answering nearest-rank quantiles by
+//!   selection;
 //! * [`chrome`] — span-style event recording ([`Recorder`], zero-cost when
 //!   disabled) and a Chrome-trace JSON exporter whose output loads directly
 //!   into `chrome://tracing` / Perfetto;
@@ -27,12 +30,14 @@
 
 pub mod chrome;
 pub mod counter;
+pub mod histogram;
 pub mod level;
 pub mod report;
 pub mod tags;
 
 pub use chrome::{ChromeEvent, ChromeTrace, Recorder};
 pub use counter::Counter;
+pub use histogram::Histogram;
 pub use level::Level;
 pub use report::{LevelIo, PerfReport};
 pub use tags::{chip_tag, link_tag, TagCounters};

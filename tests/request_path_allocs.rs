@@ -12,6 +12,9 @@
 //! buffer, a trace name — shows up here as at least one allocation per
 //! request or batch.
 //!
+//! A warm `ServeEngine::summary()` or `Cluster::summary()` reads all its
+//! percentiles from one sample buffer, so either may allocate once.
+//!
 //! The allocator counts every thread, so worker-pool threads cannot hide
 //! an allocation; CI runs this file under a 2-thread pool as well. The
 //! file holds one test, so no other test allocates while it counts.
@@ -111,6 +114,14 @@ fn serve_batches(e: &mut ServeEngine, batches: usize) -> usize {
     served
 }
 
+/// Allocations made by the second of two calls of `f`.
+fn warm_allocs<T>(f: impl Fn() -> T) -> u64 {
+    std::hint::black_box(f());
+    let before = ALLOCS.load(Ordering::Relaxed);
+    std::hint::black_box(f());
+    ALLOCS.load(Ordering::Relaxed) - before
+}
+
 fn batches(c: &Cluster) -> u64 {
     (0..CHIPS).map(|i| c.engine(i).counters.batches.get()).sum()
 }
@@ -155,6 +166,25 @@ fn warm_requests_allocate_only_their_batches() {
          (allowance {dispatched} + {growth})"
     );
 
+    // A chip whose summary fills every percentile: its completions mix
+    // both tiers and it has dropped requests.
+    let chip = (0..CHIPS)
+        .find(|&i| {
+            let e = c.engine(i);
+            !e.drops().is_empty() && e.completions().iter().any(|x| x.priority == Priority::Low)
+        })
+        .expect("a chip that served low-priority work and dropped some");
+    let chip_allocs = warm_allocs(|| c.engine(chip).summary());
+    assert!(
+        chip_allocs <= 1,
+        "chip {chip} summary: {chip_allocs} allocations"
+    );
+    let fleet_allocs = warm_allocs(|| c.summary());
+    assert!(
+        fleet_allocs <= 1,
+        "fleet summary: {fleet_allocs} allocations"
+    );
+
     // The chaos accounting path: same gate, one engine, inert faults.
     let mut e = ServeEngine::new(ServeConfig {
         policy: BatchPolicy {
@@ -181,5 +211,10 @@ fn warm_requests_allocate_only_their_batches() {
         allocs <= dispatched + growth,
         "chaos engine: {allocs} allocations over {dispatched} batches \
          (allowance {dispatched} + {growth})"
+    );
+    let summary_allocs = warm_allocs(|| e.summary());
+    assert!(
+        summary_allocs <= 1,
+        "chaos engine summary: {summary_allocs} allocations"
     );
 }

@@ -13,8 +13,13 @@
 //! 4. **Sharded correctness** — a convolution row-sharded over the 4
 //!    simulated CGs is bit-identical to the unsharded plan and to the
 //!    scalar reference.
+//! 5. **Exact percentiles** — the latency [`Histogram`] answers every
+//!    quantile with the nearest-rank element of a sorted copy, and a
+//!    merge is the concatenation of its inputs.
 
+use proptest::prelude::*;
 use std::sync::Arc;
+use sw_obs::Histogram;
 use sw_tensor::{conv2d_ref, init::lattice_tensor, ConvShape, Layout};
 use swdnn::serve::{BatchPolicy, PlanCache, ServeConfig, ServeEngine, ShardedDispatcher};
 use swdnn::{ChipSpec, Conv2d, SwdnnError};
@@ -202,4 +207,64 @@ fn serving_hits_cache_after_warmup_under_mixed_shapes() {
     assert_eq!(cs.plan_misses, 2, "one resolution per distinct slice shape");
     assert_eq!(cs.plan_hits, 4);
     assert_eq!(cs.plan_entries, 2);
+}
+
+/// The percentiles the serving summaries read, and the extremes.
+const PCTS: [f64; 5] = [0.0, 50.0, 99.0, 99.9, 100.0];
+
+/// The element of rank `round(pct/100 · (n − 1))` of `sorted`, 0 when
+/// empty: the nearest-rank percentile by sorting.
+fn nearest_rank(sorted: &[u64], pct: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    sorted[((pct / 100.0) * (sorted.len() - 1) as f64).round() as usize]
+}
+
+/// Multisets of every kind the histogram must answer exactly: spread
+/// values, heavy duplication, all equal, and the empty and one-sample
+/// sets.
+fn arb_samples() -> impl Strategy<Value = Vec<u64>> {
+    prop_oneof![
+        prop::collection::vec(0u64..u64::MAX, 0..300),
+        prop::collection::vec(0u64..4, 0..300),
+        (0u64..u64::MAX, 0usize..100).prop_map(|(v, n)| vec![v; n]),
+        prop::collection::vec(0u64..1_000, 0..2),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    #[test]
+    fn histogram_quantiles_are_the_sorted_nearest_rank(
+        a in arb_samples(),
+        b in arb_samples(),
+    ) {
+        let mut h = Histogram::default();
+        for &v in &a {
+            h.record(v);
+        }
+        let mut sorted = a.clone();
+        sorted.sort_unstable();
+        // Every query reorders the one buffer; each must still see the
+        // whole multiset, in either order of queries.
+        for pct in PCTS.into_iter().chain(PCTS.into_iter().rev()) {
+            prop_assert_eq!(h.quantile(pct), nearest_rank(&sorted, pct), "pct {}", pct);
+        }
+
+        // Merging equals concatenating: same length, same element at
+        // every rank.
+        h.merge(&b.iter().copied().collect());
+        let mut both: Vec<u64> = a.iter().chain(&b).copied().collect();
+        both.sort_unstable();
+        prop_assert_eq!(h.len(), both.len());
+        for pct in PCTS {
+            prop_assert_eq!(h.quantile(pct), nearest_rank(&both, pct), "merged, pct {}", pct);
+        }
+        let last = both.len().saturating_sub(1).max(1) as f64;
+        for (rank, &v) in both.iter().enumerate() {
+            prop_assert_eq!(h.quantile(100.0 * rank as f64 / last), v, "merged, rank {}", rank);
+        }
+    }
 }
