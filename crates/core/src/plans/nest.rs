@@ -1,16 +1,22 @@
 //! The one loop nest of every mesh plan: image-aware (Algorithm 1),
 //! batch-aware (Algorithm 2), patch-GEMM and the two backward passes.
 //!
-//! Per tile, [`run`] zeroes the distributed accumulator (and the window,
-//! where the plan holds one), runs the tile's steps — each a superstep that
-//! issues and then waits on operand DMAs, followed by at most one
-//! register-communication rotation — and puts the tile back, waiting on the
-//! put. A plan states only what differs, as a [`Nest`]: its tiles; its
+//! [`Nest::walk`] allocates the LDM the plan declares ([`Nest::ldm_buffers`])
+//! on every CPE in one setup superstep. Then, per tile, it zeroes the
+//! distributed accumulator (and the window, where the plan holds one), runs
+//! the tile's steps — each a superstep that issues and then waits on operand
+//! DMAs, followed by at most one register-communication rotation — and puts
+//! the tile back, waiting on the put. A plan states only what differs, as a
+//! [`Nest`]: its context and operands; its LDM buffers; its tiles; its
 //! steps, each naming its fetches and where its rotation's blocks start;
 //! each fetch's strided get; the rotations' block shape and how each
 //! operand's block is packed; and its put. Patch-GEMM also stages each `B`
 //! fetch on the MPE first, which a functional mesh runs and a cost-only one
 //! skips. A backward pass is one tile whose steps are its pixel tiles.
+//!
+//! The one timing protocol, [`Nest::time_sampled`], walks the plan's
+//! [`Walks`] on a cost-only mesh over all-zero operands and
+//! [`extrapolate`]s two samples to the full trip count.
 //!
 //! A plan whose `ldm_buffers` holds a `win` (backward-data's `dX` window)
 //! assembles its output there: after every rotation a superstep folds `C`
@@ -26,9 +32,11 @@
 //! part of every plan's timing.
 
 use super::gemm_mesh::{lease_scratch, regcomm_gemm_with, zero_c, GemmBlock};
-use super::{finish, MeshWalk, PlanTiming, Slot};
+use super::{finish, LdmBuffers, LowerCtx, PlanTiming, Slot};
 use crate::error::SwdnnError;
-use sw_sim::{CpeCtx, DmaHandle, LdmBuf, Mesh, SimError};
+use sw_sim::ldm::padded_len;
+use sw_sim::{CgStats, CpeCtx, DmaHandle, LdmBuf, Mesh, SimError};
+use sw_tensor::ConvShape;
 
 /// The handle of a fetch's or put's last DMA request.
 pub(crate) type Dma = Result<Option<DmaHandle>, SimError>;
@@ -83,12 +91,30 @@ pub(crate) struct Get<'a, T> {
     pub src: &'a [f64],
 }
 
-/// A mesh plan's statement of its walk over an extent.
-pub(crate) trait Nest: MeshWalk + Sync {
+/// A mesh plan's statement of its walk over an extent — its context,
+/// operands, LDM buffers, timing samples and what its nest does — and the
+/// walk and timing every mesh plan shares.
+pub(crate) trait Nest: Sync {
+    /// What one walk covers: a dense [`ConvShape`], or a general geometry.
+    type Extent;
     /// What the walk derives from its extent, once per walk.
     type Dims: Copy + Sync;
     /// One output tile: zeroed, reduced into, put back.
     type Tile: Copy + Sync;
+
+    fn ctx(&self) -> &LowerCtx;
+
+    /// Lengths of what the walk reads for its `B` and `A` operands, and of
+    /// its output.
+    fn operand_lens(&self, e: &Self::Extent) -> [usize; 3];
+
+    /// The plan's one statement of the LDM its walk over `e` holds.
+    /// Arithmetic only, no allocation: `supports` asks it on every timing,
+    /// tune candidate and plan-cache miss.
+    fn ldm_buffers(&self, e: &Self::Extent) -> LdmBuffers;
+
+    /// The walks that time `shape`, which the plan supports.
+    fn timing_walks(&self, shape: &ConvShape) -> Walks<Self::Extent>;
 
     fn dims(&self, e: &Self::Extent) -> Self::Dims;
     fn block(&self, d: &Self::Dims) -> GemmBlock;
@@ -129,128 +155,234 @@ pub(crate) trait Nest: MeshWalk + Sync {
     /// MPE-side work before `step`'s superstep, on a functional mesh only:
     /// stage from `b_src` what the step's `B` fetch reads.
     fn gather(&self, _: &Self::Dims, _: Self::Tile, _: &Step, _: &[f64], _: &mut [f64]) {}
-}
 
-/// The nest of `plan` over `e` on `mesh`, whose [`Slot`]s hold the
-/// allocated `ldm_buffers`: reads `B`'s fetches from `b_src` and `A`'s
-/// from `a_src`, puts to `out`.
-pub(crate) fn run<P: Nest + ?Sized>(
-    plan: &P,
-    e: &P::Extent,
-    mut mesh: Mesh<Slot>,
-    b_src: &[f64],
-    a_src: &[f64],
-    out: &mut [f64],
-) -> Result<PlanTiming, SwdnnError> {
-    let [(_, a), (_, b), _, (_, win)] = plan.ldm_buffers(e);
-    let d = plan.dims(e);
-    let (copies, blk, rt) = ([a, b], plan.block(&d), plan.ctx().rt);
-    // The rotations' pack arena and the staging buffer, leased across runs.
-    let mut scratch = lease_scratch(rt, mesh.chip.mesh_dim);
-    let mut staged = rt.scratch(0, Vec::new);
-    let len = plan.staged_len(&d);
-    let grown = staged.len().max(len);
-    staged.resize(grown, 0.0);
-    let staged = &mut staged[..len];
-    // Per operand, the copies a fetch is in flight into, and the copy the
-    // last step waited on.
-    let (mut in_flight, mut cur) = ([[false; 2]; 2], [0; 2]);
-    for tile in plan.tiles(&d) {
-        zero_c(&mut mesh, |s: &Slot| s.c)?;
-        if win > 0 {
-            zero_c(&mut mesh, |s: &Slot| s.win)?;
-        }
-        for (i, step) in plan.steps(&d, tile).enumerate() {
-            if !mesh.is_cost_only() {
-                plan.gather(&d, tile, &step, b_src, staged);
+    /// The walk's LDM high water per CPE: its buffers, each rounded as the
+    /// allocator rounds it. `supports` checks this through
+    /// [`LowerCtx::fit_ldm`], so it accepts exactly what the walk allocates.
+    fn ldm_doubles(&self, e: &Self::Extent) -> usize {
+        let bufs = self.ldm_buffers(e);
+        bufs.iter().map(|&(len, n)| n * padded_len(len)).sum()
+    }
+
+    /// The walk over `e` on a fresh `mesh`: one setup superstep allocates
+    /// [`Nest::ldm_buffers`] in every CPE's [`Slot`], then the nest runs,
+    /// reading `B`'s fetches from `b_src` and `A`'s from `a_src` and putting
+    /// to `out`.
+    fn walk(
+        &self,
+        e: &Self::Extent,
+        mut mesh: Mesh<Slot>,
+        b_src: &[f64],
+        a_src: &[f64],
+        out: &mut [f64],
+    ) -> Result<PlanTiming, SwdnnError> {
+        let buffers = self.ldm_buffers(e);
+        mesh.superstep(|ctx, s| {
+            let [c, win] = [&mut s.c, &mut s.win].map(std::slice::from_mut);
+            let slots: [&mut [LdmBuf]; 4] = [&mut s.a, &mut s.b, c, win];
+            for (slot, (len, copies)) in slots.into_iter().zip(buffers) {
+                for buf in &mut slot[..copies] {
+                    *buf = ctx.ldm_alloc(len)?;
+                }
             }
-            if step.fetch.iter().any(Option::is_some) {
-                // What every CPE issues, `(operand, run, fetch, copy)` in
-                // order — the step's own fetches, then its prefetches — and
-                // which copies it then waits on.
-                let (mut issues, mut waits) = ([(Operand::A, 0, 0, 0); 4], [(Operand::A, 0); 2]);
-                let (mut n_issues, mut n_waits) = (0, 0);
-                for ahead in [0, 1] {
+            Ok(())
+        })?;
+        let [(_, a), (_, b), _, (_, win)] = buffers;
+        let d = self.dims(e);
+        let (copies, blk, rt) = ([a, b], self.block(&d), self.ctx().rt);
+        // The rotations' pack arena and the staging buffer, leased across runs.
+        let mut scratch = lease_scratch(rt, mesh.chip.mesh_dim);
+        let mut staged = rt.scratch(0, Vec::new);
+        let len = self.staged_len(&d);
+        let grown = staged.len().max(len);
+        staged.resize(grown, 0.0);
+        let staged = &mut staged[..len];
+        // Per operand, the copies a fetch is in flight into, and the copy the
+        // last step waited on.
+        let (mut in_flight, mut cur) = ([[false; 2]; 2], [0; 2]);
+        for tile in self.tiles(&d) {
+            zero_c(&mut mesh, |s: &Slot| s.c)?;
+            if win > 0 {
+                zero_c(&mut mesh, |s: &Slot| s.win)?;
+            }
+            for (i, step) in self.steps(&d, tile).enumerate() {
+                if !mesh.is_cost_only() {
+                    self.gather(&d, tile, &step, b_src, staged);
+                }
+                if step.fetch.iter().any(Option::is_some) {
+                    // What every CPE issues, `(operand, run, fetch, copy)` in
+                    // order — the step's own fetches, then its prefetches — and
+                    // which copies it then waits on.
+                    let (mut issues, mut waits) =
+                        ([(Operand::A, 0, 0, 0); 4], [(Operand::A, 0); 2]);
+                    let (mut n_issues, mut n_waits) = (0, 0);
+                    for ahead in [0, 1] {
+                        for (op, f) in step.fetch.into_iter().flatten() {
+                            let (o, copies) = (op as usize, copies[op as usize]);
+                            let (run, j, n) = match f {
+                                Fetch::Issue(run, j) => (run, j + ahead, j + 1),
+                                Fetch::Need(run, j, n) => (run, j + ahead, n),
+                            };
+                            if ahead == 1 && (copies < 2 || j >= n) {
+                                continue;
+                            }
+                            // A fetch in flight was issued by an earlier step.
+                            if !std::mem::replace(&mut in_flight[o][j % copies], true) {
+                                issues[n_issues] = (op, run, j, j % copies);
+                                n_issues += 1;
+                            }
+                        }
+                    }
                     for (op, f) in step.fetch.into_iter().flatten() {
-                        let (o, copies) = (op as usize, copies[op as usize]);
-                        let (run, j, n) = match f {
-                            Fetch::Issue(run, j) => (run, j + ahead, j + 1),
-                            Fetch::Need(run, j, n) => (run, j + ahead, n),
-                        };
-                        if ahead == 1 && (copies < 2 || j >= n) {
-                            continue;
-                        }
-                        // A fetch in flight was issued by an earlier step.
-                        if !std::mem::replace(&mut in_flight[o][j % copies], true) {
-                            issues[n_issues] = (op, run, j, j % copies);
-                            n_issues += 1;
+                        if let Fetch::Need(_, j, _) = f {
+                            let (o, c) = (op as usize, j % copies[op as usize]);
+                            (in_flight[o][c], cur[o]) = (false, c);
+                            waits[n_waits] = (op, c);
+                            n_waits += 1;
                         }
                     }
-                }
-                for (op, f) in step.fetch.into_iter().flatten() {
-                    if let Fetch::Need(_, j, _) = f {
-                        let (o, c) = (op as usize, j % copies[op as usize]);
-                        (in_flight[o][c], cur[o]) = (false, c);
-                        waits[n_waits] = (op, c);
-                        n_waits += 1;
-                    }
-                }
-                let srcs = [a_src, if len > 0 { &*staged } else { b_src }];
-                let (issues, waits) = (&issues[..n_issues], &waits[..n_waits]);
-                mesh.superstep(|ctx, s| {
-                    for &(op, run, j, c) in issues {
-                        let (bufs, handles) = s.operand(op);
-                        let (dst, src) = (bufs[c], srcs[op as usize]);
-                        let get = Get {
-                            op,
-                            tile,
-                            run,
-                            j,
-                            dst,
-                            src,
-                        };
-                        handles[c] = plan.fetch(ctx, &d, get)?;
-                    }
-                    for &(op, c) in waits {
-                        if let Some(h) = s.operand(op).1[c].take() {
-                            ctx.dma_wait(h);
-                        }
-                    }
-                    Ok(())
-                })?;
-            }
-            if let Some(r) = step.rotate {
-                let ([a, b], a_len) = (cur, blk.k8 * blk.m8);
-                regcomm_gemm_with(
-                    &mut mesh,
-                    blk,
-                    &mut scratch,
-                    |ctx, s: &Slot, dst: &mut Vec<f64>| {
-                        plan.pack_a(&d, &ctx.ldm(s.a[a])[r.a_at..r.a_at + a_len], dst);
-                    },
-                    |ctx, s: &Slot, dst: &mut Vec<f64>| {
-                        plan.pack_b(&d, &ctx.ldm(s.b[b])[r.b_at..], dst)
-                    },
-                    |s: &Slot| (s.c, r.c_at),
-                )?;
-                if win > 0 {
+                    let srcs = [a_src, if len > 0 { &*staged } else { b_src }];
+                    let (issues, waits) = (&issues[..n_issues], &waits[..n_waits]);
                     mesh.superstep(|ctx, s| {
-                        if let Some(h) = plan.fold(ctx, &d, s, i)? {
-                            ctx.dma_wait(h);
+                        for &(op, run, j, c) in issues {
+                            let (bufs, handles) = s.operand(op);
+                            let (dst, src) = (bufs[c], srcs[op as usize]);
+                            let get = Get {
+                                op,
+                                tile,
+                                run,
+                                j,
+                                dst,
+                                src,
+                            };
+                            handles[c] = self.fetch(ctx, &d, get)?;
+                        }
+                        for &(op, c) in waits {
+                            if let Some(h) = s.operand(op).1[c].take() {
+                                ctx.dma_wait(h);
+                            }
                         }
                         Ok(())
                     })?;
                 }
+                if let Some(r) = step.rotate {
+                    let ([a, b], a_len) = (cur, blk.k8 * blk.m8);
+                    regcomm_gemm_with(
+                        &mut mesh,
+                        blk,
+                        &mut scratch,
+                        |ctx, s: &Slot, dst: &mut Vec<f64>| {
+                            self.pack_a(&d, &ctx.ldm(s.a[a])[r.a_at..r.a_at + a_len], dst);
+                        },
+                        |ctx, s: &Slot, dst: &mut Vec<f64>| {
+                            self.pack_b(&d, &ctx.ldm(s.b[b])[r.b_at..], dst)
+                        },
+                        |s: &Slot| (s.c, r.c_at),
+                    )?;
+                    if win > 0 {
+                        mesh.superstep(|ctx, s| {
+                            if let Some(h) = self.fold(ctx, &d, s, i)? {
+                                ctx.dma_wait(h);
+                            }
+                            Ok(())
+                        })?;
+                    }
+                }
+            }
+            if win == 0 {
+                mesh.superstep(|ctx, s| {
+                    if let Some(h) = self.put(ctx, &d, s.c, tile)? {
+                        ctx.dma_wait(h);
+                    }
+                    Ok(())
+                })?;
             }
         }
-        if win == 0 {
-            mesh.superstep(|ctx, s| {
-                if let Some(h) = plan.put(ctx, &d, s.c, tile)? {
-                    ctx.dma_wait(h);
-                }
-                Ok(())
-            })?;
+        finish(mesh, out)
+    }
+
+    /// Exact timing of `e` with no arithmetic: the walk on a cost-only mesh
+    /// over all-zero operands (never read: untouched zero pages), leased
+    /// from the run context as [`ZeroOperands`].
+    fn time_cost_only(&self, e: &Self::Extent) -> Result<PlanTiming, SwdnnError> {
+        let [b, a, out] = self.operand_lens(e);
+        let mut zeros = self.ctx().rt.scratch(0, ZeroOperands::default);
+        let ZeroOperands { read, written } = &mut *zeros;
+        for (buf, len) in [(&mut *read, a.max(b)), (&mut *written, out)] {
+            if buf.len() < len {
+                *buf = vec![0.0; len];
+            }
+        }
+        let mesh = self.ctx().mesh().cost_only();
+        self.walk(e, mesh, &read[..b], &read[..a], &mut written[..out])
+    }
+
+    /// Every mesh plan's `time_full_shape`: two cost-only samples and the
+    /// line through them, or the whole shape walked cost-only.
+    fn time_sampled(&self, shape: &ConvShape) -> Result<PlanTiming, SwdnnError> {
+        match self.timing_walks(shape) {
+            Walks::Whole(e) => self.time_cost_only(&e),
+            Walks::Sampled(samples, n_full) => {
+                let [s1, s2] = samples.map(|(e, n)| self.time_cost_only(&e).map(|t| (t, n)));
+                Ok(extrapolate([s1?, s2?], n_full))
+            }
         }
     }
-    finish(mesh, out)
+}
+
+/// What cost-only walks read (both operands share one buffer) and put to,
+/// kept in the run context's scratch arena: a walk writes none of it, so
+/// its pages stay untouched zeros. Allocated per walk, the allocator
+/// re-zeroed and re-faulted them, at more host time than the walk took.
+#[derive(Default)]
+struct ZeroOperands {
+    read: Vec<f64>,
+    written: Vec<f64>,
+}
+
+/// How [`Nest::time_sampled`] times a shape: walk it whole, or walk two
+/// outer-loop samples `(extent, trip count)` and extrapolate to a trip count.
+pub(crate) enum Walks<E> {
+    Whole(E),
+    Sampled([(E, u64); 2], u64),
+}
+
+impl Walks<ConvShape> {
+    /// Outer loop over `b_b × 1 × b_co` pixel tiles: one tile over one and
+    /// two output rows, extrapolated to the tile count.
+    pub(crate) fn pixel_tiles(shape: &ConvShape, b_b: usize, b_co: usize) -> Self {
+        let tile = |ro| ConvShape::new(b_b, shape.ni, shape.no, ro, b_co, shape.kr, shape.kc);
+        let tiles = shape.batch / b_b * shape.ro * (shape.co / b_co);
+        Walks::Sampled([(tile(1), 1), (tile(2), 2)], tiles as u64)
+    }
+}
+
+/// Linear extrapolation of timing from two sampled runs.
+///
+/// A plan's cost is `a + b·N` in the outer trip count `N`; given samples at
+/// `n1 < n2` outer iterations, predict `n_full` on the line through them,
+/// `t1 + (t2 − t1)/(n2 − n1)·(n_full − n1)`, counters alike. The line is
+/// signed, so it passes through both samples even where a counter falls or
+/// more than doubles between them (injected DMA retries do both); only the
+/// prediction is floored at 0.
+pub(crate) fn extrapolate(samples: [(PlanTiming, u64); 2], n_full: u64) -> PlanTiming {
+    let [(t1, n1), (t2, n2)] = samples;
+    let (s1, s2) = (t1.stats, t2.stats);
+    assert!(n2 > n1 && n1 > 0, "need two distinct positive sample sizes");
+    let line = |a: u64, b: u64| {
+        let per = (i128::from(b) - i128::from(a)) / i128::from(n2 - n1);
+        let at = i128::from(a) + per * (i128::from(n_full) - i128::from(n1));
+        u64::try_from(at.max(0)).unwrap_or(u64::MAX)
+    };
+    // `combine` iterates the complete counter field list, so counters added
+    // to CpeStats extrapolate without this function changing.
+    let stats = CgStats {
+        cycles: line(t1.cycles, t2.cycles),
+        totals: s1.totals.combine(&s2.totals, line),
+        ldm_high_water_doubles: s1.ldm_high_water_doubles.max(s2.ldm_high_water_doubles),
+    };
+    PlanTiming {
+        sampled: true,
+        ..stats.into()
+    }
 }

@@ -30,7 +30,7 @@
 //!   is the `b_co = Kc` window Algorithm 2 accumulates.
 //!
 //! The selector cannot see the plans, so these are its own estimates; a
-//! plan's legality is the LDM its walk declares (`MeshWalk::ldm_buffers` in
+//! plan's legality is the LDM its walk declares (`Nest::ldm_buffers` in
 //! `swdnn`), rounded like the allocator rounds.
 //! The batch-size-aware estimate is deliberately more conservative than the
 //! batch-size-aware plan's buffers (double-buffered filters and a `Kc`-wide
