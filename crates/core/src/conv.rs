@@ -200,7 +200,9 @@ impl Conv2d {
 
     /// The one operand check of every entry point: each operand has the
     /// shape this operator expects of it.
-    fn check_operands(operands: [(&Tensor4<f64>, Shape4); 2]) -> Result<(), SwdnnError> {
+    pub(crate) fn check_operands<const N: usize>(
+        operands: [(&Tensor4<f64>, Shape4); N],
+    ) -> Result<(), SwdnnError> {
         for (tensor, expected) in operands {
             if tensor.shape() != expected {
                 return Err(SwdnnError::ShapeMismatch {

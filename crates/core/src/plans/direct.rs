@@ -9,7 +9,7 @@
 //! collapse and anchors the "direct memory access" column of the Fig. 2
 //! reproduction.
 
-use super::{finish, ConvPlan, ConvRun, LowerCtx, PlanTiming};
+use super::{finish, reject_degenerate, ConvPlan, ConvRun, LowerCtx, PlanTiming};
 use crate::error::SwdnnError;
 use crate::plans::PlanKind;
 use sw_perfmodel::ChipSpec;
@@ -61,14 +61,7 @@ impl ConvPlan for DirectPlan {
     }
 
     fn supports(&self, shape: &ConvShape) -> Result<(), SwdnnError> {
-        if !shape.is_valid() {
-            return Err(SwdnnError::unsupported(
-                "direct_gload",
-                shape,
-                "degenerate shape",
-            ));
-        }
-        Ok(())
+        reject_degenerate("direct_gload", shape)
     }
 
     fn run(
@@ -137,6 +130,7 @@ impl ConvPlan for DirectPlan {
     }
 
     fn time_full_shape(&self, shape: &ConvShape) -> Result<PlanTiming, SwdnnError> {
+        self.supports(shape)?;
         // The plan is perfectly regular: use the closed form (validated
         // against full simulation on small shapes in the tests).
         let cycles = self.analytic_cycles(shape);

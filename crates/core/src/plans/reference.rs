@@ -7,7 +7,7 @@
 //! model (there is nothing interesting to simulate — a real swDNN would
 //! run such shapes on the MPE).
 
-use super::{ConvPlan, ConvRun, PlanTiming};
+use super::{reject_degenerate, ConvPlan, ConvRun, PlanTiming};
 use crate::error::SwdnnError;
 use crate::plans::PlanKind;
 use sw_perfmodel::{Blocking, ChipSpec, ConvPerfModel};
@@ -32,14 +32,7 @@ impl ConvPlan for ReferencePlan {
     }
 
     fn supports(&self, shape: &ConvShape) -> Result<(), SwdnnError> {
-        if !shape.is_valid() {
-            return Err(SwdnnError::unsupported(
-                "reference",
-                shape,
-                "degenerate shape",
-            ));
-        }
-        Ok(())
+        reject_degenerate("reference", shape)
     }
 
     fn run(
@@ -57,6 +50,7 @@ impl ConvPlan for ReferencePlan {
     }
 
     fn time_full_shape(&self, shape: &ConvShape) -> Result<PlanTiming, SwdnnError> {
+        self.supports(shape)?;
         Ok(self.modeled_timing(shape))
     }
 }

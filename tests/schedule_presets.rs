@@ -18,9 +18,22 @@
 
 use sw_perfmodel::{ChipSpec, PlanKind};
 use sw_tensor::init::lattice_tensor;
-use sw_tensor::{conv2d_ref, ConvShape, Layout};
-use swdnn::plans::{ConvPlan, ConvRun};
-use swdnn::{lower_schedule, Conv2d, FaultPlan, LowerCtx, ResilientExecutor, Schedule};
+use sw_tensor::{conv2d_ref, ConvGeometry, ConvShape, Layout, Shape4, Tensor4};
+use swdnn::plans::{BwdDataPlan, BwdFilterPlan, ConvPlan, ConvRun, PatchGemmPlan};
+use swdnn::{lower_schedule, Conv2d, FaultPlan, LowerCtx, ResilientExecutor, Schedule, SwdnnError};
+
+/// One preset of every loop order, two blockings of most.
+const PRESETS: [Schedule; 9] = [
+    Schedule::image_aware(32, 4),
+    Schedule::image_aware(32, 8),
+    Schedule::image_aware_ni(32, 4, 8),
+    Schedule::batch_aware(2),
+    Schedule::batch_aware(4),
+    Schedule::direct(),
+    Schedule::reference(),
+    Schedule::patch_gemm(32),
+    Schedule::patch_gemm(64),
+];
 
 #[derive(PartialEq, Eq, Debug, Clone)]
 struct RunDigest {
@@ -215,17 +228,6 @@ fn every_legal_preset_matches_the_reference_convolution() {
     // Lattice operands (quarter-integers) make every summation order exact,
     // so all presets — including the tap-outer patch-GEMM — must agree
     // with the 7-loop reference to the last bit.
-    let presets = [
-        Schedule::image_aware(32, 4),
-        Schedule::image_aware(32, 8),
-        Schedule::image_aware_ni(32, 4, 8),
-        Schedule::batch_aware(2),
-        Schedule::batch_aware(4),
-        Schedule::direct(),
-        Schedule::reference(),
-        Schedule::patch_gemm(32),
-        Schedule::patch_gemm(64),
-    ];
     let shapes = [
         ConvShape::new(32, 16, 16, 4, 8, 3, 3),
         ConvShape::new(32, 8, 16, 2, 4, 1, 1),
@@ -235,7 +237,7 @@ fn every_legal_preset_matches_the_reference_convolution() {
         let filter = lattice_tensor(shape.filter_shape(), Layout::Nchw, 52);
         let expect = conv2d_ref(shape, &input, &filter);
         let mut legal = 0usize;
-        for schedule in &presets {
+        for schedule in &PRESETS {
             let Ok(plan) = lower_schedule(schedule, &shape, &LowerCtx::default()) else {
                 continue;
             };
@@ -253,4 +255,137 @@ fn every_legal_preset_matches_the_reference_convolution() {
             "expected most presets legal for {shape:?}, got {legal}"
         );
     }
+}
+
+/// Zeros of shape `s`, or an empty tensor where `s` is too large to hold.
+fn zeros(s: Shape4) -> Tensor4<f64> {
+    let len = [s.d0, s.d1, s.d2, s.d3]
+        .into_iter()
+        .try_fold(1usize, usize::checked_mul);
+    let fits = len.is_some_and(|n| n <= 1 << 20);
+    Tensor4::zeros(if fits { s } else { Shape4::new(0, 0, 0, 0) }, Layout::Nchw)
+}
+
+/// A named entry-point call that must return `Err`.
+type Call<'a> = (&'static str, &'a dyn Fn() -> Result<(), SwdnnError>);
+
+/// Each of `calls` that returned `Ok` or panicked, named.
+fn not_rejected(what: &str, calls: &[Call]) -> Vec<String> {
+    let verdict = |call: &dyn Fn() -> Result<(), SwdnnError>| match std::panic::catch_unwind(
+        std::panic::AssertUnwindSafe(call),
+    ) {
+        Ok(Err(_)) => None,
+        Ok(Ok(())) => Some("returned Ok"),
+        Err(_) => Some("panicked"),
+    };
+    let failed = calls
+        .iter()
+        .filter_map(|&(name, call)| Some((name, verdict(call)?)));
+    failed
+        .map(|(name, v)| format!("{what}: {name} {v}"))
+        .collect()
+}
+
+#[test]
+fn degenerate_shapes_and_misfit_filters_are_errors_in_every_plan() {
+    // Every entry point answers `Err`, in a debug build, to a shape with a
+    // zero extent or with counts that overflow, and to a general geometry
+    // with a zero batch, channel count, filter extent, stride or dilation;
+    // patch-GEMM's general run answers `ShapeMismatch` to a filter that
+    // does not fit its input and geometry.
+    let base = ConvShape::new(32, 16, 16, 4, 8, 3, 3);
+    let shapes = [
+        ConvShape { batch: 0, ..base },
+        ConvShape { ni: 0, ..base },
+        ConvShape { no: 0, ..base },
+        ConvShape { ro: 0, ..base },
+        ConvShape { co: 0, ..base },
+        ConvShape { kr: 0, ..base },
+        ConvShape { kc: 0, ..base },
+        ConvShape::new(1 << 16, 1 << 16, 1 << 16, 1 << 16, 1, 1, 1),
+    ];
+    let (bwd_filter, bwd_data) = (BwdFilterPlan::new(32, 4), BwdDataPlan::new(32, 4, 8));
+    let mut failed = vec![];
+    for shape in shapes {
+        let [x, w, y] = [
+            shape.input_shape(),
+            shape.filter_shape(),
+            shape.output_shape(),
+        ]
+        .map(zeros);
+        for schedule in &PRESETS {
+            let plan = schedule.build(&LowerCtx::default());
+            let what = format!("{} on {shape}", schedule.describe());
+            failed.extend(not_rejected(
+                &what,
+                &[
+                    ("supports", &|| plan.supports(&shape)),
+                    ("time_full_shape", &|| {
+                        plan.time_full_shape(&shape).map(drop)
+                    }),
+                    ("run", &|| plan.run(&shape, &x, &w).map(drop)),
+                ],
+            ));
+        }
+        failed.extend(not_rejected(
+            &format!("bwd_filter on {shape}"),
+            &[
+                ("supports", &|| bwd_filter.supports(&shape)),
+                ("time_full_shape", &|| {
+                    bwd_filter.time_full_shape(&shape).map(drop)
+                }),
+                ("run", &|| bwd_filter.run(&shape, &x, &y).map(drop)),
+            ],
+        ));
+        failed.extend(not_rejected(
+            &format!("bwd_data on {shape}"),
+            &[
+                ("supports", &|| bwd_data.supports(&shape)),
+                ("time_full_shape", &|| {
+                    bwd_data.time_full_shape(&shape).map(drop)
+                }),
+                ("run", &|| bwd_data.run(&shape, &y, &w).map(drop)),
+            ],
+        ));
+    }
+
+    let (patch, valid) = (PatchGemmPlan::new(32), ConvGeometry::valid(3, 3));
+    let (input, no) = (Shape4::new(8, 8, 6, 6), 8);
+    let geometries = [
+        (valid, Shape4 { d0: 0, ..input }, no),
+        (valid, Shape4 { d1: 0, ..input }, no),
+        (valid, input, 0),
+        (ConvGeometry::valid(0, 3), input, no),
+        (ConvGeometry::valid(3, 0), input, no),
+        (valid.with_stride(0, 1), input, no),
+        (valid.with_stride(1, 0), input, no),
+        (valid.with_dilation(0, 1), input, no),
+        (valid.with_dilation(1, 0), input, no),
+    ];
+    for (geom, x, no) in geometries {
+        let (xs, ws) = (zeros(x), zeros(Shape4::new(no, x.d1, geom.kr, geom.kc)));
+        failed.extend(not_rejected(
+            &format!("patch_gemm on {geom:?}, input {x:?}, No {no}"),
+            &[
+                ("supports_general", &|| patch.supports_general(&geom, x, no)),
+                ("time_general", &|| {
+                    patch.time_general(&geom, x, no).map(drop)
+                }),
+                ("run_general", &|| {
+                    patch.run_general(&geom, &xs, &ws).map(drop)
+                }),
+            ],
+        ));
+    }
+    let xs = zeros(input);
+    for filter in [(8, 16, 3, 3), (8, 8, 3, 5), (8, 8, 2, 2)].map(Shape4::from) {
+        match patch.run_general(&valid, &xs, &zeros(filter)) {
+            Err(SwdnnError::ShapeMismatch { .. }) => {}
+            other => failed.push(format!(
+                "patch_gemm run_general, filter {filter:?} on input {input:?}: {:?}",
+                other.map(|run| run.output.shape())
+            )),
+        }
+    }
+    assert!(failed.is_empty(), "{}", failed.join("\n"));
 }
