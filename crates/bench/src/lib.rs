@@ -2,7 +2,7 @@
 //! and of this repository's extensions, regenerated deterministically on
 //! the simulated SW26010.
 //!
-//! Each artifact is a function returning its [`Table`]s, registered once in
+//! Each artifact is a function returning its `Table`s, registered once in
 //! [`ARTIFACTS`]; the `repro` binary runs one or all of them and writes the
 //! CSVs committed under `results/`. Those CSVs are the only baseline:
 //! regenerate, `git diff results/`, and commit an intentional change with
@@ -33,14 +33,14 @@
 //! [`configs`] holds the Fig. 8 configuration-generator scripts.
 
 pub mod ablations;
-pub mod autotune;
-pub mod chaos_load;
-pub mod cluster_scale;
+mod autotune;
+mod chaos_load;
+mod cluster_scale;
 pub mod configs;
-pub mod fault_campaign;
-pub mod paper;
-pub mod report;
-pub mod serve_load;
+mod fault_campaign;
+mod paper;
+mod report;
+mod serve_load;
 
 use report::Table;
 

@@ -1,8 +1,8 @@
-//! The byte gate on `results/`, tier-1 sized: every artifact that
-//! regenerates within 15 s in a debug build is rendered in-process and
-//! compared byte for byte with its committed CSV, and the registry and the
-//! directory must name exactly the same files. CI's `results` job runs the
-//! whole registry in release (`repro all`, then `git diff --exit-code`).
+//! The byte gate on `results/` in tier-1: every registered artifact is
+//! rendered in-process and compared byte for byte with its committed CSVs,
+//! and the registry and the directory must name exactly the same files.
+//! CI's `results` job also runs the whole registry in release (`repro all`,
+//! then `git diff --exit-code`).
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -31,14 +31,9 @@ fn regenerates(name: &str) {
     }
 }
 
-// One test per artifact so they run side by side. Debug-build render times
-// on a 2-core box, now that timings walk a cost-only mesh: `table3_model`
-// 0.1 s, `ablation_ldm` 0.2 s, `training_pass` 0.4 s, `model_vs_autotune`
-// 1.9 s, `autotune` 1.6 s, `perf_counters` 0.1 s, `fig7_channels` 3.3 s.
-// Not rendered here: `fig9_filters` (22 s unoptimized), `fault_campaign`
-// (functional runs, over five minutes unoptimized) and
-// `fault_campaign_dead_cpe` (three functional runs on the 4×4 mesh, 58 s
-// unoptimized).
+// One test per artifact so they run side by side. The test profile is
+// optimised (`opt-level = 2`); the slowest renders are `fault_campaign`'s
+// and `fault_campaign_dead_cpe`'s functional runs.
 
 #[test]
 fn table2_dma_regenerates_byte_for_byte() {
@@ -113,6 +108,30 @@ fn chaos_regenerates_byte_for_byte() {
 #[test]
 fn cluster_regenerates_byte_for_byte() {
     regenerates("cluster");
+}
+
+#[test]
+fn fig9_filters_regenerates_byte_for_byte() {
+    regenerates("fig9_filters");
+}
+
+#[test]
+fn fault_campaign_regenerates_byte_for_byte() {
+    regenerates("fault_campaign");
+}
+
+#[test]
+fn fault_campaign_dead_cpe_regenerates_byte_for_byte() {
+    regenerates("fault_campaign_dead_cpe");
+}
+
+#[test]
+fn every_artifact_has_a_byte_gate_here() {
+    let source = include_str!("results.rs");
+    for artifact in ARTIFACTS {
+        let test = format!("fn {}_regenerates_byte_for_byte()", artifact.name);
+        assert!(source.contains(&test), "no `{test}` in results.rs");
+    }
 }
 
 #[test]

@@ -41,7 +41,8 @@ pub struct AllreduceReport {
 /// Sum per-microbatch gradient vectors strictly left to right. All
 /// inputs must be the same length (one flattened gradient per
 /// microbatch, in the stable `visit_params` walk order).
-pub fn reduce_fixed_order(per_microbatch: &[Vec<f64>]) -> Vec<f64> {
+#[cfg(test)]
+pub(crate) fn reduce_fixed_order(per_microbatch: &[Vec<f64>]) -> Vec<f64> {
     let Some(first) = per_microbatch.first() else {
         return Vec::new();
     };

@@ -11,7 +11,7 @@
 //!
 //! 1. **Numerics never move.** The reduced gradient is defined per
 //!    parameter as the left-to-right sum over *global microbatch index*
-//!    ([`super::allreduce::reduce_fixed_order`]). Summation is
+//!    (the test oracle `reduce_fixed_order`). Summation is
 //!    element-wise, so partitioning the parameter axis into buckets
 //!    cannot change a single bit — [`reduce_bucketized`] is bit-equal to
 //!    the monolithic reduce at every bucket size, and a property test
@@ -90,9 +90,8 @@ impl BucketPlan {
 
 /// Bucketized fixed-order reduction: per bucket, sum the microbatch
 /// shards strictly left to right in global index order. Because the sum
-/// is element-wise, the concatenated result is bit-identical to
-/// [`super::allreduce::reduce_fixed_order`] over the whole vector — at
-/// every bucket size.
+/// is element-wise, the concatenated result is bit-identical to the
+/// left-to-right sum over the whole vector — at every bucket size.
 pub fn reduce_bucketized(per_microbatch: &[Vec<f64>], plan: &BucketPlan) -> Vec<f64> {
     let Some(first) = per_microbatch.first() else {
         return Vec::new();

@@ -4,25 +4,25 @@
 //! One SW26010 chip is the unit every lower layer simulates. This
 //! module composes N of them:
 //!
-//! * [`router`] — deterministic consistent-hash routing of serving
+//! * `router` — deterministic consistent-hash routing of serving
 //!   requests by shape (plan caches stay hot per chip) with
 //!   least-loaded spill and down-chip avoidance;
-//! * [`fleet`] — the [`Cluster`] front door: N independent
+//! * `fleet` — the [`Cluster`] front door: N independent
 //!   [`crate::serve::ServeEngine`]s (each its own plan cache, breaker
 //!   state, and optionally its own worker pool) joined by ingress links
 //!   whose latency and wire time are charged into the shared
 //!   deterministic logical clock, plus chip-failure evacuation that
 //!   reroutes queued work without losing it;
-//! * [`allreduce`] — fixed-order gradient reduction: numerics are
+//! * `allreduce` — fixed-order gradient reduction: numerics are
 //!   defined by microbatch index (left-to-right sum), the collective
 //!   schedule (ring or tree, chosen by modeled cost) defines only time
 //!   and wire bytes, so gradients are bit-identical at any chip count;
-//! * [`collective`] — bucketized, overlap-aware gradient communication:
+//! * `collective` — bucketized, overlap-aware gradient communication:
 //!   the flat gradient cut into buckets, each launching its own
 //!   [`sw_perfmodel::CollectiveSchedule`] at modeled backward-readiness
 //!   against shared per-link occupancy, plus the ragged microbatch
 //!   sharding and failure-reshard helpers;
-//! * [`train`] — [`DataParallelTrainer`]: synchronous, *elastic*
+//! * `train` — [`DataParallelTrainer`]: synchronous, *elastic*
 //!   data-parallel SGD over the [`crate::network`] stack — bucketized
 //!   collectives charged per step, per-chip compute and per-bucket comm
 //!   spans, and deterministic mid-step chip-failure recovery that
@@ -35,17 +35,13 @@
 //! in the TaihuLight fat-tree's supernode tier), keeping the cost model
 //! next to the chip-level roofline it extends.
 
-pub mod allreduce;
-pub mod collective;
-pub mod fleet;
-pub mod router;
-pub mod train;
+mod allreduce;
+mod collective;
+mod fleet;
+mod router;
+mod train;
 
-pub use allreduce::{load_gradients, reduce_fixed_order, take_gradients, AllreduceReport};
-pub use collective::{
-    reduce_bucketized, reshard_on_failure, run_collective, shard_microbatches, BucketPlan,
-    BucketSpan, CollectiveReport,
-};
+pub use collective::{reduce_bucketized, run_collective, BucketPlan};
 pub use fleet::{Cluster, ClusterConfig, ClusterSummary};
 pub use router::ShapeRouter;
-pub use train::{CollectiveSummary, DataParallelTrainer, StepReport, TrainConfig};
+pub use train::{DataParallelTrainer, StepReport, TrainConfig};

@@ -6,11 +6,11 @@
 
 use crate::error::SwdnnError;
 use crate::plans::{
-    lower_schedule, BatchAwarePlan, BwdDataPlan, BwdFilterPlan, ConvPlan, ConvRun, LowerCtx,
-    PatchGemmPlan, PlanTiming, Schedule,
+    check_operands, lower_schedule, BatchAwarePlan, BwdDataPlan, BwdFilterPlan, ConvPlan, ConvRun,
+    LowerCtx, PatchGemmPlan, PlanTiming, Schedule,
 };
 use sw_perfmodel::{co_blocks, select_plan, Blocking, PlanChoice, PlanKind};
-use sw_tensor::{conv2d_bwd_data_ref, conv2d_bwd_filter_ref, ConvShape, Shape4, Tensor4};
+use sw_tensor::{conv2d_bwd_data_ref, conv2d_bwd_filter_ref, ConvShape, Tensor4};
 
 /// A configured convolution operator.
 #[derive(Clone, Copy, Debug)]
@@ -139,9 +139,7 @@ impl Conv2d {
         input: &Tensor4<f64>,
         filter: &Tensor4<f64>,
     ) -> Result<ConvRun, SwdnnError> {
-        let s = &self.shape;
-        Self::check_operands([(input, s.input_shape()), (filter, s.filter_shape())])?;
-        self.plan().run(s, input, filter)
+        self.plan().run(&self.shape, input, filter)
     }
 
     /// Gradient w.r.t. the input, computed host-side with the reference
@@ -153,7 +151,7 @@ impl Conv2d {
         filter: &Tensor4<f64>,
     ) -> Result<Tensor4<f64>, SwdnnError> {
         let s = &self.shape;
-        Self::check_operands([(d_out, s.output_shape()), (filter, s.filter_shape())])?;
+        check_operands([(d_out, s.output_shape()), (filter, s.filter_shape())])?;
         Ok(conv2d_bwd_data_ref(self.shape, d_out, filter))
     }
 
@@ -168,7 +166,6 @@ impl Conv2d {
         filter: &Tensor4<f64>,
     ) -> Result<ConvRun, SwdnnError> {
         let s = &self.shape;
-        Self::check_operands([(d_out, s.output_shape()), (filter, s.filter_shape())])?;
         BwdDataPlan::auto_on(self.ctx, s).run(s, d_out, filter)
     }
 
@@ -183,7 +180,6 @@ impl Conv2d {
         d_out: &Tensor4<f64>,
     ) -> Result<(Tensor4<f64>, PlanTiming), SwdnnError> {
         let s = &self.shape;
-        Self::check_operands([(input, s.input_shape()), (d_out, s.output_shape())])?;
         BwdFilterPlan::auto_on(self.ctx, s).run(s, input, d_out)
     }
 
@@ -194,24 +190,8 @@ impl Conv2d {
         d_out: &Tensor4<f64>,
     ) -> Result<Tensor4<f64>, SwdnnError> {
         let s = &self.shape;
-        Self::check_operands([(input, s.input_shape()), (d_out, s.output_shape())])?;
+        check_operands([(input, s.input_shape()), (d_out, s.output_shape())])?;
         Ok(conv2d_bwd_filter_ref(self.shape, input, d_out))
-    }
-
-    /// The one operand check of every entry point: each operand has the
-    /// shape this operator expects of it.
-    pub(crate) fn check_operands<const N: usize>(
-        operands: [(&Tensor4<f64>, Shape4); N],
-    ) -> Result<(), SwdnnError> {
-        for (tensor, expected) in operands {
-            if tensor.shape() != expected {
-                return Err(SwdnnError::ShapeMismatch {
-                    expected: format!("{expected:?}"),
-                    got: format!("{:?}", tensor.shape()),
-                });
-            }
-        }
-        Ok(())
     }
 }
 
@@ -219,7 +199,7 @@ impl Conv2d {
 mod tests {
     use super::*;
     use sw_tensor::init::{lattice_tensor, seeded_tensor};
-    use sw_tensor::{conv2d_ref, Layout};
+    use sw_tensor::{conv2d_ref, Layout, Shape4};
 
     #[test]
     fn forward_auto_selects_and_matches_reference() {

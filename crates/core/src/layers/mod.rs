@@ -13,14 +13,14 @@
 //! tests use the host path for speed and the examples demonstrate the
 //! simulated one.
 
-pub mod activation;
-pub mod batchnorm;
-pub mod conv_general_layer;
-pub mod conv_layer;
-pub mod dropout;
-pub mod linear;
-pub mod pool;
-pub mod softmax;
+mod activation;
+mod batchnorm;
+mod conv_general_layer;
+mod conv_layer;
+mod dropout;
+mod linear;
+mod pool;
+mod softmax;
 
 pub use activation::{ReLU, Sigmoid, Tanh};
 pub use batchnorm::BatchNorm2d;

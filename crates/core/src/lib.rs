@@ -17,16 +17,16 @@
 //!     the software-pipelined inner kernel of §VI;
 //!   - [`plans::DirectPlan`]: the pathological direct-`gload` mapping kept
 //!     for the Fig. 2 ablation;
-//!   - [`plans::ReferencePlan`]: host fallback for shapes the mesh plans
-//!     do not support.
-//! * **A user-facing convolution API** ([`conv`]) with automatic plan
+//!   - `ReferencePlan`: host fallback for shapes the mesh plans do not
+//!     support.
+//! * **A user-facing convolution API** ([`Conv2d`]) with automatic plan
 //!   selection driven by the `sw-perfmodel` three-level model, plus
 //!   backward passes for training.
 //! * **DNN layers and training** ([`layers`], [`network`]) — convolution,
 //!   pooling, ReLU, fully-connected, softmax cross-entropy, and a
 //!   sequential network with SGD, sufficient to train a small CNN
 //!   end-to-end (the paper's focus is "especially ... the training part").
-//! * **An executor** ([`executor`]) that runs a configuration through the
+//! * **An executor** ([`Executor`]) that runs a configuration through the
 //!   simulator and reports measured Gflops next to the model's prediction,
 //!   which is what the benchmark harness uses to regenerate the paper's
 //!   tables and figures.
@@ -36,9 +36,9 @@
 //!   at any chip count.
 
 pub mod cluster;
-pub mod conv;
-pub mod error;
-pub mod executor;
+mod conv;
+mod error;
+mod executor;
 pub mod kernel_cost;
 pub mod layers;
 pub mod network;
@@ -49,22 +49,12 @@ pub mod serve;
 pub mod tune;
 pub mod zoo;
 
-pub use cluster::{Cluster, ClusterConfig, DataParallelTrainer};
 pub use conv::Conv2d;
 pub use error::SwdnnError;
-pub use executor::{ConvReport, Executor};
-pub use optim::Optimizer;
-pub use plans::{
-    lower_schedule, BatchAwarePlan, ConvPlan, ConvRun, DirectPlan, ImageAwarePlan, LoopOrder,
-    LowerCtx, PatchGemmPlan, ReferencePlan, Schedule,
-};
-pub use resilient::{
-    RecoveryEvent, RecoveryOutcome, ResilientExecutor, ResilientReport, VerifyPolicy,
-};
-pub use serve::{
-    BatchPolicy, PlanCache, ServeConfig, ServeEngine, ServeSummary, ShardedDispatcher,
-};
-pub use sw_sim::{FaultPlan, RetryPolicy};
+pub use executor::Executor;
+pub use plans::{lower_schedule, LowerCtx, Schedule};
+pub use resilient::{ResilientExecutor, VerifyPolicy};
 
-pub use sw_perfmodel::{ChipSpec, PlanKind};
+pub use sw_perfmodel::ChipSpec;
+pub use sw_sim::FaultPlan;
 pub use sw_tensor::{ConvShape, Layout, Shape4, Tensor4};

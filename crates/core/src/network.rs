@@ -74,7 +74,7 @@ impl Sequential {
     /// fake-label loss forward to reach `loss.predictions()`, which both
     /// mutated the loss head's cached state between training steps and
     /// panicked via `unwrap` instead of surfacing an error.
-    pub fn predict(&mut self, input: &Tensor4<f64>) -> Result<Vec<usize>, SwdnnError> {
+    fn predict(&mut self, input: &Tensor4<f64>) -> Result<Vec<usize>, SwdnnError> {
         let logits = self.forward(input)?;
         let (batch, classes) = (logits.shape().d0, logits.shape().d1);
         if batch == 0 || classes == 0 {

@@ -22,7 +22,7 @@
 
 use super::gemm_mesh::GemmBlock;
 use super::nest::{Dma, Fetch, Get, Nest, Operand, Rotate, Step, Walks};
-use super::{reject_degenerate, tap_major_filter, ConvPlan, ConvRun};
+use super::{check_operands, reject_degenerate, tap_major_filter, ConvPlan, ConvRun};
 use super::{LdmBuffers, LowerCtx, PlanTiming};
 use crate::error::SwdnnError;
 use crate::plans::PlanKind;
@@ -241,6 +241,7 @@ impl ConvPlan for BatchAwarePlan {
         filter: &Tensor4<f64>,
     ) -> Result<ConvRun, SwdnnError> {
         self.supports(shape)?;
+        check_operands([(input, shape.input_shape()), (filter, shape.filter_shape())])?;
         let input = input.to_layout(Layout::BatchAware);
         let w = tap_major_filter(filter);
         let mut output = Tensor4::zeros(shape.output_shape(), Layout::BatchAware);

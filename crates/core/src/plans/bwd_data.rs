@@ -16,7 +16,7 @@
 
 use super::gemm_mesh::{zero_ldm, GemmBlock};
 use super::nest::{Dma, Fetch, Get, Nest, Operand, Rotate, Step, Walks};
-use super::{reject_degenerate, ConvRun, LdmBuffers, LowerCtx, PlanTiming, Slot};
+use super::{check_operands, reject_degenerate, ConvRun, LdmBuffers, LowerCtx, PlanTiming, Slot};
 use crate::error::SwdnnError;
 use sw_perfmodel::co_blocks;
 use sw_sim::CpeCtx;
@@ -106,6 +106,10 @@ impl BwdDataPlan {
         filter: &Tensor4<f64>,
     ) -> Result<ConvRun, SwdnnError> {
         self.supports(shape)?;
+        check_operands([
+            (d_out, shape.output_shape()),
+            (filter, shape.filter_shape()),
+        ])?;
         let dy = d_out.to_layout(Layout::ImageAware);
         let w = filter.to_layout(Layout::Nchw);
         let mut output = Tensor4::zeros(shape.input_shape(), Layout::ImageAware);

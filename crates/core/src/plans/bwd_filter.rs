@@ -38,7 +38,7 @@
 
 use super::gemm_mesh::GemmBlock;
 use super::nest::{Dma, Fetch, Get, Nest, Operand, Rotate, Step, Walks};
-use super::{reject_degenerate, LdmBuffers, LowerCtx, PlanTiming};
+use super::{check_operands, reject_degenerate, LdmBuffers, LowerCtx, PlanTiming};
 use crate::error::SwdnnError;
 use sw_perfmodel::co_blocks;
 use sw_sim::{CpeCtx, LdmBuf};
@@ -114,6 +114,7 @@ impl BwdFilterPlan {
         d_out: &Tensor4<f64>,
     ) -> Result<(Tensor4<f64>, PlanTiming), SwdnnError> {
         self.supports(shape)?;
+        check_operands([(input, shape.input_shape()), (d_out, shape.output_shape())])?;
         let (kr_n, kc_n, ni, no) = (shape.kr, shape.kc, shape.ni, shape.no);
         let input = input.to_layout(Layout::ImageAware);
         let g = d_out.to_layout(Layout::ImageAware);

@@ -9,7 +9,7 @@
 //! collapse and anchors the "direct memory access" column of the Fig. 2
 //! reproduction.
 
-use super::{finish, reject_degenerate, ConvPlan, ConvRun, LowerCtx, PlanTiming};
+use super::{check_operands, finish, reject_degenerate, ConvPlan, ConvRun, LowerCtx, PlanTiming};
 use crate::error::SwdnnError;
 use crate::plans::PlanKind;
 use sw_perfmodel::ChipSpec;
@@ -71,6 +71,7 @@ impl ConvPlan for DirectPlan {
         filter: &Tensor4<f64>,
     ) -> Result<ConvRun, SwdnnError> {
         self.supports(shape)?;
+        check_operands([(input, shape.input_shape()), (filter, shape.filter_shape())])?;
         let input = input.to_layout(Layout::Nchw);
         let filter = filter.to_layout(Layout::Nchw);
         let in_data = input.data();

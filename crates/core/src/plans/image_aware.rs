@@ -29,7 +29,7 @@
 
 use super::gemm_mesh::GemmBlock;
 use super::nest::{Dma, Fetch, Get, Nest, Operand, Rotate, Step, Walks};
-use super::{reject_degenerate, tap_major_filter, ConvPlan, ConvRun};
+use super::{check_operands, reject_degenerate, tap_major_filter, ConvPlan, ConvRun};
 use super::{LdmBuffers, LowerCtx, PlanTiming};
 use crate::error::SwdnnError;
 use crate::plans::PlanKind;
@@ -276,6 +276,7 @@ impl ConvPlan for ImageAwarePlan {
         filter: &Tensor4<f64>,
     ) -> Result<ConvRun, SwdnnError> {
         self.supports(shape)?;
+        check_operands([(input, shape.input_shape()), (filter, shape.filter_shape())])?;
         // Host-side layout preparation (done once per layer in practice).
         let input = input.to_layout(Layout::ImageAware);
         let w = tap_major_filter(filter);

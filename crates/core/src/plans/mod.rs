@@ -35,16 +35,16 @@
 //! the resilient fallback chain, the plan cache and the autotuner all go
 //! through it.
 
-pub mod batch_aware;
-pub mod bwd_data;
-pub mod bwd_filter;
-pub mod direct;
+mod batch_aware;
+mod bwd_data;
+mod bwd_filter;
+mod direct;
 pub mod gemm_mesh;
-pub mod image_aware;
+mod image_aware;
 mod nest;
-pub mod patch_gemm;
-pub mod reference;
-pub mod schedule;
+mod patch_gemm;
+mod reference;
+mod schedule;
 
 pub use batch_aware::BatchAwarePlan;
 pub use bwd_data::BwdDataPlan;
@@ -52,13 +52,14 @@ pub use bwd_filter::BwdFilterPlan;
 pub use direct::DirectPlan;
 pub use image_aware::ImageAwarePlan;
 pub use patch_gemm::PatchGemmPlan;
-pub use reference::ReferencePlan;
-pub use schedule::{lower_schedule, LoopOrder, LowerCtx, Schedule};
+pub(crate) use reference::ReferencePlan;
+pub(crate) use schedule::LoopOrder;
+pub use schedule::{lower_schedule, LowerCtx, Schedule};
 
 use crate::error::SwdnnError;
 use sw_perfmodel::{Blocking, ChipSpec, PlanKind};
 use sw_sim::{CgStats, DmaHandle, LdmBuf, Mesh};
-use sw_tensor::{ConvShape, Tensor4};
+use sw_tensor::{ConvShape, Shape4, Tensor4};
 
 /// Timing of one plan execution on one core group.
 #[derive(Clone, Copy, Debug)]
@@ -147,6 +148,22 @@ pub(crate) fn reject_degenerate(plan: &'static str, shape: &ConvShape) -> Result
         return Ok(());
     }
     Err(SwdnnError::unsupported(plan, shape, "degenerate shape"))
+}
+
+/// Every entry point's operand check, once its shape is known to be no
+/// degenerate one: each operand has the shape the convolution expects of it.
+pub(crate) fn check_operands<const N: usize>(
+    operands: [(&Tensor4<f64>, Shape4); N],
+) -> Result<(), SwdnnError> {
+    for (tensor, expected) in operands {
+        if tensor.shape() != expected {
+            return Err(SwdnnError::ShapeMismatch {
+                expected: format!("{expected:?}"),
+                got: format!("{:?}", tensor.shape()),
+            });
+        }
+    }
+    Ok(())
 }
 
 /// The epilogue of every mesh plan's walk: land the logged DMA puts in

@@ -30,11 +30,10 @@
 
 use super::gemm_mesh::GemmBlock;
 use super::nest::{Dma, Fetch, Get, Nest, Operand, Rotate, Step, Walks};
-use super::{reject_degenerate, tap_major_filter, ConvPlan, ConvRun};
+use super::{check_operands, reject_degenerate, tap_major_filter, ConvPlan, ConvRun};
 use super::{LdmBuffers, LowerCtx, PlanTiming};
 use crate::error::SwdnnError;
 use crate::plans::PlanKind;
-use crate::Conv2d;
 use sw_perfmodel::Blocking;
 use sw_sim::{CpeCtx, LdmBuf};
 use sw_tensor::{ConvGeometry, ConvShape, Layout, Shape4, Tensor4};
@@ -145,7 +144,7 @@ impl PatchGemmPlan {
         filter: &Tensor4<f64>,
     ) -> Result<ConvRun, SwdnnError> {
         let (ishape, no) = (input.shape(), filter.shape().d0);
-        Conv2d::check_operands([(filter, Shape4::new(no, ishape.d1, geom.kr, geom.kc))])?;
+        check_operands([(filter, Shape4::new(no, ishape.d1, geom.kr, geom.kc))])?;
         self.supports_general(geom, ishape, no)?;
         let (ro, co) = geom
             .output_extent(ishape.d2, ishape.d3)
@@ -388,6 +387,7 @@ impl ConvPlan for PatchGemmPlan {
         filter: &Tensor4<f64>,
     ) -> Result<ConvRun, SwdnnError> {
         self.supports(shape)?;
+        check_operands([(input, shape.input_shape()), (filter, shape.filter_shape())])?;
         let geom = ConvGeometry::valid(shape.kr, shape.kc);
         self.run_general(&geom, input, filter)
     }

@@ -7,7 +7,7 @@
 //! model (there is nothing interesting to simulate — a real swDNN would
 //! run such shapes on the MPE).
 
-use super::{reject_degenerate, ConvPlan, ConvRun, PlanTiming};
+use super::{check_operands, reject_degenerate, ConvPlan, ConvRun, PlanTiming};
 use crate::error::SwdnnError;
 use crate::plans::PlanKind;
 use sw_perfmodel::{Blocking, ChipSpec, ConvPerfModel};
@@ -42,6 +42,7 @@ impl ConvPlan for ReferencePlan {
         filter: &Tensor4<f64>,
     ) -> Result<ConvRun, SwdnnError> {
         self.supports(shape)?;
+        check_operands([(input, shape.input_shape()), (filter, shape.filter_shape())])?;
         let output = conv2d_ref(*shape, input, filter);
         Ok(ConvRun {
             output,

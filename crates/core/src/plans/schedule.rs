@@ -110,7 +110,7 @@ impl Schedule {
         Self::of(LoopOrder::DirectNested)
     }
 
-    /// Host-reference preset: builds [`ReferencePlan`].
+    /// Host-reference preset: builds `ReferencePlan`.
     pub const fn reference() -> Self {
         Self::of(LoopOrder::HostReference)
     }
@@ -126,7 +126,7 @@ impl Schedule {
 
     /// The plan family this schedule builds. The host reference reports
     /// itself as `ImageSizeAware` (the model's generic blocked estimate),
-    /// as [`ReferencePlan::kind`] does.
+    /// as `ReferencePlan::kind` does.
     pub const fn kind(&self) -> PlanKind {
         match self.order {
             LoopOrder::PixelTiled | LoopOrder::HostReference => PlanKind::ImageSizeAware,

@@ -47,7 +47,7 @@ pub fn effective_cgs(shape: &ConvShape, healthy: usize) -> usize {
 /// What a [`FaultPlan`] deterministically does to one CG's slice of one
 /// accounted batch (see [`sample_slice_faults`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SliceFaults {
+pub(crate) struct SliceFaults {
     /// Cycles lost to DMA backoff, DMA stalls, and CPE stalls — charged
     /// into the batch's wall time exactly like PR 1 charged executor
     /// retries.

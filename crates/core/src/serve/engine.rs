@@ -442,9 +442,9 @@ impl ServeEngine {
 
     /// [`ServeEngine::submit`] with an explicit [`RequestClass`]. A
     /// high-priority submission into a full queue evicts the newest
-    /// low-priority request (recorded as [`DropKind::Evicted`]) before it
+    /// low-priority request (recorded as `DropKind::Evicted`) before it
     /// is itself rejected; a rejected request is recorded as
-    /// [`DropKind::ShedAtAdmission`] and the returned
+    /// `DropKind::ShedAtAdmission` and the returned
     /// [`SwdnnError::Overloaded`] carries the queue depth and retry-after
     /// hint.
     pub fn submit_with(

@@ -171,7 +171,7 @@ pub struct HealthBoard {
 }
 
 /// A set of core-group indices, held as a bitmask so that routing a batch
-/// allocates nothing. Indices run below [`CgSet::CAPACITY`].
+/// allocates nothing. Indices run below `CgSet::CAPACITY`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CgSet(u64);
 
@@ -179,7 +179,7 @@ impl CgSet {
     /// Largest CG count a set (and so a [`HealthBoard`]) can hold.
     pub const CAPACITY: usize = u64::BITS as usize;
 
-    /// Callers hold `cg` below [`CgSet::CAPACITY`].
+    /// Callers hold `cg` below `CgSet::CAPACITY`.
     pub(crate) fn insert(&mut self, cg: usize) {
         self.0 |= 1 << cg;
     }
@@ -234,7 +234,7 @@ pub struct Route {
 
 impl HealthBoard {
     /// One closed breaker per CG. Panics if `cgs` exceeds
-    /// [`CgSet::CAPACITY`]; [`super::ServeEngine::new`] rejects such a
+    /// `CgSet::CAPACITY`; [`super::ServeEngine::new`] rejects such a
     /// configuration with an error before building a board.
     pub fn new(cgs: usize, policy: BreakerPolicy) -> Self {
         assert!(cgs <= CgSet::CAPACITY, "{cgs} CGs exceed a CgSet");

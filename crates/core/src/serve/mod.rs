@@ -8,7 +8,7 @@
 //!
 //! * [`PlanCache`] — memoization of plan resolution and sampled timing,
 //!   keyed by shape and mesh, behind a striped concurrent map
-//!   ([`ShardedMap`]) with hit/miss counters;
+//!   (`ShardedMap`) with hit/miss counters;
 //! * [`MicroBatcher`] — coalesces queued requests per shape up to a batch
 //!   cap or deadline, with a bounded queue that rejects
 //!   ([`crate::SwdnnError::Overloaded`]) instead of growing;
@@ -34,23 +34,19 @@
 //! serving SLOs (p99 latency, hit rate, rejection behavior) are asserted
 //! in ordinary unit tests and pinned by `results/serve_bench.csv`.
 
-pub mod batcher;
-pub mod dispatch;
-pub mod engine;
-pub mod health;
-pub mod plan_cache;
-pub mod sharded_map;
+mod batcher;
+mod dispatch;
+pub(crate) mod engine;
+mod health;
+mod plan_cache;
+mod sharded_map;
 
-pub use batcher::{Batch, BatchPolicy, BatchTrigger, MicroBatcher, Priority, QueuedRequest};
-pub use dispatch::{
-    effective_cgs, sample_slice_faults, BatchTiming, ShardedDispatcher, SliceFaults,
-};
-pub use engine::{
-    ChaosConfig, Completion, DropKind, DropRecord, RequestClass, ServeConfig, ServeCounters,
-    ServeEngine, ServePath, ServeSummary,
-};
+pub use batcher::{BatchPolicy, MicroBatcher, Priority, QueuedRequest};
+pub use dispatch::ShardedDispatcher;
+pub(crate) use engine::ServeCounters;
+pub use engine::{ChaosConfig, Completion, RequestClass, ServeConfig, ServeEngine, ServeSummary};
 pub use health::{
-    Availability, BreakerPolicy, BreakerState, CgBreaker, CgHealthStats, CgSet, HealthBoard, Route,
+    Availability, BreakerPolicy, BreakerState, CgBreaker, CgHealthStats, HealthBoard,
 };
-pub use plan_cache::{CacheStats, CachedPlan, PlanCache, PlanKey};
-pub use sharded_map::ShardedMap;
+pub use plan_cache::PlanCache;
+pub(crate) use sharded_map::ShardedMap;

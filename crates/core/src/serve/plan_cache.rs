@@ -25,7 +25,7 @@ use sw_tensor::ConvShape;
 /// Cache key: the shape and the chip's mesh dimension (see the module
 /// doc for why the mesh is in it).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct PlanKey {
+struct PlanKey {
     pub shape: ConvShape,
     pub mesh_dim: usize,
 }

@@ -86,10 +86,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
         self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     pub fn hits(&self) -> u64 {
         self.hits.get()
     }

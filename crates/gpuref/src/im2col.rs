@@ -13,7 +13,7 @@ use sw_tensor::{ConvShape, Layout, Tensor4};
 /// Build the im2col matrix, row-major `(Ni·Kr·Kc) × (B·Ro·Co)`.
 ///
 /// Row index = `(ni·Kr + kr)·Kc + kc`; column index = `(b·Ro + ro)·Co + co`.
-pub fn im2col_matrix(shape: &ConvShape, input: &Tensor4<f64>) -> Vec<f64> {
+fn im2col_matrix(shape: &ConvShape, input: &Tensor4<f64>) -> Vec<f64> {
     assert_eq!(input.shape(), shape.input_shape(), "input shape");
     let rows = shape.ni * shape.kr * shape.kc;
     let cols = shape.batch * shape.ro * shape.co;

@@ -5,9 +5,9 @@
 //! cuDNNv5.1 on a Tesla K40m. Neither the GPU nor cuDNN is available here,
 //! so this crate substitutes:
 //!
-//! * [`im2col`] — the lowering cuDNN's GEMM path uses, implemented
+//! * [`conv2d_im2col`] — the lowering cuDNN's GEMM path uses, implemented
 //!   functionally (and rayon-parallel) as a second correctness oracle;
-//! * [`k40m`] — a calibrated throughput model reproducing the published
+//! * [`K40m`] — a calibrated throughput model reproducing the published
 //!   envelope: ≤ 40 % double-precision efficiency at best, strong
 //!   sensitivity to filter size (cuDNN's tuned kernels favour small
 //!   filters), mild sensitivity to channel count, and the
@@ -16,8 +16,8 @@
 //!   configurations"). The model is deterministic: the "instability" is a
 //!   hash of the configuration, so runs are reproducible.
 
-pub mod im2col;
-pub mod k40m;
+mod im2col;
+mod k40m;
 
-pub use im2col::{conv2d_im2col, im2col_matrix};
+pub use im2col::conv2d_im2col;
 pub use k40m::K40m;

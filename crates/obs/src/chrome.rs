@@ -12,7 +12,6 @@
 //! call starts with a branch on `enabled` and allocates nothing when off,
 //! so instrumented hot paths cost one predictable branch in production.
 
-use crate::level::Level;
 use serde_json::{object, Value};
 
 /// One trace event. `args` carry counter values and labels; they show in
@@ -128,7 +127,7 @@ impl ChromeTrace {
     }
 
     /// The `{"traceEvents": [...]}` document.
-    pub fn to_json(&self) -> Value {
+    fn to_json(&self) -> Value {
         object([
             (
                 "traceEvents",
@@ -206,24 +205,9 @@ impl Recorder {
         self.enabled
     }
 
-    /// Record a complete span (`ph: "X"`) categorized by hierarchy level.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn span(
-        &mut self,
-        name: &str,
-        level: Level,
-        pid: u64,
-        tid: u64,
-        ts_us: f64,
-        dur_us: f64,
-        args: Vec<(String, Value)>,
-    ) {
-        self.span_cat(name, level.name(), pid, tid, ts_us, dur_us, args);
-    }
-
-    /// Record a complete span under a free-form category (for tracks that
-    /// are not one of the three hierarchy levels, e.g. `"exec"`).
+    /// Record a complete span (`ph: "X"`) under category `cat`: a
+    /// hierarchy level (`"reg"`, `"ldm"`, `"mem"`) or a track such as
+    /// `"exec"`.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn span_cat(
@@ -338,7 +322,7 @@ mod tests {
     #[test]
     fn disabled_recorder_records_nothing() {
         let mut r = Recorder::disabled();
-        r.span("x", Level::Mem, 0, 0, 0.0, 1.0, vec![]);
+        r.span_cat("x", "mem", 0, 0, 0.0, 1.0, vec![]);
         r.instant("y", "exec", 0, 0, 0.0, vec![]);
         assert!(r.take().events.is_empty());
     }
@@ -346,7 +330,7 @@ mod tests {
     #[test]
     fn enabled_recorder_accumulates_and_takes() {
         let mut r = Recorder::enabled();
-        r.span("x", Level::Reg, 0, 1, 0.0, 5.0, vec![]);
+        r.span_cat("x", "reg", 0, 1, 0.0, 5.0, vec![]);
         r.instant("y", "exec", 0, 1, 2.0, vec![]);
         let t = r.take();
         assert_eq!(t.events.len(), 2);

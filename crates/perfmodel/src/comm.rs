@@ -31,7 +31,7 @@ use crate::chip::ChipSpec;
 /// Multiply-accumulate count of a direct convolution:
 /// `B·No·Ro·Co·Ni·Kr·Kc`.
 #[allow(clippy::too_many_arguments)]
-pub fn conv_macs(
+fn conv_macs(
     batch: usize,
     ni: usize,
     no: usize,

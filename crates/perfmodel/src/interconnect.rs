@@ -271,7 +271,7 @@ impl CollectiveSchedule {
     /// Tree allreduce over `members`: recursive-halving reduce toward
     /// `members[0]`, then the mirror broadcast — `2·⌈log₂C⌉` rounds
     /// moving the whole tensor per transfer.
-    pub fn tree(members: &[usize], bytes: u64) -> Self {
+    fn tree(members: &[usize], bytes: u64) -> Self {
         let c = members.len();
         let mut reduce = Vec::new();
         let mut stride = 1usize;

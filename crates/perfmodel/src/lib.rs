@@ -10,38 +10,37 @@
 //!
 //! Modules:
 //!
-//! * [`chip`] — the published SW26010 machine constants,
-//! * [`comm`] — the closed-form MEM-level communication lower bound
-//!   (compulsory reads vs the Hong–Kung `2·MACs/√M` term) behind the
-//!   "attained fraction of comm-optimal" gauge,
+//! * [`ChipSpec`] — the published SW26010 machine constants,
+//! * [`mem_comm_lower_bound_bytes`] — the closed-form MEM-level
+//!   communication lower bound (compulsory reads vs the Hong–Kung
+//!   `2·MACs/√M` term) behind the "attained fraction of comm-optimal"
+//!   gauge,
 //! * [`dma`] — Table II: measured DMA bandwidth vs block size, as an exact
 //!   interpolation table plus a mechanistic two-parameter fit,
 //! * [`rbw`] — Equations 1–5: required bandwidths of the LDM blocking plans
 //!   and of the register blocking schemes,
-//! * [`model`] — the full Fig. 2 estimate combining RBW/MBW ratios with the
-//!   §VI execution efficiency,
+//! * [`ConvPerfModel`] — the full Fig. 2 estimate combining RBW/MBW ratios
+//!   with the §VI execution efficiency,
 //! * [`select`] — the paper's plan-selection policy (batch-size-aware when
 //!   the batch is large enough, image-size-aware with `Co` blocking
 //!   otherwise) driven by minimizing modeled RBW under the LDM budget,
-//! * [`interconnect`] — the chip-to-chip network model (per-link latency +
+//! * [`NetworkModel`] — the chip-to-chip network model (per-link latency +
 //!   bandwidth, ring/tree allreduce schedules as data, switch-group
 //!   topology with shared uplinks, per-link occupancy timelines) behind
 //!   `swdnn::cluster`.
 
-pub mod chip;
-pub mod comm;
+mod chip;
+mod comm;
 pub mod dma;
-pub mod interconnect;
-pub mod model;
+mod interconnect;
+mod model;
 pub mod rbw;
 pub mod select;
 
 pub use chip::ChipSpec;
-pub use comm::{comm_optimal_permille, conv_macs, mem_comm_lower_bound_bytes};
-pub use dma::{DmaDirection, DmaTable, RationalFit};
+pub use comm::{comm_optimal_permille, mem_comm_lower_bound_bytes};
 pub use interconnect::{
-    AllreduceKind, CollectiveCost, CollectiveSchedule, InterconnectSpec, LinkOccupancy, LinkUse,
-    NetworkModel, Round, Topology, Transfer,
+    AllreduceKind, CollectiveSchedule, InterconnectSpec, LinkOccupancy, NetworkModel, Topology,
 };
 pub use model::{ConvPerfModel, PerfEstimate};
-pub use select::{co_blocks, select_plan, tile_occupancy, Blocking, PlanChoice, PlanKind};
+pub use select::{co_blocks, select_plan, Blocking, PlanChoice, PlanKind};

@@ -10,7 +10,7 @@
 //! (27.1 / 25.7 GB/s); Eq. 5 reproduces the 23.2 GB/s of §V-C.
 
 /// Size of a double in bytes (`DS` in the paper).
-pub const DS: f64 = 8.0;
+const DS: f64 = 8.0;
 
 /// Eq. 1 — MEM→LDM required bandwidth of the *image-size-aware* plan
 /// (Algorithm 1), which blocks on the batch (`b_b`) and output-column

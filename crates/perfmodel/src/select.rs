@@ -9,7 +9,7 @@
 //! capacity constraint.
 //!
 //! Candidates are ranked by `estimate.gflops_per_cg × tile_occupancy`: the
-//! Fig. 2 estimate prices bandwidth, [`tile_occupancy`] prices the §V-C
+//! Fig. 2 estimate prices bandwidth, `tile_occupancy` prices the §V-C
 //! register tile. The kernel computes whole `rb_No × rb_B = 4 × 16` tiles,
 //! so a candidate whose per-CPE GEMM block fills only part of its tiles
 //! (Algorithm 2 at `B = 32`, `No = 16` hands each CPE a `2 × 4` block —
@@ -83,7 +83,7 @@ pub struct PlanChoice {
     /// The Fig. 2 estimate of the candidate — what the plan is modeled to
     /// attain, untouched by [`PlanChoice::tile_occupancy`].
     pub estimate: PerfEstimate,
-    /// [`tile_occupancy`] of the candidate's per-CPE GEMM block.
+    /// Register-tile occupancy (§V-C) of the candidate's per-CPE GEMM block.
     pub tile_occupancy: f64,
 }
 
@@ -154,7 +154,7 @@ fn blocking_candidates(shape: &ConvShape) -> Vec<Blocking> {
 /// `rb_no × rb_b` register tiles (§V-C; `ConvPerfModel`'s fields, the
 /// tile `swdnn::kernel_cost` charges). Plans the selector does not rank
 /// report 1.
-pub fn tile_occupancy(
+fn tile_occupancy(
     model: &ConvPerfModel,
     kind: PlanKind,
     blocking: Blocking,

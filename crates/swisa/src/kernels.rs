@@ -239,8 +239,10 @@ fn push_fmas_column_major(prog: &mut Vec<Inst>, set: usize, p1_ops: &[Inst]) {
 /// The schedule shape is identical to [`reordered_gemm_kernel`]: 8 P1
 /// receives hide under 16 P0 FMAs, so the steady state is the same
 /// 17 cycles per iteration — the fact that lets the mesh simulator charge
-/// rotation rounds with the ordinary tile-kernel cost.
-pub fn regcomm_consumer_kernel(spec: KernelSpec) -> Vec<Inst> {
+/// rotation rounds with the ordinary tile-kernel cost, which
+/// `regcomm_consumer_kernel_matches_dma_fed_timing` pins.
+#[cfg(test)]
+pub(crate) fn regcomm_consumer_kernel(spec: KernelSpec) -> Vec<Inst> {
     let n = spec.iterations;
     let get_a = |set: usize, i: usize| Inst::staged(Op::Getc { dst: a_reg(set, i) }, 0);
     let get_b = |set: usize, j: usize| Inst::staged(Op::Getr { dst: b_reg(set, j) }, 0);

@@ -18,26 +18,26 @@ use std::collections::HashSet;
 
 /// Result of a liveness scan.
 #[derive(Clone, Debug)]
-pub struct PressureReport {
+struct PressureReport {
     /// Peak simultaneously-live vector registers.
-    pub peak_vector: usize,
+    peak_vector: usize,
     /// Peak simultaneously-live scalar registers.
-    pub peak_scalar: usize,
+    peak_scalar: usize,
     /// Registers live on entry (consumed before produced).
-    pub live_in: Vec<Reg>,
+    live_in: Vec<Reg>,
     /// Index of the instruction at which vector pressure peaks.
-    pub peak_at: usize,
+    peak_at: usize,
 }
 
 impl PressureReport {
     /// Does the program fit the CPE's register files?
-    pub fn fits(&self, vector_regs: usize, scalar_regs: usize) -> bool {
+    fn fits(&self, vector_regs: usize, scalar_regs: usize) -> bool {
         self.peak_vector <= vector_regs && self.peak_scalar <= scalar_regs
     }
 }
 
 /// Compute liveness and peak pressure for `prog`.
-pub fn analyze(prog: &[Inst]) -> PressureReport {
+fn analyze(prog: &[Inst]) -> PressureReport {
     // Backward scan: live set after the last instruction is empty (values
     // dying at block end; callers wanting live-out semantics can append
     // artificial readers).

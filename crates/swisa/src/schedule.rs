@@ -5,13 +5,13 @@
 //! optimization tools in the Sunway C compiler can not provide an optimized
 //! solution". This module mechanizes those steps:
 //!
-//! * [`DepGraph`] — register RAW/WAW/WAR and memory/control dependences of a
+//! * `DepGraph` — register RAW/WAW/WAR and memory/control dependences of a
 //!   straight-line instruction block,
 //! * [`list_schedule`] — greedy critical-path list scheduling under the
 //!   dual-pipeline resource model (step 2),
-//! * [`software_pipeline`] — two-stage inter-loop pipelining that hoists each
-//!   iteration's stage-0 (load) instructions into the previous iteration
-//!   (step 3). It is a pure reordering: the caller must already have broken
+//! * `software_pipeline` (test-only) — two-stage inter-loop pipelining
+//!   that hoists each iteration's stage-0 (load) instructions into the
+//!   previous iteration (step 3). It is a pure reordering: the caller must already have broken
 //!   WAR conflicts by double-buffering registers across iterations (the
 //!   paper's "register package"), and [`validate_order`] will reject the
 //!   transformation if they have not,
@@ -23,7 +23,7 @@ use crate::pipeline::LatencyTable;
 
 /// Kind of dependence edge.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DepKind {
+enum DepKind {
     /// Read-after-write: consumer must wait the producer's full latency.
     Raw,
     /// Write-after-write: later write must not be reordered before.
@@ -39,19 +39,19 @@ pub enum DepKind {
 
 /// A dependence edge `from -> to` with a minimum issue-distance in cycles.
 #[derive(Clone, Copy, Debug)]
-pub struct DepEdge {
-    pub from: usize,
-    pub to: usize,
-    pub kind: DepKind,
+struct DepEdge {
+    from: usize,
+    to: usize,
+    kind: DepKind,
     /// `issue(to) >= issue(from) + min_latency`.
-    pub min_latency: u64,
+    min_latency: u64,
 }
 
 /// Dependence graph over one straight-line block (branches act as barriers).
 #[derive(Clone, Debug)]
-pub struct DepGraph {
-    pub n: usize,
-    pub edges: Vec<DepEdge>,
+struct DepGraph {
+    n: usize,
+    edges: Vec<DepEdge>,
     /// `preds[j]` = indices of edges into node `j`.
     preds: Vec<Vec<usize>>,
 }
@@ -70,7 +70,7 @@ fn mem_footprint(inst: &Inst) -> Option<(Reg, i32, bool)> {
 
 impl DepGraph {
     /// Build the dependence graph of `block` with latencies from `lat`.
-    pub fn build(block: &[Inst], lat: &LatencyTable) -> Self {
+    fn build(block: &[Inst], lat: &LatencyTable) -> Self {
         let mut edges: Vec<DepEdge> = Vec::new();
         let mut push = |from: usize, to: usize, kind: DepKind, min_latency: u64| {
             edges.push(DepEdge {
@@ -272,7 +272,8 @@ pub fn list_schedule(block: &[Inst], lat: &LatencyTable) -> Vec<usize> {
 ///
 /// Returns indices into the *concatenation* of `iterations`, so the caller
 /// can both materialize the program and [`validate_order`] it.
-pub fn software_pipeline(iterations: &[Vec<Inst>]) -> Vec<usize> {
+#[cfg(test)]
+fn software_pipeline(iterations: &[Vec<Inst>]) -> Vec<usize> {
     let n = iterations.len();
     // Global index of iterations[k][i].
     let mut base = vec![0usize; n + 1];
@@ -336,7 +337,8 @@ pub fn apply_order(block: &[Inst], order: &[usize]) -> Vec<Inst> {
 /// optimistic bound). For the paper's inner kernel — 16 P0 FMAs vs
 /// 8 loads + `cmp` + `bnw` on P1 — this gives `max(16, 10) + 1 = 17`,
 /// which the §VI schedule achieves exactly: the hand schedule is optimal.
-pub fn res_mii(body: &[Inst]) -> u64 {
+#[cfg(test)]
+fn res_mii(body: &[Inst]) -> u64 {
     use crate::inst::PipeClass;
     let mut p0 = 0u64;
     let mut p1 = 0u64;

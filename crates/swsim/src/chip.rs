@@ -35,31 +35,13 @@ impl MultiCgReport {
     }
 }
 
-/// Run `work(cg_index)` for each of `cgs` core groups (in parallel over
-/// the process-wide worker pool — each closure builds and runs its own
-/// [`crate::Mesh`]) and combine timing.
-pub fn run_multi_cg<F>(cgs: usize, work: F) -> MultiCgReport
-where
-    F: Fn(usize) -> CgStats + Sync + Send,
-{
-    run_multi_cg_on(sw_runtime::global(), cgs, |i| (work(i), ())).0
-}
-
-/// [`run_multi_cg`] for workloads that produce a value per core group
-/// alongside the timing (e.g. each CG's slice of a sharded output tensor).
-/// Results come back in CG order regardless of thread scheduling.
-pub fn run_multi_cg_with<R, F>(cgs: usize, work: F) -> (MultiCgReport, Vec<R>)
-where
-    F: Fn(usize) -> (CgStats, R) + Sync + Send,
-    R: Send,
-{
-    run_multi_cg_on(sw_runtime::global(), cgs, work)
-}
-
-/// [`run_multi_cg_with`] on an explicit [`ExecutionContext`]: the serving
-/// dispatcher shares one context across its per-batch CG fan-outs instead
-/// of spawning threads per request. Scheduled with per-lane slot affinity
-/// ([`ExecutionContext::map_index_affine`]) so CG `i` lands on the same
+/// Run `work(cg_index)` for each of `cgs` core groups on `rt` (each
+/// closure builds and runs its own [`crate::Mesh`]) and combine timing
+/// with each CG's value (e.g. its slice of a sharded output tensor),
+/// returned in CG order. The serving dispatcher shares one context across
+/// its per-batch CG fan-outs instead of spawning threads per request.
+/// Scheduled with per-lane slot affinity
+/// ([`ExecutionContext::map_index_affine`]), so CG `i` lands on the same
 /// pool lane call after call — the serve dispatcher's 4 CGs stop
 /// migrating across worker threads between requests, keeping each CG's
 /// mesh state warm in one core's cache. Affinity is a scheduling hint
@@ -88,6 +70,13 @@ mod tests {
     use super::*;
     use crate::stats::CpeStats;
 
+    fn run<R: Send>(
+        cgs: usize,
+        work: impl Fn(usize) -> (CgStats, R) + Sync + Send,
+    ) -> (MultiCgReport, Vec<R>) {
+        run_multi_cg_on(sw_runtime::global(), cgs, work)
+    }
+
     fn fake_cg(cycles: u64, flops: u64) -> CgStats {
         CgStats {
             cycles,
@@ -101,7 +90,7 @@ mod tests {
 
     #[test]
     fn wall_time_is_max_plus_overhead() {
-        let rep = run_multi_cg(4, |i| fake_cg(1000 + i as u64 * 10, 100));
+        let (rep, _) = run(4, |i| (fake_cg(1000 + i as u64 * 10, 100), ()));
         assert_eq!(rep.wall_cycles, 1030 + LAUNCH_OVERHEAD_CYCLES);
         assert_eq!(rep.total_flops, 400);
     }
@@ -110,15 +99,15 @@ mod tests {
     fn balanced_partition_scales_nearly_linearly() {
         // A problem of 4N cycles on one CG becomes N cycles per CG on four.
         let total_work = 40_000_000u64;
-        let one = run_multi_cg(1, |_| fake_cg(total_work, total_work));
-        let four = run_multi_cg(4, |_| fake_cg(total_work / 4, total_work / 4));
+        let (one, _) = run(1, |_| (fake_cg(total_work, total_work), ()));
+        let (four, _) = run(4, |_| (fake_cg(total_work / 4, total_work / 4), ()));
         let speedup = one.wall_cycles as f64 / four.wall_cycles as f64;
         assert!(speedup > 3.9 && speedup <= 4.01, "speedup {speedup}");
     }
 
     #[test]
     fn run_with_returns_results_in_cg_order() {
-        let (rep, results) = run_multi_cg_with(4, |i| (fake_cg(100, 10), i * i));
+        let (rep, results) = run(4, |i| (fake_cg(100, 10), i * i));
         assert_eq!(results, vec![0, 1, 4, 9]);
         assert_eq!(rep.wall_cycles, 100 + LAUNCH_OVERHEAD_CYCLES);
         assert_eq!(rep.total_flops, 40);
@@ -127,7 +116,7 @@ mod tests {
     #[test]
     fn gflops_sums_across_cgs() {
         // Each CG does 1e9 flops in 1.45e9 cycles (1s) -> 1 Gflops each.
-        let rep = run_multi_cg(4, |_| fake_cg(1_450_000_000, 1_000_000_000));
+        let (rep, _) = run(4, |_| (fake_cg(1_450_000_000, 1_000_000_000), ()));
         assert!((rep.gflops(1.45) - 4.0).abs() < 0.01);
     }
 }

@@ -8,11 +8,11 @@
 //! * **LDM** ([`ldm`]) — each CPE owns a 64 KB scratchpad with an explicit
 //!   allocator; plans that overflow it fail loudly, exactly like a real
 //!   LDM-resident kernel would fail to link.
-//! * **DMA** ([`dma`]) — asynchronous block transfers between main memory
+//! * **DMA** ([`DmaEngine`]) — asynchronous block transfers between main memory
 //!   and LDM whose cost follows the *published* Table II bandwidth curve
 //!   (small or misaligned blocks are slow, ≥256 B aligned blocks approach
 //!   the 32–36 GB/s ceiling), shared across the 64 CPEs of a core group.
-//! * **Register communication** ([`mesh`]) — row/column buses carrying
+//! * **Register communication** ([`Mesh`]) — row/column buses carrying
 //!   256-bit payloads between CPEs of the 8×8 mesh, with transfer-buffer
 //!   mailboxes and put/get cycle costs.
 //! * **Execution** — plans run *real* double-precision arithmetic (results
@@ -32,20 +32,18 @@
 //! paper's output-row partitioning.
 
 pub mod chip;
-pub mod dma;
+mod dma;
 pub mod fault;
 pub mod ldm;
-pub mod mesh;
-pub mod stats;
+mod mesh;
+mod stats;
 
-pub use chip::{run_multi_cg, run_multi_cg_on, run_multi_cg_with, MultiCgReport};
+pub use chip::run_multi_cg_on;
 pub use dma::{DmaEngine, DmaHandle};
 pub use fault::{FaultPlan, RetryPolicy};
 pub use ldm::{Ldm, LdmBuf};
 pub use mesh::{Bus, CpeCtx, Mesh, SimError};
 pub use stats::{CgStats, CpeStats};
-
-pub use sw_perfmodel::ChipSpec;
 
 /// Mesh side length.
 pub const MESH_DIM: usize = 8;

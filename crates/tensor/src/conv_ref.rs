@@ -29,7 +29,7 @@ pub fn conv2d_ref<T: Scalar>(
 ///
 /// # Panics
 /// If tensor shapes disagree with `shape`.
-pub fn conv2d_ref_into<T: Scalar>(
+fn conv2d_ref_into<T: Scalar>(
     shape: ConvShape,
     input: &Tensor4<T>,
     filter: &Tensor4<T>,

@@ -9,26 +9,24 @@
 //! This crate provides:
 //!
 //! * [`Shape4`] / [`ConvShape`] — dimension bookkeeping for convolutions,
-//! * [`Tensor4`] — an owned dense 4-D tensor over [`Scalar`] elements,
+//! * [`Tensor4`] — an owned dense 4-D tensor over `f32` or `f64` elements,
 //! * [`Layout`] — the three layouts used throughout the reproduction
 //!   (`Nchw`, `ImageAware`, `BatchAware`) and transforms between them,
-//! * [`conv_ref`] — the naive 7-loop reference convolution of Listing 1,
+//! * [`conv2d_ref`] — the naive 7-loop reference convolution of Listing 1,
 //!   used as the correctness oracle for every optimized plan.
 
 pub mod conv_general;
-pub mod conv_ref;
+mod conv_ref;
 pub mod init;
-pub mod layout;
-pub mod shape;
-pub mod tensor;
+mod layout;
+mod shape;
+mod tensor;
 
-pub use conv_general::{
-    conv2d_general, conv2d_general_bwd_data, conv2d_general_bwd_filter, general_flops, ConvGeometry,
-};
-pub use conv_ref::{conv2d_bwd_data_ref, conv2d_bwd_filter_ref, conv2d_ref, conv2d_ref_into};
+pub use conv_general::{conv2d_general, general_flops, ConvGeometry};
+pub use conv_ref::{conv2d_bwd_data_ref, conv2d_bwd_filter_ref, conv2d_ref};
 pub use layout::Layout;
 pub use shape::{ConvShape, Shape4};
-pub use tensor::{Scalar, Tensor4};
+pub use tensor::Tensor4;
 
 /// Vector width of the SW26010 SIMD unit in double precision
 /// (256-bit registers / 64-bit lanes).

@@ -269,14 +269,16 @@ fn zeros(s: Shape4) -> Tensor4<f64> {
 /// A named entry-point call that must return `Err`.
 type Call<'a> = (&'static str, &'a dyn Fn() -> Result<(), SwdnnError>);
 
-/// Each of `calls` that returned `Ok` or panicked, named.
-fn not_rejected(what: &str, calls: &[Call]) -> Vec<String> {
+/// Each of `calls` that returned `Ok`, an error `expected` refuses, or
+/// panicked, named.
+fn not_rejected_as(what: &str, calls: &[Call], expected: fn(&SwdnnError) -> bool) -> Vec<String> {
     let verdict = |call: &dyn Fn() -> Result<(), SwdnnError>| match std::panic::catch_unwind(
         std::panic::AssertUnwindSafe(call),
     ) {
-        Ok(Err(_)) => None,
-        Ok(Ok(())) => Some("returned Ok"),
-        Err(_) => Some("panicked"),
+        Ok(Err(e)) if expected(&e) => None,
+        Ok(Err(e)) => Some(format!("returned {e}")),
+        Ok(Ok(())) => Some("returned Ok".to_string()),
+        Err(_) => Some("panicked".to_string()),
     };
     let failed = calls
         .iter()
@@ -284,6 +286,11 @@ fn not_rejected(what: &str, calls: &[Call]) -> Vec<String> {
     failed
         .map(|(name, v)| format!("{what}: {name} {v}"))
         .collect()
+}
+
+/// Each of `calls` that returned `Ok` or panicked, named.
+fn not_rejected(what: &str, calls: &[Call]) -> Vec<String> {
+    not_rejected_as(what, calls, |_| true)
 }
 
 #[test]
@@ -388,4 +395,71 @@ fn degenerate_shapes_and_misfit_filters_are_errors_in_every_plan() {
         }
     }
     assert!(failed.is_empty(), "{}", failed.join("\n"));
+}
+
+#[test]
+fn misfit_operands_are_shape_mismatches_in_every_plan() {
+    // On a shape every plan supports, each plan's `run` answers
+    // `ShapeMismatch`, with no panic in a debug build, to an operand that
+    // is not the shape asks for: a filter with the wrong Kr, Kc or Ni, an
+    // input a row or a column off or with the wrong Ni, and, for the
+    // backward plans, a wrong `d_out`.
+    let shape = ConvShape::new(32, 16, 16, 4, 8, 3, 3);
+    let [x, w, y] = [
+        shape.input_shape(),
+        shape.filter_shape(),
+        shape.output_shape(),
+    ]
+    .map(zeros);
+    let tensors = |shapes: [(usize, usize, usize, usize); 3]| shapes.map(Shape4::from).map(zeros);
+    let bad_w = tensors([(16, 16, 2, 3), (16, 16, 3, 5), (16, 8, 3, 3)]);
+    let bad_x = tensors([(32, 16, 7, 10), (32, 16, 6, 9), (32, 8, 6, 10)]);
+    let bad_y = tensors([(32, 16, 3, 8), (32, 16, 4, 6), (32, 8, 4, 8)]);
+    let mismatch = |e: &SwdnnError| matches!(e, SwdnnError::ShapeMismatch { .. });
+    let (bwd_filter, bwd_data) = (BwdFilterPlan::new(32, 4), BwdDataPlan::new(32, 4, 8));
+    let mut failed: Vec<String> = [bwd_filter.supports(&shape), bwd_data.supports(&shape)]
+        .into_iter()
+        .filter_map(|r| Some(format!("backward plan on {shape}: {}", r.err()?)))
+        .collect();
+    for schedule in &PRESETS {
+        let plan = schedule.build(&LowerCtx::default());
+        let what = format!("{} on {shape}", schedule.describe());
+        if let Err(e) = plan.supports(&shape) {
+            failed.push(format!("{what}: {e}"));
+        }
+        for (bx, bw) in bad_x.iter().zip(&bad_w) {
+            failed.extend(not_rejected_as(
+                &what,
+                &[
+                    ("run, input", &|| plan.run(&shape, bx, &w).map(drop)),
+                    ("run, filter", &|| plan.run(&shape, &x, bw).map(drop)),
+                ],
+                mismatch,
+            ));
+        }
+    }
+    for ((bx, bw), by) in bad_x.iter().zip(&bad_w).zip(&bad_y) {
+        failed.extend(not_rejected_as(
+            &format!("bwd_filter on {shape}"),
+            &[
+                ("run, input", &|| bwd_filter.run(&shape, bx, &y).map(drop)),
+                ("run, d_out", &|| bwd_filter.run(&shape, &x, by).map(drop)),
+            ],
+            mismatch,
+        ));
+        failed.extend(not_rejected_as(
+            &format!("bwd_data on {shape}"),
+            &[
+                ("run, d_out", &|| bwd_data.run(&shape, by, &w).map(drop)),
+                ("run, filter", &|| bwd_data.run(&shape, &y, bw).map(drop)),
+            ],
+            mismatch,
+        ));
+    }
+    assert!(
+        failed.is_empty(),
+        "{} calls:\n{}",
+        failed.len(),
+        failed.join("\n")
+    );
 }
