@@ -21,7 +21,7 @@
 //! `no ∈ chunk_i`, `b ∈ chunk_j`.
 
 use super::gemm_mesh::GemmBlock;
-use super::nest::{Dma, Fetch, Get, Nest, Operand, Rotate, Step, Walks};
+use super::nest::{Dma, Fetch, Get, Nest, Operand, Operands, Rotate, Step, Walks};
 use super::{check_operands, reject_degenerate, tap_major_filter, ConvPlan, ConvRun};
 use super::{LdmBuffers, LowerCtx, PlanTiming};
 use crate::error::SwdnnError;
@@ -245,7 +245,15 @@ impl ConvPlan for BatchAwarePlan {
         let input = input.to_layout(Layout::BatchAware);
         let w = tap_major_filter(filter);
         let mut output = Tensor4::zeros(shape.output_shape(), Layout::BatchAware);
-        let timing = self.walk(shape, self.ctx.mesh(), input.data(), &w, output.data_mut())?;
+        let timing = self.walk(
+            shape,
+            self.ctx.mesh(),
+            Some(Operands {
+                b: input.data(),
+                a: &w,
+                out: output.data_mut(),
+            }),
+        )?;
         Ok(ConvRun { output, timing })
     }
 

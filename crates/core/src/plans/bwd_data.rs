@@ -15,7 +15,7 @@
 //! DESIGN.md §16 has the window, the charges and the `Ni` blocking.
 
 use super::gemm_mesh::{zero_ldm, GemmBlock};
-use super::nest::{Dma, Fetch, Get, Nest, Operand, Rotate, Step, Walks};
+use super::nest::{Dma, Fetch, Get, Nest, Operand, Operands, Rotate, Step, Walks};
 use super::{check_operands, reject_degenerate, ConvRun, LdmBuffers, LowerCtx, PlanTiming, Slot};
 use crate::error::SwdnnError;
 use sw_perfmodel::co_blocks;
@@ -114,7 +114,15 @@ impl BwdDataPlan {
         let w = filter.to_layout(Layout::Nchw);
         let mut output = Tensor4::zeros(shape.input_shape(), Layout::ImageAware);
         let mesh = self.ctx.mesh();
-        let timing = self.walk(shape, mesh, dy.data(), w.data(), output.data_mut())?;
+        let timing = self.walk(
+            shape,
+            mesh,
+            Some(Operands {
+                b: dy.data(),
+                a: w.data(),
+                out: output.data_mut(),
+            }),
+        )?;
         Ok(ConvRun { output, timing })
     }
 

@@ -37,7 +37,7 @@
 //! (both prefetched a tile ahead) and rotates, and `dW` is put at the end.
 
 use super::gemm_mesh::GemmBlock;
-use super::nest::{Dma, Fetch, Get, Nest, Operand, Rotate, Step, Walks};
+use super::nest::{Dma, Fetch, Get, Nest, Operand, Operands, Rotate, Step, Walks};
 use super::{check_operands, reject_degenerate, LdmBuffers, LowerCtx, PlanTiming};
 use crate::error::SwdnnError;
 use sw_perfmodel::co_blocks;
@@ -120,7 +120,15 @@ impl BwdFilterPlan {
         let g = d_out.to_layout(Layout::ImageAware);
         // Global accumulation buffer ordered [(kr*Kc+kc)][no][ni].
         let mut dw_flat = vec![0.0f64; kr_n * kc_n * no * ni];
-        let timing = self.walk(shape, self.ctx.mesh(), input.data(), g.data(), &mut dw_flat)?;
+        let timing = self.walk(
+            shape,
+            self.ctx.mesh(),
+            Some(Operands {
+                b: input.data(),
+                a: g.data(),
+                out: &mut dw_flat,
+            }),
+        )?;
 
         // Transpose [(kr,kc)][no][ni] -> (No, Ni, Kr, Kc).
         let mut dw = Tensor4::zeros(shape.filter_shape(), Layout::Nchw);

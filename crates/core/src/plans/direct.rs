@@ -126,7 +126,8 @@ impl ConvPlan for DirectPlan {
             }
             Ok(())
         })?;
-        let timing = finish(mesh, output.data_mut())?;
+        mesh.drain_puts(output.data_mut())?;
+        let timing = finish(mesh)?;
         Ok(ConvRun { output, timing })
     }
 

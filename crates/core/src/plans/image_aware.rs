@@ -28,7 +28,7 @@
 //! * output: `no ∈ chunk_i`, pixels `∈ chunk_j`.
 
 use super::gemm_mesh::GemmBlock;
-use super::nest::{Dma, Fetch, Get, Nest, Operand, Rotate, Step, Walks};
+use super::nest::{Dma, Fetch, Get, Nest, Operand, Operands, Rotate, Step, Walks};
 use super::{check_operands, reject_degenerate, tap_major_filter, ConvPlan, ConvRun};
 use super::{LdmBuffers, LowerCtx, PlanTiming};
 use crate::error::SwdnnError;
@@ -281,7 +281,15 @@ impl ConvPlan for ImageAwarePlan {
         let input = input.to_layout(Layout::ImageAware);
         let w = tap_major_filter(filter);
         let mut output = Tensor4::zeros(shape.output_shape(), Layout::ImageAware);
-        let timing = self.walk(shape, self.ctx.mesh(), input.data(), &w, output.data_mut())?;
+        let timing = self.walk(
+            shape,
+            self.ctx.mesh(),
+            Some(Operands {
+                b: input.data(),
+                a: &w,
+                out: output.data_mut(),
+            }),
+        )?;
         Ok(ConvRun { output, timing })
     }
 

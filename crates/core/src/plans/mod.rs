@@ -23,12 +23,13 @@
 //! which all five mesh plans share; a backward pass is one tile whose steps
 //! are its pixel tiles. `run` hands the walk prepared operands on a
 //! functional mesh; the one timing protocol, `Nest::time_sampled`, hands it
-//! all-zero operands on a cost-only mesh ([`sw_sim::Mesh::cost_only`]),
-//! which charges every cycle and counter without moving or multiplying
-//! anything, for two outer-loop samples and the line through them. Either
-//! mesh comes from the plan's one [`LowerCtx`] (chip, injected faults, host
-//! runtime), and every walk ends in the same epilogue, `finish` — the
-//! direct plan's functional run included (its timing is closed form).
+//! only the operands' lengths on a cost-only mesh
+//! ([`sw_sim::Mesh::cost_only`]), which charges every cycle and counter
+//! without moving or multiplying anything, for two outer-loop samples and
+//! the line through them. Either mesh comes from the plan's one
+//! [`LowerCtx`] (chip, injected faults, host runtime), and every walk ends
+//! in the same epilogue, `finish` — the direct plan's functional run
+//! included (its timing is closed form).
 //!
 //! A forward plan is described by a [`Schedule`], and [`Schedule::build`]
 //! is the one place a description becomes one of these structs: `Conv2d`,
@@ -166,11 +167,10 @@ pub(crate) fn check_operands<const N: usize>(
     Ok(())
 }
 
-/// The epilogue of every mesh plan's walk: land the logged DMA puts in
-/// `out`, check that no bus message was left undelivered, and read the
+/// The epilogue of every mesh plan's walk, once its logged DMA puts are
+/// drained: check that no bus message was left undelivered, and read the
 /// timing off the mesh, which simulated every outer iteration it was given.
-pub(crate) fn finish(mut mesh: Mesh<impl Send>, out: &mut [f64]) -> Result<PlanTiming, SwdnnError> {
-    mesh.drain_puts(out)?;
+pub(crate) fn finish(mesh: Mesh<impl Send>) -> Result<PlanTiming, SwdnnError> {
     mesh.assert_inboxes_empty()?;
     Ok(mesh.stats().into())
 }

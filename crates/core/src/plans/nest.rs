@@ -15,8 +15,11 @@
 //! skips. A backward pass is one tile whose steps are its pixel tiles.
 //!
 //! The one timing protocol, [`Nest::time_sampled`], walks the plan's
-//! [`Walks`] on a cost-only mesh over all-zero operands and
-//! [`extrapolate`]s two samples to the full trip count.
+//! [`Walks`] on a cost-only mesh and [`extrapolate`]s two samples to the
+//! full trip count. A cost-only walk holds no operand: its gets read
+//! [`Nest::operand_lens`] as lengths, and its mesh keeps of its puts a count
+//! and the few records the drain can report, so what a timing holds does
+//! not grow with its extent.
 //!
 //! A plan whose `ldm_buffers` holds a `win` (backward-data's `dX` window)
 //! assembles its output there: after every rotation a superstep folds `C`
@@ -35,7 +38,7 @@ use super::gemm_mesh::{lease_scratch, regcomm_gemm_with, zero_c, GemmBlock};
 use super::{finish, LdmBuffers, LowerCtx, PlanTiming, Slot};
 use crate::error::SwdnnError;
 use sw_sim::ldm::padded_len;
-use sw_sim::{CgStats, CpeCtx, DmaHandle, LdmBuf, Mesh, SimError};
+use sw_sim::{CgStats, CpeCtx, DmaHandle, DmaSource, LdmBuf, Mesh, SimError};
 use sw_tensor::ConvShape;
 
 /// The handle of a fetch's or put's last DMA request.
@@ -80,15 +83,15 @@ pub(crate) struct Step {
 }
 
 /// Fetch `j` of run `run` of `op` for `tile` into `dst`, reading `src`:
-/// the walk's `a_src` for `A`; for `B` its `b_src`, or what
-/// [`Nest::gather`] staged.
+/// the walk's `A` operand for `A`; for `B` its `B` operand, or what
+/// [`Nest::gather`] staged. On a cost-only walk `src` is a length alone.
 pub(crate) struct Get<'a, T> {
     pub op: Operand,
     pub tile: T,
     pub run: usize,
     pub j: usize,
     pub dst: LdmBuf,
-    pub src: &'a [f64],
+    pub src: DmaSource<'a>,
 }
 
 /// A mesh plan's statement of its walk over an extent — its context,
@@ -166,15 +169,14 @@ pub(crate) trait Nest: Sync {
 
     /// The walk over `e` on a fresh `mesh`: one setup superstep allocates
     /// [`Nest::ldm_buffers`] in every CPE's [`Slot`], then the nest runs,
-    /// reading `B`'s fetches from `b_src` and `A`'s from `a_src` and putting
-    /// to `out`.
+    /// reading `B`'s fetches from `data.b` and `A`'s from `data.a` and
+    /// putting to `data.out`. With no `data`, on a cost-only mesh, every
+    /// fetch and the drain check against [`Nest::operand_lens`] instead.
     fn walk(
         &self,
         e: &Self::Extent,
         mut mesh: Mesh<Slot>,
-        b_src: &[f64],
-        a_src: &[f64],
-        out: &mut [f64],
+        data: Option<Operands<'_>>,
     ) -> Result<PlanTiming, SwdnnError> {
         let buffers = self.ldm_buffers(e);
         mesh.superstep(|ctx, s| {
@@ -190,13 +192,19 @@ pub(crate) trait Nest: Sync {
         let [(_, a), (_, b), _, (_, win)] = buffers;
         let d = self.dims(e);
         let (copies, blk, rt) = ([a, b], self.block(&d), self.ctx().rt);
-        // The rotations' pack arena and the staging buffer, leased across runs.
+        // The rotations' pack arena, leased across runs; a functional walk
+        // that stages `B` also leases its staging buffer.
         let mut scratch = lease_scratch(rt, mesh.chip.mesh_dim);
-        let mut staged = rt.scratch(0, Vec::new);
         let len = self.staged_len(&d);
-        let grown = staged.len().max(len);
-        staged.resize(grown, 0.0);
-        let staged = &mut staged[..len];
+        let [b_len, a_len, out_len] = self.operand_lens(e);
+        // What `B`'s fetches read: the staging buffer where the plan stages.
+        let b_read = if len > 0 { len } else { b_len };
+        let mut staged = (data.is_some() && len > 0).then(|| {
+            let mut buf = rt.scratch(0, Vec::new);
+            let grown = buf.len().max(len);
+            buf.resize(grown, 0.0);
+            buf
+        });
         // Per operand, the copies a fetch is in flight into, and the copy the
         // last step waited on.
         let (mut in_flight, mut cur) = ([[false; 2]; 2], [0; 2]);
@@ -206,8 +214,8 @@ pub(crate) trait Nest: Sync {
                 zero_c(&mut mesh, |s: &Slot| s.win)?;
             }
             for (i, step) in self.steps(&d, tile).enumerate() {
-                if !mesh.is_cost_only() {
-                    self.gather(&d, tile, &step, b_src, staged);
+                if let (Some(ops), Some(buf)) = (&data, &mut staged) {
+                    self.gather(&d, tile, &step, ops.b, &mut buf[..len]);
                 }
                 if step.fetch.iter().any(Option::is_some) {
                     // What every CPE issues, `(operand, run, fetch, copy)` in
@@ -241,7 +249,11 @@ pub(crate) trait Nest: Sync {
                             n_waits += 1;
                         }
                     }
-                    let srcs = [a_src, if len > 0 { &*staged } else { b_src }];
+                    let srcs = match (&data, &staged) {
+                        (Some(ops), Some(buf)) => [ops.a.into(), buf[..len].into()],
+                        (Some(ops), None) => [ops.a.into(), ops.b.into()],
+                        (None, _) => [DmaSource::Len(a_len), DmaSource::Len(b_read)],
+                    };
                     let (issues, waits) = (&issues[..n_issues], &waits[..n_waits]);
                     mesh.superstep(|ctx, s| {
                         for &(op, run, j, c) in issues {
@@ -298,23 +310,17 @@ pub(crate) trait Nest: Sync {
                 })?;
             }
         }
-        finish(mesh, out)
+        match data {
+            Some(ops) => mesh.drain_puts(ops.out)?,
+            None => mesh.check_puts(out_len)?,
+        }
+        finish(mesh)
     }
 
-    /// Exact timing of `e` with no arithmetic: the walk on a cost-only mesh
-    /// over all-zero operands (never read: untouched zero pages), leased
-    /// from the run context as [`ZeroOperands`].
+    /// Exact timing of `e` with no arithmetic: the walk on a cost-only mesh,
+    /// which reads and writes no operand, only checks against their lengths.
     fn time_cost_only(&self, e: &Self::Extent) -> Result<PlanTiming, SwdnnError> {
-        let [b, a, out] = self.operand_lens(e);
-        let mut zeros = self.ctx().rt.scratch(0, ZeroOperands::default);
-        let ZeroOperands { read, written } = &mut *zeros;
-        for (buf, len) in [(&mut *read, a.max(b)), (&mut *written, out)] {
-            if buf.len() < len {
-                *buf = vec![0.0; len];
-            }
-        }
-        let mesh = self.ctx().mesh().cost_only();
-        self.walk(e, mesh, &read[..b], &read[..a], &mut written[..out])
+        self.walk(e, self.ctx().mesh().cost_only(), None)
     }
 
     /// Every mesh plan's `time_full_shape`: two cost-only samples and the
@@ -330,14 +336,11 @@ pub(crate) trait Nest: Sync {
     }
 }
 
-/// What cost-only walks read (both operands share one buffer) and put to,
-/// kept in the run context's scratch arena: a walk writes none of it, so
-/// its pages stay untouched zeros. Allocated per walk, the allocator
-/// re-zeroed and re-faulted them, at more host time than the walk took.
-#[derive(Default)]
-struct ZeroOperands {
-    read: Vec<f64>,
-    written: Vec<f64>,
+/// What a functional walk reads its `B` and `A` fetches from and puts to.
+pub(crate) struct Operands<'a> {
+    pub b: &'a [f64],
+    pub a: &'a [f64],
+    pub out: &'a mut [f64],
 }
 
 /// How [`Nest::time_sampled`] times a shape: walk it whole, or walk two

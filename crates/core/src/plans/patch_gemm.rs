@@ -29,7 +29,7 @@
 //! `(Ni·No + Ni·b_P + No·b_P)/cpes` doubles per CPE.
 
 use super::gemm_mesh::GemmBlock;
-use super::nest::{Dma, Fetch, Get, Nest, Operand, Rotate, Step, Walks};
+use super::nest::{Dma, Fetch, Get, Nest, Operand, Operands, Rotate, Step, Walks};
 use super::{check_operands, reject_degenerate, tap_major_filter, ConvPlan, ConvRun};
 use super::{LdmBuffers, LowerCtx, PlanTiming};
 use crate::error::SwdnnError;
@@ -152,13 +152,12 @@ impl PatchGemmPlan {
         let input = input.to_layout(Layout::Nchw);
         let w_flat = tap_major_filter(filter);
         let mut output = Tensor4::zeros(Shape4::new(ishape.d0, no, ro, co), Layout::Nchw);
-        let timing = self.walk(
-            &(*geom, ishape, no),
-            self.ctx.mesh(),
-            input.data(),
-            &w_flat,
-            output.data_mut(),
-        )?;
+        let data = Operands {
+            b: input.data(),
+            a: &w_flat,
+            out: output.data_mut(),
+        };
+        let timing = self.walk(&(*geom, ishape, no), self.ctx.mesh(), Some(data))?;
         Ok(ConvRun { output, timing })
     }
 

@@ -17,12 +17,24 @@
 //! patch-GEMM pixel-block axis, compared against an honest *host* MPE
 //! baseline (one CPE-speed core running the reference loops — not the
 //! mesh-level modeled timing the dense reference plan reports).
+//!
+//! Both searches time their simulated candidates concurrently on the run
+//! context's lanes ([`LowerCtx::rt`]), one cost-only walk per lane. Here a
+//! candidate, not a CPE, is the grain: a cost-only mesh runs each of its
+//! supersteps inline (it has no resident data to fan out), so a walk never
+//! opens a nested parallel region, and the lanes claim whole walks, the
+//! longest first. Each lane lowers its own candidate's [`Schedule`] (a
+//! lowered plan stays on its thread); timings are gathered by candidate
+//! index, so the reports — and the first error, if any — are those of
+//! timing the candidates one by one in rank order, at every lane count.
 
 use crate::conv::Conv2d;
 use crate::error::SwdnnError;
-use crate::plans::{lower_schedule, ConvPlan, LowerCtx, PatchGemmPlan, Schedule};
+use crate::plans::{lower_schedule, LowerCtx, PatchGemmPlan, Schedule};
+use std::sync::OnceLock;
 use sw_perfmodel::select::Blocking;
 use sw_perfmodel::{co_blocks, ChipSpec, ConvPerfModel, PlanKind};
+use sw_runtime::ExecutionContext;
 use sw_tensor::{general_flops, ConvGeometry, ConvShape, Shape4};
 
 /// One searched candidate.
@@ -119,11 +131,10 @@ pub fn autotune_with(
 
     // Enumerate, lower, and price. Illegal points are recorded (their
     // rejection reasons feed the PlanRejected error when nothing is
-    // legal); legal points carry their lowered plan and predicted Gflops.
-    // (schedule, lowered plan, blocking, predicted Gflops, warm start).
-    type Priced = (Schedule, Box<dyn ConvPlan>, Blocking, f64, bool);
+    // legal); legal points carry their blocking and predicted Gflops.
+    // (schedule, blocking, predicted Gflops, warm start).
     let mut seen: Vec<Schedule> = Vec::new();
-    let mut legal: Vec<Priced> = Vec::new();
+    let mut legal: Vec<(Schedule, Blocking, f64, bool)> = Vec::new();
     let mut reasons: Vec<String> = Vec::new();
     for (i, sched) in extra
         .iter()
@@ -146,7 +157,7 @@ pub fn autotune_with(
                     shape.no,
                     shape.kc,
                 );
-                legal.push((*sched, plan, blocking, est.gflops_per_cg, warm));
+                legal.push((*sched, blocking, est.gflops_per_cg, warm));
             }
             Err(e) => reasons.push(e.to_string()),
         }
@@ -172,29 +183,46 @@ pub fn autotune_with(
     // schedule `Conv2d::plan()` builds.
     let model_pick = Conv2d::new(*shape)?.on(ctx).schedule();
     let enumerated = legal.len();
-    legal.sort_by(|a, b| b.3.partial_cmp(&a.3).unwrap_or(std::cmp::Ordering::Equal));
-    let best_pred = legal[0].3;
-    let frontier = |rank: usize, sched: &Schedule, pred: f64, warm: bool| {
-        warm || rank < 8 || pred >= 0.6 * best_pred || *sched == model_pick
-    };
+    legal.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
+    let best_pred = legal[0].2;
+    let (frontier, rest): (Vec<_>, Vec<_>) =
+        legal
+            .into_iter()
+            .enumerate()
+            .partition(|&(rank, (sched, _, pred, warm))| {
+                warm || rank < 8 || pred >= 0.6 * best_pred || sched == model_pick
+            });
+    let pruned = rest.len();
+    let frontier: Vec<(Schedule, Blocking, f64)> = frontier
+        .into_iter()
+        .map(|(_, (s, b, pred, _))| (s, b, pred))
+        .collect();
 
-    let mut candidates: Vec<Candidate> = Vec::new();
-    let mut pruned = 0usize;
-    for (rank, (sched, plan, blocking, pred, warm)) in legal.into_iter().enumerate() {
-        if !frontier(rank, &sched, pred, warm) {
-            pruned += 1;
-            continue;
-        }
-        let timing = plan.time_full_shape(shape)?;
-        candidates.push(Candidate {
+    // Longest walk first: a batch-aware walk reduces `b_Co` output columns
+    // per sampled tile and is the longest, widest first; an image-aware one
+    // grows with `b_B` only (on a Table III row, 2 vCPUs, release: ≈ 1.2 ms
+    // at `b_Co` 16 against 0.16–0.38 ms).
+    let mut order: Vec<usize> = (0..frontier.len()).collect();
+    order.sort_by_key(|&i| {
+        let (sched, Blocking { b_b, b_co }, _) = frontier[i];
+        let batch_aware = sched.kind() == PlanKind::BatchSizeAware;
+        std::cmp::Reverse((batch_aware, if batch_aware { b_co } else { b_b }))
+    });
+    let timings = time_candidates(ctx.rt, &order, |i| {
+        lower_schedule(&frontier[i].0, shape, &ctx)?.time_full_shape(shape)
+    })?;
+    let mut candidates: Vec<Candidate> = frontier
+        .into_iter()
+        .zip(timings)
+        .map(|((sched, blocking, pred), timing)| Candidate {
             description: sched.describe(),
             schedule: sched,
             blocking,
             predicted_gflops: pred,
             cycles: timing.cycles,
             gflops: timing.gflops(shape, chip),
-        });
-    }
+        })
+        .collect();
     candidates.sort_by_key(|c| c.cycles);
 
     let model_choice = candidates.iter().position(|c| c.schedule == model_pick);
@@ -287,10 +315,16 @@ pub fn autotune_general(
     let enumerated = legal.len();
 
     let flops = general_flops(geom, input, no) as f64;
+    let frontier = &legal[..legal.len().min(3)];
+    // Longest walk first: the smallest `b_P` walks the most pixel blocks.
+    let mut order: Vec<usize> = (0..frontier.len()).collect();
+    order.sort_by_key(|&i| frontier[i].0);
+    let timings = time_candidates(ctx.rt, &order, |i| {
+        let plan = PatchGemmPlan::new(frontier[i].0).on(ctx);
+        plan.time_general(geom, input, no)
+    })?;
     let mut best: Option<(Schedule, u64)> = None;
-    for &(b_p, _) in legal.iter().take(3) {
-        let plan = PatchGemmPlan::new(b_p).on(ctx);
-        let timing = plan.time_general(geom, input, no)?;
+    for (&(b_p, _), timing) in frontier.iter().zip(timings) {
         if best.is_none_or(|(_, c)| timing.cycles < c) {
             best = Some((Schedule::patch_gemm(b_p), timing.cycles));
         }
@@ -306,9 +340,56 @@ pub fn autotune_general(
     })
 }
 
+/// Time every candidate concurrently on `rt`'s lanes: each lane claims
+/// the next slot, and slot `k` walks candidate `order[k]` on a cost-only
+/// mesh, which runs inline on the lane. `order` names the longest walk
+/// first, so no lane starts a long walk last. Returns the timings in index
+/// order, or the error of the first failing candidate by index, whatever
+/// order they finished in.
+fn time_candidates<T: Send + Sync>(
+    rt: &ExecutionContext,
+    order: &[usize],
+    time: impl Fn(usize) -> Result<T, SwdnnError> + Sync,
+) -> Result<Vec<T>, SwdnnError> {
+    let timed: Vec<OnceLock<Result<T, SwdnnError>>> =
+        order.iter().map(|_| OnceLock::new()).collect();
+    rt.run(order.len(), |slot| {
+        let i = order[slot];
+        timed[i].get_or_init(|| time(i));
+    });
+    timed
+        .into_iter()
+        .map(|t| t.into_inner().expect("`order` names every candidate once"))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn candidates_come_back_by_index_whatever_order_they_ran_in() {
+        // Slots claim candidates last index first; at one lane they also
+        // finish in that order. Timings and the first error are still by
+        // index at every lane count.
+        let rt = ExecutionContext::new();
+        let order = [3, 0, 2, 1];
+        let fail = |i: usize| SwdnnError::Numeric {
+            context: format!("candidate {i}"),
+            detail: String::new(),
+        };
+        for threads in [1, 2, 8] {
+            sw_runtime::with_threads(threads, || {
+                let timed = time_candidates(&rt, &order, |i| Ok(10 * i));
+                assert_eq!(timed, Ok(vec![0, 10, 20, 30]), "{threads} lanes");
+                let timed = time_candidates(&rt, &order, |i| match i {
+                    1 | 3 => Err(fail(i)),
+                    _ => Ok(i),
+                });
+                assert_eq!(timed, Err(fail(1)), "{threads} lanes");
+            });
+        }
+    }
 
     #[test]
     fn autotune_orders_candidates_fastest_first() {

@@ -42,7 +42,7 @@ pub use chip::run_multi_cg_on;
 pub use dma::{DmaEngine, DmaHandle};
 pub use fault::{FaultPlan, RetryPolicy};
 pub use ldm::{Ldm, LdmBuf};
-pub use mesh::{Bus, CpeCtx, Mesh, SimError};
+pub use mesh::{Bus, CpeCtx, DmaSource, Mesh, SimError};
 pub use stats::{CgStats, CpeStats};
 
 /// Mesh side length.

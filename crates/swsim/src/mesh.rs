@@ -32,13 +32,17 @@
 //!
 //! A mesh built with [`Mesh::cost_only`] prices, counts, queues and
 //! fault-keys every operation exactly as above but moves no operand data
-//! and holds no LDM: DMA gets copy nothing, puts log a length, and LDM
-//! allocation is bookkeeping over the capacity, with no doubles behind it.
+//! and holds no LDM: DMA gets copy nothing and may name their source by
+//! length alone ([`DmaSource::Len`]), and LDM allocation is bookkeeping over
+//! the capacity, with no doubles behind it. Of its puts it keeps a count
+//! and, as records, only those whose end exceeds every earlier put's end:
+//! the first put past the output always is one, so [`Mesh::drain_puts`]
+//! and [`Mesh::check_puts`] fail with the functional mesh's error.
 //! Every clock, counter, fault decision and LDM overflow is a function of
 //! lengths, offsets and sequence numbers only, so a cost-only run lands on
 //! the same cycles, the same per-CPE counters, the same high water and the
 //! same errors as the functional run of the same program — it is how plans
-//! time a shape without doing its arithmetic. Its put buffers are leased
+//! time a shape without doing its arithmetic. Its put records are leased
 //! from the run context's scratch arena and returned, emptied, when the mesh
 //! drops, so a warm timing walk regrows none of them. There a GEMM rotation
 //! no fault can touch runs no CPE program: [`Mesh::price_rotation`] applies
@@ -157,20 +161,153 @@ struct OutMsg {
     data: Arc<[f64]>,
 }
 
-/// What one logged DMA put run carries to [`Mesh::drain_puts`]: the doubles
-/// it read from LDM, or on a cost-only mesh only how many there were.
+/// What a mesh logs of its DMA put runs until [`Mesh::drain_puts`]: per
+/// CPE for the current superstep, and mesh-wide, in seam order.
 #[derive(Clone, Debug, PartialEq)]
-enum PutRun {
-    Data(Vec<f64>),
+enum PutLog {
+    /// A functional mesh's: every run, `(offset, doubles read from LDM)`.
+    Data(Vec<(usize, Vec<f64>)>),
+    /// A cost-only mesh's: how many runs were logged, and `(offset, len)` of
+    /// each run whose end exceeds every earlier run's end. The drain fails
+    /// on the first run that ends past the segment; every run before it
+    /// ends inside, so that run is always a record, and the drain's error
+    /// is the functional mesh's.
+    Lens {
+        count: usize,
+        records: Vec<(usize, usize)>,
+    },
+}
+
+impl PutLog {
+    /// An empty log of the kind `cost_only` names.
+    fn new(cost_only: bool) -> Self {
+        if cost_only {
+            PutLog::Lens {
+                count: 0,
+                records: Vec::new(),
+            }
+        } else {
+            PutLog::Data(Vec::new())
+        }
+    }
+
+    /// Runs logged and not yet drained.
+    fn len(&self) -> usize {
+        match self {
+            PutLog::Data(runs) => runs.len(),
+            PutLog::Lens { count, .. } => *count,
+        }
+    }
+
+    /// Log a run of `len` doubles to `offset`, reading them from `data()`
+    /// where the log keeps data.
+    fn push<'a>(&mut self, offset: usize, len: usize, data: impl FnOnce() -> &'a [f64]) {
+        match self {
+            PutLog::Data(runs) => runs.push((offset, data().to_vec())),
+            PutLog::Lens { count, records } => {
+                *count += 1;
+                record(records, offset, len);
+            }
+        }
+    }
+
+    /// Move every run of `other` to the end of this log, leaving `other`
+    /// empty with its capacity. A record of `other` stays one here only if
+    /// it also ends past every run already here.
+    fn append(&mut self, other: &mut PutLog) {
+        match (self, other) {
+            (PutLog::Data(runs), PutLog::Data(more)) => runs.append(more),
+            (
+                PutLog::Lens { count, records },
+                PutLog::Lens {
+                    count: n,
+                    records: more,
+                },
+            ) => {
+                *count += std::mem::take(n);
+                for (offset, len) in more.drain(..) {
+                    record(records, offset, len);
+                }
+            }
+            _ => unreachable!("a mesh's logs are all of its one kind"),
+        }
+    }
+
+    /// Forget every run, keeping capacity.
+    fn clear(&mut self) {
+        match self {
+            PutLog::Data(runs) => runs.clear(),
+            PutLog::Lens { count, records } => {
+                *count = 0;
+                records.clear();
+            }
+        }
+    }
+
+    /// Check every run against a segment of `size` doubles in log order and
+    /// copy each into `out` where both hold data; the first run past the
+    /// end is the error. Leaves the log empty either way.
+    fn drain(&mut self, size: usize, mut out: Option<&mut [f64]>) -> Result<(), SimError> {
+        let outcome = match self {
+            PutLog::Data(runs) => runs.drain(..).try_for_each(|(offset, data)| {
+                let len = data.len();
+                check_put(offset, len, size)?;
+                if let Some(out) = out.as_deref_mut() {
+                    out[offset..offset + len].copy_from_slice(&data);
+                }
+                Ok(())
+            }),
+            PutLog::Lens { records, .. } => records
+                .iter()
+                .try_for_each(|&(offset, len)| check_put(offset, len, size)),
+        };
+        self.clear();
+        outcome
+    }
+}
+
+/// Keep a run as a record when it ends past the last record, which ends
+/// past every run before it.
+fn record(records: &mut Vec<(usize, usize)>, offset: usize, len: usize) {
+    if records.last().is_none_or(|&(o, l)| offset + len > o + l) {
+        records.push((offset, len));
+    }
+}
+
+/// A put of `len` doubles to `offset` must end inside the segment.
+fn check_put(offset: usize, len: usize, size: usize) -> Result<(), SimError> {
+    if offset + len > size {
+        return Err(SimError::OutOfBounds { offset, len, size });
+    }
+    Ok(())
+}
+
+/// What a DMA get reads: a main-memory segment's data or, on a cost-only
+/// mesh, which copies nothing, only the segment's length in doubles.
+#[derive(Clone, Copy, Debug)]
+pub enum DmaSource<'a> {
+    Data(&'a [f64]),
     Len(usize),
 }
 
-impl PutRun {
+impl DmaSource<'_> {
     fn len(&self) -> usize {
         match self {
-            PutRun::Data(data) => data.len(),
-            PutRun::Len(len) => *len,
+            DmaSource::Data(data) => data.len(),
+            DmaSource::Len(len) => *len,
         }
+    }
+}
+
+impl<'a> From<&'a [f64]> for DmaSource<'a> {
+    fn from(data: &'a [f64]) -> Self {
+        DmaSource::Data(data)
+    }
+}
+
+impl<'a> From<&'a Vec<f64>> for DmaSource<'a> {
+    fn from(data: &'a Vec<f64>) -> Self {
+        DmaSource::Data(data)
     }
 }
 
@@ -195,7 +332,7 @@ struct CpeNode<S> {
     /// Written by the one lane running the node, read and emptied by the
     /// seam (on the error path too); the buffers keep their capacity.
     out_msgs: Vec<OutMsg>,
-    out_puts: Vec<(usize, PutRun)>,
+    out_puts: PutLog,
     result: Result<(), SimError>,
     state: S,
 }
@@ -216,7 +353,7 @@ pub struct CpeCtx<'a> {
     cost_only: bool,
     block_hint: Option<usize>,
     out_msgs: &'a mut Vec<OutMsg>,
-    out_puts: &'a mut Vec<(usize, PutRun)>,
+    out_puts: &'a mut PutLog,
     /// The first point-to-point send addressed outside the mesh: the
     /// program's result once it returns.
     send_error: Option<SimError>,
@@ -285,11 +422,11 @@ impl CpeCtx<'_> {
     /// Asynchronous DMA get of one contiguous run: copies
     /// `src[src_off .. src_off+len]` into `dst[dst_off ..]` and prices the
     /// transfer at block size `len * 8` bytes.
-    pub fn dma_get(
+    pub fn dma_get<'s>(
         &mut self,
         dst: LdmBuf,
         dst_off: usize,
-        src: &[f64],
+        src: impl Into<DmaSource<'s>>,
         src_off: usize,
         len: usize,
     ) -> Result<DmaHandle, SimError> {
@@ -298,18 +435,21 @@ impl CpeCtx<'_> {
 
     /// Asynchronous strided DMA get: `runs` runs of `run_len` doubles,
     /// source stride `src_stride`, packed contiguously into the LDM buffer.
-    /// One DMA request; the effective block size is the run length.
+    /// One DMA request; the effective block size is the run length. A
+    /// cost-only mesh copies nothing, so its source may be a length alone;
+    /// a functional mesh's must be data.
     #[allow(clippy::too_many_arguments)]
-    pub fn dma_get_strided(
+    pub fn dma_get_strided<'s>(
         &mut self,
         dst: LdmBuf,
         dst_off: usize,
-        src: &[f64],
+        src: impl Into<DmaSource<'s>>,
         src_off: usize,
         runs: usize,
         src_stride: usize,
         run_len: usize,
     ) -> Result<DmaHandle, SimError> {
+        let src = src.into();
         let total = runs * run_len;
         if dst_off + total > dst.len {
             return Err(SimError::Program(format!(
@@ -327,6 +467,11 @@ impl CpeCtx<'_> {
             });
         }
         if !self.cost_only {
+            let DmaSource::Data(src) = src else {
+                return Err(SimError::Program(
+                    "DMA get from a length alone on a functional mesh".into(),
+                ));
+            };
             let d = self.ldm.buf_mut(dst);
             for r in 0..runs {
                 let s = src_off + r * src_stride;
@@ -399,12 +544,9 @@ impl CpeCtx<'_> {
     /// Log one put run of `run_len` doubles from `src[at..]` to global offset
     /// `dst` (bounds already checked by the caller).
     fn log_put(&mut self, src: LdmBuf, at: usize, dst: usize, run_len: usize) {
-        let run = if self.cost_only {
-            PutRun::Len(run_len)
-        } else {
-            PutRun::Data(self.ldm.buf(src)[at..at + run_len].to_vec())
-        };
-        self.out_puts.push((dst, run));
+        let ldm = &*self.ldm;
+        self.out_puts
+            .push(dst, run_len, || &ldm.buf(src)[at..at + run_len]);
     }
 
     /// Asynchronous strided DMA put: reads `runs * run_len` doubles
@@ -698,7 +840,7 @@ where
 
 /// The mesh state a superstep boundary updates besides the nodes.
 struct Seam {
-    put_log: Vec<(usize, PutRun)>,
+    put_log: PutLog,
     supersteps: u64,
     /// Mesh-global bus-delivery counter keying message-drop decisions.
     msg_deliveries: u64,
@@ -826,13 +968,14 @@ impl<T> RawShare<T> {
 /// The serial phase of a batch that has none (a single superstep).
 type NoPhase<S> = fn(usize, &mut CpeCtx<'_>, &mut S) -> Result<(), SimError>;
 
-/// A cost-only mesh's put buffers while it lives — its nodes' `out_puts`
-/// and its seam's `put_log` — parked in the run context's scratch arena
-/// between meshes, keyed by CPE count. The lease holds the mesh's empty
-/// buffers in their place until the mesh drops and swaps them back.
+/// A cost-only mesh's put logs while it lives — its nodes' `out_puts` and
+/// its seam's `put_log`, counts and records — parked in the run context's
+/// scratch arena between meshes, keyed by CPE count. The lease holds the
+/// mesh's empty logs in their place until the mesh drops and swaps them
+/// back.
 struct PutBuffers {
-    log: Vec<(usize, PutRun)>,
-    outs: Vec<Vec<(usize, PutRun)>>,
+    log: PutLog,
+    outs: Vec<PutLog>,
 }
 
 impl PutBuffers {
@@ -889,7 +1032,7 @@ impl<S: Send> Mesh<S> {
                     row_inbox: VecDeque::new(),
                     col_inbox: VecDeque::new(),
                     out_msgs: Vec::new(),
-                    out_puts: Vec::new(),
+                    out_puts: PutLog::new(false),
                     result: Ok(()),
                     state: init(row, col),
                 });
@@ -901,7 +1044,7 @@ impl<S: Send> Mesh<S> {
             dma: DmaEngine::new(chip),
             cpes,
             seam: Seam {
-                put_log: Vec::new(),
+                put_log: PutLog::new(false),
                 supersteps: 0,
                 msg_deliveries: 0,
             },
@@ -913,8 +1056,9 @@ impl<S: Send> Mesh<S> {
     }
 
     /// Make this a cost-only mesh: it moves no operand data and holds no
-    /// LDM. DMA gets copy nothing, DMA puts log `(offset, len)` without the
-    /// data into buffers leased from the run context, [`Self::superstep`]
+    /// LDM. DMA gets copy nothing, DMA puts are counted and the ones that
+    /// end past every earlier put are recorded as `(offset, len)`, into
+    /// buffers leased from the run context, [`Self::superstep`]
     /// runs inline (there is no resident data to touch), and
     /// [`Self::price_rotation`] may apply a whole GEMM rotation in one step.
     /// Bounds checks, cycle charges, counters, DMA queueing, fault keys, LDM
@@ -924,8 +1068,8 @@ impl<S: Send> Mesh<S> {
     pub fn cost_only(mut self) -> Self {
         let n = self.cpes.len();
         let mut puts = self.rt.scratch(n, || PutBuffers {
-            log: Vec::new(),
-            outs: (0..n).map(|_| Vec::new()).collect(),
+            log: PutLog::new(true),
+            outs: (0..n).map(|_| PutLog::new(true)).collect(),
         });
         puts.swap(&mut self.seam, &mut self.cpes);
         self.puts = Some(puts);
@@ -1177,22 +1321,18 @@ impl<S: Send> Mesh<S> {
         outcome
     }
 
-    /// Apply all logged DMA puts to the global output segment.
+    /// Apply all logged DMA puts to the global output segment `out`, in the
+    /// order they were logged; the first put ending past `out` is the
+    /// error. A cost-only mesh logged no data: it only checks.
     pub fn drain_puts(&mut self, out: &mut [f64]) -> Result<(), SimError> {
-        for (off, run) in self.seam.put_log.drain(..) {
-            let len = run.len();
-            if off + len > out.len() {
-                return Err(SimError::OutOfBounds {
-                    offset: off,
-                    len,
-                    size: out.len(),
-                });
-            }
-            if let PutRun::Data(data) = run {
-                out[off..off + len].copy_from_slice(&data);
-            }
-        }
-        Ok(())
+        self.seam.put_log.drain(out.len(), Some(out))
+    }
+
+    /// [`Self::drain_puts`] against an output segment of `size` doubles that
+    /// is not there: every put is checked, none applied. How a cost-only
+    /// walk, which holds no output, ends.
+    pub fn check_puts(&mut self, size: usize) -> Result<(), SimError> {
+        self.seam.put_log.drain(size, None)
     }
 
     /// Number of logged-but-undrained puts.
@@ -1522,7 +1662,8 @@ mod tests {
     fn a_cost_only_mesh_returns_its_put_buffers_emptied() {
         // A mesh dropped mid-walk, after a failed step, with puts logged and
         // undrained: the next cost-only mesh on the same context starts
-        // with no pending put but with the grown buffers.
+        // with no pending put but with the grown record buffers. Every CPE
+        // puts the same 16 rising runs, so CPE 0's are the seam's records.
         let rt: &'static sw_runtime::ExecutionContext =
             Box::leak(Box::new(sw_runtime::ExecutionContext::new()));
         let puts = |ctx: &mut CpeCtx<'_>, _: &mut ()| {
@@ -1541,11 +1682,17 @@ mod tests {
         drop(m);
         let m = build();
         assert_eq!(m.pending_puts(), 0);
-        assert!(m.seam.put_log.capacity() >= 64 * 16);
-        assert!(m
-            .cpes
-            .iter()
-            .all(|c| c.out_puts.is_empty() && c.out_puts.capacity() >= 16));
+        let records = |log: &PutLog| match log {
+            PutLog::Lens { count, records } => (*count, records.len(), records.capacity()),
+            PutLog::Data(_) => panic!("a cost-only mesh logs lengths"),
+        };
+        let (count, held, capacity) = records(&m.seam.put_log);
+        assert_eq!((count, held), (0, 0));
+        assert!(capacity >= 16, "seam records capacity {capacity}");
+        assert!(m.cpes.iter().all(|c| {
+            let (count, held, capacity) = records(&c.out_puts);
+            count == 0 && held == 0 && capacity >= 16
+        }));
     }
 
     #[test]

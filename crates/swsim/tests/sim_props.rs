@@ -580,6 +580,52 @@ fn every_error_class_is_the_same_value_on_a_cost_only_mesh() {
     }
 }
 
+#[test]
+fn the_first_put_past_the_output_fails_the_drain_on_both_meshes() {
+    // Put ends that rise and fall, within a CPE's step, across CPEs and
+    // across steps: the first put past the 16-double output in log order
+    // ends at 24, and a later one ends at 48. A cost-only log that kept
+    // only the furthest put would report the wrong one.
+    let puts: [&[(usize, usize, usize)]; 2] = [
+        // (cpe, offset, len) in program order, per superstep.
+        &[(0, 0, 4), (1, 10, 4), (1, 2, 2)],
+        &[(0, 2, 4), (5, 20, 4), (5, 12, 2), (9, 40, 8), (9, 0, 2)],
+    ];
+    let filled = |cost_only: bool| {
+        let mut m = prog_mesh(None, cost_only);
+        for step in puts {
+            m.superstep(|ctx, s| {
+                s.buf = ctx.ldm_alloc(8)?;
+                for &(cpe, offset, len) in step {
+                    if cpe == ctx.id() {
+                        ctx.dma_put(s.buf, 0, offset, len)?;
+                    }
+                }
+                Ok(())
+            })
+            .unwrap();
+        }
+        assert_eq!(m.pending_puts(), 8);
+        m
+    };
+    let past = SimError::OutOfBounds {
+        offset: 20,
+        len: 4,
+        size: 16,
+    };
+    for (size, expect) in [(16, Err(past)), (48, Ok(()))] {
+        let drained = [false, true].map(|cost_only| {
+            let mut m = filled(cost_only);
+            (m.drain_puts(&mut vec![0.0; size]), m.pending_puts())
+        });
+        let mut m = filled(true);
+        let checked = (m.check_puts(size), m.pending_puts());
+        let expect = (expect, 0);
+        assert_eq!(drained, [expect.clone(), expect.clone()], "size {size}");
+        assert_eq!(checked, expect, "size {size}");
+    }
+}
+
 /// A fixed kernel that moves every one of the 15 per-CPE counters, fault
 /// counters included: DMA gets and puts under injected failures and stalls,
 /// row broadcasts and column sends under message drops, CPE stalls, compute

@@ -28,6 +28,9 @@
 //!    exact (an outer trip count of 2) it must equal the functional run's
 //!    timing in cycles and all 15 counters, at every lane count, with and
 //!    without injected DMA faults.
+//! 5. **Concurrent searches.** `autotune_with` and `autotune_general` time
+//!    their candidates concurrently, one walk per lane; every candidate and
+//!    every count they report is the same at 1, 2 and 8 lanes.
 //!
 //! The superstep engine runs rotations below the runtime's grain
 //! (131 072 MACs per round, DESIGN.md §14) inline at every lane count. The
@@ -45,8 +48,9 @@ use sw_tensor::{ConvGeometry, ConvShape, Layout, Shape4};
 use swdnn::plans::gemm_mesh::{regcomm_gemm, zero_c, GemmBlock};
 use swdnn::plans::{
     BatchAwarePlan, BwdDataPlan, BwdFilterPlan, ConvPlan, ConvRun, ImageAwarePlan, LowerCtx,
-    PatchGemmPlan, PlanTiming,
+    PatchGemmPlan, PlanTiming, Schedule,
 };
+use swdnn::tune::{autotune_general, autotune_with, GeneralTune, TuneReport};
 
 #[derive(PartialEq, Eq, Debug, Clone)]
 struct RunDigest {
@@ -584,5 +588,76 @@ fn per_cpe_clocks_and_counters_are_thread_count_invariant() {
             baseline,
             "machine-default threads"
         );
+    }
+}
+
+/// Everything a dense search reports: per candidate, fastest first, its
+/// schedule, description, cycles and Gflops bits; then the model's choice,
+/// the legal schedules enumerated and the ones pruned.
+type DenseDigest = (
+    Vec<(Schedule, String, u64, u64)>,
+    Option<usize>,
+    usize,
+    usize,
+);
+
+fn dense_digest(r: TuneReport) -> DenseDigest {
+    let candidates = r.candidates.into_iter();
+    let candidates = candidates.map(|c| (c.schedule, c.description, c.cycles, c.gflops.to_bits()));
+    (candidates.collect(), r.model_choice, r.enumerated, r.pruned)
+}
+
+/// A general search's winner, its cycles and Gflops bits, the host
+/// baseline and the candidates enumerated.
+fn general_digest(g: GeneralTune) -> (Schedule, u64, u64, u64, usize) {
+    let GeneralTune {
+        schedule,
+        cycles,
+        gflops,
+        host_cycles,
+        enumerated,
+    } = g;
+    (schedule, cycles, gflops.to_bits(), host_cycles, enumerated)
+}
+
+#[test]
+fn searches_report_the_same_candidates_at_every_lane_count() {
+    let chip = ChipSpec::sw26010();
+    // Table III row 1 with its hand schedule as the warm start, and a B = 32
+    // shape of the small-batch grid.
+    let dense = [
+        (
+            ConvShape::new(128, 128, 128, 64, 64, 3, 3),
+            vec![Schedule::image_aware(32, 16)],
+        ),
+        (ConvShape::new(32, 64, 64, 16, 16, 3, 3), vec![]),
+    ];
+    // tune_search's stride-2 and same-padded geometries.
+    let general = [
+        (
+            ConvGeometry::valid(3, 3).with_stride(2, 2),
+            Shape4::new(32, 128, 35, 35),
+            128,
+        ),
+        (ConvGeometry::same(3, 3), Shape4::new(32, 64, 16, 16), 64),
+    ];
+    let search = || {
+        let dense: Vec<DenseDigest> = dense
+            .iter()
+            .map(|(shape, warm)| dense_digest(autotune_with(&chip, shape, warm).unwrap()))
+            .collect();
+        let general: Vec<_> = general
+            .iter()
+            .map(|(geom, input, no)| {
+                general_digest(autotune_general(&chip, geom, *input, *no).unwrap())
+            })
+            .collect();
+        (dense, general)
+    };
+    let serial = sw_runtime::with_threads(1, search);
+    assert!(serial.0.iter().all(|d| d.0.len() >= 6), "{serial:?}");
+    for threads in [2usize, 8] {
+        let got = sw_runtime::with_threads(threads, search);
+        assert_eq!(got, serial, "searches @ {threads} threads");
     }
 }

@@ -1,16 +1,21 @@
-//! A warm Table III timing allocates O(1), whatever the shape's size.
+//! A warm Table III timing allocates O(1), whatever the shape's size, and
+//! no timing holds memory that grows with its operands.
 //!
 //! A counting global allocator wraps the system one. Each of the four
 //! Table III rows is timed with its published plan and blocking and with
 //! patch-GEMM; patch-GEMM's general entry times tune_search's stride-2 and
 //! same-padded geometries; both backward plans (`auto`) time train_sim's
 //! two convolutions and a 128×128 paper layer. Every row runs until the run
-//! context's scratch arena holds everything a timing leases (the zero
-//! operands, the GEMM scratch, a cost-only mesh's put buffers); one more
-//! timing of each may then allocate at most [`WARM_ALLOWANCE`] times. What
-//! is left is the sample meshes' CPE vectors. A cost-only mesh that backs
-//! its LDM (one 64 KB allocation per CPE), regrows a put buffer by doubling
-//! or a loop nest that allocates per walk or per step shows up here.
+//! context's scratch arena holds everything a timing leases (the GEMM
+//! scratch, a cost-only mesh's put counts and records); one more timing of
+//! each may then allocate at most [`WARM_ALLOWANCE`] times. What is left is
+//! the sample meshes' CPE vectors. A cost-only mesh that backs its LDM (one
+//! 64 KB allocation per CPE), regrows a put buffer by doubling or a loop
+//! nest that allocates per walk or per step shows up here. A cost-only walk
+//! reads its operands' lengths, not their data, and keeps only the puts its
+//! drain can report: no allocation of any timing, the first included, may
+//! exceed [`LARGEST_ALLOWANCE`] bytes, where an operand buffer of these
+//! shapes is 16–40 MB.
 //!
 //! The allocator counts every thread, so worker-pool threads cannot hide
 //! an allocation; CI runs this file under a 2-thread pool as well. The
@@ -29,6 +34,15 @@ use swdnn::plans::{
 /// Allocations (including reallocations) made so far, by any thread.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+/// The largest allocation (or reallocation) in bytes since it was last
+/// reset, by any thread.
+static LARGEST: AtomicU64 = AtomicU64::new(0);
+
+fn count(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    LARGEST.fetch_max(bytes as u64, Ordering::Relaxed);
+}
+
 struct Counting;
 
 // SAFETY: every method forwards to `System` with the caller's own
@@ -37,19 +51,19 @@ struct Counting;
 // handed out.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: forwarded unchanged; see the impl comment.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: forwarded unchanged; see the impl comment.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         // SAFETY: forwarded unchanged; see the impl comment.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -66,6 +80,11 @@ static GLOBAL: Counting = Counting;
 /// Allocations one warm timing may make: two sample meshes' CPE vectors,
 /// with room for two more.
 const WARM_ALLOWANCE: u64 = 4;
+
+/// Bytes one allocation of any timing may take: a cost-only mesh's put
+/// records (16 bytes per put that ends past every earlier one; ≤ 512 KiB
+/// on these rows), with room for one doubling.
+const LARGEST_ALLOWANCE: u64 = 1 << 20;
 
 #[test]
 fn a_warm_table3_timing_allocates_a_fixed_few_times() {
@@ -122,8 +141,14 @@ fn a_warm_table3_timing_allocates_a_fixed_few_times() {
         rows.push((what, Box::new(time)));
     }
     // Every row once: the arena's buffers then fit the largest row's walk.
-    for (_, time) in &rows {
+    for (what, time) in &rows {
+        LARGEST.store(0, Ordering::Relaxed);
         time();
+        let largest = LARGEST.load(Ordering::Relaxed);
+        assert!(
+            largest <= LARGEST_ALLOWANCE,
+            "{what}: a {largest}-byte allocation in its first timing (allowance {LARGEST_ALLOWANCE})"
+        );
     }
     for (what, time) in &rows {
         let before = ALLOCS.load(Ordering::Relaxed);
