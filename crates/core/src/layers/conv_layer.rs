@@ -3,6 +3,7 @@
 use super::Layer;
 use crate::conv::Conv2d;
 use crate::error::SwdnnError;
+use crate::plans::check_operands;
 use sw_tensor::{init::xavier_filter, ConvShape, Layout, Tensor4};
 
 /// Where the convolution's three passes execute.
@@ -70,6 +71,7 @@ impl Layer for Conv2dLayer {
 
     fn forward(&mut self, input: &Tensor4<f64>) -> Result<Tensor4<f64>, SwdnnError> {
         let shape = self.conv.shape;
+        check_operands([(input, shape.input_shape())])?;
         let mut out = match self.engine {
             Engine::Host => sw_tensor::conv2d_ref(shape, input, &self.weights),
             Engine::Simulated => {
@@ -78,17 +80,15 @@ impl Layer for Conv2dLayer {
                 run.output.to_layout(Layout::Nchw)
             }
         };
-        // Bias.
-        for b in 0..shape.batch {
-            for no in 0..shape.no {
-                for r in 0..shape.ro {
-                    for c in 0..shape.co {
-                        out[(b, no, r, c)] += self.bias[no];
-                    }
-                }
-            }
+        // Bias, one NCHW output plane per `(b, no)`.
+        for (plane, ys) in out.data_mut().chunks_mut(shape.ro * shape.co).enumerate() {
+            let bias = self.bias[plane % shape.no];
+            ys.iter_mut().for_each(|y| *y += bias);
         }
-        self.cached_input = Some(input.clone());
+        match &mut self.cached_input {
+            Some(cached) => cached.clone_from(input),
+            None => self.cached_input = Some(input.clone()),
+        }
         Ok(out)
     }
 
@@ -114,17 +114,14 @@ impl Layer for Conv2dLayer {
             },
             Engine::Host => self.conv.backward_filter(input, d_out)?,
         };
-        for i in 0..dw.data().len() {
-            self.d_weights.data_mut()[i] += dw.data()[i];
+        for (acc, g) in self.d_weights.data_mut().iter_mut().zip(dw.data()) {
+            *acc += g;
         }
-        for b in 0..shape.batch {
-            for no in 0..shape.no {
-                for r in 0..shape.ro {
-                    for c in 0..shape.co {
-                        self.d_bias[no] += d_out.get(b, no, r, c);
-                    }
-                }
-            }
+        // `d_bias[no]` sums its planes in `(b, ro, co)` order.
+        let d_out_rows = d_out.as_nchw();
+        for (plane, gs) in d_out_rows.data().chunks(shape.ro * shape.co).enumerate() {
+            let acc = &mut self.d_bias[plane % shape.no];
+            gs.iter().for_each(|g| *acc += g);
         }
         // Data gradient: likewise (the dedicated BwdDataPlan).
         if self.engine == Engine::Simulated {
@@ -154,6 +151,7 @@ impl Layer for Conv2dLayer {
 mod tests {
     use super::*;
     use sw_tensor::init::seeded_tensor;
+    use sw_tensor::Shape4;
 
     fn layer_shape() -> ConvShape {
         ConvShape::new(2, 3, 4, 4, 4, 3, 3)
@@ -169,6 +167,22 @@ mod tests {
         let y1 = layer.forward(&x).unwrap();
         assert!((y1.get(0, 1, 0, 0) - y0.get(0, 1, 0, 0) - 5.0).abs() < 1e-12);
         assert_eq!(y1.get(0, 0, 0, 0), y0.get(0, 0, 0, 0));
+    }
+
+    #[test]
+    fn misfit_input_is_a_shape_mismatch_on_both_engines() {
+        let shape = layer_shape();
+        let misfit = seeded_tensor(Shape4::new(2, 3, 5, 6), Layout::Nchw, 2);
+        for engine in [Engine::Host, Engine::Simulated] {
+            let mut layer = Conv2dLayer::new(shape, engine, 1).unwrap();
+            assert!(
+                matches!(
+                    layer.forward(&misfit),
+                    Err(SwdnnError::ShapeMismatch { .. })
+                ),
+                "{engine:?}"
+            );
+        }
     }
 
     #[test]

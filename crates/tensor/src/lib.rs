@@ -12,8 +12,9 @@
 //! * [`Tensor4`] — an owned dense 4-D tensor over `f32` or `f64` elements,
 //! * [`Layout`] — the three layouts used throughout the reproduction
 //!   (`Nchw`, `ImageAware`, `BatchAware`) and transforms between them,
-//! * [`conv2d_ref`] — the naive 7-loop reference convolution of Listing 1,
-//!   used as the correctness oracle for every optimized plan.
+//! * [`conv2d_ref`] — the reference convolution of Listing 1 (its additions
+//!   in Listing 1's order, walked over NCHW rows), used as the correctness
+//!   oracle for every optimized plan.
 
 pub mod conv_general;
 mod conv_ref;

@@ -2,6 +2,7 @@
 
 use crate::layout::Layout;
 use crate::shape::Shape4;
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -105,7 +106,7 @@ impl Scalar for f32 {
 /// [`Shape4`]; the layout maps logical indices to positions in the flat
 /// buffer. Plans that DMA sub-blocks address the buffer directly through
 /// [`Tensor4::data`] using offsets computed from the layout.
-#[derive(Clone, PartialEq)]
+#[derive(PartialEq)]
 pub struct Tensor4<T: Scalar = f64> {
     shape: Shape4,
     layout: Layout,
@@ -204,6 +205,15 @@ impl<T: Scalar> Tensor4<T> {
         self.data[off] = v;
     }
 
+    /// This tensor in [`Layout::Nchw`]: borrowed when it already is, else
+    /// one [`Tensor4::to_layout`] copy.
+    pub fn as_nchw(&self) -> Cow<'_, Self> {
+        match self.layout {
+            Layout::Nchw => Cow::Borrowed(self),
+            _ => Cow::Owned(self.to_layout(Layout::Nchw)),
+        }
+    }
+
     /// Convert this tensor to another layout, preserving logical content.
     pub fn to_layout(&self, layout: Layout) -> Self {
         if layout == self.layout {
@@ -269,6 +279,23 @@ impl<T: Scalar> Tensor4<T> {
     /// Set every logical element to zero (padding included).
     pub fn zero(&mut self) {
         self.data.iter_mut().for_each(|v| *v = T::ZERO);
+    }
+}
+
+impl<T: Scalar> Clone for Tensor4<T> {
+    fn clone(&self) -> Self {
+        Self {
+            shape: self.shape,
+            layout: self.layout,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Reuses `self`'s buffer when it is large enough.
+    fn clone_from(&mut self, source: &Self) {
+        self.shape = source.shape;
+        self.layout = source.layout;
+        self.data.clone_from(&source.data);
     }
 }
 

@@ -18,6 +18,9 @@
 //!    modeled step time and moves the `collective_overlap_permille`
 //!    gauge without touching a parameter bit.
 //!
+//! Beside them, a digest pins the host engine's absolute parameter bits
+//! after three steps, and a misfit batch is a `ShapeMismatch`.
+//!
 //! `SWDNN_CHIP_FAULT_SEED` reseeds the chip-failure fault plan (CI runs
 //! the suite once under `SWDNN_THREADS=2` with it set); the assertions
 //! are seed-independent because a rate-1.0 plan always kills the first
@@ -123,6 +126,47 @@ fn bucketized_allreduce_bit_identical_at_every_chip_thread_bucket_combo() {
                 );
             }
         }
+    }
+}
+
+/// FNV-1a over the parameters' bit patterns, in `parameters()` order.
+fn params_digest(params: &[f64]) -> u64 {
+    params
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+#[test]
+fn host_training_parameters_are_pinned() {
+    // Host-engine lenet_12 after the suite's 3 steps (8 microbatches of
+    // 4), pinned to the bits Listing 1's element-by-element loops gave:
+    // the reference kernels and the conv layer's bias, bias-gradient and
+    // weight-gradient loops must keep every addition in its order.
+    let params = train_params(1);
+    assert_eq!(
+        (params.len(), params_digest(&params)),
+        (646, 0x85bd_b5f7_cd70_25da),
+        "host-engine parameters moved"
+    );
+}
+
+#[test]
+fn misfit_batch_is_a_structured_error() {
+    // One 1×11×12 sample per microbatch where lenet_12 takes 1×12×12:
+    // conv1 must say `ShapeMismatch`, not panic.
+    let (x, y) = task(8, 0xD474);
+    let x = Tensor4::from_fn(Shape4::new(8, 1, 11, 12), Layout::Nchw, |b, c, r, col| {
+        x.get(b, c, r, col)
+    });
+    let net = lenet_12(1, 1, 2, Engine::Host, 42).expect("build lenet");
+    let mut t =
+        DataParallelTrainer::new(net, Optimizer::sgd(0.1), TrainConfig::default()).expect("build");
+    match t.step(&x, &y) {
+        Err(SwdnnError::ShapeMismatch { got, .. }) if got.contains("11x12") => {}
+        other => panic!("expected conv1's ShapeMismatch, got {other:?}"),
     }
 }
 
