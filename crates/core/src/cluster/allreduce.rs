@@ -59,7 +59,7 @@ pub(crate) fn reduce_fixed_order(per_microbatch: &[Vec<f64>]) -> Vec<f64> {
 /// Flatten every layer's gradients into one vector (stable
 /// `visit_params` order) and zero the in-layer gradients so the next
 /// microbatch's backward starts from scratch.
-pub fn take_gradients(layers: &mut [Box<dyn Layer>]) -> Vec<f64> {
+pub fn take_gradients<L: Layer + ?Sized>(layers: &mut [Box<L>]) -> Vec<f64> {
     let mut flat = Vec::new();
     for layer in layers {
         layer.visit_params(&mut |_, g| {

@@ -14,6 +14,16 @@
 //! every parameter after every step, is bit-identical at any chip count,
 //! bucket size, or thread count.
 //!
+//! **Host lanes:** the step's numeric half runs on the worker pool. Each
+//! of `L` lanes (the pool's lane count capped by `M`) claims the next
+//! microbatch in index order and runs forward, loss and backward on its
+//! own replica of the network; each gradient and loss is kept by its
+//! global index. The loss sum, the reduction and the optimizer step
+//! then run in index order on the posting thread, over one master copy
+//! of the parameters, which is copied back into every replica. A
+//! microbatch's gradient depends only on the parameters and its own
+//! rows, so the lanes move no bit either.
+//!
 //! **Elasticity:** a [`sw_sim::FaultPlan`] with a chip-fail rate may
 //! kill one chip mid-step. Its entire assignment reshards round-robin
 //! onto the survivors ([`super::collective::reshard_on_failure`]), the
@@ -33,13 +43,16 @@ use super::collective::{
     reduce_bucketized, reshard_on_failure, run_collective, shard_microbatches, BucketPlan,
 };
 use crate::error::SwdnnError;
-use crate::network::Sequential;
+use crate::layers::{Layer, SoftmaxCrossEntropy};
+use crate::network::{forward_backward, Sequential};
 use crate::optim::Optimizer;
 use serde_json::Value;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use sw_obs::{chip_tag, link_tag, Recorder, TagCounters};
 use sw_perfmodel::{InterconnectSpec, LinkOccupancy, NetworkModel, Topology};
 use sw_sim::FaultPlan;
-use sw_tensor::{Layout, Tensor4};
+use sw_tensor::{Layout, Shape4, Tensor4};
 
 /// Data-parallel training configuration.
 #[derive(Clone, Copy, Debug)]
@@ -133,20 +146,29 @@ impl StepReport {
     }
 }
 
-/// Data-parallel SGD driver over one master [`Sequential`].
+/// Data-parallel SGD driver over one master [`Sequential`] and one
+/// replica of it per pool lane.
 ///
 /// The network must be built for the *microbatch* size (its conv layers
 /// carry a fixed batch); [`DataParallelTrainer::step`] takes the global
-/// batch and slices it. One master copy stands in for all replicas —
-/// since replicas start identical and apply the identical reduced
-/// gradient each step, they stay identical, so simulating one of them
-/// *is* simulating all of them. That is also why elasticity cannot move
-/// numerics: a survivor recomputing a victim's microbatch feeds the same
-/// gradient into the same slot of the same fixed-order sum.
+/// batch and slices it. Every layer must have a
+/// [`crate::layers::Layer::replica`]: each lane runs the microbatches it
+/// claims on its own replica, and the master only holds the
+/// parameters, takes the reduced gradient and steps the optimizer. The
+/// master's updated parameters are copied into every replica after each
+/// step, so all copies hold the same bits. Simulated chips are not
+/// replicas: since every chip would start identical and apply the
+/// identical reduced gradient each step, one set of parameters stands in
+/// for all of them. That is also why elasticity cannot move numerics: a
+/// survivor recomputing a victim's microbatch feeds the same gradient
+/// into the same slot of the same fixed-order sum.
 pub struct DataParallelTrainer {
     cfg: TrainConfig,
     net: Sequential,
     opt: Optimizer,
+    /// One network copy per pool lane a step has used; lane `k` runs
+    /// the microbatches it claims on `replicas[k]`.
+    replicas: Vec<Mutex<Replica>>,
     /// Simulated cluster clock, µs.
     clock_us: f64,
     steps: u64,
@@ -159,7 +181,60 @@ pub struct DataParallelTrainer {
     pub tags: TagCounters,
 }
 
+/// One lane's copy of the network: a replica of every layer and its own
+/// loss head.
+struct Replica {
+    layers: Vec<Box<dyn Layer + Send>>,
+    loss: SoftmaxCrossEntropy,
+}
+
+impl Replica {
+    /// Replicate every layer of `net`, or name the first that cannot be.
+    fn of(net: &Sequential) -> Result<Self, SwdnnError> {
+        let layers = net
+            .layers
+            .iter()
+            .enumerate()
+            .map(|(index, layer)| {
+                layer.replica().ok_or(SwdnnError::NotReplicable {
+                    index,
+                    layer: layer.name(),
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut replica = Self {
+            layers,
+            loss: SoftmaxCrossEntropy::new(),
+        };
+        // Whatever gradient the master holds, a replica's starts at zero.
+        take_gradients(&mut replica.layers);
+        Ok(replica)
+    }
+
+    /// Forward, loss and backward of one microbatch: its flat gradient
+    /// and loss. The gradient slots are cleared on either outcome, so an
+    /// error leaves nothing behind for this replica's next microbatch.
+    fn microbatch(&mut self, x: Tensor4<f64>, y: &[usize]) -> Result<(Vec<f64>, f64), SwdnnError> {
+        let loss = forward_backward(&mut self.layers, &mut self.loss, x, y);
+        let grad = take_gradients(&mut self.layers);
+        Ok((grad, loss?))
+    }
+
+    /// Overwrite every parameter from `flat`, in `visit_params` order.
+    fn load_parameters(&mut self, flat: &[f64]) {
+        let mut off = 0;
+        for layer in &mut self.layers {
+            layer.visit_params(&mut |w, _| {
+                w.copy_from_slice(&flat[off..off + w.len()]);
+                off += w.len();
+            });
+        }
+    }
+}
+
 impl DataParallelTrainer {
+    /// A trainer over `net`, or [`SwdnnError::NotReplicable`] naming the
+    /// first layer that has no replica.
     pub fn new(net: Sequential, opt: Optimizer, cfg: TrainConfig) -> Result<Self, SwdnnError> {
         if cfg.chips == 0 || cfg.microbatches < cfg.chips {
             return Err(SwdnnError::InsufficientMicrobatches {
@@ -167,6 +242,7 @@ impl DataParallelTrainer {
                 chips: cfg.chips,
             });
         }
+        let first = Replica::of(&net)?;
         Ok(Self {
             recorder: if cfg.trace {
                 Recorder::enabled()
@@ -177,27 +253,16 @@ impl DataParallelTrainer {
             cfg,
             net,
             opt,
+            replicas: vec![Mutex::new(first)],
             clock_us: 0.0,
             steps: 0,
             tags: TagCounters::new(),
         })
     }
 
-    pub fn config(&self) -> TrainConfig {
-        self.cfg
-    }
-
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
     /// Simulated time spent so far, µs.
     pub fn now_us(&self) -> f64 {
         self.clock_us
-    }
-
-    pub fn network(&self) -> &Sequential {
-        &self.net
     }
 
     /// Chips currently able to take work.
@@ -224,7 +289,9 @@ impl DataParallelTrainer {
 
     /// One data-parallel step over a global batch whose leading
     /// dimension is `microbatches × microbatch_size`. Returns the mean
-    /// loss and the step's modeled cluster cost.
+    /// loss and the step's modeled cluster cost. On an error (that of the
+    /// lowest failing microbatch) the parameters, the optimizer and the
+    /// simulated clock are as before the step.
     pub fn step(
         &mut self,
         input: &Tensor4<f64>,
@@ -246,25 +313,39 @@ impl DataParallelTrainer {
         }
         let shard = shard_microbatches(m, active.len())?;
 
-        // ----- numerics: independent of chips, buckets, and failures.
-        // The master net computes every microbatch in global index
-        // order; bucketized fixed-order reduction then matches the
-        // monolithic reduce bit for bit.
+        // ----- numerics: independent of chips, buckets, failures and
+        // lanes. Each pool lane claims the next microbatch in index order
+        // and runs it on its own replica (a lane that starts late or runs
+        // slow takes fewer); every gradient and loss is kept by global
+        // microbatch index, and all that follows runs in index order here.
         let mb_rows = b / m;
-        let mut shard_grads = Vec::with_capacity(m);
-        let mut loss_sum = 0.0;
-        for i in 0..m {
-            let x = slice_batch(input, i * mb_rows, mb_rows);
-            let y = &labels[i * mb_rows..(i + 1) * mb_rows];
-            let logits = self.net.forward(&x)?;
-            loss_sum += self.net.loss.forward(&logits, y)?;
-            let mut grad = self.net.loss.backward(y)?;
-            for layer in self.net.layers.iter_mut().rev() {
-                grad = layer.backward(&grad)?;
-            }
-            shard_grads.push(take_gradients(&mut self.net.layers));
+        let lanes = sw_runtime::lanes(m);
+        while self.replicas.len() < lanes {
+            self.replicas.push(Mutex::new(Replica::of(&self.net)?));
         }
-        let total_params = shard_grads.first().map(|g| g.len()).unwrap_or(0);
+        let x = input.as_nchw();
+        let replicas = &self.replicas;
+        let next = AtomicUsize::new(0);
+        let per_microbatch = sw_runtime::global().gather_by_index(
+            m,
+            lanes,
+            |_| {
+                std::iter::from_fn(|| {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    (i < m).then_some(i)
+                })
+            },
+            |k, i| {
+                let y = &labels[i * mb_rows..(i + 1) * mb_rows];
+                replicas[k]
+                    .lock()
+                    .expect("a replica's lane panicked in an earlier step")
+                    .microbatch(slice_batch(&x, i * mb_rows, mb_rows), y)
+            },
+        )?;
+        let loss_sum = per_microbatch.iter().fold(0.0, |sum, (_, loss)| sum + loss);
+        let shard_grads: Vec<Vec<f64>> = per_microbatch.into_iter().map(|(g, _)| g).collect();
+        let total_params = shard_grads[0].len();
         let plan = match self.cfg.bucket_params {
             Some(bp) => BucketPlan::fixed_size(total_params, bp),
             None => BucketPlan::single(total_params),
@@ -276,6 +357,13 @@ impl DataParallelTrainer {
         }
         load_gradients(&mut self.net.layers, &reduced);
         self.opt.step(&mut self.net.layers);
+        let params = self.parameters();
+        for replica in &mut self.replicas {
+            replica
+                .get_mut()
+                .expect("a replica's lane panicked in an earlier step")
+                .load_parameters(&params);
+        }
 
         // ----- time: per-chip compute ends, optional mid-step failure.
         let mb_us = self.cfg.compute_us_per_microbatch as f64;
@@ -350,62 +438,72 @@ impl DataParallelTrainer {
         let mut occ = LinkOccupancy::new();
         let creport = run_collective(&model, &mut occ, &members, &plan, &ready, compute_end);
 
-        // ----- observability: spans, chip counters, link counters.
+        // ----- observability: chip counters, spans, link counters. Span
+        // names and arguments are built only when tracing is on.
+        let tracing = self.recorder.is_enabled();
         for (p, &chip) in active.iter().enumerate() {
             let n = shard[p].len() as u64;
             if failed_chip == Some(chip) {
+                if tracing {
+                    self.recorder.span_cat(
+                        "compute-failed",
+                        "train",
+                        chip as u64,
+                        0,
+                        self.clock_us,
+                        own_end[p] - self.clock_us,
+                        vec![("lost_microbatches".into(), Value::from(n))],
+                    );
+                }
+                continue;
+            }
+            self.tags.add(&chip_tag(chip, "microbatches"), n);
+            if tracing {
                 self.recorder.span_cat(
-                    "compute-failed",
+                    "compute",
                     "train",
                     chip as u64,
                     0,
                     self.clock_us,
-                    own_end[p] - self.clock_us,
-                    vec![("lost_microbatches".into(), Value::from(n))],
+                    n as f64 * mb_us,
+                    vec![("microbatches".into(), Value::from(n))],
                 );
-                continue;
             }
-            self.tags.add(&chip_tag(chip, "microbatches"), n);
-            self.recorder.span_cat(
-                "compute",
-                "train",
-                chip as u64,
-                0,
-                self.clock_us,
-                shard[p].len() as f64 * mb_us,
-                vec![("microbatches".into(), Value::from(n))],
-            );
             if extra_counts[p] > 0 {
-                self.tags
-                    .add(&chip_tag(chip, "microbatches"), extra_counts[p] as u64);
-                self.tags
-                    .add(&chip_tag(chip, "resharded_in"), extra_counts[p] as u64);
-                self.recorder.span_cat(
-                    "compute-resharded",
-                    "train",
-                    chip as u64,
-                    0,
-                    extra_starts[p],
-                    extra_counts[p] as f64 * mb_us,
-                    vec![("microbatches".into(), Value::from(extra_counts[p] as u64))],
-                );
+                let extra = extra_counts[p] as u64;
+                self.tags.add(&chip_tag(chip, "microbatches"), extra);
+                self.tags.add(&chip_tag(chip, "resharded_in"), extra);
+                if tracing {
+                    self.recorder.span_cat(
+                        "compute-resharded",
+                        "train",
+                        chip as u64,
+                        0,
+                        extra_starts[p],
+                        extra as f64 * mb_us,
+                        vec![("microbatches".into(), Value::from(extra))],
+                    );
+                }
             }
         }
-        for span in &creport.spans {
-            for &chip in &members {
-                self.recorder.span_cat(
-                    &format!("bucket-{}", span.bucket),
-                    "comm",
-                    chip as u64,
-                    1,
-                    span.start_us,
-                    span.finish_us - span.start_us,
-                    vec![
-                        ("kind".into(), Value::from(span.kind.name())),
-                        ("bytes".into(), Value::from(span.bytes)),
-                        ("ready_us".into(), Value::from(span.ready_us)),
-                    ],
-                );
+        if tracing {
+            for span in &creport.spans {
+                let name = format!("bucket-{}", span.bucket);
+                for &chip in &members {
+                    self.recorder.span_cat(
+                        &name,
+                        "comm",
+                        chip as u64,
+                        1,
+                        span.start_us,
+                        span.finish_us - span.start_us,
+                        vec![
+                            ("kind".into(), Value::from(span.kind.name())),
+                            ("bytes".into(), Value::from(span.bytes)),
+                            ("ready_us".into(), Value::from(span.ready_us)),
+                        ],
+                    );
+                }
             }
         }
         for (name, usage) in occ.links() {
@@ -449,13 +547,15 @@ impl DataParallelTrainer {
     }
 }
 
-/// Copy `count` batch rows starting at `start` into a fresh tensor.
+/// Copy `count` batch rows of an NCHW batch, starting at `start`, into a
+/// fresh tensor: one contiguous range of its buffer.
 fn slice_batch(x: &Tensor4<f64>, start: usize, count: usize) -> Tensor4<f64> {
+    debug_assert_eq!(x.layout(), Layout::Nchw);
     let s = x.shape();
-    Tensor4::from_fn(
-        sw_tensor::Shape4::new(count, s.d1, s.d2, s.d3),
-        Layout::Nchw,
-        |b, c, h, w| x.get(start + b, c, h, w),
+    let row = s.d1 * s.d2 * s.d3;
+    Tensor4::from_vec(
+        Shape4::new(count, s.d1, s.d2, s.d3),
+        x.data()[start * row..(start + count) * row].to_vec(),
     )
 }
 
@@ -678,6 +778,198 @@ mod tests {
         assert_eq!(pids.len(), 4, "one track per chip");
         assert!(trace.category_dur_us("train") > 0.0);
         assert!(trace.category_dur_us("comm") > 0.0, "comm spans recorded");
+    }
+
+    /// The two-class task `tests/cluster.rs` pins its parameter digest on.
+    fn pinned_task(batch: usize, seed: u64) -> (Tensor4<f64>, Vec<usize>) {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut x = Tensor4::zeros(Shape4::new(batch, 1, 12, 12), Layout::Nchw);
+        let mut y = Vec::new();
+        for b in 0..batch {
+            let class = (next() % 2) as usize;
+            for r in 0..12 {
+                for c in 0..12 {
+                    let noise = (next() % 1000) as f64 / 1e4 - 0.05;
+                    let v = if (class == 0) == (c < 6) { 1.0 } else { 0.1 };
+                    x.set(b, 0, r, c, v + noise);
+                }
+            }
+            y.push(class);
+        }
+        (x, y)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// FNV-1a over the parameters' bit patterns, as `tests/cluster.rs`.
+    fn params_digest(bits: &[u64]) -> u64 {
+        bits.iter()
+            .flat_map(|b| b.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn every_lane_count_gives_the_same_bits() {
+        // 3 steps on 4 chips: chip 0 fails in step 0, chip 1 in step 1,
+        // chip 0 is restored and fails again in step 2. Neither 16 nor 8
+        // microbatches divide among 3 lanes; 8 microbatches reproduce the
+        // 1-chip digest `host_training_parameters_are_pinned` holds.
+        let (x, y) = pinned_task(32, 0xD474);
+        for (microbatches, digest) in [(16, None), (8, Some(0x85bd_b5f7_cd70_25da))] {
+            let run = |threads: usize| {
+                sw_runtime::with_threads(threads, || {
+                    let mut t = trainer_cfg(TrainConfig {
+                        chips: 4,
+                        microbatches,
+                        fault: FaultPlan::none(7).with_chip_fail_rate(1.0),
+                        ..TrainConfig::default()
+                    });
+                    let mut losses = Vec::new();
+                    let mut failed = Vec::new();
+                    for step in 0..3 {
+                        if step == 2 {
+                            t.restore_chip(0);
+                        }
+                        let r = t.step(&x, &y).unwrap();
+                        losses.push(r.loss);
+                        failed.push(r.failed_chip);
+                    }
+                    assert_eq!(t.replicas.len(), threads.min(microbatches));
+                    assert_eq!(failed, [Some(0), Some(1), Some(0)]);
+                    (bits(&t.parameters()), bits(&losses))
+                })
+            };
+            let want = run(1);
+            if let Some(digest) = digest {
+                assert_eq!(params_digest(&want.0), digest, "{microbatches}");
+            }
+            for threads in [2, 3, 8] {
+                assert_eq!(run(threads), want, "{microbatches} x {threads} lanes");
+            }
+        }
+    }
+
+    /// A pass-through layer whose `backward` fails on the microbatches
+    /// whose first input value is listed in `fail_on`.
+    #[derive(Clone)]
+    struct FailOn {
+        fail_on: std::sync::Arc<Mutex<Vec<usize>>>,
+        first: f64,
+    }
+
+    impl Layer for FailOn {
+        fn forward(&mut self, input: &Tensor4<f64>) -> Result<Tensor4<f64>, SwdnnError> {
+            self.first = input.data()[0];
+            Ok(input.clone())
+        }
+        fn backward(&mut self, d_out: &Tensor4<f64>) -> Result<Tensor4<f64>, SwdnnError> {
+            let i = self.first as usize;
+            if self.fail_on.lock().unwrap().contains(&i) {
+                return Err(SwdnnError::Numeric {
+                    context: format!("microbatch {i}"),
+                    detail: "injected".into(),
+                });
+            }
+            Ok(d_out.clone())
+        }
+        fn name(&self) -> &'static str {
+            "fail_on"
+        }
+        fn replica(&self) -> Option<Box<dyn Layer + Send>> {
+            Some(Box::new(self.clone()))
+        }
+    }
+
+    #[test]
+    fn a_failed_step_returns_the_lowest_error_and_changes_nothing() {
+        // 16 microbatches of 2; each one's first pixel holds its index.
+        let (mut x, y) = task(32, 5);
+        for i in 0..16 {
+            x.set(2 * i, 0, 0, 0, i as f64);
+        }
+        let build = |fail_on: &std::sync::Arc<Mutex<Vec<usize>>>| {
+            let mut net = lenet_12(2, 1, 2, Engine::Host, 42).unwrap();
+            let first = FailOn {
+                fail_on: fail_on.clone(),
+                first: 0.0,
+            };
+            net.layers.insert(0, Box::new(first));
+            let cfg = TrainConfig {
+                chips: 4,
+                microbatches: 16,
+                ..TrainConfig::default()
+            };
+            DataParallelTrainer::new(net, Optimizer::adam(0.01), cfg).unwrap()
+        };
+        for threads in [1, 2, 3, 8] {
+            sw_runtime::with_threads(threads, || {
+                let fail_on = std::sync::Arc::default();
+                let mut clean = build(&std::sync::Arc::default());
+                let mut t = build(&fail_on);
+                clean.step(&x, &y).unwrap();
+                t.step(&x, &y).unwrap();
+                // Backward of every lenet layer runs before the first
+                // layer's fails, so the failing replicas hold gradients.
+                *fail_on.lock().unwrap() = vec![11, 5, 14];
+                let (params, opt_steps, now) = (t.parameters(), t.opt.steps(), t.now_us());
+                match t.step(&x, &y) {
+                    Err(SwdnnError::Numeric { context, .. }) => {
+                        assert_eq!(context, "microbatch 5", "{threads} lanes")
+                    }
+                    other => {
+                        panic!("{threads} lanes: expected microbatch 5's error, got {other:?}")
+                    }
+                }
+                assert_eq!(bits(&t.parameters()), bits(&params), "{threads} lanes");
+                assert_eq!((t.opt.steps(), t.now_us()), (opt_steps, now));
+                fail_on.lock().unwrap().clear();
+                for _ in 0..2 {
+                    let (want, got) = (clean.step(&x, &y).unwrap(), t.step(&x, &y).unwrap());
+                    assert_eq!(got.loss.to_bits(), want.loss.to_bits(), "{threads} lanes");
+                    assert_eq!(bits(&t.parameters()), bits(&clean.parameters()));
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn a_layer_without_a_replica_is_refused_by_name() {
+        use crate::layers::{Conv2dLayer, Dropout};
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        use sw_tensor::ConvShape;
+        let shared = Conv2dLayer::new(ConvShape::new(4, 6, 8, 3, 3, 3, 3), Engine::Host, 43);
+        let mut net = lenet_12(4, 1, 2, Engine::Host, 42).unwrap();
+        net.layers[3] = Box::new(Rc::new(RefCell::new(shared.unwrap())));
+        let err = DataParallelTrainer::new(net, Optimizer::sgd(0.1), TrainConfig::default());
+        assert_eq!(
+            err.err(),
+            Some(SwdnnError::NotReplicable {
+                index: 3,
+                layer: "conv2d"
+            })
+        );
+        let mut net = lenet_12(4, 1, 2, Engine::Host, 42).unwrap();
+        net.layers.insert(2, Box::new(Dropout::new(0.5, 1)));
+        let err = DataParallelTrainer::new(net, Optimizer::sgd(0.1), TrainConfig::default());
+        assert_eq!(
+            err.err(),
+            Some(SwdnnError::NotReplicable {
+                index: 2,
+                layer: "dropout"
+            })
+        );
     }
 
     #[test]

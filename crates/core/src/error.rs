@@ -54,6 +54,10 @@ pub enum SwdnnError {
     /// other mismatch (`M mod C ≠ 0`); this is the one shape the trainer
     /// refuses outright.
     InsufficientMicrobatches { microbatches: usize, chips: usize },
+    /// A data-parallel trainer runs a replica of every layer on each pool
+    /// lane, and the layer at `index` (named `layer`) has none
+    /// ([`crate::layers::Layer::replica`]).
+    NotReplicable { index: usize, layer: &'static str },
 }
 
 impl SwdnnError {
@@ -120,6 +124,12 @@ impl std::fmt::Display for SwdnnError {
                     f,
                     "{microbatches} microbatches cannot feed {chips} chips; \
                      need at least one microbatch per chip"
+                )
+            }
+            SwdnnError::NotReplicable { index, layer } => {
+                write!(
+                    f,
+                    "layer {index} ({layer}) has no replica for data-parallel lanes"
                 )
             }
         }

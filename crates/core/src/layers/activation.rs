@@ -5,7 +5,7 @@ use crate::error::SwdnnError;
 use sw_tensor::Tensor4;
 
 /// Logistic sigmoid, elementwise `1/(1+e^-x)`.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct Sigmoid {
     out: Option<Tensor4<f64>>,
 }
@@ -19,6 +19,10 @@ impl Sigmoid {
 impl Layer for Sigmoid {
     fn name(&self) -> &'static str {
         "sigmoid"
+    }
+
+    fn replica(&self) -> Option<Box<dyn Layer + Send>> {
+        Some(Box::new(self.clone()))
     }
 
     fn forward(&mut self, input: &Tensor4<f64>) -> Result<Tensor4<f64>, SwdnnError> {
@@ -45,7 +49,7 @@ impl Layer for Sigmoid {
 }
 
 /// Hyperbolic tangent.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct Tanh {
     out: Option<Tensor4<f64>>,
 }
@@ -59,6 +63,10 @@ impl Tanh {
 impl Layer for Tanh {
     fn name(&self) -> &'static str {
         "tanh"
+    }
+
+    fn replica(&self) -> Option<Box<dyn Layer + Send>> {
+        Some(Box::new(self.clone()))
     }
 
     fn forward(&mut self, input: &Tensor4<f64>) -> Result<Tensor4<f64>, SwdnnError> {
@@ -85,7 +93,7 @@ impl Layer for Tanh {
 }
 
 /// Rectified linear unit, elementwise `max(0, x)`.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct ReLU {
     mask: Option<Tensor4<f64>>,
 }
@@ -99,6 +107,10 @@ impl ReLU {
 impl Layer for ReLU {
     fn name(&self) -> &'static str {
         "relu"
+    }
+
+    fn replica(&self) -> Option<Box<dyn Layer + Send>> {
+        Some(Box::new(self.clone()))
     }
 
     fn forward(&mut self, input: &Tensor4<f64>) -> Result<Tensor4<f64>, SwdnnError> {

@@ -27,6 +27,7 @@ pub struct PassCycles {
 }
 
 /// `Conv2d` with trainable filters and per-output-channel bias.
+#[derive(Clone)]
 pub struct Conv2dLayer {
     pub conv: Conv2d,
     pub engine: Engine,
@@ -67,6 +68,10 @@ impl Conv2dLayer {
 impl Layer for Conv2dLayer {
     fn name(&self) -> &'static str {
         "conv2d"
+    }
+
+    fn replica(&self) -> Option<Box<dyn Layer + Send>> {
+        Some(Box::new(self.clone()))
     }
 
     fn forward(&mut self, input: &Tensor4<f64>) -> Result<Tensor4<f64>, SwdnnError> {

@@ -11,6 +11,7 @@ use rand::SeedableRng;
 use sw_tensor::{Shape4, Tensor4};
 
 /// `y = W x + b` with `W: (out, in)` row-major.
+#[derive(Clone)]
 pub struct Linear {
     pub in_features: usize,
     pub out_features: usize,
@@ -69,6 +70,10 @@ impl Linear {
 impl Layer for Linear {
     fn name(&self) -> &'static str {
         "linear"
+    }
+
+    fn replica(&self) -> Option<Box<dyn Layer + Send>> {
+        Some(Box::new(self.clone()))
     }
 
     fn forward(&mut self, input: &Tensor4<f64>) -> Result<Tensor4<f64>, SwdnnError> {

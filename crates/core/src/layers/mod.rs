@@ -77,6 +77,15 @@ pub trait Layer {
     fn param_count(&self) -> usize {
         0
     }
+    /// A copy that another thread can run: the same parameters and
+    /// configuration, with its own caches and gradients. A layer whose
+    /// output depends only on its parameters and input returns one; a
+    /// layer with order-dependent state (a random stream, running
+    /// statistics) or shared ownership keeps the `None` default, so
+    /// [`crate::cluster::DataParallelTrainer`] refuses it by name.
+    fn replica(&self) -> Option<Box<dyn Layer + Send>> {
+        None
+    }
 }
 
 /// A layer shared with its caller, who can still read it (a conv layer's

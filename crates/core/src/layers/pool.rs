@@ -21,7 +21,7 @@ fn check_even(input: &Tensor4<f64>) -> Result<(), SwdnnError> {
 }
 
 /// 2×2 max pooling with stride 2.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct MaxPool2 {
     /// Index (0..4) of the argmax within each window.
     argmax: Option<Vec<u8>>,
@@ -37,6 +37,10 @@ impl MaxPool2 {
 impl Layer for MaxPool2 {
     fn name(&self) -> &'static str {
         "maxpool2"
+    }
+
+    fn replica(&self) -> Option<Box<dyn Layer + Send>> {
+        Some(Box::new(self.clone()))
     }
 
     fn forward(&mut self, input: &Tensor4<f64>) -> Result<Tensor4<f64>, SwdnnError> {
@@ -104,7 +108,7 @@ impl Layer for MaxPool2 {
 }
 
 /// 2×2 average pooling with stride 2.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct AvgPool2 {
     in_shape: Option<Shape4>,
 }
@@ -118,6 +122,10 @@ impl AvgPool2 {
 impl Layer for AvgPool2 {
     fn name(&self) -> &'static str {
         "avgpool2"
+    }
+
+    fn replica(&self) -> Option<Box<dyn Layer + Send>> {
+        Some(Box::new(self.clone()))
     }
 
     fn forward(&mut self, input: &Tensor4<f64>) -> Result<Tensor4<f64>, SwdnnError> {

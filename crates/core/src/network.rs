@@ -39,12 +39,7 @@ impl Sequential {
         labels: &[usize],
         opt: &mut crate::optim::Optimizer,
     ) -> Result<f64, SwdnnError> {
-        let logits = self.forward(input)?;
-        let loss = self.loss.forward(&logits, labels)?;
-        let mut grad = self.loss.backward(labels)?;
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad)?;
-        }
+        let loss = forward_backward(&mut self.layers, &mut self.loss, input.clone(), labels)?;
         opt.step(&mut self.layers);
         Ok(loss)
     }
@@ -56,12 +51,7 @@ impl Sequential {
         labels: &[usize],
         lr: f64,
     ) -> Result<f64, SwdnnError> {
-        let logits = self.forward(input)?;
-        let loss = self.loss.forward(&logits, labels)?;
-        let mut grad = self.loss.backward(labels)?;
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad)?;
-        }
+        let loss = forward_backward(&mut self.layers, &mut self.loss, input.clone(), labels)?;
         for layer in &mut self.layers {
             layer.sgd_step(lr);
         }
@@ -112,6 +102,27 @@ impl Sequential {
     pub fn param_count(&self) -> usize {
         self.layers.iter().map(|l| l.param_count()).sum()
     }
+}
+
+/// Forward `input` through `layers` and the loss head on `labels`, then
+/// backward through every layer, which accumulates its parameter
+/// gradients. Returns the loss.
+pub(crate) fn forward_backward<L: Layer + ?Sized>(
+    layers: &mut [Box<L>],
+    loss: &mut SoftmaxCrossEntropy,
+    input: Tensor4<f64>,
+    labels: &[usize],
+) -> Result<f64, SwdnnError> {
+    let mut act = input;
+    for layer in layers.iter_mut() {
+        act = layer.forward(&act)?;
+    }
+    let value = loss.forward(&act, labels)?;
+    let mut grad = loss.backward(labels)?;
+    for layer in layers.iter_mut().rev() {
+        grad = layer.backward(&grad)?;
+    }
+    Ok(value)
 }
 
 #[cfg(test)]

@@ -31,7 +31,6 @@
 use crate::conv::Conv2d;
 use crate::error::SwdnnError;
 use crate::plans::{lower_schedule, LowerCtx, PatchGemmPlan, Schedule};
-use std::sync::OnceLock;
 use sw_perfmodel::select::Blocking;
 use sw_perfmodel::{co_blocks, ChipSpec, ConvPerfModel, PlanKind};
 use sw_runtime::ExecutionContext;
@@ -351,16 +350,12 @@ fn time_candidates<T: Send + Sync>(
     order: &[usize],
     time: impl Fn(usize) -> Result<T, SwdnnError> + Sync,
 ) -> Result<Vec<T>, SwdnnError> {
-    let timed: Vec<OnceLock<Result<T, SwdnnError>>> =
-        order.iter().map(|_| OnceLock::new()).collect();
-    rt.run(order.len(), |slot| {
-        let i = order[slot];
-        timed[i].get_or_init(|| time(i));
-    });
-    timed
-        .into_iter()
-        .map(|t| t.into_inner().expect("`order` names every candidate once"))
-        .collect()
+    rt.gather_by_index(
+        order.len(),
+        order.len(),
+        |slot| [order[slot]],
+        |_, i| time(i),
+    )
 }
 
 #[cfg(test)]

@@ -173,10 +173,19 @@ pub fn lanes_for(items: usize, work: Work) -> usize {
         Work::Doubles(d) => d >= DOUBLES_GRAIN,
     };
     if worth_it {
-        effective_threads().min(items.max(1))
+        lanes(items)
     } else {
         1
     }
+}
+
+/// How many lanes a region of `items` independent items fans out over:
+/// the effective lane count (the [`with_threads`] override, else
+/// `SWDNN_THREADS`, else the machine's parallelism) capped by `items`,
+/// and at least one. What [`ExecutionContext::run`] uses for `items`
+/// slots.
+pub fn lanes(items: usize) -> usize {
+    effective_threads().min(items.max(1))
 }
 
 /// Human-readable description of the resolved thread policy, for bench
@@ -429,7 +438,7 @@ impl ExecutionContext {
         if slots == 0 {
             return;
         }
-        let threads = effective_threads().min(slots);
+        let threads = lanes(slots);
         if threads <= 1 {
             for s in 0..slots {
                 f(s);
@@ -470,6 +479,41 @@ impl ExecutionContext {
         }
     }
 
+    /// Run `f(slot, i)` for every index `i` of every slot's `items(slot)`,
+    /// one slot per [`ExecutionContext::run`] slot. Each slot takes its
+    /// indices in ascending order and stops at its first error. Returns
+    /// the `n` values in index order, or the error of the lowest failing
+    /// index, whichever lane ran what and in whatever order they finished.
+    ///
+    /// Run to the end, the slots' `items` must name every index in `0..n`
+    /// exactly once; they may draw them from one shared counter. Since a
+    /// slot stops only at an error, an index that no slot ran lies above
+    /// a failing one, whose error the gather returns first.
+    pub fn gather_by_index<T, E, I>(
+        &self,
+        n: usize,
+        slots: usize,
+        items: impl Fn(usize) -> I + Sync,
+        f: impl Fn(usize, usize) -> Result<T, E> + Sync,
+    ) -> Result<Vec<T>, E>
+    where
+        T: Send + Sync,
+        E: Send + Sync,
+        I: IntoIterator<Item = usize>,
+    {
+        let done: Vec<OnceLock<Result<T, E>>> = (0..n).map(|_| OnceLock::new()).collect();
+        self.run(slots, |slot| {
+            for i in items(slot) {
+                if done[i].get_or_init(|| f(slot, i)).is_err() {
+                    break;
+                }
+            }
+        });
+        done.into_iter()
+            .map(|d| d.into_inner().expect("every index is named by one slot"))
+            .collect()
+    }
+
     /// Run `steps` *dependent* parallel regions under ONE pool handoff.
     ///
     /// Step `k` fans out over `slots_for(k)` slots, each running
@@ -503,7 +547,7 @@ impl ExecutionContext {
             (0..steps).all(|k| slots_for(k) >= 1),
             "run_stepped requires at least one slot per step"
         );
-        let threads = effective_threads().min(max_slots);
+        let threads = lanes(max_slots);
         if threads <= 1 {
             for step in 0..steps {
                 for slot in 0..slots_for(step) {
@@ -639,7 +683,7 @@ impl ExecutionContext {
         if slots == 0 {
             return;
         }
-        let threads = effective_threads().min(slots);
+        let threads = lanes(slots);
         if threads <= 1 {
             for s in 0..slots {
                 f(s);
@@ -668,7 +712,7 @@ impl ExecutionContext {
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        let threads = effective_threads().min(n.max(1));
+        let threads = lanes(n);
         if threads <= 1 || n <= 1 {
             return (0..n).map(f).collect();
         }
@@ -701,7 +745,7 @@ impl ExecutionContext {
         F: Fn(usize, I) -> R + Sync,
     {
         let n = items.len();
-        let threads = effective_threads().min(n.max(1));
+        let threads = lanes(n);
         if threads <= 1 || n <= 1 {
             return items
                 .into_iter()
@@ -951,6 +995,39 @@ mod tests {
             });
         });
         assert_eq!(total.into_inner(), (0..64).sum::<u64>());
+    }
+
+    #[test]
+    fn gather_by_index_returns_values_or_the_lowest_error_by_index() {
+        // Three contiguous chunks of ten indices; a chunk stops at its
+        // first error, so index 6 is never run once 5 fails.
+        let ctx = ExecutionContext::new();
+        let chunks = [0..4, 4..7, 7..10];
+        let ran: Vec<AtomicBool> = (0..10).map(|_| AtomicBool::new(false)).collect();
+        for threads in [1, 2, 3, 8] {
+            with_threads(threads, || {
+                let got =
+                    ctx.gather_by_index(10, 3, |k| chunks[k].clone(), |_, i| Ok::<_, usize>(i * i));
+                assert_eq!(got, Ok((0..10).map(|i| i * i).collect()), "{threads}");
+                ran.iter().for_each(|r| r.store(false, Ordering::Relaxed));
+                let got = ctx.gather_by_index(
+                    10,
+                    3,
+                    |k| chunks[k].clone(),
+                    |k, i| {
+                        ran[i].store(true, Ordering::Relaxed);
+                        if matches!(i, 5 | 8 | 9) {
+                            Err((k, i))
+                        } else {
+                            Ok(i)
+                        }
+                    },
+                );
+                assert_eq!(got, Err((1, 5)), "{threads}");
+                assert!(!ran[6].load(Ordering::Relaxed), "{threads}");
+                assert!(!ran[9].load(Ordering::Relaxed), "{threads}");
+            });
+        }
     }
 
     #[test]
